@@ -2,7 +2,9 @@
 
 Subcommands run one study kind from a config file and write CSV, list
 the family catalogue, or turn a finished CSV into an SVG rate plot.
-Exit codes: 0 success, 2 configuration problems, 3 numerical breaches.
+Exit codes: 0 success, 2 configuration problems (including keys no
+study reads), 3 numerical failures: breaches, unconverged iterations and
+forms no shift makes coercive.
 """
 
 import argparse
@@ -11,7 +13,7 @@ import sys
 
 from .config import ConfigError, StudyConfig
 from .fem import NumericalBreach
-from .norms import PowerIterationError
+from .norms import CoercivityError, PowerIterationError
 from .registry import describe_families
 from .study import STUDY_KINDS, read_csv, run_study, write_csv
 from .svgplot import write_plot
@@ -111,12 +113,13 @@ def _report(args):
 
 def _run_kind(kind, args):
     cfg = StudyConfig.load(args.config)
-    result = run_study(kind, cfg, seed=args.seed, threads=args.threads)
+    # read before the study runs, which rejects keys nobody has read
     out = args.out or cfg.get_str("output.csv", None)
     if out is None:
         raise ConfigError(
             "no output path: pass --out or set output.csv in the config"
         )
+    result = run_study(kind, cfg, seed=args.seed, threads=args.threads)
     if out == "-":
         sys.stdout.write(study_mod.render_csv(result))
     else:
@@ -143,6 +146,9 @@ def main(argv=None):
         return 2
     except (NumericalBreach, PowerIterationError) as exc:
         print(f"numerical breach: {exc}", file=sys.stderr)
+        return 3
+    except CoercivityError as exc:
+        print(f"coercivity error: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -1,11 +1,14 @@
-"""Induced operator norms in discrete Sobolev metrics, via power iteration.
+"""Induced operator norms in discrete Sobolev metrics, and coercivity.
 
 Every norm here is a largest singular value of a map between Hilbert
 spaces whose Grams are the H1 matrix S, its inverse (the dual space), or
-the mass matrix.  The iteration runs on the self-adjoint product operator
-using only multiplications and solves with the Grams, never forming
-matrix square roots.  Each value is recomputed from a second seed; the
-two runs must agree or the report is flagged.
+the mass matrix.  It is found by block power iteration on the
+self-adjoint product operator, using only multiplications and solves with
+the Grams, never forming matrix square roots.  Each value is recomputed
+from a second seed; the two runs must agree or the report is flagged.
+
+The coercivity constant is a smallest pencil eigenvalue, bracketed from
+below by inertia bisection with banded Cholesky factorizations.
 """
 
 import math
@@ -13,6 +16,8 @@ from dataclasses import dataclass, field as dc_field
 from typing import Callable
 
 import numpy as np
+import scipy.linalg as sla
+import scipy.sparse as sp
 
 from .fem import LinearSolver, NumericalBreach, assemble_perturbation
 from .fields import gram_field
@@ -268,78 +273,65 @@ def kappa(solve_eps, solve_0, S, dim, s_solver=None, seed=1234,
     )
 
 
-def _symmetric_power(mul_T, metric, dim, seed, rel_tol=1e-10,
-                     max_iter=MAX_POWER_ITER):
-    """Top eigenvalue of a metric-self-adjoint PSD operator.
+def _upper_band(mat, u):
+    """LAPACK upper band storage, half-bandwidth u, of a sparse matrix."""
+    upper = sp.triu(mat, format="coo")
+    upper.eliminate_zeros()  # stored zeros may lie outside the band
+    ab = np.zeros((u + 1, mat.shape[0]), dtype=upper.dtype)
+    np.add.at(ab, (u + upper.row - upper.col, upper.col), upper.data)
+    return ab
 
-    Same stagnation escape as the singular-value iteration: clustered
-    top eigenvalues converge in value long before the vector settles.
+
+def smallest_eigenvalue(H, S):
+    """Lower bound on the smallest eigenvalue of the pencil (H, S) for
+    Hermitian H, S > 0, by inertia bisection.
+
+    H - c S is positive definite exactly when c lies below every
+    eigenvalue (Sylvester), and one banded Cholesky decides that.  The
+    bracket starts at hi = min Re H_ii / S_ii, a Rayleigh quotient, steps
+    down geometrically until the factorization passes and is bisected to
+    a relative width of 1e-12.  The returned lower end is a shift at which
+    the factorization passed.
     """
-    rng = np.random.default_rng(seed)
-    w = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    w = w / _metric_norm(w, metric)
-    lam = 0.0
-    lam_prev = None
-    stall = 0
-    res = math.inf
-    res_checkpoint = math.inf
-    for it in range(1, max_iter + 1):
-        tw = mul_T(w)
-        lam = float(np.real(np.vdot(w, metric.mul(tw))))
-        r = tw - lam * w
-        res = _metric_norm(r, metric)
-        if res <= rel_tol * max(abs(lam), 1e-30) or res <= 1e-14:
-            return lam, it
-        if lam_prev is not None and abs(lam - lam_prev) <= 1e-13 * abs(lam):
-            stall += 1
-            if stall >= 3:
-                return lam, it
+    pattern = sp.triu(abs(H) + abs(S), format="coo")
+    u = int(np.max(pattern.col - pattern.row, initial=0))
+    band_h, band_s = _upper_band(H, u), _upper_band(S, u)
+    if not (band_s[u].real > 0).all():
+        raise NumericalBreach("S is not positive definite")
+    ratio = band_h[u].real / band_s[u].real
+    hi = float(ratio.min())
+    # the pencil's own scale keeps the stopping width finite near zero
+    scale = float(np.abs(ratio).max()) or 1.0
+
+    def definite(c):
+        try:
+            sla.cholesky_banded(band_h - c * band_s, overwrite_ab=True,
+                                check_finite=False)
+        except sla.LinAlgError:
+            return False
+        return True
+
+    lo = hi - scale
+    while not definite(lo):
+        lo = hi - 2.0 * (hi - lo)
+        if not math.isfinite(lo):
+            raise NumericalBreach("no finite shift makes H - c S positive "
+                                  "definite: S is not")
+    while hi - lo > 1e-12 * max(abs(lo), scale):
+        mid = 0.5 * (lo + hi)
+        if definite(mid):
+            lo = mid
         else:
-            stall = 0
-        lam_prev = lam
-        if it % 250 == 0:
-            if res > 0.99 * res_checkpoint:
-                return lam, it
-            res_checkpoint = res
-        nw = _metric_norm(tw, metric)
-        if nw == 0.0:
-            return 0.0, it
-        w = tw / nw
-    if res <= 1e-2 * abs(lam):
-        return lam, it
-    raise PowerIterationError(f"eigen iteration stalled after {max_iter} steps",
-                              last_value=lam)
-
-
-def smallest_eigenvalue(H, S, s_solver=None, seed=1234):
-    """Smallest eigenvalue of the pencil (H, S) for Hermitian H, S > 0.
-
-    Shift-inverted power iteration: the shift sits below the whole
-    spectrum thanks to the a-priori bound |eig| <= |H|_{V -> V*}.  The
-    bound run is deliberately coarse; the Hermitian residual it returns
-    certifies how far the top eigenvalue can sit above the Rayleigh
-    value, and the shift is padded past that.
-    """
-    solver = s_solver or LinearSolver(S)
-    rep = norm_v_to_vstar(H, S, solver, seed=seed, restart_check=False,
-                          rel_tol=1e-2)
-    bound = math.sqrt(rep.value ** 2 + rep.method["residual"])
-    sigma = -1.05 * bound - 1e-3 * max(bound, 1.0)
-    shifted = LinearSolver((H - sigma * S).tocsc())
-    metric = h1_metric(S, solver)
-
-    def mul_T(w):
-        return shifted.quick(S @ w)
-
-    mu, _ = _symmetric_power(mul_T, metric, H.shape[0], seed)
-    if mu <= 0.0:
-        raise NumericalBreach("shift-inverted iteration lost positivity")
-    return sigma + 1.0 / mu
+            hi = mid
+    return lo
 
 
 @dataclass(frozen=True)
 class CoercivityReport:
-    """Shift making the whole schedule coercive in the H1 metric."""
+    """Shift making the whole schedule coercive in the H1 metric.
+
+    c4 = min(per_eps) is a certified lower bound (see find_lambda).
+    """
 
     lambda0: float
     c4: float
@@ -363,17 +355,18 @@ def find_lambda(forms, gram_l2s, S_list, lambda_start=-1.0, c4_min=0.05,
     forms[i] is the full form matrix (base plus perturbation, without the
     shift term); the candidate form is forms[i] - lam * gram_l2s[i].
     Returns the first lam on the doubling path whose Hermitian parts keep
-    all smallest S-metric eigenvalues at or above c4_min.
+    all smallest S-metric eigenvalues at or above c4_min.  c4 is the lower
+    end of an inertia bracket (smallest_eigenvalue), so it lies below the
+    true coercivity constant up to the rounding of one banded Cholesky.
     """
     lam = float(lambda_start)
     if lam >= 0:
         raise ValueError("descent starts from a negative shift")
-    solvers = [LinearSolver(S) for S in S_list]
     while lam > lambda_abort:
         c4s = []
-        for G, M, S, solver in zip(forms, gram_l2s, S_list, solvers):
+        for G, M, S in zip(forms, gram_l2s, S_list):
             H = _hermitian_part(G - lam * M)
-            c4s.append(smallest_eigenvalue(H, S, solver, seed=seed))
+            c4s.append(smallest_eigenvalue(H, S))
         c4 = min(c4s)
         if c4 >= c4_min:
             cone = _cone_check(forms[0] - lam * gram_l2s[0], S_list[0],

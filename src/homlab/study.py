@@ -516,7 +516,11 @@ _RUNNERS = {
 
 
 def run_study(kind, cfg, seed=None, threads=None):
-    """Dispatch one study kind; flags override run.* config keys."""
+    """Dispatch one study kind; flags override run.* config keys.
+
+    Keys the study never read are rejected once it returns, so a
+    misspelled key fails instead of running with the default.
+    """
     if kind not in _RUNNERS:
         raise ConfigError(f"unknown study kind {kind!r}")
     declared = cfg.get_str("study.kind", kind)
@@ -525,9 +529,13 @@ def run_study(kind, cfg, seed=None, threads=None):
             f"config declares study.kind = {declared}, but the {kind} "
             "study was requested"
         )
-    use_seed = seed if seed is not None else cfg.get_int("run.seed", 1234)
-    use_threads = threads if threads is not None else cfg.get_int(
-        "run.threads", 1)
+    # read the run.* keys even when a flag overrides them: they are known
+    cfg_seed = cfg.get_int("run.seed", 1234)
+    cfg_threads = cfg.get_int("run.threads", 1)
+    use_seed = seed if seed is not None else cfg_seed
+    use_threads = threads if threads is not None else cfg_threads
     if use_threads < 1:
         raise ConfigError("run.threads must be at least 1")
-    return _RUNNERS[kind](cfg, seed=use_seed, threads=use_threads)
+    result = _RUNNERS[kind](cfg, seed=use_seed, threads=use_threads)
+    cfg.check_all_used()
+    return result

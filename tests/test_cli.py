@@ -96,6 +96,31 @@ def test_power_iteration_failure_exits_3(crit_cfg, monkeypatch, capsys):
     assert code == 3
 
 
+def test_coercivity_failure_exits_3(crit_cfg, monkeypatch, capsys):
+    import homlab.cli as cli
+    from homlab.norms import CoercivityError
+
+    def boom(*args, **kwargs):
+        raise CoercivityError("no coercive shift above -1000000.0")
+
+    monkeypatch.setattr(cli, "run_study", boom)
+    code = main(["criterion", "--config", str(crit_cfg), "--out", "-"])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "coercivity error" in err
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_misspelled_key_exits_2(tmp_path, capsys):
+    path = tmp_path / "typo.cfg"
+    path.write_text(CRIT_CFG + "family.amplitud = 5\n")
+    out = tmp_path / "typo.csv"
+    code = main(["criterion", "--config", str(path), "--out", str(out)])
+    assert code == 2
+    assert "family.amplitud" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_report_writes_wellformed_svg(tmp_path, crit_cfg, capsys):
     csv_path = tmp_path / "crit.csv"
     main(["criterion", "--config", str(crit_cfg), "--out", str(csv_path)])

@@ -1,14 +1,18 @@
 """Induced norms against dense full-spectrum oracles (dim <= 40)."""
 
+import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from homlab.fem import LinearSolver, assemble_base, assemble_perturbation, \
-    build_mesh, default_operator
+from homlab import registry, study
+from homlab.config import StudyConfig
+from homlab.fem import LinearSolver, NumericalBreach, assemble_base, \
+    assemble_perturbation, build_mesh, default_operator
 from homlab.fields import constant_field, gram_field, interval, \
     matrix_field, scalar_field
 from homlab.norms import (
@@ -25,6 +29,7 @@ from homlab.norms import (
     norm_v_to_vstar,
     smallest_eigenvalue,
 )
+from homlab.resolvent import assemble_setting
 
 UNIT = interval(0.0, 1.0)
 
@@ -312,6 +317,91 @@ def test_find_lambda_gives_up_at_abort_threshold():
 def test_find_lambda_rejects_nonnegative_start():
     with pytest.raises(ValueError):
         find_lambda([], [], [], lambda_start=0.5)
+
+
+# ------------------------------------------------------------ bound direction
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+
+def _shift_search_forms(config, schedule):
+    """The forms, masses and Grams an auto-shift study hands find_lambda."""
+    cfg = StudyConfig.load(CONFIGS / f"{config}.cfg")
+    family = registry.build_family(cfg)
+    spec = study._operator_spec(cfg, family)
+    forms, masses, grams = [], [], []
+    for eps in schedule:
+        setting = assemble_setting(spec, family, eps, **study._mesh_opts(cfg))
+        op = setting["op"]
+        for x in (setting["x_eps"], setting["x_lim"]):
+            forms.append((op.base_form + x).tocsr())
+            masses.append(op.gram_l2)
+            grams.append(op.gram_h1)
+    return forms, masses, grams
+
+
+def _dense_lambda_mins(forms, masses, grams, lam):
+    """Smallest pencil eigenvalue of each shifted form, by dense eigh."""
+    lows = []
+    for g, m, s in zip(forms, masses, grams):
+        a = (g - lam * m).toarray()
+        herm = 0.5 * (a + a.conj().T)
+        if not herm.imag.any():
+            herm = herm.real
+        lows.append(float(sla.eigh(herm, s.toarray(), eigvals_only=True,
+                                   subset_by_index=[0, 0])[0]))
+    return lows
+
+
+def test_find_lambda_c4_is_a_lower_bound():
+    forms, masses, grams = _shift_search_forms(
+        "stabilizing_resolvent", (0.1, 0.05, 0.025))
+    rep = find_lambda(forms, masses, grams)
+    expect = _dense_lambda_mins(forms, masses, grams, rep.lambda0)
+    for got, low in zip(rep.per_eps, expect):
+        assert got <= low * (1 + 1e-10)
+    assert rep.c4 <= min(expect) * (1 + 1e-10)
+    assert rep.c4 == pytest.approx(min(expect), rel=1e-10)
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+def test_find_lambda_random_rotation_passes_cone_check(seed):
+    forms, masses, grams = _shift_search_forms("random_resolvent", (0.1,))
+    assert forms[0].shape[0] == 226
+    rep = find_lambda(forms, masses, grams, seed=seed)
+    expect = min(_dense_lambda_mins(forms, masses, grams, rep.lambda0))
+    assert rep.c4 == pytest.approx(expect, rel=1e-10)
+    assert rep.cone_check["sampled_min_ratio"] >= rep.c4
+
+
+@pytest.mark.parametrize("ncomp, bc", [(2, "dirichlet"), (1, "robin")])
+def test_smallest_eigenvalue_on_banded_forms(ncomp, bc):
+    rng = np.random.default_rng(60 + ncomp)
+    spec = dataclasses.replace(
+        default_operator(UNIT, ncomp=ncomp, bc=bc),
+        k_lower=-0.7 * np.eye(ncomp), k_upper=(2.0 + 1.0j) * np.eye(ncomp))
+    op = assemble_base(spec, build_mesh(UNIT, 48))
+    q = _random_trig_matrix_field(rng, ncomp)
+    v = _random_trig_matrix_field(rng, ncomp)
+    pert = assemble_perturbation(op.space, q=(q,), v=v, refine=4)
+    g = (op.base_form + pert.matrix).tocsr()
+    h = ((g + g.getH()) * 0.5).tocsr()
+    got = smallest_eigenvalue(h, op.gram_h1)
+    expect = float(sla.eigh(h.toarray(), op.gram_h1.toarray(),
+                            eigvals_only=True)[0])
+    assert got <= expect + 1e-10 * abs(expect)
+    assert got == pytest.approx(expect, rel=1e-10)
+
+
+@pytest.mark.parametrize("s", [[[0.0, 0.0], [0.0, 1.0]],
+                               [[1.0, 2.0], [2.0, 1.0]]])
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_smallest_eigenvalue_rejects_indefinite_gram(s):
+    # no shift c makes H - c S positive definite, so the downward steps
+    # run until the shift overflows
+    h = sp.csr_matrix(np.diag([-1.0, 1.0]))
+    with pytest.raises(NumericalBreach):
+        smallest_eigenvalue(h, sp.csr_matrix(np.array(s)))
 
 
 def test_power_iteration_error_carries_state():

@@ -128,6 +128,18 @@ def test_schedule_must_strictly_decrease(schedule):
 
 # ------------------------------------------------------------- determinism
 
+def test_run_study_rejects_unread_keys():
+    cfg = StudyConfig.from_text(CRIT_CFG + "family.amplitud = 5\n")
+    with pytest.raises(ConfigError, match="family.amplitud"):
+        run_study("criterion", cfg)
+
+
+def test_run_keys_are_read_when_flags_override_them():
+    cfg = StudyConfig.from_text(CRIT_CFG + "run.seed = 5\nrun.threads = 2\n")
+    res = run_study("criterion", cfg, seed=1, threads=1)
+    assert len(res.rows) == 2
+
+
 def test_criterion_study_bytes_identical_across_threads():
     cfg1 = StudyConfig.from_text(CRIT_CFG)
     cfg4 = StudyConfig.from_text(CRIT_CFG)
