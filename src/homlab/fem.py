@@ -486,11 +486,14 @@ class LinearSolver:
         return x, d
 
     def quick(self, rhs, adjoint=False):
-        """Single unrefined LU solve for metric actions inside iterations.
+        """Single unrefined LU solve, for the operators whose norms are
+        measured.
 
-        Backward error sits at the factorization's level, which is plenty
-        for Gram solves; the refined path is reserved for solves with an
-        explicit residual contract.
+        Backward error sits at the factorization's level.  That is plenty
+        for an induced norm, because the resolvent differences inside one
+        are applied through identities that leave nothing to cancel; the
+        refined path is reserved for solves with an explicit residual
+        contract.
         """
         x = self.lu.solve(np.asarray(rhs, dtype=complex),
                           trans="H" if adjoint else "N")

@@ -2,61 +2,83 @@
 
 Every norm here is a largest singular value of a map between Hilbert
 spaces whose Grams are the H1 matrix S, its inverse (the dual space), or
-the mass matrix.  It is found by block power iteration on the
-self-adjoint product operator, using only multiplications and solves with
-the Grams, never forming matrix square roots.  Each value is recomputed
-from a second seed; the two runs must agree or the report is flagged.
+the mass matrix.  A space is the banded Cholesky factor S = U^H U of its
+Gram plus a primal/dual flag: a primal vector x has norm |U x|, a dual
+one |U^{-H} x|.  An operator A from X to Y is then the plain matrix
+K = T_Y A T_X^{-1} in these coordinates, and its norm is the square root
+of the top eigenvalue of K^H K, which ARPACK's Lanczos (eigsh) finds from
+a seeded start vector.  The explicit eigen-residual of the returned Ritz
+pair is the error bar; a residual above the requested relative tolerance
+flags the value.
 
 The coercivity constant is a smallest pencil eigenvalue, bracketed from
 below by inertia bisection with banded Cholesky factorizations.
 """
 
+import copy
 import math
 from dataclasses import dataclass, field as dc_field
-from typing import Callable
 
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
+from scipy.sparse.linalg import (ArpackError, ArpackNoConvergence,
+                                 LinearOperator, eigsh)
 
-from .fem import LinearSolver, NumericalBreach, assemble_perturbation
+from .fem import NumericalBreach, assemble_perturbation
 from .fields import gram_field
 
-MAX_POWER_ITER = 10000
-POWER_BLOCK = 6
+# Lanczos basis size.  The top singular values of a resolvent cluster just
+# below one: on sin_neumann's R_eps ARPACK's default basis of 20 takes
+# about 4400 applications, a basis of 40 about 800
+LANCZOS_NCV = 40
 
 
-class PowerIterationError(RuntimeError):
-    """Power iteration failed to converge; carries the last iterate."""
+class Space:
+    """A discrete Hilbert space in the Cholesky frame S = U^H U of its Gram.
 
-    def __init__(self, message, last_iterate=None, last_value=None):
-        super().__init__(message)
-        self.last_iterate = last_iterate
-        self.last_value = last_value
+    The primal norm is |U x| and the dual norm |U^{-H} x|.  coords maps a
+    vector to the coordinates whose 2-norm is its norm (T x), vector maps
+    coordinates back (T^{-1} y); herm=True applies the adjoint maps.
+    """
 
+    def __init__(self, gram, dual=False):
+        u = _half_bandwidth(gram)
+        try:
+            band = sla.cholesky_banded(_upper_band(gram, u),
+                                       check_finite=False)
+        except sla.LinAlgError as exc:
+            raise NumericalBreach(f"Gram is not positive definite: {exc}") \
+                from exc
+        self.dim = gram.shape[0]
+        self.dual = dual
+        self._band = band.astype(complex)
+        self._u = sp.dia_array((band, np.arange(u, -1, -1)),
+                               shape=gram.shape)
+        self._uh = self._u.conj().T
+        (self._tbtrs,) = sla.get_lapack_funcs(("tbtrs",), (self._band,))
 
-@dataclass(frozen=True)
-class Metric:
-    """Hilbert-space Gram action: multiply by the Gram and solve with it."""
+    def star(self):
+        """The other space of the same Gram, sharing its factor."""
+        other = copy.copy(self)
+        other.dual = not self.dual
+        return other
 
-    mul: Callable[[np.ndarray], np.ndarray]
-    solve: Callable[[np.ndarray], np.ndarray]
-    label: str = ""
+    def _mul(self, x, herm):
+        return (self._uh if herm else self._u) @ x
 
+    def _solve(self, x, herm):
+        y, info = self._tbtrs(self._band, x, uplo="U",
+                              trans="C" if herm else "N")
+        if info:
+            raise NumericalBreach(f"triangular solve failed (info {info})")
+        return y
 
-def h1_metric(S, s_solver=None):
-    solver = s_solver or LinearSolver(S)
-    return Metric(mul=lambda v: S @ v, solve=solver.quick, label="H1")
+    def coords(self, x, herm=False):
+        return self._solve(x, not herm) if self.dual else self._mul(x, herm)
 
-
-def dual_metric(S, s_solver=None):
-    solver = s_solver or LinearSolver(S)
-    return Metric(mul=solver.quick, solve=lambda v: S @ v, label="H1*")
-
-
-def l2_metric(M, m_solver=None):
-    solver = m_solver or LinearSolver(M)
-    return Metric(mul=lambda v: M @ v, solve=solver.quick, label="L2")
+    def vector(self, y, herm=False):
+        return self._mul(y, not herm) if self.dual else self._solve(y, herm)
 
 
 @dataclass(frozen=True)
@@ -69,169 +91,110 @@ class NormReport:
     flagged: bool = False
 
 
-def _metric_norm(w, metric):
-    return math.sqrt(max(float(np.real(np.vdot(w, metric.mul(w)))), 0.0))
+def _power_singular(apply_, apply_adj, dim, seed, rel_tol):
+    """Largest singular value of K, from the top eigenpair of K^H K.
 
-
-def _metric_orth(Z, metric, rng):
-    """Metric-orthonormal basis spanning range(Z), padding lost rank.
-
-    Two Gram passes; directions whose Gram eigenvalue falls below 1e-28
-    of the dominant one have collapsed onto the leading ones and are
-    replaced with fresh random vectors so the block keeps its width.
+    One ARPACK Lanczos call (eigsh) from a seeded start vector; the name
+    of the power iteration it replaced stays because perfbench/probes.py
+    counts applications and exit modes through it.  ARPACK stops on its
+    own residual estimate, so it is asked for rel_tol / 100 to leave the
+    explicit residual room below rel_tol.  Returns (value, applications
+    of K^H K, explicit residual |K^H K v - theta v| of the unit vector v,
+    mode): "residual" when ARPACK converged, "max_iter" when it ran out
+    of restarts (v is then the applied vector of largest Rayleigh
+    quotient), "zero" when K annihilates the start vector.
     """
-    dim, b = Z.shape
-    for _ in range(2):
-        G = Z.conj().T @ np.column_stack(
-            [metric.mul(Z[:, j]) for j in range(b)])
-        d, V = np.linalg.eigh((G + G.conj().T) * 0.5)
-        good = d > max(float(d[-1]), 0.0) * 1e-28
-        if good.all():
-            Z = Z @ (V / np.sqrt(d))
-        else:
-            n_bad = b - int(good.sum())
-            fresh = (rng.standard_normal((dim, n_bad))
-                     + 1j * rng.standard_normal((dim, n_bad)))
-            Z = np.column_stack([Z @ (V[:, good] / np.sqrt(d[good])), fresh])
-    return Z
+    applications = 0
+    best = (-math.inf, None)
 
+    def gram(x):
+        nonlocal applications, best
+        x = np.ravel(x)
+        y = apply_adj(apply_(x))
+        applications += 1
+        quotient = float(np.vdot(x, y).real / np.vdot(x, x).real)
+        if quotient > best[0]:
+            best = (quotient, x.copy())  # ARPACK reuses its buffer
+        return y
 
-def _power_singular(apply_, apply_adj, m_in, m_out, dim, seed,
-                    rel_tol=1e-8, max_iter=MAX_POWER_ITER,
-                    block=POWER_BLOCK):
-    """Largest singular value of A between (in, out) metric spaces.
-
-    Block power iteration on w <- Gin^{-1} A* Gout A w, whose top
-    eigenvalue is the squared singular value, with a Rayleigh-Ritz
-    projection each sweep.  A single power vector crawls whenever the
-    top singular values cluster, which is the generic situation for
-    resolvent differences; carrying a small block makes convergence
-    depend on the gap to the first value outside the block, so the
-    residual certificate is reached at realistic sweep counts.  Exits on
-    a small eigen-residual for the top Ritz pair, on Ritz-value
-    stagnation once the residual has stopped shrinking, or on a
-    long-run residual plateau.  Returns (value, sweeps, residual, mode).
-    """
     rng = np.random.default_rng(seed)
-    b = min(block, dim)
-    W = rng.standard_normal((dim, b)) + 1j * rng.standard_normal((dim, b))
-    W = _metric_orth(W, m_in, rng)
-    lam = 0.0
-    lam_prev = None
-    stall = 0
-    res = math.inf
-    res_prev = math.inf
-    res_checkpoint = math.inf
-    it = 0
-    scale = 0.0
-    for it in range(1, max_iter + 1):
-        T = np.column_stack(
-            [apply_adj(m_out.mul(apply_(W[:, j]))) for j in range(b)])
-        H = W.conj().T @ T
-        theta, U = np.linalg.eigh((H + H.conj().T) * 0.5)
-        lam = float(theta[-1])
-        u = U[:, -1]
-        value = math.sqrt(max(lam, 0.0))
-        scale = max(scale, value)
-        if value <= 1e-12:
-            return 0.0, it, 0.0, "zero"
-        Z = np.column_stack([m_in.solve(T[:, j]) for j in range(b)])
-        y = W @ u
-        r = Z @ u - lam * y
-        res = _metric_norm(r, m_in)
-        target = rel_tol * min(value, lam)
-        if res <= target or res <= 1e-13 * max(scale, scale * scale):
-            return value, it, res, "residual"
-        if lam_prev is not None and abs(lam - lam_prev) <= 1e-13 * lam:
-            stall += 1
-            if stall >= 3 and (res <= rel_tol * value or res >= 0.9 * res_prev):
-                return value, it, res, "stagnation"
-        else:
-            stall = 0
-        lam_prev = lam
-        res_prev = res
-        if it % 50 == 0:
-            # a residual shrinking under 1% per 50 sweeps means values
-            # outside the block hug the top one; the Ritz value is
-            # converged to within res
-            if res > 0.99 * res_checkpoint:
-                return value, it, res, "plateau"
-            res_checkpoint = res
-        W = _metric_orth(Z, m_in, rng)
-    if res <= 1e-2 * min(value, lam):
-        return value, it, res, "max_iter"
-    raise PowerIterationError(
-        f"power iteration did not converge in {max_iter} sweeps "
-        f"(value {math.sqrt(max(lam, 0.0))}, residual {res})",
-        last_iterate=y,
-        last_value=math.sqrt(max(lam, 0.0)),
-    )
+    v0 = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    if not np.any(apply_(v0)):
+        return 0.0, 1, 0.0, "zero"
+    mode = "residual"
+    if dim <= 2:
+        # eigsh refuses an operator this small
+        w, vecs = np.linalg.eigh(
+            np.column_stack([gram(e) for e in np.eye(dim, dtype=complex)]))
+        theta, v = w[-1], vecs[:, -1]
+    else:
+        op = LinearOperator((dim, dim), matvec=gram, dtype=complex)
+        try:
+            w, vecs = eigsh(op, k=1, which="LA", v0=v0,
+                            ncv=min(dim, LANCZOS_NCV), tol=rel_tol / 100)
+            theta, v = w[0], vecs[:, 0]
+        except ArpackNoConvergence:
+            theta, v = best
+            v = v / np.linalg.norm(v)
+            mode = "max_iter"
+        except ArpackError as exc:
+            raise NumericalBreach(f"Lanczos failed: {exc}") from exc
+    theta = max(float(np.real(theta)), 0.0)
+    residual = float(np.linalg.norm(gram(v) - theta * v))
+    return math.sqrt(theta), applications, residual, mode
 
 
-def induced_norm(apply_, apply_adj, m_in, m_out, dim, seed=1234,
-                 labels=(), rel_tol=1e-8, restart_check=True):
-    """Operator norm between metric spaces, with a restart cross-check."""
-    v1, it1, res1, mode = _power_singular(apply_, apply_adj, m_in, m_out,
-                                          dim, seed, rel_tol)
-    unc1 = res1 / (2.0 * v1) if v1 > 0 else 0.0
-    flagged = False
-    agreement = 0.0
-    unc = unc1
-    if restart_check:
-        v2, _, res2, _ = _power_singular(apply_, apply_adj, m_in, m_out, dim,
-                                         seed + 1, rel_tol)
-        unc2 = res2 / (2.0 * v2) if v2 > 0 else 0.0
-        agreement = abs(v1 - v2)
-        # unc bounds the Rayleigh bias on a clustered plateau, so two
-        # honest runs may differ by about that much
-        if agreement > 1e-6 * max(v1, v2, 1e-12) + unc1 + unc2:
-            flagged = True
-        v1 = max(v1, v2)
-        unc = max(unc1, unc2)
+def induced_norm(apply_, apply_adj, space_in, space_out, seed=1234,
+                 labels=(), rel_tol=1e-8):
+    """Operator norm from space_in to space_out, with its residual bound.
+
+    The report is flagged when Lanczos ran out of restarts or the
+    explicit residual exceeds rel_tol times the eigenvalue of K^H K.
+    """
+
+    def k(x):
+        return space_out.coords(apply_(space_in.vector(x)))
+
+    def k_adj(y):
+        return space_in.vector(apply_adj(space_out.coords(y, herm=True)),
+                               herm=True)
+
+    value, applications, residual, mode = _power_singular(
+        k, k_adj, space_in.dim, seed, rel_tol)
     return NormReport(
-        value=v1,
+        value=value,
         method={
-            "iterations": it1,
-            "residual": res1,
+            "iterations": applications,
+            "residual": residual,
             "seed": seed,
             "converged": mode,
-            "uncertainty": unc,
-            "restart_agreement": agreement,
+            "uncertainty": residual / (2.0 * value) if value > 0 else 0.0,
         },
         matrices_involved=tuple(labels),
-        flagged=flagged,
+        flagged=mode == "max_iter" or residual > rel_tol * value * value,
     )
 
 
-def _csr_apply(mat):
-    math_h = mat.getH().tocsr()
-    return (lambda v: mat @ v), (lambda v: math_h @ v)
-
-
-def norm_v_to_vstar(X, S, s_solver=None, seed=1234, restart_check=True,
-                    rel_tol=1e-8):
+def norm_v_to_vstar(X, S, seed=1234, rel_tol=1e-8):
     """Norm of a form matrix as an operator from H1 to its dual."""
-    solver = s_solver or LinearSolver(S)
-    apply_, apply_adj = _csr_apply(X.tocsr())
+    X = X.tocsr()
+    XH = X.getH().tocsr()
+    h1 = Space(S)
     return induced_norm(
-        apply_, apply_adj,
-        m_in=h1_metric(S, solver),
-        m_out=dual_metric(S, solver),
-        dim=X.shape[0],
+        lambda v: X @ v, lambda v: XH @ v, h1, h1.star(),
         seed=seed,
         labels=("form", "gram_h1"),
-        restart_check=restart_check,
         rel_tol=rel_tol,
     )
 
 
-def norm_m1m1(op, v_field, refine=1, s_solver=None, seed=1234):
+def norm_m1m1(op, v_field, refine=1, seed=1234):
     """Discrete form-norm of a potential: sup |(V u, v)| / |u|_V |v|_V."""
     pert = assemble_perturbation(op.space, v=v_field, refine=refine)
-    return norm_v_to_vstar(pert.matrix, op.gram_h1, s_solver, seed)
+    return norm_v_to_vstar(pert.matrix, op.gram_h1, seed)
 
 
-def norm_m10(op, q_field, refine=1, s_solver=None, seed=1234):
+def norm_m10(op, q_field, refine=1, seed=1234):
     """Discrete product-norm of a weight: sup |Q u|_L2 / |u|_V.
 
     Uses the mass matrix weighted by Q* Q; the norm is the square root of
@@ -239,7 +202,7 @@ def norm_m10(op, q_field, refine=1, s_solver=None, seed=1234):
     """
     weight = gram_field(q_field)
     pert = assemble_perturbation(op.space, v=weight, refine=refine)
-    rep = norm_v_to_vstar(pert.matrix, op.gram_h1, s_solver, seed)
+    rep = norm_v_to_vstar(pert.matrix, op.gram_h1, seed)
     return NormReport(
         value=math.sqrt(max(rep.value, 0.0)),
         method=rep.method,
@@ -248,29 +211,33 @@ def norm_m10(op, q_field, refine=1, s_solver=None, seed=1234):
     )
 
 
-def kappa(solve_eps, solve_0, S, dim, s_solver=None, seed=1234,
-          restart_check=True):
+def kappa(solve_eps, solve_0, L, S, seed=1234):
     """Resolvent-difference norm from dual H1 to H1.
 
-    solve_eps / solve_0 are callables (rhs, adjoint=False) -> solution.
+    solve_eps / solve_0 are callables (rhs, adjoint=False) -> solution of
+    the perturbed and base forms, and L is their difference form.  The
+    difference is applied as -R_0 L R_eps, so nothing cancels.
     """
-    solver = s_solver or LinearSolver(S)
+    LH = L.conj().T
 
     def apply_(f):
-        return solve_eps(f) - solve_0(f)
+        return -solve_0(L @ solve_eps(f))
 
     def apply_adj(g):
-        return solve_eps(g, True) - solve_0(g, True)
+        return -solve_eps(LH @ solve_0(g, adjoint=True), adjoint=True)
 
+    h1 = Space(S)
     return induced_norm(
-        apply_, apply_adj,
-        m_in=dual_metric(S, solver),
-        m_out=h1_metric(S, solver),
-        dim=dim,
+        apply_, apply_adj, h1.star(), h1,
         seed=seed,
         labels=("resolvent_eps", "resolvent_0", "gram_h1"),
-        restart_check=restart_check,
     )
+
+
+def _half_bandwidth(*mats):
+    """Largest column-minus-row offset of any stored entry."""
+    pattern = sp.triu(sum(abs(m) for m in mats), format="coo")
+    return int(np.max(pattern.col - pattern.row, initial=0))
 
 
 def _upper_band(mat, u):
@@ -293,8 +260,7 @@ def smallest_eigenvalue(H, S):
     a relative width of 1e-12.  The returned lower end is a shift at which
     the factorization passed.
     """
-    pattern = sp.triu(abs(H) + abs(S), format="coo")
-    u = int(np.max(pattern.col - pattern.row, initial=0))
+    u = _half_bandwidth(H, S)
     band_h, band_s = _upper_band(H, u), _upper_band(S, u)
     if not (band_s[u].real > 0).all():
         raise NumericalBreach("S is not positive definite")

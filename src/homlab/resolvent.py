@@ -2,7 +2,10 @@
 
 The shifted forms G = base - lam * mass are kept as sparse matrices with
 their factorizations; every norm of a resolvent expression is an induced
-norm between the discrete H1 space and its dual, evaluated matrix-free.
+norm between the discrete H1 space and its dual, evaluated matrix-free
+with plain LU solves.  Resolvent differences are applied through the
+identity R_eps - S_N = (-R_0 L)^(N+1) R_eps (S_N the order-N series,
+S_-1 = 0), so no norm measures a difference of nearby solutions.
 """
 
 import math
@@ -15,8 +18,8 @@ from .families import FieldTriple
 from .fem import (LinearSolver, NumericalBreach, assemble_base,
                   assemble_triple, build_mesh, mesh_rule,
                   perturbation_refine)
-from .norms import (NormReport, dual_metric, h1_metric, induced_norm,
-                    kappa as kappa_norm, l2_metric, norm_v_to_vstar)
+from .norms import Space, induced_norm, kappa as kappa_norm, \
+    norm_v_to_vstar
 
 SOLVE_RTOL = 1e-10
 
@@ -38,7 +41,6 @@ class ResolventContext:
     LH: object
     solver0: LinearSolver
     solver_eps: LinearSolver
-    s_solver: LinearSolver
     meta: dict = dc_field(default_factory=dict)
 
     @property
@@ -113,7 +115,6 @@ def make_context(op, lam, pert=None, geps=None, meta=None):
         LH=L.getH().tocsr(),
         solver0=LinearSolver(G0),
         solver_eps=LinearSolver(Geps),
-        s_solver=LinearSolver(op.gram_h1),
         meta=dict(meta or {}),
     )
 
@@ -133,14 +134,26 @@ def neumann_apply(ctx, f, order, adjoint=False):
     return acc
 
 
+def _series_remainder(ctx, f, order, adjoint=False):
+    """(R_eps - S_N) f = (-R_0 L)^(N+1) R_eps f, or its adjoint."""
+    if adjoint:
+        for _ in range(order + 1):
+            f = -(ctx.LH @ ctx.solver0.quick(f, adjoint=True))
+        return ctx.solver_eps.quick(f, adjoint=True)
+    u = ctx.solver_eps.quick(f)
+    for _ in range(order + 1):
+        u = -ctx.solver0.quick(ctx.L @ u)
+    return u
+
+
 def resolvent_norm(ctx, which="eps", seed=1234):
     """Norm of a shifted resolvent from the dual space into H1."""
+    solver = ctx.solver_eps if which == "eps" else ctx.solver0
+    h1 = Space(ctx.op.gram_h1)
     return induced_norm(
-        lambda f: ctx.solve(f, which=which),
-        lambda g: ctx.solve(g, which=which, adjoint=True),
-        m_in=dual_metric(ctx.op.gram_h1, ctx.s_solver),
-        m_out=h1_metric(ctx.op.gram_h1, ctx.s_solver),
-        dim=ctx.dim,
+        solver.quick,
+        lambda g: solver.quick(g, adjoint=True),
+        h1.star(), h1,
         seed=seed,
         labels=(f"resolvent_{which}", "gram_h1"),
     )
@@ -148,7 +161,7 @@ def resolvent_norm(ctx, which="eps", seed=1234):
 
 def perturbation_norm(ctx, seed=1234):
     """Norm of the difference form from H1 into the dual space."""
-    return norm_v_to_vstar(ctx.L, ctx.op.gram_h1, ctx.s_solver, seed=seed)
+    return norm_v_to_vstar(ctx.L, ctx.op.gram_h1, seed=seed)
 
 
 def contraction_norm(ctx, seed=1234):
@@ -157,12 +170,11 @@ def contraction_norm(ctx, seed=1234):
     This is the series contraction factor; at 1 or above the expansion
     has no convergence certificate.
     """
+    dual = Space(ctx.op.gram_h1, dual=True)
     return induced_norm(
-        lambda f: ctx.L @ ctx.solve(f, which="base"),
-        lambda g: ctx.solve(ctx.LH @ g, which="base", adjoint=True),
-        m_in=dual_metric(ctx.op.gram_h1, ctx.s_solver),
-        m_out=dual_metric(ctx.op.gram_h1, ctx.s_solver),
-        dim=ctx.dim,
+        lambda f: ctx.L @ ctx.solver0.quick(f),
+        lambda g: ctx.solver0.quick(ctx.LH @ g, adjoint=True),
+        dual, dual,
         seed=seed,
         labels=("difference_form", "resolvent_base", "gram_h1"),
     )
@@ -170,13 +182,11 @@ def contraction_norm(ctx, seed=1234):
 
 def truncation_error_norm(ctx, order, seed=1234):
     """Norm of R_eps minus the order-N series, dual space into H1."""
+    h1 = Space(ctx.op.gram_h1)
     return induced_norm(
-        lambda f: ctx.solve(f, which="eps") - neumann_apply(ctx, f, order),
-        lambda g: ctx.solve(g, which="eps", adjoint=True)
-        - neumann_apply(ctx, g, order, adjoint=True),
-        m_in=dual_metric(ctx.op.gram_h1, ctx.s_solver),
-        m_out=h1_metric(ctx.op.gram_h1, ctx.s_solver),
-        dim=ctx.dim,
+        lambda f: _series_remainder(ctx, f, order),
+        lambda g: _series_remainder(ctx, g, order, adjoint=True),
+        h1.star(), h1,
         seed=seed,
         labels=("resolvent_eps", "series", "gram_h1"),
     )
@@ -189,23 +199,11 @@ def l2_to_v_norm(ctx, order=None, seed=1234):
     the order-N truncated series.
     """
     M = ctx.op.gram_l2
-
-    def diff(f, adjoint=False):
-        rhs = f if adjoint else M @ f
-        ue = ctx.solve(rhs, which="eps", adjoint=adjoint)
-        if order is None:
-            ub = ctx.solve(rhs, which="base", adjoint=adjoint)
-        else:
-            ub = neumann_apply(ctx, rhs, order, adjoint=adjoint)
-        out = ue - ub
-        return M @ out if adjoint else out
-
+    order = 0 if order is None else order
     return induced_norm(
-        lambda f: diff(f),
-        lambda g: diff(g, adjoint=True),
-        m_in=l2_metric(M),
-        m_out=h1_metric(ctx.op.gram_h1, ctx.s_solver),
-        dim=ctx.dim,
+        lambda f: _series_remainder(ctx, M @ f, order),
+        lambda g: M @ _series_remainder(ctx, g, order, adjoint=True),
+        Space(M), Space(ctx.op.gram_h1),
         seed=seed,
         labels=("resolvent_eps", "resolvent_base", "gram_l2", "gram_h1"),
     )
@@ -375,11 +373,8 @@ def convergence_row(op_spec, family, eps, lam, seed=1234,
         exponents=eta_exponents or criteria.DEFAULT_ETA_EXPONENTS,
         lattice=lattice,
     )
-    rep_kappa = kappa_norm(
-        lambda f, adj=False: ctx.solve(f, which="eps", adjoint=adj),
-        lambda f, adj=False: ctx.solve(f, which="base", adjoint=adj),
-        ctx.op.gram_h1, ctx.dim, ctx.s_solver, seed=seed,
-    )
+    rep_kappa = kappa_norm(ctx.solver_eps.quick, ctx.solver0.quick, ctx.L,
+                           ctx.op.gram_h1, seed=seed)
     rep_L = perturbation_norm(ctx, seed)
     return {
         "eps": eps,
@@ -403,7 +398,9 @@ def convergence_verdict(rows, step_slack=1.1, drop=0.5):
 
     Each step may rise by at most the slack factor, and the last value
     must drop below the stated fraction of the first, for the resolvent
-    difference and for the difference-form norm simultaneously.
+    difference and for the difference-form norm simultaneously.  A row
+    with a flagged norm or a capped mesh rules convergence out; the
+    detail then names those rows' eps under flagged_rows / capped_rows.
     """
     verdicts = {}
     for key in ("kappa", "norm_L"):
@@ -413,6 +410,11 @@ def convergence_verdict(rows, step_slack=1.1, drop=0.5):
         shrunk = vals[-1] <= drop * vals[0] if vals[0] > 0 else True
         verdicts[key] = bool(mono and shrunk)
     ok = verdicts["kappa"] and verdicts["norm_L"]
+    for key in ("flagged", "capped"):
+        bad = tuple(row["eps"] for row in rows if row.get(key))
+        if bad:
+            verdicts[f"{key}_rows"] = bad
+            ok = False
     return ("convergent" if ok else "not_convergent"), verdicts
 
 

@@ -15,8 +15,8 @@ import numpy as np
 
 from . import criteria, registry
 from .config import ConfigError, StudyConfig
-from .fem import (LinearSolver, assemble_base, assemble_triple, build_mesh,
-                  mesh_rule, perturbation_refine)
+from .fem import (assemble_base, assemble_triple, build_mesh, mesh_rule,
+                  perturbation_refine)
 from .fields import constant_field, matrix_abs, sampled_sup
 from .norms import find_lambda, norm_m1m1, norm_m10, norm_v_to_vstar
 from .resolvent import (assemble_setting, build_setting, convergence_row,
@@ -337,11 +337,10 @@ def norm_study(cfg, seed=1234, threads=1):
         refine = perturbation_refine(op.space, finest)
         trip = deviation_triple(family, eps)
         pert = assemble_triple(op.space, trip, refine)
-        s_solver = LinearSolver(op.gram_h1)
-        measured = norm_v_to_vstar(pert.matrix, op.gram_h1, s_solver,
+        measured = norm_v_to_vstar(pert.matrix, op.gram_h1,
                                    seed=row_seed).value
-        v_m1m1 = norm_m1m1(op, trip.v, refine, s_solver, row_seed).value
-        v_m10 = norm_m10(op, trip.v, refine, s_solver, row_seed).value
+        v_m1m1 = norm_m1m1(op, trip.v, refine, row_seed).value
+        v_m10 = norm_m10(op, trip.v, refine, row_seed).value
         v_sup = sampled_sup(trip.v, family.domain)
         row = {
             "eps": eps,
@@ -352,11 +351,11 @@ def norm_study(cfg, seed=1234, threads=1):
         }
         chain = v_m1m1
         for j, qf in enumerate(trip.q):
-            val = norm_m10(op, qf, refine, s_solver, row_seed).value
+            val = norm_m10(op, qf, refine, row_seed).value
             row[f"q{j}_m10"] = val
             chain += sqrt_d * val
         for j, pf in enumerate(trip.p):
-            val = norm_m10(op, pf, refine, s_solver, row_seed).value
+            val = norm_m10(op, pf, refine, row_seed).value
             row[f"p{j}_m10"] = val
             chain += val
         row["norm_x"] = measured
@@ -446,11 +445,16 @@ def resolvent_study(cfg, seed=1234, threads=1):
     ]
     if coercivity is not None:
         footer.append(f"# coercivity_c4 = {coercivity.c4:.17g}")
+    detail_line = (f"# verdict_detail: "
+                   f"kappa_shrinks={str(detail['kappa']).lower()} "
+                   f"norm_l_shrinks={str(detail['norm_L']).lower()}")
+    for key in ("flagged_rows", "capped_rows"):
+        if key in detail:
+            detail_line += f" {key}=" + ";".join(f"{e:g}" for e in detail[key])
     footer += [
         f"# max_identity_err = {max_identity:.17g}",
         f"# verdict: {verdict}",
-        f"# verdict_detail: kappa_shrinks={str(detail['kappa']).lower()} "
-        f"norm_l_shrinks={str(detail['norm_L']).lower()}",
+        detail_line,
     ]
     fieldnames = ("eps", "n_elements", "capped", "eta", "rho1", "rho3",
                   "bound_m1m1", "bound_m10", "kappa", "norm_L",
@@ -494,7 +498,8 @@ def neumann_study(cfg, seed=1234, threads=1):
         f"# divergent: {'true' if rep.divergent else 'false'}",
     ]
     if rep.flagged:
-        footer.append("# norm_flagged: restart disagreement in some norm")
+        footer.append("# norm_flagged: some norm missed its residual "
+                      "tolerance")
     return StudyResult(
         kind="neumann",
         fieldnames=("order", "error", "bound", "ratio_vs_prev"),

@@ -84,16 +84,21 @@ def test_numerical_breach_exits_3(crit_cfg, monkeypatch, capsys):
     assert "numerical breach" in capsys.readouterr().err
 
 
-def test_power_iteration_failure_exits_3(crit_cfg, monkeypatch, capsys):
-    import homlab.cli as cli
-    from homlab.norms import PowerIterationError
+def test_lanczos_failure_exits_3(tmp_path, monkeypatch, capsys):
+    from scipy.sparse.linalg import ArpackError
+    import homlab.norms as norms
 
     def boom(*args, **kwargs):
-        raise PowerIterationError("never settled")
+        raise ArpackError(-9999)
 
-    monkeypatch.setattr(cli, "run_study", boom)
-    code = main(["criterion", "--config", str(crit_cfg), "--out", "-"])
+    monkeypatch.setattr(norms, "eigsh", boom)
+    path = tmp_path / "norm.cfg"
+    path.write_text("study.kind = norm\nfamily.name = regular_sin\n"
+                    "schedule.eps = 0.2\nmesh.min_elements = 16\n")
+    code = main(["norm", "--config", str(path), "--out", "-"])
     assert code == 3
+    err = capsys.readouterr().err
+    assert "numerical breach" in err and "ARPACK error -9999" in err
 
 
 def test_coercivity_failure_exits_3(crit_cfg, monkeypatch, capsys):

@@ -1,6 +1,7 @@
 """Induced norms against dense full-spectrum oracles (dim <= 40)."""
 
 import dataclasses
+import functools
 import math
 from pathlib import Path
 
@@ -8,22 +9,20 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from homlab import registry, study
 from homlab.config import StudyConfig
-from homlab.fem import LinearSolver, NumericalBreach, assemble_base, \
+from homlab.fem import NumericalBreach, assemble_base, \
     assemble_perturbation, build_mesh, default_operator
 from homlab.fields import constant_field, gram_field, interval, \
     matrix_field, scalar_field
 from homlab.norms import (
     CoercivityError,
-    PowerIterationError,
-    dual_metric,
+    Space,
     find_lambda,
-    h1_metric,
     induced_norm,
     kappa,
-    l2_metric,
     norm_m10,
     norm_m1m1,
     norm_v_to_vstar,
@@ -67,14 +66,14 @@ def test_scaled_gram_norm_is_scale():
 def test_identity_between_l2_metrics():
     rng = np.random.default_rng(2)
     m = random_spd(rng, 9)
-    metric = l2_metric(sp.csr_matrix(m))
-    rep = induced_norm(lambda v: v, lambda v: v, metric, metric, 9)
+    space = Space(sp.csr_matrix(m))
+    rep = induced_norm(lambda v: v, lambda v: v, space, space)
     assert rep.value == pytest.approx(1.0, rel=1e-9)
 
 
 # ------------------------------------------------------------ dense oracles
 
-@pytest.mark.parametrize("n", [5, 17, 40])
+@pytest.mark.parametrize("n", [1, 2, 5, 17, 40])
 def test_form_norm_matches_dense_oracle(n):
     rng = np.random.default_rng(100 + n)
     x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
@@ -91,11 +90,21 @@ def test_norm_report_invariants():
     s = random_spd(rng, n)
     rep = norm_v_to_vstar(sp.csr_matrix(x), sp.csr_matrix(s))
     assert rep.method["iterations"] >= 1
-    assert rep.method["converged"] in ("residual", "stagnation", "plateau",
-                                       "max_iter", "zero")
+    assert rep.method["converged"] in ("residual", "max_iter", "zero")
     assert rep.matrices_involved == ("form", "gram_h1")
-    assert rep.method["restart_agreement"] <= \
-        1e-6 * rep.value + 2.0 * rep.method["uncertainty"] + 1e-15
+
+
+def test_unconverged_lanczos_is_flagged(monkeypatch):
+    # a top cluster 1e-9 wide cannot be resolved in one Lanczos restart
+    from homlab import norms
+    monkeypatch.setattr(norms, "eigsh", functools.partial(spla.eigsh,
+                                                          maxiter=1))
+    n = 200
+    x = sp.diags(1.0 - np.logspace(-9, -1, n)).tocsr()
+    rep = norm_v_to_vstar(x, sp.identity(n, format="csr"))
+    assert rep.flagged
+    assert rep.method["converged"] == "max_iter"
+    assert 0.9 < rep.value <= 1.0
 
 
 def test_zero_form_reports_zero():
@@ -131,7 +140,7 @@ def test_kappa_of_identical_solvers_is_zero():
     s = random_spd(rng, n)
     inv = np.linalg.inv(a)
     solve = lambda f, adjoint=False: (inv.conj().T if adjoint else inv) @ f
-    rep = kappa(solve, solve, sp.csr_matrix(s), n)
+    rep = kappa(solve, solve, a - a, sp.csr_matrix(s))
     assert rep.value == 0.0
 
 
@@ -149,7 +158,7 @@ def test_kappa_spd_pair_matches_dense_oracle():
     rep = kappa(
         lambda f, adjoint=False: (ia.conj().T if adjoint else ia) @ f,
         lambda f, adjoint=False: (ib.conj().T if adjoint else ib) @ f,
-        sp.csr_matrix(s), n)
+        a - b, sp.csr_matrix(s))
     assert rep.value == pytest.approx(expect, rel=2e-8)
 
 
@@ -167,7 +176,7 @@ def test_kappa_general_complex_matches_dense_oracle():
     rep = kappa(
         lambda f, adjoint=False: (ia.conj().T if adjoint else ia) @ f,
         lambda f, adjoint=False: (ib.conj().T if adjoint else ib) @ f,
-        sp.csr_matrix(s), n)
+        a - b, sp.csr_matrix(s))
     assert rep.value == pytest.approx(expect, rel=2e-8)
 
 
@@ -229,16 +238,15 @@ def test_multiplier_chain_bound_on_random_triples(ncomp):
     rng = np.random.default_rng(40 + ncomp)
     mesh = build_mesh(UNIT, 96)
     op = assemble_base(default_operator(UNIT, ncomp=ncomp), mesh)
-    solver = LinearSolver(op.gram_h1)
     for trial in range(3):
         q = _random_trig_matrix_field(rng, ncomp)
         p = _random_trig_matrix_field(rng, ncomp)
         v = _random_trig_matrix_field(rng, ncomp)
         pert = assemble_perturbation(op.space, q=(q,), p=(p,), v=v, refine=4)
-        full = norm_v_to_vstar(pert.matrix, op.gram_h1, solver).value
-        bound = (math.sqrt(ncomp) * norm_m10(op, q, 4, solver).value
-                 + norm_m10(op, p, 4, solver).value
-                 + norm_m1m1(op, v, 4, solver).value)
+        full = norm_v_to_vstar(pert.matrix, op.gram_h1).value
+        bound = (math.sqrt(ncomp) * norm_m10(op, q, 4).value
+                 + norm_m10(op, p, 4).value
+                 + norm_m1m1(op, v, 4).value)
         assert full <= bound * (1.0 + 1e-8) + 1e-12
 
 
@@ -248,11 +256,10 @@ def test_adjoint_weight_bound(ncomp):
     rng = np.random.default_rng(50 + ncomp)
     mesh = build_mesh(UNIT, 96)
     op = assemble_base(default_operator(UNIT, ncomp=ncomp), mesh)
-    solver = LinearSolver(op.gram_h1)
     for trial in range(3):
         q = _random_trig_matrix_field(rng, ncomp)
-        nq = norm_m10(op, q, 4, solver).value
-        nqa = norm_m10(op, adjoint_field(q), 4, solver).value
+        nq = norm_m10(op, q, 4).value
+        nqa = norm_m10(op, adjoint_field(q), 4).value
         assert nqa <= math.sqrt(ncomp) * nq * (1.0 + 1e-8) + 1e-12
 
 
@@ -260,10 +267,9 @@ def test_form_norm_below_weight_norm_below_sup():
     # the potential chain: dual-pairing norm <= product norm <= sup bound
     mesh = build_mesh(UNIT, 128)
     op = assemble_base(default_operator(UNIT), mesh)
-    solver = LinearSolver(op.gram_h1)
     v = scalar_field(1, lambda x: np.sin(x[..., 0] / 0.05), 1.0, UNIT)
-    m1m1 = norm_m1m1(op, v, 8, solver).value
-    m10 = norm_m10(op, v, 8, solver).value
+    m1m1 = norm_m1m1(op, v, 8).value
+    m10 = norm_m10(op, v, 8).value
     assert m1m1 <= m10 * (1.0 + 1e-8)
     assert m10 <= 1.0 * (1.0 + 1e-8)
 
@@ -403,9 +409,3 @@ def test_smallest_eigenvalue_rejects_indefinite_gram(s):
     with pytest.raises(NumericalBreach):
         smallest_eigenvalue(h, sp.csr_matrix(np.array(s)))
 
-
-def test_power_iteration_error_carries_state():
-    err = PowerIterationError("stalled", last_iterate=np.ones(3),
-                              last_value=2.0)
-    assert err.last_value == 2.0
-    assert err.last_iterate.shape == (3,)

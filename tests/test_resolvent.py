@@ -1,10 +1,14 @@
 """Resolvent series and difference identities against dense oracles."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
+from homlab import registry, study
+from homlab.config import StudyConfig
 from homlab.families import make_regular
 from homlab.fem import NumericalBreach, assemble_base, assemble_perturbation, \
     build_mesh, default_operator
@@ -21,6 +25,7 @@ from homlab.resolvent import (
     neumann_apply,
     perturbation_norm,
     resolvent_norm,
+    truncation_error_norm,
     truncation_study,
 )
 
@@ -218,6 +223,58 @@ def test_truncation_flags_divergent_series():
     assert errs[1] > errs[0]
 
 
+@pytest.fixture(scope="module")
+def sin_neumann_context():
+    """The context of configs/sin_neumann.cfg: 63 dof, eps 0.05, shift -2."""
+    configs = Path(__file__).resolve().parents[1] / "configs"
+    cfg = StudyConfig.load(configs / "sin_neumann.cfg")
+    family = registry.build_family(cfg)
+    ctx = build_setting(study._operator_spec(cfg, family), family,
+                        eps=0.05, lam=-2.0, **study._mesh_opts(cfg))
+    assert ctx.dim == 63
+    return ctx
+
+
+def _h1_frame_norm(s, mat):
+    """Norm of mat from the dual space into H1: |U mat U^H|, S = U^H U."""
+    u = sla.cholesky(s.toarray())
+    return float(sla.svdvals(u @ mat @ u.conj().T)[0])
+
+
+def test_resolvent_norm_on_clustered_spectrum_matches_dense(
+        sin_neumann_context):
+    # the top singular values of R_eps cluster within 1e-6 below one
+    ctx = sin_neumann_context
+    expect = _h1_frame_norm(ctx.op.gram_h1, np.linalg.inv(ctx.Geps.toarray()))
+    rep = resolvent_norm(ctx, "eps")
+    assert rep.value == pytest.approx(expect, rel=2e-8)
+    assert not rep.flagged
+
+
+def test_truncation_errors_match_dense_partial_sums(sin_neumann_context):
+    ctx = sin_neumann_context
+    s = ctx.op.gram_h1
+    r_eps = np.linalg.inv(ctx.Geps.toarray())
+    r0 = np.linalg.inv(ctx.G0.toarray())
+    step = -r0 @ ctx.L.toarray()
+    partial = r0.copy()
+    term = r0.copy()
+    remainder = r_eps.copy()
+    for order in range(5):
+        remainder = step @ remainder
+        exact = _h1_frame_norm(s, remainder)
+        # R_eps - S_N = (-R0 L)^(N+1) R_eps; the dense partial sums agree
+        # up to the rounding of order-one matrices, which swamps the
+        # higher orders in relative terms
+        assert _h1_frame_norm(s, r_eps - partial) == pytest.approx(
+            exact, abs=1e-13)
+        got = truncation_error_norm(ctx, order)
+        assert got.value == pytest.approx(exact, rel=1e-10, abs=0.0)
+        assert not got.flagged
+        term = step @ term
+        partial = partial + term
+
+
 def test_perturbation_norm_is_difference_form_norm():
     from homlab.norms import norm_v_to_vstar
     ctx = small_context(n=20)
@@ -270,6 +327,15 @@ def test_convergence_verdict_rejects_flat_tail():
     assert verdict == "not_convergent"
     assert not detail["kappa"]
     assert detail["norm_L"]
+
+
+@pytest.mark.parametrize("key", ["flagged", "capped"])
+def test_convergence_verdict_rejects_flagged_or_capped_rows(key):
+    rows = [{"eps": e, "kappa": v, "norm_L": v, key: int(e == 0.025)}
+            for e, v in ((0.1, 1.0), (0.05, 0.6), (0.025, 0.3))]
+    verdict, detail = convergence_verdict(rows)
+    assert verdict == "not_convergent"
+    assert detail == {"kappa": True, "norm_L": True, f"{key}_rows": (0.025,)}
 
 
 def test_convergence_verdict_rejects_rebound():

@@ -126,6 +126,23 @@ def test_schedule_must_strictly_decrease(schedule):
         run_study("criterion", cfg)
 
 
+def test_resolvent_footer_names_capped_rows():
+    # cap_dof 24 caps the eps = 0.1 mesh, which needs 26 elements
+    cfg = StudyConfig.from_text("""
+study.kind = resolvent
+family.name = regular_sin
+schedule.eps = 0.2, 0.1
+operator.shift = -1.0
+mesh.min_elements = 16
+mesh.cap_dof = 24
+""")
+    res = run_study("resolvent", cfg)
+    assert [row["capped"] for row in res.rows] == [0, 1]
+    assert res.meta["verdict"] == "not_convergent"
+    assert res.footer[-1].endswith(" capped_rows=0.1")
+    assert "flagged_rows" not in res.footer[-1]
+
+
 # ------------------------------------------------------------- determinism
 
 def test_run_study_rejects_unread_keys():
