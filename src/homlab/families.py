@@ -642,12 +642,10 @@ def cell_resample(family, seed, amplitude=0.5, lattice=None):
         refine = default_refine(eta, family.finest_scale(eps))
         refine += refine % 2  # keep the half-cell split on a panel boundary
         rng = np.random.default_rng([seed, int(1e9 * eps) & 0x7FFFFFFF])
-        means = []
-        bumps = []
-        for z in cells.gammas:
-            m, _ = cell_mean(lat, np.array(z), eta, trip.v, refine)
-            means.append(m)
-            bumps.append(rng.uniform(-amplitude, amplitude))
+        means, _ = cell_mean(
+            lat, np.reshape(cells.gammas, (len(cells), lat.dim)), eta, trip.v,
+            refine)
+        bumps = [rng.uniform(-amplitude, amplitude) for _ in cells.gammas]
         corners = np.array(
             [eta * lat.point(np.array(z)) for z in cells.gammas]
         ).reshape(len(cells.gammas), family.dim)

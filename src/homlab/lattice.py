@@ -1,13 +1,24 @@
-"""Scaled lattice cells and cell quadrature.
+"""Scaled lattice cells and batched cell quadrature.
 
 Cells are the scaled translates eta * (cell + gamma) of a reference
 parallelotope, where gamma runs over the points of an affine lattice
 B Z^d + offset.  Cell integrals use composite Gauss-Legendre rules of
 order 4 per subcell, with an error estimate from comparing against the
 half-resolution rule.
+
+cell_integral takes one cell index or a stack of them.  A stack is
+evaluated in batches of whole cells, up to CHUNK_POINTS rule points per
+field evaluation (a cell with more points is evaluated alone), so one
+call per field replaces a Python loop over cells; each cell's sum is
+still reduced on its own, bit for bit as for a lone cell.  On request
+the same field values also give the integrals of |field|^2.  The 1D
+Gauss rule is memoized per (refine, order); the d-dimensional tensor
+rule is rebuilt per call, since holding the large 2D rules costs more
+memory than building them costs time.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import List
 
 import numpy as np
@@ -17,6 +28,8 @@ from .fields import Box, matrix_abs
 
 MAX_REFINE = 4096
 GAUSS_ORDER = 4
+# points of one batched field evaluation; a cell with more is evaluated alone
+CHUNK_POINTS = 2 ** 16
 
 
 @dataclass(frozen=True)
@@ -115,18 +128,24 @@ def cells_inside(lattice, eta, box):
     return CellIndexSet(lattice, eta, box, tuple(gammas))
 
 
-def _panel_rule(refine):
-    """Composite order-4 Gauss rule on [0,1] with `refine` subcells."""
-    nodes, weights = leggauss(GAUSS_ORDER)
+@lru_cache(maxsize=64)
+def _panel_rule(refine, order=GAUSS_ORDER):
+    """Composite Gauss rule of `order` nodes on [0,1] with `refine` subcells.
+
+    Memoized, so the returned arrays are read-only.
+    """
+    nodes, weights = leggauss(order)
     h = 1.0 / refine
     starts = np.arange(refine) * h
     pts = (starts[:, None] + (nodes[None, :] + 1.0) * (h / 2.0)).ravel()
     wts = np.tile(weights * (h / 2.0), refine)
+    pts.flags.writeable = False
+    wts.flags.writeable = False
     return pts, wts
 
 
-def _tensor_rule(dim, refine):
-    pts1, wts1 = _panel_rule(refine)
+def _tensor_rule(dim, refine, order=GAUSS_ORDER):
+    pts1, wts1 = _panel_rule(refine, order)
     if dim == 1:
         return pts1[:, None], wts1
     grids = np.meshgrid(*[pts1] * dim, indexing="ij")
@@ -134,6 +153,43 @@ def _tensor_rule(dim, refine):
     wgrids = np.meshgrid(*[wts1] * dim, indexing="ij")
     wts = np.prod(np.stack([w.ravel() for w in wgrids], axis=1), axis=1)
     return pts, wts
+
+
+def _reduce(vals, wts, jac):
+    """Integrals (C, n, n) from rule values (C, m, n, n), one cell at a time.
+
+    Each cell goes through the same einsum as a lone cell would, so its
+    integral does not depend on the other cells of the batch.
+    """
+    out = [jac * np.einsum("m,mij->ij", wts, v) for v in vals]
+    return np.array(out).reshape(vals.shape[:1] + vals.shape[2:])
+
+
+def _rule_integrals(field_, origins, span, refine, order, step, squares):
+    """Integrals over the cells origins[c] + span (0,1)^d at one rule.
+
+    Cells are evaluated step at a time; squares=True adds the integrals
+    of |field|^2 taken from the same values.
+    """
+    dim, n = span.shape[0], field_.ncomp
+    pts_ref, wts = _tensor_rule(dim, refine, order)
+    jac = abs(float(np.linalg.det(span)))
+    outs = [np.empty((len(origins), n, n), dtype=complex)]
+    if squares:
+        outs.append(np.empty((len(origins), 1, 1), dtype=complex))
+    for a in range(0, len(origins), step):
+        pts = origins[a:a + step, None, :] + (pts_ref @ span.T)[None]
+        vals = field_(pts.reshape(-1, dim)).reshape(-1, len(wts), n, n)
+        del pts  # peak memory: the points and values of a large 2D cell
+        outs[0][a:a + step] = _reduce(vals, wts, jac)
+        if squares:
+            # summed as complex 1x1 values, as a scalar field would be: a
+            # real sum rounds differently in the last digits
+            outs[1][a:a + step] = _reduce(
+                (matrix_abs(vals) ** 2).astype(complex)[..., None, None],
+                wts, jac)
+        del vals  # not alive during the next chunk's evaluation
+    return outs
 
 
 def default_refine(eta, finest_scale):
@@ -147,55 +203,38 @@ def default_refine(eta, finest_scale):
     return int(min(max(r, 1), MAX_REFINE))
 
 
-def _integrate_points(field_, origin, span_matrix, refine):
-    """Integral of field over origin + span_matrix (0,1)^d at given refine."""
-    dim = span_matrix.shape[0]
-    pts_ref, wts = _tensor_rule(dim, refine)
-    pts = origin[None, :] + pts_ref @ span_matrix.T
-    vals = field_(pts)
-    jac = abs(float(np.linalg.det(span_matrix)))
-    return jac * np.einsum("m,mij->ij", wts, vals)
+def cell_integral(lattice, z, eta, field_, refine, squares=False):
+    """Integrals of a coefficient field over cells, with error estimates.
 
-
-def cell_integral(lattice, z, eta, field_, refine):
-    """Integral of a coefficient field over one cell with error estimate.
-
-    Returns (integral matrix, error estimate).  The estimate compares the
-    requested resolution against the half-resolution rule; doubling the
-    refine changes the result by less than the reported estimate.
+    z is one index (d,) or a stack of them (C, d).  Returns (integral,
+    error estimate): a matrix and a float for one index, arrays (C, n, n)
+    and (C,) for a stack.  The estimate compares the requested resolution
+    against the half-resolution rule (one order-2 panel at refine 1);
+    doubling the refine changes the result by less than the estimate.
+    squares=True appends the same pair for the scalar |field|^2, taken
+    from the same field values.
     """
-    refine = int(max(1, refine))
-    origin = eta * (lattice.point(z))
+    zs = np.asarray(z, dtype=float)
+    single = zs.ndim == 1
+    zs = zs.reshape(-1, lattice.dim)
+    origins = np.array([eta * lattice.point(g) for g in zs]).reshape(zs.shape)
     span = eta * lattice.basis
-    fine = _integrate_points(field_, origin, span, refine)
-    coarse_refine = max(1, refine // 2)
-    if coarse_refine == refine:
-        # compare against a single order-2 panel instead
-        nodes, weights = leggauss(2)
-        pts1 = ((nodes + 1.0) / 2.0)
-        wts1 = weights / 2.0
-        if lattice.dim == 1:
-            pts = origin[None, :] + pts1[:, None] @ span.T
-            coarse = abs(float(np.linalg.det(span))) * np.einsum(
-                "m,mij->ij", wts1, field_(pts)
-            )
-        else:
-            grids = np.meshgrid(*[pts1] * lattice.dim, indexing="ij")
-            ptsr = np.stack([g.ravel() for g in grids], axis=1)
-            wg = np.meshgrid(*[wts1] * lattice.dim, indexing="ij")
-            wtsr = np.prod(np.stack([w.ravel() for w in wg], axis=1), axis=1)
-            pts = origin[None, :] + ptsr @ span.T
-            coarse = abs(float(np.linalg.det(span))) * np.einsum(
-                "m,mij->ij", wtsr, field_(pts)
-            )
-    else:
-        coarse = _integrate_points(field_, origin, span, coarse_refine)
-    err = float(matrix_abs(fine - coarse)) + 1e-300
-    return fine, err
+    refine = int(max(1, refine))
+    step = max(1, CHUNK_POINTS // (GAUSS_ORDER * refine) ** lattice.dim)
+    coarse_rule = (refine // 2, GAUSS_ORDER) if refine > 1 else (1, 2)
+    fine = _rule_integrals(field_, origins, span, refine, GAUSS_ORDER, step,
+                           squares)
+    coarse = _rule_integrals(field_, origins, span, *coarse_rule, step,
+                             squares)
+    out = []
+    for f, c in zip(fine, coarse):
+        err = matrix_abs(f - c) + 1e-300
+        out += [f[0], float(err[0])] if single else [f, err]
+    return tuple(out)
 
 
 def cell_mean(lattice, z, eta, field_, refine):
-    """Mean of the field over one cell, with error estimate."""
+    """Mean of the field over one cell or a stack of cells, with estimate."""
     integral, err = cell_integral(lattice, z, eta, field_, refine)
     measure = lattice.cell_measure * eta ** lattice.dim
     return integral / measure, err / measure
@@ -205,8 +244,9 @@ def box_integral(box, field_, refine):
     """Integral over a whole box at the given per-axis refine."""
     origin = np.array(box.lower)
     span = np.diag(np.array(box.upper) - np.array(box.lower))
-    fine = _integrate_points(field_, origin, span, int(max(1, refine)))
-    return fine
+    (integral,) = _rule_integrals(field_, origin[None, :], span,
+                                  int(max(1, refine)), GAUSS_ORDER, 1, False)
+    return integral[0]
 
 
 def margin_boxes(box, cells: CellIndexSet) -> List[Box]:

@@ -32,6 +32,10 @@ from .fields import gram_field
 # below one: on sin_neumann's R_eps ARPACK's default basis of 20 takes
 # about 4400 applications, a basis of 40 about 800
 LANCZOS_NCV = 40
+# Lanczos restart cap.  The shipped norms need at most about 40 restarts
+# (sin_neumann's R_eps); ARPACK's default of 10 * dim grows with the size,
+# so a norm that never converges would run that much longer unflagged
+LANCZOS_MAXITER = 200
 
 
 class Space:
@@ -101,8 +105,9 @@ def _power_singular(apply_, apply_adj, dim, seed, rel_tol):
     explicit residual room below rel_tol.  Returns (value, applications
     of K^H K, explicit residual |K^H K v - theta v| of the unit vector v,
     mode): "residual" when ARPACK converged, "max_iter" when it ran out
-    of restarts (v is then the applied vector of largest Rayleigh
-    quotient), "zero" when K annihilates the start vector.
+    of its LANCZOS_MAXITER restarts (v is then the applied vector of
+    largest Rayleigh quotient), "zero" when K annihilates the start
+    vector.
     """
     applications = 0
     best = (-math.inf, None)
@@ -131,7 +136,8 @@ def _power_singular(apply_, apply_adj, dim, seed, rel_tol):
         op = LinearOperator((dim, dim), matvec=gram, dtype=complex)
         try:
             w, vecs = eigsh(op, k=1, which="LA", v0=v0,
-                            ncv=min(dim, LANCZOS_NCV), tol=rel_tol / 100)
+                            ncv=min(dim, LANCZOS_NCV), tol=rel_tol / 100,
+                            maxiter=LANCZOS_MAXITER)
             theta, v = w[0], vecs[:, 0]
         except ArpackNoConvergence:
             theta, v = best

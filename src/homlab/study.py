@@ -311,7 +311,8 @@ def norm_study(cfg, seed=1234, threads=1):
 
     Measures the assembled difference form against the triangle-type
     budget: sum over first-order weights of sqrt(d) |Q|_prod + |P|_prod
-    plus the potential form norm.
+    plus the potential form norm.  A row with a flagged norm is not
+    within budget, and the footer then names its eps under flagged_rows.
     """
     family = registry.build_family(cfg)
     _require_1d(family, "norm")
@@ -337,10 +338,10 @@ def norm_study(cfg, seed=1234, threads=1):
         refine = perturbation_refine(op.space, finest)
         trip = deviation_triple(family, eps)
         pert = assemble_triple(op.space, trip, refine)
-        measured = norm_v_to_vstar(pert.matrix, op.gram_h1,
-                                   seed=row_seed).value
-        v_m1m1 = norm_m1m1(op, trip.v, refine, row_seed).value
-        v_m10 = norm_m10(op, trip.v, refine, row_seed).value
+        reports = [norm_v_to_vstar(pert.matrix, op.gram_h1, seed=row_seed),
+                   norm_m1m1(op, trip.v, refine, row_seed),
+                   norm_m10(op, trip.v, refine, row_seed)]
+        measured, v_m1m1, v_m10 = (rep.value for rep in reports)
         v_sup = sampled_sup(trip.v, family.domain)
         row = {
             "eps": eps,
@@ -351,27 +352,36 @@ def norm_study(cfg, seed=1234, threads=1):
         }
         chain = v_m1m1
         for j, qf in enumerate(trip.q):
-            val = norm_m10(op, qf, refine, row_seed).value
-            row[f"q{j}_m10"] = val
-            chain += sqrt_d * val
+            rep = norm_m10(op, qf, refine, row_seed)
+            reports.append(rep)
+            row[f"q{j}_m10"] = rep.value
+            chain += sqrt_d * rep.value
         for j, pf in enumerate(trip.p):
-            val = norm_m10(op, pf, refine, row_seed).value
-            row[f"p{j}_m10"] = val
-            chain += val
+            rep = norm_m10(op, pf, refine, row_seed)
+            reports.append(rep)
+            row[f"p{j}_m10"] = rep.value
+            chain += rep.value
         row["norm_x"] = measured
         row["chain_bound"] = chain
-        row["within_budget"] = int(measured <= chain * (1 + 1e-8) + 1e-12)
-        return row
+        flagged = any(rep.flagged for rep in reports)
+        fits = measured <= chain * (1 + 1e-8) + 1e-12
+        row["within_budget"] = int(fits and not flagged)
+        return row, flagged, fits
 
-    rows = _parallel(schedule, one, threads)
+    results = _parallel(schedule, one, threads)
+    rows = [row for row, _, _ in results]
     eps_col = [r["eps"] for r in rows]
     footer = [
         _fit_line("norm_x", eps_col, [r["norm_x"] for r in rows]),
         _fit_line("v_m1m1", eps_col, [r["v_m1m1"] for r in rows]),
     ]
-    if not all(r["within_budget"] for r in rows):
+    if not all(fits for _, _, fits in results):
         footer.append("# budget_violation: measured norm exceeded the "
                       "multiplier chain bound")
+    flagged_eps = [row["eps"] for row, flagged, _ in results if flagged]
+    if flagged_eps:
+        footer.append("# flagged_rows=" + ";".join(f"{e:g}"
+                                                   for e in flagged_eps))
     return StudyResult(
         kind="norm",
         fieldnames=fieldnames,

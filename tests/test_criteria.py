@@ -7,11 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from homlab.criteria import (criterion_report, local_mean_limit, optimize_eta,
-                             rho1, rho3, weyl_mean)
-from homlab.families import make_regular
-from homlab.fields import constant_field, interval, scalar_field, zero_field
-from homlab.lattice import Lattice
+from homlab.criteria import (NoCellsError, criterion_report, local_mean_limit,
+                             optimize_eta, rho1, rho3, weyl_mean)
+from homlab.families import FieldTriple, make_regular
+from homlab.fields import (CoefficientField, constant_field, interval,
+                           matrix_abs, scalar_field, zero_field)
+from homlab.lattice import Lattice, cell_integral, cells_inside
 
 UNIT = interval(0.0, 1.0)
 
@@ -182,3 +183,97 @@ def test_weyl_mean_rejects_skew_lattice():
     skew = Lattice(2, basis=np.array([[1.0, 0.5], [0.0, 1.0]]))
     with pytest.raises(ValueError):
         weyl_mean(terms, [2.0], lattice=skew)
+
+
+# ------------------------------------------------- batched cell quadrature
+
+def _family(text):
+    from homlab import registry
+    from homlab.config import StudyConfig
+    return registry.build_family(StudyConfig.from_text(text))
+
+
+def reference_report(family, eps, eta, refine):
+    # the cell-by-cell loop: one call per cell for dev and for |dev|^2
+    lat = Lattice(family.dim)
+    cells = cells_inside(lat, eta, family.domain)
+    measure = lat.cell_measure * eta ** family.dim
+    rho1_, rho3_, quad, argmax = 0.0, 0.0, 0.0, cells.gammas[0]
+    for _, dev in family.deviations(eps):
+        sq = scalar_field(dev.dim, lambda p, d=dev: matrix_abs(d(p)) ** 2,
+                          dev.sup_bound ** 2, dev.domain)
+        for z in cells.gammas:
+            integral, err = cell_integral(lat, np.array(z), eta, dev, refine)
+            val = float(matrix_abs(integral)) / measure
+            quad = max(quad, err / measure)
+            if val > rho1_:
+                rho1_, argmax = val, z
+            sq_int, sq_err = cell_integral(lat, np.array(z), eta, sq, refine)
+            rho3_ = max(rho3_, complex(sq_int.item()).real / measure)
+            quad = max(quad, sq_err / measure)
+    return rho1_, rho3_, quad, tuple(argmax)
+
+
+@pytest.mark.parametrize("text, eps, eta, refine", [
+    ("family.name = sign_sin\n", 0.013, 0.1, 8),
+    ("family.name = sign_sin\n", 0.013, 0.1, 1),
+    ("family.name = fractal_2d\n", 0.4, 0.5, 3),
+])
+def test_criterion_report_matches_cell_by_cell_loop(text, eps, eta, refine):
+    fam = _family(text)
+    rep = criterion_report(fam, eps, eta, refine=refine)
+    got = (rep.rho1, rep.rho3, rep.quad_error, rep.argmax_cell)
+    assert got == reference_report(fam, eps, eta, refine)
+    assert all(type(v) is float for v in got[:3])
+
+
+def _counting_family(sizes):
+    def counted(scale):
+        def func(pts):
+            sizes.append(len(pts))
+            return scale * np.sin(pts[:, 0] / 0.003)
+        return scalar_field(1, func, abs(scale), UNIT)
+
+    zero = zero_field(1, 1, UNIT)
+    return make_regular(
+        lambda eps: FieldTriple(v=counted(1.0), q=(counted(2.0),)),
+        FieldTriple(v=zero, q=(zero,)), lambda eps: 0.0, UNIT)
+
+
+def test_each_deviation_is_evaluated_once_per_rule():
+    sizes = []
+    rep = criterion_report(_counting_family(sizes), 0.01, 0.1, refine=16)
+    # two components, each evaluated on the fine and on the coarse rule
+    assert sizes == [10 * 64, 10 * 32] * 2
+    assert rep.cell_count == 10
+
+
+@pytest.mark.parametrize("budget", [10, 100, 1000])
+def test_evaluations_stay_within_the_chunk_budget(monkeypatch, budget):
+    from homlab import lattice
+    sizes = []
+    fam = _counting_family(sizes)
+    expected = criterion_report(fam, 0.01, 0.1, refine=16)
+    monkeypatch.setattr(lattice, "CHUNK_POINTS", budget)
+    sizes.clear()
+    rep = criterion_report(fam, 0.01, 0.1, refine=16)
+    assert max(sizes) <= max(64, budget)
+    assert sum(sizes) == 2 * 10 * (64 + 32)
+    assert rep == expected
+
+
+def test_optimize_eta_reports_field_errors_instead_of_skipping():
+    def wrong_shape(eps):
+        # a closure returning (m, 2, 2) values for a 1x1 field
+        return CoefficientField(
+            1, 1, lambda p: np.zeros((len(p), 2, 2)), 1.0, UNIT)
+
+    fam = make_regular(wrong_shape, zero_field(1, 1, UNIT), lambda eps: 0.0,
+                       UNIT)
+    with pytest.raises(ValueError, match="closure returned shape"):
+        optimize_eta(fam, 0.01, exponents=(0.5,))
+    tiny = interval(0.0, 0.05)
+    v0 = zero_field(1, 1, tiny)
+    nothing_fits = make_regular(lambda eps: v0, v0, lambda eps: 0.0, tiny)
+    with pytest.raises(NoCellsError):
+        optimize_eta(nothing_fits, 0.5, exponents=(0.3, 0.5))

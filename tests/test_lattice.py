@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from homlab.fields import Box, constant_field, interval, scalar_field
-from homlab.lattice import (Lattice, box_integral, cell_integral, cell_mean,
-                            cells_inside, default_refine, margin_boxes,
-                            unit_lattice)
+from homlab import lattice
+from homlab.fields import (Box, constant_field, interval, matrix_field,
+                           scalar_field)
+from homlab.lattice import (Lattice, _panel_rule, box_integral, cell_integral,
+                            cell_mean, cells_inside, default_refine,
+                            margin_boxes, unit_lattice)
 
 UNIT = interval(0.0, 1.0)
 
@@ -145,3 +147,78 @@ def test_cell_integral_linearity(a, b, h):
     vg, _ = cell_integral(unit_lattice(1), (0,), h, g, 16)
     vc, _ = cell_integral(unit_lattice(1), (0,), h, comb, 16)
     assert vc[0, 0] == pytest.approx(a * vf[0, 0] + b * vg[0, 0], abs=1e-12)
+
+
+# ------------------------------------------------------- batched quadrature
+
+SKEW = Lattice(2, basis=np.array([[0.7, 0.2], [-0.1, 0.5]]),
+               offset=(0.05, -0.02))
+
+
+def complex_2x2(pts):
+    x, y = pts[:, 0], pts[:, 1]
+    out = np.empty((len(pts), 2, 2), dtype=complex)
+    out[:, 0, 0] = np.sin(7.0 * x) + 1j * np.cos(3.0 * y)
+    out[:, 0, 1] = np.exp(1j * 5.0 * x * y)
+    out[:, 1, 0] = x * y - 2j * x
+    out[:, 1, 1] = np.cos(11.0 * (x + y)) ** 2
+    return out
+
+
+@pytest.mark.parametrize("refine", [1, 2, 5])
+def test_stacked_cell_integral_equals_single_calls(refine):
+    # refine 1 takes the order-2 single-panel estimate
+    field_ = matrix_field(2, 2, complex_2x2, 6.0, Box((-5, -5), (5, 5)))
+    zs = np.array([[0, 0], [1, -2], [3, 1], [-2, 4], [5, 5]])
+    stack = cell_integral(SKEW, zs, 0.3, field_, refine, squares=True)
+    assert stack[0].shape == (5, 2, 2) and stack[1].shape == (5,)
+    assert stack[2].shape == (5, 1, 1) and stack[3].shape == (5,)
+    for k, z in enumerate(zs):
+        one = cell_integral(SKEW, z, 0.3, field_, refine, squares=True)
+        for got, want in zip(stack, one):
+            assert np.array_equal(got[k], want)
+        integral, err = cell_integral(SKEW, z, 0.3, field_, refine)
+        assert np.array_equal(integral, one[0]) and err == one[1]
+        assert isinstance(err, float)
+
+
+def test_square_integral_matches_closed_form():
+    # int_0^h sin^2(x / eps) dx = h / 2 - eps sin(2 h / eps) / 4
+    eps, h = 0.05, 0.3
+    _, _, sq, sq_err = cell_integral(unit_lattice(1), (0,), h, sin_field(eps),
+                                     64, squares=True)
+    assert sq.shape == (1, 1) and sq.dtype == complex
+    exact = h / 2 - eps * math.sin(2 * h / eps) / 4
+    assert sq[0, 0].real == pytest.approx(exact, abs=1e-12)
+    assert sq_err < 1e-10
+
+
+def test_panel_rule_is_memoized_and_read_only():
+    pts, wts = _panel_rule(3)
+    assert _panel_rule(3)[0] is pts
+    with pytest.raises(ValueError):
+        wts[0] = 1.0
+    # the single order-2 panel of the coarse estimate at refine 1
+    pts2, wts2 = _panel_rule(1, order=2)
+    assert pts2 == pytest.approx([0.5 - 0.5 / math.sqrt(3),
+                                  0.5 + 0.5 / math.sqrt(3)])
+    assert wts2 == pytest.approx([0.5, 0.5])
+
+
+def test_batches_never_split_a_cell(monkeypatch):
+    sizes = []
+
+    def counted(pts):
+        sizes.append(len(pts))
+        return np.cos(pts[:, 0] / 0.01)
+
+    field_ = scalar_field(1, counted, 1.0, UNIT)
+    zs = np.arange(10)[:, None]
+    whole = cell_integral(unit_lattice(1), zs, 0.1, field_, 4)
+    assert sizes == [16 * 10, 8 * 10]  # fine and coarse rule, one batch each
+    sizes.clear()
+    monkeypatch.setattr(lattice, "CHUNK_POINTS", 40)  # 2.5 fine cells
+    split = cell_integral(unit_lattice(1), zs, 0.1, field_, 4)
+    assert sizes == [32] * 5 + [16] * 5
+    for a, b in zip(whole, split):
+        assert np.array_equal(a, b)

@@ -11,6 +11,7 @@ import pytest
 
 from homlab import registry, study
 from homlab.config import StudyConfig
+from homlab.criteria import criterion_report
 from homlab.norms import (_hermitian_part, kappa, norm_v_to_vstar,
                           smallest_eigenvalue)
 from homlab.resolvent import assemble_setting, context_from_setting
@@ -56,3 +57,24 @@ def test_bench_kappa(benchmark, eps, dof):
         kappa, args=(ctx.solver_eps.quick, ctx.solver0.quick, ctx.L,
                      ctx.op.gram_h1), rounds=5, iterations=1)
     assert not rep.flagged
+
+
+# criterion_report on rows of sign_criterion (1D, many small cells batched
+# together) and fractal_criterion (2D, one cell of 706k points), at the eta
+# optimize_eta picks for them
+CRITERION_ROWS = [("sign_criterion", 0.004, 0.4, 9),
+                  ("sign_criterion", 0.002, 0.7, 77),
+                  ("fractal_criterion", 0.18, 0.5, 1)]
+
+
+@pytest.mark.parametrize("name, eps, exponent, cells", CRITERION_ROWS)
+def test_bench_criterion_report(benchmark, name, eps, exponent, cells):
+    cfg = StudyConfig.load(CONFIGS / f"{name}.cfg")
+    family = registry.build_family(cfg)
+    refine = cfg.get_int("criterion.refine", 0) or None
+    rep = benchmark.pedantic(
+        criterion_report,
+        args=(family, eps, eps ** exponent, study._lattice_for(cfg, family)),
+        kwargs={"refine": refine}, rounds=5, iterations=1)
+    assert rep.cell_count == cells
+    assert rep.rho1 > 0.0

@@ -1,7 +1,6 @@
 """Induced norms against dense full-spectrum oracles (dim <= 40)."""
 
 import dataclasses
-import functools
 import math
 from pathlib import Path
 
@@ -9,7 +8,6 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from homlab import registry, study
 from homlab.config import StudyConfig
@@ -94,17 +92,29 @@ def test_norm_report_invariants():
     assert rep.matrices_involved == ("form", "gram_h1")
 
 
+def _clustered_form(n=200):
+    # diagonal form whose top values lie within 1e-9 of each other
+    return sp.diags(1.0 - np.logspace(-9, -1, n)).tocsr()
+
+
 def test_unconverged_lanczos_is_flagged(monkeypatch):
     # a top cluster 1e-9 wide cannot be resolved in one Lanczos restart
     from homlab import norms
-    monkeypatch.setattr(norms, "eigsh", functools.partial(spla.eigsh,
-                                                          maxiter=1))
-    n = 200
-    x = sp.diags(1.0 - np.logspace(-9, -1, n)).tocsr()
-    rep = norm_v_to_vstar(x, sp.identity(n, format="csr"))
+    monkeypatch.setattr(norms, "LANCZOS_MAXITER", 1)
+    rep = norm_v_to_vstar(_clustered_form(), sp.identity(200, format="csr"))
     assert rep.flagged
     assert rep.method["converged"] == "max_iter"
     assert 0.9 < rep.value <= 1.0
+
+
+def test_lanczos_restarts_are_capped():
+    # ARPACK's own default (10 * dim restarts) took 40042 applications
+    from homlab import norms
+    rep = norm_v_to_vstar(_clustered_form(), sp.identity(200, format="csr"))
+    assert rep.flagged
+    assert rep.method["converged"] == "max_iter"
+    cap = norms.LANCZOS_NCV * (norms.LANCZOS_MAXITER + 1)
+    assert rep.method["iterations"] <= cap
 
 
 def test_zero_form_reports_zero():

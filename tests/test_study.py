@@ -1,11 +1,13 @@
 """Study plumbing: rate fits, CSV round trips, determinism."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from homlab.config import ConfigError, StudyConfig
+from homlab.norms import norm_m1m1
 from homlab.study import (
     StudyResult,
     fit_rate,
@@ -183,3 +185,30 @@ def test_seed_changes_nothing_for_deterministic_study():
     res_a = run_study("criterion", StudyConfig.from_text(CRIT_CFG), seed=1)
     res_b = run_study("criterion", StudyConfig.from_text(CRIT_CFG), seed=2)
     assert render_csv(res_a) == render_csv(res_b)
+
+
+# ------------------------------------------------------------- norm study
+
+NORM_CFG = """
+study.kind = norm
+family.name = regular_sin
+schedule.eps = 0.1, 0.05
+"""
+
+
+def test_norm_study_marks_flagged_rows(monkeypatch):
+    from homlab import study
+
+    def flag_second_row(op, v_field, refine=1, seed=1234):
+        rep = norm_m1m1(op, v_field, refine, seed)
+        return dataclasses.replace(rep, flagged=seed == 1234 + 1000)
+
+    clean = run_study("norm", StudyConfig.from_text(NORM_CFG))
+    monkeypatch.setattr(study, "norm_m1m1", flag_second_row)
+    res = run_study("norm", StudyConfig.from_text(NORM_CFG))
+    assert [row["within_budget"] for row in clean.rows] == [1, 1]
+    assert [row["within_budget"] for row in res.rows] == [1, 0]
+    assert not any("flagged_rows" in line for line in clean.footer)
+    assert res.footer[-1] == "# flagged_rows=0.05"
+    # a flagged norm is not a budget violation
+    assert not any("budget_violation" in line for line in res.footer)
