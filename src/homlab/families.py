@@ -62,7 +62,12 @@ class PerturbationFamily:
     meta: dict = dc_field(default_factory=dict)
 
     def deviations(self, eps):
-        """Deviation fields (eps components minus limit components)."""
+        """Deviation fields (eps components minus limit components).
+
+        An eps component whose limit is absent or identically zero (a
+        declared bound of 0) is its own deviation: subtracting zero would
+        change no value and cost a pass over every evaluation.
+        """
         trip = self.at(eps)
         eps_parts = dict(trip.components())
         lim_parts = dict(self.limit.components())
@@ -71,10 +76,11 @@ class PerturbationFamily:
         for lab in labels:
             a = eps_parts.get(lab)
             b = lim_parts.get(lab)
+            if a is not None and (b is None or b.sup_bound == 0.0):
+                out.append((lab, a))
+                continue
             if a is None:
                 a = zero_field(self.dim, self.ncomp, self.domain)
-            if b is None:
-                b = zero_field(self.dim, self.ncomp, self.domain)
             out.append((lab, sub_fields(a, b)))
         return out
 

@@ -8,7 +8,13 @@ for n-component complex fields, with Dirichlet or Robin boundary
 conditions.  Oscillating coefficients are integrated per element with the
 composite Gauss rule from the lattice module.  Direct solves go through a
 sparse LU factorization with compensated-residual iterative refinement, so
-forward errors sit near machine precision even on fine meshes.
+forward errors sit near machine precision even on fine meshes.  A refined
+solve takes one load or a column block of loads; each column of a block
+gets the same bits as a solve of that column alone.
+
+The compensated residual is built from error-free transformations:
+TwoProduct with Dekker-split factors (the matrix diagonals are split once
+per factorization, the iterate once per residual) and Knuth's TwoSum.
 """
 
 from dataclasses import dataclass, field as dc_field
@@ -24,37 +30,73 @@ from .lattice import _panel_rule, default_refine
 _SPLIT = 134217729.0  # 2**27 + 1, Dekker splitting constant
 
 
-def _two_prod(a, b):
-    """Elementwise a * b as an exact (product, rounding error) pair."""
-    p = a * b
+def _split(a):
+    """(a, high, low) with a == high + low, each half of 26 bits or less."""
     ca = _SPLIT * a
     ah = ca - (ca - a)
-    al = a - ah
-    cb = _SPLIT * b
-    bh = cb - (cb - b)
-    bl = b - bh
-    e = ((ah * bh - p) + ah * bl + al * bh) + al * bl
+    return a, ah, a - ah
+
+
+def _two_prod(a, b):
+    """Elementwise a * b as an exact (product, rounding error) pair.
+
+    a and b come pre-split, as returned by _split.  The error term is
+    ((ah bh - p) + ah bl + al bh) + al bl, summed in place.
+    """
+    a, ah, al = a
+    b, bh, bl = b
+    p = a * b
+    e = ah * bh
+    e -= p
+    t = ah * bl
+    e += t
+    np.multiply(al, bh, out=t)
+    e += t
+    np.multiply(al, bl, out=t)
+    e += t
     return p, e
 
 
 class _Compensated:
-    """Neumaier-compensated running sum over a real vector."""
+    """Running sum of a real array with the exact rounding errors of every
+    step (Knuth's TwoSum) summed apart and added back at the end.
+
+    The error terms are exact, so the sum and its correction come out the
+    same whichever exact method finds them.
+    """
 
     def __init__(self, init):
         self.s = np.array(init, dtype=float)
         self.c = np.zeros_like(self.s)
 
-    def add(self, t, lo=0, hi=None):
-        s = self.s[lo:hi]
-        c = self.c[lo:hi]
-        tot = s + t
-        big = np.abs(s) >= np.abs(t)
-        # the smaller addend's low bits survive in exact arithmetic
-        c += np.where(big, (s - tot) + t, (t - tot) + s)
+    def sub(self, t, lo, hi):
+        """Subtract t from the entries lo:hi of the last axis.
+
+        TwoSum of s and -t: the new sum is s - t and its exact rounding
+        error (s - (tot - bv)) + (-t - bv), with bv = tot - s.
+        """
+        s = self.s[..., lo:hi]
+        tot = s - t
+        bv = tot - s
+        err = tot - bv
+        np.subtract(s, err, out=err)
+        np.add(t, bv, out=bv)
+        err -= bv
+        self.c[..., lo:hi] += err
         s[...] = tot
 
     def value(self):
         return self.s + self.c
+
+
+def column_norms(a):
+    """2-norm of each column of a 2D array, as Python floats.
+
+    Columns are made contiguous first, so each norm reads the same bits
+    as np.linalg.norm of that column held as a vector of its own.
+    """
+    a = np.asfortranarray(a)
+    return [float(np.linalg.norm(a[:, j])) for j in range(a.shape[1])]
 
 
 class NumericalBreach(RuntimeError):
@@ -389,10 +431,17 @@ class LinearSolver:
     """Sparse LU with compensated-residual iterative refinement.
 
     Residuals are evaluated from the matrix diagonals with exact two-term
-    products and Neumaier summation, so the refinement loop converges to a
-    solution accurate to working precision, and the reported residual is
-    the true one.  Every solve records its final residual norm in
-    last_residual for cheap downstream checks.
+    products and TwoSum accumulation, so the refinement loop converges to
+    a solution accurate to working precision, and the reported residual is
+    the true one.  The diagonals are split into Dekker halves once, here.
+
+    The refined solves take a load of shape (n,) or a block of loads
+    (n, k).  A block is held column-contiguous and refined column by
+    column under the same stopping rule, with a column that has stopped
+    left alone, so each column gets the bits of its own solve.  Every
+    solve records its final residual norm in last_residual (a float for
+    one load, an array with one entry per column for a block) for cheap
+    downstream checks.
     """
 
     def __init__(self, matrix):
@@ -402,88 +451,109 @@ class LinearSolver:
         except RuntimeError as exc:
             raise NumericalBreach(f"singular factorization: {exc}") from exc
         dia = sp.dia_matrix(self.matrix)
-        self._offsets = dia.offsets
-        self._dia_r = np.ascontiguousarray(dia.data.real)
-        self._dia_i = np.ascontiguousarray(dia.data.imag)
-        self._complex = bool(np.any(self._dia_i))
+        n = self.matrix.shape[0]
+        dia_r = np.ascontiguousarray(dia.data.real)
+        dia_i = np.ascontiguousarray(dia.data.imag)
+        self._complex = bool(np.any(dia_i))
+        # per nonempty diagonal: its column range, offset and the split
+        # real part, imaginary part and negated imaginary part (adjoint);
+        # a real matrix keeps no imaginary parts
+        self._bands = []
+        for k, off in enumerate(dia.offsets):
+            j0, j1 = max(0, off), min(n, n + off)
+            if j0 >= j1:
+                continue
+            di = dia_i[k, j0:j1]
+            imag = (_split(di), _split(-di)) if self._complex else (None, None)
+            self._bands.append((j0, j1, off, _split(dia_r[k, j0:j1]), *imag))
         self.shape = self.matrix.shape
         self.matrix_norm = float(np.abs(self.matrix).sum(axis=1).max())
         self.last_residual = None
+        self._residual = None
 
     def _dd_residual(self, rhs, x, herm=False):
-        """rhs - A x (or rhs - A^H x) with compensated accumulation."""
+        """rhs - A x (or rhs - A^H x) with compensated accumulation.
+
+        x and rhs have shape (n,) or (n, k); each column is independent.
+        Real and imaginary parts of all columns are carried in one real
+        array (2, k, n), so one operation serves every accumulator along
+        contiguous rows; each entry sees the same sequence of roundings as
+        a lone column's would.
+        """
         n = self.shape[0]
-        xr = np.ascontiguousarray(x.real)
-        xi = np.ascontiguousarray(x.imag)
-        acc_r = _Compensated(rhs.real)
-        acc_i = _Compensated(rhs.imag)
-        for k, off in enumerate(self._offsets):
-            j0 = max(0, off)
-            j1 = min(n, n + off)
-            if j0 >= j1:
-                continue
-            dr = self._dia_r[k, j0:j1]
+        shape = x.shape
+        x = x.reshape(n, -1).T
+        rhs = rhs.reshape(n, -1).T
+        xs = _split(np.stack((x.real, x.imag)))
+        # (Im x, Re x) for the imaginary diagonal parts
+        xw = tuple(a[::-1] for a in xs)
+        acc = _Compensated(np.stack((rhs.real, rhs.imag)))
+        # Re gains Im(d) Im(x), Im loses Im(d) Re(x); subtracting -p
+        # rounds as adding p does
+        sign = np.array([-1.0, 1.0])[:, None, None]
+        for j0, j1, off, dr, di, ndi in self._bands:
             if herm:
                 o0, o1 = j0, j1
-                vr = xr[j0 - off:j1 - off]
-                vi = xi[j0 - off:j1 - off]
+                v = slice(j0 - off, j1 - off)
+                di = ndi
             else:
                 o0, o1 = j0 - off, j1 - off
-                vr = xr[j0:j1]
-                vi = xi[j0:j1]
-            p, e = _two_prod(dr, vr)
-            acc_r.add(-p, o0, o1)
-            acc_r.add(-e, o0, o1)
-            p, e = _two_prod(dr, vi)
-            acc_i.add(-p, o0, o1)
-            acc_i.add(-e, o0, o1)
+                v = slice(j0, j1)
+            p, e = _two_prod(dr, tuple(a[..., v] for a in xs))
+            acc.sub(p, o0, o1)
+            acc.sub(e, o0, o1)
             if self._complex:
-                di = self._dia_i[k, j0:j1]
-                if herm:
-                    di = -di
-                p, e = _two_prod(di, vi)
-                acc_r.add(p, o0, o1)
-                acc_r.add(e, o0, o1)
-                p, e = _two_prod(di, vr)
-                acc_i.add(-p, o0, o1)
-                acc_i.add(-e, o0, o1)
-        return acc_r.value() + 1j * acc_i.value()
+                p, e = _two_prod(di, tuple(a[..., v] for a in xw))
+                acc.sub(p * sign, o0, o1)
+                acc.sub(e * sign, o0, o1)
+        r = acc.value()
+        return (r[0] + 1j * r[1]).T.reshape(shape)
 
     def solve(self, rhs, adjoint=False):
         rhs = np.asarray(rhs, dtype=complex)
         trans = "H" if adjoint else "N"
-        x = self.lu.solve(rhs, trans=trans)
+        b = np.asfortranarray(rhs.reshape(rhs.shape[0], -1))
+        x = np.asfortranarray(self.lu.solve(b, trans=trans))
         if not np.all(np.isfinite(x)):
             raise NumericalBreach("factorization produced non-finite solution")
-        # corrections shrink by the LU's relative error each pass; stop on
-        # stall or once they reach roundoff of the iterate
-        prev = np.inf
+        # corrections shrink by the LU's relative error each pass; a column
+        # stops on stall or once they reach roundoff of its iterate
+        prev = np.full(b.shape[1], np.inf)
+        live = np.arange(b.shape[1])
         for _ in range(5):
-            r = self._dd_residual(rhs, x, herm=adjoint)
+            xl = x[:, live]
+            r = self._dd_residual(b[:, live], xl, herm=adjoint)
             d = self.lu.solve(r, trans=trans)
-            x = x + d
-            dn = float(np.linalg.norm(d))
-            if dn <= 1e-15 * float(np.linalg.norm(x)) or dn >= 0.5 * prev:
+            xl = xl + d
+            x[:, live] = xl
+            dn = np.array(column_norms(d))
+            stop = ((dn <= 1e-15 * np.array(column_norms(xl)))
+                    | (dn >= 0.5 * prev[live]))
+            prev[live] = dn
+            live = live[~stop]
+            if not live.size:
                 break
-            prev = dn
-        r = self._dd_residual(rhs, x, herm=adjoint)
-        self.last_residual = float(np.linalg.norm(r))
+        self._residual = self._dd_residual(b, x, herm=adjoint)
+        norms = np.array(column_norms(self._residual))
+        if rhs.ndim == 1:
+            self.last_residual = float(norms[0])
+            return x[:, 0]
+        self.last_residual = norms
         return x
 
     def solve_pair(self, rhs, adjoint=False):
         """Refined solve plus the correction living below its last bit.
 
         One more LU pass against the compensated residual of the
-        converged iterate recovers the part of the solution that double
-        precision cannot store.  Callers that difference two nearby
-        solutions add the corrections back in, which keeps the trailing
-        digits of the difference that would otherwise drown in the
-        iterates' own rounding.
+        converged iterate, the one its solve has just measured, recovers
+        the part of the solution that double precision cannot store.
+        Callers that difference two nearby solutions add the corrections
+        back in, which keeps the trailing digits of the difference that
+        would otherwise drown in the iterates' own rounding.
         """
         x = self.solve(rhs, adjoint=adjoint)
-        r = self._dd_residual(np.asarray(rhs, dtype=complex), x, herm=adjoint)
-        d = self.lu.solve(r, trans="H" if adjoint else "N")
-        return x, d
+        d = self.lu.solve(self._residual, trans="H" if adjoint else "N")
+        return x, d.reshape(x.shape)
 
     def quick(self, rhs, adjoint=False):
         """Single unrefined LU solve, for the operators whose norms are

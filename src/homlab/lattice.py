@@ -148,11 +148,16 @@ def _tensor_rule(dim, refine, order=GAUSS_ORDER):
     pts1, wts1 = _panel_rule(refine, order)
     if dim == 1:
         return pts1[:, None], wts1
-    grids = np.meshgrid(*[pts1] * dim, indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=1)
-    wgrids = np.meshgrid(*[wts1] * dim, indexing="ij")
-    wts = np.prod(np.stack([w.ravel() for w in wgrids], axis=1), axis=1)
-    return pts, wts
+    m = len(pts1)
+    pts = np.empty((m,) * dim + (dim,))
+    wts = wts1
+    for a in range(dim):
+        # axis a of the grid runs over the 1D points, first axis slowest
+        pts[..., a] = pts1.reshape((m,) + (1,) * (dim - 1 - a))
+        if a:
+            # the factors multiply left to right, as a product over axes
+            wts = np.multiply.outer(wts, wts1)
+    return pts.reshape(-1, dim), wts.ravel()
 
 
 def _reduce(vals, wts, jac):

@@ -11,7 +11,8 @@ from homlab.families import (FieldTriple, add_families, cell_resample, glue,
                              make_locally_periodic, make_random, make_regular,
                              make_sparse, make_stabilizing, negate,
                              scale_left)
-from homlab.fields import (constant_field, interval, scalar_field, zero_field)
+from homlab.fields import (constant_field, interval, matrix_field,
+                           scalar_field, sub_fields, zero_field)
 from homlab.lattice import cell_integral, cells_inside, unit_lattice
 
 UNIT = interval(0.0, 1.0)
@@ -37,6 +38,36 @@ def test_regular_family_rejects_shape_mismatch():
     with pytest.raises(ValueError):
         make_regular(lambda eps: zero_field(1, 2, UNIT),
                      zero_field(1, 1, UNIT), lambda eps: eps, UNIT)
+
+
+def test_zero_or_absent_limit_is_not_subtracted():
+    calls = []
+
+    def zero(pts):
+        calls.append(len(pts))
+        return np.zeros((len(pts), 1, 1))
+
+    lim = matrix_field(1, 1, zero, 0.0, UNIT)
+
+    def at(eps):
+        return FieldTriple(
+            v=scalar_field(1, lambda p: eps * np.sin(p[:, 0]), eps, UNIT),
+            q=(scalar_field(1, lambda p: -eps * np.cos(p[:, 0]), eps, UNIT),))
+
+    fam = make_regular(at, lim, lambda eps: eps, UNIT)
+    pts = np.linspace(0.0, 1.0, 11)[:, None]
+    devs = dict(fam.deviations(0.25))
+    parts = dict(at(0.25).components())
+    assert sorted(devs) == ["q0", "v"]
+    for lab, ref in (("v", sub_fields(parts["v"], lim)),
+                     ("q0", sub_fields(parts["q0"], zero_field(1, 1, UNIT)))):
+        calls.clear()
+        assert np.array_equal(devs[lab](pts), ref(pts))
+        assert devs[lab].sup_bound == ref.sup_bound
+        assert devs[lab].domain == ref.domain
+    calls.clear()
+    devs["v"](pts)
+    assert calls == []
 
 
 def test_identical_family_has_zero_deviations():

@@ -304,3 +304,170 @@ def test_singular_matrix_raises():
 def test_matrix_norm_is_row_sum():
     a = sp.csr_matrix(np.array([[3.0, -1.0], [0.5, 2.0]]))
     assert LinearSolver(a).matrix_norm == pytest.approx(4.0)
+
+
+# ------------------------------------------------ compensated residual
+
+_SPLIT = 134217729.0
+
+
+def _ref_two_prod(a, b):
+    p = a * b
+    ca = _SPLIT * a
+    ah = ca - (ca - a)
+    al = a - ah
+    cb = _SPLIT * b
+    bh = cb - (cb - b)
+    bl = b - bh
+    e = ((ah * bh - p) + ah * bl + al * bh) + al * bl
+    return p, e
+
+
+class _RefCompensated:
+    def __init__(self, init):
+        self.s = np.array(init, dtype=float)
+        self.c = np.zeros_like(self.s)
+
+    def add(self, t, lo=0, hi=None):
+        s = self.s[lo:hi]
+        c = self.c[lo:hi]
+        tot = s + t
+        big = np.abs(s) >= np.abs(t)
+        c += np.where(big, (s - tot) + t, (t - tot) + s)
+        s[...] = tot
+
+    def value(self):
+        return self.s + self.c
+
+
+def _ref_dd_residual(matrix, rhs, x, herm=False):
+    """The residual loop as first written: Neumaier sums, splits per call."""
+    n = matrix.shape[0]
+    dia = sp.dia_matrix(sp.csc_matrix(matrix).astype(complex))
+    dia_r = np.ascontiguousarray(dia.data.real)
+    dia_i = np.ascontiguousarray(dia.data.imag)
+    xr = np.ascontiguousarray(x.real)
+    xi = np.ascontiguousarray(x.imag)
+    acc_r = _RefCompensated(rhs.real)
+    acc_i = _RefCompensated(rhs.imag)
+    for k, off in enumerate(dia.offsets):
+        j0 = max(0, off)
+        j1 = min(n, n + off)
+        if j0 >= j1:
+            continue
+        dr = dia_r[k, j0:j1]
+        if herm:
+            o0, o1 = j0, j1
+            vr = xr[j0 - off:j1 - off]
+            vi = xi[j0 - off:j1 - off]
+        else:
+            o0, o1 = j0 - off, j1 - off
+            vr = xr[j0:j1]
+            vi = xi[j0:j1]
+        p, e = _ref_two_prod(dr, vr)
+        acc_r.add(-p, o0, o1)
+        acc_r.add(-e, o0, o1)
+        p, e = _ref_two_prod(dr, vi)
+        acc_i.add(-p, o0, o1)
+        acc_i.add(-e, o0, o1)
+        if np.any(dia_i):
+            di = dia_i[k, j0:j1]
+            if herm:
+                di = -di
+            p, e = _ref_two_prod(di, vi)
+            acc_r.add(p, o0, o1)
+            acc_r.add(e, o0, o1)
+            p, e = _ref_two_prod(di, vr)
+            acc_i.add(-p, o0, o1)
+            acc_i.add(-e, o0, o1)
+    return acc_r.value() + 1j * acc_i.value()
+
+
+def _wide_banded(rng, n, complex_):
+    """Five real diagonals and, if complex_, imaginary parts on three."""
+    a = np.diag(rng.uniform(2.0, 3.0, n))
+    for off in (1, 3):
+        a += np.diag(rng.uniform(-0.3, 0.3, n - off), off)
+        a += np.diag(rng.uniform(-0.3, 0.3, n - off), -off)
+    if complex_:
+        a = a + 1j * (np.diag(rng.uniform(-0.5, 0.5, n))
+                      + np.diag(rng.uniform(-0.5, 0.5, n - 1), 1)
+                      + np.diag(rng.uniform(-0.5, 0.5, n - 3), -3))
+    return a
+
+
+@pytest.mark.parametrize("herm", [False, True])
+@pytest.mark.parametrize("complex_", [False, True])
+def test_dd_residual_matches_reference_loop(complex_, herm):
+    rng = np.random.default_rng(11)
+    n = 45
+    a = _wide_banded(rng, n, complex_)
+    solver = LinearSolver(sp.csr_matrix(a))
+    x = rng.standard_normal((n, 4)) + 1j * rng.standard_normal((n, 4))
+    b = rng.standard_normal((n, 4)) + 1j * rng.standard_normal((n, 4))
+    # a sign pattern with zeros and a solution-sized residual
+    x[::7, 0] = 0.0
+    b[:, 1] = a @ x[:, 1] if not herm else a.conj().T @ x[:, 1]
+    block = solver._dd_residual(np.asfortranarray(b), np.asfortranarray(x),
+                                herm=herm)
+    for j in range(4):
+        ref = _ref_dd_residual(a, b[:, j], x[:, j], herm=herm)
+        assert np.array_equal(solver._dd_residual(b[:, j], x[:, j], herm=herm),
+                              ref)
+        assert np.array_equal(block[:, j], ref)
+
+
+def _passes_per_call(solver, monkeypatch):
+    """Column counts of every residual evaluation the solver makes."""
+    widths = []
+    inner = solver._dd_residual
+
+    def counted(rhs, x, herm=False):
+        widths.append(1 if x.ndim == 1 else x.shape[1])
+        return inner(rhs, x, herm=herm)
+
+    monkeypatch.setattr(solver, "_dd_residual", counted)
+    return widths
+
+
+@pytest.mark.parametrize("adjoint", [False, True])
+def test_block_solve_equals_column_solves(adjoint, monkeypatch):
+    rng = np.random.default_rng(17)
+    n = 60
+    # a Laplacian-like band (condition number about 300): random loads
+    # need a second refinement pass, a zero load stops after the first
+    a = (np.diag(np.full(n, 2.0)) - np.diag(np.ones(n - 1), 1)
+         - np.diag(np.ones(n - 1), -1))
+    a += (np.diag(rng.uniform(-0.3, 0.3, n - 3), 3)
+          + np.diag(rng.uniform(-0.3, 0.3, n - 3), -3))
+    a = a + 1j * np.diag(rng.uniform(-0.05, 0.05, n))
+    solver = LinearSolver(sp.csr_matrix(a))
+    b = np.asfortranarray(rng.standard_normal((n, 4))
+                          + 1j * rng.standard_normal((n, 4)))
+    b[:, 1] = 0.0
+    widths = _passes_per_call(solver, monkeypatch)
+    x, x_lo = solver.solve_pair(b, adjoint=adjoint)
+    res = solver.last_residual
+    assert widths == [4, 3, 4]
+    for j in range(4):
+        xj = solver.solve(b[:, j], adjoint=adjoint)
+        assert np.array_equal(x[:, j], xj)
+        assert solver.last_residual == res[j]
+        xj, xj_lo = solver.solve_pair(b[:, j], adjoint=adjoint)
+        assert np.array_equal(x[:, j], xj)
+        assert np.array_equal(x_lo[:, j], xj_lo)
+    assert isinstance(solver.last_residual, float)
+    assert res.shape == (4,)
+
+
+def test_solve_pair_reuses_the_final_residual(monkeypatch):
+    rng = np.random.default_rng(19)
+    n = 40
+    solver = LinearSolver(sp.csr_matrix(_wide_banded(rng, n, True)))
+    b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    widths = _passes_per_call(solver, monkeypatch)
+    solver.solve(b)
+    alone = len(widths)
+    widths.clear()
+    solver.solve_pair(b)
+    assert len(widths) == alone

@@ -222,3 +222,21 @@ def test_batches_never_split_a_cell(monkeypatch):
     assert sizes == [32] * 5 + [16] * 5
     for a, b in zip(whole, split):
         assert np.array_equal(a, b)
+
+
+def _meshgrid_tensor_rule(dim, refine):
+    pts1, wts1 = _panel_rule(refine)
+    grids = np.meshgrid(*[pts1] * dim, indexing="ij")
+    pts = np.stack([g.ravel() for g in grids], axis=1)
+    wgrids = np.meshgrid(*[wts1] * dim, indexing="ij")
+    wts = np.prod(np.stack([w.ravel() for w in wgrids], axis=1), axis=1)
+    return pts, wts
+
+
+@pytest.mark.parametrize("dim, refine", [(2, 3), (2, 60), (2, 342), (3, 3)])
+def test_tensor_rule_matches_meshgrid_reference(dim, refine):
+    pts, wts = lattice._tensor_rule(dim, refine)
+    ref_pts, ref_wts = _meshgrid_tensor_rule(dim, refine)
+    assert pts.shape == ref_pts.shape and wts.shape == ref_wts.shape
+    assert np.array_equal(pts, ref_pts)
+    assert np.array_equal(wts, ref_wts)

@@ -14,7 +14,8 @@ from homlab.config import StudyConfig
 from homlab.criteria import criterion_report
 from homlab.norms import (_hermitian_part, kappa, norm_v_to_vstar,
                           smallest_eigenvalue)
-from homlab.resolvent import assemble_setting, context_from_setting
+from homlab.resolvent import (assemble_setting, context_from_setting,
+                              identity_residual)
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 SIZES = [(0.1, 159), (0.025, 639), (0.00625, 2559)]
@@ -57,6 +58,15 @@ def test_bench_kappa(benchmark, eps, dof):
         kappa, args=(ctx.solver_eps.quick, ctx.solver0.quick, ctx.L,
                      ctx.op.gram_h1), rounds=5, iterations=1)
     assert not rep.flagged
+
+
+@pytest.mark.parametrize("eps, dof", SIZES)
+def test_bench_identity_residual(benchmark, eps, dof):
+    # 20 loads, three refined solves each, in column blocks
+    ctx = context_from_setting(_stabilizing_setting(eps, dof), -1.0)
+    err = benchmark.pedantic(identity_residual, args=(ctx,), rounds=5,
+                             iterations=1)
+    assert err <= 1e-15
 
 
 # criterion_report on rows of sign_criterion (1D, many small cells batched

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from homlab import registry, study
+from homlab import registry, resolvent, study
 from homlab.config import StudyConfig
 from homlab.families import make_regular
 from homlab.fem import NumericalBreach, assemble_base, assemble_perturbation, \
@@ -22,7 +22,6 @@ from homlab.resolvent import (
     improved_bound_check,
     l2_to_v_norm,
     make_context,
-    neumann_apply,
     perturbation_norm,
     resolvent_norm,
     truncation_error_norm,
@@ -45,6 +44,26 @@ def sin_family(amplitude=1.0):
         name="sin",
         finest_scale=lambda eps: 2.0 * math.pi * eps,
     )
+
+
+def neumann_apply(ctx, f, order, adjoint=False):
+    """Order-N truncated series applied to a vector.
+
+    Forward recursion: u_0 = R0 f, u_k = R0 (f - L u_{k-1}); the adjoint
+    mirrors it with the conjugate-transposed difference form.  Every
+    solve is a contract-checked refined one.
+    """
+    if order < 0:
+        raise ValueError("series order must be at least 0")
+    mat = ctx.LH if adjoint else ctx.L
+
+    def solve(rhs):
+        return ctx.solve_pair(rhs, which="base", adjoint=adjoint)[0]
+
+    acc = solve(f)
+    for _ in range(order):
+        acc = solve(f - mat @ acc)
+    return acc
 
 
 def small_context(n=5, lam=-1.0, amplitude=1.0):
@@ -85,7 +104,7 @@ def test_solve_meets_residual_contract():
     ctx = small_context(n=64)
     rng = np.random.default_rng(0)
     f = rng.standard_normal(ctx.dim)
-    x = ctx.solve(f, which="eps")
+    x, _ = ctx.solve_pair(f, which="eps")
     assert ctx.solver_eps.last_residual <= 1e-10 * np.linalg.norm(f)
     assert np.linalg.norm(ctx.Geps @ x - f) <= 1e-10 * np.linalg.norm(f)
 
@@ -95,7 +114,7 @@ def test_real_data_keeps_solutions_real():
     rng = np.random.default_rng(1)
     f = rng.standard_normal(ctx.dim).astype(complex)
     for which in ("eps", "base"):
-        u = ctx.solve(f, which=which)
+        u, _ = ctx.solve_pair(f, which=which)
         total = float(np.linalg.norm(u))
         assert float(np.linalg.norm(u.imag)) <= 1e-10 * total
 
@@ -149,8 +168,8 @@ def test_partial_sum_recursion_consistency():
     f = rng.standard_normal(ctx.dim) + 1j * rng.standard_normal(ctx.dim)
     u3 = neumann_apply(ctx, f, 3)
     u2 = neumann_apply(ctx, f, 2)
-    lhs = u3 + ctx.solve(ctx.L @ u2, which="base")
-    rhs = ctx.solve(f, which="base")
+    lhs = u3 + ctx.solve_pair(ctx.L @ u2, which="base")[0]
+    rhs = ctx.solve_pair(f, which="base")[0]
     assert np.linalg.norm(lhs - rhs) <= 1e-12 * np.linalg.norm(rhs)
 
 
@@ -168,6 +187,65 @@ def test_identity_residual_zero_perturbation():
     zero = assemble_perturbation(op.space)
     ctx = make_context(op, -1.0, pert=zero.matrix)
     assert identity_residual(ctx, n_rhs=5) == 0.0
+
+
+def _identity_residual_per_load(ctx, n_rhs, seed):
+    """identity_residual as first written: one load at a time."""
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(n_rhs):
+        f = rng.standard_normal(ctx.dim) + 1j * rng.standard_normal(ctx.dim)
+        ue, ue_lo = ctx.solve_pair(f, which="eps")
+        u0, u0_lo = ctx.solve_pair(f, which="base")
+        g = ctx.L @ ue + ctx.L @ ue_lo
+        y, y_lo = ctx.solve_pair(g, which="base")
+        lhs = (ue - u0) + (ue_lo - u0_lo)
+        rhs = -(y + y_lo)
+        scale = max(float(np.linalg.norm(lhs)), float(np.linalg.norm(rhs)))
+        if scale == 0.0:
+            continue
+        defect = ((ue - u0) + y) + ((ue_lo - u0_lo) + y_lo)
+        worst = max(worst, float(np.linalg.norm(defect)) / scale)
+    return worst
+
+
+@pytest.mark.parametrize("width", [1, 3, 7, 50])
+def test_identity_residual_blocks_match_per_load_loop(width, monkeypatch):
+    fam = sin_family()
+    ctx = build_setting(default_operator(UNIT), fam, eps=0.05, lam=-1.0)
+    expect = _identity_residual_per_load(ctx, n_rhs=7, seed=5)
+    monkeypatch.setattr(resolvent, "IDENTITY_BLOCK", width * ctx.dim)
+    calls = []
+    inner = ctx.solver_eps.solve_pair
+
+    def counted(rhs, adjoint=False):
+        calls.append(rhs.shape[1])
+        return inner(rhs, adjoint=adjoint)
+
+    monkeypatch.setattr(ctx.solver_eps, "solve_pair", counted)
+    assert identity_residual(ctx, n_rhs=7, seed=5) == expect
+    # 7 loads are not a multiple of the width: the last block is narrower
+    assert calls == [min(width, 7 - a) for a in range(0, 7, width)]
+
+
+def test_breach_in_one_column_of_a_block_raises(monkeypatch):
+    ctx = small_context(n=32)
+    rng = np.random.default_rng(6)
+    f = np.asfortranarray(rng.standard_normal((ctx.dim, 3))
+                          + 1j * rng.standard_normal((ctx.dim, 3)))
+    solver = ctx.solver0
+    inner = solver.solve_pair
+
+    def one_bad_column(rhs, adjoint=False):
+        out = inner(rhs, adjoint=adjoint)
+        solver.last_residual[1] = 1e-3 * np.linalg.norm(rhs[:, 1])
+        return out
+
+    ctx.solve_pair(f, which="base")
+    monkeypatch.setattr(solver, "solve_pair", one_bad_column)
+    with pytest.raises(NumericalBreach,
+                       match=r"linear solve residual .* \(base, adjoint=False\)"):
+        ctx.solve_pair(f, which="base")
 
 
 # ------------------------------------------------------------- norms
