@@ -95,9 +95,6 @@ class StudyConfig:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         return cls.from_text(text, source=str(path))
 
-    def has(self, key):
-        return key in self.entries
-
     def get(self, key, default=_MISSING):
         if key in self.entries:
             self._seen.add(key)
@@ -156,14 +153,6 @@ class StudyConfig:
                 out.append(float(item))
             return tuple(out)
         return self._typed(key, default, cast, "number list")
-
-    def get_strs(self, key, default=_MISSING):
-        def cast(v):
-            items = v if isinstance(v, tuple) else (v,)
-            if any(isinstance(item, (bool, tuple)) for item in items):
-                raise TypeError
-            return tuple(str(item) for item in items)
-        return self._typed(key, default, cast, "string list")
 
     def unused_keys(self):
         return tuple(k for k in self.entries if k not in self._seen)

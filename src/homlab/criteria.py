@@ -9,11 +9,10 @@ sqrt(rho3) + sqrt(eta).
 
 import math
 from dataclasses import dataclass, field as dc_field
-from typing import Optional
 
 import numpy as np
 
-from .fields import matrix_abs, CoefficientField
+from .fields import matrix_abs
 from .lattice import Lattice, cells_inside, cell_integral, default_refine
 
 
@@ -99,16 +98,6 @@ def criterion_report(family, eps, eta, lattice=None, refine=None):
     )
 
 
-def rho1(family, eps, eta, lattice=None, refine=None):
-    """Worst cell-mean deviation at scale eta."""
-    return criterion_report(family, eps, eta, lattice, refine).rho1
-
-
-def rho3(family, eps, eta, lattice=None, refine=None):
-    """Worst cell mean of the squared deviation at scale eta."""
-    return criterion_report(family, eps, eta, lattice, refine).rho3
-
-
 DEFAULT_ETA_EXPONENTS = (0.3, 0.4, 0.5, 0.6, 0.7)
 
 
@@ -140,19 +129,21 @@ def optimize_eta(family, eps, exponents=DEFAULT_ETA_EXPONENTS, lattice=None,
 
 
 def local_mean_limit(family, eps_schedule, mu_rule=None, sample_points=33,
-                     window=None, refine=None):
+                     refine=None):
     """Reconstruct the limit potential from shrinking local means.
 
-    For each scheduled eps the candidate limit at x is the mean of the
-    eps-field over the window x + mu * (0,1)^d with mu = mu_rule(eps).
-    rho2 is the largest deviation between candidates at successive
-    schedule entries over the sample grid; the returned candidate field
-    evaluates the finest-eps local mean on demand.
+    For each scheduled eps the candidate limit at a grid point x is the
+    mean of the eps-field over the window x + mu * (0,1)^d with
+    mu = mu_rule(eps); windows that leave the domain are skipped.  Returns
+    a report with the sample grid, the means per eps ("samples", None for
+    a skipped window), the skipped points, and rho2, the largest deviation
+    between means at successive schedule entries, with its bound
+    rho2 + sqrt(mu) at the finest eps.
     """
     if len(eps_schedule) < 2:
         raise ValueError("local mean limit needs at least two eps entries")
     mu_rule = mu_rule or (lambda eps: math.sqrt(eps))
-    box = window or family.domain
+    box = family.domain
     dim = family.dim
     axes = [
         np.linspace(box.lower[j], box.upper[j], sample_points + 2)[1:-1]
@@ -161,29 +152,23 @@ def local_mean_limit(family, eps_schedule, mu_rule=None, sample_points=33,
     mesh = np.meshgrid(*axes, indexing="ij")
     grid = np.stack([m.ravel() for m in mesh], axis=1)
 
-    lower = np.array(family.domain.lower) - 1e-12
-    upper = np.array(family.domain.upper) + 1e-12
-
-    def local_mean(eps, mu, pts, r):
-        inside = np.all((pts >= lower) & (pts + mu <= upper), axis=1)
-        vals = [None] * len(pts)
-        # mean over x + mu*(0,1)^d as a unit lattice cell at scale mu
-        integral, _ = cell_integral(
-            Lattice(dim), pts[inside] / mu, mu, family.at(eps).v, r
-        )
-        for k, m in zip(np.flatnonzero(inside), integral / mu ** dim):
-            vals[k] = m
-        skipped = [tuple(float(v) for v in x) for x in pts[~inside]]
-        return vals, skipped
-
+    lower = np.array(box.lower) - 1e-12
+    upper = np.array(box.upper) + 1e-12
     samples = []
     skipped_all = []
     for eps in eps_schedule:
         mu = float(mu_rule(eps))
         r = refine or default_refine(mu, family.finest_scale(eps))
-        vals, skipped = local_mean(eps, mu, grid, r)
+        inside = np.all((grid >= lower) & (grid + mu <= upper), axis=1)
+        vals = [None] * len(grid)
+        # mean over x + mu*(0,1)^d as a unit lattice cell at scale mu
+        integral, _ = cell_integral(
+            Lattice(dim), grid[inside] / mu, mu, family.at(eps).v, r
+        )
+        for k, m in zip(np.flatnonzero(inside), integral / mu ** dim):
+            vals[k] = m
         samples.append(vals)
-        skipped_all.extend(skipped)
+        skipped_all.extend(tuple(float(v) for v in x) for x in grid[~inside])
 
     rho2 = 0.0
     for a, b in zip(samples[:-1], samples[1:]):
@@ -192,27 +177,8 @@ def local_mean_limit(family, eps_schedule, mu_rule=None, sample_points=33,
                 continue
             rho2 = max(rho2, float(matrix_abs(va - vb)))
 
-    eps_fin = float(eps_schedule[-1])
-    mu_fin = float(mu_rule(eps_fin))
-    r_fin = refine or default_refine(mu_fin, family.finest_scale(eps_fin))
-
-    def cand_func(pts):
-        out = np.zeros((pts.shape[0], family.ncomp, family.ncomp),
-                       dtype=complex)
-        vals, _ = local_mean(eps_fin, mu_fin, pts, r_fin)
-        for i, v in enumerate(vals):
-            if v is None:
-                raise ValueError(
-                    f"window at {tuple(pts[i])} leaves the domain"
-                )
-            out[i] = v
-        return out
-
-    candidate = CoefficientField(
-        dim, family.ncomp, cand_func,
-        family.at(eps_fin).v.sup_bound, family.domain, "local mean limit",
-    )
-    report = {
+    mu_fin = float(mu_rule(float(eps_schedule[-1])))
+    return {
         "rho2": rho2,
         "mu_final": mu_fin,
         "bound": rho2 + math.sqrt(mu_fin),
@@ -220,61 +186,3 @@ def local_mean_limit(family, eps_schedule, mu_rule=None, sample_points=33,
         "samples": samples,
         "skipped": tuple(skipped_all),
     }
-    return candidate, report
-
-
-def weyl_mean(trig_terms, r_schedule, lattice=None, gamma_samples=None):
-    """Box averages of a trigonometric sum over growing boxes.
-
-    trig_terms is a list of (alpha, amplitude); the average over the box
-    r * (cell + gamma) is computed exactly per frequency.  Returns the
-    zero-frequency amplitude and a table of worst deviations per r,
-    which certifies uniform-in-gamma convergence of the means.
-    """
-    dim = len(np.atleast_1d(trig_terms[0][0]))
-    lat = lattice or Lattice(dim)
-    if not np.allclose(lat.basis, np.diag(np.diag(lat.basis))):
-        raise ValueError("weyl_mean needs a diagonal lattice basis")
-    sides = np.diag(lat.basis)
-    gammas = gamma_samples
-    if gammas is None:
-        gammas = [np.zeros(dim, dtype=int)]
-        rng = np.random.default_rng(7)
-        for _ in range(8):
-            gammas.append(rng.integers(-5, 6, size=dim))
-    mean0 = None
-    for alpha, ampl in trig_terms:
-        a = np.asarray(alpha, dtype=float).reshape(dim)
-        mat = np.atleast_2d(np.asarray(ampl, dtype=complex))
-        if np.all(a == 0.0):
-            mean0 = mat if mean0 is None else mean0 + mat
-    n = np.atleast_2d(np.asarray(trig_terms[0][1], dtype=complex)).shape[0]
-    if mean0 is None:
-        mean0 = np.zeros((n, n), dtype=complex)
-
-    def box_average(r, gamma):
-        total = np.zeros((n, n), dtype=complex)
-        offset = lat.offset + lat.basis @ np.asarray(gamma, dtype=float)
-        for alpha, ampl in trig_terms:
-            a = np.asarray(alpha, dtype=float).reshape(dim)
-            mat = np.atleast_2d(np.asarray(ampl, dtype=complex))
-            factor = 1.0 + 0.0j
-            for j in range(dim):
-                lo = r * offset[j]
-                length = r * sides[j]
-                if a[j] == 0.0:
-                    continue
-                factor *= (
-                    np.exp(1j * a[j] * (lo + length)) - np.exp(1j * a[j] * lo)
-                ) / (1j * a[j] * length)
-            total += factor * mat
-        return total
-
-    table = []
-    for r in r_schedule:
-        worst = 0.0
-        for g in gammas:
-            dev = matrix_abs(box_average(float(r), g) - mean0)
-            worst = max(worst, float(dev))
-        table.append((float(r), worst))
-    return mean0, table

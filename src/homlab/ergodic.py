@@ -30,12 +30,6 @@ class ErgodicSystem:
         flow = np.asarray(self.flow, dtype=float).reshape(self.k, self.dim)
         object.__setattr__(self, "flow", flow)
 
-    def shift(self, omega, x):
-        """Apply the flow at parameter x to torus points omega (mod 1)."""
-        omega = np.asarray(omega, dtype=float)
-        x = np.asarray(x, dtype=float).reshape(self.dim)
-        return np.mod(omega + self.flow @ x, 1.0)
-
     def observe(self, omega_points):
         pts = np.atleast_2d(np.asarray(omega_points, dtype=float))
         return np.asarray(self.observable(pts), dtype=complex)
@@ -43,12 +37,6 @@ class ErgodicSystem:
     def draw(self, rng):
         """Sample one torus point (a realization of the randomness)."""
         return rng.random(self.k)
-
-
-def torus_distance(a, b):
-    """Max over coordinates of the circle distance |a - b| mod 1."""
-    d = np.abs(np.mod(np.asarray(a) - np.asarray(b), 1.0))
-    return float(np.max(np.minimum(d, 1.0 - d)))
 
 
 def expectation(system: ErgodicSystem, points_per_axis=128):
@@ -63,21 +51,4 @@ def expectation(system: ErgodicSystem, points_per_axis=128):
     grids = np.meshgrid(*[grid1] * system.k, indexing="ij")
     pts = np.stack([g.ravel() for g in grids], axis=1)
     vals = system.observe(pts)
-    return vals.mean(axis=0)
-
-
-def space_average(system: ErgodicSystem, omega0, box_length, eps, refine=4096):
-    """Birkhoff average of the observable along the flow, d = 1 only.
-
-    Averages observable(shift(omega0, x / eps)) for x in (0, box_length)
-    with a midpoint rule fine enough for the oscillation scale.
-    """
-    if system.dim != 1:
-        raise ValueError("space_average implemented for 1-dimensional flow")
-    n = int(refine)
-    xs = (np.arange(n) + 0.5) * (box_length / n)
-    omegas = np.mod(
-        np.asarray(omega0)[None, :] + np.outer(xs / eps, system.flow[:, 0]), 1.0
-    )
-    vals = system.observe(omegas)
     return vals.mean(axis=0)

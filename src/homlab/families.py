@@ -6,24 +6,22 @@ limit triple and a predicted convergence-rate function.  Generators cover
 the catalogue of oscillation mechanisms: uniform convergence, sparse
 bumps, stabilizing tails, locally periodic multi-scale oscillation,
 almost periodic sums, modulated phases, fractal-type products, and
-ergodic torus rotations.  Combinators build new families out of old ones.
+ergodic torus rotations.  Two combinators build a family out of another:
+negate flips every sign, cell_resample swaps the potential for a surrogate
+with the same cell means.
 """
 
 import math
 from dataclasses import dataclass, field as dc_field
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
 from .fields import (
     Box,
     CoefficientField,
-    add_fields,
     constant_field,
-    matrix_field,
-    matmul_fields,
     scale_field,
-    scalar_field,
     sub_fields,
     zero_field,
 )
@@ -295,17 +293,6 @@ def make_almost_periodic(terms, domain, ncomp=1, rho9=None,
         v = CoefficientField(dim, n, func, sup, domain, "almost periodic")
         return FieldTriple(v=v)
 
-    def mean_decay(r):
-        """Worst box-average magnitude of the oscillating part at size r."""
-        total = 0.0
-        for a, mat in osc:
-            factor = 1.0
-            for aj in a:
-                if aj != 0.0:
-                    factor *= min(1.0, 2.0 / (abs(aj) * r))
-            total += factor * float(np.abs(mat).sum())
-        return total
-
     def rate(eps):
         extra = float(rho9(eps)) if rho9 is not None else 0.0
         return _ap_rate(osc, eps) + extra
@@ -322,7 +309,6 @@ def make_almost_periodic(terms, domain, ncomp=1, rho9=None,
         rate=rate,
         finest_scale=lambda eps: 2 * math.pi * eps / max_alpha,
         eta_rule=_sqrt_rule,
-        meta={"mean_decay": mean_decay},
     )
 
 
@@ -383,7 +369,6 @@ def make_modulated(vfun, phi, phi_jacobian, domain, kind, v0, rho8,
     lim = _as_triple(v0)
 
     if kind == "diffeo":
-        grid = np.linspace(domain.lower[0], domain.upper[0], 513)
         pts = np.stack(np.meshgrid(
             *[np.linspace(domain.lower[j], domain.upper[j], 65 if dim > 1 else 513)
               for j in range(dim)], indexing="ij"),
@@ -393,12 +378,10 @@ def make_modulated(vfun, phi, phi_jacobian, domain, kind, v0, rho8,
             raise ValueError(
                 f"modulating phase is not a diffeomorphism: |det J| min = {dets.min()}"
             )
-        jac_min = float(dets.min())
         jac_max = float(dets.max())
     else:
         sample = domain.sample(4096, np.random.default_rng(0))
         jac_max = float(np.max(np.abs(phi_jacobian(sample))))
-        jac_min = 0.0
 
     def build(eps):
         def func(pts):
@@ -431,7 +414,6 @@ def make_modulated(vfun, phi, phi_jacobian, domain, kind, v0, rho8,
         rate=rate,
         finest_scale=lambda eps: max(eps / max(jac_max, 1e-12), 1e-14),
         eta_rule=eta_rule,
-        meta={"kind": kind, "jacobian_range": (jac_min, jac_max)},
     )
 
 
@@ -522,7 +504,6 @@ def make_random(system: ErgodicSystem, domain, seed, rate=None,
         rate=rate or (lambda eps: math.sqrt(eps)),
         finest_scale=lambda eps: eps / max(max_flow, 1e-12),
         eta_rule=_sqrt_rule,
-        meta={"omega0": omega0},
     )
 
 
@@ -535,84 +516,6 @@ def _map_triple(trip, fn):
         v=fn(trip.v),
         q=tuple(fn(f) for f in trip.q),
         p=tuple(fn(f) for f in trip.p),
-    )
-
-
-def scale_left(psi, family, w1_bound):
-    """Multiply every field by psi(x) from the left.
-
-    w1_bound must dominate the W^1,inf norm of psi; the predicted rate is
-    scaled by 2 * w1_bound, which covers the potential term's product rule.
-    """
-    factor = 2.0 * float(w1_bound)
-    return PerturbationFamily(
-        name=f"{family.name}*left",
-        dim=family.dim,
-        ncomp=family.ncomp,
-        domain=family.domain,
-        at=lambda eps: _map_triple(family.at(eps), lambda f: matmul_fields(psi, f)),
-        limit=_map_triple(family.limit, lambda f: matmul_fields(psi, f)),
-        rate=lambda eps: factor * family.rate(eps),
-        finest_scale=family.finest_scale,
-        eta_rule=family.eta_rule,
-        meta=dict(family.meta),
-    )
-
-
-def scale_right(family, psi, w1_bound):
-    """Multiply every field by psi(x) from the right."""
-    factor = 2.0 * float(w1_bound)
-    return PerturbationFamily(
-        name=f"{family.name}*right",
-        dim=family.dim,
-        ncomp=family.ncomp,
-        domain=family.domain,
-        at=lambda eps: _map_triple(family.at(eps), lambda f: matmul_fields(f, psi)),
-        limit=_map_triple(family.limit, lambda f: matmul_fields(f, psi)),
-        rate=lambda eps: factor * family.rate(eps),
-        finest_scale=family.finest_scale,
-        eta_rule=family.eta_rule,
-        meta=dict(family.meta),
-    )
-
-
-def _pad(fields_tuple, count, dim, ncomp, domain):
-    out = list(fields_tuple)
-    while len(out) < count:
-        out.append(zero_field(dim, ncomp, domain))
-    return tuple(out)
-
-
-def add_families(fam1, fam2, name=None):
-    """Sum of two families on the same domain; rates add."""
-    if (fam1.dim, fam1.ncomp) != (fam2.dim, fam2.ncomp):
-        raise ValueError("family shapes differ in add")
-    if fam1.domain != fam2.domain:
-        raise ValueError("family domains differ in add")
-
-    def combine(t1, t2):
-        nq = max(len(t1.q), len(t2.q))
-        np_ = max(len(t1.p), len(t2.p))
-        q1 = _pad(t1.q, nq, fam1.dim, fam1.ncomp, fam1.domain)
-        q2 = _pad(t2.q, nq, fam1.dim, fam1.ncomp, fam1.domain)
-        p1 = _pad(t1.p, np_, fam1.dim, fam1.ncomp, fam1.domain)
-        p2 = _pad(t2.p, np_, fam1.dim, fam1.ncomp, fam1.domain)
-        return FieldTriple(
-            v=add_fields(t1.v, t2.v),
-            q=tuple(add_fields(a, b) for a, b in zip(q1, q2)),
-            p=tuple(add_fields(a, b) for a, b in zip(p1, p2)),
-        )
-
-    return PerturbationFamily(
-        name=name or f"{fam1.name}+{fam2.name}",
-        dim=fam1.dim,
-        ncomp=fam1.ncomp,
-        domain=fam1.domain,
-        at=lambda eps: combine(fam1.at(eps), fam2.at(eps)),
-        limit=combine(fam1.limit, fam2.limit),
-        rate=lambda eps: fam1.rate(eps) + fam2.rate(eps),
-        finest_scale=lambda eps: min(fam1.finest_scale(eps), fam2.finest_scale(eps)),
-        eta_rule=fam1.eta_rule,
     )
 
 
@@ -690,56 +593,4 @@ def cell_resample(family, seed, amplitude=0.5, lattice=None):
         finest_scale=family.finest_scale,
         eta_rule=family.eta_rule,
         meta={**family.meta, "needs_even_refine": True},
-    )
-
-
-def glue(fam1, fam2, name=None):
-    """Join families living on adjacent boxes into one family.
-
-    The boxes must have disjoint interiors and their union must again be a
-    box.  Cell criteria see each piece separately, so the glued criterion
-    bounds add; the construction is independent of boundary conditions.
-    """
-    if (fam1.dim, fam1.ncomp) != (fam2.dim, fam2.ncomp):
-        raise ValueError("family shapes differ in glue")
-    b1, b2 = fam1.domain, fam2.domain
-    lo = np.minimum(b1.lower, b2.lower)
-    hi = np.maximum(b1.upper, b2.upper)
-    union = Box(tuple(lo), tuple(hi))
-    inter_lo = np.maximum(b1.lower, b2.lower)
-    inter_hi = np.minimum(b1.upper, b2.upper)
-    if np.all(inter_lo < inter_hi):
-        raise ValueError("glued domains overlap")
-    if abs(union.measure - (b1.measure + b2.measure)) > 1e-12 * union.measure:
-        raise ValueError("glued domains do not tile a box")
-
-    def piece(f1, f2):
-        from .fields import piecewise_field
-
-        return piecewise_field([(f1, b1), (f2, b2)], fam1.dim, fam1.ncomp,
-                               union)
-
-    def combine(t1, t2):
-        nq = max(len(t1.q), len(t2.q))
-        np_ = max(len(t1.p), len(t2.p))
-        q1 = _pad(t1.q, nq, fam1.dim, fam1.ncomp, b1)
-        q2 = _pad(t2.q, nq, fam1.dim, fam1.ncomp, b2)
-        p1 = _pad(t1.p, np_, fam1.dim, fam1.ncomp, b1)
-        p2 = _pad(t2.p, np_, fam1.dim, fam1.ncomp, b2)
-        return FieldTriple(
-            v=piece(t1.v, t2.v),
-            q=tuple(piece(a, b) for a, b in zip(q1, q2)),
-            p=tuple(piece(a, b) for a, b in zip(p1, p2)),
-        )
-
-    return PerturbationFamily(
-        name=name or f"{fam1.name}|{fam2.name}",
-        dim=fam1.dim,
-        ncomp=fam1.ncomp,
-        domain=union,
-        at=lambda eps: combine(fam1.at(eps), fam2.at(eps)),
-        limit=combine(fam1.limit, fam2.limit),
-        rate=lambda eps: fam1.rate(eps) + fam2.rate(eps),
-        finest_scale=lambda eps: min(fam1.finest_scale(eps), fam2.finest_scale(eps)),
-        eta_rule=fam1.eta_rule,
     )

@@ -2,10 +2,10 @@
 
 The discrete operator realizes forms
 
-    h(u, v) = (A11 u', v') + (A+ u', v) - (A- u, v') + (A0 u, v) [+ K terms]
+    h(u, v) = (A11 u', v') + (A+ u', v) - (A- u, v') + (A0 u, v)
 
-for n-component complex fields, with Dirichlet or Robin boundary
-conditions.  Oscillating coefficients are integrated per element with the
+for n-component complex fields, with Dirichlet conditions or Robin ones
+(which keep the endpoint dofs free).  Oscillating coefficients are integrated per element with the
 composite Gauss rule from the lattice module.  Direct solves go through a
 sparse LU factorization with compensated-residual iterative refinement, so
 forward errors sit near machine precision even on fine meshes.  A refined
@@ -24,7 +24,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .fields import Box, CoefficientField, constant_field, matrix_abs
+from .fields import Box, CoefficientField, constant_field
 from .lattice import _panel_rule, default_refine
 
 _SPLIT = 134217729.0  # 2**27 + 1, Dekker splitting constant
@@ -119,10 +119,6 @@ class Mesh1D:
     def h(self):
         return (self.b - self.a) / self.n_elements
 
-    @property
-    def nodes(self):
-        return self.a + self.h * np.arange(self.n_elements + 1)
-
 
 def build_mesh(domain: Box, n_elements: int) -> Mesh1D:
     if domain.dim != 1:
@@ -141,12 +137,12 @@ def mesh_rule(finest_scale, ncomp=1, min_elements=64, cap_dof=8192):
 
 @dataclass(frozen=True)
 class OperatorSpec:
-    """Continuous operator data: coefficients, boundary condition, ellipticity.
+    """Continuous operator data: coefficients and boundary condition.
 
     a11 is the second-order coefficient, aplus/aminus the first-order
     coefficients placed on the trial/test derivative, a0 the potential.
-    bc is "dirichlet" or "robin"; Robin adds the matrices k_lower/k_upper
-    at the interval endpoints.  c1 is the declared ellipticity constant.
+    bc is "dirichlet" or "robin"; Robin keeps the endpoint dofs and adds
+    no boundary term.
     """
 
     domain: Box
@@ -156,9 +152,6 @@ class OperatorSpec:
     aminus: Optional[CoefficientField] = None
     a0: Optional[CoefficientField] = None
     bc: str = "dirichlet"
-    k_lower: Optional[np.ndarray] = None
-    k_upper: Optional[np.ndarray] = None
-    c1: float = 1.0
 
     def __post_init__(self):
         if self.bc not in ("dirichlet", "robin"):
@@ -166,32 +159,15 @@ class OperatorSpec:
         if self.domain.dim != 1:
             raise ValueError("operator specs are 1D here")
 
-    def validate_ellipticity(self, rng, samples=1000):
-        """Sample Re(A11 z, z) >= c1 |z|^2 over random points and vectors."""
-        pts = self.domain.sample(samples, rng)
-        mats = self.a11(pts)
-        z = rng.standard_normal((samples, self.ncomp)) + 1j * rng.standard_normal(
-            (samples, self.ncomp)
-        )
-        quad = np.real(np.einsum("mi,mij,mj->m", np.conj(z), mats, z))
-        norms = (np.abs(z) ** 2).sum(axis=1)
-        worst = float((quad / norms).min())
-        if worst < self.c1 - 1e-10:
-            raise ValueError(
-                f"ellipticity violated: sampled constant {worst} < c1 = {self.c1}"
-            )
-        return worst
-
-
-def default_operator(domain, ncomp=1, bc="dirichlet", a0_value=0.0):
-    """Laplace-type reference operator with identity second-order part."""
-    eye = constant_field(1, np.eye(ncomp), domain)
+def default_operator(domain, ncomp=1, bc="dirichlet", a11=1.0,
+                     a0_value=0.0):
+    """Laplace-type operator -(a11 u')' + a0 u, with both coefficients
+    scalar multiples of the identity."""
+    a11_field = constant_field(1, a11 * np.eye(ncomp), domain)
     a0 = None
     if a0_value:
         a0 = constant_field(1, a0_value * np.eye(ncomp), domain)
-    kz = np.zeros((ncomp, ncomp))
-    return OperatorSpec(domain, ncomp, eye, a0=a0, bc=bc,
-                        k_lower=kz, k_upper=kz, c1=1.0)
+    return OperatorSpec(domain, ncomp, a11_field, a0=a0, bc=bc)
 
 
 @dataclass(frozen=True)
@@ -211,10 +187,6 @@ class FeSpace:
         if self.bc == "dirichlet":
             return np.arange(1, self.n_nodes - 1)
         return np.arange(self.n_nodes)
-
-    @property
-    def dof(self):
-        return len(self.free_nodes) * self.ncomp
 
     def bc_mask(self):
         """Flat dof indices (into the full node set) that are kept."""
@@ -348,18 +320,9 @@ def assemble_base(spec: OperatorSpec, mesh: Mesh1D, refine=1) -> DiscreteOperato
     space = FeSpace(mesh, spec.ncomp, spec.bc)
     base = _form_matrix(mesh, spec.ncomp, a11=spec.a11, aplus=spec.aplus,
                         aminus=spec.aminus, a0=spec.a0, refine=refine)
-    if spec.bc == "robin":
-        base = base.tolil()
-        n = spec.ncomp
-        if spec.k_lower is not None:
-            base[:n, :n] += np.asarray(spec.k_lower, dtype=complex)
-        if spec.k_upper is not None:
-            base[-n:, -n:] += np.asarray(spec.k_upper, dtype=complex)
-        base = base.tocsr()
     eye = constant_field(1, np.eye(spec.ncomp), spec.domain)
     stiff = _form_matrix(mesh, spec.ncomp, a11=eye, refine=1)
     mass = _form_matrix(mesh, spec.ncomp, a0=eye, refine=1)
-    keep = FeSpace(mesh, spec.ncomp, spec.bc).bc_mask()
     base_r = _restrict(base, space)
     stiff_r = _restrict(stiff, space)
     mass_r = _restrict(mass, space)
@@ -375,7 +338,7 @@ def assemble_base(spec: OperatorSpec, mesh: Mesh1D, refine=1) -> DiscreteOperato
         base_form=base_r,
         gram_h1=gram,
         gram_l2=mass_r,
-        bc_mask=keep,
+        bc_mask=space.bc_mask(),
     )
 
 
@@ -570,51 +533,3 @@ class LinearSolver:
         if not np.all(np.isfinite(x)):
             raise NumericalBreach("factorization produced non-finite solution")
         return x
-
-    def residual(self, x, rhs, adjoint=False):
-        rhs = np.asarray(rhs, dtype=complex)
-        x = np.asarray(x, dtype=complex)
-        r = self._dd_residual(rhs, x, herm=adjoint)
-        return float(np.linalg.norm(r))
-
-
-def interpolate(space: FeSpace, fvec):
-    """Nodal interpolation of a vector function onto the free dofs.
-
-    fvec maps points (m, 1) -> values (m, ncomp).
-    """
-    nodes = space.mesh.nodes[space.free_nodes]
-    vals = np.asarray(fvec(nodes[:, None]), dtype=complex)
-    vals = vals.reshape(len(nodes), space.ncomp)
-    return vals.ravel()
-
-
-def load_vector(space: FeSpace, fvec, refine=4):
-    """Right-hand side (f, phi_i) for a vector function f."""
-    mesh = space.mesh
-    t, w = _panel_rule(int(max(1, refine)))
-    h = mesh.h
-    starts = mesh.a + h * np.arange(mesh.n_elements)
-    pts = (starts[:, None] + h * t[None, :]).ravel()[:, None]
-    vals = np.asarray(fvec(pts), dtype=complex).reshape(
-        mesh.n_elements, len(t), space.ncomp
-    )
-    left = h * np.einsum("q,eqi->ei", w * (1 - t), vals)
-    right = h * np.einsum("q,eqi->ei", w * t, vals)
-    full = np.zeros((mesh.n_elements + 1, space.ncomp), dtype=complex)
-    np.add.at(full, np.arange(mesh.n_elements), left)
-    np.add.at(full, np.arange(1, mesh.n_elements + 1), right)
-    return full.ravel()[space.bc_mask()]
-
-
-def fe_norm_h1(op: DiscreteOperator, u):
-    return float(np.sqrt(max(np.real(np.vdot(u, op.gram_h1 @ u)), 0.0)))
-
-
-def fe_norm_l2(op: DiscreteOperator, u):
-    return float(np.sqrt(max(np.real(np.vdot(u, op.gram_l2 @ u)), 0.0)))
-
-
-def fe_dual_norm(op: DiscreteOperator, f, gram_solver=None):
-    solver = gram_solver or LinearSolver(op.gram_h1)
-    return float(np.sqrt(max(np.real(np.vdot(f, solver.solve(f))), 0.0)))

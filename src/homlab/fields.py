@@ -7,7 +7,7 @@ closure receives points of shape (m, dim) and returns values of shape
 absolute sum, which dominates the spectral norm.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -43,25 +43,10 @@ class Box:
     def dim(self):
         return len(self.lower)
 
-    @property
-    def measure(self):
-        return float(np.prod(np.array(self.upper) - np.array(self.lower)))
-
-    def contains(self, points, pad=0.0):
-        """Boolean mask of points inside the (closed, padded) box."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        lo = np.array(self.lower) - pad
-        hi = np.array(self.upper) + pad
-        return np.all((pts >= lo) & (pts <= hi), axis=1)
-
     def sample(self, count, rng):
         lo = np.array(self.lower)
         hi = np.array(self.upper)
         return lo + (hi - lo) * rng.random((count, self.dim))
-
-
-def interval(a, b):
-    return Box((float(a),), (float(b),))
 
 
 @dataclass(frozen=True)
@@ -69,8 +54,8 @@ class CoefficientField:
     """Bounded matrix-valued coefficient on a box domain.
 
     func maps points (m, dim) -> values (m, ncomp, ncomp), complex.
-    sup_bound is a declared uniform bound on the entrywise matrix norm;
-    evaluation never exceeds it (checked on demand, not per call).
+    sup_bound is a declared uniform bound on the entrywise matrix norm,
+    taken on trust: evaluation does not check it.
     """
 
     dim: int
@@ -95,19 +80,6 @@ class CoefficientField:
                 f"field closure returned shape {vals.shape}, expected {expect}"
             )
         return vals[0] if single else vals
-
-    def check_bound(self, rng, samples=1000, pad=1e-9):
-        """Sample the domain and verify |values| <= sup_bound."""
-        box = self.domain
-        if box is None:
-            raise ValueError("field has no declared domain to sample")
-        pts = box.sample(samples, rng)
-        worst = float(matrix_abs(self(pts)).max())
-        if worst > self.sup_bound * (1 + 1e-12) + pad:
-            raise ValueError(
-                f"field exceeds declared bound: {worst} > {self.sup_bound}"
-            )
-        return worst
 
 
 def constant_field(dim, value, domain=None, label=""):
@@ -134,11 +106,6 @@ def scalar_field(dim, f, sup_bound, domain=None, label=""):
         return np.asarray(f(pts), dtype=complex).reshape(pts.shape[0], 1, 1)
 
     return CoefficientField(dim, 1, func, float(sup_bound), domain, label)
-
-
-def matrix_field(dim, ncomp, f, sup_bound, domain=None, label=""):
-    """Wrap a matrix closure f((m, dim)) -> (m, n, n)."""
-    return CoefficientField(dim, ncomp, f, float(sup_bound), domain, label)
 
 
 def _common_domain(a, b):
@@ -194,35 +161,6 @@ def adjoint_field(a):
 def gram_field(q):
     """Pointwise q(x)* q(x), the Hermitian weight for product norms."""
     return matmul_fields(adjoint_field(q), q)
-
-
-def restrict_field(a, box):
-    """Same values, restricted domain declaration."""
-    return CoefficientField(a.dim, a.ncomp, a.func, a.sup_bound, box, a.label)
-
-
-def piecewise_field(fields_and_boxes, dim, ncomp, domain=None):
-    """Glue fields supported on disjoint boxes; zero elsewhere.
-
-    fields_and_boxes is a list of (field, Box).  Boxes must not overlap.
-    """
-    for i, (_, bi) in enumerate(fields_and_boxes):
-        for _, bj in fields_and_boxes[i + 1:]:
-            lo = np.maximum(bi.lower, bj.lower)
-            hi = np.minimum(bi.upper, bj.upper)
-            if np.all(lo < hi):
-                raise ValueError("piecewise pieces overlap")
-
-    def func(pts):
-        out = np.zeros((pts.shape[0], ncomp, ncomp), dtype=complex)
-        for fld, box in fields_and_boxes:
-            mask = box.contains(pts)
-            if mask.any():
-                out[mask] = fld(pts[mask])
-        return out
-
-    bound = max((f.sup_bound for f, _ in fields_and_boxes), default=0.0)
-    return CoefficientField(dim, ncomp, func, bound, domain)
 
 
 def sampled_sup(field_, box, per_axis=257):

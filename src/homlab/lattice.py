@@ -19,7 +19,6 @@ memory than building them costs time.
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import List
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -70,15 +69,6 @@ class Lattice:
         verts = (corners @ self.basis.T) + self.point(z)
         return eta * verts
 
-    def cell_box(self, z, eta):
-        """Bounding box of the cell (exact for diagonal bases)."""
-        verts = self.cell_vertices(z, eta)
-        return Box(tuple(verts.min(axis=0)), tuple(verts.max(axis=0)))
-
-
-def unit_lattice(dim):
-    return Lattice(dim)
-
 
 @dataclass(frozen=True)
 class CellIndexSet:
@@ -91,9 +81,6 @@ class CellIndexSet:
 
     def __len__(self):
         return len(self.gammas)
-
-    def covered_measure(self):
-        return len(self.gammas) * self.lattice.cell_measure * self.eta ** self.lattice.dim
 
 
 def cells_inside(lattice, eta, box):
@@ -243,69 +230,3 @@ def cell_mean(lattice, z, eta, field_, refine):
     integral, err = cell_integral(lattice, z, eta, field_, refine)
     measure = lattice.cell_measure * eta ** lattice.dim
     return integral / measure, err / measure
-
-
-def box_integral(box, field_, refine):
-    """Integral over a whole box at the given per-axis refine."""
-    origin = np.array(box.lower)
-    span = np.diag(np.array(box.upper) - np.array(box.lower))
-    (integral,) = _rule_integrals(field_, origin[None, :], span,
-                                  int(max(1, refine)), GAUSS_ORDER, 1, False)
-    return integral[0]
-
-
-def margin_boxes(box, cells: CellIndexSet) -> List[Box]:
-    """Decompose box minus the covered cell block into boxes.
-
-    Only supports the case where the covered cells form a full rectangular
-    block (always true for diagonal lattices on an interval or rectangle).
-    """
-    if len(cells) == 0:
-        return [box]
-    verts = np.concatenate(
-        [cells.lattice.cell_vertices(np.array(z), cells.eta) for z in cells.gammas]
-    )
-    clo = verts.min(axis=0)
-    chi = verts.max(axis=0)
-    # verify the block is filled
-    block_measure = float(np.prod(chi - clo))
-    if abs(block_measure - cells.covered_measure()) > 1e-9 * max(block_measure, 1.0):
-        raise ValueError("covered cells do not form a rectangular block")
-    out = []
-    lo = list(box.lower)
-    hi = list(box.upper)
-    for axis in range(box.dim):
-        if clo[axis] - lo[axis] > 1e-14:
-            low = lo.copy()
-            high = hi.copy()
-            high[axis] = clo[axis]
-            out.append(Box(tuple(low), tuple(high)))
-            lo = lo.copy()
-            lo[axis] = clo[axis]
-        if hi[axis] - chi[axis] > 1e-14:
-            low = lo.copy()
-            high = hi.copy()
-            low[axis] = chi[axis]
-            out.append(Box(tuple(low), tuple(high)))
-            hi = hi.copy()
-            hi[axis] = chi[axis]
-    return out
-
-
-def cells_to_csv_rows(cells: CellIndexSet, means=None):
-    """Rows (gamma, corner, mean entries) for report serialization."""
-    rows = []
-    for k, z in enumerate(cells.gammas):
-        corner = cells.eta * cells.lattice.point(np.array(z))
-        row = {
-            "gamma": ";".join(str(v) for v in z),
-            "corner": ";".join(repr(float(c)) for c in corner),
-        }
-        if means is not None:
-            mean = np.atleast_2d(means[k])
-            for i in range(mean.shape[0]):
-                for j in range(mean.shape[1]):
-                    row[f"mean_{i}{j}_re"] = float(mean[i, j].real)
-                    row[f"mean_{i}{j}_im"] = float(mean[i, j].imag)
-        rows.append(row)
-    return rows

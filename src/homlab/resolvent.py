@@ -77,11 +77,11 @@ class ResolventContext:
                 )
 
 
-def make_context(op, lam, pert=None, geps=None, meta=None):
+def make_context(op, lam, pert, geps, meta=None):
     """Assemble shifted forms; cross-check the two assembly routes.
 
     pert is the perturbation matrix (difference form); geps the fully
-    assembled perturbed form.  Given both, they must agree: the identity
+    assembled perturbed form.  They must agree: the identity
     Geps = G0 + L is enforced entrywise to 1e-12 of the matrix scale.
 
     The difference form used operationally is always the entrywise
@@ -89,21 +89,15 @@ def make_context(op, lam, pert=None, geps=None, meta=None):
     exactly in floating point, so the discrete second-resolvent identity
     holds to roundoff of the difference itself, not of the full forms.
     """
-    if pert is None and geps is None:
-        raise ValueError("need a perturbation matrix or a perturbed form")
     G0 = (op.base_form - lam * op.gram_l2).tocsr()
-    if geps is not None:
-        Geps = geps.tocsr()
-    else:
-        Geps = (G0 + pert.tocsr()).tocsr()
-    if pert is not None and geps is not None:
-        scale = max(_max_entry(Geps), _max_entry(G0))
-        gap = _max_entry(Geps - (G0 + pert.tocsr()))
-        if gap > 1e-12 * scale:
-            raise NumericalBreach(
-                f"perturbed form disagrees with base + difference by {gap:.3e} "
-                f"(scale {scale:.3e})"
-            )
+    Geps = geps.tocsr()
+    scale = max(_max_entry(Geps), _max_entry(G0))
+    gap = _max_entry(Geps - (G0 + pert.tocsr()))
+    if gap > 1e-12 * scale:
+        raise NumericalBreach(
+            f"perturbed form disagrees with base + difference by {gap:.3e} "
+            f"(scale {scale:.3e})"
+        )
     L = (Geps - G0).tocsr()
     return ResolventContext(
         op=op,
@@ -173,23 +167,6 @@ def truncation_error_norm(ctx, order, seed=1234):
         h1.star(), h1,
         seed=seed,
         labels=("resolvent_eps", "series", "gram_h1"),
-    )
-
-
-def l2_to_v_norm(ctx, order=None, seed=1234):
-    """Norm of the resolvent difference from L2 into H1.
-
-    order None compares against the base resolvent, otherwise against
-    the order-N truncated series.
-    """
-    M = ctx.op.gram_l2
-    order = 0 if order is None else order
-    return induced_norm(
-        lambda f: _series_remainder(ctx, M @ f, order),
-        lambda g: M @ _series_remainder(ctx, g, order, adjoint=True),
-        Space(M), Space(ctx.op.gram_h1),
-        seed=seed,
-        labels=("resolvent_eps", "resolvent_base", "gram_l2", "gram_h1"),
     )
 
 
@@ -354,14 +331,10 @@ def identity_residual(ctx, n_rhs=20, seed=1234):
     return worst
 
 
-def convergence_row(op_spec, family, eps, lam, seed=1234,
-                    eta_exponents=None, lattice=None,
-                    min_elements=64, cap_dof=8192, setting=None):
-    """All measurements for one epsilon of a convergence study."""
-    if setting is None:
-        setting = assemble_setting(op_spec, family, eps,
-                                   min_elements=min_elements,
-                                   cap_dof=cap_dof)
+def convergence_row(family, eps, lam, setting, seed=1234,
+                    eta_exponents=None, lattice=None):
+    """All measurements for one epsilon of a convergence study, on the
+    setting assemble_setting made for that epsilon."""
     ctx = context_from_setting(setting, lam)
     eta, crit = criteria.optimize_eta(
         family, eps,
@@ -411,37 +384,3 @@ def convergence_verdict(rows, step_slack=1.1, drop=0.5):
             verdicts[f"{key}_rows"] = bad
             ok = False
     return ("convergent" if ok else "not_convergent"), verdicts
-
-
-def convergence_study(op_spec, family, eps_schedule, lam, seed=1234,
-                      eta_exponents=None, lattice=None,
-                      min_elements=64, cap_dof=8192, row_hook=None):
-    """Serial convergence study over a decreasing epsilon schedule."""
-    eps_schedule = list(eps_schedule)
-    if sorted(eps_schedule, reverse=True) != eps_schedule:
-        raise ValueError("epsilon schedule must decrease")
-    rows = []
-    for eps in eps_schedule:
-        row = convergence_row(op_spec, family, eps, lam, seed=seed,
-                              eta_exponents=eta_exponents, lattice=lattice,
-                              min_elements=min_elements, cap_dof=cap_dof)
-        rows.append(row)
-        if row_hook:
-            row_hook(row)
-    verdict, detail = convergence_verdict(rows)
-    return {"rows": rows, "verdict": verdict, "detail": detail}
-
-
-def improved_bound_check(values, bounds, slack=2.0):
-    """Calibrate the leading constant on the first pair, test the rest.
-
-    values[i] should stay below slack * c3 * bounds[i] where c3 makes
-    the first pair tight; returns per-row booleans and the constant.
-    """
-    if len(values) != len(bounds) or not values:
-        raise ValueError("need matching nonempty value and bound lists")
-    if bounds[0] <= 0:
-        raise ValueError("first criterion bound must be positive")
-    c3 = values[0] / bounds[0]
-    ok = [v <= slack * max(c3, 1e-300) * b for v, b in zip(values, bounds)]
-    return {"c3": c3, "ok": ok, "all_ok": all(ok)}

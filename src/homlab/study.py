@@ -14,10 +14,10 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from . import criteria, registry
-from .config import ConfigError, StudyConfig
-from .fem import (assemble_base, assemble_triple, build_mesh, mesh_rule,
-                  perturbation_refine)
-from .fields import constant_field, matrix_abs, sampled_sup
+from .config import ConfigError
+from .fem import (assemble_base, assemble_triple, build_mesh,
+                  default_operator, mesh_rule, perturbation_refine)
+from .fields import matrix_abs, sampled_sup
 from .norms import find_lambda, norm_m1m1, norm_m10, norm_v_to_vstar
 from .resolvent import (assemble_setting, build_setting, convergence_row,
                         convergence_verdict, deviation_triple,
@@ -165,8 +165,6 @@ def _require_1d(family, kind):
 
 
 def _operator_spec(cfg, family):
-    from .fem import OperatorSpec
-
     a11 = cfg.get_float("operator.a11", 1.0)
     a0v = cfg.get_float("operator.a0", 0.0)
     bc = cfg.get_str("operator.bc", "dirichlet")
@@ -174,14 +172,7 @@ def _operator_spec(cfg, family):
         raise ConfigError("operator.bc must be dirichlet or robin")
     if a11 <= 0:
         raise ConfigError("operator.a11 must be positive")
-    n = family.ncomp
-    eye = constant_field(1, a11 * np.eye(n), family.domain)
-    a0 = None
-    if a0v:
-        a0 = constant_field(1, a0v * np.eye(n), family.domain)
-    kz = np.zeros((n, n))
-    return OperatorSpec(family.domain, n, eye, a0=a0, bc=bc,
-                        k_lower=kz, k_upper=kz, c1=a11)
+    return default_operator(family.domain, family.ncomp, bc, a11, a0v)
 
 
 def _mesh_opts(cfg):
@@ -252,7 +243,7 @@ def homogenize_study(cfg, seed=1234, threads=1):
     points = cfg.get_int("homogenize.sample_points", 33)
     mu_power = cfg.get_float("homogenize.mu_power", 0.5)
     slack = cfg.get_float("homogenize.slack", 1.5)
-    candidate, rep = criteria.local_mean_limit(
+    rep = criteria.local_mean_limit(
         family, schedule,
         mu_rule=lambda eps: eps ** mu_power,
         sample_points=points,
@@ -302,7 +293,7 @@ def homogenize_study(cfg, seed=1234, threads=1):
         echo=tuple(cfg.echo()),
         meta={"family": family.name, "consistent": consistent,
               "rho2": rep["rho2"], "bound": rep["bound"],
-              "final_gap": final_gap, "candidate": candidate},
+              "final_gap": final_gap},
     )
 
 
@@ -438,10 +429,9 @@ def resolvent_study(cfg, seed=1234, threads=1):
 
     def one(i, pair):
         eps, setting = pair
-        return convergence_row(op_spec, family, eps, lam,
+        return convergence_row(family, eps, lam, setting,
                                seed=seed + 1000 * i,
-                               eta_exponents=exponents, lattice=lattice,
-                               setting=setting)
+                               eta_exponents=exponents, lattice=lattice)
 
     rows = _parallel(zip(schedule, settings), one, threads)
     verdict, detail = convergence_verdict(rows)

@@ -1,10 +1,17 @@
 """Command line behavior: subcommands, exit codes, outputs."""
 
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
 from homlab.cli import main
+
+ROOT = Path(__file__).resolve().parents[1]
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
 
 CRIT_CFG = """
 study.kind = criterion
@@ -157,3 +164,32 @@ def test_seed_and_threads_flags_accepted(tmp_path, crit_cfg):
     code = main(["criterion", "--config", str(crit_cfg), "--out", str(out),
                  "--seed", "9", "--threads", "2", "--verbose"])
     assert code == 0
+
+
+def _fresh_python(args, blas_threads):
+    """Run python with homlab importable; BLAS thread variables removed,
+    or all set to blas_threads."""
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
+    if blas_threads is not None:
+        env.update(dict.fromkeys(BLAS_VARS, str(blas_threads)))
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, (str(ROOT / "src"), env.get("PYTHONPATH"))))
+    return subprocess.run([sys.executable, *args], env=env, check=True,
+                          capture_output=True).stdout
+
+
+@pytest.mark.parametrize("name, kind", [("sin_norm", "norm"),
+                                        ("random_resolvent", "resolvent")])
+def test_csv_bytes_do_not_follow_the_host_blas_default(name, kind):
+    # unpinned, OpenBLAS takes every core, and these two studies then
+    # differ in their last digits from a one-thread run
+    args = ["-m", "homlab.cli", kind,
+            "--config", str(ROOT / "configs" / f"{name}.cfg"), "--out", "-"]
+    assert _fresh_python(args, None) == _fresh_python(args, 1)
+
+
+def test_explicit_blas_thread_settings_are_kept():
+    show = ["-c", "import os, homlab; "
+                  "print(*(os.environ[v] for v in %r))" % (BLAS_VARS,)]
+    assert _fresh_python(show, None).split() == [b"1", b"1"]
+    assert _fresh_python(show, 2).split() == [b"2", b"2"]

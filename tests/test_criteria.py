@@ -8,13 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from homlab.criteria import (NoCellsError, criterion_report, local_mean_limit,
-                             optimize_eta, rho1, rho3, weyl_mean)
+                             optimize_eta)
 from homlab.families import FieldTriple, make_regular
-from homlab.fields import (CoefficientField, constant_field, interval,
-                           matrix_abs, scalar_field, zero_field)
+from homlab.fields import (Box, CoefficientField, constant_field, matrix_abs,
+                           scalar_field, zero_field)
 from homlab.lattice import Lattice, cell_integral, cells_inside
 
-UNIT = interval(0.0, 1.0)
+UNIT = Box((0.0,), (1.0,))
 
 
 def sin_family(amp=1.0):
@@ -50,14 +50,14 @@ def exact_rho3(eps, eta, n_cells):
 def test_rho1_matches_closed_form():
     fam = sin_family()
     eps, eta = 0.02, 0.2
-    got = rho1(fam, eps, eta, refine=256)
+    got = criterion_report(fam, eps, eta, refine=256).rho1
     assert got == pytest.approx(exact_rho1(eps, eta, 5), abs=1e-10)
 
 
 def test_rho3_matches_closed_form():
     fam = sin_family()
     eps, eta = 0.02, 0.2
-    got = rho3(fam, eps, eta, refine=256)
+    got = criterion_report(fam, eps, eta, refine=256).rho3
     assert got == pytest.approx(exact_rho3(eps, eta, 5), abs=1e-10)
 
 
@@ -84,7 +84,7 @@ def test_cell_mean_bound_two_eps_over_eta():
     # |cell mean of sin(x/eps)| <= 2 eps / eta uniformly
     fam = sin_family()
     for eps in (0.1, 0.03, 0.007):
-        val = rho1(fam, eps, 0.3, refine=256)
+        val = criterion_report(fam, eps, 0.3, refine=256).rho1
         assert val <= 2 * eps / 0.3 + 1e-12
 
 
@@ -92,12 +92,10 @@ def test_cell_mean_bound_two_eps_over_eta():
 @given(st.floats(0.25, 4.0))
 def test_criteria_scale_with_amplitude(c):
     eps, eta, r = 0.05, 0.25, 64
-    base1 = rho1(sin_family(1.0), eps, eta, refine=r)
-    base3 = rho3(sin_family(1.0), eps, eta, refine=r)
-    assert rho1(sin_family(c), eps, eta, refine=r) == pytest.approx(
-        c * base1, rel=1e-9)
-    assert rho3(sin_family(c), eps, eta, refine=r) == pytest.approx(
-        c * c * base3, rel=1e-9)
+    base = criterion_report(sin_family(1.0), eps, eta, refine=r)
+    scaled = criterion_report(sin_family(c), eps, eta, refine=r)
+    assert scaled.rho1 == pytest.approx(c * base.rho1, rel=1e-9)
+    assert scaled.rho3 == pytest.approx(c * c * base.rho3, rel=1e-9)
 
 
 def test_optimize_eta_minimizes_bound():
@@ -125,7 +123,7 @@ def test_optimize_eta_objective_m10():
 
 
 def test_optimize_eta_raises_when_nothing_fits():
-    tiny = interval(0.0, 0.05)
+    tiny = Box((0.0,), (0.05,))
     v0 = zero_field(1, 1, tiny)
     fam = make_regular(lambda eps: v0, v0, lambda eps: 0.0, tiny)
     with pytest.raises(ValueError):
@@ -135,20 +133,22 @@ def test_optimize_eta_raises_when_nothing_fits():
 def test_local_mean_limit_constant_family():
     v0 = constant_field(1, 2.0, UNIT)
     fam = make_regular(lambda eps: v0, v0, lambda eps: 0.0, UNIT)
-    cand, rep = local_mean_limit(fam, [0.1, 0.05, 0.025], sample_points=9,
-                                 refine=8)
+    rep = local_mean_limit(fam, [0.1, 0.05, 0.025], sample_points=9,
+                           refine=8)
     assert rep["rho2"] == pytest.approx(0.0, abs=1e-13)
-    val = cand(np.array([[0.4]]))
-    assert val[0, 0, 0] == pytest.approx(2.0, abs=1e-12)
-    with pytest.raises(ValueError):
-        cand(np.array([[0.999]]))  # window sticks out of the domain
+    mu = math.sqrt(0.025)
+    for x, val in zip(rep["grid"][:, 0], rep["samples"][-1]):
+        if x + mu <= 1.0:
+            assert val[0, 0] == pytest.approx(2.0, abs=1e-12)
+        else:
+            assert val is None  # window sticks out of the domain
 
 
 def test_local_mean_limit_skips_boundary_windows():
     v0 = constant_field(1, 1.0, UNIT)
     fam = make_regular(lambda eps: v0, v0, lambda eps: 0.0, UNIT)
-    _, rep = local_mean_limit(fam, [0.1, 0.05], mu_rule=lambda e: 0.5,
-                              sample_points=9, refine=4)
+    rep = local_mean_limit(fam, [0.1, 0.05], mu_rule=lambda e: 0.5,
+                           sample_points=9, refine=4)
     assert len(rep["skipped"]) > 0
     assert rep["mu_final"] == pytest.approx(0.5)
 
@@ -158,31 +158,6 @@ def test_local_mean_limit_needs_two_entries():
     fam = make_regular(lambda eps: v0, v0, lambda eps: 0.0, UNIT)
     with pytest.raises(ValueError):
         local_mean_limit(fam, [0.1])
-
-
-def test_weyl_mean_single_frequency():
-    alpha = 5.0
-    terms = [(np.array([alpha]), np.array([[1.0]]))]
-    mean0, table = weyl_mean(terms, [2.0, 8.0, 32.0])
-    assert np.abs(mean0).max() == 0.0
-    # |average| over r*(gamma, gamma+1) is |2 sin(alpha r / 2) / (alpha r)|
-    for r, worst in table:
-        assert worst <= 2.0 / (alpha * r) + 1e-12
-    assert table[2][1] < table[0][1]
-
-
-def test_weyl_mean_reports_zero_frequency_amplitude():
-    terms = [(np.array([0.0]), np.array([[2.5]])),
-             (np.array([3.0]), np.array([[1.0]]))]
-    mean0, table = weyl_mean(terms, [4.0])
-    assert mean0[0, 0] == pytest.approx(2.5)
-
-
-def test_weyl_mean_rejects_skew_lattice():
-    terms = [(np.array([1.0, 0.0]), np.array([[1.0]]))]
-    skew = Lattice(2, basis=np.array([[1.0, 0.5], [0.0, 1.0]]))
-    with pytest.raises(ValueError):
-        weyl_mean(terms, [2.0], lattice=skew)
 
 
 # ------------------------------------------------- batched cell quadrature
@@ -272,7 +247,7 @@ def test_optimize_eta_reports_field_errors_instead_of_skipping():
                        UNIT)
     with pytest.raises(ValueError, match="closure returned shape"):
         optimize_eta(fam, 0.01, exponents=(0.5,))
-    tiny = interval(0.0, 0.05)
+    tiny = Box((0.0,), (0.05,))
     v0 = zero_field(1, 1, tiny)
     nothing_fits = make_regular(lambda eps: v0, v0, lambda eps: 0.0, tiny)
     with pytest.raises(NoCellsError):

@@ -1,14 +1,14 @@
-"""Torus rotation flows: expectations, Birkhoff averages, distances."""
+"""Torus rotation flows: expectations and Birkhoff averages."""
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from homlab.ergodic import (ErgodicSystem, expectation, space_average,
-                            torus_distance)
+from homlab.ergodic import ErgodicSystem, expectation
+from homlab.families import make_random
+from homlab.fields import Box
+from homlab.lattice import Lattice, cell_mean
 
 
 def _cos_system(k=1, freq=1):
@@ -58,26 +58,6 @@ def test_expectation_rejects_large_torus():
         expectation(sysk)
 
 
-def test_shift_group_law():
-    rng = np.random.default_rng(3)
-    flow = rng.standard_normal((2, 3))
-    sysg = ErgodicSystem(k=2, dim=3, flow=flow,
-                         observable=lambda p: p[:, :1, None], ncomp=1,
-                         sup_bound=1.0)
-    om = rng.random((5, 2))
-    x = rng.standard_normal(3)
-    y = rng.standard_normal(3)
-    one_step = sysg.shift(om, x + y)
-    two_step = sysg.shift(sysg.shift(om, x), y)
-    assert torus_distance(one_step, two_step) <= 1e-9
-
-
-def test_torus_distance_wraps():
-    assert torus_distance([0.02], [0.98]) == pytest.approx(0.04, abs=1e-15)
-    assert torus_distance([0.25], [0.5]) == pytest.approx(0.25, abs=1e-15)
-    assert torus_distance([0.3, 0.1], [0.3, 0.9]) == pytest.approx(0.2)
-
-
 def test_birkhoff_average_approaches_expectation():
     # irrational rotation: the space average over a long window converges
     flow = np.array([[1.0 / math.sqrt(2.0)]])
@@ -87,19 +67,14 @@ def test_birkhoff_average_approaches_expectation():
 
     syse = ErgodicSystem(k=1, dim=1, flow=flow, observable=obs, ncomp=1,
                          sup_bound=1.0)
-    exact = expectation(syse, points_per_axis=256)[0, 0]
-    avg = space_average(syse, np.array([0.3]), box_length=1.0, eps=1e-3,
-                        refine=8192)[0, 0]
-    # one full sweep at eps covers ~700 turns; error ~ eps / box
-    assert abs(avg - exact) < 5e-3
-
-
-def test_space_average_of_constant_is_exact():
-    sysc = ErgodicSystem(k=1, dim=1, flow=np.array([[1.0]]),
-                         observable=lambda p: np.full((len(p), 1, 1), 2.5),
-                         ncomp=1, sup_bound=2.5)
-    avg = space_average(sysc, np.array([0.1]), 0.7, 0.01, refine=64)
-    assert avg[0, 0] == pytest.approx(2.5, abs=1e-15)
+    fam = make_random(syse, Box((0.0,), (1.0,)), seed=3)
+    eps = 1e-3
+    # the mean of one realization over the whole domain, as one cell
+    avg, _ = cell_mean(Lattice(1), (0,), 1.0, fam.at(eps).v, 4096)
+    exact = fam.limit.v(np.array([0.5]))[0, 0]
+    assert exact == pytest.approx(0.0, abs=1e-14)
+    # one sweep over the domain at eps covers ~700 turns; error ~ eps / box
+    assert abs(avg[0, 0] - exact) < 5e-3
 
 
 def test_draw_stays_on_torus():
@@ -107,11 +82,3 @@ def test_draw_stays_on_torus():
     om = sysd.draw(np.random.default_rng(11))
     assert om.shape == (3,)
     assert np.all((om >= 0.0) & (om < 1.0))
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.floats(-5, 5), st.floats(-5, 5))
-def test_torus_distance_symmetric_and_bounded(a, b):
-    d = torus_distance([a % 1.0], [b % 1.0])
-    assert 0.0 <= d <= 0.5 + 1e-12
-    assert d == pytest.approx(torus_distance([b % 1.0], [a % 1.0]), abs=1e-12)

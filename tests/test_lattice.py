@@ -7,13 +7,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from homlab import lattice
-from homlab.fields import (Box, constant_field, interval, matrix_field,
-                           scalar_field)
-from homlab.lattice import (Lattice, _panel_rule, box_integral, cell_integral,
-                            cell_mean, cells_inside, default_refine,
-                            margin_boxes, unit_lattice)
+from homlab.fields import Box, CoefficientField, constant_field, scalar_field
+from homlab.lattice import (Lattice, _panel_rule, cell_integral, cell_mean,
+                            cells_inside, default_refine)
 
-UNIT = interval(0.0, 1.0)
+UNIT = Box((0.0,), (1.0,))
 
 
 def sin_field(eps):
@@ -26,16 +24,14 @@ def test_singular_basis_rejected():
 
 
 def test_cells_inside_unit_interval():
-    cells = cells_inside(unit_lattice(1), 0.25, UNIT)
+    cells = cells_inside(Lattice(1), 0.25, UNIT)
     assert cells.gammas == ((0,), (1,), (2,), (3,))
-    assert cells.covered_measure() == pytest.approx(1.0)
 
 
 def test_cells_inside_partial_cover():
-    cells = cells_inside(unit_lattice(1), 0.3, UNIT)
+    cells = cells_inside(Lattice(1), 0.3, UNIT)
     # 3 cells of length 0.3 fit in (0,1), the fourth sticks out
     assert len(cells) == 3
-    assert cells.covered_measure() == pytest.approx(0.9)
 
 
 def test_cells_inside_2d_offset_lattice():
@@ -57,7 +53,7 @@ def test_sine_cell_integral_closed_form():
     # int_0^h sin(x / eps) dx = eps (1 - cos(h / eps))
     eps = 0.05
     h = 0.3
-    val, err = cell_integral(unit_lattice(1), (0,), h, sin_field(eps), 64)
+    val, err = cell_integral(Lattice(1), (0,), h, sin_field(eps), 64)
     exact = eps * (1.0 - math.cos(h / eps))
     assert val[0, 0] == pytest.approx(exact, abs=1e-12)
     assert err < 1e-10
@@ -66,7 +62,7 @@ def test_sine_cell_integral_closed_form():
 def test_shifted_cell_integral_closed_form():
     eps = 0.07
     h = 0.2
-    val, _ = cell_integral(unit_lattice(1), (2,), h, sin_field(eps), 64)
+    val, _ = cell_integral(Lattice(1), (2,), h, sin_field(eps), 64)
     exact = eps * (math.cos(2 * h / eps) - math.cos(3 * h / eps))
     assert val[0, 0] == pytest.approx(exact, abs=1e-12)
 
@@ -82,37 +78,19 @@ def test_cell_mean_of_constant():
 def test_error_estimate_majorizes_refinement_change():
     eps = 0.013
     field_ = sin_field(eps)
-    val8, err8 = cell_integral(unit_lattice(1), (0,), 0.5, field_, 8)
-    val16, _ = cell_integral(unit_lattice(1), (0,), 0.5, field_, 16)
+    val8, err8 = cell_integral(Lattice(1), (0,), 0.5, field_, 8)
+    val16, _ = cell_integral(Lattice(1), (0,), 0.5, field_, 16)
     assert abs(val16[0, 0] - val8[0, 0]) <= err8
 
 
-def test_partition_consistency_1d():
-    # cells + margin boxes must reproduce the whole-box integral
-    field_ = sin_field(0.09)
-    cells = cells_inside(unit_lattice(1), 0.3, UNIT)
-    total = 0.0
-    for z in cells.gammas:
-        val, _ = cell_integral(unit_lattice(1), z, 0.3, field_, 128)
-        total += val[0, 0]
-    for mbox in margin_boxes(UNIT, cells):
-        total += box_integral(mbox, field_, 512)[0, 0]
-    whole = box_integral(UNIT, field_, 512)[0, 0]
-    assert total == pytest.approx(whole, abs=1e-11)
-
-
-def test_margin_boxes_measure():
-    cells = cells_inside(unit_lattice(1), 0.3, UNIT)
-    margins = margin_boxes(UNIT, cells)
-    covered = cells.covered_measure() + sum(b.measure for b in margins)
-    assert covered == pytest.approx(1.0)
-
-
 def test_box_integral_2d_product():
+    # the box (0,1) x (0,2) as the one cell at eta 1; int x y = 1/2 * 2
+    lat = Lattice(2, basis=np.diag([1.0, 2.0]))
     box = Box((0.0, 0.0), (1.0, 2.0))
     f = scalar_field(2, lambda pts: pts[:, 0] * pts[:, 1], 2.0, box)
-    val = box_integral(box, f, 16)
+    val, err = cell_integral(lat, (0, 0), 1.0, f, 16)
     assert val[0, 0] == pytest.approx(0.5 * 2.0, abs=1e-12)
+    assert err < 1e-12
 
 
 def test_default_refine_rule():
@@ -143,9 +121,9 @@ def test_cell_integral_linearity(a, b, h):
         1, lambda pts: a * np.cos(5.0 * pts[:, 0]) + b * pts[:, 0] ** 2,
         abs(a) + abs(b), UNIT,
     )
-    vf, _ = cell_integral(unit_lattice(1), (0,), h, f, 16)
-    vg, _ = cell_integral(unit_lattice(1), (0,), h, g, 16)
-    vc, _ = cell_integral(unit_lattice(1), (0,), h, comb, 16)
+    vf, _ = cell_integral(Lattice(1), (0,), h, f, 16)
+    vg, _ = cell_integral(Lattice(1), (0,), h, g, 16)
+    vc, _ = cell_integral(Lattice(1), (0,), h, comb, 16)
     assert vc[0, 0] == pytest.approx(a * vf[0, 0] + b * vg[0, 0], abs=1e-12)
 
 
@@ -168,7 +146,7 @@ def complex_2x2(pts):
 @pytest.mark.parametrize("refine", [1, 2, 5])
 def test_stacked_cell_integral_equals_single_calls(refine):
     # refine 1 takes the order-2 single-panel estimate
-    field_ = matrix_field(2, 2, complex_2x2, 6.0, Box((-5, -5), (5, 5)))
+    field_ = CoefficientField(2, 2, complex_2x2, 6.0, Box((-5, -5), (5, 5)))
     zs = np.array([[0, 0], [1, -2], [3, 1], [-2, 4], [5, 5]])
     stack = cell_integral(SKEW, zs, 0.3, field_, refine, squares=True)
     assert stack[0].shape == (5, 2, 2) and stack[1].shape == (5,)
@@ -185,7 +163,7 @@ def test_stacked_cell_integral_equals_single_calls(refine):
 def test_square_integral_matches_closed_form():
     # int_0^h sin^2(x / eps) dx = h / 2 - eps sin(2 h / eps) / 4
     eps, h = 0.05, 0.3
-    _, _, sq, sq_err = cell_integral(unit_lattice(1), (0,), h, sin_field(eps),
+    _, _, sq, sq_err = cell_integral(Lattice(1), (0,), h, sin_field(eps),
                                      64, squares=True)
     assert sq.shape == (1, 1) and sq.dtype == complex
     exact = h / 2 - eps * math.sin(2 * h / eps) / 4
@@ -214,11 +192,11 @@ def test_batches_never_split_a_cell(monkeypatch):
 
     field_ = scalar_field(1, counted, 1.0, UNIT)
     zs = np.arange(10)[:, None]
-    whole = cell_integral(unit_lattice(1), zs, 0.1, field_, 4)
+    whole = cell_integral(Lattice(1), zs, 0.1, field_, 4)
     assert sizes == [16 * 10, 8 * 10]  # fine and coarse rule, one batch each
     sizes.clear()
     monkeypatch.setattr(lattice, "CHUNK_POINTS", 40)  # 2.5 fine cells
-    split = cell_integral(unit_lattice(1), zs, 0.1, field_, 4)
+    split = cell_integral(Lattice(1), zs, 0.1, field_, 4)
     assert sizes == [32] * 5 + [16] * 5
     for a, b in zip(whole, split):
         assert np.array_equal(a, b)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +17,8 @@ from homlab.study import (
     run_study,
     write_csv,
 )
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 CRIT_CFG = """
 study.kind = criterion
@@ -212,3 +215,32 @@ def test_norm_study_marks_flagged_rows(monkeypatch):
     assert res.footer[-1] == "# flagged_rows=0.05"
     # a flagged norm is not a budget violation
     assert not any("budget_violation" in line for line in res.footer)
+
+
+def _shipped_with(name, extra=""):
+    text = (CONFIGS / f"{name}.cfg").read_text() + "\n" + extra
+    return StudyConfig.from_text(text, source=name)
+
+
+def _below_echo(result):
+    return render_csv(result).splitlines()[len(result.echo):]
+
+
+def test_negate_switch_keeps_the_criterion_csv():
+    # cell criteria read |mean| and |dev|^2, which a sign flip leaves alone
+    plain = run_study("criterion", _shipped_with("sin_criterion"))
+    cfg = _shipped_with("sin_criterion", "family.negate = true\n")
+    negated = run_study("criterion", cfg)
+    assert negated.echo[-1] == ("family.negate", "true")
+    assert _below_echo(negated) == _below_echo(plain)
+
+
+def test_resample_switch_reads_its_keys():
+    cfg = _shipped_with(
+        "sin_criterion",
+        "family.resample = true\nfamily.resample_seed = 5\n"
+        "family.resample_amplitude = 0.25\n")
+    res = run_study("criterion", cfg)
+    assert cfg.unused_keys() == ()
+    assert len(res.rows) == 7
+    assert res.meta["family"].endswith("#resampled")
