@@ -8,10 +8,11 @@ sqrt(rho3) + sqrt(eta).
 """
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
+from .families import deviation_triple
 from .fields import matrix_abs
 from .lattice import Lattice, cells_inside, cell_integral, default_refine
 
@@ -26,10 +27,8 @@ class CriterionReport:
     rho3: float
     bound_m1m1: float
     bound_m10: float
-    argmax_cell: tuple
     quad_error: float = 0.0
     cell_count: int = 0
-    meta: dict = dc_field(default_factory=dict)
 
 
 def _family_refine(family, eps, eta, refine):
@@ -48,7 +47,7 @@ class NoCellsError(ValueError):
 def _deviation_cells(family, eps, eta, lattice, refine):
     lat = lattice or Lattice(family.dim)
     cells = cells_inside(lat, eta, family.domain)
-    if len(cells) == 0:
+    if not cells:
         raise NoCellsError(
             f"no lattice cells of size {eta} fit inside the domain"
         )
@@ -69,19 +68,14 @@ def criterion_report(family, eps, eta, lattice=None, refine=None):
     eta = float(eta)
     lat, cells, r = _deviation_cells(family, eps, eta, lattice, refine)
     measure = lat.cell_measure * eta ** family.dim
-    gammas = np.array(cells.gammas)
+    gammas = np.array(cells)
     rho1 = 0.0
     rho3 = 0.0
-    argmax = cells.gammas[0]
     quad_err = 0.0
-    for label, dev in family.deviations(eps):
+    for dev in deviation_triple(family, eps).components():
         integral, err, sq_int, sq_err = cell_integral(
             lat, gammas, eta, dev, r, squares=True)
-        vals = matrix_abs(integral) / measure
-        k = int(np.argmax(vals))
-        if vals[k] > rho1:
-            rho1 = float(vals[k])
-            argmax = cells.gammas[k]
+        rho1 = max(rho1, float(np.max(matrix_abs(integral) / measure)))
         rho3 = max(rho3, float(np.max(sq_int[:, 0, 0].real)) / measure)
         quad_err = max(quad_err, float(np.max(err)) / measure,
                        float(np.max(sq_err)) / measure)
@@ -92,7 +86,6 @@ def criterion_report(family, eps, eta, lattice=None, refine=None):
         rho3=rho3,
         bound_m1m1=rho1 + eta,
         bound_m10=math.sqrt(max(rho3, 0.0)) + math.sqrt(eta),
-        argmax_cell=tuple(argmax),
         quad_error=quad_err,
         cell_count=len(cells),
     )

@@ -13,6 +13,7 @@ with the same cell means.
 
 import math
 from dataclasses import dataclass, field as dc_field
+from itertools import zip_longest
 from typing import Callable
 
 import numpy as np
@@ -28,6 +29,9 @@ from .fields import (
 from .lattice import Lattice, cells_inside, cell_mean, default_refine
 from .ergodic import ErgodicSystem, expectation
 
+# smallest |det J| of a make_modulated "diffeo" phase on its sample grid
+JACOBIAN_TOL = 1e-8
+
 
 @dataclass(frozen=True)
 class FieldTriple:
@@ -38,10 +42,8 @@ class FieldTriple:
     p: tuple = ()
 
     def components(self):
-        out = [("v", self.v)]
-        out += [(f"q{j}", f) for j, f in enumerate(self.q)]
-        out += [(f"p{j}", f) for j, f in enumerate(self.p)]
-        return out
+        """The fields v, q_0, q_1, ..., p_0, p_1, ..., in that order."""
+        return [self.v, *self.q, *self.p]
 
 
 @dataclass(frozen=True)
@@ -59,28 +61,29 @@ class PerturbationFamily:
     eta_rule: Callable[[float], float]
     meta: dict = dc_field(default_factory=dict)
 
-    def deviations(self, eps):
-        """Deviation fields (eps components minus limit components).
 
-        An eps component whose limit is absent or identically zero (a
-        declared bound of 0) is its own deviation: subtracting zero would
-        change no value and cost a pass over every evaluation.
-        """
-        trip = self.at(eps)
-        eps_parts = dict(trip.components())
-        lim_parts = dict(self.limit.components())
-        labels = sorted(set(eps_parts) | set(lim_parts))
-        out = []
-        for lab in labels:
-            a = eps_parts.get(lab)
-            b = lim_parts.get(lab)
-            if a is not None and (b is None or b.sup_bound == 0.0):
-                out.append((lab, a))
-                continue
-            if a is None:
-                a = zero_field(self.dim, self.ncomp, self.domain)
-            out.append((lab, sub_fields(a, b)))
-        return out
+def deviation_triple(family, eps):
+    """Deviation fields (eps minus limit), paired by position in v, q, p.
+
+    A missing component counts as zero.  An eps component whose limit is
+    absent or identically zero (a declared bound of 0) is its own
+    deviation: subtracting zero would cost a pass over every evaluation.
+    """
+
+    def deviation(a, b):
+        if a is not None and (b is None or b.sup_bound == 0.0):
+            return a
+        if a is None:
+            a = zero_field(family.dim, family.ncomp, family.domain)
+        return sub_fields(a, b)
+
+    trip = family.at(eps)
+    lim = family.limit
+    return FieldTriple(
+        v=deviation(trip.v, lim.v),
+        q=tuple(deviation(a, b) for a, b in zip_longest(trip.q, lim.q)),
+        p=tuple(deviation(a, b) for a, b in zip_longest(trip.p, lim.p)),
+    )
 
 
 def _sqrt_rule(eps):
@@ -160,8 +163,7 @@ def make_sparse(centers, rho4, rho5, bump_profile, amplitude, domain,
                     out[mask] += bump_profile(r[mask])[:, None, None] * amp
             return out
 
-        v = CoefficientField(dim, n, func, amp_norm * prof_sup, domain,
-                             "sparse bumps")
+        v = CoefficientField(dim, n, func, amp_norm * prof_sup, domain)
         return FieldTriple(v=v)
 
     zero = zero_field(dim, n, domain)
@@ -192,8 +194,7 @@ def make_stabilizing(vfun, v0, rho6, domain, ncomp=1, sup_bound=1.0,
         def func(pts):
             return vfun(pts, pts / eps)
 
-        v = CoefficientField(domain.dim, ncomp, func, sup_bound, domain,
-                             "stabilizing")
+        v = CoefficientField(domain.dim, ncomp, func, sup_bound, domain)
         return FieldTriple(v=v)
 
     return PerturbationFamily(
@@ -230,8 +231,7 @@ def make_locally_periodic(vfun, scales, v0, rho8, domain, ncomp=1,
             xis = [pts / sv for sv in svals]
             return vfun(pts, *xis)
 
-        v = CoefficientField(domain.dim, ncomp, func, sup_bound, domain,
-                             "locally periodic")
+        v = CoefficientField(domain.dim, ncomp, func, sup_bound, domain)
         return FieldTriple(v=v)
 
     def rate(eps):
@@ -257,8 +257,7 @@ def make_locally_periodic(vfun, scales, v0, rho8, domain, ncomp=1,
     )
 
 
-def make_almost_periodic(terms, domain, ncomp=1, rho9=None,
-                         name="almost_periodic"):
+def make_almost_periodic(terms, domain, ncomp=1, name="almost_periodic"):
     """Trigonometric-sum potentials sum_a T_a exp(i a . x / eps).
 
     terms is a list of (alpha, amplitude) with alpha a d-vector of real
@@ -290,12 +289,8 @@ def make_almost_periodic(terms, domain, ncomp=1, rho9=None,
                 out += phase[:, None, None] * mat
             return out
 
-        v = CoefficientField(dim, n, func, sup, domain, "almost periodic")
+        v = CoefficientField(dim, n, func, sup, domain)
         return FieldTriple(v=v)
-
-    def rate(eps):
-        extra = float(rho9(eps)) if rho9 is not None else 0.0
-        return _ap_rate(osc, eps) + extra
 
     max_alpha = max((float(np.max(np.abs(a))) for a, _ in osc), default=1.0)
 
@@ -306,7 +301,7 @@ def make_almost_periodic(terms, domain, ncomp=1, rho9=None,
         domain=domain,
         at=build,
         limit=FieldTriple(v=constant_field(dim, lim_mat, domain)),
-        rate=rate,
+        rate=lambda eps: _ap_rate(osc, eps),
         finest_scale=lambda eps: 2 * math.pi * eps / max_alpha,
         eta_rule=_sqrt_rule,
     )
@@ -351,8 +346,7 @@ def implicit_eta(p0, eps, r_max=1.0, iters=80):
 
 
 def make_modulated(vfun, phi, phi_jacobian, domain, kind, v0, rho8,
-                   ncomp=1, sup_bound=1.0, p0=None, name="modulated",
-                   jacobian_tol=1e-8):
+                   ncomp=1, sup_bound=1.0, p0=None, name="modulated"):
     """Phase-modulated potentials V(x, phi(x)/eps).
 
     vfun(x_pts, xi_pts) is 1-periodic in xi (after rescaling by the
@@ -374,7 +368,7 @@ def make_modulated(vfun, phi, phi_jacobian, domain, kind, v0, rho8,
               for j in range(dim)], indexing="ij"),
             axis=-1).reshape(-1, dim)
         dets = np.abs(phi_jacobian(pts))
-        if float(dets.min()) < jacobian_tol:
+        if float(dets.min()) < JACOBIAN_TOL:
             raise ValueError(
                 f"modulating phase is not a diffeomorphism: |det J| min = {dets.min()}"
             )
@@ -387,7 +381,7 @@ def make_modulated(vfun, phi, phi_jacobian, domain, kind, v0, rho8,
         def func(pts):
             return vfun(pts, phi(pts) / eps)
 
-        v = CoefficientField(dim, ncomp, func, sup_bound, domain, "modulated")
+        v = CoefficientField(dim, ncomp, func, sup_bound, domain)
         return FieldTriple(v=v)
 
     if kind == "diffeo":
@@ -438,7 +432,7 @@ def make_fractal(vfun, v0, rho8, domain, ncomp=1, sup_bound=1.0,
                 xis.append(prod / eps ** (j + 1))
             return vfun(pts, *xis)
 
-        v = CoefficientField(dim, ncomp, func, sup_bound, domain, "fractal")
+        v = CoefficientField(dim, ncomp, func, sup_bound, domain)
         return FieldTriple(v=v)
 
     # worst oscillation length: deepest phase at the largest coordinates
@@ -489,7 +483,7 @@ def make_random(system: ErgodicSystem, domain, seed, rate=None,
             return system.observe(om)
 
         v = CoefficientField(domain.dim, system.ncomp, func,
-                             system.sup_bound, domain, "random rotation")
+                             system.sup_bound, domain)
         return FieldTriple(v=v)
 
     max_flow = float(np.max(np.abs(system.flow)))
@@ -552,17 +546,17 @@ def cell_resample(family, seed, amplitude=0.5, lattice=None):
         refine += refine % 2  # keep the half-cell split on a panel boundary
         rng = np.random.default_rng([seed, int(1e9 * eps) & 0x7FFFFFFF])
         means, _ = cell_mean(
-            lat, np.reshape(cells.gammas, (len(cells), lat.dim)), eta, trip.v,
+            lat, np.reshape(cells, (len(cells), lat.dim)), eta, trip.v,
             refine)
-        bumps = [rng.uniform(-amplitude, amplitude) for _ in cells.gammas]
+        bumps = [rng.uniform(-amplitude, amplitude) for _ in cells]
         corners = np.array(
-            [eta * lat.point(np.array(z)) for z in cells.gammas]
-        ).reshape(len(cells.gammas), family.dim)
+            [eta * lat.point(np.array(z)) for z in cells]
+        ).reshape(len(cells), family.dim)
         widths = eta * np.diag(lat.basis)
 
         def func(pts):
             out = trip.v(pts)
-            for k in range(len(cells.gammas)):
+            for k in range(len(cells)):
                 lo = corners[k]
                 hi = corners[k] + widths
                 inside = np.all((pts >= lo) & (pts < hi), axis=1)
@@ -577,8 +571,7 @@ def cell_resample(family, seed, amplitude=0.5, lattice=None):
 
         v = CoefficientField(
             family.dim, family.ncomp, func,
-            trip.v.sup_bound + amplitude * family.ncomp,
-            family.domain, "cell resample",
+            trip.v.sup_bound + amplitude * family.ncomp, family.domain,
         )
         return FieldTriple(v=v, q=trip.q, p=trip.p)
 

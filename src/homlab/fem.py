@@ -17,7 +17,7 @@ TwoProduct with Dekker-split factors (the matrix diagonals are split once
 per factorization, the iterate once per residual) and Knuth's TwoSum.
 """
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -297,13 +297,10 @@ def _restrict(mat, space: FeSpace):
 class DiscreteOperator:
     """Assembled base form with its Gram matrices and dof bookkeeping."""
 
-    spec: OperatorSpec
     space: FeSpace
     base_form: sp.csr_matrix
     gram_h1: sp.csr_matrix
     gram_l2: sp.csr_matrix
-    bc_mask: np.ndarray
-    meta: dict = dc_field(default_factory=dict)
 
     @property
     def dof(self):
@@ -333,12 +330,10 @@ def assemble_base(spec: OperatorSpec, mesh: Mesh1D, refine=1) -> DiscreteOperato
         if asym > 1e-12 * scale:
             raise NumericalBreach("Gram matrix lost hermiticity")
     return DiscreteOperator(
-        spec=spec,
         space=space,
         base_form=base_r,
         gram_h1=gram,
         gram_l2=mass_r,
-        bc_mask=space.bc_mask(),
     )
 
 
@@ -347,7 +342,6 @@ class PerturbationMatrix:
     """Assembled first-order-plus-potential perturbation form."""
 
     matrix: sp.csr_matrix
-    labels: tuple
 
 
 def assemble_perturbation(space: FeSpace, q=(), p=(), v=None,
@@ -359,24 +353,20 @@ def assemble_perturbation(space: FeSpace, q=(), p=(), v=None,
     triple with Q = -P and V = Q' assembles to the zero form.
     """
     mesh = space.mesh
-    labels = []
     total = None
-    for j, qf in enumerate(q):
+    for qf in q:
         mat = _form_matrix(mesh, space.ncomp, aplus=qf, refine=refine)
         total = mat if total is None else total + mat
-        labels.append(f"q{j}")
-    for j, pf in enumerate(p):
+    for pf in p:
         mat = _form_matrix(mesh, space.ncomp, aminus=pf, refine=refine)
         total = mat if total is None else total + mat
-        labels.append(f"p{j}")
     if v is not None:
         mat = _form_matrix(mesh, space.ncomp, a0=v, refine=refine)
         total = mat if total is None else total + mat
-        labels.append("v")
     if total is None:
         size = (mesh.n_elements + 1) * space.ncomp
         total = sp.csr_matrix((size, size), dtype=complex)
-    return PerturbationMatrix(_restrict(total, space), tuple(labels))
+    return PerturbationMatrix(_restrict(total, space))
 
 
 def assemble_triple(space, triple, refine=1):

@@ -63,7 +63,6 @@ class CoefficientField:
     func: Callable[[np.ndarray], np.ndarray]
     sup_bound: float
     domain: Optional[Box] = None
-    label: str = ""
 
     def __call__(self, points):
         pts = np.asarray(points, dtype=float)
@@ -82,7 +81,7 @@ class CoefficientField:
         return vals[0] if single else vals
 
 
-def constant_field(dim, value, domain=None, label=""):
+def constant_field(dim, value, domain=None):
     """Constant matrix field.  Scalars become 1x1 matrices."""
     mat = np.atleast_2d(np.asarray(value, dtype=complex))
     if mat.shape[0] != mat.shape[1]:
@@ -92,20 +91,20 @@ def constant_field(dim, value, domain=None, label=""):
     def func(pts):
         return np.broadcast_to(mat, (pts.shape[0], n, n)).copy()
 
-    return CoefficientField(dim, n, func, float(matrix_abs(mat)), domain, label)
+    return CoefficientField(dim, n, func, float(matrix_abs(mat)), domain)
 
 
 def zero_field(dim, ncomp, domain=None):
-    return constant_field(dim, np.zeros((ncomp, ncomp)), domain, "zero")
+    return constant_field(dim, np.zeros((ncomp, ncomp)), domain)
 
 
-def scalar_field(dim, f, sup_bound, domain=None, label=""):
+def scalar_field(dim, f, sup_bound, domain=None):
     """Wrap a scalar closure f((m, dim)) -> (m,) as a 1x1 matrix field."""
 
     def func(pts):
         return np.asarray(f(pts), dtype=complex).reshape(pts.shape[0], 1, 1)
 
-    return CoefficientField(dim, 1, func, float(sup_bound), domain, label)
+    return CoefficientField(dim, 1, func, float(sup_bound), domain)
 
 
 def _common_domain(a, b):

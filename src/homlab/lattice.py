@@ -23,7 +23,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .fields import Box, matrix_abs
+from .fields import matrix_abs
 
 MAX_REFINE = 4096
 GAUSS_ORDER = 4
@@ -70,24 +70,12 @@ class Lattice:
         return eta * verts
 
 
-@dataclass(frozen=True)
-class CellIndexSet:
-    """Integer indices z of the cells eta*(cell + point(z)) inside a box."""
-
-    lattice: Lattice
-    eta: float
-    domain: Box
-    gammas: tuple
-
-    def __len__(self):
-        return len(self.gammas)
-
-
 def cells_inside(lattice, eta, box):
-    """All lattice cells at scale eta contained in the box.
+    """Integer indices z of the cells eta*(cell + point(z)) inside a box.
 
-    Containment is decided by testing every cell vertex against the closed
-    box with a relative tolerance, so cells touching the boundary count.
+    Returns the indices as a sorted tuple of int tuples.  Containment is
+    decided by testing every cell vertex against the closed box with a
+    relative tolerance, so cells touching the boundary count.
     """
     eta = float(eta)
     if eta <= 0:
@@ -111,8 +99,7 @@ def cells_inside(lattice, eta, box):
         verts = lattice.cell_vertices(zz, eta)
         if np.all(verts >= lo - pad) and np.all(verts <= hi + pad):
             gammas.append(tuple(int(v) for v in zz))
-    gammas.sort()
-    return CellIndexSet(lattice, eta, box, tuple(gammas))
+    return tuple(sorted(gammas))
 
 
 @lru_cache(maxsize=64)

@@ -40,9 +40,8 @@ def _build_regular_sin(cfg):
 
     def v_of_eps(eps):
         return scalar_field(
-            1, lambda pts: amp * np.sin(freq * pts[:, 0] / eps),
-            abs(amp), box, "oscillating sine",
-        )
+            1, lambda pts: amp * np.sin(freq * pts[:, 0] / eps), abs(amp),
+            box)
 
     return make_regular(
         v_of_eps,
@@ -66,9 +65,7 @@ def _build_sign_sin(cfg):
 
     def v_of_eps(eps):
         return scalar_field(
-            1, lambda pts: np.sign(np.sin(freq * pts[:, 0] / eps)),
-            1.0, box, "square wave",
-        )
+            1, lambda pts: np.sign(np.sin(freq * pts[:, 0] / eps)), 1.0, box)
 
     return make_regular(
         v_of_eps,
@@ -169,8 +166,7 @@ def _build_two_scale_linear(cfg):
         vals = amp * pts[:, 0] * (1.0 + np.cos(2 * math.pi * xi[:, 0]))
         return vals.reshape(-1, 1, 1).astype(complex)
 
-    v0 = scalar_field(1, lambda pts: amp * pts[:, 0], abs(amp) * span, box,
-                      "linear limit")
+    v0 = scalar_field(1, lambda pts: amp * pts[:, 0], abs(amp) * span, box)
     return make_locally_periodic(
         vfun, [lambda eps: eps],
         v0,

@@ -5,7 +5,8 @@ their factorizations; every norm of a resolvent expression is an induced
 norm between the discrete H1 space and its dual, evaluated matrix-free
 with plain LU solves.  Resolvent differences are applied through the
 identity R_eps - S_N = (-R_0 L)^(N+1) R_eps (S_N the order-N series,
-S_-1 = 0), so no norm measures a difference of nearby solutions.
+S_-1 = 0), so no norm measures a difference of nearby solutions; the
+resolvent difference kappa = |R_eps - R_0| is the order-0 remainder.
 """
 
 import math
@@ -14,12 +15,11 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from . import criteria
-from .families import FieldTriple
+from .families import deviation_triple
 from .fem import (LinearSolver, NumericalBreach, assemble_base,
                   assemble_triple, build_mesh, column_norms, mesh_rule,
                   perturbation_refine)
-from .norms import Space, induced_norm, kappa as kappa_norm, \
-    norm_v_to_vstar
+from .norms import Space, induced_norm, norm_v_to_vstar
 
 SOLVE_RTOL = 1e-10
 # entries per column block of identity_residual's loads: 2**14 solved the
@@ -37,7 +37,6 @@ class ResolventContext:
     """Shifted base and perturbed forms with shared factorizations."""
 
     op: object
-    lam: complex
     G0: object
     Geps: object
     L: object
@@ -77,41 +76,6 @@ class ResolventContext:
                 )
 
 
-def make_context(op, lam, pert, geps, meta=None):
-    """Assemble shifted forms; cross-check the two assembly routes.
-
-    pert is the perturbation matrix (difference form); geps the fully
-    assembled perturbed form.  They must agree: the identity
-    Geps = G0 + L is enforced entrywise to 1e-12 of the matrix scale.
-
-    The difference form used operationally is always the entrywise
-    difference of the two factored matrices.  Nearby entries subtract
-    exactly in floating point, so the discrete second-resolvent identity
-    holds to roundoff of the difference itself, not of the full forms.
-    """
-    G0 = (op.base_form - lam * op.gram_l2).tocsr()
-    Geps = geps.tocsr()
-    scale = max(_max_entry(Geps), _max_entry(G0))
-    gap = _max_entry(Geps - (G0 + pert.tocsr()))
-    if gap > 1e-12 * scale:
-        raise NumericalBreach(
-            f"perturbed form disagrees with base + difference by {gap:.3e} "
-            f"(scale {scale:.3e})"
-        )
-    L = (Geps - G0).tocsr()
-    return ResolventContext(
-        op=op,
-        lam=lam,
-        G0=G0,
-        Geps=Geps,
-        L=L,
-        LH=L.getH().tocsr(),
-        solver0=LinearSolver(G0),
-        solver_eps=LinearSolver(Geps),
-        meta=dict(meta or {}),
-    )
-
-
 def _series_remainder(ctx, f, order, adjoint=False):
     """(R_eps - S_N) f = (-R_0 L)^(N+1) R_eps f, or its adjoint."""
     if adjoint:
@@ -133,7 +97,6 @@ def resolvent_norm(ctx, which="eps", seed=1234):
         lambda g: solver.quick(g, adjoint=True),
         h1.star(), h1,
         seed=seed,
-        labels=(f"resolvent_{which}", "gram_h1"),
     )
 
 
@@ -154,19 +117,20 @@ def contraction_norm(ctx, seed=1234):
         lambda g: ctx.solver0.quick(ctx.LH @ g, adjoint=True),
         dual, dual,
         seed=seed,
-        labels=("difference_form", "resolvent_base", "gram_h1"),
     )
 
 
 def truncation_error_norm(ctx, order, seed=1234):
-    """Norm of R_eps minus the order-N series, dual space into H1."""
+    """Norm of R_eps minus the order-N series, dual space into H1.
+
+    Order 0 is the resolvent difference kappa = |R_eps - R_0|.
+    """
     h1 = Space(ctx.op.gram_h1)
     return induced_norm(
         lambda f: _series_remainder(ctx, f, order),
         lambda g: _series_remainder(ctx, g, order, adjoint=True),
         h1.star(), h1,
         seed=seed,
-        labels=("resolvent_eps", "series", "gram_h1"),
     )
 
 
@@ -174,7 +138,6 @@ def truncation_error_norm(ctx, order, seed=1234):
 class TruncationReport:
     """Truncated-series errors against their certified envelope."""
 
-    lam: complex
     norm_L: float
     c2: float
     contraction: float
@@ -212,7 +175,6 @@ def truncation_study(ctx, orders=(0, 1, 2, 3), seed=1234):
         })
         prev = err
     return TruncationReport(
-        lam=ctx.lam,
         norm_L=rep_L.value,
         c2=c2,
         contraction=rep_c.value,
@@ -220,22 +182,6 @@ def truncation_study(ctx, orders=(0, 1, 2, 3), seed=1234):
         divergent=rep_c.value >= 1.0,
         flagged=flagged,
     )
-
-
-def deviation_triple(family, eps):
-    """Deviation-from-limit fields regrouped as an assembly triple."""
-    devs = family.deviations(eps)
-    v = None
-    qs = []
-    ps = []
-    for label, field_ in devs:
-        if label == "v":
-            v = field_
-        elif label.startswith("q"):
-            qs.append(field_)
-        elif label.startswith("p"):
-            ps.append(field_)
-    return FieldTriple(v=v, q=tuple(qs), p=tuple(ps))
 
 
 def assemble_setting(op_spec, family, eps, min_elements=64, cap_dof=8192):
@@ -267,27 +213,37 @@ def assemble_setting(op_spec, family, eps, min_elements=64, cap_dof=8192):
 
 
 def context_from_setting(setting, lam):
-    """Shift an assembled setting and factor it into a context."""
+    """Shift an assembled setting into a factored, cross-checked context.
+
+    G0 = base + x_lim - lam M and Geps = base + x_eps - lam M must agree
+    with the deviation route: Geps = G0 + x_dev entrywise to 1e-12 of the
+    matrix scale.  The difference form L is the entrywise Geps - G0;
+    nearby entries subtract exactly, so the second-resolvent identity
+    holds to roundoff of the difference, not of the full forms.  The
+    context keeps the unshifted operator, for its H1 Gram.
+    """
     op = setting["op"]
-    full = (op.base_form + setting["x_eps"] - lam * op.gram_l2).tocsr()
-    op_shift = op.__class__(
-        spec=op.spec,
-        space=op.space,
-        base_form=(op.base_form + setting["x_lim"]).tocsr(),
-        gram_h1=op.gram_h1,
-        gram_l2=op.gram_l2,
-        bc_mask=op.bc_mask,
-        meta=dict(op.meta),
+    G0 = ((op.base_form + setting["x_lim"]).tocsr()
+          - lam * op.gram_l2).tocsr()
+    Geps = (op.base_form + setting["x_eps"] - lam * op.gram_l2).tocsr()
+    scale = max(_max_entry(Geps), _max_entry(G0))
+    gap = _max_entry(Geps - (G0 + setting["x_dev"]))
+    if gap > 1e-12 * scale:
+        raise NumericalBreach(
+            f"perturbed form disagrees with base + difference by {gap:.3e} "
+            f"(scale {scale:.3e})"
+        )
+    L = (Geps - G0).tocsr()
+    return ResolventContext(
+        op=op,
+        G0=G0,
+        Geps=Geps,
+        L=L,
+        LH=L.getH().tocsr(),
+        solver0=LinearSolver(G0),
+        solver_eps=LinearSolver(Geps),
+        meta=dict(setting["meta"]),
     )
-    return make_context(op_shift, lam, pert=setting["x_dev"], geps=full,
-                        meta=dict(setting["meta"]))
-
-
-def build_setting(op_spec, family, eps, lam, min_elements=64, cap_dof=8192):
-    """Mesh, assemble, shift, and factor everything one epsilon needs."""
-    setting = assemble_setting(op_spec, family, eps,
-                               min_elements=min_elements, cap_dof=cap_dof)
-    return context_from_setting(setting, lam)
 
 
 def identity_residual(ctx, n_rhs=20, seed=1234):
@@ -341,8 +297,7 @@ def convergence_row(family, eps, lam, setting, seed=1234,
         exponents=eta_exponents or criteria.DEFAULT_ETA_EXPONENTS,
         lattice=lattice,
     )
-    rep_kappa = kappa_norm(ctx.solver_eps.quick, ctx.solver0.quick, ctx.L,
-                           ctx.op.gram_h1, seed=seed)
+    rep_kappa = truncation_error_norm(ctx, 0, seed)
     rep_L = perturbation_norm(ctx, seed)
     return {
         "eps": eps,

@@ -15,12 +15,13 @@ import numpy as np
 
 from . import criteria, registry
 from .config import ConfigError
+from .families import deviation_triple
 from .fem import (assemble_base, assemble_triple, build_mesh,
                   default_operator, mesh_rule, perturbation_refine)
 from .fields import matrix_abs, sampled_sup
 from .norms import find_lambda, norm_m1m1, norm_m10, norm_v_to_vstar
-from .resolvent import (assemble_setting, build_setting, convergence_row,
-                        convergence_verdict, deviation_triple,
+from .resolvent import (assemble_setting, context_from_setting,
+                        convergence_row, convergence_verdict,
                         truncation_study)
 
 STUDY_KINDS = ("criterion", "homogenize", "norm", "resolvent", "neumann")
@@ -30,7 +31,6 @@ STUDY_KINDS = ("criterion", "homogenize", "norm", "resolvent", "neumann")
 class StudyResult:
     """One finished study: rows plus provenance for the CSV header."""
 
-    kind: str
     fieldnames: tuple
     rows: tuple
     footer: tuple = ()
@@ -200,7 +200,11 @@ def criterion_study(cfg, seed=1234, threads=1):
     exponents = _criterion_exponents(cfg)
     objective = cfg.get_str("criterion.objective", "m1m1")
     lattice = _lattice_for(cfg, family)
-    refine = cfg.get_int("criterion.refine", 0) or None
+    refine = cfg.get_int("criterion.refine", 0)
+    if refine < 0:
+        raise ConfigError("criterion.refine must be nonnegative (0 derives "
+                          "it from the family)")
+    refine = refine or None
 
     def one(i, eps):
         eta, rep = criteria.optimize_eta(family, eps, exponents, lattice,
@@ -224,7 +228,6 @@ def criterion_study(cfg, seed=1234, threads=1):
         _fit_line("bound_m10", eps_col, [r["bound_m10"] for r in rows]),
     ]
     return StudyResult(
-        kind="criterion",
         fieldnames=("eps", "eta", "rho1", "rho3", "bound_m1m1", "bound_m10",
                     "quad_error", "cell_count", "predicted"),
         rows=tuple(rows),
@@ -286,7 +289,6 @@ def homogenize_study(cfg, seed=1234, threads=1):
         f"(gap {final_gap:.6g} vs budget {budget:.6g})",
     ]
     return StudyResult(
-        kind="homogenize",
         fieldnames=("eps", "mu", "declared_gap", "pair_gap"),
         rows=tuple(rows),
         footer=tuple(footer),
@@ -374,7 +376,6 @@ def norm_study(cfg, seed=1234, threads=1):
         footer.append("# flagged_rows=" + ";".join(f"{e:g}"
                                                    for e in flagged_eps))
     return StudyResult(
-        kind="norm",
         fieldnames=fieldnames,
         rows=tuple(rows),
         footer=tuple(footer),
@@ -460,7 +461,6 @@ def resolvent_study(cfg, seed=1234, threads=1):
                   "bound_m1m1", "bound_m10", "kappa", "norm_L",
                   "identity_err", "predicted", "flagged")
     return StudyResult(
-        kind="resolvent",
         fieldnames=fieldnames,
         rows=tuple(rows),
         footer=tuple(footer),
@@ -478,8 +478,10 @@ def neumann_study(cfg, seed=1234, threads=1):
     eps = cfg.get_float("study.eps")
     if eps <= 0:
         raise ConfigError("study.eps must be positive")
-    orders = tuple(int(o) for o in cfg.get_floats("schedule.orders",
-                                                  (0.0, 1.0, 2.0, 3.0, 4.0)))
+    orders = cfg.get_floats("schedule.orders", (0.0, 1.0, 2.0, 3.0, 4.0))
+    if not all(o.is_integer() for o in orders):
+        raise ConfigError("schedule.orders must be whole numbers")
+    orders = tuple(int(o) for o in orders)
     if any(o < 0 for o in orders) or list(orders) != sorted(set(orders)):
         raise ConfigError("schedule.orders must be increasing and nonnegative")
     lam = cfg.get_float("operator.shift", -2.0)
@@ -487,7 +489,8 @@ def neumann_study(cfg, seed=1234, threads=1):
         raise ConfigError("operator.shift must be negative")
     op_spec = _operator_spec(cfg, family)
     opts = _mesh_opts(cfg)
-    ctx = build_setting(op_spec, family, eps, lam, **opts)
+    ctx = context_from_setting(assemble_setting(op_spec, family, eps, **opts),
+                               lam)
     rep = truncation_study(ctx, orders, seed=seed)
     rows = [dict(r) for r in rep.rows]
     footer = [
@@ -501,7 +504,6 @@ def neumann_study(cfg, seed=1234, threads=1):
         footer.append("# norm_flagged: some norm missed its residual "
                       "tolerance")
     return StudyResult(
-        kind="neumann",
         fieldnames=("order", "error", "bound", "ratio_vs_prev"),
         rows=tuple(rows),
         footer=tuple(footer),

@@ -68,6 +68,26 @@ def test_bad_schedule_exits_2(tmp_path, capsys):
     assert code == 2
 
 
+def test_negative_criterion_refine_exits_2(tmp_path, capsys):
+    # 0 derives the refine from the family; a negative one was read as 1
+    path = tmp_path / "refine.cfg"
+    path.write_text(CRIT_CFG.replace("criterion.refine = 64",
+                                     "criterion.refine = -3"))
+    code = main(["criterion", "--config", str(path), "--out", "-"])
+    assert code == 2
+    assert "criterion.refine" in capsys.readouterr().err
+
+
+def test_fractional_series_orders_exit_2(tmp_path, capsys):
+    # int() used to truncate them to 0, 1, 2 and exit 0
+    path = tmp_path / "orders.cfg"
+    path.write_text("study.kind = neumann\nfamily.name = regular_sin\n"
+                    "study.eps = 0.05\nschedule.orders = 0.5, 1.5, 2.5\n")
+    code = main(["neumann", "--config", str(path), "--out", "-"])
+    assert code == 2
+    assert "schedule.orders" in capsys.readouterr().err
+
+
 def test_kind_mismatch_exits_2(tmp_path, crit_cfg):
     assert main(["norm", "--config", str(crit_cfg), "--out", "-"]) == 2
 

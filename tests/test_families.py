@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from homlab.ergodic import ErgodicSystem
-from homlab.families import (FieldTriple, cell_resample, implicit_eta,
-                             make_almost_periodic, make_locally_periodic,
+from homlab.families import (FieldTriple, cell_resample, deviation_triple,
+                             implicit_eta, make_almost_periodic, make_locally_periodic,
                              make_random, make_regular, make_sparse,
                              make_stabilizing, negate)
 from homlab.fields import (Box, CoefficientField, constant_field, scalar_field,
@@ -27,8 +27,7 @@ def _regular_sin():
 def test_regular_family_deviations_match_definition():
     fam = _regular_sin()
     pts = np.linspace(0.1, 0.9, 7)[:, None]
-    devs = dict(fam.deviations(0.25))
-    got = devs["v"](pts)[:, 0, 0]
+    got = deviation_triple(fam, 0.25).v(pts)[:, 0, 0]
     assert np.allclose(got, 0.25 * np.sin(pts[:, 0]), atol=1e-15)
     assert fam.rate(0.25) == pytest.approx(0.25)
 
@@ -55,25 +54,37 @@ def test_zero_or_absent_limit_is_not_subtracted():
 
     fam = make_regular(at, lim, lambda eps: eps, UNIT)
     pts = np.linspace(0.0, 1.0, 11)[:, None]
-    devs = dict(fam.deviations(0.25))
-    parts = dict(at(0.25).components())
-    assert sorted(devs) == ["q0", "v"]
-    for lab, ref in (("v", sub_fields(parts["v"], lim)),
-                     ("q0", sub_fields(parts["q0"], zero_field(1, 1, UNIT)))):
+    dev = deviation_triple(fam, 0.25)
+    parts = at(0.25)
+    assert (len(dev.q), len(dev.p)) == (1, 0)
+    for got, ref in ((dev.v, sub_fields(parts.v, lim)),
+                     (dev.q[0], sub_fields(parts.q[0],
+                                           zero_field(1, 1, UNIT)))):
         calls.clear()
-        assert np.array_equal(devs[lab](pts), ref(pts))
-        assert devs[lab].sup_bound == ref.sup_bound
-        assert devs[lab].domain == ref.domain
+        assert np.array_equal(got(pts), ref(pts))
+        assert got.sup_bound == ref.sup_bound
+        assert got.domain == ref.domain
     calls.clear()
-    devs["v"](pts)
+    dev.v(pts)
     assert calls == []
+
+
+def test_deviation_triple_keeps_weight_order():
+    # eleven weights: ordering them by a text label would put q10 third
+    weights = tuple(constant_field(1, j + 1.0, UNIT) for j in range(11))
+    fam = make_regular(
+        lambda eps: FieldTriple(v=zero_field(1, 1, UNIT), q=weights),
+        zero_field(1, 1, UNIT), lambda eps: eps, UNIT)
+    point = np.array([[0.5]])
+    got = [q(point)[0, 0, 0].real for q in deviation_triple(fam, 0.1).q]
+    assert got == [float(j) for j in range(1, 12)]
 
 
 def test_identical_family_has_zero_deviations():
     v0 = constant_field(1, 3.0, UNIT)
     fam = make_regular(lambda eps: v0, v0, lambda eps: 0.0, UNIT)
     pts = np.linspace(0.0, 1.0, 11)[:, None]
-    for _, dev in fam.deviations(0.01):
+    for dev in deviation_triple(fam, 0.01).components():
         assert np.abs(dev(pts)).max() == 0.0
 
 
@@ -234,7 +245,7 @@ def test_cell_resample_preserves_cell_integrals():
     eta = fam.eta_rule(eps)
     cells = cells_inside(Lattice(1), eta, UNIT)
     refine = 512
-    for z in cells.gammas:
+    for z in cells:
         orig, _ = cell_integral(Lattice(1), np.array(z), eta,
                                 fam.at(eps).v, refine)
         new, _ = cell_integral(Lattice(1), np.array(z), eta,
@@ -242,8 +253,7 @@ def test_cell_resample_preserves_cell_integrals():
         assert abs(new[0, 0] - orig[0, 0]) < 1e-10
 
 
-def test_field_triple_component_labels():
-    v = zero_field(1, 1, UNIT)
-    trip = FieldTriple(v=v, q=(v,), p=(v, v))
-    labels = [lab for lab, _ in trip.components()]
-    assert labels == ["v", "q0", "p0", "p1"]
+def test_field_triple_component_order():
+    v, q0, p0, p1 = (constant_field(1, c, UNIT) for c in (1.0, 2.0, 3.0, 4.0))
+    trip = FieldTriple(v=v, q=(q0,), p=(p0, p1))
+    assert trip.components() == [v, q0, p0, p1]

@@ -107,7 +107,7 @@ def test_linearity_property(c1, c2, x):
 
 def test_field_shape_mismatch_raises():
     bad = CoefficientField(
-        1, 2, lambda pts: np.zeros((pts.shape[0], 1, 1)), 1.0, UNIT, "bad"
+        1, 2, lambda pts: np.zeros((pts.shape[0], 1, 1)), 1.0, UNIT
     )
     with pytest.raises(ValueError):
         bad(np.array([[0.5]]))

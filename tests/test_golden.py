@@ -1,11 +1,24 @@
-"""The shipped configs end to end: each study shows the outcome it is for.
+"""The shipped configs end to end: each study shows the outcome it is for,
+and writes the bytes it wrote before.
 
 Resolvent studies converge except the sign_resolvent negative control,
 sin_norm stays within its chain budget, the two-scale limit is
 consistent, and the sin_neumann series errors stay below their envelope.
 No norm in any of them may be flagged.
+
+Every shipped config's CSV text (render_csv, seed 1234) must match the
+SHA-256 digest recorded in DIGESTS.  The digests are bytes of one-BLAS-
+thread runs under NumPy 2.4 and SciPy 1.17 with their bundled OpenBLAS
+0.3.31 on x86-64; another thread count, BLAS build or library version
+may move the last digits.  A change that moves bytes on purpose updates
+the table and names each moved file in CHANGES.md.
+
+Each config runs once per test run; the verdict tests share that run.
 """
 
+import hashlib
+import os
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
@@ -16,11 +29,54 @@ from homlab.study import render_csv, run_study
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 RESOLVENTS = sorted(p.stem for p in CONFIGS.glob("*_resolvent.cfg"))
 NEGATIVE_CONTROLS = {"sign_resolvent"}
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+DIGESTS = {
+    "almost_periodic_criterion": "ebbaae9397281040ce70d4ae6d985e9aa8b88a23dd15853274b728f8fe149c39",
+    "almost_periodic_resolvent": "0905f973a9672cc43a5ac0c0c049421a48566b1d3828a09bae1ce2c4899d48fc",
+    "fractal_criterion": "fcc897eeab7207c76f334650406c8230285844e8e16615b97e026050186c78e2",
+    "locally_periodic2_criterion": "6bb9ebffe9930eb8852498714677ad4de497afb9d78414b8eaeba108fe9443b3",
+    "locally_periodic2_resolvent": "bc1cde5f6546aae44664cc2c451a07e53bd70a5e97986d443092acbc0169ec3d",
+    "locally_periodic_criterion": "ab1a7486a459e6ab30474c8ad3bde1f8a33d0494d603ff8bf1a57cf33a5446b1",
+    "locally_periodic_resolvent": "d8efd73d62559215a66d7e2976c18390b69cd24aa1484e2aabd12adbdb6d7566",
+    "modulated_diffeo_criterion": "02b6c65b31e7e92dcc7c7a72b266cfed030bb6987e4964e361d3157d3d5931a5",
+    "modulated_diffeo_resolvent": "9fc7b7d5b3687164eb9a7a695cc88a8081c85c3b00ce9a202c04005bb2f4af59",
+    "modulated_periodic_criterion": "d85afdea8a5dba31beae3577ea09f3148580bb2572387d2d48fb2defe2b91394",
+    "modulated_periodic_resolvent": "dbc8c768084c395a4c626ae696894c7b0ff04cd3c2b3582489bfe47395dc0cc3",
+    "random_criterion": "a8d894f4cbf9d59cbd3513bd471f20b7dd2aeea8f05861d23237ddc3a27b8891",
+    "random_resolvent": "9ef63a83d008f0a39ead0ef3cc8bce0d38b9b2d74cf14d0587504a5209af7ca8",
+    "regular_criterion": "f4d12023647df058620736fc1b60a800a330705a8ccd7bbbb9c94874aff3626b",
+    "sign_criterion": "2120550c057e5c5e6ecb3fdd9b14e3af10e36f03c60a337006a1b1ad2eda51a7",
+    "sign_resolvent": "fe7152e218d564bad4c5a11030794e4a80e40399bbf612dcbb8429430a522531",
+    "sin_criterion": "965d58409d88f0e4a5ce3d21c4b54cee8bc5779cf5b5bb2485435ad2c7e805ef",
+    "sin_neumann": "bd9f38799d110cbf594461e8a155d4fcc1723b962537e12596b0234f486ba6a4",
+    "sin_norm": "bac901d6c4cacc1233b9925595a8f6d6d7de164c861fad212dfd3288bb8f2470",
+    "sin_resolvent": "d6bb9df427b476c8a8b82cc5d1641f8151ea9b5681ccf7537672cc33be8bc923",
+    "sparse_criterion": "fe9e3410e9aee7200f2f9ef58266407554e1e69e670c3b8201b6df80e1c3d326",
+    "sparse_resolvent": "f1aeb15072114312d1de8da180baea402230dd601f8134a78d1fbdf91be6d2fe",
+    "stabilizing_criterion": "5ce21454d61161f4cae6d2630e2ad4e4fc942ca0b84229601e65ccecc618a8b8",
+    "stabilizing_resolvent": "df9fed91e11f532ddd2a71a80f51e0541204253943a9da9dbe825878660405f2",
+    "two_scale_homogenize": "1242f519eed7e3c73193d38d5a85e8b8f0f748e04e7f1ae7ac59cf2b201edbe8"
+}
 
 
+@lru_cache(maxsize=None)
 def _run(name, threads=None):
     cfg = StudyConfig.load(CONFIGS / f"{name}.cfg")
     return run_study(cfg.get_str("study.kind"), cfg, threads=threads)
+
+
+def test_every_config_has_a_digest():
+    assert sorted(DIGESTS) == sorted(p.stem for p in CONFIGS.glob("*.cfg"))
+
+
+@pytest.mark.parametrize("name", sorted(DIGESTS))
+def test_csv_bytes_match_recorded_digest(name):
+    threads = {var: os.environ.get(var, "1") for var in BLAS_VARS}
+    assert all(v == "1" for v in threads.values()), (
+        f"the digests are one-BLAS-thread bytes under NumPy 2.4 and "
+        f"SciPy 1.17; got {threads}")
+    text = render_csv(_run(name))
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == DIGESTS[name]
 
 
 def test_every_resolvent_config_is_covered():
@@ -52,5 +108,5 @@ def test_sin_neumann_errors_below_bounds():
 
 
 def test_resolvent_bytes_identical_across_threads():
-    one = render_csv(_run("sparse_resolvent", threads=1))
+    one = render_csv(_run("sparse_resolvent"))
     assert render_csv(_run("sparse_resolvent", threads=2)) == one

@@ -25,7 +25,7 @@ def test_singular_basis_rejected():
 
 def test_cells_inside_unit_interval():
     cells = cells_inside(Lattice(1), 0.25, UNIT)
-    assert cells.gammas == ((0,), (1,), (2,), (3,))
+    assert cells == ((0,), (1,), (2,), (3,))
 
 
 def test_cells_inside_partial_cover():
@@ -43,7 +43,7 @@ def test_cells_inside_2d_offset_lattice():
     # at eta 0.5 the cells are [z - 1/2, z + 1/2]^2; only z = (1, 1) fits
     cells2 = cells_inside(lat, 0.5, box)
     assert len(cells2) == 1
-    assert cells2.gammas == ((1, 1),)
+    assert cells2 == ((1, 1),)
     # at eta 0.25 the corners move to half-integers, z in {1, 2, 3}^2
     cells3 = cells_inside(lat, 0.25, box)
     assert len(cells3) == 9

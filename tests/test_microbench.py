@@ -12,10 +12,9 @@ import pytest
 from homlab import registry, study
 from homlab.config import StudyConfig
 from homlab.criteria import criterion_report
-from homlab.norms import (_hermitian_part, kappa, norm_v_to_vstar,
-                          smallest_eigenvalue)
+from homlab.norms import _hermitian_part, norm_v_to_vstar, smallest_eigenvalue
 from homlab.resolvent import (assemble_setting, context_from_setting,
-                              identity_residual)
+                              identity_residual, truncation_error_norm)
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 SIZES = [(0.1, 159), (0.025, 639), (0.00625, 2559)]
@@ -53,10 +52,10 @@ def test_bench_norm_v_to_vstar(benchmark, eps, dof):
 
 @pytest.mark.parametrize("eps, dof", SIZES)
 def test_bench_kappa(benchmark, eps, dof):
+    # kappa = |R_eps - R_0| is the order-0 series remainder
     ctx = context_from_setting(_stabilizing_setting(eps, dof), -1.0)
-    rep = benchmark.pedantic(
-        kappa, args=(ctx.solver_eps.quick, ctx.solver0.quick, ctx.L,
-                     ctx.op.gram_h1), rounds=5, iterations=1)
+    rep = benchmark.pedantic(truncation_error_norm, args=(ctx, 0), rounds=5,
+                             iterations=1)
     assert not rep.flagged
 
 

@@ -2,10 +2,13 @@
 
 Every function and class defined in a ``src/homlab`` module must be
 referenced by an identifier in ``src/homlab`` or ``perfbench/`` outside
-its own definition, and no ``src/homlab`` module may import a name it
-never uses.  References are matched by name (``Name`` ids, attribute
-names and imported names, including the original name of an
-``import x as y``), so the check is coarse but needs no linter.
+its own definition, every annotated class field must be read as an
+attribute there, and no ``src/homlab`` module may import a name it never
+uses.  References are matched by name (``Name`` ids, attribute names and
+imported names, including the original name of an ``import x as y``), so
+the check is coarse but needs no linter.  A method or property is only
+reached through an attribute, so for those only attribute names count: a
+local variable of the same name elsewhere does not keep one alive.
 Tests do not count as users: code that only a test reaches belongs in
 the test.
 """
@@ -18,6 +21,12 @@ ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "homlab"
 USERS = (SRC, ROOT / "perfbench")
 ALLOWED = {"main"}
+# fields kept without a reader, each with the reason
+UNREAD_FIELDS = {
+    # the per-form c4 values that ROADMAP item 4's per-row resolvent chain
+    # check (kappa <= |L| / (c4(0) c4(eps))) is planned to read
+    "CoercivityReport.per_eps",
+}
 
 
 def _parse(path):
@@ -36,11 +45,26 @@ def _identifiers(node):
                 yield alias.name.split(".")[-1]
 
 
+def _attributes(node):
+    """Every attribute name a node reads, with repeats."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
+            yield sub.attr
+
+
 def _definitions(tree):
+    """(definition, is a method or property) for every def and class."""
+    methods = {id(stmt) for node in ast.walk(tree)
+               if isinstance(node, ast.ClassDef) for stmt in node.body}
     for node in ast.walk(tree):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
                              ast.ClassDef)):
-            yield node
+            yield node, id(node) in methods
+
+
+def _trees():
+    return {path: _parse(path) for base in USERS
+            for path in sorted(base.rglob("*.py"))}
 
 
 def _is_dunder(name):
@@ -48,23 +72,47 @@ def _is_dunder(name):
 
 
 def test_every_definition_is_referenced():
-    trees = {path: _parse(path) for base in USERS
-             for path in sorted(base.rglob("*.py"))}
-    everywhere = Counter()
+    trees = _trees()
+    everywhere, attributes = Counter(), Counter()
     for tree in trees.values():
         everywhere.update(_identifiers(tree))
+        attributes.update(_attributes(tree))
     unreferenced = []
     for path, tree in trees.items():
         if not path.is_relative_to(SRC):
             continue
-        for node in _definitions(tree):
+        for node, is_method in _definitions(tree):
             if node.name in ALLOWED or _is_dunder(node.name):
                 continue
-            inside = Counter(_identifiers(node))
-            if everywhere[node.name] - inside[node.name] <= 0:
+            refs = _attributes if is_method else _identifiers
+            outside = (attributes if is_method else everywhere)[node.name]
+            if outside - Counter(refs(node))[node.name] <= 0:
                 unreferenced.append(
                     f"{path.relative_to(ROOT)}:{node.lineno} {node.name}")
     assert unreferenced == []
+
+
+def test_every_field_is_read():
+    trees = _trees()
+    read = set()
+    for tree in trees.values():
+        read.update(_attributes(tree))
+    unread = []
+    for path, tree in trees.items():
+        if not path.is_relative_to(SRC):
+            continue
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for stmt in cls.body:
+                if not (isinstance(stmt, ast.AnnAssign)
+                        and isinstance(stmt.target, ast.Name)):
+                    continue
+                name = f"{cls.name}.{stmt.target.id}"
+                if stmt.target.id not in read and name not in UNREAD_FIELDS:
+                    unread.append(
+                        f"{path.relative_to(ROOT)}:{stmt.lineno} {name}")
+    assert unread == []
 
 
 def _bindings(tree):

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.linalg as sla
+import scipy.sparse as sp
 
 from homlab import registry, resolvent, study
 from homlab.config import StudyConfig
@@ -15,11 +16,9 @@ from homlab.fem import NumericalBreach, assemble_base, assemble_perturbation, \
 from homlab.fields import Box, scalar_field, zero_field
 from homlab.resolvent import (
     assemble_setting,
-    build_setting,
     context_from_setting,
     convergence_verdict,
     identity_residual,
-    make_context,
     perturbation_norm,
     resolvent_norm,
     truncation_error_norm,
@@ -64,10 +63,22 @@ def neumann_apply(ctx, f, order, adjoint=False):
     return acc
 
 
+def difference_setting(op, pert):
+    """A setting whose limit adds nothing and whose eps route adds pert."""
+    zero = sp.csr_matrix(pert.shape, dtype=complex)
+    return {"op": op, "x_lim": zero, "x_eps": pert, "x_dev": pert,
+            "meta": {}}
+
+
 def context_from_difference(op, lam, pert):
-    """make_context with the perturbed form taken as base + difference."""
-    geps = (op.base_form - lam * op.gram_l2) + pert
-    return make_context(op, lam, pert, geps)
+    """The context of the base operator and base plus pert at shift lam."""
+    return context_from_setting(difference_setting(op, pert), lam)
+
+
+def build_setting(op_spec, family, eps, lam, **opts):
+    """Assemble one eps of a family and shift it into a context."""
+    return context_from_setting(
+        assemble_setting(op_spec, family, eps, **opts), lam)
 
 
 def small_context(n=5, lam=-1.0, amplitude=1.0):
@@ -92,9 +103,10 @@ def test_route_mismatch_is_rejected():
     op = assemble_base(default_operator(UNIT), mesh)
     v = scalar_field(1, lambda x: np.sin(9.0 * x[..., 0]), 1.0, UNIT)
     pert = assemble_perturbation(op.space, v=v, refine=8).matrix
-    geps = (op.base_form + 1.0 * op.gram_l2 + (pert * (1.0 + 1e-5))).tocsr()
+    setting = difference_setting(op, pert)
+    setting["x_eps"] = (pert * (1.0 + 1e-5)).tocsr()
     with pytest.raises(NumericalBreach, match="disagrees"):
-        make_context(op, -1.0, pert=pert, geps=geps)
+        context_from_setting(setting, -1.0)
 
 
 def test_solve_meets_residual_contract():

@@ -53,7 +53,6 @@ def test_fit_rate_underdetermined():
 
 def _toy_result():
     return StudyResult(
-        kind="criterion",
         fieldnames=("eps", "rho1", "cells", "name"),
         rows=(
             {"eps": 0.1, "rho1": 1.0 / 3.0, "cells": 7, "name": "a"},
@@ -88,7 +87,7 @@ def test_csv_round_trip_preserves_floats(tmp_path):
 
 
 def test_csv_rejects_cells_needing_quotes():
-    res = StudyResult(kind="x", fieldnames=("a",), rows=({"a": "1,2"},))
+    res = StudyResult(fieldnames=("a",), rows=({"a": "1,2"},))
     with pytest.raises(ValueError, match="quoting"):
         render_csv(res)
 
@@ -173,7 +172,6 @@ def test_criterion_study_bytes_identical_across_threads():
 def test_criterion_study_row_content():
     cfg = StudyConfig.from_text(CRIT_CFG)
     res = run_study("criterion", cfg, seed=1, threads=1)
-    assert res.kind == "criterion"
     assert [r["eps"] for r in res.rows] == [0.1, 0.05]
     for row in res.rows:
         assert row["eta"] == pytest.approx(math.sqrt(row["eps"]))
