@@ -31,15 +31,6 @@ class CriterionReport:
     cell_count: int = 0
 
 
-def _family_refine(family, eps, eta, refine):
-    if refine is not None:
-        return int(refine)
-    r = default_refine(eta, family.finest_scale(eps))
-    if family.meta.get("needs_even_refine"):
-        r += r % 2
-    return r
-
-
 class NoCellsError(ValueError):
     """No lattice cell at the requested scale fits inside the domain."""
 
@@ -51,8 +42,9 @@ def _deviation_cells(family, eps, eta, lattice, refine):
         raise NoCellsError(
             f"no lattice cells of size {eta} fit inside the domain"
         )
-    r = _family_refine(family, eps, eta, refine)
-    return lat, cells, r
+    if refine is None:
+        refine = default_refine(eta, family.finest_scale(eps))
+    return lat, cells, int(refine)
 
 
 def criterion_report(family, eps, eta, lattice=None, refine=None):

@@ -1,4 +1,4 @@
-"""Generators and combinators for perturbation families.
+"""Generators of perturbation families.
 
 A perturbation family is an eps-indexed triple of coefficient fields
 (potential V, first-order weights Q_j, P_j) together with its declared
@@ -6,15 +6,13 @@ limit triple and a predicted convergence-rate function.  Generators cover
 the catalogue of oscillation mechanisms: uniform convergence, sparse
 bumps, stabilizing tails, locally periodic multi-scale oscillation,
 almost periodic sums, modulated phases, fractal-type products, and
-ergodic torus rotations.  Two combinators build a family out of another:
-negate flips every sign, cell_resample swaps the potential for a surrogate
-with the same cell means.
+ergodic torus rotations.
 """
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from itertools import zip_longest
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -22,11 +20,10 @@ from .fields import (
     Box,
     CoefficientField,
     constant_field,
-    scale_field,
     sub_fields,
     zero_field,
 )
-from .lattice import Lattice, cells_inside, cell_mean, default_refine
+from .lattice import Lattice
 from .ergodic import ErgodicSystem, expectation
 
 # smallest |det J| of a make_modulated "diffeo" phase on its sample grid
@@ -58,8 +55,7 @@ class PerturbationFamily:
     limit: FieldTriple
     rate: Callable[[float], float]
     finest_scale: Callable[[float], float]
-    eta_rule: Callable[[float], float]
-    meta: dict = dc_field(default_factory=dict)
+    suggested_lattice: Optional[Lattice] = None
 
 
 def deviation_triple(family, eps):
@@ -86,14 +82,6 @@ def deviation_triple(family, eps):
     )
 
 
-def _sqrt_rule(eps):
-    return math.sqrt(eps)
-
-
-def _cbrt_rule(eps):
-    return eps ** (1.0 / 3.0)
-
-
 def _as_triple(v_or_triple):
     if isinstance(v_or_triple, FieldTriple):
         return v_or_triple
@@ -101,7 +89,7 @@ def _as_triple(v_or_triple):
 
 
 def make_regular(v_of_eps, v0, rate, domain, name="regular",
-                 finest_scale=None, eta_rule=None):
+                 finest_scale=None):
     """Family converging uniformly, with the rate declared by the caller.
 
     v_of_eps maps eps to a CoefficientField (or FieldTriple); v0 is the
@@ -121,7 +109,6 @@ def make_regular(v_of_eps, v0, rate, domain, name="regular",
         limit=lim,
         rate=rate,
         finest_scale=finest_scale or (lambda eps: 1.0),
-        eta_rule=eta_rule or _sqrt_rule,
     )
 
 
@@ -176,15 +163,14 @@ def make_sparse(centers, rho4, rho5, bump_profile, amplitude, domain,
         limit=FieldTriple(v=zero),
         rate=lambda eps: float(rho5(eps)) ** dim + float(rho4(eps)),
         finest_scale=lambda eps: max(float(rho4(eps)) * float(rho5(eps)), 1e-12),
-        eta_rule=lambda eps: float(rho4(eps)) / 3.0,
     )
 
 
-def make_stabilizing(vfun, v0, rho6, domain, ncomp=1, sup_bound=1.0,
-                     name="stabilizing", finest_scale=None):
-    """Potentials V(x, x/eps) whose profile stabilizes at infinity.
+def make_stabilizing(vfun, v0, rho6, domain, sup_bound=1.0,
+                     name="stabilizing"):
+    """Scalar potentials V(x, x/eps) whose profile stabilizes at infinity.
 
-    vfun(x_pts, xi_pts) -> (m, n, n); the limit v0 is the stable value at
+    vfun(x_pts, xi_pts) -> (m, 1, 1); the limit v0 is the stable value at
     infinity, and rho6(eps) bounds the profile deviation outside the ball
     of radius eps^(-1/3).
     """
@@ -194,34 +180,31 @@ def make_stabilizing(vfun, v0, rho6, domain, ncomp=1, sup_bound=1.0,
         def func(pts):
             return vfun(pts, pts / eps)
 
-        v = CoefficientField(domain.dim, ncomp, func, sup_bound, domain)
+        v = CoefficientField(domain.dim, 1, func, sup_bound, domain)
         return FieldTriple(v=v)
 
     return PerturbationFamily(
         name=name,
         dim=domain.dim,
-        ncomp=ncomp,
+        ncomp=1,
         domain=domain,
         at=build,
         limit=lim,
         rate=lambda eps: float(rho6(eps)) + eps ** (1.0 / 3.0),
-        finest_scale=finest_scale or (lambda eps: max(eps, 1e-12)),
-        eta_rule=_cbrt_rule,
+        finest_scale=lambda eps: max(eps, 1e-12),
     )
 
 
-def make_locally_periodic(vfun, scales, v0, rho8, domain, ncomp=1,
-                          sup_bound=1.0, periods=None,
+def make_locally_periodic(vfun, scales, v0, rho8, domain, sup_bound=1.0,
                           name="locally_periodic"):
-    """Multi-scale locally periodic potentials V(x, x/eps_1, ..., x/eps_m).
+    """Locally periodic scalar potentials V(x, x/eps_1, ..., x/eps_m).
 
     scales is a list of callables eps -> eps_j, decreasing in j; vfun takes
-    (x_pts, xi_1, ..., xi_m) and is periodic in each xi.  The limit v0 is
+    (x_pts, xi_1, ..., xi_m) and is 1-periodic in each xi.  The limit v0 is
     the mean over all periodicity cells.  The predicted rate combines the
     scale-separation penalties with the coarsest-scale cell penalty.
     """
     m = len(scales)
-    periods = periods or [1.0] * m
     lim = _as_triple(v0)
 
     def build(eps):
@@ -231,39 +214,38 @@ def make_locally_periodic(vfun, scales, v0, rho8, domain, ncomp=1,
             xis = [pts / sv for sv in svals]
             return vfun(pts, *xis)
 
-        v = CoefficientField(domain.dim, ncomp, func, sup_bound, domain)
+        v = CoefficientField(domain.dim, 1, func, sup_bound, domain)
         return FieldTriple(v=v)
 
     def rate(eps):
         svals = [float(s(eps)) for s in scales]
         sep = 0.0
+        kd = math.sqrt(domain.dim)
         for j in range(1, m):
-            kj = math.sqrt(domain.dim) * periods[j]
-            sep += float(rho8(math.sqrt(j + 1) * kj * svals[j] / svals[j - 1]))
+            sep += float(rho8(math.sqrt(j + 1) * kd * svals[j] / svals[j - 1]))
         return sep + math.sqrt(svals[0])
 
     return PerturbationFamily(
         name=name,
         dim=domain.dim,
-        ncomp=ncomp,
+        ncomp=1,
         domain=domain,
         at=build,
         limit=lim,
         rate=rate,
-        finest_scale=lambda eps: max(
-            min(float(s(eps)) * p for s, p in zip(scales, periods)), 1e-14
-        ),
-        eta_rule=lambda eps: math.sqrt(float(scales[0](eps))),
+        finest_scale=lambda eps: max(min(float(s(eps)) for s in scales),
+                                     1e-14),
     )
 
 
-def make_almost_periodic(terms, domain, ncomp=1, name="almost_periodic"):
+def make_almost_periodic(terms, domain, name="almost_periodic"):
     """Trigonometric-sum potentials sum_a T_a exp(i a . x / eps).
 
     terms is a list of (alpha, amplitude) with alpha a d-vector of real
-    frequencies and amplitude an n x n matrix.  The limit collects the
-    alpha = 0 terms.  The predicted rate uses the exact box-average decay
-    of each nonzero frequency at the matched cell size eta = sqrt(eps).
+    frequencies and amplitude an n x n matrix (n is 1 without terms).  The
+    limit collects the alpha = 0 terms.  The predicted rate uses the exact
+    box-average decay of each nonzero frequency at the matched cell size
+    eta = sqrt(eps).
     """
     dim = domain.dim
     parsed = []
@@ -271,7 +253,7 @@ def make_almost_periodic(terms, domain, ncomp=1, name="almost_periodic"):
         a = np.asarray(alpha, dtype=float).reshape(dim)
         mat = np.atleast_2d(np.asarray(ampl, dtype=complex))
         parsed.append((a, mat))
-    n = parsed[0][1].shape[0] if parsed else ncomp
+    n = parsed[0][1].shape[0] if parsed else 1
     lim_mat = np.zeros((n, n), dtype=complex)
     osc = []
     for a, mat in parsed:
@@ -303,7 +285,6 @@ def make_almost_periodic(terms, domain, ncomp=1, name="almost_periodic"):
         limit=FieldTriple(v=constant_field(dim, lim_mat, domain)),
         rate=lambda eps: _ap_rate(osc, eps),
         finest_scale=lambda eps: 2 * math.pi * eps / max_alpha,
-        eta_rule=_sqrt_rule,
     )
 
 
@@ -346,8 +327,8 @@ def implicit_eta(p0, eps, r_max=1.0, iters=80):
 
 
 def make_modulated(vfun, phi, phi_jacobian, domain, kind, v0, rho8,
-                   ncomp=1, sup_bound=1.0, p0=None, name="modulated"):
-    """Phase-modulated potentials V(x, phi(x)/eps).
+                   sup_bound=1.0, p0=None, name="modulated"):
+    """Phase-modulated scalar potentials V(x, phi(x)/eps).
 
     vfun(x_pts, xi_pts) is 1-periodic in xi (after rescaling by the
     caller); phi maps the domain into R^d with Jacobian phi_jacobian.
@@ -381,46 +362,37 @@ def make_modulated(vfun, phi, phi_jacobian, domain, kind, v0, rho8,
         def func(pts):
             return vfun(pts, phi(pts) / eps)
 
-        v = CoefficientField(dim, ncomp, func, sup_bound, domain)
+        v = CoefficientField(dim, 1, func, sup_bound, domain)
         return FieldTriple(v=v)
 
     if kind == "diffeo":
         def rate(eps):
             return math.sqrt(eps) + float(rho8(math.sqrt(dim) * math.sqrt(eps)))
-
-        def eta_rule(eps):
-            return math.sqrt(eps)
     else:
         def rate(eps):
             eta = implicit_eta(p0, eps)
             return math.sqrt(eps) + eta + float(rho8(math.sqrt(dim) * eta))
 
-        def eta_rule(eps):
-            return implicit_eta(p0, eps)
-
     return PerturbationFamily(
         name=name,
         dim=dim,
-        ncomp=ncomp,
+        ncomp=1,
         domain=domain,
         at=build,
         limit=lim,
         rate=rate,
         finest_scale=lambda eps: max(eps / max(jac_max, 1e-12), 1e-14),
-        eta_rule=eta_rule,
     )
 
 
-def make_fractal(vfun, v0, rho8, domain, ncomp=1, sup_bound=1.0,
-                 periods=None, name="fractal"):
-    """Products-of-coordinates phases V(x, x1/eps, x1 x2/eps^2, ...).
+def make_fractal(vfun, v0, rho8, domain, sup_bound=1.0, name="fractal"):
+    """Products-of-coordinates scalar phases V(x, x1/eps, x1 x2/eps^2, ...).
 
     The j-th phase argument is (x1 ... xj) / eps^j; vfun takes
-    (x_pts, xi_1, ..., xi_d) and is periodic in each xi with the given
-    periods.  In d = 1 this degenerates to plain periodic oscillation.
+    (x_pts, xi_1, ..., xi_d) and is 2 pi-periodic in each xi.  In d = 1
+    this degenerates to plain periodic oscillation.
     """
     dim = domain.dim
-    periods = periods or [2 * math.pi] * dim
     lim = _as_triple(v0)
 
     def build(eps):
@@ -432,7 +404,7 @@ def make_fractal(vfun, v0, rho8, domain, ncomp=1, sup_bound=1.0,
                 xis.append(prod / eps ** (j + 1))
             return vfun(pts, *xis)
 
-        v = CoefficientField(dim, ncomp, func, sup_bound, domain)
+        v = CoefficientField(dim, 1, func, sup_bound, domain)
         return FieldTriple(v=v)
 
     # worst oscillation length: deepest phase at the largest coordinates
@@ -440,34 +412,29 @@ def make_fractal(vfun, v0, rho8, domain, ncomp=1, sup_bound=1.0,
                            np.abs(np.array(domain.upper)))
     denom = float(np.prod(coord_max[: dim - 1])) if dim > 1 else 1.0
     denom = max(denom, 1e-12)
-    min_period = min(periods)
 
     return PerturbationFamily(
         name=name,
         dim=dim,
-        ncomp=ncomp,
+        ncomp=1,
         domain=domain,
         at=build,
         limit=lim,
         rate=lambda eps: float(rho8(2 * math.sqrt(dim) * math.sqrt(eps)))
         + math.sqrt(eps),
-        finest_scale=lambda eps: min_period * eps ** dim / (2 * math.pi * denom),
-        eta_rule=_sqrt_rule,
-        meta={
-            "suggested_lattice": Lattice(
-                dim, 2.0 * np.eye(dim), -np.ones(dim)
-            ),
-        },
+        finest_scale=lambda eps: (2 * math.pi * eps ** dim
+                                  / (2 * math.pi * denom)),
+        suggested_lattice=Lattice(dim, 2.0 * np.eye(dim), -np.ones(dim)),
     )
 
 
-def make_random(system: ErgodicSystem, domain, seed, rate=None,
-                name="random"):
+def make_random(system: ErgodicSystem, domain, seed, name="random"):
     """Random potentials driven by an ergodic torus rotation.
 
     One realization (a torus point) is drawn from the seed at build time
     and reused for every eps, so the family is a deterministic function of
-    the seed.  The limit is the expectation of the observable.
+    the seed.  The limit is the expectation of the observable, and the
+    predicted rate is sqrt(eps).
     """
     if system.dim != domain.dim:
         raise ValueError("ergodic flow dimension does not match the domain")
@@ -495,95 +462,6 @@ def make_random(system: ErgodicSystem, domain, seed, rate=None,
         domain=domain,
         at=build,
         limit=FieldTriple(v=constant_field(domain.dim, mean, domain)),
-        rate=rate or (lambda eps: math.sqrt(eps)),
+        rate=lambda eps: math.sqrt(eps),
         finest_scale=lambda eps: eps / max(max_flow, 1e-12),
-        eta_rule=_sqrt_rule,
-    )
-
-
-# ---------------------------------------------------------------------------
-# combinators
-
-
-def _map_triple(trip, fn):
-    return FieldTriple(
-        v=fn(trip.v),
-        q=tuple(fn(f) for f in trip.q),
-        p=tuple(fn(f) for f in trip.p),
-    )
-
-
-def negate(family):
-    """Flip the sign of every field in the family."""
-    return PerturbationFamily(
-        name=f"-{family.name}",
-        dim=family.dim,
-        ncomp=family.ncomp,
-        domain=family.domain,
-        at=lambda eps: _map_triple(family.at(eps), lambda f: scale_field(-1.0, f)),
-        limit=_map_triple(family.limit, lambda f: scale_field(-1.0, f)),
-        rate=family.rate,
-        finest_scale=family.finest_scale,
-        eta_rule=family.eta_rule,
-        meta=dict(family.meta),
-    )
-
-
-def cell_resample(family, seed, amplitude=0.5, lattice=None):
-    """Replace the potential inside each cell by a mean-preserving surrogate.
-
-    Within every cell of size eta_rule(eps) the potential becomes its cell
-    mean plus a random two-level square wave with exactly zero cell mean,
-    so all cell averages (and hence the cell criteria) are unchanged.
-    """
-    lat = lattice or Lattice(family.dim)
-
-    def build(eps):
-        trip = family.at(eps)
-        eta = family.eta_rule(eps)
-        cells = cells_inside(lat, eta, family.domain)
-        refine = default_refine(eta, family.finest_scale(eps))
-        refine += refine % 2  # keep the half-cell split on a panel boundary
-        rng = np.random.default_rng([seed, int(1e9 * eps) & 0x7FFFFFFF])
-        means, _ = cell_mean(
-            lat, np.reshape(cells, (len(cells), lat.dim)), eta, trip.v,
-            refine)
-        bumps = [rng.uniform(-amplitude, amplitude) for _ in cells]
-        corners = np.array(
-            [eta * lat.point(np.array(z)) for z in cells]
-        ).reshape(len(cells), family.dim)
-        widths = eta * np.diag(lat.basis)
-
-        def func(pts):
-            out = trip.v(pts)
-            for k in range(len(cells)):
-                lo = corners[k]
-                hi = corners[k] + widths
-                inside = np.all((pts >= lo) & (pts < hi), axis=1)
-                if inside.any():
-                    t0 = (pts[inside, 0] - lo[0]) / widths[0]
-                    sign = np.where(t0 < 0.5, 1.0, -1.0)
-                    vals = means[k][None, :, :] + (
-                        bumps[k] * sign
-                    )[:, None, None] * np.eye(family.ncomp)
-                    out[inside] = vals
-            return out
-
-        v = CoefficientField(
-            family.dim, family.ncomp, func,
-            trip.v.sup_bound + amplitude * family.ncomp, family.domain,
-        )
-        return FieldTriple(v=v, q=trip.q, p=trip.p)
-
-    return PerturbationFamily(
-        name=f"{family.name}#resampled",
-        dim=family.dim,
-        ncomp=family.ncomp,
-        domain=family.domain,
-        at=build,
-        limit=family.limit,
-        rate=family.rate,
-        finest_scale=family.finest_scale,
-        eta_rule=family.eta_rule,
-        meta={**family.meta, "needs_even_refine": True},
     )

@@ -139,8 +139,8 @@ def mesh_rule(finest_scale, ncomp=1, min_elements=64, cap_dof=8192):
 class OperatorSpec:
     """Continuous operator data: coefficients and boundary condition.
 
-    a11 is the second-order coefficient, aplus/aminus the first-order
-    coefficients placed on the trial/test derivative, a0 the potential.
+    a11 is the second-order coefficient, a0 the potential; first-order
+    terms enter only as perturbations (assemble_perturbation).
     bc is "dirichlet" or "robin"; Robin keeps the endpoint dofs and adds
     no boundary term.
     """
@@ -148,8 +148,6 @@ class OperatorSpec:
     domain: Box
     ncomp: int
     a11: CoefficientField
-    aplus: Optional[CoefficientField] = None
-    aminus: Optional[CoefficientField] = None
     a0: Optional[CoefficientField] = None
     bc: str = "dirichlet"
 
@@ -307,7 +305,7 @@ class DiscreteOperator:
         return self.base_form.shape[0]
 
 
-def assemble_base(spec: OperatorSpec, mesh: Mesh1D, refine=1) -> DiscreteOperator:
+def assemble_base(spec: OperatorSpec, mesh: Mesh1D) -> DiscreteOperator:
     """Assemble the base form and both Gram matrices on one mesh.
 
     The H1 Gram is stiffness plus mass with identity component coupling;
@@ -315,8 +313,7 @@ def assemble_base(spec: OperatorSpec, mesh: Mesh1D, refine=1) -> DiscreteOperato
     construction guarantees, checked here once per assembly.
     """
     space = FeSpace(mesh, spec.ncomp, spec.bc)
-    base = _form_matrix(mesh, spec.ncomp, a11=spec.a11, aplus=spec.aplus,
-                        aminus=spec.aminus, a0=spec.a0, refine=refine)
+    base = _form_matrix(mesh, spec.ncomp, a11=spec.a11, a0=spec.a0)
     eye = constant_field(1, np.eye(spec.ncomp), spec.domain)
     stiff = _form_matrix(mesh, spec.ncomp, a11=eye, refine=1)
     mass = _form_matrix(mesh, spec.ncomp, a0=eye, refine=1)

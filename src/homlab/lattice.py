@@ -210,10 +210,3 @@ def cell_integral(lattice, z, eta, field_, refine, squares=False):
         err = matrix_abs(f - c) + 1e-300
         out += [f[0], float(err[0])] if single else [f, err]
     return tuple(out)
-
-
-def cell_mean(lattice, z, eta, field_, refine):
-    """Mean of the field over one cell or a stack of cells, with estimate."""
-    integral, err = cell_integral(lattice, z, eta, field_, refine)
-    measure = lattice.cell_measure * eta ** lattice.dim
-    return integral / measure, err / measure

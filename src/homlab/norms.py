@@ -179,16 +179,13 @@ def induced_norm(apply_, apply_adj, space_in, space_out, seed=1234,
     )
 
 
-def norm_v_to_vstar(X, S, seed=1234, rel_tol=1e-8):
+def norm_v_to_vstar(X, S, seed=1234):
     """Norm of a form matrix as an operator from H1 to its dual."""
     X = X.tocsr()
     XH = X.getH().tocsr()
     h1 = Space(S)
     return induced_norm(
-        lambda v: X @ v, lambda v: XH @ v, h1, h1.star(),
-        seed=seed,
-        rel_tol=rel_tol,
-    )
+        lambda v: X @ v, lambda v: XH @ v, h1, h1.star(), seed=seed)
 
 
 def norm_m1m1(op, v_field, refine=1, seed=1234):

@@ -2,8 +2,7 @@
 
 Each entry builds a perturbation family from `family.*` config keys, so
 every oscillation mechanism is reachable from a text config without
-writing Python.  Generic post-processing switches (negation, cell
-resampling) apply to any entry.
+writing Python.
 """
 
 import math
@@ -12,9 +11,9 @@ import numpy as np
 
 from .config import ConfigError, StudyConfig
 from .ergodic import ErgodicSystem
-from .families import (cell_resample, make_almost_periodic, make_fractal,
+from .families import (make_almost_periodic, make_fractal,
                        make_locally_periodic, make_modulated, make_random,
-                       make_regular, make_sparse, make_stabilizing, negate)
+                       make_regular, make_sparse, make_stabilizing)
 from .fields import Box, constant_field, scalar_field
 
 
@@ -124,7 +123,6 @@ def _build_stabilizing_arctan(cfg):
         box,
         sup_bound=abs(amp),
         name="stabilizing_arctan",
-        finest_scale=lambda eps: max(eps, 1e-12),
     )
 
 
@@ -151,7 +149,6 @@ def _build_locally_periodic(cfg):
         _rho8(cfg),
         box,
         sup_bound=1.5 * abs(amp),
-        periods=[1.0] * levels,
         name="locally_periodic",
     )
 
@@ -173,7 +170,6 @@ def _build_two_scale_linear(cfg):
         _rho8(cfg),
         box,
         sup_bound=2.0 * abs(amp) * span,
-        periods=[1.0],
         name="two_scale_linear",
     )
 
@@ -268,7 +264,6 @@ def _build_fractal_2d(cfg):
         _rho8(cfg),
         box,
         sup_bound=abs(amp),
-        periods=[2 * math.pi, 2 * math.pi],
         name="fractal_2d",
     )
 
@@ -359,22 +354,12 @@ REGISTRY = {
 
 
 def build_family(cfg: StudyConfig):
-    """Build the family named by family.name, applying generic switches."""
+    """Build the family named by family.name."""
     name = cfg.get_str("family.name")
     if name not in REGISTRY:
         known = ", ".join(sorted(REGISTRY))
         raise ConfigError(f"unknown family {name!r}; known: {known}")
-    builder = REGISTRY[name][0]
-    fam = builder(cfg)
-    if cfg.get_bool("family.negate", False):
-        fam = negate(fam)
-    if cfg.get_bool("family.resample", False):
-        fam = cell_resample(
-            fam,
-            seed=cfg.get_int("family.resample_seed", 1),
-            amplitude=cfg.get_float("family.resample_amplitude", 0.5),
-        )
-    return fam
+    return REGISTRY[name][0](cfg)
 
 
 def describe_families():
@@ -385,7 +370,4 @@ def describe_families():
         lines.append(f"{name}")
         lines.append(f"    {blurb}")
         lines.append(f"    keys: {', '.join(keys)}")
-    lines.append("")
-    lines.append("generic switches: family.negate, family.resample, "
-                 "family.resample_seed, family.resample_amplitude")
     return "\n".join(lines)

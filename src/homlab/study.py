@@ -147,12 +147,12 @@ def _parallel(items, fn, threads):
     return [fn(i, item) for i, item in enumerate(items)]
 
 
-def _schedule(cfg, key="schedule.eps"):
-    eps = cfg.get_floats(key)
+def _schedule(cfg):
+    eps = cfg.get_floats("schedule.eps")
     if any(e <= 0 for e in eps):
-        raise ConfigError(f"{key} entries must be positive")
+        raise ConfigError("schedule.eps entries must be positive")
     if list(eps) != sorted(eps, reverse=True) or len(set(eps)) != len(eps):
-        raise ConfigError(f"{key} must be strictly decreasing")
+        raise ConfigError("schedule.eps must be strictly decreasing")
     return eps
 
 
@@ -176,15 +176,22 @@ def _operator_spec(cfg, family):
 
 
 def _mesh_opts(cfg):
-    return {
+    opts = {
         "min_elements": cfg.get_int("mesh.min_elements", 64),
         "cap_dof": cfg.get_int("mesh.cap_dof", 8192),
     }
+    if opts["min_elements"] < 2:
+        raise ConfigError("mesh.min_elements must be at least 2, got "
+                          f"{opts['min_elements']}")
+    if opts["cap_dof"] < 1:
+        raise ConfigError("mesh.cap_dof must be positive, got "
+                          f"{opts['cap_dof']}")
+    return opts
 
 
 def _lattice_for(cfg, family):
     if cfg.get_bool("criterion.use_suggested_lattice", True):
-        return family.meta.get("suggested_lattice")
+        return family.suggested_lattice
     return None
 
 
@@ -237,13 +244,27 @@ def criterion_study(cfg, seed=1234, threads=1):
     )
 
 
+def _worst_gap(pairs):
+    """Largest |a - b| over the pairs whose window was sampled (a, b not
+    None); nan when none was."""
+    return max((float(matrix_abs(a - b)) for a, b in pairs
+                if a is not None and b is not None), default=math.nan)
+
+
 def homogenize_study(cfg, seed=1234, threads=1):
-    """Local-mean limit identification against the declared limit."""
+    """Local-mean limit identification against the declared limit.
+
+    A row with no sampled window has a nan gap, and a nan gap at the final
+    eps is no evidence: the declared limit is then not consistent.
+    """
     family = registry.build_family(cfg)
     schedule = _schedule(cfg)
     if len(schedule) < 2:
         raise ConfigError("homogenize needs at least two schedule entries")
     points = cfg.get_int("homogenize.sample_points", 33)
+    if points < 1:
+        raise ConfigError(
+            f"homogenize.sample_points must be at least 1, got {points}")
     mu_power = cfg.get_float("homogenize.mu_power", 0.5)
     slack = cfg.get_float("homogenize.slack", 1.5)
     rep = criteria.local_mean_limit(
@@ -257,23 +278,13 @@ def homogenize_study(cfg, seed=1234, threads=1):
 
     rows = []
     for i, eps in enumerate(schedule):
-        declared_gap = 0.0
-        for k, val in enumerate(samples[i]):
-            if val is None:
-                continue
-            declared_gap = max(declared_gap,
-                               float(matrix_abs(val - limit_vals[k])))
         pair_gap = math.nan
         if i + 1 < len(schedule):
-            pair_gap = 0.0
-            for va, vb in zip(samples[i], samples[i + 1]):
-                if va is None or vb is None:
-                    continue
-                pair_gap = max(pair_gap, float(matrix_abs(va - vb)))
+            pair_gap = _worst_gap(zip(samples[i], samples[i + 1]))
         rows.append({
             "eps": eps,
             "mu": eps ** mu_power,
-            "declared_gap": declared_gap,
+            "declared_gap": _worst_gap(zip(samples[i], limit_vals)),
             "pair_gap": pair_gap,
         })
 
@@ -304,8 +315,10 @@ def norm_study(cfg, seed=1234, threads=1):
 
     Measures the assembled difference form against the triangle-type
     budget: sum over first-order weights of sqrt(d) |Q|_prod + |P|_prod
-    plus the potential form norm.  A row with a flagged norm is not
-    within budget, and the footer then names its eps under flagged_rows.
+    plus the potential form norm.  A row with a flagged norm, or on a
+    mesh capped below the resolution mesh_rule wants, is not within
+    budget, and the footer then names its eps under flagged_rows or
+    capped_rows.
     """
     family = registry.build_family(cfg)
     _require_1d(family, "norm")
@@ -325,7 +338,7 @@ def norm_study(cfg, seed=1234, threads=1):
     def one(i, eps):
         row_seed = seed + 1000 * i
         finest = family.finest_scale(eps)
-        n, _ = mesh_rule(finest, ncomp=family.ncomp, **opts)
+        n, capped = mesh_rule(finest, ncomp=family.ncomp, **opts)
         mesh = build_mesh(family.domain, n)
         op = assemble_base(op_spec, mesh)
         refine = perturbation_refine(op.space, finest)
@@ -358,8 +371,8 @@ def norm_study(cfg, seed=1234, threads=1):
         row["chain_bound"] = chain
         flagged = any(rep.flagged for rep in reports)
         fits = measured <= chain * (1 + 1e-8) + 1e-12
-        row["within_budget"] = int(fits and not flagged)
-        return row, flagged, fits
+        row["within_budget"] = int(fits and not flagged and not capped)
+        return row, fits, {"flagged": flagged, "capped": capped}
 
     results = _parallel(schedule, one, threads)
     rows = [row for row, _, _ in results]
@@ -368,13 +381,14 @@ def norm_study(cfg, seed=1234, threads=1):
         _fit_line("norm_x", eps_col, [r["norm_x"] for r in rows]),
         _fit_line("v_m1m1", eps_col, [r["v_m1m1"] for r in rows]),
     ]
-    if not all(fits for _, _, fits in results):
+    if not all(fits for _, fits, _ in results):
         footer.append("# budget_violation: measured norm exceeded the "
                       "multiplier chain bound")
-    flagged_eps = [row["eps"] for row, flagged, _ in results if flagged]
-    if flagged_eps:
-        footer.append("# flagged_rows=" + ";".join(f"{e:g}"
-                                                   for e in flagged_eps))
+    for mark in ("flagged", "capped"):
+        marked = [row["eps"] for row, _, marks in results if marks[mark]]
+        if marked:
+            footer.append(f"# {mark}_rows=" + ";".join(f"{e:g}"
+                                                        for e in marked))
     return StudyResult(
         fieldnames=fieldnames,
         rows=tuple(rows),

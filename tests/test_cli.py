@@ -153,6 +153,27 @@ def test_misspelled_key_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_removed_family_switch_exits_2(tmp_path, capsys):
+    path = tmp_path / "negate.cfg"
+    path.write_text((ROOT / "configs" / "sin_criterion.cfg").read_text()
+                    + "family.negate = true\n")
+    code = main(["criterion", "--config", str(path), "--out", "-"])
+    assert code == 2
+    assert "unrecognized keys: family.negate" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line", ["mesh.cap_dof = -5",
+                                  "mesh.min_elements = 1"])
+def test_bad_mesh_option_exits_2(tmp_path, capsys, line):
+    # mesh_rule would clamp a negative cap to min_elements and run
+    path = tmp_path / "mesh.cfg"
+    path.write_text("study.kind = norm\nfamily.name = regular_sin\n"
+                    f"schedule.eps = 0.2\n{line}\n")
+    code = main(["norm", "--config", str(path), "--out", "-"])
+    assert code == 2
+    assert line.split(" = ")[0] in capsys.readouterr().err
+
+
 def test_report_writes_wellformed_svg(tmp_path, crit_cfg, capsys):
     csv_path = tmp_path / "crit.csv"
     main(["criterion", "--config", str(crit_cfg), "--out", str(csv_path)])

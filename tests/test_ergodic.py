@@ -8,7 +8,7 @@ import pytest
 from homlab.ergodic import ErgodicSystem, expectation
 from homlab.families import make_random
 from homlab.fields import Box
-from homlab.lattice import Lattice, cell_mean
+from homlab.lattice import Lattice, cell_integral
 
 
 def _cos_system(k=1, freq=1):
@@ -69,8 +69,9 @@ def test_birkhoff_average_approaches_expectation():
                          sup_bound=1.0)
     fam = make_random(syse, Box((0.0,), (1.0,)), seed=3)
     eps = 1e-3
-    # the mean of one realization over the whole domain, as one cell
-    avg, _ = cell_mean(Lattice(1), (0,), 1.0, fam.at(eps).v, 4096)
+    # the mean of one realization over the whole domain: the integral over
+    # one cell of measure 1
+    avg, _ = cell_integral(Lattice(1), (0,), 1.0, fam.at(eps).v, 4096)
     exact = fam.limit.v(np.array([0.5]))[0, 0]
     assert exact == pytest.approx(0.0, abs=1e-14)
     # one sweep over the domain at eps covers ~700 turns; error ~ eps / box

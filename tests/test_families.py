@@ -6,13 +6,12 @@ import numpy as np
 import pytest
 
 from homlab.ergodic import ErgodicSystem
-from homlab.families import (FieldTriple, cell_resample, deviation_triple,
+from homlab.families import (FieldTriple, deviation_triple,
                              implicit_eta, make_almost_periodic, make_locally_periodic,
                              make_random, make_regular, make_sparse,
-                             make_stabilizing, negate)
+                             make_stabilizing)
 from homlab.fields import (Box, CoefficientField, constant_field, scalar_field,
                            sub_fields, zero_field)
-from homlab.lattice import Lattice, cell_integral, cells_inside
 
 UNIT = Box((0.0,), (1.0,))
 
@@ -111,7 +110,7 @@ def test_locally_periodic_single_scale_rate():
     fam = make_locally_periodic(
         vfun, [lambda eps: eps],
         scalar_field(1, lambda p: p[:, 0], 1.0, UNIT),
-        rho8=lambda r: r, domain=UNIT, sup_bound=2.0, periods=[1.0])
+        rho8=lambda r: r, domain=UNIT, sup_bound=2.0)
     # m = 1: no separation penalty, rate is sqrt of the single scale
     assert fam.rate(0.04) == pytest.approx(0.2)
     pts = np.array([[0.5]])
@@ -225,32 +224,6 @@ def test_random_family_deterministic_in_seed():
     assert not np.allclose(va, vc)
     # limit is the torus expectation of cos, which vanishes
     assert abs(fam_a.limit.v(pts)[0, 0, 0]) < 1e-14
-
-
-def test_negate_flips_sign():
-    fam = negate(_regular_sin())
-    pts = np.array([[0.4]])
-    assert fam.at(0.2).v(pts)[0, 0, 0] == pytest.approx(-0.2 * math.sin(0.4))
-
-
-def test_cell_resample_preserves_cell_integrals():
-    def at(eps):
-        return scalar_field(
-            1, lambda p: np.sin(p[:, 0] / eps), 1.0, UNIT)
-
-    fam = make_regular(at, zero_field(1, 1, UNIT), _sqrt := (lambda e: e ** 0.5),
-                       UNIT, finest_scale=lambda eps: eps)
-    res = cell_resample(fam, seed=7, amplitude=0.5)
-    eps = 0.04
-    eta = fam.eta_rule(eps)
-    cells = cells_inside(Lattice(1), eta, UNIT)
-    refine = 512
-    for z in cells:
-        orig, _ = cell_integral(Lattice(1), np.array(z), eta,
-                                fam.at(eps).v, refine)
-        new, _ = cell_integral(Lattice(1), np.array(z), eta,
-                               res.at(eps).v, refine)
-        assert abs(new[0, 0] - orig[0, 0]) < 1e-10
 
 
 def test_field_triple_component_order():

@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from homlab import lattice
 from homlab.fields import Box, CoefficientField, constant_field, scalar_field
-from homlab.lattice import (Lattice, _panel_rule, cell_integral, cell_mean,
-                            cells_inside, default_refine)
+from homlab.lattice import (Lattice, _panel_rule, cell_integral, cells_inside,
+                            default_refine)
 
 UNIT = Box((0.0,), (1.0,))
 
@@ -69,10 +69,11 @@ def test_shifted_cell_integral_closed_form():
 
 def test_cell_mean_of_constant():
     lat = Lattice(2, basis=np.diag([1.0, 2.0]))
-    mean, err = cell_mean(lat, (0, 0), 0.37,
-                          constant_field(2, 3.25, Box((0, 0), (4, 4))), 3)
-    assert mean[0, 0] == pytest.approx(3.25, abs=1e-13)
-    assert err < 1e-12
+    measure = lat.cell_measure * 0.37 ** 2
+    integral, err = cell_integral(
+        lat, (0, 0), 0.37, constant_field(2, 3.25, Box((0, 0), (4, 4))), 3)
+    assert integral[0, 0] / measure == pytest.approx(3.25, abs=1e-13)
+    assert err / measure < 1e-12
 
 
 def test_error_estimate_majorizes_refinement_change():

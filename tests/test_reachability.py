@@ -3,12 +3,14 @@
 Every function and class defined in a ``src/homlab`` module must be
 referenced by an identifier in ``src/homlab`` or ``perfbench/`` outside
 its own definition, every annotated class field must be read as an
-attribute there, and no ``src/homlab`` module may import a name it never
-uses.  References are matched by name (``Name`` ids, attribute names and
-imported names, including the original name of an ``import x as y``), so
-the check is coarse but needs no linter.  A method or property is only
-reached through an attribute, so for those only attribute names count: a
-local variable of the same name elsewhere does not keep one alive.
+attribute there, every dataclass field with a default must be set by
+some constructor call there, and no ``src/homlab`` module may import a
+name it never uses.  References are matched by name (``Name`` ids,
+attribute names and imported names, including the original name of an
+``import x as y``), so the check is coarse but needs no linter.  A
+method or property is only reached through an attribute, so for those
+only attribute names count: a local variable of the same name elsewhere
+does not keep one alive.
 Tests do not count as users: code that only a test reaches belongs in
 the test.
 """
@@ -113,6 +115,49 @@ def test_every_field_is_read():
                     unread.append(
                         f"{path.relative_to(ROOT)}:{stmt.lineno} {name}")
     assert unread == []
+
+
+def _is_dataclass(cls):
+    return any("dataclass" in _identifiers(dec) for dec in cls.decorator_list)
+
+
+def _constructor_calls(trees):
+    """{class name: [(positional count, keyword names)]} of every call."""
+    calls = {}
+    for tree in trees.values():
+        for call in ast.walk(tree):
+            if not isinstance(call, ast.Call):
+                continue
+            func = call.func
+            name = getattr(func, "id", None) or getattr(func, "attr", None)
+            keywords = {kw.arg for kw in call.keywords}
+            calls.setdefault(name, []).append((len(call.args), keywords))
+    return calls
+
+
+def test_every_defaulted_field_is_set():
+    # a default that no call overrides is an input nobody sets
+    trees = _trees()
+    calls = _constructor_calls(trees)
+    unset = []
+    for path, tree in trees.items():
+        if not path.is_relative_to(SRC):
+            continue
+        for cls in ast.walk(tree):
+            if not (isinstance(cls, ast.ClassDef) and _is_dataclass(cls)):
+                continue
+            fields = [stmt for stmt in cls.body
+                      if isinstance(stmt, ast.AnnAssign)
+                      and isinstance(stmt.target, ast.Name)]
+            for pos, stmt in enumerate(fields):
+                name = stmt.target.id
+                if stmt.value is None or any(
+                        pos < n_args or name in keywords
+                        for n_args, keywords in calls.get(cls.name, ())):
+                    continue
+                unset.append(f"{path.relative_to(ROOT)}:{stmt.lineno} "
+                             f"{cls.name}.{name}")
+    assert unset == []
 
 
 def _bindings(tree):

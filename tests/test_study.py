@@ -215,30 +215,53 @@ def test_norm_study_marks_flagged_rows(monkeypatch):
     assert not any("budget_violation" in line for line in res.footer)
 
 
-def _shipped_with(name, extra=""):
-    text = (CONFIGS / f"{name}.cfg").read_text() + "\n" + extra
+def test_norm_study_marks_capped_rows():
+    # the rows want 255 and 2547 elements; both run on the cap of 64
+    cfg = StudyConfig.from_text(NORM_CFG.replace("0.1, 0.05", "0.01, 0.001")
+                                + "mesh.cap_dof = 64\n")
+    res = run_study("norm", cfg)
+    assert [row["n_elements"] for row in res.rows] == [64, 64]
+    assert [row["within_budget"] for row in res.rows] == [0, 0]
+    assert res.footer[-1] == "# capped_rows=0.01;0.001"
+    # no column is added, and a capped row is not a budget violation
+    assert res.fieldnames == ("eps", "n_elements", "norm_x", "chain_bound",
+                              "v_m1m1", "v_m10", "v_sup", "within_budget")
+    assert not any("budget_violation" in line for line in res.footer)
+
+
+# ------------------------------------------------------- homogenize study
+
+def _shipped_with(name, *replacements):
+    text = (CONFIGS / f"{name}.cfg").read_text()
+    for old, new in replacements:
+        assert old in text
+        text = text.replace(old, new)
     return StudyConfig.from_text(text, source=name)
 
 
-def _below_echo(result):
-    return render_csv(result).splitlines()[len(result.echo):]
-
-
-def test_negate_switch_keeps_the_criterion_csv():
-    # cell criteria read |mean| and |dev|^2, which a sign flip leaves alone
-    plain = run_study("criterion", _shipped_with("sin_criterion"))
-    cfg = _shipped_with("sin_criterion", "family.negate = true\n")
-    negated = run_study("criterion", cfg)
-    assert negated.echo[-1] == ("family.negate", "true")
-    assert _below_echo(negated) == _below_echo(plain)
-
-
-def test_resample_switch_reads_its_keys():
+def test_homogenize_without_sampled_windows_is_not_consistent():
+    # windows of size eps^0 = 1 leave the unit domain from every grid
+    # point, and sign_sin declares the limit 0.5 against a true mean of 0
     cfg = _shipped_with(
-        "sin_criterion",
-        "family.resample = true\nfamily.resample_seed = 5\n"
-        "family.resample_amplitude = 0.25\n")
-    res = run_study("criterion", cfg)
-    assert cfg.unused_keys() == ()
-    assert len(res.rows) == 7
-    assert res.meta["family"].endswith("#resampled")
+        "two_scale_homogenize",
+        ("family.name = two_scale_linear", "family.name = sign_sin"),
+        ("homogenize.mu_power = 0.5", "homogenize.mu_power = 0"))
+    res = run_study("homogenize", cfg)
+    assert all(math.isnan(row["declared_gap"]) for row in res.rows)
+    assert not res.meta["consistent"]
+    assert res.footer[-2:] == (
+        "# skipped_windows = 165",
+        "# declared_limit_consistent: false (gap nan vs budget 1)")
+
+
+@pytest.mark.parametrize("points", [0, -4])
+def test_homogenize_rejects_an_empty_sample_grid(points):
+    cfg = _shipped_with(
+        "two_scale_homogenize",
+        ("homogenize.sample_points = 33",
+         f"homogenize.sample_points = {points}"))
+    with pytest.raises(ConfigError, match="homogenize.sample_points must be "
+                                          f"at least 1, got {points}"):
+        run_study("homogenize", cfg)
+
+
