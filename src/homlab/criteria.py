@@ -113,6 +113,13 @@ def optimize_eta(family, eps, exponents=DEFAULT_ETA_EXPONENTS, lattice=None,
     return best.eta, best
 
 
+def worst_gap(pairs):
+    """Largest |a - b| over the pairs whose window was sampled (a, b not
+    None); nan when none was."""
+    return max((float(matrix_abs(a - b)) for a, b in pairs
+                if a is not None and b is not None), default=math.nan)
+
+
 def local_mean_limit(family, eps_schedule, mu_rule=None, sample_points=33,
                      refine=None):
     """Reconstruct the limit potential from shrinking local means.
@@ -121,9 +128,11 @@ def local_mean_limit(family, eps_schedule, mu_rule=None, sample_points=33,
     mean of the eps-field over the window x + mu * (0,1)^d with
     mu = mu_rule(eps); windows that leave the domain are skipped.  Returns
     a report with the sample grid, the means per eps ("samples", None for
-    a skipped window), the skipped points, and rho2, the largest deviation
-    between means at successive schedule entries, with its bound
-    rho2 + sqrt(mu) at the finest eps.
+    a skipped window), the skipped points, the worst gap between the means
+    of each pair of successive schedule entries ("pair_gaps"), and rho2,
+    the largest of those gaps, with its bound rho2 + sqrt(mu) at the
+    finest eps.  With no window sampled at two successive entries there
+    is no evidence, and rho2 and its bound are nan.
     """
     if len(eps_schedule) < 2:
         raise ValueError("local mean limit needs at least two eps entries")
@@ -155,15 +164,13 @@ def local_mean_limit(family, eps_schedule, mu_rule=None, sample_points=33,
         samples.append(vals)
         skipped_all.extend(tuple(float(v) for v in x) for x in grid[~inside])
 
-    rho2 = 0.0
-    for a, b in zip(samples[:-1], samples[1:]):
-        for va, vb in zip(a, b):
-            if va is None or vb is None:
-                continue
-            rho2 = max(rho2, float(matrix_abs(va - vb)))
-
+    pair_gaps = [worst_gap(zip(a, b))
+                 for a, b in zip(samples[:-1], samples[1:])]
+    # fmax skips the nan of a pair with no sampled window
+    rho2 = float(np.fmax.reduce(pair_gaps))
     mu_fin = float(mu_rule(float(eps_schedule[-1])))
     return {
+        "pair_gaps": pair_gaps,
         "rho2": rho2,
         "mu_final": mu_fin,
         "bound": rho2 + math.sqrt(mu_fin),

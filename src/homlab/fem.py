@@ -9,8 +9,8 @@ for n-component complex fields, with Dirichlet conditions or Robin ones
 composite Gauss rule from the lattice module.  Direct solves go through a
 sparse LU factorization with compensated-residual iterative refinement, so
 forward errors sit near machine precision even on fine meshes.  A refined
-solve takes one load or a column block of loads; each column of a block
-gets the same bits as a solve of that column alone.
+solve takes a column block of loads (n, k); each column gets the same bits
+as a solve of a block holding that column alone.
 
 The compensated residual is built from error-free transformations:
 TwoProduct with Dekker-split factors (the matrix diagonals are split once
@@ -28,6 +28,9 @@ from .fields import Box, CoefficientField, constant_field
 from .lattice import _panel_rule, default_refine
 
 _SPLIT = 134217729.0  # 2**27 + 1, Dekker splitting constant
+# mesh.min_elements and mesh.cap_dof when a config leaves them out
+MIN_ELEMENTS = 64
+CAP_DOF = 8192
 
 
 def _split(a):
@@ -126,8 +129,10 @@ def build_mesh(domain: Box, n_elements: int) -> Mesh1D:
     return Mesh1D(domain.lower[0], domain.upper[0], int(n_elements))
 
 
-def mesh_rule(finest_scale, ncomp=1, min_elements=64, cap_dof=8192):
-    """Elements so that h resolves the finest coefficient scale 16-fold."""
+def mesh_rule(finest_scale, ncomp, min_elements, cap_dof):
+    """(n_elements, capped): enough elements for h to resolve the finest
+    coefficient scale 16-fold, at least min_elements, and at most cap_dof
+    dofs over ncomp components; capped says the cap cut the mesh."""
     n = int(np.ceil(16.0 / max(finest_scale, 1e-12)))
     n = max(n, min_elements)
     cap = max(cap_dof // max(ncomp, 1), min_elements)
@@ -385,12 +390,12 @@ class LinearSolver:
     a solution accurate to working precision, and the reported residual is
     the true one.  The diagonals are split into Dekker halves once, here.
 
-    The refined solves take a load of shape (n,) or a block of loads
-    (n, k).  A block is held column-contiguous and refined column by
-    column under the same stopping rule, with a column that has stopped
-    left alone, so each column gets the bits of its own solve.  Every
-    solve records its final residual norm in last_residual (a float for
-    one load, an array with one entry per column for a block) for cheap
+    The refined solves take a block of loads (n, k) and solve A x = b.  A
+    block is held column-contiguous and refined column by column under
+    the same stopping rule, with a column that has stopped left alone, so
+    each column gets the bits of its own solve.  The solver keeps no
+    state between calls: solve returns the final residual block with the
+    solution, and solve_pair returns its column norms for cheap
     downstream checks.
     """
 
@@ -406,34 +411,28 @@ class LinearSolver:
         dia_i = np.ascontiguousarray(dia.data.imag)
         self._complex = bool(np.any(dia_i))
         # per nonempty diagonal: its column range, offset and the split
-        # real part, imaginary part and negated imaginary part (adjoint);
-        # a real matrix keeps no imaginary parts
+        # real and imaginary parts; a real matrix keeps no imaginary part
         self._bands = []
         for k, off in enumerate(dia.offsets):
             j0, j1 = max(0, off), min(n, n + off)
             if j0 >= j1:
                 continue
-            di = dia_i[k, j0:j1]
-            imag = (_split(di), _split(-di)) if self._complex else (None, None)
-            self._bands.append((j0, j1, off, _split(dia_r[k, j0:j1]), *imag))
+            di = _split(dia_i[k, j0:j1]) if self._complex else None
+            self._bands.append((j0, j1, off, _split(dia_r[k, j0:j1]), di))
         self.shape = self.matrix.shape
         self.matrix_norm = float(np.abs(self.matrix).sum(axis=1).max())
-        self.last_residual = None
-        self._residual = None
 
-    def _dd_residual(self, rhs, x, herm=False):
-        """rhs - A x (or rhs - A^H x) with compensated accumulation.
+    def _dd_residual(self, rhs, x):
+        """rhs - A x with compensated accumulation.
 
-        x and rhs have shape (n,) or (n, k); each column is independent.
-        Real and imaginary parts of all columns are carried in one real
-        array (2, k, n), so one operation serves every accumulator along
+        x and rhs have shape (n, k); each column is independent.  Real and
+        imaginary parts of all columns are carried in one real array
+        (2, k, n), so one operation serves every accumulator along
         contiguous rows; each entry sees the same sequence of roundings as
         a lone column's would.
         """
-        n = self.shape[0]
-        shape = x.shape
-        x = x.reshape(n, -1).T
-        rhs = rhs.reshape(n, -1).T
+        x = x.T
+        rhs = rhs.T
         xs = _split(np.stack((x.real, x.imag)))
         # (Im x, Re x) for the imaginary diagonal parts
         xw = tuple(a[::-1] for a in xs)
@@ -441,29 +440,23 @@ class LinearSolver:
         # Re gains Im(d) Im(x), Im loses Im(d) Re(x); subtracting -p
         # rounds as adding p does
         sign = np.array([-1.0, 1.0])[:, None, None]
-        for j0, j1, off, dr, di, ndi in self._bands:
-            if herm:
-                o0, o1 = j0, j1
-                v = slice(j0 - off, j1 - off)
-                di = ndi
-            else:
-                o0, o1 = j0 - off, j1 - off
-                v = slice(j0, j1)
-            p, e = _two_prod(dr, tuple(a[..., v] for a in xs))
+        for j0, j1, off, dr, di in self._bands:
+            o0, o1 = j0 - off, j1 - off
+            p, e = _two_prod(dr, tuple(a[..., j0:j1] for a in xs))
             acc.sub(p, o0, o1)
             acc.sub(e, o0, o1)
             if self._complex:
-                p, e = _two_prod(di, tuple(a[..., v] for a in xw))
+                p, e = _two_prod(di, tuple(a[..., j0:j1] for a in xw))
                 acc.sub(p * sign, o0, o1)
                 acc.sub(e * sign, o0, o1)
         r = acc.value()
-        return (r[0] + 1j * r[1]).T.reshape(shape)
+        return (r[0] + 1j * r[1]).T
 
-    def solve(self, rhs, adjoint=False):
-        rhs = np.asarray(rhs, dtype=complex)
-        trans = "H" if adjoint else "N"
-        b = np.asfortranarray(rhs.reshape(rhs.shape[0], -1))
-        x = np.asfortranarray(self.lu.solve(b, trans=trans))
+    def solve(self, rhs):
+        """Refined solve of a load block (n, k): the solution and the
+        compensated residual of the converged iterate, both (n, k)."""
+        b = np.asfortranarray(rhs, dtype=complex)
+        x = np.asfortranarray(self.lu.solve(b))
         if not np.all(np.isfinite(x)):
             raise NumericalBreach("factorization produced non-finite solution")
         # corrections shrink by the LU's relative error each pass; a column
@@ -472,8 +465,8 @@ class LinearSolver:
         live = np.arange(b.shape[1])
         for _ in range(5):
             xl = x[:, live]
-            r = self._dd_residual(b[:, live], xl, herm=adjoint)
-            d = self.lu.solve(r, trans=trans)
+            r = self._dd_residual(b[:, live], xl)
+            d = self.lu.solve(r)
             xl = xl + d
             x[:, live] = xl
             dn = np.array(column_norms(d))
@@ -483,15 +476,9 @@ class LinearSolver:
             live = live[~stop]
             if not live.size:
                 break
-        self._residual = self._dd_residual(b, x, herm=adjoint)
-        norms = np.array(column_norms(self._residual))
-        if rhs.ndim == 1:
-            self.last_residual = float(norms[0])
-            return x[:, 0]
-        self.last_residual = norms
-        return x
+        return x, self._dd_residual(b, x)
 
-    def solve_pair(self, rhs, adjoint=False):
+    def solve_pair(self, rhs):
         """Refined solve plus the correction living below its last bit.
 
         One more LU pass against the compensated residual of the
@@ -499,11 +486,11 @@ class LinearSolver:
         the part of the solution that double precision cannot store.
         Callers that difference two nearby solutions add the corrections
         back in, which keeps the trailing digits of the difference that
-        would otherwise drown in the iterates' own rounding.
+        would otherwise drown in the iterates' own rounding.  Returns
+        (x, x_lo, residual norms), one norm per column.
         """
-        x = self.solve(rhs, adjoint=adjoint)
-        d = self.lu.solve(self._residual, trans="H" if adjoint else "N")
-        return x, d.reshape(x.shape)
+        x, r = self.solve(rhs)
+        return x, self.lu.solve(r), np.array(column_norms(r))
 
     def quick(self, rhs, adjoint=False):
         """Single unrefined LU solve, for the operators whose norms are

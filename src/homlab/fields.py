@@ -53,7 +53,8 @@ class Box:
 class CoefficientField:
     """Bounded matrix-valued coefficient on a box domain.
 
-    func maps points (m, dim) -> values (m, ncomp, ncomp), complex.
+    func maps points (m, dim) -> values (m, ncomp, ncomp), complex; a
+    call takes points of exactly that shape.
     sup_bound is a declared uniform bound on the entrywise matrix norm,
     taken on trust: evaluation does not check it.
     """
@@ -66,11 +67,9 @@ class CoefficientField:
 
     def __call__(self, points):
         pts = np.asarray(points, dtype=float)
-        single = pts.ndim == 1
-        pts = np.atleast_2d(pts)
-        if pts.shape[1] != self.dim:
+        if pts.ndim != 2 or pts.shape[1] != self.dim:
             raise ValueError(
-                f"field expects points of dimension {self.dim}, got {pts.shape[1]}"
+                f"field expects points (m, {self.dim}), got shape {pts.shape}"
             )
         vals = np.asarray(self.func(pts), dtype=complex)
         expect = (pts.shape[0], self.ncomp, self.ncomp)
@@ -78,7 +77,7 @@ class CoefficientField:
             raise ValueError(
                 f"field closure returned shape {vals.shape}, expected {expect}"
             )
-        return vals[0] if single else vals
+        return vals
 
 
 def constant_field(dim, value, domain=None):

@@ -6,15 +6,16 @@ B Z^d + offset.  Cell integrals use composite Gauss-Legendre rules of
 order 4 per subcell, with an error estimate from comparing against the
 half-resolution rule.
 
-cell_integral takes one cell index or a stack of them.  A stack is
-evaluated in batches of whole cells, up to CHUNK_POINTS rule points per
-field evaluation (a cell with more points is evaluated alone), so one
-call per field replaces a Python loop over cells; each cell's sum is
-still reduced on its own, bit for bit as for a lone cell.  On request
-the same field values also give the integrals of |field|^2.  The 1D
-Gauss rule is memoized per (refine, order); the d-dimensional tensor
-rule is rebuilt per call, since holding the large 2D rules costs more
-memory than building them costs time.
+cell_integral takes a stack of cell indices (C, d), and a single cell
+is a stack of one.  The stack is evaluated in batches of whole cells, up
+to CHUNK_POINTS rule points per field evaluation (a cell with more
+points is evaluated alone), so one call per field replaces a Python loop
+over cells; each cell's sum is still reduced on its own, bit for bit as
+in a stack of that cell alone.  On request the same field values also
+give the integrals of |field|^2.  The 1D Gauss rule is memoized per
+(refine, order); the d-dimensional tensor rule is rebuilt per call,
+since holding the large 2D rules costs more memory than building them
+costs time.
 """
 
 from dataclasses import dataclass
@@ -185,17 +186,15 @@ def default_refine(eta, finest_scale):
 def cell_integral(lattice, z, eta, field_, refine, squares=False):
     """Integrals of a coefficient field over cells, with error estimates.
 
-    z is one index (d,) or a stack of them (C, d).  Returns (integral,
-    error estimate): a matrix and a float for one index, arrays (C, n, n)
-    and (C,) for a stack.  The estimate compares the requested resolution
-    against the half-resolution rule (one order-2 panel at refine 1);
-    doubling the refine changes the result by less than the estimate.
+    z is a stack of cell indices (C, d).  Returns (integral, error
+    estimate) as arrays (C, n, n) and (C,).  The estimate compares the
+    requested resolution against the half-resolution rule (one order-2
+    panel at refine 1); doubling the refine changes the result by less
+    than the estimate.
     squares=True appends the same pair for the scalar |field|^2, taken
     from the same field values.
     """
     zs = np.asarray(z, dtype=float)
-    single = zs.ndim == 1
-    zs = zs.reshape(-1, lattice.dim)
     origins = np.array([eta * lattice.point(g) for g in zs]).reshape(zs.shape)
     span = eta * lattice.basis
     refine = int(max(1, refine))
@@ -207,6 +206,5 @@ def cell_integral(lattice, z, eta, field_, refine, squares=False):
                              squares)
     out = []
     for f, c in zip(fine, coarse):
-        err = matrix_abs(f - c) + 1e-300
-        out += [f[0], float(err[0])] if single else [f, err]
+        out += [f, matrix_abs(f - c) + 1e-300]
     return tuple(out)

@@ -43,7 +43,7 @@ class Space:
 
     The primal norm is |U x| and the dual norm |U^{-H} x|.  coords maps a
     vector to the coordinates whose 2-norm is its norm (T x), vector maps
-    coordinates back (T^{-1} y); herm=True applies the adjoint maps.
+    coordinates back (T^{-1} y); adjoint=True applies their adjoints.
     """
 
     def __init__(self, gram, dual=False):
@@ -68,21 +68,25 @@ class Space:
         other.dual = not self.dual
         return other
 
-    def _mul(self, x, herm):
-        return (self._uh if herm else self._u) @ x
+    def _mul(self, x, adjoint):
+        return (self._uh if adjoint else self._u) @ x
 
-    def _solve(self, x, herm):
+    def _solve(self, x, adjoint):
         y, info = self._tbtrs(self._band, x, uplo="U",
-                              trans="C" if herm else "N")
+                              trans="C" if adjoint else "N")
         if info:
             raise NumericalBreach(f"triangular solve failed (info {info})")
         return y
 
-    def coords(self, x, herm=False):
-        return self._solve(x, not herm) if self.dual else self._mul(x, herm)
+    def coords(self, x, adjoint=False):
+        if self.dual:
+            return self._solve(x, not adjoint)
+        return self._mul(x, adjoint)
 
-    def vector(self, y, herm=False):
-        return self._mul(y, not herm) if self.dual else self._solve(y, herm)
+    def vector(self, y, adjoint=False):
+        if self.dual:
+            return self._mul(y, not adjoint)
+        return self._solve(y, adjoint)
 
 
 @dataclass(frozen=True)
@@ -161,8 +165,8 @@ def induced_norm(apply_, apply_adj, space_in, space_out, seed=1234,
         return space_out.coords(apply_(space_in.vector(x)))
 
     def k_adj(y):
-        return space_in.vector(apply_adj(space_out.coords(y, herm=True)),
-                               herm=True)
+        return space_in.vector(apply_adj(space_out.coords(y, adjoint=True)),
+                               adjoint=True)
 
     value, applications, residual, mode = _power_singular(
         k, k_adj, space_in.dim, seed, rel_tol)

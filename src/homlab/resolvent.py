@@ -49,30 +49,27 @@ class ResolventContext:
     def dim(self):
         return self.G0.shape[0]
 
-    def solve_pair(self, rhs, which="eps", adjoint=False):
+    def solve_pair(self, rhs, which="eps"):
         """Refined solve keeping the sub-ulp correction, contract-checked.
 
-        rhs is one load (n,) or a column block (n, k).  The residual of
-        every column must clear 1e-10 of its load; a solution stored in
-        doubles cannot have a residual below roundoff of G x, so the check
-        also admits that attainability floor.
+        rhs is a column block (n, k); returns the solution block and its
+        correction block.  The residual of every column must clear 1e-10
+        of its load; a solution stored in doubles cannot have a residual
+        below roundoff of G x, so the check also admits that
+        attainability floor.
         """
         solver = self.solver_eps if which == "eps" else self.solver0
-        x, x_lo = solver.solve_pair(rhs, adjoint=adjoint)
-        self._check_contract(solver, x, rhs, which, adjoint)
+        x, x_lo, residuals = solver.solve_pair(rhs)
+        self._check_contract(solver, x, rhs, residuals, which)
         return x, x_lo
 
-    def _check_contract(self, solver, x, rhs, which, adjoint):
-        n = self.dim
-        rhs_norms = column_norms(np.reshape(rhs, (n, -1)))
-        x_norms = column_norms(np.reshape(x, (n, -1)))
-        residuals = np.atleast_1d(solver.last_residual)
-        for res, nf, nx in zip(residuals, rhs_norms, x_norms):
+    def _check_contract(self, solver, x, rhs, residuals, which):
+        for res, nf, nx in zip(residuals, column_norms(rhs), column_norms(x)):
             floor = 32.0 * np.finfo(float).eps * (solver.matrix_norm * nx + nf)
             if res > max(SOLVE_RTOL * nf, floor):
                 raise NumericalBreach(
                     f"linear solve residual {res:.3e} above {SOLVE_RTOL:.0e} "
-                    f"of |rhs| = {nf:.3e} ({which}, adjoint={adjoint})"
+                    f"of |rhs| = {nf:.3e} ({which})"
                 )
 
 
@@ -184,7 +181,7 @@ def truncation_study(ctx, orders=(0, 1, 2, 3), seed=1234):
     )
 
 
-def assemble_setting(op_spec, family, eps, min_elements=64, cap_dof=8192):
+def assemble_setting(op_spec, family, eps, min_elements, cap_dof):
     """Mesh and assemble everything one epsilon needs, shift-free.
 
     The perturbed form is assembled twice, once from the full epsilon

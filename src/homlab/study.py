@@ -16,9 +16,10 @@ import numpy as np
 from . import criteria, registry
 from .config import ConfigError
 from .families import deviation_triple
-from .fem import (assemble_base, assemble_triple, build_mesh,
-                  default_operator, mesh_rule, perturbation_refine)
-from .fields import matrix_abs, sampled_sup
+from .fem import (CAP_DOF, MIN_ELEMENTS, assemble_base, assemble_triple,
+                  build_mesh, default_operator, mesh_rule,
+                  perturbation_refine)
+from .fields import sampled_sup
 from .norms import find_lambda, norm_m1m1, norm_m10, norm_v_to_vstar
 from .resolvent import (assemble_setting, context_from_setting,
                         convergence_row, convergence_verdict,
@@ -177,8 +178,8 @@ def _operator_spec(cfg, family):
 
 def _mesh_opts(cfg):
     opts = {
-        "min_elements": cfg.get_int("mesh.min_elements", 64),
-        "cap_dof": cfg.get_int("mesh.cap_dof", 8192),
+        "min_elements": cfg.get_int("mesh.min_elements", MIN_ELEMENTS),
+        "cap_dof": cfg.get_int("mesh.cap_dof", CAP_DOF),
     }
     if opts["min_elements"] < 2:
         raise ConfigError("mesh.min_elements must be at least 2, got "
@@ -244,18 +245,12 @@ def criterion_study(cfg, seed=1234, threads=1):
     )
 
 
-def _worst_gap(pairs):
-    """Largest |a - b| over the pairs whose window was sampled (a, b not
-    None); nan when none was."""
-    return max((float(matrix_abs(a - b)) for a, b in pairs
-                if a is not None and b is not None), default=math.nan)
-
-
 def homogenize_study(cfg, seed=1234, threads=1):
     """Local-mean limit identification against the declared limit.
 
     A row with no sampled window has a nan gap, and a nan gap at the final
-    eps is no evidence: the declared limit is then not consistent.
+    eps is no evidence: the declared limit is then not consistent.  So is
+    a nan rho2, which says no window was sampled at two successive eps.
     """
     family = registry.build_family(cfg)
     schedule = _schedule(cfg)
@@ -272,19 +267,16 @@ def homogenize_study(cfg, seed=1234, threads=1):
         mu_rule=lambda eps: eps ** mu_power,
         sample_points=points,
     )
-    grid = rep["grid"]
-    samples = rep["samples"]
-    limit_vals = family.limit.v(grid)
+    limit_vals = family.limit.v(rep["grid"])
 
+    # the last eps has no successor to compare with
+    pair_gaps = rep["pair_gaps"] + [math.nan]
     rows = []
-    for i, eps in enumerate(schedule):
-        pair_gap = math.nan
-        if i + 1 < len(schedule):
-            pair_gap = _worst_gap(zip(samples[i], samples[i + 1]))
+    for eps, vals, pair_gap in zip(schedule, rep["samples"], pair_gaps):
         rows.append({
             "eps": eps,
             "mu": eps ** mu_power,
-            "declared_gap": _worst_gap(zip(samples[i], limit_vals)),
+            "declared_gap": criteria.worst_gap(zip(vals, limit_vals)),
             "pair_gap": pair_gap,
         })
 
@@ -304,9 +296,7 @@ def homogenize_study(cfg, seed=1234, threads=1):
         rows=tuple(rows),
         footer=tuple(footer),
         echo=tuple(cfg.echo()),
-        meta={"family": family.name, "consistent": consistent,
-              "rho2": rep["rho2"], "bound": rep["bound"],
-              "final_gap": final_gap},
+        meta={"family": family.name, "consistent": consistent},
     )
 
 
@@ -344,9 +334,12 @@ def norm_study(cfg, seed=1234, threads=1):
         refine = perturbation_refine(op.space, finest)
         trip = deviation_triple(family, eps)
         pert = assemble_triple(op.space, trip, refine)
-        reports = [norm_v_to_vstar(pert.matrix, op.gram_h1, seed=row_seed),
-                   norm_m1m1(op, trip.v, refine, row_seed),
-                   norm_m10(op, trip.v, refine, row_seed)]
+        rep_x = norm_v_to_vstar(pert.matrix, op.gram_h1, seed=row_seed)
+        # a bare potential's triple form is the potential form, under the
+        # same seed: norm_m1m1 would measure it again
+        rep_v = (norm_m1m1(op, trip.v, refine, row_seed)
+                 if trip.q or trip.p else rep_x)
+        reports = [rep_x, rep_v, norm_m10(op, trip.v, refine, row_seed)]
         measured, v_m1m1, v_m10 = (rep.value for rep in reports)
         v_sup = sampled_sup(trip.v, family.domain)
         row = {
@@ -479,9 +472,7 @@ def resolvent_study(cfg, seed=1234, threads=1):
         rows=tuple(rows),
         footer=tuple(footer),
         echo=tuple(cfg.echo()),
-        meta={"family": family.name, "verdict": verdict, "detail": detail,
-              "shift": lam, "coercivity": coercivity,
-              "max_identity_err": max_identity},
+        meta={"family": family.name, "verdict": verdict},
     )
 
 
@@ -522,8 +513,7 @@ def neumann_study(cfg, seed=1234, threads=1):
         rows=tuple(rows),
         footer=tuple(footer),
         echo=tuple(cfg.echo()),
-        meta={"family": family.name, "report": rep,
-              "n_elements": ctx.meta["n_elements"]},
+        meta={"family": family.name, "report": rep},
     )
 
 

@@ -8,7 +8,9 @@ from pathlib import Path
 
 import pytest
 
+from homlab import registry
 from homlab.cli import main
+from homlab.config import StudyConfig
 
 ROOT = Path(__file__).resolve().parents[1]
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
@@ -35,6 +37,27 @@ def test_families_lists_catalogue(capsys):
     for name in ("regular_sin", "sparse_bumps", "almost_periodic",
                  "fractal_2d", "random_rotation"):
         assert name in out
+
+
+class _RecordingConfig(StudyConfig):
+    """A config that records every key a reader asks for."""
+
+    def __init__(self, entries):
+        super().__init__(entries)
+        self.asked = []
+
+    def get(self, key, *default):
+        self.asked.append(key)
+        return super().get(key, *default)
+
+
+@pytest.mark.parametrize("name", sorted(registry.REGISTRY))
+def test_catalogue_lists_the_keys_each_builder_reads(name):
+    # every family.* key the builder reads falls back to its default here
+    build, _, keys = registry.REGISTRY[name]
+    cfg = _RecordingConfig({"family.name": name})
+    build(cfg)
+    assert sorted(keys) == sorted(set(cfg.asked))
 
 
 def test_criterion_run_writes_csv(tmp_path, crit_cfg, capsys):

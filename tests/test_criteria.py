@@ -178,11 +178,11 @@ def reference_report(family, eps, eta, refine):
         sq = scalar_field(dev.dim, lambda p, d=dev: matrix_abs(d(p)) ** 2,
                           dev.sup_bound ** 2, dev.domain)
         for z in cells:
-            integral, err = cell_integral(lat, np.array(z), eta, dev, refine)
+            (integral,), (err,) = cell_integral(lat, [z], eta, dev, refine)
             val = float(matrix_abs(integral)) / measure
             quad = max(quad, err / measure)
             rho1_ = max(rho1_, val)
-            sq_int, sq_err = cell_integral(lat, np.array(z), eta, sq, refine)
+            (sq_int,), (sq_err,) = cell_integral(lat, [z], eta, sq, refine)
             rho3_ = max(rho3_, complex(sq_int.item()).real / measure)
             quad = max(quad, sq_err / measure)
     return rho1_, rho3_, quad

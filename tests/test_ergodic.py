@@ -71,8 +71,8 @@ def test_birkhoff_average_approaches_expectation():
     eps = 1e-3
     # the mean of one realization over the whole domain: the integral over
     # one cell of measure 1
-    avg, _ = cell_integral(Lattice(1), (0,), 1.0, fam.at(eps).v, 4096)
-    exact = fam.limit.v(np.array([0.5]))[0, 0]
+    (avg,), _ = cell_integral(Lattice(1), [(0,)], 1.0, fam.at(eps).v, 4096)
+    exact = fam.limit.v(np.array([[0.5]]))[0, 0, 0]
     assert exact == pytest.approx(0.0, abs=1e-14)
     # one sweep over the domain at eps covers ~700 turns; error ~ eps / box
     assert abs(avg[0, 0] - exact) < 5e-3

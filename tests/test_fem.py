@@ -9,11 +9,14 @@ from homlab.fem import (
     Mesh1D,
     NumericalBreach,
     assemble_base,
+    column_norms,
     assemble_perturbation,
     build_mesh,
     default_operator,
     FeSpace,
     mesh_rule,
+    CAP_DOF,
+    MIN_ELEMENTS,
     OperatorSpec,
 )
 from homlab.fields import Box, constant_field, scalar_field
@@ -135,17 +138,22 @@ def test_gram_matrices_are_hermitian_and_ordered():
 
 # ---------------------------------------------------------------- mesh rule
 
+def _mesh_rule(finest_scale, ncomp=1):
+    """mesh_rule at the defaults a config without mesh.* keys gets."""
+    return mesh_rule(finest_scale, ncomp, MIN_ELEMENTS, CAP_DOF)
+
+
 def test_mesh_rule_tracks_finest_scale():
-    assert mesh_rule(1.0) == (64, False)
-    assert mesh_rule(0.1) == (160, False)
-    assert mesh_rule(0.001) == (8192, True)
-    n, capped = mesh_rule(0.001, ncomp=2)
+    assert _mesh_rule(1.0) == (64, False)
+    assert _mesh_rule(0.1) == (160, False)
+    assert _mesh_rule(0.001) == (8192, True)
+    n, capped = _mesh_rule(0.001, ncomp=2)
     assert n == 4096 and capped
-    assert mesh_rule(2.0 * np.pi * 0.05) == (64, False)
+    assert _mesh_rule(2.0 * np.pi * 0.05) == (64, False)
 
 
 def test_mesh_rule_respects_minimum():
-    n, capped = mesh_rule(100.0)
+    n, capped = _mesh_rule(100.0)
     assert n == 64 and not capped
 
 
@@ -191,7 +199,7 @@ def test_nodal_exactness_for_manufactured_solution():
     op = assemble_base(default_operator(UNIT), mesh)
     f = lambda pts: (np.pi ** 2) * np.sin(np.pi * pts)
     rhs = load_vector(op.space, f, refine=8)
-    u = LinearSolver(op.base_form).solve(rhs)
+    u = LinearSolver(op.base_form).solve(rhs[:, None])[0][:, 0]
     exact = np.sin(np.pi * mesh.h * np.arange(1, n))
     assert np.abs(u - exact).max() < 1e-10
 
@@ -205,7 +213,7 @@ def test_energy_deficit_decays_quadratically():
         op = assemble_base(default_operator(UNIT), mesh)
         f = lambda pts: (np.pi ** 2) * np.sin(np.pi * pts)
         rhs = load_vector(op.space, f, refine=8)
-        u = LinearSolver(op.base_form).solve(rhs)
+        u = LinearSolver(op.base_form).solve(rhs[:, None])[0][:, 0]
         energy = float(np.real(np.vdot(u, op.base_form @ u)))
         deficits.append(np.pi ** 2 / 2.0 - energy)
     assert all(d > 0 for d in deficits)
@@ -252,24 +260,14 @@ def test_solver_reaches_working_precision():
         a += np.diag(rng.integers(-4, 5, n - off) / 16.0, -off)
     a = a + 1j * np.diag(rng.integers(-8, 9, n) / 16.0)
     x_true = (rng.integers(-8, 9, n) + 1j * rng.integers(-8, 9, n)).astype(complex)
-    b = a @ x_true
+    b = (a @ x_true)[:, None]
     solver = LinearSolver(sp.csr_matrix(a))
-    x = solver.solve(b)
+    x, _, residuals = solver.solve_pair(b)
     # refinement drives forward error to roundoff, not just the residual
-    fwd = float(np.abs(x - x_true).max() / np.abs(x_true).max())
+    fwd = float(np.abs(x[:, 0] - x_true).max() / np.abs(x_true).max())
     assert fwd < 5e-15
-    assert solver.last_residual is not None
-    assert solver.last_residual < 1e-12 * np.linalg.norm(b)
-
-
-def test_solver_adjoint_mode():
-    rng = np.random.default_rng(13)
-    n = 40
-    a = _random_banded(rng, n)
-    b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    solver = LinearSolver(sp.csr_matrix(a))
-    y = solver.solve(b, adjoint=True)
-    assert np.linalg.norm(a.conj().T @ y - b) < 1e-11 * np.linalg.norm(b)
+    assert residuals.shape == (1,)
+    assert residuals[0] < 1e-12 * np.linalg.norm(b)
 
 
 def test_reported_residual_is_true_residual():
@@ -277,8 +275,8 @@ def test_reported_residual_is_true_residual():
     n = 50
     a = _random_banded(rng, n)
     solver = LinearSolver(sp.csr_matrix(a))
-    x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    x = rng.standard_normal((n, 1)) + 1j * rng.standard_normal((n, 1))
+    b = rng.standard_normal((n, 1)) + 1j * rng.standard_normal((n, 1))
     got = np.linalg.norm(solver._dd_residual(b, x))
     ref = np.linalg.norm(
         b.astype(np.clongdouble) - a.astype(np.clongdouble) @ x
@@ -289,7 +287,7 @@ def test_reported_residual_is_true_residual():
 def test_singular_matrix_raises():
     a = sp.csr_matrix(np.array([[1.0, 2.0], [2.0, 4.0]]))
     with pytest.raises(NumericalBreach):
-        LinearSolver(a).solve(np.ones(2))
+        LinearSolver(a).solve(np.ones((2, 1)))
 
 
 def test_matrix_norm_is_row_sum():
@@ -331,7 +329,7 @@ class _RefCompensated:
         return self.s + self.c
 
 
-def _ref_dd_residual(matrix, rhs, x, herm=False):
+def _ref_dd_residual(matrix, rhs, x):
     """The residual loop as first written: Neumaier sums, splits per call."""
     n = matrix.shape[0]
     dia = sp.dia_matrix(sp.csc_matrix(matrix).astype(complex))
@@ -347,14 +345,9 @@ def _ref_dd_residual(matrix, rhs, x, herm=False):
         if j0 >= j1:
             continue
         dr = dia_r[k, j0:j1]
-        if herm:
-            o0, o1 = j0, j1
-            vr = xr[j0 - off:j1 - off]
-            vi = xi[j0 - off:j1 - off]
-        else:
-            o0, o1 = j0 - off, j1 - off
-            vr = xr[j0:j1]
-            vi = xi[j0:j1]
+        o0, o1 = j0 - off, j1 - off
+        vr = xr[j0:j1]
+        vi = xi[j0:j1]
         p, e = _ref_two_prod(dr, vr)
         acc_r.add(-p, o0, o1)
         acc_r.add(-e, o0, o1)
@@ -363,8 +356,6 @@ def _ref_dd_residual(matrix, rhs, x, herm=False):
         acc_i.add(-e, o0, o1)
         if np.any(dia_i):
             di = dia_i[k, j0:j1]
-            if herm:
-                di = -di
             p, e = _ref_two_prod(di, vi)
             acc_r.add(p, o0, o1)
             acc_r.add(e, o0, o1)
@@ -387,9 +378,8 @@ def _wide_banded(rng, n, complex_):
     return a
 
 
-@pytest.mark.parametrize("herm", [False, True])
 @pytest.mark.parametrize("complex_", [False, True])
-def test_dd_residual_matches_reference_loop(complex_, herm):
+def test_dd_residual_matches_reference_loop(complex_):
     rng = np.random.default_rng(11)
     n = 45
     a = _wide_banded(rng, n, complex_)
@@ -398,13 +388,12 @@ def test_dd_residual_matches_reference_loop(complex_, herm):
     b = rng.standard_normal((n, 4)) + 1j * rng.standard_normal((n, 4))
     # a sign pattern with zeros and a solution-sized residual
     x[::7, 0] = 0.0
-    b[:, 1] = a @ x[:, 1] if not herm else a.conj().T @ x[:, 1]
-    block = solver._dd_residual(np.asfortranarray(b), np.asfortranarray(x),
-                                herm=herm)
+    b[:, 1] = a @ x[:, 1]
+    block = solver._dd_residual(np.asfortranarray(b), np.asfortranarray(x))
     for j in range(4):
-        ref = _ref_dd_residual(a, b[:, j], x[:, j], herm=herm)
-        assert np.array_equal(solver._dd_residual(b[:, j], x[:, j], herm=herm),
-                              ref)
+        ref = _ref_dd_residual(a, b[:, j], x[:, j])
+        one = solver._dd_residual(b[:, j:j + 1], x[:, j:j + 1])
+        assert np.array_equal(one[:, 0], ref)
         assert np.array_equal(block[:, j], ref)
 
 
@@ -413,16 +402,15 @@ def _passes_per_call(solver, monkeypatch):
     widths = []
     inner = solver._dd_residual
 
-    def counted(rhs, x, herm=False):
-        widths.append(1 if x.ndim == 1 else x.shape[1])
-        return inner(rhs, x, herm=herm)
+    def counted(rhs, x):
+        widths.append(x.shape[1])
+        return inner(rhs, x)
 
     monkeypatch.setattr(solver, "_dd_residual", counted)
     return widths
 
 
-@pytest.mark.parametrize("adjoint", [False, True])
-def test_block_solve_equals_column_solves(adjoint, monkeypatch):
+def test_block_solve_equals_column_solves(monkeypatch):
     rng = np.random.default_rng(17)
     n = 60
     # a Laplacian-like band (condition number about 300): random loads
@@ -437,25 +425,24 @@ def test_block_solve_equals_column_solves(adjoint, monkeypatch):
                           + 1j * rng.standard_normal((n, 4)))
     b[:, 1] = 0.0
     widths = _passes_per_call(solver, monkeypatch)
-    x, x_lo = solver.solve_pair(b, adjoint=adjoint)
-    res = solver.last_residual
+    x, x_lo, res = solver.solve_pair(b)
     assert widths == [4, 3, 4]
+    assert x.shape == x_lo.shape == (n, 4) and res.shape == (4,)
     for j in range(4):
-        xj = solver.solve(b[:, j], adjoint=adjoint)
-        assert np.array_equal(x[:, j], xj)
-        assert solver.last_residual == res[j]
-        xj, xj_lo = solver.solve_pair(b[:, j], adjoint=adjoint)
-        assert np.array_equal(x[:, j], xj)
-        assert np.array_equal(x_lo[:, j], xj_lo)
-    assert isinstance(solver.last_residual, float)
-    assert res.shape == (4,)
+        xj, rj = solver.solve(b[:, j:j + 1])
+        assert np.array_equal(x[:, j:j + 1], xj)
+        assert column_norms(rj) == [res[j]]
+        xj, xj_lo, resj = solver.solve_pair(b[:, j:j + 1])
+        assert np.array_equal(x[:, j:j + 1], xj)
+        assert np.array_equal(x_lo[:, j:j + 1], xj_lo)
+        assert resj[0] == res[j]
 
 
 def test_solve_pair_reuses_the_final_residual(monkeypatch):
     rng = np.random.default_rng(19)
     n = 40
     solver = LinearSolver(sp.csr_matrix(_wide_banded(rng, n, True)))
-    b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    b = rng.standard_normal((n, 1)) + 1j * rng.standard_normal((n, 1))
     widths = _passes_per_call(solver, monkeypatch)
     solver.solve(b)
     alone = len(widths)

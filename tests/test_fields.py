@@ -111,3 +111,11 @@ def test_field_shape_mismatch_raises():
     )
     with pytest.raises(ValueError):
         bad(np.array([[0.5]]))
+
+
+@pytest.mark.parametrize("points", [np.array([0.5]), np.zeros((1, 1, 1))])
+def test_field_takes_points_of_shape_m_by_dim_only(points):
+    # neither one point (dim,) nor a 3D array is promoted to (m, dim)
+    f = constant_field(1, 2.0, UNIT)
+    with pytest.raises(ValueError, match=r"points \(m, 1\)"):
+        f(points)

@@ -11,8 +11,8 @@ import scipy.sparse as sp
 from homlab import registry, resolvent, study
 from homlab.config import StudyConfig
 from homlab.families import make_regular
-from homlab.fem import NumericalBreach, assemble_base, assemble_perturbation, \
-    build_mesh, default_operator
+from homlab.fem import CAP_DOF, MIN_ELEMENTS, NumericalBreach, \
+    assemble_base, assemble_perturbation, build_mesh, default_operator
 from homlab.fields import Box, scalar_field, zero_field
 from homlab.resolvent import (
     assemble_setting,
@@ -26,6 +26,7 @@ from homlab.resolvent import (
 )
 
 UNIT = Box((0.0,), (1.0,))
+MESH = {"min_elements": MIN_ELEMENTS, "cap_dof": CAP_DOF}
 
 
 def sin_family(amplitude=1.0):
@@ -43,23 +44,21 @@ def sin_family(amplitude=1.0):
     )
 
 
-def neumann_apply(ctx, f, order, adjoint=False):
-    """Order-N truncated series applied to a vector.
+def neumann_apply(ctx, f, order):
+    """Order-N truncated series applied to a load block f (n, k).
 
-    Forward recursion: u_0 = R0 f, u_k = R0 (f - L u_{k-1}); the adjoint
-    mirrors it with the conjugate-transposed difference form.  Every
-    solve is a contract-checked refined one.
+    Recursion: u_0 = R0 f, u_k = R0 (f - L u_{k-1}).  Every solve is a
+    contract-checked refined one.
     """
     if order < 0:
         raise ValueError("series order must be at least 0")
-    mat = ctx.LH if adjoint else ctx.L
 
     def solve(rhs):
-        return ctx.solve_pair(rhs, which="base", adjoint=adjoint)[0]
+        return ctx.solve_pair(rhs, which="base")[0]
 
     acc = solve(f)
     for _ in range(order):
-        acc = solve(f - mat @ acc)
+        acc = solve(f - ctx.L @ acc)
     return acc
 
 
@@ -75,10 +74,10 @@ def context_from_difference(op, lam, pert):
     return context_from_setting(difference_setting(op, pert), lam)
 
 
-def build_setting(op_spec, family, eps, lam, **opts):
+def build_setting(op_spec, family, eps, lam, mesh=MESH):
     """Assemble one eps of a family and shift it into a context."""
     return context_from_setting(
-        assemble_setting(op_spec, family, eps, **opts), lam)
+        assemble_setting(op_spec, family, eps, **mesh), lam)
 
 
 def small_context(n=5, lam=-1.0, amplitude=1.0):
@@ -112,16 +111,15 @@ def test_route_mismatch_is_rejected():
 def test_solve_meets_residual_contract():
     ctx = small_context(n=64)
     rng = np.random.default_rng(0)
-    f = rng.standard_normal(ctx.dim)
+    f = rng.standard_normal((ctx.dim, 1))
     x, _ = ctx.solve_pair(f, which="eps")
-    assert ctx.solver_eps.last_residual <= 1e-10 * np.linalg.norm(f)
     assert np.linalg.norm(ctx.Geps @ x - f) <= 1e-10 * np.linalg.norm(f)
 
 
 def test_real_data_keeps_solutions_real():
     ctx = small_context(n=32)
     rng = np.random.default_rng(1)
-    f = rng.standard_normal(ctx.dim).astype(complex)
+    f = rng.standard_normal((ctx.dim, 1)).astype(complex)
     for which in ("eps", "base"):
         u, _ = ctx.solve_pair(f, which=which)
         total = float(np.linalg.norm(u))
@@ -137,7 +135,7 @@ def test_truncated_series_matches_dense_partial_sums():
     r0 = np.linalg.inv(g0)
     step = -r0 @ ell
     rng = np.random.default_rng(2)
-    f = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+    f = rng.standard_normal((4, 1)) + 1j * rng.standard_normal((4, 1))
     expect = r0 @ f
     term = r0 @ f
     for order in range(5):
@@ -148,33 +146,30 @@ def test_truncated_series_matches_dense_partial_sums():
 
 
 def test_truncated_series_adjoint_matches_dense():
+    # the adjoint of R_eps - S_3 = (-R0 L)^4 R_eps, the map whose norm is
+    # the order-3 truncation error
     ctx = small_context(n=5)
-    g0 = ctx.G0.toarray()
-    ell = ctx.L.toarray()
-    r0 = np.linalg.inv(g0)
-    dense = r0.copy()
-    term = r0.copy()
-    step = -r0 @ ell
-    for _ in range(3):
-        term = step @ term
-        dense = dense + term
+    r0 = np.linalg.inv(ctx.G0.toarray())
+    r_eps = np.linalg.inv(ctx.Geps.toarray())
+    remainder = np.linalg.matrix_power(-r0 @ ctx.L.toarray(), 4) @ r_eps
     rng = np.random.default_rng(3)
     f = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-    got = neumann_apply(ctx, f, 3, adjoint=True)
-    expect = dense.conj().T @ f
+    got = resolvent._series_remainder(ctx, f, 3, adjoint=True)
+    expect = remainder.conj().T @ f
     assert np.linalg.norm(got - expect) <= 1e-10 * np.linalg.norm(expect)
 
 
 def test_series_order_must_be_nonnegative():
     ctx = small_context(n=5)
     with pytest.raises(ValueError):
-        neumann_apply(ctx, np.ones(4), -1)
+        neumann_apply(ctx, np.ones((4, 1)), -1)
 
 
 def test_partial_sum_recursion_consistency():
     ctx = small_context(n=40)
     rng = np.random.default_rng(4)
-    f = rng.standard_normal(ctx.dim) + 1j * rng.standard_normal(ctx.dim)
+    f = (rng.standard_normal((ctx.dim, 1))
+         + 1j * rng.standard_normal((ctx.dim, 1)))
     u3 = neumann_apply(ctx, f, 3)
     u2 = neumann_apply(ctx, f, 2)
     lhs = u3 + ctx.solve_pair(ctx.L @ u2, which="base")[0]
@@ -203,7 +198,8 @@ def _identity_residual_per_load(ctx, n_rhs, seed):
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(n_rhs):
-        f = rng.standard_normal(ctx.dim) + 1j * rng.standard_normal(ctx.dim)
+        f = (rng.standard_normal((ctx.dim, 1))
+             + 1j * rng.standard_normal((ctx.dim, 1)))
         ue, ue_lo = ctx.solve_pair(f, which="eps")
         u0, u0_lo = ctx.solve_pair(f, which="base")
         g = ctx.L @ ue + ctx.L @ ue_lo
@@ -227,9 +223,9 @@ def test_identity_residual_blocks_match_per_load_loop(width, monkeypatch):
     calls = []
     inner = ctx.solver_eps.solve_pair
 
-    def counted(rhs, adjoint=False):
+    def counted(rhs):
         calls.append(rhs.shape[1])
-        return inner(rhs, adjoint=adjoint)
+        return inner(rhs)
 
     monkeypatch.setattr(ctx.solver_eps, "solve_pair", counted)
     assert identity_residual(ctx, n_rhs=7, seed=5) == expect
@@ -245,15 +241,15 @@ def test_breach_in_one_column_of_a_block_raises(monkeypatch):
     solver = ctx.solver0
     inner = solver.solve_pair
 
-    def one_bad_column(rhs, adjoint=False):
-        out = inner(rhs, adjoint=adjoint)
-        solver.last_residual[1] = 1e-3 * np.linalg.norm(rhs[:, 1])
-        return out
+    def one_bad_column(rhs):
+        x, x_lo, residuals = inner(rhs)
+        residuals[1] = 1e-3 * np.linalg.norm(rhs[:, 1])
+        return x, x_lo, residuals
 
     ctx.solve_pair(f, which="base")
     monkeypatch.setattr(solver, "solve_pair", one_bad_column)
     with pytest.raises(NumericalBreach,
-                       match=r"linear solve residual .* \(base, adjoint=False\)"):
+                       match=r"linear solve residual .* \(base\)"):
         ctx.solve_pair(f, which="base")
 
 
@@ -303,7 +299,7 @@ def sin_neumann_context():
     cfg = StudyConfig.load(configs / "sin_neumann.cfg")
     family = registry.build_family(cfg)
     ctx = build_setting(study._operator_spec(cfg, family), family,
-                        eps=0.05, lam=-2.0, **study._mesh_opts(cfg))
+                        eps=0.05, lam=-2.0, mesh=study._mesh_opts(cfg))
     assert ctx.dim == 63
     return ctx
 
@@ -359,7 +355,8 @@ def test_perturbation_norm_is_difference_form_norm():
 
 def test_setting_routes_cross_check():
     fam = sin_family()
-    setting = assemble_setting(default_operator(UNIT), fam, eps=0.1)
+    setting = assemble_setting(default_operator(UNIT), fam, eps=0.1,
+                               **MESH)
     ctx = context_from_setting(setting, -1.0)
     assert ctx.meta["eps"] == 0.1
     assert ctx.meta["n_elements"] >= 64
@@ -372,7 +369,8 @@ def test_setting_routes_cross_check():
 
 def test_deviation_route_equals_direct_difference():
     fam = sin_family()
-    setting = assemble_setting(default_operator(UNIT), fam, eps=0.1)
+    setting = assemble_setting(default_operator(UNIT), fam, eps=0.1,
+                               **MESH)
     gap = abs(setting["x_eps"] - (setting["x_lim"] + setting["x_dev"])).max()
     scale = abs(setting["x_eps"]).max()
     assert gap <= 1e-12 * scale

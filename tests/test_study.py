@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from homlab.config import ConfigError, StudyConfig
-from homlab.norms import norm_m1m1
+from homlab.norms import norm_v_to_vstar
 from homlab.study import (
     StudyResult,
     fit_rate,
@@ -197,15 +197,28 @@ schedule.eps = 0.1, 0.05
 """
 
 
+def test_norm_study_measures_a_bare_potential_once(monkeypatch):
+    from homlab import study
+
+    def measured_again(*args):
+        raise AssertionError("the potential form was measured twice")
+
+    monkeypatch.setattr(study, "norm_m1m1", measured_again)
+    res = run_study("norm", StudyConfig.from_text(NORM_CFG))
+    assert all(row["v_m1m1"] == row["norm_x"] == row["chain_bound"]
+               for row in res.rows)
+
+
 def test_norm_study_marks_flagged_rows(monkeypatch):
     from homlab import study
 
-    def flag_second_row(op, v_field, refine=1, seed=1234):
-        rep = norm_m1m1(op, v_field, refine, seed)
+    # regular_sin is a bare potential: norm_x also serves as v_m1m1
+    def flag_second_row(X, S, seed=1234):
+        rep = norm_v_to_vstar(X, S, seed)
         return dataclasses.replace(rep, flagged=seed == 1234 + 1000)
 
     clean = run_study("norm", StudyConfig.from_text(NORM_CFG))
-    monkeypatch.setattr(study, "norm_m1m1", flag_second_row)
+    monkeypatch.setattr(study, "norm_v_to_vstar", flag_second_row)
     res = run_study("norm", StudyConfig.from_text(NORM_CFG))
     assert [row["within_budget"] for row in clean.rows] == [1, 1]
     assert [row["within_budget"] for row in res.rows] == [1, 0]
@@ -248,10 +261,15 @@ def test_homogenize_without_sampled_windows_is_not_consistent():
         ("homogenize.mu_power = 0.5", "homogenize.mu_power = 0"))
     res = run_study("homogenize", cfg)
     assert all(math.isnan(row["declared_gap"]) for row in res.rows)
+    assert all(math.isnan(row["pair_gap"]) for row in res.rows)
     assert not res.meta["consistent"]
-    assert res.footer[-2:] == (
+    # no pair of windows was sampled: rho2 and its bound are no evidence
+    assert res.footer == (
+        "# rho2 = nan",
+        "# mu_final = 1",
+        "# bound = nan",
         "# skipped_windows = 165",
-        "# declared_limit_consistent: false (gap nan vs budget 1)")
+        "# declared_limit_consistent: false (gap nan vs budget nan)")
 
 
 @pytest.mark.parametrize("points", [0, -4])
