@@ -6,6 +6,7 @@ comma-separated lists of those.  Keys are dotted lowercase identifiers
 such as `schedule.eps`.
 """
 
+import math
 import re
 
 _KEY_RE = re.compile(r"^[a-z][a-z0-9_]*(\.[a-z][a-z0-9_]*)*$")
@@ -32,6 +33,17 @@ def _parse_scalar(token):
     except ValueError:
         pass
     return t
+
+
+def _finite_float(value):
+    """A config number as a float; nan and inf are refused, since no
+    study reads them as anything but a mistake."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError
+    out = float(value)  # OverflowError for an int beyond the float range
+    if not math.isfinite(out):
+        raise ValueError
+    return out
 
 
 def parse_config(text, source="<config>"):
@@ -109,7 +121,7 @@ class StudyConfig:
             return default
         try:
             return caster(val)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise ConfigError(
                 f"{self.source}: key {key!r} needs a {typename}, "
                 f"got {format_value(val) if isinstance(val, tuple) else val!r}"
@@ -137,22 +149,13 @@ class StudyConfig:
         return self._typed(key, default, cast, "integer")
 
     def get_float(self, key, default=_MISSING):
-        def cast(v):
-            if isinstance(v, bool) or not isinstance(v, (int, float)):
-                raise TypeError
-            return float(v)
-        return self._typed(key, default, cast, "number")
+        return self._typed(key, default, _finite_float, "finite number")
 
     def get_floats(self, key, default=_MISSING):
         def cast(v):
             items = v if isinstance(v, tuple) else (v,)
-            out = []
-            for item in items:
-                if isinstance(item, bool) or not isinstance(item, (int, float)):
-                    raise TypeError
-                out.append(float(item))
-            return tuple(out)
-        return self._typed(key, default, cast, "number list")
+            return tuple(_finite_float(item) for item in items)
+        return self._typed(key, default, cast, "finite number list")
 
     def unused_keys(self):
         return tuple(k for k in self.entries if k not in self._seen)

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .families import deviation_triple
+from .fem import NumericalBreach
 from .fields import matrix_abs
 from .lattice import Lattice, cells_inside, cell_integral, default_refine
 
@@ -33,6 +34,15 @@ class CriterionReport:
 
 class NoCellsError(ValueError):
     """No lattice cell at the requested scale fits inside the domain."""
+
+
+def _finite(results, eps, eta):
+    """The cell_integral results, raising NumericalBreach if one is not
+    finite: a nan would drop out of every max that folds the cells."""
+    if not all(np.isfinite(r).all() for r in results):
+        raise NumericalBreach(
+            f"non-finite cell integral at eps {eps!r}, eta {eta!r}")
+    return results
 
 
 def _deviation_cells(family, eps, eta, lattice, refine):
@@ -65,8 +75,8 @@ def criterion_report(family, eps, eta, lattice=None, refine=None):
     rho3 = 0.0
     quad_err = 0.0
     for dev in deviation_triple(family, eps).components():
-        integral, err, sq_int, sq_err = cell_integral(
-            lat, gammas, eta, dev, r, squares=True)
+        integral, err, sq_int, sq_err = _finite(cell_integral(
+            lat, gammas, eta, dev, r, squares=True), eps, eta)
         rho1 = max(rho1, float(np.max(matrix_abs(integral) / measure)))
         rho3 = max(rho3, float(np.max(sq_int[:, 0, 0].real)) / measure)
         quad_err = max(quad_err, float(np.max(err)) / measure,
@@ -156,9 +166,9 @@ def local_mean_limit(family, eps_schedule, mu_rule=None, sample_points=33,
         inside = np.all((grid >= lower) & (grid + mu <= upper), axis=1)
         vals = [None] * len(grid)
         # mean over x + mu*(0,1)^d as a unit lattice cell at scale mu
-        integral, _ = cell_integral(
+        integral, _ = _finite(cell_integral(
             Lattice(dim), grid[inside] / mu, mu, family.at(eps).v, r
-        )
+        ), eps, mu)
         for k, m in zip(np.flatnonzero(inside), integral / mu ** dim):
             vals[k] = m
         samples.append(vals)

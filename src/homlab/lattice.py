@@ -7,15 +7,15 @@ order 4 per subcell, with an error estimate from comparing against the
 half-resolution rule.
 
 cell_integral takes a stack of cell indices (C, d), and a single cell
-is a stack of one.  The stack is evaluated in batches of whole cells, up
-to CHUNK_POINTS rule points per field evaluation (a cell with more
-points is evaluated alone), so one call per field replaces a Python loop
-over cells; each cell's sum is still reduced on its own, bit for bit as
-in a stack of that cell alone.  On request the same field values also
-give the integrals of |field|^2.  The 1D Gauss rule is memoized per
-(refine, order); the d-dimensional tensor rule is rebuilt per call,
-since holding the large 2D rules costs more memory than building them
-costs time.
+is a stack of one.  Every field evaluation takes at most CHUNK_POINTS
+rule points: a batch of whole cells when a cell has fewer, else one
+slice of a cell, so no array the size of a large cell's points is ever
+built.  The values of a batch go into one buffer and each cell's sum
+runs once over all of its values, bit for bit as in a stack of that
+cell alone and whatever the chunking.  On request the same field values
+also give the integrals of |field|^2.  The 1D Gauss rule is memoized per
+(refine, order); a slice's points are copies of its nodes, built per
+evaluation, and only the tensor weights are built whole, per call.
 """
 
 from dataclasses import dataclass
@@ -28,8 +28,26 @@ from .fields import matrix_abs
 
 MAX_REFINE = 4096
 GAUSS_ORDER = 4
-# points of one batched field evaluation; a cell with more is evaluated alone
-CHUNK_POINTS = 2 ** 16
+# most rule points of one field evaluation: whole cells, or a slice of one
+CHUNK_POINTS = 2 ** 14
+
+
+def _affine_points(cols, mat, shifts):
+    """Points shifts[c] + sum_j cols[j] * mat[:, j] for d coordinate
+    columns (k,), one block of k rows per shift: shape (C * k, d).
+
+    The sum runs over j in a fixed order: a BLAS product can round a row
+    differently by its position in the stack, and a cell's points must
+    not depend on the stack or slice they are built in.
+    """
+    k, dim = len(cols[0]), len(cols)
+    out = np.empty((len(shifts), k, dim))
+    for i, row in enumerate(mat):
+        acc = cols[0] * row[0]
+        for col, entry in zip(cols[1:], row[1:]):
+            acc += col * entry
+        np.add(shifts[:, i, None], acc, out=out[..., i])
+    return out.reshape(-1, dim)
 
 
 @dataclass(frozen=True)
@@ -59,16 +77,9 @@ class Lattice:
         return abs(float(np.linalg.det(self.basis)))
 
     def point(self, z):
-        """Lattice point for integer index z."""
-        return self.basis @ np.asarray(z, dtype=float) + self.offset
-
-    def cell_vertices(self, z, eta):
-        """Vertices of eta * (cell + point(z)), shape (2^d, d)."""
-        corners = np.array(
-            np.meshgrid(*[[0.0, 1.0]] * self.dim, indexing="ij")
-        ).reshape(self.dim, -1).T
-        verts = (corners @ self.basis.T) + self.point(z)
-        return eta * verts
+        """Lattice points for a stack of integer indices z, shape (C, d)."""
+        return _affine_points(np.asarray(z, dtype=float).T, self.basis,
+                              self.offset[None])
 
 
 def cells_inside(lattice, eta, box):
@@ -83,24 +94,27 @@ def cells_inside(lattice, eta, box):
         raise ValueError("eta must be positive")
     if box.dim != lattice.dim:
         raise ValueError("box dimension does not match lattice")
+    dim = lattice.dim
     lo = np.array(box.lower)
     hi = np.array(box.upper)
     # integer search window from the preimage of the box corners
     binv = np.linalg.inv(lattice.basis)
     corners = np.array(
         np.meshgrid(*zip(lo / eta, hi / eta), indexing="ij")
-    ).reshape(lattice.dim, -1).T
+    ).reshape(dim, -1).T
     zimg = (corners - lattice.offset) @ binv.T
     zlo = np.floor(zimg.min(axis=0)).astype(int) - 1
     zhi = np.ceil(zimg.max(axis=0)).astype(int) + 1
     pad = 1e-12 * max(1.0, float(np.max(np.abs(np.concatenate([lo, hi])))))
-    gammas = []
-    for z in np.ndindex(*(zhi - zlo + 1)):
-        zz = np.array(z) + zlo
-        verts = lattice.cell_vertices(zz, eta)
-        if np.all(verts >= lo - pad) and np.all(verts <= hi + pad):
-            gammas.append(tuple(int(v) for v in zz))
-    return tuple(sorted(gammas))
+    # candidates in lexicographic order, so the result comes out sorted
+    zs = np.stack(np.meshgrid(*map(np.arange, zlo, zhi + 1), indexing="ij"),
+                  axis=-1).reshape(-1, dim)
+    unit = np.array(
+        np.meshgrid(*[[0.0, 1.0]] * dim, indexing="ij")
+    ).reshape(dim, -1).T
+    verts = eta * ((unit @ lattice.basis.T)[None] + lattice.point(zs)[:, None])
+    inside = np.all((verts >= lo - pad) & (verts <= hi + pad), axis=(1, 2))
+    return tuple(map(tuple, zs[inside].tolist()))
 
 
 @lru_cache(maxsize=64)
@@ -119,56 +133,84 @@ def _panel_rule(refine, order=GAUSS_ORDER):
     return pts, wts
 
 
-def _tensor_rule(dim, refine, order=GAUSS_ORDER):
-    pts1, wts1 = _panel_rule(refine, order)
-    if dim == 1:
-        return pts1[:, None], wts1
-    m = len(pts1)
-    pts = np.empty((m,) * dim + (dim,))
+def _tensor_weights(dim, refine, order=GAUSS_ORDER):
+    """Weights of the d-fold tensor rule, first axis slowest."""
+    _, wts1 = _panel_rule(refine, order)
     wts = wts1
-    for a in range(dim):
-        # axis a of the grid runs over the 1D points, first axis slowest
-        pts[..., a] = pts1.reshape((m,) + (1,) * (dim - 1 - a))
-        if a:
-            # the factors multiply left to right, as a product over axes
-            wts = np.multiply.outer(wts, wts1)
-    return pts.reshape(-1, dim), wts.ravel()
+    for _ in range(dim - 1):
+        # the factors multiply left to right, as a product over axes
+        wts = np.multiply.outer(wts, wts1)
+    return wts.ravel()
+
+
+def _axis_nodes(pts1, q, start, stop):
+    """Coordinates along one axis of the tensor-rule points start:stop,
+    for the axis whose node index, (k // q) mod len(pts1), steps every q
+    points: copies of the nodes, without integer arithmetic per point."""
+    first, last = start // q, (stop - 1) // q
+    nodes = np.resize(np.roll(pts1, -first), last - first + 1)
+    if q == 1:
+        return nodes
+    counts = np.full(len(nodes), q)
+    counts[0] -= start - first * q
+    counts[-1] -= (last + 1) * q - stop
+    return np.repeat(nodes, counts)
+
+
+def _rule_points(pts1, span, origins, start, stop):
+    """Points start:stop of the d-fold tensor rule over the 1D nodes pts1,
+    first axis slowest, in each cell origins[c] + span (0,1)^d: shape
+    (C * (stop - start), d), cell after cell.  The unmapped points are
+    copies of 1D nodes, so every slice has the same rows as the whole
+    rule."""
+    dim = len(span)
+    cols = [_axis_nodes(pts1, len(pts1) ** (dim - 1 - a), start, stop)
+            for a in range(dim)]
+    return _affine_points(cols, span, origins)
 
 
 def _reduce(vals, wts, jac):
-    """Integrals (C, n, n) from rule values (C, m, n, n), one cell at a time.
-
-    Each cell goes through the same einsum as a lone cell would, so its
-    integral does not depend on the other cells of the batch.
-    """
-    out = [jac * np.einsum("m,mij->ij", wts, v) for v in vals]
-    return np.array(out).reshape(vals.shape[:1] + vals.shape[2:])
+    """Integrals (C, n, n) from rule values (C, m, n, n)."""
+    return jac * np.einsum("m,cmij->cij", wts, vals)
 
 
-def _rule_integrals(field_, origins, span, refine, order, step, squares):
+def _rule_integrals(field_, origins, span, refine, order, squares):
     """Integrals over the cells origins[c] + span (0,1)^d at one rule.
 
-    Cells are evaluated step at a time; squares=True adds the integrals
+    Each field evaluation takes at most CHUNK_POINTS rule points: as many
+    whole cells as fit, or a slice of one cell that has more points.  The
+    slices' values fill one buffer per batch of cells, and each cell's sum
+    runs once over all its values, so a cell's integral does not depend on
+    the chunking or on the other cells.  squares=True adds the integrals
     of |field|^2 taken from the same values.
     """
     dim, n = span.shape[0], field_.ncomp
-    pts_ref, wts = _tensor_rule(dim, refine, order)
+    pts1, _ = _panel_rule(refine, order)
+    wts = _tensor_weights(dim, refine, order)
+    m = len(wts)
     jac = abs(float(np.linalg.det(span)))
+    step = max(1, CHUNK_POINTS // m)  # whole cells per evaluation
+    size = min(m, CHUNK_POINTS)  # rule points of a cell per evaluation
     outs = [np.empty((len(origins), n, n), dtype=complex)]
+    # one value buffer for every batch: a second would double the peak
+    vals = np.empty((min(step, len(origins)), m, n, n), dtype=complex)
     if squares:
         outs.append(np.empty((len(origins), 1, 1), dtype=complex))
+        sq = np.empty(vals.shape[:2] + (1, 1), dtype=complex)
     for a in range(0, len(origins), step):
-        pts = origins[a:a + step, None, :] + (pts_ref @ span.T)[None]
-        vals = field_(pts.reshape(-1, dim)).reshape(-1, len(wts), n, n)
-        del pts  # peak memory: the points and values of a large 2D cell
-        outs[0][a:a + step] = _reduce(vals, wts, jac)
+        cells = origins[a:a + step]
+        c = len(cells)
+        for s in range(0, m, size):
+            pts = _rule_points(pts1, span, cells, s, min(s + size, m))
+            v = field_(pts).reshape(c, -1, n, n)
+            vals[:c, s:s + size] = v
+            if squares:
+                # kept complex, as a scalar field's values would be: a
+                # real sum rounds differently in the last digits
+                sq[:c, s:s + size, 0, 0] = matrix_abs(v) ** 2
+        outs[0][a:a + step] = _reduce(vals[:c], wts, jac)
         if squares:
-            # summed as complex 1x1 values, as a scalar field would be: a
-            # real sum rounds differently in the last digits
-            outs[1][a:a + step] = _reduce(
-                (matrix_abs(vals) ** 2).astype(complex)[..., None, None],
-                wts, jac)
-        del vals  # not alive during the next chunk's evaluation
+            outs[1][a:a + step] = _reduce(sq[:c], wts, jac)
     return outs
 
 
@@ -187,23 +229,22 @@ def cell_integral(lattice, z, eta, field_, refine, squares=False):
     """Integrals of a coefficient field over cells, with error estimates.
 
     z is a stack of cell indices (C, d).  Returns (integral, error
-    estimate) as arrays (C, n, n) and (C,).  The estimate compares the
-    requested resolution against the half-resolution rule (one order-2
-    panel at refine 1); doubling the refine changes the result by less
-    than the estimate.
+    estimate) as arrays (C, n, n) and (C,).  The field is called on at
+    most CHUNK_POINTS points at a time, and no cell's result depends on
+    that chunking or on the other cells of the stack.  The estimate
+    compares the requested resolution against the half-resolution rule
+    (one order-2 panel at refine 1); doubling the refine changes the
+    result by less than the estimate.
     squares=True appends the same pair for the scalar |field|^2, taken
     from the same field values.
     """
-    zs = np.asarray(z, dtype=float)
-    origins = np.array([eta * lattice.point(g) for g in zs]).reshape(zs.shape)
+    origins = eta * lattice.point(z)
     span = eta * lattice.basis
     refine = int(max(1, refine))
-    step = max(1, CHUNK_POINTS // (GAUSS_ORDER * refine) ** lattice.dim)
     coarse_rule = (refine // 2, GAUSS_ORDER) if refine > 1 else (1, 2)
-    fine = _rule_integrals(field_, origins, span, refine, GAUSS_ORDER, step,
+    fine = _rule_integrals(field_, origins, span, refine, GAUSS_ORDER,
                            squares)
-    coarse = _rule_integrals(field_, origins, span, *coarse_rule, step,
-                             squares)
+    coarse = _rule_integrals(field_, origins, span, *coarse_rule, squares)
     out = []
     for f, c in zip(fine, coarse):
         out += [f, matrix_abs(f - c) + 1e-300]

@@ -176,6 +176,17 @@ def test_misspelled_key_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_nan_amplitude_exits_2(tmp_path, capsys):
+    # a nan amplitude used to certify rho1 = rho3 = 0 on every row
+    path = tmp_path / "nan.cfg"
+    path.write_text(CRIT_CFG + "family.amplitude = nan\n")
+    out = tmp_path / "nan.csv"
+    code = main(["criterion", "--config", str(path), "--out", str(out)])
+    assert code == 2
+    assert "'family.amplitude' needs a finite number" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_removed_family_switch_exits_2(tmp_path, capsys):
     path = tmp_path / "negate.cfg"
     path.write_text((ROOT / "configs" / "sin_criterion.cfg").read_text()

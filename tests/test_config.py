@@ -62,6 +62,19 @@ def test_typed_getters_enforce_types():
         cfg.get_str("eps")
 
 
+@pytest.mark.parametrize("value", [
+    "nan", "inf", "-inf", "1e400", "0.1, nan",
+    pytest.param("1" + "0" * 400, id="int_beyond_float_range"),
+])
+def test_float_getters_refuse_non_finite_numbers(value):
+    cfg = StudyConfig.from_text(f"x.y = {value}\n")
+    with pytest.raises(ConfigError, match="'x.y' needs a finite number"):
+        cfg.get_floats("x.y")
+    if "," not in value:
+        with pytest.raises(ConfigError, match="'x.y' needs a finite number"):
+            cfg.get_float("x.y")
+
+
 def test_missing_key_and_defaults():
     cfg = StudyConfig.from_text("a = 1\n")
     with pytest.raises(ConfigError, match="missing required"):

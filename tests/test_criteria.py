@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from homlab.criteria import (NoCellsError, criterion_report, local_mean_limit,
                              optimize_eta)
 from homlab.families import FieldTriple, deviation_triple, make_regular
+from homlab.fem import NumericalBreach
 from homlab.fields import (Box, CoefficientField, constant_field, matrix_abs,
                            scalar_field, zero_field)
 from homlab.lattice import Lattice, cell_integral, cells_inside
@@ -231,7 +232,7 @@ def test_evaluations_stay_within_the_chunk_budget(monkeypatch, budget):
     monkeypatch.setattr(lattice, "CHUNK_POINTS", budget)
     sizes.clear()
     rep = criterion_report(fam, 0.01, 0.1, refine=16)
-    assert max(sizes) <= max(64, budget)
+    assert max(sizes) <= budget
     assert sum(sizes) == 2 * 10 * (64 + 32)
     assert rep == expected
 
@@ -251,3 +252,27 @@ def test_optimize_eta_reports_field_errors_instead_of_skipping():
     nothing_fits = make_regular(lambda eps: v0, v0, lambda eps: 0.0, tiny)
     with pytest.raises(NoCellsError):
         optimize_eta(nothing_fits, 0.5, exponents=(0.3, 0.5))
+
+
+def _nan_family():
+    # sin(x / 0.01), but nan at one point of every evaluation
+    def func(pts):
+        out = np.sin(pts[:, 0] / 0.01)
+        out[0] = np.nan
+        return out
+
+    field_ = scalar_field(1, func, 1.0, UNIT)
+    return make_regular(lambda eps: field_, zero_field(1, 1, UNIT),
+                        lambda eps: 0.0, UNIT)
+
+
+def test_nan_field_breaches_instead_of_certifying_zero():
+    # a nan used to drop out of the max over cells and certify rho = 0
+    fam = _nan_family()
+    with pytest.raises(NumericalBreach, match="eps 0.01, eta 0.1"):
+        criterion_report(fam, 0.01, 0.1, refine=16)
+    with pytest.raises(NumericalBreach, match="eps 0.01, eta 0.1"):
+        optimize_eta(fam, 0.01, exponents=(0.5,), refine=16)
+    with pytest.raises(NumericalBreach, match="eps 0.01, eta 0.1"):
+        local_mean_limit(fam, [0.01, 0.005], mu_rule=lambda eps: 0.1,
+                         sample_points=3, refine=16)

@@ -1,5 +1,6 @@
 """Cell enumeration and quadrature against closed-form integrals."""
 
+import itertools
 import math
 
 import numpy as np
@@ -8,10 +9,13 @@ from hypothesis import given, settings, strategies as st
 
 from homlab import lattice
 from homlab.fields import Box, CoefficientField, constant_field, scalar_field
-from homlab.lattice import (Lattice, _panel_rule, cell_integral, cells_inside,
-                            default_refine)
+from homlab.lattice import (GAUSS_ORDER, Lattice, _panel_rule, cell_integral,
+                            cells_inside, default_refine)
 
 UNIT = Box((0.0,), (1.0,))
+
+SKEW = Lattice(2, basis=np.array([[0.7, 0.2], [-0.1, 0.5]]),
+               offset=(0.05, -0.02))
 
 
 def sin_field(eps):
@@ -47,6 +51,36 @@ def test_cells_inside_2d_offset_lattice():
     # at eta 0.25 the corners move to half-integers, z in {1, 2, 3}^2
     cells3 = cells_inside(lat, 0.25, box)
     assert len(cells3) == 9
+
+
+def brute_force_cells(lat, eta, box, window):
+    # the vertex loop: every candidate in the window, one cell at a time
+    lo, hi = np.array(box.lower), np.array(box.upper)
+    pad = 1e-12 * max(1.0, float(np.max(np.abs(np.concatenate([lo, hi])))))
+    unit = np.array(list(itertools.product([0.0, 1.0], repeat=lat.dim)))
+    found = []
+    for z in itertools.product(range(-window, window + 1), repeat=lat.dim):
+        verts = eta * (unit @ lat.basis.T + lat.basis @ np.array(z, float)
+                       + lat.offset)
+        if np.all(verts >= lo - pad) and np.all(verts <= hi + pad):
+            found.append(z)
+    assert all(max(map(abs, z)) < window for z in found)  # none cut off
+    return tuple(sorted(found))
+
+
+@pytest.mark.parametrize("lat, box, etas", [
+    (SKEW, Box((-1.0, -0.5), (1.5, 1.0)), (0.1, 0.37, 1.0)),
+    # the cells 0.25 * (2 z + 0.5 + (0, 2)) touch both ends of the box
+    (Lattice(1, basis=[[2.0]], offset=[0.5]), Box((0.125,), (2.125,)),
+     (0.25, 0.3, 1.0)),
+    (Lattice(2, basis=2.0 * np.eye(2), offset=(-1.0, -1.0)),
+     Box((0.0, 0.0), (2.0, 2.0)), (0.25, 0.5, 1.0)),
+])
+def test_cells_inside_matches_vertex_loop(lat, box, etas):
+    for eta in etas:
+        want = brute_force_cells(lat, eta, box, window=40)
+        assert cells_inside(lat, eta, box) == want
+    assert len(cells_inside(lat, etas[0], box)) > 1
 
 
 def test_sine_cell_integral_closed_form():
@@ -103,10 +137,12 @@ def test_default_refine_rule():
 
 def test_affine_lattice_point():
     lat = Lattice(1, basis=[[2.0]], offset=[0.5])
-    assert lat.point([3]) == pytest.approx(6.5)
-    verts = lat.cell_vertices(np.array([0]), 0.1)
-    assert verts.min() == pytest.approx(0.05)
-    assert verts.max() == pytest.approx(0.25)
+    assert lat.point([[3], [0]])[:, 0] == pytest.approx([6.5, 0.5])
+    # the cell 0.1 * (2 (0,1) + 0.5) is [0.05, 0.25]: inside a box touching
+    # both of its ends, outside any box that cuts one of them off
+    assert cells_inside(lat, 0.1, Box((0.05,), (0.25,))) == ((0,),)
+    assert cells_inside(lat, 0.1, Box((0.06,), (0.25,))) == ()
+    assert cells_inside(lat, 0.1, Box((0.05,), (0.24,))) == ()
 
 
 @settings(max_examples=40, deadline=None)
@@ -129,10 +165,6 @@ def test_cell_integral_linearity(a, b, h):
 
 
 # ------------------------------------------------------- batched quadrature
-
-SKEW = Lattice(2, basis=np.array([[0.7, 0.2], [-0.1, 0.5]]),
-               offset=(0.05, -0.02))
-
 
 def complex_2x2(pts):
     x, y = pts[:, 0], pts[:, 1]
@@ -186,6 +218,8 @@ def test_panel_rule_is_memoized_and_read_only():
 
 
 def test_batches_never_split_a_cell(monkeypatch):
+    # a batch holds whole cells and each cell's sum runs once over all of
+    # its values; only a field evaluation may cover part of a cell
     sizes = []
 
     def counted(pts):
@@ -199,8 +233,36 @@ def test_batches_never_split_a_cell(monkeypatch):
     sizes.clear()
     monkeypatch.setattr(lattice, "CHUNK_POINTS", 40)  # 2.5 fine cells
     split = cell_integral(Lattice(1), zs, 0.1, field_, 4)
-    assert sizes == [32] * 5 + [16] * 5
-    for a, b in zip(whole, split):
+    assert sizes == [32] * 5 + [40] * 2
+    sizes.clear()
+    monkeypatch.setattr(lattice, "CHUNK_POINTS", 6)  # part of a coarse cell
+    sliced = cell_integral(Lattice(1), zs, 0.1, field_, 4)
+    assert sizes == [6, 6, 4] * 10 + [6, 2] * 10
+    for a, b, c in zip(whole, split, sliced):
+        assert np.array_equal(a, b)
+        assert np.array_equal(a, c)
+
+
+@pytest.mark.parametrize("budget", [7, 150, 399])
+def test_streamed_cell_equals_whole_cell(monkeypatch, budget):
+    # refine 5 has 400 rule points per cell, so every budget slices a cell
+    # and leaves a ragged last slice
+    sizes = []
+
+    def counted(pts):
+        sizes.append(len(pts))
+        return complex_2x2(pts)
+
+    field_ = CoefficientField(2, 2, counted, 6.0, Box((-5, -5), (5, 5)))
+    zs = np.array([[0, 0], [1, -2], [3, 1]])
+    whole = cell_integral(SKEW, zs, 0.3, field_, 5, squares=True)
+    assert sizes == [3 * 400, 3 * 64]
+    sizes.clear()
+    monkeypatch.setattr(lattice, "CHUNK_POINTS", budget)
+    streamed = cell_integral(SKEW, zs, 0.3, field_, 5, squares=True)
+    assert max(sizes) <= budget
+    assert 400 % budget and sum(sizes) == 3 * (400 + 64)
+    for a, b in zip(whole, streamed):
         assert np.array_equal(a, b)
 
 
@@ -215,8 +277,39 @@ def _meshgrid_tensor_rule(dim, refine):
 
 @pytest.mark.parametrize("dim, refine", [(2, 3), (2, 60), (2, 342), (3, 3)])
 def test_tensor_rule_matches_meshgrid_reference(dim, refine):
-    pts, wts = lattice._tensor_rule(dim, refine)
+    pts1, _ = _panel_rule(refine)
+    wts = lattice._tensor_weights(dim, refine)
+    m = len(wts)
     ref_pts, ref_wts = _meshgrid_tensor_rule(dim, refine)
-    assert pts.shape == ref_pts.shape and wts.shape == ref_wts.shape
-    assert np.array_equal(pts, ref_pts)
     assert np.array_equal(wts, ref_wts)
+    unit, origin = np.eye(dim), np.zeros((1, dim))
+    whole = lattice._rule_points(pts1, unit, origin, 0, m)
+    assert np.array_equal(whole, ref_pts)
+    # every slice, ragged or shorter than a row, is the same rows
+    for start, stop in [(m // 3 + 1, m), (1, 2), (m - 5, m), (7, m // 2 + 3)]:
+        assert np.array_equal(
+            lattice._rule_points(pts1, unit, origin, start, stop),
+            ref_pts[start:stop])
+
+
+def test_large_cell_memory_stays_within_its_value_buffers():
+    # values and |values|^2 of a cell take 2 x 16 bytes a rule point and
+    # the weights 8 more; a whole-cell array of points or of field
+    # intermediates would add at least 16 more
+    import tracemalloc
+    from homlab import registry
+    from homlab.config import StudyConfig
+    fam = registry.build_family(
+        StudyConfig.from_text("family.name = fractal_2d\n"))
+    field_ = fam.at(0.13).v
+    points = (GAUSS_ORDER * 256) ** 2
+    assert points == 1_048_576
+    tracemalloc.start()
+    try:
+        out = cell_integral(Lattice(2), [(0, 0)], 0.5, field_, 256,
+                            squares=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(np.isfinite(r).all() for r in out)
+    assert peak < 3.5 * 16 * points
