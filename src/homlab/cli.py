@@ -34,10 +34,10 @@ def _build_parser():
         p.add_argument("--out", default=None,
                        help="output CSV path ('-' for stdout; default from "
                             "output.csv in the config)")
-        p.add_argument("--threads", type=int, default=None,
-                       help="worker threads for schedule rows")
-        p.add_argument("--seed", type=int, default=None,
-                       help="base seed for iterative norms")
+        p.add_argument("--threads", type=int, default=1,
+                       help="worker threads for schedule rows (default 1)")
+        p.add_argument("--seed", type=int, default=1234,
+                       help="base seed for iterative norms (default 1234)")
         p.add_argument("--verbose", action="store_true")
 
     pf = sub.add_parser("families", help="list the family catalogue")

@@ -134,13 +134,6 @@ class StudyConfig:
             return str(v)
         return self._typed(key, default, cast, "string")
 
-    def get_bool(self, key, default=_MISSING):
-        def cast(v):
-            if not isinstance(v, bool):
-                raise TypeError
-            return v
-        return self._typed(key, default, cast, "boolean")
-
     def get_int(self, key, default=_MISSING):
         def cast(v):
             if isinstance(v, bool) or not isinstance(v, int):

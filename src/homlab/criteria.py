@@ -45,8 +45,8 @@ def _finite(results, eps, eta):
     return results
 
 
-def _deviation_cells(family, eps, eta, lattice, refine):
-    lat = lattice or Lattice(family.dim)
+def _deviation_cells(family, eps, eta, refine):
+    lat = family.suggested_lattice or Lattice(family.dim)
     cells = cells_inside(lat, eta, family.domain)
     if not cells:
         raise NoCellsError(
@@ -57,8 +57,9 @@ def _deviation_cells(family, eps, eta, lattice, refine):
     return lat, cells, int(refine)
 
 
-def criterion_report(family, eps, eta, lattice=None, refine=None):
-    """Evaluate both cell criteria for a family at one (eps, eta).
+def criterion_report(family, eps, eta, refine=None):
+    """Evaluate both cell criteria for a family at one (eps, eta), on the
+    family's suggested lattice or else the unit one.
 
     rho1 is the max over cells of the entrywise norm of the cell mean of
     the deviation (each perturbation component separately, worst one
@@ -68,7 +69,7 @@ def criterion_report(family, eps, eta, lattice=None, refine=None):
     """
     eps = float(eps)
     eta = float(eta)
-    lat, cells, r = _deviation_cells(family, eps, eta, lattice, refine)
+    lat, cells, r = _deviation_cells(family, eps, eta, refine)
     measure = lat.cell_measure * eta ** family.dim
     gammas = np.array(cells)
     rho1 = 0.0
@@ -96,25 +97,25 @@ def criterion_report(family, eps, eta, lattice=None, refine=None):
 DEFAULT_ETA_EXPONENTS = (0.3, 0.4, 0.5, 0.6, 0.7)
 
 
-def optimize_eta(family, eps, exponents=DEFAULT_ETA_EXPONENTS, lattice=None,
-                 refine=None, objective="m1m1"):
+def optimize_eta(family, eps, exponents=DEFAULT_ETA_EXPONENTS, refine=None):
     """Pick eta from the grid {eps^a} minimizing the certified bound.
 
-    objective "m1m1" minimizes rho1 + eta, "m10" minimizes
-    sqrt(rho3) + sqrt(eta).  Grid values whose cells do not fit in the
+    The bound is the one the family's deviation needs: sqrt(rho3) +
+    sqrt(eta) (bound_m10) when it has a first-order weight, otherwise
+    rho1 + eta (bound_m1m1).  Grid values whose cells do not fit in the
     domain are skipped; ties prefer the larger eta (cheaper quadrature).
     """
-    if objective not in ("m1m1", "m10"):
-        raise ValueError("objective must be 'm1m1' or 'm10'")
+    trip = deviation_triple(family, eps)
+    weighted = bool(trip.q or trip.p)
     candidates = sorted({float(eps) ** a for a in exponents}, reverse=True)
     best = None
     best_val = None
     for eta in candidates:
         try:
-            rep = criterion_report(family, eps, eta, lattice, refine)
+            rep = criterion_report(family, eps, eta, refine)
         except NoCellsError:
             continue
-        val = rep.bound_m1m1 if objective == "m1m1" else rep.bound_m10
+        val = rep.bound_m10 if weighted else rep.bound_m1m1
         if best_val is None or val < best_val * (1 - 1e-12):
             best, best_val = rep, val
     if best is None:

@@ -1,11 +1,12 @@
 """P1 finite elements on uniform 1D meshes for vector sesquilinear forms.
 
-The discrete operator realizes forms
+The base operator is -u'' with Dirichlet conditions, acting on
+n-component complex fields; its form (u', v') is the stiffness matrix.
+Perturbations add the lower-order forms
 
-    h(u, v) = (A11 u', v') + (A+ u', v) - (A- u, v') + (A0 u, v)
+    (Q u', v) - (P u, v') + (V u, v).
 
-for n-component complex fields, with Dirichlet conditions or Robin ones
-(which keep the endpoint dofs free).  Oscillating coefficients are integrated per element with the
+Oscillating coefficients are integrated per element with the
 composite Gauss rule from the lattice module.  Direct solves go through a
 sparse LU factorization with compensated-residual iterative refinement, so
 forward errors sit near machine precision even on fine meshes.  A refined
@@ -18,13 +19,12 @@ per factorization, the iterate once per residual) and Knuth's TwoSum.
 """
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .fields import Box, CoefficientField, constant_field
+from .fields import Box, constant_field
 from .lattice import _panel_rule, default_refine
 
 _SPLIT = 134217729.0  # 2**27 + 1, Dekker splitting constant
@@ -142,59 +142,30 @@ def mesh_rule(finest_scale, ncomp, min_elements, cap_dof):
 
 @dataclass(frozen=True)
 class OperatorSpec:
-    """Continuous operator data: coefficients and boundary condition.
-
-    a11 is the second-order coefficient, a0 the potential; first-order
-    terms enter only as perturbations (assemble_perturbation).
-    bc is "dirichlet" or "robin"; Robin keeps the endpoint dofs and adds
-    no boundary term.
-    """
+    """The base operator -u'' with Dirichlet conditions on a 1D domain,
+    for fields of ncomp components; perturbations enter only through
+    assemble_perturbation."""
 
     domain: Box
     ncomp: int
-    a11: CoefficientField
-    a0: Optional[CoefficientField] = None
-    bc: str = "dirichlet"
 
     def __post_init__(self):
-        if self.bc not in ("dirichlet", "robin"):
-            raise ValueError("bc must be 'dirichlet' or 'robin'")
         if self.domain.dim != 1:
             raise ValueError("operator specs are 1D here")
-
-def default_operator(domain, ncomp=1, bc="dirichlet", a11=1.0,
-                     a0_value=0.0):
-    """Laplace-type operator -(a11 u')' + a0 u, with both coefficients
-    scalar multiples of the identity."""
-    a11_field = constant_field(1, a11 * np.eye(ncomp), domain)
-    a0 = None
-    if a0_value:
-        a0 = constant_field(1, a0_value * np.eye(ncomp), domain)
-    return OperatorSpec(domain, ncomp, a11_field, a0=a0, bc=bc)
 
 
 @dataclass(frozen=True)
 class FeSpace:
-    """P1 vector element space with its boundary handling."""
+    """P1 vector element space with Dirichlet conditions at both ends."""
 
     mesh: Mesh1D
     ncomp: int
-    bc: str
-
-    @property
-    def n_nodes(self):
-        return self.mesh.n_elements + 1
-
-    @property
-    def free_nodes(self):
-        if self.bc == "dirichlet":
-            return np.arange(1, self.n_nodes - 1)
-        return np.arange(self.n_nodes)
 
     def bc_mask(self):
-        """Flat dof indices (into the full node set) that are kept."""
-        nodes = self.free_nodes
-        return (nodes[:, None] * self.ncomp + np.arange(self.ncomp)[None, :]).ravel()
+        """Flat dof indices (into the full node set) that are kept: every
+        node but the two ends."""
+        nodes = np.arange(1, self.mesh.n_elements)
+        return (nodes[:, None] * self.ncomp + np.arange(self.ncomp)).ravel()
 
 
 def _element_moments(field_, mesh, refine):
@@ -250,45 +221,25 @@ def _accumulate(blocks, mesh, ncomp):
     return mat
 
 
-def _form_matrix(mesh, ncomp, a11=None, aplus=None, aminus=None, a0=None,
-                 refine=1):
-    """Full (unconstrained) matrix of the sesquilinear form."""
+def _form_matrix(mesh, ncomp, coef, term, refine):
+    """Full (unconstrained) matrix of one term of the form with one
+    coefficient A: "stiffness" (A u', v'), "plus" (A u', v), "minus"
+    -(A u, v') or "mass" (A u, v)."""
     h = mesh.h
-    d = {0: -1.0 / h, 1: 1.0 / h}
-    blocks = {}
-
-    def add_block(key, val):
-        if key in blocks:
-            blocks[key] = blocks[key] + val
-        else:
-            blocks[key] = val
-
-    if a11 is not None:
-        m = _element_moments(a11, mesh, refine)
-        for a in (0, 1):
-            for b in (0, 1):
-                add_block((a, b), d[a] * d[b] * m["1"])
-    if aplus is not None:
-        m = _element_moments(aplus, mesh, refine)
-        shape = {0: "L", 1: "R"}
-        for a in (0, 1):
-            for b in (0, 1):
-                add_block((a, b), d[b] * m[shape[a]])
-    if aminus is not None:
-        m = _element_moments(aminus, mesh, refine)
-        shape = {0: "L", 1: "R"}
-        for a in (0, 1):
-            for b in (0, 1):
-                add_block((a, b), -d[a] * m[shape[b]])
-    if a0 is not None:
-        m = _element_moments(a0, mesh, refine)
-        pair = {(0, 0): "LL", (0, 1): "LR", (1, 0): "LR", (1, 1): "RR"}
-        for key, mk in pair.items():
-            add_block(key, m[mk])
-    if not blocks:
-        size = (mesh.n_elements + 1) * ncomp
-        return sp.csr_matrix((size, size), dtype=complex)
-    return _accumulate(blocks, mesh, ncomp)
+    d = (-1.0 / h, 1.0 / h)
+    m = _element_moments(coef, mesh, refine)
+    side = ("L", "R")
+    pair = (("LL", "LR"), ("LR", "RR"))
+    block = {
+        "stiffness": lambda a, b: d[a] * d[b] * m["1"],
+        "plus": lambda a, b: d[b] * m[side[a]],
+        "minus": lambda a, b: -d[a] * m[side[b]],
+        "mass": lambda a, b: m[pair[a][b]],
+    }[term]
+    # blocks in the order (0,0), (0,1), (1,0), (1,1): _accumulate sums the
+    # duplicate entries in that order
+    return _accumulate({(a, b): block(a, b) for a in (0, 1) for b in (0, 1)},
+                       mesh, ncomp)
 
 
 def _restrict(mat, space: FeSpace):
@@ -313,29 +264,27 @@ class DiscreteOperator:
 def assemble_base(spec: OperatorSpec, mesh: Mesh1D) -> DiscreteOperator:
     """Assemble the base form and both Gram matrices on one mesh.
 
-    The H1 Gram is stiffness plus mass with identity component coupling;
-    hermiticity of both Grams and the Gram ordering (L2 below H1) are
-    construction guarantees, checked here once per assembly.
+    The base form is the stiffness matrix; the H1 Gram is stiffness plus
+    mass, each with identity component coupling.  Hermiticity of both
+    Grams and the Gram ordering (L2 below H1) are construction
+    guarantees, checked here once per assembly.
     """
-    space = FeSpace(mesh, spec.ncomp, spec.bc)
-    base = _form_matrix(mesh, spec.ncomp, a11=spec.a11, a0=spec.a0)
+    space = FeSpace(mesh, spec.ncomp)
     eye = constant_field(1, np.eye(spec.ncomp), spec.domain)
-    stiff = _form_matrix(mesh, spec.ncomp, a11=eye, refine=1)
-    mass = _form_matrix(mesh, spec.ncomp, a0=eye, refine=1)
-    base_r = _restrict(base, space)
-    stiff_r = _restrict(stiff, space)
-    mass_r = _restrict(mass, space)
-    gram = (stiff_r + mass_r).tocsr()
-    for g in (gram, mass_r):
+    stiff = _restrict(_form_matrix(mesh, spec.ncomp, eye, "stiffness", 1),
+                      space)
+    mass = _restrict(_form_matrix(mesh, spec.ncomp, eye, "mass", 1), space)
+    gram = (stiff + mass).tocsr()
+    for g in (gram, mass):
         asym = abs(g - g.getH()).max()
         scale = max(abs(g).max(), 1e-300)
         if asym > 1e-12 * scale:
             raise NumericalBreach("Gram matrix lost hermiticity")
     return DiscreteOperator(
         space=space,
-        base_form=base_r,
+        base_form=stiff,
         gram_h1=gram,
-        gram_l2=mass_r,
+        gram_l2=mass,
     )
 
 
@@ -357,13 +306,13 @@ def assemble_perturbation(space: FeSpace, q=(), p=(), v=None,
     mesh = space.mesh
     total = None
     for qf in q:
-        mat = _form_matrix(mesh, space.ncomp, aplus=qf, refine=refine)
+        mat = _form_matrix(mesh, space.ncomp, qf, "plus", refine)
         total = mat if total is None else total + mat
     for pf in p:
-        mat = _form_matrix(mesh, space.ncomp, aminus=pf, refine=refine)
+        mat = _form_matrix(mesh, space.ncomp, pf, "minus", refine)
         total = mat if total is None else total + mat
     if v is not None:
-        mat = _form_matrix(mesh, space.ncomp, a0=v, refine=refine)
+        mat = _form_matrix(mesh, space.ncomp, v, "mass", refine)
         total = mat if total is None else total + mat
     if total is None:
         size = (mesh.n_elements + 1) * space.ncomp

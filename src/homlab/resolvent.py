@@ -285,14 +285,13 @@ def identity_residual(ctx, n_rhs=20, seed=1234):
 
 
 def convergence_row(family, eps, lam, setting, seed=1234,
-                    eta_exponents=None, lattice=None):
+                    eta_exponents=None):
     """All measurements for one epsilon of a convergence study, on the
     setting assemble_setting made for that epsilon."""
     ctx = context_from_setting(setting, lam)
     eta, crit = criteria.optimize_eta(
         family, eps,
         exponents=eta_exponents or criteria.DEFAULT_ETA_EXPONENTS,
-        lattice=lattice,
     )
     rep_kappa = truncation_error_norm(ctx, 0, seed)
     rep_L = perturbation_norm(ctx, seed)

@@ -16,9 +16,8 @@ import numpy as np
 from . import criteria, registry
 from .config import ConfigError
 from .families import deviation_triple
-from .fem import (CAP_DOF, MIN_ELEMENTS, assemble_base, assemble_triple,
-                  build_mesh, default_operator, mesh_rule,
-                  perturbation_refine)
+from .fem import (CAP_DOF, MIN_ELEMENTS, OperatorSpec, assemble_base,
+                  assemble_triple, build_mesh, mesh_rule, perturbation_refine)
 from .fields import sampled_sup
 from .norms import find_lambda, norm_m1m1, norm_m10, norm_v_to_vstar
 from .resolvent import (assemble_setting, context_from_setting,
@@ -166,14 +165,8 @@ def _require_1d(family, kind):
 
 
 def _operator_spec(cfg, family):
-    a11 = cfg.get_float("operator.a11", 1.0)
-    a0v = cfg.get_float("operator.a0", 0.0)
-    bc = cfg.get_str("operator.bc", "dirichlet")
-    if bc not in ("dirichlet", "robin"):
-        raise ConfigError("operator.bc must be dirichlet or robin")
-    if a11 <= 0:
-        raise ConfigError("operator.a11 must be positive")
-    return default_operator(family.domain, family.ncomp, bc, a11, a0v)
+    """The base operator on the family's domain; no key of cfg sets it."""
+    return OperatorSpec(family.domain, family.ncomp)
 
 
 def _mesh_opts(cfg):
@@ -190,12 +183,6 @@ def _mesh_opts(cfg):
     return opts
 
 
-def _lattice_for(cfg, family):
-    if cfg.get_bool("criterion.use_suggested_lattice", True):
-        return family.suggested_lattice
-    return None
-
-
 def _criterion_exponents(cfg):
     return cfg.get_floats("criterion.exponents",
                           criteria.DEFAULT_ETA_EXPONENTS)
@@ -206,8 +193,6 @@ def criterion_study(cfg, seed=1234, threads=1):
     family = registry.build_family(cfg)
     schedule = _schedule(cfg)
     exponents = _criterion_exponents(cfg)
-    objective = cfg.get_str("criterion.objective", "m1m1")
-    lattice = _lattice_for(cfg, family)
     refine = cfg.get_int("criterion.refine", 0)
     if refine < 0:
         raise ConfigError("criterion.refine must be nonnegative (0 derives "
@@ -215,8 +200,7 @@ def criterion_study(cfg, seed=1234, threads=1):
     refine = refine or None
 
     def one(i, eps):
-        eta, rep = criteria.optimize_eta(family, eps, exponents, lattice,
-                                         refine=refine, objective=objective)
+        eta, rep = criteria.optimize_eta(family, eps, exponents, refine=refine)
         return {
             "eps": eps,
             "eta": eta,
@@ -426,7 +410,6 @@ def resolvent_study(cfg, seed=1234, threads=1):
     op_spec = _operator_spec(cfg, family)
     opts = _mesh_opts(cfg)
     exponents = _criterion_exponents(cfg)
-    lattice = _lattice_for(cfg, family)
 
     settings = _parallel(
         schedule,
@@ -439,7 +422,7 @@ def resolvent_study(cfg, seed=1234, threads=1):
         eps, setting = pair
         return convergence_row(family, eps, lam, setting,
                                seed=seed + 1000 * i,
-                               eta_exponents=exponents, lattice=lattice)
+                               eta_exponents=exponents)
 
     rows = _parallel(zip(schedule, settings), one, threads)
     verdict, detail = convergence_verdict(rows)
@@ -526,8 +509,9 @@ _RUNNERS = {
 }
 
 
-def run_study(kind, cfg, seed=None, threads=None):
-    """Dispatch one study kind; flags override run.* config keys.
+def run_study(kind, cfg, seed=1234, threads=1):
+    """Dispatch one study kind with the base seed and row thread count of
+    the --seed and --threads flags.
 
     Keys the study never read are rejected once it returns, so a
     misspelled key fails instead of running with the default.
@@ -540,13 +524,8 @@ def run_study(kind, cfg, seed=None, threads=None):
             f"config declares study.kind = {declared}, but the {kind} "
             "study was requested"
         )
-    # read the run.* keys even when a flag overrides them: they are known
-    cfg_seed = cfg.get_int("run.seed", 1234)
-    cfg_threads = cfg.get_int("run.threads", 1)
-    use_seed = seed if seed is not None else cfg_seed
-    use_threads = threads if threads is not None else cfg_threads
-    if use_threads < 1:
-        raise ConfigError("run.threads must be at least 1")
-    result = _RUNNERS[kind](cfg, seed=use_seed, threads=use_threads)
+    if threads < 1:
+        raise ConfigError("--threads must be at least 1")
+    result = _RUNNERS[kind](cfg, seed=seed, threads=threads)
     cfg.check_all_used()
     return result

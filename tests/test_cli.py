@@ -187,13 +187,29 @@ def test_nan_amplitude_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+# (study kind, shipped config, line) per removed key: the config's study
+# read the key before it was removed
+REMOVED_KEYS = [
+    ("criterion", "sin_criterion", "family.negate = true"),
+    ("norm", "sin_norm", "operator.bc = dirichlet"),
+    ("norm", "sin_norm", "operator.a0 = 0"),
+    ("norm", "sin_norm", "operator.a11 = 1"),
+    ("criterion", "sin_criterion", "criterion.use_suggested_lattice = true"),
+    ("criterion", "sin_criterion", "criterion.objective = m1m1"),
+    ("criterion", "sin_criterion", "run.seed = 1234"),
+    ("criterion", "sin_criterion", "run.threads = 1"),
+]
+
+
 def test_removed_family_switch_exits_2(tmp_path, capsys):
-    path = tmp_path / "negate.cfg"
-    path.write_text((ROOT / "configs" / "sin_criterion.cfg").read_text()
-                    + "family.negate = true\n")
-    code = main(["criterion", "--config", str(path), "--out", "-"])
-    assert code == 2
-    assert "unrecognized keys: family.negate" in capsys.readouterr().err
+    for kind, config, line in REMOVED_KEYS:
+        path = tmp_path / f"{config}.cfg"
+        path.write_text((ROOT / "configs" / f"{config}.cfg").read_text()
+                        + line + "\n")
+        code = main([kind, "--config", str(path), "--out", "-"])
+        key = line.split(" = ")[0]
+        assert code == 2, key
+        assert f"unrecognized keys: {key}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("line", ["mesh.cap_dof = -5",

@@ -50,14 +50,13 @@ def test_typed_getters_enforce_types():
     assert cfg.get_int("count") == 4
     assert cfg.get_float("scale") == 2.5
     assert cfg.get_float("count") == 4.0
-    assert cfg.get_bool("flag") is False
     assert cfg.get_str("name") == "demo"
     assert cfg.get_floats("eps") == (0.1, 0.2)
     assert cfg.get_floats("scale") == (2.5,)
     with pytest.raises(ConfigError):
         cfg.get_int("scale")
     with pytest.raises(ConfigError):
-        cfg.get_bool("count")
+        cfg.get_str("flag")
     with pytest.raises(ConfigError):
         cfg.get_str("eps")
 

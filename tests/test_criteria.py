@@ -111,16 +111,32 @@ def test_optimize_eta_minimizes_bound():
     assert eta == pytest.approx(min(cands, key=cands.get))
 
 
+def sin_weight_family():
+    """sin(x/eps) as a first-order weight q, next to a zero potential."""
+    zero = zero_field(1, 1, UNIT)
+
+    def at(eps):
+        q = scalar_field(1, lambda p: np.sin(p[:, 0] / eps), 1.0, UNIT)
+        return FieldTriple(v=zero, q=(q,))
+
+    return make_regular(at, FieldTriple(v=zero, q=(zero,)),
+                        lambda eps: 2.0 * math.sqrt(eps), UNIT,
+                        finest_scale=lambda eps: 2 * math.pi * eps)
+
+
 def test_optimize_eta_objective_m10():
-    fam = sin_family()
+    # a family with a weight is certified by bound_m10; here that picks
+    # another eta than bound_m1m1 would
+    fam = sin_weight_family()
     eps = 0.01
-    eta, rep = optimize_eta(fam, eps, exponents=(0.4, 0.6), refine=128,
-                            objective="m10")
-    b1 = criterion_report(fam, eps, eps ** 0.4, refine=128).bound_m10
-    b2 = criterion_report(fam, eps, eps ** 0.6, refine=128).bound_m10
-    assert rep.bound_m10 == pytest.approx(min(b1, b2))
-    with pytest.raises(ValueError):
-        optimize_eta(fam, eps, objective="l2")
+    eta, rep = optimize_eta(fam, eps, exponents=(0.3, 0.5, 0.7), refine=128)
+    reps = {eps ** a: criterion_report(fam, eps, eps ** a, refine=128)
+            for a in (0.3, 0.5, 0.7)}
+    m10 = min(reps, key=lambda e: reps[e].bound_m10)
+    m1m1 = min(reps, key=lambda e: reps[e].bound_m1m1)
+    assert m10 != m1m1
+    assert eta == m10
+    assert rep.bound_m10 == reps[m10].bound_m10
 
 
 def test_optimize_eta_raises_when_nothing_fits():
@@ -171,7 +187,7 @@ def _family(text):
 
 def reference_report(family, eps, eta, refine):
     # the cell-by-cell loop: one call per cell for dev and for |dev|^2
-    lat = Lattice(family.dim)
+    lat = family.suggested_lattice or Lattice(family.dim)
     cells = cells_inside(lat, eta, family.domain)
     measure = lat.cell_measure * eta ** family.dim
     rho1_, rho3_, quad = 0.0, 0.0, 0.0

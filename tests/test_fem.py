@@ -12,7 +12,6 @@ from homlab.fem import (
     column_norms,
     assemble_perturbation,
     build_mesh,
-    default_operator,
     FeSpace,
     mesh_rule,
     CAP_DOF,
@@ -36,7 +35,7 @@ def tridiag(n, lo, di, up):
 def test_dirichlet_laplacian_matches_tridiagonal_oracle():
     n = 16
     mesh = build_mesh(UNIT, n)
-    op = assemble_base(default_operator(UNIT), mesh)
+    op = assemble_base(OperatorSpec(UNIT, 1), mesh)
     h = 1.0 / n
     # classic P1 stiffness: (1/h) tridiag(-1, 2, -1) on interior nodes
     expect = tridiag(n - 1, -1.0 / h, 2.0 / h, -1.0 / h)
@@ -51,31 +50,17 @@ def test_dirichlet_laplacian_matches_tridiagonal_oracle():
 def test_potential_adds_weighted_mass():
     n = 12
     mesh = build_mesh(UNIT, n)
-    op = assemble_base(default_operator(UNIT, a0_value=3.0), mesh)
-    plain = assemble_base(default_operator(UNIT), mesh)
-    diff = (op.base_form - plain.base_form).toarray()
-    assert np.allclose(diff, 3.0 * plain.gram_l2.toarray(), atol=1e-12)
-
-
-def test_robin_keeps_endpoint_dofs():
-    n = 8
-    mesh = build_mesh(UNIT, n)
-    robin = assemble_base(default_operator(UNIT, bc="robin"), mesh)
-    dirichlet = assemble_base(default_operator(UNIT), mesh)
-    assert robin.dof == n + 1
-    assert robin.space.bc_mask().tolist() == list(range(n + 1))
-    # the interior block is the Dirichlet matrix; the endpoint rows carry
-    # the half-element stiffness (1/h, -1/h) with no boundary term added
-    full = robin.base_form.toarray()
-    assert np.array_equal(full[1:-1, 1:-1], dirichlet.base_form.toarray())
-    assert full[0, :2] == pytest.approx([n, -n], abs=1e-12)
-    assert full[-1, -2:] == pytest.approx([-n, n], abs=1e-12)
+    op = assemble_base(OperatorSpec(UNIT, 1), mesh)
+    v = constant_field(1, 3.0 * np.eye(1), UNIT)
+    pert = assemble_perturbation(op.space, v=v)
+    assert np.allclose(pert.matrix.toarray(), 3.0 * op.gram_l2.toarray(),
+                       atol=1e-12)
 
 
 def test_first_order_constant_gives_central_difference():
     n = 10
     mesh = build_mesh(UNIT, n)
-    space = FeSpace(mesh, 1, "dirichlet")
+    space = FeSpace(mesh, 1)
     c = 1.7
     q = constant_field(1, c * np.eye(1), UNIT)
     pert = assemble_perturbation(space, q=(q,))
@@ -89,7 +74,7 @@ def test_transport_pair_with_constant_coefficient_assembles_to_zero():
     # which the Dirichlet restriction removes entirely
     n = 14
     mesh = build_mesh(UNIT, n)
-    space = FeSpace(mesh, 1, "dirichlet")
+    space = FeSpace(mesh, 1)
     q = constant_field(1, 0.8 * np.eye(1), UNIT)
     p = constant_field(1, -0.8 * np.eye(1), UNIT)
     pert = assemble_perturbation(space, q=(q,), p=(p,))
@@ -101,7 +86,7 @@ def test_oscillating_potential_element_means():
     # integral of V * (shape^2) over the two adjacent elements
     n = 32
     mesh = build_mesh(UNIT, n)
-    space = FeSpace(mesh, 1, "dirichlet")
+    space = FeSpace(mesh, 1)
     v = scalar_field(1, lambda x: np.sin(20.0 * x[..., 0]), 1.0, UNIT)
     pert = assemble_perturbation(space, v=v, refine=64)
     h = mesh.h
@@ -117,8 +102,8 @@ def test_oscillating_potential_element_means():
 def test_two_component_blocks_are_diagonal_copies():
     n = 9
     mesh = build_mesh(UNIT, n)
-    op2 = assemble_base(default_operator(UNIT, ncomp=2), mesh)
-    op1 = assemble_base(default_operator(UNIT), mesh)
+    op2 = assemble_base(OperatorSpec(UNIT, 2), mesh)
+    op1 = assemble_base(OperatorSpec(UNIT, 1), mesh)
     a2 = op2.base_form.toarray()
     a1 = op1.base_form.toarray()
     assert np.allclose(a2[0::2, 0::2], a1, atol=1e-12)
@@ -128,7 +113,7 @@ def test_two_component_blocks_are_diagonal_copies():
 
 def test_gram_matrices_are_hermitian_and_ordered():
     mesh = build_mesh(UNIT, 20)
-    op = assemble_base(default_operator(UNIT), mesh)
+    op = assemble_base(OperatorSpec(UNIT, 1), mesh)
     for g in (op.gram_h1, op.gram_l2):
         assert abs(g - g.getH()).max() < 1e-12
     # H1 dominates L2: smallest eigenvalue of (H1 - L2) is >= 0
@@ -158,11 +143,6 @@ def test_mesh_rule_respects_minimum():
 
 
 # ---------------------------------------------------------------- spec checks
-
-def test_spec_rejects_unknown_bc():
-    with pytest.raises(ValueError):
-        OperatorSpec(UNIT, 1, constant_field(1, np.eye(1), UNIT), bc="free")
-
 
 def test_mesh_validation():
     with pytest.raises(ValueError):
@@ -196,7 +176,7 @@ def test_nodal_exactness_for_manufactured_solution():
     # interpolant of the true solution at the nodes
     n = 64
     mesh = build_mesh(UNIT, n)
-    op = assemble_base(default_operator(UNIT), mesh)
+    op = assemble_base(OperatorSpec(UNIT, 1), mesh)
     f = lambda pts: (np.pi ** 2) * np.sin(np.pi * pts)
     rhs = load_vector(op.space, f, refine=8)
     u = LinearSolver(op.base_form).solve(rhs[:, None])[0][:, 0]
@@ -210,7 +190,7 @@ def test_energy_deficit_decays_quadratically():
     deficits = []
     for n in (32, 64, 128):
         mesh = build_mesh(UNIT, n)
-        op = assemble_base(default_operator(UNIT), mesh)
+        op = assemble_base(OperatorSpec(UNIT, 1), mesh)
         f = lambda pts: (np.pi ** 2) * np.sin(np.pi * pts)
         rhs = load_vector(op.space, f, refine=8)
         u = LinearSolver(op.base_form).solve(rhs[:, None])[0][:, 0]
@@ -223,18 +203,20 @@ def test_energy_deficit_decays_quadratically():
 
 def test_l2_norm_of_interpolated_constant():
     mesh = build_mesh(UNIT, 40)
-    op = assemble_base(default_operator(UNIT, bc="robin"), mesh)
-    # the interpolant of 1 keeps every node (Robin), so its squared L2
-    # norm is the measure of the interval
+    op = assemble_base(OperatorSpec(UNIT, 1), mesh)
+    # 1 on every interior node: the function is 1 except on the two end
+    # elements, where it ramps from 0 and each contributes h/3
     ones = np.ones(op.dof)
-    assert ones @ op.gram_l2 @ ones == pytest.approx(1.0, abs=1e-12)
+    expect = 1.0 - 2.0 * mesh.h + 2.0 * mesh.h / 3.0
+    assert ones @ op.gram_l2 @ ones == pytest.approx(expect, abs=1e-12)
 
 
 def test_load_vector_of_one_sums_to_measure():
     mesh = build_mesh(UNIT, 17)
-    space = FeSpace(mesh, 1, "robin")
+    space = FeSpace(mesh, 1)
     rhs = load_vector(space, lambda pts: np.ones_like(pts))
-    assert rhs.sum() == pytest.approx(1.0, abs=1e-12)
+    # the two end nodes, h/2 of the measure each, are not dofs
+    assert rhs.sum() + mesh.h == pytest.approx(1.0, abs=1e-12)
 
 
 # ---------------------------------------------------------------- solver

@@ -32,35 +32,35 @@ NEGATIVE_CONTROLS = {"sign_resolvent"}
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
 DIGESTS = {
     "almost_periodic_criterion": "ebbaae9397281040ce70d4ae6d985e9aa8b88a23dd15853274b728f8fe149c39",
-    "almost_periodic_resolvent": "0905f973a9672cc43a5ac0c0c049421a48566b1d3828a09bae1ce2c4899d48fc",
+    "almost_periodic_resolvent": "89eb14282235f98445125952461391f526c0f68f6e075fcdae1c7008b816489e",
     "fractal_criterion": "fcc897eeab7207c76f334650406c8230285844e8e16615b97e026050186c78e2",
     "locally_periodic2_criterion": "6bb9ebffe9930eb8852498714677ad4de497afb9d78414b8eaeba108fe9443b3",
-    "locally_periodic2_resolvent": "bc1cde5f6546aae44664cc2c451a07e53bd70a5e97986d443092acbc0169ec3d",
+    "locally_periodic2_resolvent": "262d4ad3f5ad164dd3be2346ba1c33e1b1f1b595492175877899f2f20744159f",
     "locally_periodic_criterion": "ab1a7486a459e6ab30474c8ad3bde1f8a33d0494d603ff8bf1a57cf33a5446b1",
-    "locally_periodic_resolvent": "d8efd73d62559215a66d7e2976c18390b69cd24aa1484e2aabd12adbdb6d7566",
+    "locally_periodic_resolvent": "d3fb9686f512a60cee7aab7a9b9cc0131f8d4015ca3d03b33ac3f0bbebdcb271",
     "modulated_diffeo_criterion": "02b6c65b31e7e92dcc7c7a72b266cfed030bb6987e4964e361d3157d3d5931a5",
-    "modulated_diffeo_resolvent": "9fc7b7d5b3687164eb9a7a695cc88a8081c85c3b00ce9a202c04005bb2f4af59",
+    "modulated_diffeo_resolvent": "5370474091a315e98ca5ce63a76b54e77e90fa04edfefc41c49e84c1550742c1",
     "modulated_periodic_criterion": "d85afdea8a5dba31beae3577ea09f3148580bb2572387d2d48fb2defe2b91394",
-    "modulated_periodic_resolvent": "dbc8c768084c395a4c626ae696894c7b0ff04cd3c2b3582489bfe47395dc0cc3",
+    "modulated_periodic_resolvent": "7cc73108b60ac7a10213769c8f8c7edf1da65e455ca30f9561a13fc06ff28327",
     "random_criterion": "a8d894f4cbf9d59cbd3513bd471f20b7dd2aeea8f05861d23237ddc3a27b8891",
-    "random_resolvent": "9ef63a83d008f0a39ead0ef3cc8bce0d38b9b2d74cf14d0587504a5209af7ca8",
+    "random_resolvent": "5d2aa7b1f98dbce4c7e7548073f3a3a7549bd1bcdea19214c13f1c7425b0cc0b",
     "regular_criterion": "f4d12023647df058620736fc1b60a800a330705a8ccd7bbbb9c94874aff3626b",
     "sign_criterion": "2120550c057e5c5e6ecb3fdd9b14e3af10e36f03c60a337006a1b1ad2eda51a7",
-    "sign_resolvent": "fe7152e218d564bad4c5a11030794e4a80e40399bbf612dcbb8429430a522531",
+    "sign_resolvent": "611d2802345bedd30af56a39d475b055c8cd4ed67e588f1e8a9386a934d88b5f",
     "sin_criterion": "965d58409d88f0e4a5ce3d21c4b54cee8bc5779cf5b5bb2485435ad2c7e805ef",
-    "sin_neumann": "bd9f38799d110cbf594461e8a155d4fcc1723b962537e12596b0234f486ba6a4",
+    "sin_neumann": "5535b0d5dfeef0d96c300d7d5d0584aedc77ef23349fbef2eaa820cf909a46f6",
     "sin_norm": "bac901d6c4cacc1233b9925595a8f6d6d7de164c861fad212dfd3288bb8f2470",
-    "sin_resolvent": "d6bb9df427b476c8a8b82cc5d1641f8151ea9b5681ccf7537672cc33be8bc923",
+    "sin_resolvent": "a97e686b0bcd011f5b9d170d3845fd9c36a4bd6e88510c6d44add3e2ea7095e1",
     "sparse_criterion": "fe9e3410e9aee7200f2f9ef58266407554e1e69e670c3b8201b6df80e1c3d326",
-    "sparse_resolvent": "f1aeb15072114312d1de8da180baea402230dd601f8134a78d1fbdf91be6d2fe",
+    "sparse_resolvent": "bcb45e5402d60874939f69fcfb3a374a2a099d1da1692a98509595146af03a48",
     "stabilizing_criterion": "5ce21454d61161f4cae6d2630e2ad4e4fc942ca0b84229601e65ccecc618a8b8",
-    "stabilizing_resolvent": "df9fed91e11f532ddd2a71a80f51e0541204253943a9da9dbe825878660405f2",
+    "stabilizing_resolvent": "36489262754062ab09230e79b3e7531a0fd75fd2258ba3ced12c04ab7165d91e",
     "two_scale_homogenize": "1242f519eed7e3c73193d38d5a85e8b8f0f748e04e7f1ae7ac59cf2b201edbe8"
 }
 
 
 @lru_cache(maxsize=None)
-def _run(name, threads=None):
+def _run(name, threads=1):
     cfg = StudyConfig.load(CONFIGS / f"{name}.cfg")
     return run_study(cfg.get_str("study.kind"), cfg, threads=threads)
 

@@ -83,7 +83,7 @@ def test_bench_criterion_report(benchmark, name, eps, exponent, cells):
     refine = cfg.get_int("criterion.refine", 0) or None
     rep = benchmark.pedantic(
         criterion_report,
-        args=(family, eps, eps ** exponent, study._lattice_for(cfg, family)),
+        args=(family, eps, eps ** exponent),
         kwargs={"refine": refine}, rounds=5, iterations=1)
     assert rep.cell_count == cells
     assert rep.rho1 > 0.0

@@ -12,8 +12,8 @@ import scipy.sparse as sp
 from homlab import registry, study
 from homlab.config import StudyConfig
 from homlab import norms
-from homlab.fem import LinearSolver, NumericalBreach, assemble_base, \
-    assemble_perturbation, build_mesh, default_operator
+from homlab.fem import LinearSolver, NumericalBreach, OperatorSpec, \
+    assemble_base, assemble_perturbation, build_mesh
 from homlab.fields import Box, CoefficientField, constant_field, gram_field, \
     scalar_field
 from homlab.norms import (
@@ -194,7 +194,7 @@ def test_kappa_general_complex_matches_dense_oracle():
 
 def test_potential_form_norm_matches_dense_pencil():
     mesh = build_mesh(UNIT, 24)
-    op = assemble_base(default_operator(UNIT), mesh)
+    op = assemble_base(OperatorSpec(UNIT, 1), mesh)
     v = scalar_field(1, lambda x: 1.0 + 0.5 * np.sin(7.0 * x[..., 0]), 1.5,
                      UNIT)
     rep = norm_m1m1(op, v, refine=4)
@@ -205,7 +205,7 @@ def test_potential_form_norm_matches_dense_pencil():
 
 def test_weight_norm_matches_dense_pencil():
     mesh = build_mesh(UNIT, 24)
-    op = assemble_base(default_operator(UNIT), mesh)
+    op = assemble_base(OperatorSpec(UNIT, 1), mesh)
     q = scalar_field(1, lambda x: np.cos(5.0 * x[..., 0]), 1.0, UNIT)
     rep = norm_m10(op, q, refine=4)
     w = assemble_perturbation(op.space, v=gram_field(q), refine=4)
@@ -217,7 +217,7 @@ def test_weight_norm_matches_dense_pencil():
 def test_constant_weight_m10_vs_mass_pencil():
     # |c u|_L2 / |u|_V peaks at the smallest pencil eigenvalue of (K, M)
     mesh = build_mesh(UNIT, 32)
-    op = assemble_base(default_operator(UNIT), mesh)
+    op = assemble_base(OperatorSpec(UNIT, 1), mesh)
     q = constant_field(1, 2.0 * np.eye(1), UNIT)
     rep = norm_m10(op, q)
     k = (op.gram_h1 - op.gram_l2).toarray()
@@ -247,7 +247,7 @@ def _random_trig_matrix_field(rng, n):
 def test_multiplier_chain_bound_on_random_triples(ncomp):
     rng = np.random.default_rng(40 + ncomp)
     mesh = build_mesh(UNIT, 96)
-    op = assemble_base(default_operator(UNIT, ncomp=ncomp), mesh)
+    op = assemble_base(OperatorSpec(UNIT, ncomp), mesh)
     for trial in range(3):
         q = _random_trig_matrix_field(rng, ncomp)
         p = _random_trig_matrix_field(rng, ncomp)
@@ -265,7 +265,7 @@ def test_adjoint_weight_bound(ncomp):
     from homlab.fields import adjoint_field
     rng = np.random.default_rng(50 + ncomp)
     mesh = build_mesh(UNIT, 96)
-    op = assemble_base(default_operator(UNIT, ncomp=ncomp), mesh)
+    op = assemble_base(OperatorSpec(UNIT, ncomp), mesh)
     for trial in range(3):
         q = _random_trig_matrix_field(rng, ncomp)
         nq = norm_m10(op, q, 4).value
@@ -276,7 +276,7 @@ def test_adjoint_weight_bound(ncomp):
 def test_form_norm_below_weight_norm_below_sup():
     # the potential chain: dual-pairing norm <= product norm <= sup bound
     mesh = build_mesh(UNIT, 128)
-    op = assemble_base(default_operator(UNIT), mesh)
+    op = assemble_base(OperatorSpec(UNIT, 1), mesh)
     v = scalar_field(1, lambda x: np.sin(x[..., 0] / 0.05), 1.0, UNIT)
     m1m1 = norm_m1m1(op, v, 8).value
     m10 = norm_m10(op, v, 8).value
@@ -299,7 +299,7 @@ def test_smallest_eigenvalue_matches_dense():
 
 def test_find_lambda_immediate_acceptance():
     mesh = build_mesh(UNIT, 16)
-    op = assemble_base(default_operator(UNIT), mesh)
+    op = assemble_base(OperatorSpec(UNIT, 1), mesh)
     k = (op.gram_h1 - op.gram_l2).tocsr()
     rep = find_lambda([k], [op.gram_l2], [op.gram_h1])
     assert rep.lambda0 == -1.0
@@ -310,7 +310,7 @@ def test_find_lambda_immediate_acceptance():
 def test_cone_check_raises_above_sampled_coercivity(monkeypatch):
     # a "certified" c4 far above every sampled Rayleigh quotient
     mesh = build_mesh(UNIT, 16)
-    op = assemble_base(default_operator(UNIT), mesh)
+    op = assemble_base(OperatorSpec(UNIT, 1), mesh)
     k = (op.gram_h1 - op.gram_l2).tocsr()
     monkeypatch.setattr(norms, "smallest_eigenvalue", lambda h, s: 1e6)
     with pytest.raises(NumericalBreach, match="fell below the certified"):
@@ -319,7 +319,7 @@ def test_cone_check_raises_above_sampled_coercivity(monkeypatch):
 
 def test_find_lambda_doubles_until_coercive():
     mesh = build_mesh(UNIT, 16)
-    op = assemble_base(default_operator(UNIT), mesh)
+    op = assemble_base(OperatorSpec(UNIT, 1), mesh)
     k = (op.gram_h1 - op.gram_l2).tocsr()
     form = (k - 15.0 * op.gram_l2).tocsr()
     rep = find_lambda([form], [op.gram_l2], [op.gram_h1])
@@ -332,7 +332,7 @@ def test_find_lambda_doubles_until_coercive():
 
 def test_find_lambda_gives_up_at_abort_threshold():
     mesh = build_mesh(UNIT, 16)
-    op = assemble_base(default_operator(UNIT), mesh)
+    op = assemble_base(OperatorSpec(UNIT, 1), mesh)
     k = (op.gram_h1 - op.gram_l2).tocsr()
     form = (k - 1e7 * op.gram_l2).tocsr()
     with pytest.raises(CoercivityError):
@@ -399,21 +399,20 @@ def test_find_lambda_random_rotation_passes_cone_check(seed):
     assert rep.c4 == pytest.approx(expect, rel=1e-10)
 
 
-@pytest.mark.parametrize("ncomp, bc", [(2, "dirichlet"), (1, "robin")])
-def test_smallest_eigenvalue_on_banded_forms(ncomp, bc):
+@pytest.mark.parametrize("ncomp, ends", [(2, "dirichlet"), (1, "perturbed")])
+def test_smallest_eigenvalue_on_banded_forms(ncomp, ends):
     rng = np.random.default_rng(60 + ncomp)
-    op = assemble_base(default_operator(UNIT, ncomp=ncomp, bc=bc),
-                       build_mesh(UNIT, 48))
+    op = assemble_base(OperatorSpec(UNIT, ncomp), build_mesh(UNIT, 48))
     q = _random_trig_matrix_field(rng, ncomp)
     v = _random_trig_matrix_field(rng, ncomp)
     pert = assemble_perturbation(op.space, q=(q,), v=v, refine=4)
     g = (op.base_form + pert.matrix).tocsr()
-    if bc == "robin":
-        # boundary terms on the endpoint dofs, as a Robin condition adds
-        ends = np.zeros(op.dof, dtype=complex)
-        ends[:ncomp] = -0.7
-        ends[-ncomp:] = 2.0 + 1.0j
-        g = (g + sp.diags(ends)).tocsr()
+    if ends == "perturbed":
+        # a complex and a negative shift on the first and last dof rows
+        shift = np.zeros(op.dof, dtype=complex)
+        shift[:ncomp] = -0.7
+        shift[-ncomp:] = 2.0 + 1.0j
+        g = (g + sp.diags(shift)).tocsr()
     h = ((g + g.getH()) * 0.5).tocsr()
     got = smallest_eigenvalue(h, op.gram_h1)
     expect = float(sla.eigh(h.toarray(), op.gram_h1.toarray(),

@@ -11,6 +11,8 @@ attribute names and imported names, including the original name of an
 method or property is only reached through an attribute, so for those
 only attribute names count: a local variable of the same name elsewhere
 does not keep one alive.
+Every config key that ``src/homlab`` reads by a literal name must be set
+by some shipped config, or be listed with its reason in UNSET_KEYS.
 Tests do not count as users: code that only a test reaches belongs in
 the test.
 """
@@ -19,8 +21,11 @@ import ast
 from collections import Counter
 from pathlib import Path
 
+from homlab.config import parse_config
+
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "homlab"
+CONFIGS = ROOT / "configs"
 USERS = (SRC, ROOT / "perfbench")
 ALLOWED = {"main"}
 # fields kept without a reader, each with the reason
@@ -28,6 +33,18 @@ UNREAD_FIELDS = {
     # the per-form c4 values that ROADMAP item 4's per-row resolvent chain
     # check (kappa <= |L| / (c4(0) c4(eps))) is planned to read
     "CoercivityReport.per_eps",
+}
+# config keys read but set by no shipped config, each with the reason
+UNSET_KEYS = {
+    # family builder parameters, listed per family by `homlab families
+    # --verbose`
+    "family.amplitudes", "family.domain", "family.frequencies",
+    "family.mean", "family.rho4_power", "family.rho5_power",
+    "family.rho8_scale", "family.seed",
+    # mesh limits; the shipped studies run at the defaults
+    "mesh.min_elements", "mesh.cap_dof",
+    # a deployment path; the shipped runs pass --out
+    "output.csv",
 }
 
 
@@ -180,3 +197,32 @@ def test_no_unused_imports():
             if name not in used:
                 unused.append(f"{path.relative_to(ROOT)}:{line} {name}")
     assert unused == []
+
+
+def _keys_read():
+    """(key, location) of every cfg.get*("literal", ...) in src/homlab."""
+    for path in sorted(SRC.rglob("*.py")):
+        for call in ast.walk(_parse(path)):
+            if not (isinstance(call, ast.Call)
+                    and isinstance(call.func, ast.Attribute)
+                    and call.func.attr.startswith("get")
+                    and getattr(call.func.value, "id", None) == "cfg"
+                    and call.args
+                    and isinstance(call.args[0], ast.Constant)
+                    and isinstance(call.args[0].value, str)):
+                continue
+            yield (call.args[0].value,
+                   f"{path.relative_to(ROOT)}:{call.lineno}")
+
+
+def test_every_key_read_is_set_somewhere():
+    # a key no config sets is a knob nobody turns
+    set_keys = set()
+    for path in CONFIGS.glob("*.cfg"):
+        set_keys.update(parse_config(path.read_text(encoding="utf-8")))
+    read = list(_keys_read())
+    unset = [f"{where} {key}" for key, where in read
+             if key not in set_keys and key not in UNSET_KEYS]
+    assert unset == []
+    # every allowlisted key is still read and still set by no config
+    assert UNSET_KEYS <= {key for key, _ in read} - set_keys

@@ -115,7 +115,7 @@ def test_run_study_rejects_kind_mismatch():
 
 def test_run_study_rejects_bad_threads():
     cfg = StudyConfig.from_text(CRIT_CFG)
-    with pytest.raises(ConfigError, match="threads"):
+    with pytest.raises(ConfigError, match="--threads must be at least 1"):
         run_study("criterion", cfg, threads=0)
 
 
@@ -153,12 +153,6 @@ def test_run_study_rejects_unread_keys():
     cfg = StudyConfig.from_text(CRIT_CFG + "family.amplitud = 5\n")
     with pytest.raises(ConfigError, match="family.amplitud"):
         run_study("criterion", cfg)
-
-
-def test_run_keys_are_read_when_flags_override_them():
-    cfg = StudyConfig.from_text(CRIT_CFG + "run.seed = 5\nrun.threads = 2\n")
-    res = run_study("criterion", cfg, seed=1, threads=1)
-    assert len(res.rows) == 2
 
 
 def test_criterion_study_bytes_identical_across_threads():
