@@ -5,6 +5,10 @@ the family catalogue, or turn a finished CSV into an SVG rate plot.
 Exit codes: 0 success, 2 configuration problems (including keys no
 study reads), 3 numerical failures: breaches (a failed Lanczos run
 among them) and forms no shift makes coercive.
+
+Only the studies that discretize the operator (norm, resolvent, neumann)
+load SciPy, when their study starts; criterion, homogenize, families and
+report run without it.
 """
 
 import argparse
@@ -12,8 +16,7 @@ import math
 import sys
 
 from .config import ConfigError, StudyConfig
-from .fem import NumericalBreach
-from .norms import CoercivityError
+from .errors import CoercivityError, NumericalBreach
 from .registry import describe_families
 from .study import STUDY_KINDS, read_csv, run_study, write_csv
 from .svgplot import write_plot

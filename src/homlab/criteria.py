@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import NumericalBreach
 from .families import deviation_triple
-from .fem import NumericalBreach
 from .fields import matrix_abs
 from .lattice import Lattice, cells_inside, cell_integral, default_refine
 

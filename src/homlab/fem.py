@@ -24,6 +24,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from .errors import NumericalBreach
 from .fields import Box, constant_field
 from .lattice import _panel_rule, default_refine
 
@@ -100,10 +101,6 @@ def column_norms(a):
     """
     a = np.asfortranarray(a)
     return [float(np.linalg.norm(a[:, j])) for j in range(a.shape[1])]
-
-
-class NumericalBreach(RuntimeError):
-    """A numerical invariant failed (singular factorization, bad residual)."""
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,8 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import (ArpackError, ArpackNoConvergence,
                                  LinearOperator, eigsh)
 
-from .fem import NumericalBreach, assemble_perturbation
+from .errors import CoercivityError, NumericalBreach
+from .fem import assemble_perturbation
 from .fields import gram_field
 
 # Lanczos basis size.  The top singular values of a resolvent cluster just
@@ -282,10 +283,6 @@ class CoercivityReport:
     lambda0: float
     c4: float
     per_eps: tuple = ()
-
-
-class CoercivityError(RuntimeError):
-    pass
 
 
 def _hermitian_part(G):

@@ -15,10 +15,10 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from . import criteria
+from .errors import NumericalBreach
 from .families import deviation_triple
-from .fem import (LinearSolver, NumericalBreach, assemble_base,
-                  assemble_triple, build_mesh, column_norms, mesh_rule,
-                  perturbation_refine)
+from .fem import (LinearSolver, assemble_base, assemble_triple, build_mesh,
+                  column_norms, mesh_rule, perturbation_refine)
 from .norms import Space, induced_norm, norm_v_to_vstar
 
 SOLVE_RTOL = 1e-10

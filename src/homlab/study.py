@@ -5,6 +5,14 @@ to one measurement row per entry.  Rows are computed independently, so
 they parallelize over threads without changing the output bytes: every
 row gets its seed from the base seed and its schedule index, and rows
 are written in schedule order regardless of completion order.
+
+Import boundary: the criterion and homogenize studies need only cell
+quadrature, so this module does not import fem, norms or resolvent, and
+through them SciPy, when it loads.  The norm, resolvent and neumann
+studies import what they use at the top of their own body, in the
+calling thread, before any row worker starts: a first import never runs
+inside a worker, and a cell-criterion run starts without SciPy's import
+cost.
 """
 
 import math
@@ -16,15 +24,18 @@ import numpy as np
 from . import criteria, registry
 from .config import ConfigError
 from .families import deviation_triple
-from .fem import (CAP_DOF, MIN_ELEMENTS, OperatorSpec, assemble_base,
-                  assemble_triple, build_mesh, mesh_rule, perturbation_refine)
 from .fields import sampled_sup
-from .norms import find_lambda, norm_m1m1, norm_m10, norm_v_to_vstar
-from .resolvent import (assemble_setting, context_from_setting,
-                        convergence_row, convergence_verdict,
-                        truncation_study)
 
 STUDY_KINDS = ("criterion", "homogenize", "norm", "resolvent", "neumann")
+
+
+def __getattr__(name):
+    # perfbench reads study.find_lambda; it is norms' own, looked up on
+    # access, so a traced norms.find_lambda shows here too
+    if name == "find_lambda":
+        from .norms import find_lambda
+        return find_lambda
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)
@@ -166,10 +177,14 @@ def _require_1d(family, kind):
 
 def _operator_spec(cfg, family):
     """The base operator on the family's domain; no key of cfg sets it."""
+    from .fem import OperatorSpec
+
     return OperatorSpec(family.domain, family.ncomp)
 
 
 def _mesh_opts(cfg):
+    from .fem import CAP_DOF, MIN_ELEMENTS
+
     opts = {
         "min_elements": cfg.get_int("mesh.min_elements", MIN_ELEMENTS),
         "cap_dof": cfg.get_int("mesh.cap_dof", CAP_DOF),
@@ -294,6 +309,10 @@ def norm_study(cfg, seed=1234, threads=1):
     budget, and the footer then names its eps under flagged_rows or
     capped_rows.
     """
+    from .fem import (assemble_base, assemble_triple, build_mesh, mesh_rule,
+                      perturbation_refine)
+    from .norms import norm_m1m1, norm_m10, norm_v_to_vstar
+
     family = registry.build_family(cfg)
     _require_1d(family, "norm")
     schedule = _schedule(cfg)
@@ -382,6 +401,8 @@ def _resolve_shift(cfg, settings, seed):
     and the limit forms of every scheduled epsilon, so the returned
     shift is uniformly coercive across the whole study.
     """
+    from .norms import find_lambda
+
     raw = cfg.get("operator.shift", -2.0)
     if isinstance(raw, str):
         if raw != "auto":
@@ -404,6 +425,9 @@ def _resolve_shift(cfg, settings, seed):
 
 def resolvent_study(cfg, seed=1234, threads=1):
     """Resolvent-difference convergence over the epsilon schedule."""
+    from .resolvent import (assemble_setting, convergence_row,
+                            convergence_verdict)
+
     family = registry.build_family(cfg)
     _require_1d(family, "resolvent")
     schedule = _schedule(cfg)
@@ -461,6 +485,9 @@ def resolvent_study(cfg, seed=1234, threads=1):
 
 def neumann_study(cfg, seed=1234, threads=1):
     """Truncated-series error table at one fixed epsilon."""
+    from .resolvent import (assemble_setting, context_from_setting,
+                            truncation_study)
+
     family = registry.build_family(cfg)
     _require_1d(family, "neumann")
     eps = cfg.get_float("study.eps")

@@ -6,7 +6,7 @@ anchored at the first point of the first series.
 """
 
 import math
-from xml.sax.saxutils import escape
+import html
 
 WIDTH = 640
 HEIGHT = 440
@@ -16,6 +16,11 @@ MARGIN_T = 36
 MARGIN_B = 56
 
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
+
+
+def _escape(text):
+    """Escape &, < and > for SVG text; quotes stay as they are."""
+    return html.escape(text, quote=False)
 
 
 def _decades(lo, hi):
@@ -98,7 +103,7 @@ def plot(xs, series, xlabel="", ylabel="", title="", xscale="log",
         f'<rect width="{WIDTH}" height="{HEIGHT}" fill="#ffffff"/>',
         f'<text x="{WIDTH / 2:.1f}" y="22" text-anchor="middle" '
         f'font-family="sans-serif" font-size="15" fill="#222222">'
-        f"{escape(title)}</text>",
+        f"{_escape(title)}</text>",
     ]
 
     # frame
@@ -139,7 +144,7 @@ def plot(xs, series, xlabel="", ylabel="", title="", xscale="log",
         parts.append(
             f'<text x="{px:.2f}" y="{HEIGHT - MARGIN_B + 20}" '
             f'text-anchor="middle" font-family="sans-serif" font-size="11" '
-            f'fill="#222222">{escape(_fmt_tick(t, xscale == "log"))}</text>'
+            f'fill="#222222">{_escape(_fmt_tick(t, xscale == "log"))}</text>'
         )
     for t in y_ticks():
         py = ax_y.pix(t)
@@ -150,19 +155,19 @@ def plot(xs, series, xlabel="", ylabel="", title="", xscale="log",
         parts.append(
             f'<text x="{MARGIN_L - 10}" y="{py + 4:.2f}" text-anchor="end" '
             f'font-family="sans-serif" font-size="11" fill="#222222">'
-            f'{escape(_fmt_tick(t, yscale == "log"))}</text>'
+            f'{_escape(_fmt_tick(t, yscale == "log"))}</text>'
         )
 
     parts.append(
         f'<text x="{(MARGIN_L + WIDTH - MARGIN_R) / 2:.1f}" '
         f'y="{HEIGHT - 14}" text-anchor="middle" font-family="sans-serif" '
-        f'font-size="13" fill="#222222">{escape(xlabel)}</text>'
+        f'font-size="13" fill="#222222">{_escape(xlabel)}</text>'
     )
     parts.append(
         f'<text x="18" y="{(MARGIN_T + HEIGHT - MARGIN_B) / 2:.1f}" '
         f'text-anchor="middle" font-family="sans-serif" font-size="13" '
         f'fill="#222222" transform="rotate(-90 18 '
-        f'{(MARGIN_T + HEIGHT - MARGIN_B) / 2:.1f})">{escape(ylabel)}</text>'
+        f'{(MARGIN_T + HEIGHT - MARGIN_B) / 2:.1f})">{_escape(ylabel)}</text>'
     )
 
     # slope guides, anchored at the first point of the first series
@@ -207,7 +212,7 @@ def plot(xs, series, xlabel="", ylabel="", title="", xscale="log",
         )
         parts.append(
             f'<text x="{lx + 28}" y="{ly}" font-family="sans-serif" '
-            f'font-size="11" fill="#222222">{escape(label)}</text>'
+            f'font-size="11" fill="#222222">{_escape(label)}</text>'
         )
 
     parts.append("</svg>")

@@ -11,6 +11,7 @@ import pytest
 from homlab import registry
 from homlab.cli import main
 from homlab.config import StudyConfig
+from homlab.svgplot import plot
 
 ROOT = Path(__file__).resolve().parents[1]
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
@@ -236,6 +237,12 @@ def test_report_writes_wellformed_svg(tmp_path, crit_cfg, capsys):
     assert "fit rho1" in out or "fit bound_m1m1" in out
 
 
+def test_svg_text_escapes_markup_but_not_quotes():
+    svg = plot([0.1, 0.05], {"rho1": [1.0, 0.5]}, title="a&<>\"'b")
+    assert "a&amp;&lt;&gt;\"'b</text>" in svg
+    ET.fromstring(svg)
+
+
 def test_report_unknown_column_exits_2(tmp_path, crit_cfg, capsys):
     csv_path = tmp_path / "crit.csv"
     main(["criterion", "--config", str(crit_cfg), "--out", str(csv_path)])
@@ -284,3 +291,50 @@ def test_explicit_blas_thread_settings_are_kept():
                   "print(*(os.environ[v] for v in %r))" % (BLAS_VARS,)]
     assert _fresh_python(show, None).split() == [b"1", b"1"]
     assert _fresh_python(show, 2).split() == [b"2", b"2"]
+
+
+_LOADED = """
+import sys
+from homlab.cli import main
+
+configs, out = sys.argv[1:]
+crit = f"{out}/crit.csv"
+runs = [["criterion", "--config", f"{configs}/sin_criterion.cfg",
+         "--out", crit],
+        ["homogenize", "--config", f"{configs}/two_scale_homogenize.cfg",
+         "--out", f"{out}/hom.csv"],
+        ["families"],
+        ["report", "--csv", crit],
+        ["norm", "--config", f"{configs}/sin_norm.cfg",
+         "--out", f"{out}/norm.csv"]]
+for argv in runs:
+    assert main(argv) == 0, argv
+    print("loaded:", *sorted(m for m in sys.modules
+                              if m.startswith(("scipy", "homlab.", "xml.",
+                                               "urllib."))))
+"""
+HEAVY = ("homlab.fem", "homlab.norms", "homlab.resolvent", "xml.sax",
+         "urllib.request")
+
+
+def test_cell_criterion_runs_load_no_scipy(tmp_path):
+    out = _fresh_python(["-c", _LOADED, str(ROOT / "configs"),
+                         str(tmp_path)], None).decode()
+    loaded = [line.split()[1:] for line in out.splitlines()
+              if line.startswith("loaded:")]
+    assert len(loaded) == 5
+    *cell_runs, after_norm = loaded
+    for modules in cell_runs:
+        assert not [m for m in modules
+                    if m.startswith("scipy") or m in HEAVY]
+    # the boundary is real: a discretizing study does load SciPy
+    assert "scipy" in after_norm and "homlab.fem" in after_norm
+
+
+def test_first_fe_import_under_row_threads_keeps_bytes():
+    # from a fresh interpreter the FE layer first loads inside the
+    # resolvent study, before any row worker starts
+    args = ["-m", "homlab.cli", "resolvent", "--out", "-",
+            "--config", str(ROOT / "configs" / "sin_resolvent.cfg")]
+    assert (_fresh_python([*args, "--threads", "2"], None)
+            == _fresh_python([*args, "--threads", "1"], None))

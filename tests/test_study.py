@@ -192,19 +192,20 @@ schedule.eps = 0.1, 0.05
 
 
 def test_norm_study_measures_a_bare_potential_once(monkeypatch):
-    from homlab import study
+    from homlab import norms
 
     def measured_again(*args):
         raise AssertionError("the potential form was measured twice")
 
-    monkeypatch.setattr(study, "norm_m1m1", measured_again)
+    # norm_study looks its norms up on homlab.norms when it starts
+    monkeypatch.setattr(norms, "norm_m1m1", measured_again)
     res = run_study("norm", StudyConfig.from_text(NORM_CFG))
     assert all(row["v_m1m1"] == row["norm_x"] == row["chain_bound"]
                for row in res.rows)
 
 
 def test_norm_study_marks_flagged_rows(monkeypatch):
-    from homlab import study
+    from homlab import norms
 
     # regular_sin is a bare potential: norm_x also serves as v_m1m1
     def flag_second_row(X, S, seed=1234):
@@ -212,7 +213,7 @@ def test_norm_study_marks_flagged_rows(monkeypatch):
         return dataclasses.replace(rep, flagged=seed == 1234 + 1000)
 
     clean = run_study("norm", StudyConfig.from_text(NORM_CFG))
-    monkeypatch.setattr(study, "norm_v_to_vstar", flag_second_row)
+    monkeypatch.setattr(norms, "norm_v_to_vstar", flag_second_row)
     res = run_study("norm", StudyConfig.from_text(NORM_CFG))
     assert [row["within_budget"] for row in clean.rows] == [1, 1]
     assert [row["within_budget"] for row in res.rows] == [1, 0]
