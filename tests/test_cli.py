@@ -199,6 +199,8 @@ REMOVED_KEYS = [
     ("criterion", "sin_criterion", "criterion.objective = m1m1"),
     ("criterion", "sin_criterion", "run.seed = 1234"),
     ("criterion", "sin_criterion", "run.threads = 1"),
+    # one scale pays no separation penalty, so rho8 never entered the rate
+    ("homogenize", "two_scale_homogenize", "family.rho8_scale = 7.5"),
 ]
 
 

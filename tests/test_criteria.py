@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from homlab.criteria import (NoCellsError, criterion_report, local_mean_limit,
                              optimize_eta)
-from homlab.families import FieldTriple, deviation_triple, make_regular
+from homlab.families import FieldTriple, deviation_triple, make_family
 from homlab.fem import NumericalBreach
 from homlab.fields import (Box, CoefficientField, constant_field, matrix_abs,
                            scalar_field, zero_field)
@@ -23,9 +23,15 @@ def sin_family(amp=1.0):
         return scalar_field(
             1, lambda p: amp * np.sin(p[:, 0] / eps), abs(amp), UNIT)
 
-    return make_regular(at, zero_field(1, 1, UNIT),
-                        lambda eps: 2.0 * math.sqrt(eps), UNIT,
-                        finest_scale=lambda eps: 2 * math.pi * eps)
+    return make_family(at, zero_field(1, 1, UNIT),
+                       lambda eps: 2.0 * math.sqrt(eps), UNIT, name="sin",
+                       finest_scale=lambda eps: 2 * math.pi * eps)
+
+
+def family_of(at, limit, domain=UNIT):
+    """make_family with a zero rate and a finest scale of 1."""
+    return make_family(at, limit, lambda eps: 0.0, domain, name="test",
+                       finest_scale=lambda eps: 1.0)
 
 
 def exact_rho1(eps, eta, n_cells):
@@ -74,7 +80,7 @@ def test_report_bounds_are_derived_fields():
 
 def test_zero_family_has_zero_criteria():
     v0 = constant_field(1, 1.5, UNIT)
-    fam = make_regular(lambda eps: v0, v0, lambda eps: 0.0, UNIT)
+    fam = family_of(lambda eps: v0, v0, UNIT)
     rep = criterion_report(fam, 0.1, 0.25, refine=16)
     assert rep.rho1 == 0.0
     assert rep.rho3 == 0.0
@@ -119,9 +125,10 @@ def sin_weight_family():
         q = scalar_field(1, lambda p: np.sin(p[:, 0] / eps), 1.0, UNIT)
         return FieldTriple(v=zero, q=(q,))
 
-    return make_regular(at, FieldTriple(v=zero, q=(zero,)),
-                        lambda eps: 2.0 * math.sqrt(eps), UNIT,
-                        finest_scale=lambda eps: 2 * math.pi * eps)
+    return make_family(at, FieldTriple(v=zero, q=(zero,)),
+                       lambda eps: 2.0 * math.sqrt(eps), UNIT,
+                       name="sin_weight",
+                       finest_scale=lambda eps: 2 * math.pi * eps)
 
 
 def test_optimize_eta_objective_m10():
@@ -142,14 +149,14 @@ def test_optimize_eta_objective_m10():
 def test_optimize_eta_raises_when_nothing_fits():
     tiny = Box((0.0,), (0.05,))
     v0 = zero_field(1, 1, tiny)
-    fam = make_regular(lambda eps: v0, v0, lambda eps: 0.0, tiny)
+    fam = family_of(lambda eps: v0, v0, tiny)
     with pytest.raises(ValueError):
         optimize_eta(fam, 0.5, exponents=(0.3, 0.5))
 
 
 def test_local_mean_limit_constant_family():
     v0 = constant_field(1, 2.0, UNIT)
-    fam = make_regular(lambda eps: v0, v0, lambda eps: 0.0, UNIT)
+    fam = family_of(lambda eps: v0, v0, UNIT)
     rep = local_mean_limit(fam, [0.1, 0.05, 0.025], sample_points=9,
                            refine=8)
     assert rep["rho2"] == pytest.approx(0.0, abs=1e-13)
@@ -163,7 +170,7 @@ def test_local_mean_limit_constant_family():
 
 def test_local_mean_limit_skips_boundary_windows():
     v0 = constant_field(1, 1.0, UNIT)
-    fam = make_regular(lambda eps: v0, v0, lambda eps: 0.0, UNIT)
+    fam = family_of(lambda eps: v0, v0, UNIT)
     rep = local_mean_limit(fam, [0.1, 0.05], mu_rule=lambda e: 0.5,
                            sample_points=9, refine=4)
     assert len(rep["skipped"]) > 0
@@ -172,7 +179,7 @@ def test_local_mean_limit_skips_boundary_windows():
 
 def test_local_mean_limit_needs_two_entries():
     v0 = constant_field(1, 1.0, UNIT)
-    fam = make_regular(lambda eps: v0, v0, lambda eps: 0.0, UNIT)
+    fam = family_of(lambda eps: v0, v0, UNIT)
     with pytest.raises(ValueError):
         local_mean_limit(fam, [0.1])
 
@@ -226,9 +233,9 @@ def _counting_family(sizes):
         return scalar_field(1, func, abs(scale), UNIT)
 
     zero = zero_field(1, 1, UNIT)
-    return make_regular(
+    return family_of(
         lambda eps: FieldTriple(v=counted(1.0), q=(counted(2.0),)),
-        FieldTriple(v=zero, q=(zero,)), lambda eps: 0.0, UNIT)
+        FieldTriple(v=zero, q=(zero,)))
 
 
 def test_each_deviation_is_evaluated_once_per_rule():
@@ -259,13 +266,12 @@ def test_optimize_eta_reports_field_errors_instead_of_skipping():
         return CoefficientField(
             1, 1, lambda p: np.zeros((len(p), 2, 2)), 1.0, UNIT)
 
-    fam = make_regular(wrong_shape, zero_field(1, 1, UNIT), lambda eps: 0.0,
-                       UNIT)
+    fam = family_of(wrong_shape, zero_field(1, 1, UNIT))
     with pytest.raises(ValueError, match="closure returned shape"):
         optimize_eta(fam, 0.01, exponents=(0.5,))
     tiny = Box((0.0,), (0.05,))
     v0 = zero_field(1, 1, tiny)
-    nothing_fits = make_regular(lambda eps: v0, v0, lambda eps: 0.0, tiny)
+    nothing_fits = family_of(lambda eps: v0, v0, tiny)
     with pytest.raises(NoCellsError):
         optimize_eta(nothing_fits, 0.5, exponents=(0.3, 0.5))
 
@@ -278,8 +284,7 @@ def _nan_family():
         return out
 
     field_ = scalar_field(1, func, 1.0, UNIT)
-    return make_regular(lambda eps: field_, zero_field(1, 1, UNIT),
-                        lambda eps: 0.0, UNIT)
+    return family_of(lambda eps: field_, zero_field(1, 1, UNIT))
 
 
 def test_nan_field_breaches_instead_of_certifying_zero():

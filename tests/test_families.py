@@ -1,26 +1,42 @@
-"""Family constructors against hand-computed values and invariants."""
+"""The family record and the catalogue entries, against hand-computed
+values and invariants."""
 
 import math
 
 import numpy as np
 import pytest
 
-from homlab.ergodic import ErgodicSystem
-from homlab.families import (FieldTriple, deviation_triple,
-                             implicit_eta, make_almost_periodic, make_locally_periodic,
-                             make_random, make_regular, make_sparse,
-                             make_stabilizing)
+from homlab.config import ConfigError, StudyConfig
+from homlab.families import FieldTriple, deviation_triple, make_family
 from homlab.fields import (Box, CoefficientField, constant_field, scalar_field,
                            sub_fields, zero_field)
+from homlab.registry import build_family, implicit_eta
+from homlab.study import run_study
 
 UNIT = Box((0.0,), (1.0,))
+
+
+def _family(at, limit, rate=lambda eps: eps):
+    return make_family(at, limit, rate, UNIT, name="test",
+                       finest_scale=lambda eps: 1.0)
+
+
+def _entry(text):
+    return build_family(StudyConfig.from_text(text))
+
+
+def _value(field_, x):
+    """The field at the single point x, as a real number."""
+    val = complex(field_(np.array([[x]]))[0, 0, 0])
+    assert val.imag == 0.0
+    return val.real
 
 
 def _regular_sin():
     def at(eps):
         return scalar_field(1, lambda p: eps * np.sin(p[:, 0]), eps, UNIT)
 
-    return make_regular(at, zero_field(1, 1, UNIT), lambda eps: eps, UNIT)
+    return _family(at, zero_field(1, 1, UNIT))
 
 
 def test_regular_family_deviations_match_definition():
@@ -33,8 +49,7 @@ def test_regular_family_deviations_match_definition():
 
 def test_regular_family_rejects_shape_mismatch():
     with pytest.raises(ValueError):
-        make_regular(lambda eps: zero_field(1, 2, UNIT),
-                     zero_field(1, 1, UNIT), lambda eps: eps, UNIT)
+        _family(lambda eps: zero_field(1, 2, UNIT), zero_field(1, 1, UNIT))
 
 
 def test_zero_or_absent_limit_is_not_subtracted():
@@ -51,7 +66,7 @@ def test_zero_or_absent_limit_is_not_subtracted():
             v=scalar_field(1, lambda p: eps * np.sin(p[:, 0]), eps, UNIT),
             q=(scalar_field(1, lambda p: -eps * np.cos(p[:, 0]), eps, UNIT),))
 
-    fam = make_regular(at, lim, lambda eps: eps, UNIT)
+    fam = _family(at, lim)
     pts = np.linspace(0.0, 1.0, 11)[:, None]
     dev = deviation_triple(fam, 0.25)
     parts = at(0.25)
@@ -71,9 +86,9 @@ def test_zero_or_absent_limit_is_not_subtracted():
 def test_deviation_triple_keeps_weight_order():
     # eleven weights: ordering them by a text label would put q10 third
     weights = tuple(constant_field(1, j + 1.0, UNIT) for j in range(11))
-    fam = make_regular(
+    fam = _family(
         lambda eps: FieldTriple(v=zero_field(1, 1, UNIT), q=weights),
-        zero_field(1, 1, UNIT), lambda eps: eps, UNIT)
+        zero_field(1, 1, UNIT))
     point = np.array([[0.5]])
     got = [q(point)[0, 0, 0].real for q in deviation_triple(fam, 0.1).q]
     assert got == [float(j) for j in range(1, 12)]
@@ -81,118 +96,112 @@ def test_deviation_triple_keeps_weight_order():
 
 def test_identical_family_has_zero_deviations():
     v0 = constant_field(1, 3.0, UNIT)
-    fam = make_regular(lambda eps: v0, v0, lambda eps: 0.0, UNIT)
+    fam = _family(lambda eps: v0, v0, lambda eps: 0.0)
     pts = np.linspace(0.0, 1.0, 11)[:, None]
     for dev in deviation_triple(fam, 0.01).components():
         assert np.abs(dev(pts)).max() == 0.0
 
 
 def test_stabilizing_profile_value():
-    # V(x, xi) = 2 + exp(-xi); at eps the value at x is 2 + exp(-x/eps)
-    def vfun(x, xi):
-        return (2.0 + np.exp(-np.abs(xi[:, 0])))[:, None, None]
-
-    fam = make_stabilizing(vfun, constant_field(1, 2.0, UNIT),
-                           rho6=lambda eps: math.exp(-eps ** (-1.0 / 3.0)),
-                           domain=UNIT, sup_bound=3.0)
+    # amp (2/pi) arctan(x/eps) tends to its tail value amp
+    fam = _entry("family.name = stabilizing_arctan\nfamily.amplitude = 1.5\n")
     eps = 0.05
-    pts = np.array([[0.2], [0.7]])
-    vals = fam.at(eps).v(pts)[:, 0, 0]
-    assert np.allclose(vals, 2.0 + np.exp(-pts[:, 0] / eps), atol=1e-15)
+    for x in (0.2, 0.7):
+        assert _value(fam.at(eps).v, x) == pytest.approx(
+            1.5 * (2.0 / math.pi) * math.atan(x / eps), rel=1e-15)
+    assert _value(fam.limit.v, 0.5) == 1.5
+    third = eps ** (1.0 / 3.0)
     assert fam.rate(eps) == pytest.approx(
-        math.exp(-eps ** (-1.0 / 3.0)) + eps ** (1.0 / 3.0))
+        1.5 * (2.0 / math.pi) * third + third)
 
 
 def test_locally_periodic_single_scale_rate():
-    def vfun(x, xi):
-        return (x[:, 0] * (1.0 + np.cos(2 * math.pi * xi[:, 0])))[:, None, None]
-
-    fam = make_locally_periodic(
-        vfun, [lambda eps: eps],
-        scalar_field(1, lambda p: p[:, 0], 1.0, UNIT),
-        rho8=lambda r: r, domain=UNIT, sup_bound=2.0)
-    # m = 1: no separation penalty, rate is sqrt of the single scale
-    assert fam.rate(0.04) == pytest.approx(0.2)
-    pts = np.array([[0.5]])
+    # one scale: no separation penalty, the rate is sqrt(eps)
+    for text in ("family.name = two_scale_linear\n",
+                 "family.name = locally_periodic\nfamily.levels = 1\n"):
+        fam = _entry(text)
+        assert fam.rate(0.04) == pytest.approx(0.2)
+        assert fam.finest_scale(0.04) == 0.04
+    linear = _entry("family.name = two_scale_linear\n")
     eps = 0.125
-    val = fam.at(eps).v(pts)[0, 0, 0]
-    assert val == pytest.approx(0.5 * (1.0 + math.cos(2 * math.pi * 0.5 / eps)))
+    assert _value(linear.at(eps).v, 0.5) == pytest.approx(
+        0.5 * (1.0 + math.cos(2 * math.pi * 0.5 / eps)))
+    assert _value(linear.limit.v, 0.3) == pytest.approx(0.3)
 
 
 def test_locally_periodic_two_scale_separation_penalty():
-    def vfun(x, xi1, xi2):
-        return (np.cos(2 * math.pi * xi1[:, 0])
-                + np.cos(2 * math.pi * xi2[:, 0]))[:, None, None]
-
-    rho8 = lambda r: 2.0 * r
-    fam = make_locally_periodic(
-        vfun, [lambda eps: eps, lambda eps: eps ** 2],
-        zero_field(1, 1, UNIT), rho8=rho8, domain=UNIT, sup_bound=2.0)
+    fam = _entry("family.name = locally_periodic\nfamily.levels = 2\n"
+                 "family.rho8_scale = 2.0\nfamily.amplitude = 0.5\n")
     eps = 0.1
-    expected = 2.0 * (math.sqrt(2.0) * 1.0 * eps ** 2 / eps) + math.sqrt(eps)
+    # rho8(t) = min(2 c, c t) at c = 2, at t = sqrt(2) eps^2 / eps
+    expected = min(4.0, 2.0 * math.sqrt(2.0) * eps) + math.sqrt(eps)
     assert fam.rate(eps) == pytest.approx(expected)
     assert fam.finest_scale(eps) == pytest.approx(eps ** 2)
+    x = 0.3
+    assert _value(fam.at(eps).v, x) == pytest.approx(
+        0.5 * (1.0 + 0.5 * math.sin(2 * math.pi * x))
+        * math.cos(2 * math.pi * x / eps)
+        * math.cos(2 * math.pi * x / eps ** 2))
 
 
 def test_almost_periodic_box_average_oracle():
-    # single frequency alpha: the mean over (0, r) of e^{i alpha x / eps}
-    # has magnitude |2 eps sin(r alpha / (2 eps)) / (r alpha)| <= 2 eps/(r alpha)
-    fam = make_almost_periodic([(np.array([3.0]), np.array([[1.0]]))], UNIT)
+    # 2 cos(3 x / eps): its mean over (0, r) is 2 eps sin(3 r / eps) / (3 r),
+    # at most 2 eps / (3 r) / 2 per exponential of the conjugate pair
+    fam = _entry("family.name = almost_periodic\nfamily.frequencies = 3.0\n"
+                 "family.amplitudes = 2.0\n")
     eps = 0.01
     r = 0.2
-    trip = fam.at(eps)
     n = 40001
     xs = np.linspace(0.0, r, n)[:, None]
-    vals = trip.v(xs)[:, 0, 0]
-    measured = np.abs(np.trapezoid(vals, dx=r / (n - 1)) / r)
-    exact = abs(2 * eps * math.sin(r * 3.0 / (2 * eps)) / (r * 3.0))
-    assert measured == pytest.approx(exact, abs=5e-6)
-    assert measured <= 2 * eps / (r * 3.0) + 1e-12
+    vals = fam.at(eps).v(xs)[:, 0, 0]
+    measured = np.trapezoid(vals, dx=r / (n - 1)) / r
+    exact = 2 * eps * math.sin(r * 3.0 / eps) / (r * 3.0)
+    assert abs(measured.imag) < 1e-15
+    assert measured.real == pytest.approx(exact, abs=5e-6)
+    assert abs(measured) <= 2 * (2 * eps / (r * 3.0)) + 1e-12
+    assert _value(fam.limit.v, 0.5) == 0.0
 
 
-def test_almost_periodic_limit_collects_zero_frequency():
-    fam = make_almost_periodic(
-        [(np.array([0.0]), np.array([[1.5]])),
-         (np.array([2.0]), np.array([[0.5]]))], UNIT)
-    pts = np.array([[0.3]])
-    assert fam.limit.v(pts)[0, 0, 0] == pytest.approx(1.5)
-    # rate at eps: cell eta = sqrt(eps) covers eta/eps periods
+def test_almost_periodic_limit_is_family_mean():
+    fam = _entry("family.name = almost_periodic\nfamily.frequencies = 2.0\n"
+                 "family.amplitudes = 1.0\nfamily.mean = 1.5\n")
+    assert _value(fam.limit.v, 0.3) == 1.5
     eps = 0.04
+    assert _value(fam.at(eps).v, 0.3) == pytest.approx(
+        1.5 + math.cos(2.0 * 0.3 / eps))
+    # rate at eps: the cell eta = sqrt(eps) covers eta/eps periods, and
+    # each exponential of the pair carries half the amplitude
     eta = math.sqrt(eps)
-    expected = min(1.0, 2.0 / (2.0 * eta / eps)) * 0.5 + eta
+    expected = 2 * min(1.0, 2.0 / (2.0 * eta / eps)) * 0.5 + eta
     assert fam.rate(eps) == pytest.approx(expected)
 
 
+def test_almost_periodic_rejects_a_zero_frequency():
+    with pytest.raises(ConfigError, match="family.mean sets the constant"):
+        _entry("family.name = almost_periodic\nfamily.frequencies = 0.0, 1.0\n")
+
+
 def test_sparse_bumps_vanish_off_support():
-    fam = make_sparse(
-        centers=lambda eps: np.array([[0.25], [0.75]]),
-        rho4=lambda eps: 0.4,
-        rho5=lambda eps: 0.1,
-        bump_profile=lambda r: 1.0 - r,
-        amplitude=np.array([[2.0]]),
-        domain=UNIT,
-    )
-    trip = fam.at(0.1)
-    # radius 0.04 around each center
-    vals = trip.v(np.array([[0.25], [0.27], [0.5], [0.75]]))[:, 0, 0]
-    assert vals[0] == pytest.approx(2.0)
-    assert vals[1] == pytest.approx(2.0 * (1.0 - 0.02 / 0.04))
-    assert vals[2] == 0.0
-    assert vals[3] == pytest.approx(2.0)
-    assert fam.rate(0.1) == pytest.approx(0.1 + 0.4)
-
-
-def test_sparse_rejects_close_centers():
-    fam = make_sparse(
-        centers=lambda eps: np.array([[0.5], [0.6]]),
-        rho4=lambda eps: 0.4,
-        rho5=lambda eps: 0.1,
-        bump_profile=lambda r: 1.0 - r,
-        amplitude=1.0,
-        domain=UNIT,
-    )
-    with pytest.raises(ValueError):
-        fam.at(0.1)
+    # eps = 0.1 and both powers 1: centers 0.05, 0.15, ..., 0.95 (rho4 =
+    # 0.1 apart) and bumps of radius rho4 rho5 = 0.01
+    fam = _entry("family.name = sparse_bumps\nfamily.amplitude = 2.0\n"
+                 "family.rho4_power = 1.0\nfamily.rho5_power = 1.0\n")
+    eps = 0.1
+    v = fam.at(eps).v
+    assert _value(v, 0.25) == pytest.approx(2.0)
+    assert _value(v, 0.255) == pytest.approx(2.0 * math.cos(0.25 * math.pi) ** 2)
+    assert _value(v, 0.3) == 0.0
+    assert _value(v, 0.95) == pytest.approx(2.0)
+    xs = np.linspace(0.0, 1.0, 2001)
+    vals = v(xs[:, None])[:, 0, 0]
+    centers = 0.05 + 0.1 * np.arange(10)
+    dist = np.min(np.abs(xs[:, None] - centers[None, :]), axis=1)
+    near = dist <= 0.01 * (1 + 1e-9)
+    assert np.all(vals[~near] == 0.0)
+    assert np.all(vals.real[near] >= 0.0)
+    assert fam.rate(eps) == pytest.approx(0.1 + 0.1)
+    assert fam.finest_scale(eps) == pytest.approx(0.01)
+    assert fam.limit.v.sup_bound == 0.0
 
 
 def test_implicit_eta_closed_form():
@@ -208,25 +217,40 @@ def test_implicit_eta_degenerate_raises():
 
 
 def test_random_family_deterministic_in_seed():
-    def obs(pts):
-        return np.cos(2 * math.pi * pts[:, 0])[:, None, None]
+    def build(seed):
+        return _entry(f"family.name = random_rotation\nfamily.seed = {seed}\n")
 
-    sys1 = ErgodicSystem(k=1, dim=1, flow=np.array([[1.0 / math.sqrt(3)]]),
-                         observable=obs, ncomp=1, sup_bound=1.0)
-    fam_a = make_random(sys1, UNIT, seed=42)
-    fam_b = make_random(sys1, UNIT, seed=42)
-    fam_c = make_random(sys1, UNIT, seed=43)
     pts = np.linspace(0, 1, 9)[:, None]
-    va = fam_a.at(0.03).v(pts)
-    vb = fam_b.at(0.03).v(pts)
-    vc = fam_c.at(0.03).v(pts)
+    va, vb, vc = (build(seed).at(0.03).v(pts) for seed in (42, 42, 43))
     assert np.array_equal(va, vb)
     assert not np.allclose(va, vc)
-    # limit is the torus expectation of cos, which vanishes
-    assert abs(fam_a.limit.v(pts)[0, 0, 0]) < 1e-14
 
 
 def test_field_triple_component_order():
     v, q0, p0, p1 = (constant_field(1, c, UNIT) for c in (1.0, 2.0, 3.0, 4.0))
     trip = FieldTriple(v=v, q=(q0,), p=(p0, p1))
     assert trip.components() == [v, q0, p0, p1]
+
+
+CRIT = "study.kind = criterion\nschedule.eps = 0.1\n"
+
+
+@pytest.mark.parametrize("name, bounds", [
+    ("regular_sin", "0, 0, 1, 1"),
+    ("stabilizing_arctan", "0, 0, 1, 1"),
+    ("fractal_2d", "0, 2"),
+    ("sparse_bumps", "0, 1, 2"),
+])
+def test_domain_needs_the_entry_dimension(name, bounds):
+    cfg = StudyConfig.from_text(
+        f"{CRIT}family.name = {name}\nfamily.domain = {bounds}\n")
+    with pytest.raises(ConfigError, match="family.domain"):
+        run_study("criterion", cfg)
+
+
+def test_modulated_diffeo_refuses_a_degenerate_jacobian():
+    # 3 x^2 at x = 1e-5 is 3e-10, below the Jacobian tolerance
+    cfg = StudyConfig.from_text(
+        f"{CRIT}family.name = modulated_diffeo\nfamily.domain = 1e-5, 1\n")
+    with pytest.raises(ConfigError, match="family.domain"):
+        run_study("criterion", cfg)

@@ -12,7 +12,8 @@ method or property is only reached through an attribute, so for those
 only attribute names count: a local variable of the same name elsewhere
 does not keep one alive.
 Every config key that ``src/homlab`` reads by a literal name must be set
-by some shipped config, or be listed with its reason in UNSET_KEYS.
+by some shipped config, or be listed with its reason in UNSET_KEYS, and
+every family of the registry must be built by some shipped config.
 Tests do not count as users: code that only a test reaches belongs in
 the test.
 """
@@ -22,6 +23,7 @@ from collections import Counter
 from pathlib import Path
 
 from homlab.config import parse_config
+from homlab.registry import REGISTRY
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "homlab"
@@ -226,3 +228,12 @@ def test_every_key_read_is_set_somewhere():
     assert unset == []
     # every allowlisted key is still read and still set by no config
     assert UNSET_KEYS <= {key for key, _ in read} - set_keys
+
+
+def test_every_registry_family_is_built_somewhere():
+    # a catalogue entry no config builds is a mechanism nobody runs
+    built = set()
+    for path in CONFIGS.glob("*.cfg"):
+        built.add(parse_config(path.read_text(encoding="utf-8"))
+                  .get("family.name"))
+    assert sorted(set(REGISTRY) - built) == []

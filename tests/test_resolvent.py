@@ -10,7 +10,7 @@ import scipy.sparse as sp
 
 from homlab import registry, resolvent, study
 from homlab.config import StudyConfig
-from homlab.families import make_regular
+from homlab.families import make_family
 from homlab.fem import CAP_DOF, MIN_ELEMENTS, NumericalBreach, \
     OperatorSpec, assemble_base, assemble_perturbation, build_mesh
 from homlab.fields import Box, scalar_field, zero_field
@@ -35,7 +35,7 @@ def sin_family(amplitude=1.0):
             1, lambda x: amplitude * np.sin(x[..., 0] / eps), abs(amplitude),
             UNIT)
 
-    return make_regular(
+    return make_family(
         v_of, zero_field(1, 1, UNIT),
         rate=lambda eps: 2.0 * abs(amplitude) * math.sqrt(eps),
         domain=UNIT,
