@@ -6,16 +6,25 @@ B Z^d + offset.  Cell integrals use composite Gauss-Legendre rules of
 order 4 per subcell, with an error estimate from comparing against the
 half-resolution rule.
 
+A cell's rule is the d-fold tensor product of a 1D rule, first axis
+slowest, so its points fall into blocks: runs of the last axis, each as
+long as the 1D rule.  The sum over a cell has two fixed levels.  Each
+block is summed on its own against its weights, and the cell's
+integral is one reduction over the complete array of its block sums.  A
+block is never split between two sums, and a 1D cell is a single block.
+
 cell_integral takes a stack of cell indices (C, d), and a single cell
 is a stack of one.  Every field evaluation takes at most CHUNK_POINTS
-rule points: a batch of whole cells when a cell has fewer, else one
-slice of a cell, so no array the size of a large cell's points is ever
-built.  The values of a batch go into one buffer and each cell's sum
-runs once over all of its values, bit for bit as in a stack of that
-cell alone and whatever the chunking.  On request the same field values
-also give the integrals of |field|^2.  The 1D Gauss rule is memoized per
-(refine, order); a slice's points are copies of its nodes, built per
-evaluation, and only the tensor weights are built whole, per call.
+rule points: a batch of whole cells when a cell has fewer, else as many
+whole blocks of one cell as fit, else a slice of one block.  The value
+buffers hold whole blocks, at most max(CHUNK_POINTS, one block) points,
+whatever the cell size, so a cell's result is the same bits as in a
+stack of that cell alone and whatever the chunking.  On request the same
+field values also give the integrals of |field|^2.  The 1D Gauss rule is
+memoized per (refine, order); a slice's points are copies of its nodes,
+and a block's weights are the products of its factor and the 1D
+weights, both built per buffer fill, so no array of a whole cell's
+weights is built either.
 """
 
 from dataclasses import dataclass
@@ -133,14 +142,16 @@ def _panel_rule(refine, order=GAUSS_ORDER):
     return pts, wts
 
 
-def _tensor_weights(dim, refine, order=GAUSS_ORDER):
-    """Weights of the d-fold tensor rule, first axis slowest."""
+def _block_weights(dim, refine, order=GAUSS_ORDER):
+    """Weight factor of each block of the d-fold tensor rule, first axis
+    slowest: the product of its weights along the first d - 1 axes, left
+    to right, so a block's weights are this factor times the 1D weights.
+    A 1D rule is one block of factor 1."""
     _, wts1 = _panel_rule(refine, order)
-    wts = wts1
+    wts = np.ones(1)
     for _ in range(dim - 1):
-        # the factors multiply left to right, as a product over axes
-        wts = np.multiply.outer(wts, wts1)
-    return wts.ravel()
+        wts = np.multiply.outer(wts, wts1).ravel()
+    return wts
 
 
 def _axis_nodes(pts1, q, start, stop):
@@ -169,48 +180,65 @@ def _rule_points(pts1, span, origins, start, stop):
     return _affine_points(cols, span, origins)
 
 
-def _reduce(vals, wts, jac):
-    """Integrals (C, n, n) from rule values (C, m, n, n)."""
-    return jac * np.einsum("m,cmij->cij", wts, vals)
-
-
 def _rule_integrals(field_, origins, span, refine, order, squares):
     """Integrals over the cells origins[c] + span (0,1)^d at one rule.
 
-    Each field evaluation takes at most CHUNK_POINTS rule points: as many
-    whole cells as fit, or a slice of one cell that has more points.  The
-    slices' values fill one buffer per batch of cells, and each cell's sum
-    runs once over all its values, so a cell's integral does not depend on
-    the chunking or on the other cells.  squares=True adds the integrals
-    of |field|^2 taken from the same values.
+    The sum has two fixed levels.  Each block, a run of the rule's last
+    axis, is summed on its own against its weights, the products of its
+    factor and the 1D weights; then each cell's complete array of block
+    sums is reduced once and scaled by the Jacobian.  A batch holds as
+    many whole cells as one field evaluation of at most CHUNK_POINTS
+    points takes, or else one cell.  The value buffers are filled with
+    whole blocks, by one evaluation or, when a block has more than
+    CHUNK_POINTS points, by several, so no block is split between two
+    sums and a cell's integral does not depend on the chunking or on the
+    other cells.  squares=True adds the integrals of |field|^2 taken from
+    the same values.
     """
     dim, n = span.shape[0], field_.ncomp
-    pts1, _ = _panel_rule(refine, order)
-    wts = _tensor_weights(dim, refine, order)
-    m = len(wts)
+    pts1, wts1 = _panel_rule(refine, order)
+    size = len(pts1)  # rule points of a block
+    factors = _block_weights(dim, refine, order)
+    blocks = len(factors)
+    m = blocks * size
     jac = abs(float(np.linalg.det(span)))
-    step = max(1, CHUNK_POINTS // m)  # whole cells per evaluation
-    size = min(m, CHUNK_POINTS)  # rule points of a cell per evaluation
-    outs = [np.empty((len(origins), n, n), dtype=complex)]
-    # one value buffer for every batch: a second would double the peak
-    vals = np.empty((min(step, len(origins)), m, n, n), dtype=complex)
+    step = max(1, CHUNK_POINTS // m)  # whole cells per batch
+    # whole blocks of each cell per buffer fill: all of them when a batch
+    # holds whole cells, else as many as one evaluation takes, else one
+    per = min(blocks, max(1, CHUNK_POINTS // size))
+    piece = min(per * size, CHUNK_POINTS)  # points of a cell per evaluation
+    cap = min(step, len(origins))
+    bufs = [np.empty((cap, per, size, n, n), dtype=complex)]
     if squares:
-        outs.append(np.empty((len(origins), 1, 1), dtype=complex))
-        sq = np.empty(vals.shape[:2] + (1, 1), dtype=complex)
+        # kept complex, as a scalar field's values would be: a real sum
+        # rounds differently in the last digits
+        bufs.append(np.empty((cap, per, size, 1, 1), dtype=complex))
+    block_sums = [np.empty((cap, blocks) + buf.shape[3:], dtype=complex)
+                  for buf in bufs]
+    outs = [np.empty((len(origins),) + buf.shape[3:], dtype=complex)
+            for buf in bufs]
     for a in range(0, len(origins), step):
         cells = origins[a:a + step]
         c = len(cells)
-        for s in range(0, m, size):
-            pts = _rule_points(pts1, span, cells, s, min(s + size, m))
-            v = field_(pts).reshape(c, -1, n, n)
-            vals[:c, s:s + size] = v
-            if squares:
-                # kept complex, as a scalar field's values would be: a
-                # real sum rounds differently in the last digits
-                sq[:c, s:s + size, 0, 0] = matrix_abs(v) ** 2
-        outs[0][a:a + step] = _reduce(vals[:c], wts, jac)
-        if squares:
-            outs[1][a:a + step] = _reduce(sq[:c], wts, jac)
+        flat = [buf[:c].reshape(c, per * size, *buf.shape[3:])
+                for buf in bufs]
+        for b in range(0, blocks, per):
+            k = min(per, blocks - b)  # whole blocks in this fill
+            for s in range(0, k * size, piece):
+                stop = min(s + piece, k * size)
+                pts = _rule_points(pts1, span, cells, b * size + s,
+                                   b * size + stop)
+                v = field_(pts).reshape(c, -1, n, n)
+                flat[0][:, s:stop] = v
+                if squares:
+                    flat[1][:, s:stop, 0, 0] = matrix_abs(v) ** 2
+            # row j holds the weights of block b + j
+            wts = np.multiply.outer(factors[b:b + k], wts1)
+            for buf, sums in zip(bufs, block_sums):
+                sums[:c, b:b + k] = np.einsum("km,ckmij->ckij", wts,
+                                              buf[:c, :k])
+        for out, sums in zip(outs, block_sums):
+            out[a:a + step] = jac * sums[:c].sum(axis=1)
     return outs
 
 
@@ -229,12 +257,15 @@ def cell_integral(lattice, z, eta, field_, refine, squares=False):
     """Integrals of a coefficient field over cells, with error estimates.
 
     z is a stack of cell indices (C, d).  Returns (integral, error
-    estimate) as arrays (C, n, n) and (C,).  The field is called on at
-    most CHUNK_POINTS points at a time, and no cell's result depends on
-    that chunking or on the other cells of the stack.  The estimate
-    compares the requested resolution against the half-resolution rule
-    (one order-2 panel at refine 1); doubling the refine changes the
-    result by less than the estimate.
+    estimate) as arrays (C, n, n) and (C,).  Each cell's integral is a
+    two-level sum: one sum per block of its tensor rule (a run of the
+    last axis), then one reduction over all of its block sums.  A block
+    is never split between two sums, and a 1D cell is a single block.
+    The field is called on at most CHUNK_POINTS points at a time, and no
+    cell's result depends on that chunking or on the other cells of the
+    stack.  The estimate compares the requested resolution against the
+    half-resolution rule (one order-2 panel at refine 1); doubling the
+    refine changes the result by less than the estimate.
     squares=True appends the same pair for the scalar |field|^2, taken
     from the same field values.
     """

@@ -32,7 +32,13 @@ def _domain(cfg, default):
             f"(lower, then upper), got {len(vals)}"
         )
     d = len(vals) // 2
-    return Box(tuple(vals[:d]), tuple(vals[d:]))
+    lower, upper = vals[:d], vals[d:]
+    if any(a >= b for a, b in zip(lower, upper)):
+        raise ConfigError(
+            f"family.domain needs each lower bound below its upper bound, "
+            f"got lower {lower} and upper {upper}"
+        )
+    return Box(lower, upper)
 
 
 def _rho8(cfg):
@@ -136,8 +142,8 @@ def _build_stabilizing_arctan(cfg):
 
     def rate(eps):
         # outside |x/eps| >= eps^(-1/3) the profile sits within
-        # rho6 = amp (2/pi) eps^(1/3) of its tail
-        rho6 = amp * (2.0 / math.pi) * eps ** (1.0 / 3.0)
+        # rho6 = |amp| (2/pi) eps^(1/3) of its tail
+        rho6 = abs(amp) * (2.0 / math.pi) * eps ** (1.0 / 3.0)
         return rho6 + eps ** (1.0 / 3.0)
 
     return make_family(

@@ -188,6 +188,15 @@ def test_nan_amplitude_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_empty_domain_exits_2_naming_the_key(tmp_path, capsys):
+    path = tmp_path / "domain.cfg"
+    path.write_text(CRIT_CFG + "family.domain = 1, 0\n")
+    code = main(["criterion", "--config", str(path), "--out", "-"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "family.domain" in err and "(1.0,)" in err and "(0.0,)" in err
+
+
 # (study kind, shipped config, line) per removed key: the config's study
 # read the key before it was removed
 REMOVED_KEYS = [

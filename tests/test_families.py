@@ -115,6 +115,20 @@ def test_stabilizing_profile_value():
         1.5 * (2.0 / math.pi) * third + third)
 
 
+def test_stabilizing_rate_ignores_the_amplitude_sign():
+    # the tail distance rho6 is a size: a negative amplitude used to
+    # print a negative predicted rate
+    rows = {}
+    for amp in (-2.0, 2.0):
+        cfg = StudyConfig.from_text(
+            "study.kind = criterion\nfamily.name = stabilizing_arctan\n"
+            f"family.amplitude = {amp}\nschedule.eps = 0.1, 0.05\n")
+        rows[amp] = [row["predicted"] for row in run_study("criterion",
+                                                           cfg).rows]
+    assert rows[-2.0] == rows[2.0]
+    assert all(p > 0 for p in rows[2.0])
+
+
 def test_locally_periodic_single_scale_rate():
     # one scale: no separation penalty, the rate is sqrt(eps)
     for text in ("family.name = two_scale_linear\n",

@@ -33,7 +33,7 @@ BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
 DIGESTS = {
     "almost_periodic_criterion": "ebbaae9397281040ce70d4ae6d985e9aa8b88a23dd15853274b728f8fe149c39",
     "almost_periodic_resolvent": "89eb14282235f98445125952461391f526c0f68f6e075fcdae1c7008b816489e",
-    "fractal_criterion": "fcc897eeab7207c76f334650406c8230285844e8e16615b97e026050186c78e2",
+    "fractal_criterion": "0adb41e56b2104d442d7572eeee483c16345cce7810cfc41d8a364c1786c4a2a",
     "locally_periodic2_criterion": "6bb9ebffe9930eb8852498714677ad4de497afb9d78414b8eaeba108fe9443b3",
     "locally_periodic2_resolvent": "262d4ad3f5ad164dd3be2346ba1c33e1b1f1b595492175877899f2f20744159f",
     "locally_periodic_criterion": "ab1a7486a459e6ab30474c8ad3bde1f8a33d0494d603ff8bf1a57cf33a5446b1",

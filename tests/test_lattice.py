@@ -8,9 +8,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from homlab import lattice
-from homlab.fields import Box, CoefficientField, constant_field, scalar_field
-from homlab.lattice import (GAUSS_ORDER, Lattice, _panel_rule, cell_integral,
-                            cells_inside, default_refine)
+from homlab.fields import (Box, CoefficientField, constant_field, matrix_abs,
+                           scalar_field)
+from homlab.lattice import (CHUNK_POINTS, GAUSS_ORDER, MAX_REFINE, Lattice,
+                            _panel_rule, cell_integral, cells_inside,
+                            default_refine)
 
 UNIT = Box((0.0,), (1.0,))
 
@@ -277,8 +279,9 @@ def _meshgrid_tensor_rule(dim, refine):
 
 @pytest.mark.parametrize("dim, refine", [(2, 3), (2, 60), (2, 342), (3, 3)])
 def test_tensor_rule_matches_meshgrid_reference(dim, refine):
-    pts1, _ = _panel_rule(refine)
-    wts = lattice._tensor_weights(dim, refine)
+    pts1, wts1 = _panel_rule(refine)
+    # the weights of block b are factor b times the 1D weights
+    wts = np.multiply.outer(lattice._block_weights(dim, refine), wts1).ravel()
     m = len(wts)
     ref_pts, ref_wts = _meshgrid_tensor_rule(dim, refine)
     assert np.array_equal(wts, ref_wts)
@@ -292,24 +295,98 @@ def test_tensor_rule_matches_meshgrid_reference(dim, refine):
             ref_pts[start:stop])
 
 
+def test_block_fits_one_evaluation():
+    # the longest production block, a run of the finest rule's last axis,
+    # is filled by a single field evaluation
+    assert GAUSS_ORDER * MAX_REFINE <= CHUNK_POINTS
+
+
+def two_level_reference(field_, lat, z, eta, refine):
+    # the whole cell at once: one einsum per block, then one sum over the
+    # cell's block sums, for the field and for |field|^2
+    pts1, wts1 = _panel_rule(refine)
+    span = eta * lat.basis
+    size, dim, n = len(pts1), lat.dim, field_.ncomp
+    m = size ** dim
+    pts = lattice._rule_points(pts1, span, eta * lat.point([z]), 0, m)
+    vals = field_(pts).reshape(m // size, size, n, n)
+    squares = np.zeros((m // size, size, 1, 1), dtype=complex)
+    squares[..., 0, 0] = matrix_abs(vals) ** 2
+    factors = lattice._block_weights(dim, refine)
+    jac = abs(float(np.linalg.det(span)))
+    out = []
+    for v in (vals, squares):
+        sums = np.array([np.einsum("m,mij->ij", f * wts1, block)
+                         for f, block in zip(factors, v)])
+        out.append(jac * sums.sum(axis=0))
+    return out
+
+
+@pytest.mark.parametrize("budget", [7, 150, 2 ** 14])
+def test_2d_cell_equals_two_level_reference(monkeypatch, budget):
+    # refine 5: 20 blocks of 20 points; budget 7 slices a block, 150
+    # fills 7 blocks at a time, and the default takes whole cells
+    field_ = CoefficientField(2, 2, complex_2x2, 6.0, Box((-5, -5), (5, 5)))
+    zs = np.array([[0, 0], [1, -2], [3, 1]])
+    monkeypatch.setattr(lattice, "CHUNK_POINTS", budget)
+    integral, _, sq, _ = cell_integral(SKEW, zs, 0.3, field_, 5,
+                                       squares=True)
+    for k, z in enumerate(zs):
+        want, want_sq = two_level_reference(field_, SKEW, z, 0.3, 5)
+        assert np.array_equal(integral[k], want)
+        assert np.array_equal(sq[k], want_sq)
+
+
+def test_large_scalar_cell_equals_two_level_reference():
+    # 256 blocks of 256 points: four evaluations of 64 whole blocks each
+    from homlab import registry
+    from homlab.config import StudyConfig
+    fam = registry.build_family(
+        StudyConfig.from_text("family.name = fractal_2d\n"))
+    field_ = fam.at(0.13).v
+    integral, _, sq, _ = cell_integral(Lattice(2), [(0, 0)], 0.5, field_, 64,
+                                       squares=True)
+    want, want_sq = two_level_reference(field_, Lattice(2), (0, 0), 0.5, 64)
+    assert np.array_equal(integral[0], want)
+    assert np.array_equal(sq[0], want_sq)
+
+
+def test_empty_stack_has_no_cells():
+    calls = []
+
+    def counted(pts):
+        calls.append(len(pts))
+        return complex_2x2(pts)
+
+    field_ = CoefficientField(2, 2, counted, 6.0, Box((-5, -5), (5, 5)))
+    out = cell_integral(SKEW, np.zeros((0, 2), dtype=int), 0.3, field_, 5,
+                        squares=True)
+    assert [r.shape for r in out] == [(0, 2, 2), (0,), (0, 1, 1), (0,)]
+    assert calls == []
+
+
 def test_large_cell_memory_stays_within_its_value_buffers():
-    # values and |values|^2 of a cell take 2 x 16 bytes a rule point and
-    # the weights 8 more; a whole-cell array of points or of field
-    # intermediates would add at least 16 more
+    # the value and |value|^2 buffers take 16 bytes a point each and hold
+    # at most CHUNK_POINTS points, whatever the cell; the points and field
+    # intermediates of one evaluation take a few more such units, and the
+    # block sums 2 x 16 bytes a block.  The bound does not grow with the
+    # cell: a whole-cell buffer would break it at either size, and the
+    # second cell has 4x the points of the first.
     import tracemalloc
     from homlab import registry
     from homlab.config import StudyConfig
     fam = registry.build_family(
         StudyConfig.from_text("family.name = fractal_2d\n"))
     field_ = fam.at(0.13).v
-    points = (GAUSS_ORDER * 256) ** 2
-    assert points == 1_048_576
-    tracemalloc.start()
-    try:
-        out = cell_integral(Lattice(2), [(0, 0)], 0.5, field_, 256,
-                            squares=True)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert all(np.isfinite(r).all() for r in out)
-    assert peak < 3.5 * 16 * points
+    for refine in (128, 256):
+        blocks = GAUSS_ORDER * refine
+        assert blocks ** 2 >= 16 * CHUNK_POINTS
+        tracemalloc.start()
+        try:
+            out = cell_integral(Lattice(2), [(0, 0)], 0.5, field_, refine,
+                                squares=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all(np.isfinite(r).all() for r in out)
+        assert peak < 8 * 16 * CHUNK_POINTS + 2 * 16 * blocks, refine
