@@ -357,7 +357,15 @@ def _build_modulated_periodic(cfg):
             abs(amp), box)
 
     def rate(eps):
-        eta = implicit_eta(p0, eps)
+        try:
+            eta = implicit_eta(p0, eps)
+        except ValueError:
+            raise ConfigError(
+                f"family.domain = {box.lower[0]!r}, {box.upper[0]!r}: the "
+                f"phase margin |sin| at the domain ends is {edge:.3g}, too "
+                f"small for an admissible eta at eps = {eps!r}; end the "
+                "domain farther from a multiple of pi"
+            ) from None
         return math.sqrt(eps) + eta + rho8(eta)
 
     return make_family(

@@ -142,7 +142,7 @@ def test_lanczos_failure_exits_3(tmp_path, monkeypatch, capsys):
     def boom(*args, **kwargs):
         raise ArpackError(-9999)
 
-    monkeypatch.setattr(norms, "eigsh", boom)
+    monkeypatch.setattr(norms, "eigs", boom)
     path = tmp_path / "norm.cfg"
     path.write_text("study.kind = norm\nfamily.name = regular_sin\n"
                     "schedule.eps = 0.2\nmesh.min_elements = 16\n")
@@ -195,6 +195,18 @@ def test_empty_domain_exits_2_naming_the_key(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "family.domain" in err and "(1.0,)" in err and "(0.0,)" in err
+
+
+def test_no_admissible_eta_exits_2_naming_the_key(tmp_path, capsys):
+    # the phase margin |sin| vanishes near pi, so no cell size eta passes
+    path = tmp_path / "phase.cfg"
+    path.write_text("study.kind = criterion\nfamily.name = modulated_periodic\n"
+                    "schedule.eps = 0.014\nfamily.domain = 0.5, 3.14159\n")
+    code = main(["criterion", "--config", str(path), "--out", "-"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: family.domain = 0.5, 3.14159")
+    assert "eps = 0.014" in err
 
 
 # (study kind, shipped config, line) per removed key: the config's study

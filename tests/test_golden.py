@@ -32,29 +32,29 @@ NEGATIVE_CONTROLS = {"sign_resolvent"}
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
 DIGESTS = {
     "almost_periodic_criterion": "ebbaae9397281040ce70d4ae6d985e9aa8b88a23dd15853274b728f8fe149c39",
-    "almost_periodic_resolvent": "89eb14282235f98445125952461391f526c0f68f6e075fcdae1c7008b816489e",
+    "almost_periodic_resolvent": "d47c9295e194564885bdaa8b10c2dc5f746d1f4c50c9a0c5a6f369045a7888ac",
     "fractal_criterion": "0adb41e56b2104d442d7572eeee483c16345cce7810cfc41d8a364c1786c4a2a",
     "locally_periodic2_criterion": "6bb9ebffe9930eb8852498714677ad4de497afb9d78414b8eaeba108fe9443b3",
-    "locally_periodic2_resolvent": "262d4ad3f5ad164dd3be2346ba1c33e1b1f1b595492175877899f2f20744159f",
+    "locally_periodic2_resolvent": "f62e0a30bc04cdbe0cd778f9e0ee9fa0d80e2131dc2cdb56c53dc202c4d374ce",
     "locally_periodic_criterion": "ab1a7486a459e6ab30474c8ad3bde1f8a33d0494d603ff8bf1a57cf33a5446b1",
-    "locally_periodic_resolvent": "d3fb9686f512a60cee7aab7a9b9cc0131f8d4015ca3d03b33ac3f0bbebdcb271",
+    "locally_periodic_resolvent": "2f52ce3ea21f2d510407b0e195a9fadbb058972506817ba29deb415a9ec38486",
     "modulated_diffeo_criterion": "02b6c65b31e7e92dcc7c7a72b266cfed030bb6987e4964e361d3157d3d5931a5",
-    "modulated_diffeo_resolvent": "5370474091a315e98ca5ce63a76b54e77e90fa04edfefc41c49e84c1550742c1",
+    "modulated_diffeo_resolvent": "356a8527e3ec0bb159c73611f8b46226e40388e8a93a50e7163f6582a7b5026c",
     "modulated_periodic_criterion": "d85afdea8a5dba31beae3577ea09f3148580bb2572387d2d48fb2defe2b91394",
-    "modulated_periodic_resolvent": "7cc73108b60ac7a10213769c8f8c7edf1da65e455ca30f9561a13fc06ff28327",
+    "modulated_periodic_resolvent": "2be9651af808fb21ab179132bfdae0879ea2b7985d6f3545e30cb688bd1432ad",
     "random_criterion": "a8d894f4cbf9d59cbd3513bd471f20b7dd2aeea8f05861d23237ddc3a27b8891",
-    "random_resolvent": "5d2aa7b1f98dbce4c7e7548073f3a3a7549bd1bcdea19214c13f1c7425b0cc0b",
+    "random_resolvent": "9f0f36c41a27ec6850593e36997dd912d9c14d8a2cf7916496ef833c00a2bfa0",
     "regular_criterion": "f4d12023647df058620736fc1b60a800a330705a8ccd7bbbb9c94874aff3626b",
     "sign_criterion": "2120550c057e5c5e6ecb3fdd9b14e3af10e36f03c60a337006a1b1ad2eda51a7",
-    "sign_resolvent": "611d2802345bedd30af56a39d475b055c8cd4ed67e588f1e8a9386a934d88b5f",
+    "sign_resolvent": "eecefc59df0a97796dca662035346e816ff3615f63852d442fc4fef60c3f6e30",
     "sin_criterion": "965d58409d88f0e4a5ce3d21c4b54cee8bc5779cf5b5bb2485435ad2c7e805ef",
-    "sin_neumann": "5535b0d5dfeef0d96c300d7d5d0584aedc77ef23349fbef2eaa820cf909a46f6",
-    "sin_norm": "bac901d6c4cacc1233b9925595a8f6d6d7de164c861fad212dfd3288bb8f2470",
-    "sin_resolvent": "a97e686b0bcd011f5b9d170d3845fd9c36a4bd6e88510c6d44add3e2ea7095e1",
+    "sin_neumann": "5887a4c9075e5c1ac759e0c3ea235a3eb9c98e71942ef3c46be785d25b74f509",
+    "sin_norm": "3184ee7cbec9772eea84b2855d3d150af4f74a974ad2a300ad420ab822f4c818",
+    "sin_resolvent": "e2e8b0c7abae18578300eae3ea88ff45d5a8fabb693c9cbbc739a9c5b3a18181",
     "sparse_criterion": "fe9e3410e9aee7200f2f9ef58266407554e1e69e670c3b8201b6df80e1c3d326",
-    "sparse_resolvent": "bcb45e5402d60874939f69fcfb3a374a2a099d1da1692a98509595146af03a48",
+    "sparse_resolvent": "e847a554c4c2417550ec6f2a9b4c288974bb5739ad3994fd9fce5e6c317ad411",
     "stabilizing_criterion": "5ce21454d61161f4cae6d2630e2ad4e4fc942ca0b84229601e65ccecc618a8b8",
-    "stabilizing_resolvent": "36489262754062ab09230e79b3e7531a0fd75fd2258ba3ced12c04ab7165d91e",
+    "stabilizing_resolvent": "dc0a54ac537e7854138fd0f08812a0e696108705599746644c5ae831ee9998ce",
     "two_scale_homogenize": "1242f519eed7e3c73193d38d5a85e8b8f0f748e04e7f1ae7ac59cf2b201edbe8"
 }
 

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
+from scipy.sparse.linalg import LinearOperator, eigs
 
 from homlab import registry, study
 from homlab.config import StudyConfig
@@ -111,8 +112,57 @@ def test_lanczos_restarts_are_capped():
     rep = norm_v_to_vstar(_clustered_form(), sp.identity(200, format="csr"))
     assert rep.flagged
     assert rep.method["converged"] == "max_iter"
-    cap = norms.LANCZOS_NCV * (norms.LANCZOS_MAXITER + 1)
+    # both rungs count: the first gives up, then the fallback runs out
+    cap = (norms.LANCZOS_FIRST_NCV * (norms.LANCZOS_FIRST_MAXITER + 1)
+           + norms.LANCZOS_NCV * (norms.LANCZOS_MAXITER + 1))
     assert rep.method["iterations"] <= cap
+
+
+def test_easy_form_norm_stops_in_first_rung():
+    mesh = build_mesh(UNIT, 64)
+    op = assemble_base(OperatorSpec(UNIT, 1), mesh)
+    v = scalar_field(1, lambda x: np.sin(x[..., 0] / 0.05), 1.0, UNIT)
+    x = assemble_perturbation(op.space, v=v, refine=4).matrix
+    rep = norm_v_to_vstar(x, op.gram_h1)
+    assert op.dof > norms.LANCZOS_FIRST_NCV
+    # one full first basis, one more application and the explicit residual
+    assert rep.method["iterations"] <= norms.LANCZOS_FIRST_NCV + 2
+    assert rep.value == pytest.approx(
+        dense_v_to_vstar(x.toarray(), op.gram_h1.toarray()), rel=2e-8)
+    assert not rep.flagged
+
+
+def _close_top_form(n=200):
+    # diagonal form whose two top values lie 1e-4 apart: too close for the
+    # first basis, resolved by the fallback within its restarts
+    return sp.diags(np.r_[1.0, 1.0 - 1e-4, np.linspace(0.9, 0.1, n - 2)]) \
+        .tocsr()
+
+
+def test_close_top_falls_back_and_matches_dense():
+    x, s = _close_top_form(), sp.identity(200, format="csr")
+    rep = norm_v_to_vstar(x, s)
+    # the fallback alone builds a basis of LANCZOS_NCV vectors
+    assert rep.method["iterations"] > norms.LANCZOS_NCV
+    assert rep.method["converged"] == "residual"
+    assert not rep.flagged
+    assert rep.value == pytest.approx(
+        dense_v_to_vstar(x.toarray(), s.toarray()), rel=2e-8)
+
+
+def test_fallback_is_the_single_wide_lanczos_call():
+    # the same v0, tolerance and restart generator as the fallback rung
+    x, seed = _close_top_form(), 1234
+    xh = x.getH().tocsr()
+    rep = norm_v_to_vstar(x, sp.identity(200, format="csr"), seed=seed)
+    rng = np.random.default_rng(seed)
+    v0 = rng.standard_normal(200) + 1j * rng.standard_normal(200)
+    op = LinearOperator((200, 200), matvec=lambda v: xh @ (x @ v),
+                        dtype=complex)
+    w, _ = eigs(op, k=1, which="LR", v0=v0, ncv=norms.LANCZOS_NCV,
+                tol=1e-10, maxiter=norms.LANCZOS_MAXITER,
+                rng=np.random.default_rng(seed))
+    assert rep.value == math.sqrt(w[0].real)
 
 
 def test_zero_form_reports_zero():
