@@ -195,6 +195,10 @@ def _mesh_opts(cfg):
     if opts["cap_dof"] < 1:
         raise ConfigError("mesh.cap_dof must be positive, got "
                           f"{opts['cap_dof']}")
+    if opts["min_elements"] > opts["cap_dof"]:
+        raise ConfigError(f"mesh.min_elements = {opts['min_elements']} "
+                          f"exceeds mesh.cap_dof = {opts['cap_dof']}, "
+                          "which it would override")
     return opts
 
 
@@ -394,7 +398,7 @@ def norm_study(cfg, seed=1234, threads=1):
     )
 
 
-def _resolve_shift(cfg, settings, seed):
+def _resolve_shift(cfg, settings):
     """Fixed negative shift, or a coercive one found by descent.
 
     operator.shift = auto runs the doubling search over the perturbed
@@ -404,10 +408,7 @@ def _resolve_shift(cfg, settings, seed):
     from .norms import find_lambda
 
     raw = cfg.get("operator.shift", -2.0)
-    if isinstance(raw, str):
-        if raw != "auto":
-            raise ConfigError("operator.shift must be a negative number "
-                              "or auto")
+    if raw == "auto":
         forms, masses, grams = [], [], []
         for s in settings:
             op = s["op"]
@@ -415,9 +416,11 @@ def _resolve_shift(cfg, settings, seed):
             forms.append((op.base_form + s["x_lim"]).tocsr())
             masses.extend([op.gram_l2, op.gram_l2])
             grams.extend([op.gram_h1, op.gram_h1])
-        rep = find_lambda(forms, masses, grams, seed=seed)
+        rep = find_lambda(forms, masses, grams)
         return rep.lambda0, rep
-    lam = float(raw)
+    if isinstance(raw, str):
+        raise ConfigError("operator.shift must be a negative number or auto")
+    lam = cfg.get_float("operator.shift", -2.0)
     if lam >= 0:
         raise ConfigError("operator.shift must be negative")
     return lam, None
@@ -440,7 +443,7 @@ def resolvent_study(cfg, seed=1234, threads=1):
         lambda i, eps: assemble_setting(op_spec, family, eps, **opts),
         threads,
     )
-    lam, coercivity = _resolve_shift(cfg, settings, seed)
+    lam, coercivity = _resolve_shift(cfg, settings)
 
     def one(i, pair):
         eps, setting = pair
@@ -553,6 +556,8 @@ def run_study(kind, cfg, seed=1234, threads=1):
         )
     if threads < 1:
         raise ConfigError("--threads must be at least 1")
+    if seed < 0:
+        raise ConfigError(f"--seed must be nonnegative, got {seed}")
     result = _RUNNERS[kind](cfg, seed=seed, threads=threads)
     cfg.check_all_used()
     return result

@@ -248,6 +248,39 @@ def test_bad_mesh_option_exits_2(tmp_path, capsys, line):
     assert line.split(" = ")[0] in capsys.readouterr().err
 
 
+def test_min_elements_above_cap_exits_2_naming_both_keys(tmp_path, capsys):
+    # mesh_rule would let min_elements override the cap: sin_norm would run
+    # every row at 199 dof under a cap of 100
+    path = tmp_path / "mesh.cfg"
+    path.write_text((ROOT / "configs" / "sin_norm.cfg").read_text()
+                    + "mesh.cap_dof = 100\nmesh.min_elements = 200\n")
+    code = main(["norm", "--config", str(path), "--out", "-"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "mesh.min_elements" in err and "mesh.cap_dof" in err
+
+
+@pytest.mark.parametrize("value", ["nan", "-inf", "-1, -2"])
+def test_bad_shift_exits_2_naming_the_key(tmp_path, capsys, value):
+    path = tmp_path / "shift.cfg"
+    path.write_text("study.kind = resolvent\nfamily.name = regular_sin\n"
+                    "schedule.eps = 0.2\nmesh.min_elements = 16\n"
+                    f"operator.shift = {value}\n")
+    code = main(["resolvent", "--config", str(path), "--out", "-"])
+    assert code == 2
+    assert "'operator.shift'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind, config", [
+    ("criterion", "sin_criterion"), ("norm", "sin_norm"),
+    ("resolvent", "sin_resolvent"), ("neumann", "sin_neumann")])
+def test_negative_seed_exits_2_naming_the_flag(capsys, kind, config):
+    code = main([kind, "--config", str(ROOT / "configs" / f"{config}.cfg"),
+                 "--out", "-", "--seed", "-1"])
+    assert code == 2
+    assert "--seed" in capsys.readouterr().err
+
+
 def test_report_writes_wellformed_svg(tmp_path, crit_cfg, capsys):
     csv_path = tmp_path / "crit.csv"
     main(["criterion", "--config", str(crit_cfg), "--out", str(csv_path)])

@@ -12,7 +12,8 @@ import pytest
 from homlab import registry, study
 from homlab.config import StudyConfig
 from homlab.criteria import criterion_report
-from homlab.norms import _hermitian_part, norm_v_to_vstar, smallest_eigenvalue
+from homlab.norms import (_hermitian_part, find_lambda, norm_v_to_vstar,
+                          smallest_eigenvalue)
 from homlab.resolvent import (assemble_setting, context_from_setting,
                               identity_residual, truncation_error_norm)
 
@@ -38,6 +39,24 @@ def test_bench_smallest_eigenvalue(benchmark, eps, dof):
     c4 = benchmark.pedantic(smallest_eigenvalue, args=(h, op.gram_h1),
                             rounds=5, iterations=1)
     assert c4 == pytest.approx(1.0, abs=1e-5)
+
+
+def test_bench_find_lambda(benchmark):
+    # the coercivity search of stabilizing_resolvent on the perturbed and
+    # limit forms of its first three eps: six bisections and witnesses at
+    # the shift -1 it accepts
+    forms, masses, grams = [], [], []
+    for eps, dof in [(0.1, 159), (0.05, 319), (0.025, 639)]:
+        setting = _stabilizing_setting(eps, dof)
+        op = setting["op"]
+        for x in (setting["x_eps"], setting["x_lim"]):
+            forms.append((op.base_form + x).tocsr())
+            masses.append(op.gram_l2)
+            grams.append(op.gram_h1)
+    rep = benchmark.pedantic(find_lambda, args=(forms, masses, grams),
+                             rounds=5, iterations=1)
+    assert rep.lambda0 == -1.0
+    assert rep.c4 == pytest.approx(1.0, abs=1e-5)
 
 
 # the norms of a stabilizing_resolvent row, at the shift -1 its search

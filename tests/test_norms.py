@@ -357,16 +357,6 @@ def test_find_lambda_immediate_acceptance():
     assert rep.c4 == pytest.approx(1.0, rel=1e-7)
 
 
-def test_cone_check_raises_above_sampled_coercivity(monkeypatch):
-    # a "certified" c4 far above every sampled Rayleigh quotient
-    mesh = build_mesh(UNIT, 16)
-    op = assemble_base(OperatorSpec(UNIT, 1), mesh)
-    k = (op.gram_h1 - op.gram_l2).tocsr()
-    monkeypatch.setattr(norms, "smallest_eigenvalue", lambda h, s: 1e6)
-    with pytest.raises(NumericalBreach, match="fell below the certified"):
-        find_lambda([k], [op.gram_l2], [op.gram_h1])
-
-
 def test_find_lambda_doubles_until_coercive():
     mesh = build_mesh(UNIT, 16)
     op = assemble_base(OperatorSpec(UNIT, 1), mesh)
@@ -439,14 +429,40 @@ def test_find_lambda_c4_is_a_lower_bound():
     assert rep.c4 == pytest.approx(min(expect), rel=1e-10)
 
 
-@pytest.mark.parametrize("seed", [1, 7])
-def test_find_lambda_random_rotation_passes_cone_check(seed):
-    forms, masses, grams = _shift_search_forms("random_resolvent", (0.1,))
-    assert forms[0].shape[0] == 226
-    rep = find_lambda(forms, masses, grams, seed=seed)
-    expect = min(_dense_lambda_mins(forms, masses, grams, rep.lambda0))
-    # the sampled check inside find_lambda raises if c4 overshoots
-    assert rep.c4 == pytest.approx(expect, rel=1e-10)
+@pytest.mark.parametrize("which", [0, 1], ids=["perturbed", "limit"])
+def test_witness_fires_just_above_dense_lambda_min(monkeypatch, which):
+    # a lower end 1e-8 relative above the true lambda_min, on the 639-dof
+    # perturbed and limit forms of stabilizing_resolvent, coercive at -1.
+    # On the perturbed one lambda_2 - lambda_min is 2.1e-8 relative, so the
+    # raised end sits nearer lambda_2 than lambda_min
+    forms, masses, grams = _shift_search_forms("stabilizing_resolvent",
+                                               (0.025,))
+    form, mass, gram = forms[which], masses[which], grams[which]
+    assert form.shape[0] == 639
+    (low,) = _dense_lambda_mins([form], [mass], [gram], -1.0)
+    monkeypatch.setattr(norms, "smallest_eigenvalue",
+                        lambda h, s: low * (1 + 1e-8))
+    with pytest.raises(NumericalBreach, match="fell below the certified"):
+        find_lambda([form], [mass], [gram])
+
+
+@pytest.mark.parametrize("config, schedule, dofs", [
+    ("random_resolvent", (0.1, 0.05), [226, 226, 452, 452]),
+    ("stabilizing_resolvent", (0.1, 0.05, 0.025),
+     [159, 159, 319, 319, 639, 639]),
+], ids=["random_resolvent", "stabilizing_resolvent"])
+def test_find_lambda_brackets_dense_lambda_min(config, schedule, dofs):
+    # c <= lambda_min <= r on every form, c from the inertia bisection and
+    # r from the witness at the accepted shift
+    forms, masses, grams = _shift_search_forms(config, schedule)
+    assert [g.shape[0] for g in forms] == dofs
+    rep = find_lambda(forms, masses, grams)
+    lows = _dense_lambda_mins(forms, masses, grams, rep.lambda0)
+    for g, m, s, c, low in zip(forms, masses, grams, rep.per_eps, lows):
+        r = norms._witness(norms._hermitian_part(g - rep.lambda0 * m), s, c)
+        assert c <= low * (1 + 1e-10)
+        assert low <= r * (1 + 1e-10)
+        assert r == pytest.approx(c, rel=1e-10)
 
 
 @pytest.mark.parametrize("ncomp, ends", [(2, "dirichlet"), (1, "perturbed")])
