@@ -389,9 +389,12 @@ def test_find_lambda_rejects_nonnegative_start():
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
-def _shift_search_forms(config, schedule):
-    """The forms, masses and Grams an auto-shift study hands find_lambda."""
+def _shift_search_forms(config, schedule, **overrides):
+    """The forms, masses and Grams an auto-shift study hands find_lambda.
+
+    overrides replace config entries, keyed with "." as "__"."""
     cfg = StudyConfig.load(CONFIGS / f"{config}.cfg")
+    cfg.entries.update({k.replace("__", "."): v for k, v in overrides.items()})
     family = registry.build_family(cfg)
     spec = study._operator_spec(cfg, family)
     forms, masses, grams = [], [], []
@@ -427,6 +430,18 @@ def test_find_lambda_c4_is_a_lower_bound():
         assert got <= low * (1 + 1e-10)
     assert rep.c4 <= min(expect) * (1 + 1e-10)
     assert rep.c4 == pytest.approx(min(expect), rel=1e-10)
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+def test_find_lambda_random_rotation_passes_cone_check(seed):
+    # two realizations w0 of the rotation family; the witness inside
+    # find_lambda raises if c4 overshoots any form's lambda_min
+    forms, masses, grams = _shift_search_forms("random_resolvent", (0.1,),
+                                               family__seed=seed)
+    assert forms[0].shape[0] == 226
+    rep = find_lambda(forms, masses, grams)
+    expect = min(_dense_lambda_mins(forms, masses, grams, rep.lambda0))
+    assert rep.c4 == pytest.approx(expect, rel=1e-10)
 
 
 @pytest.mark.parametrize("which", [0, 1], ids=["perturbed", "limit"])
