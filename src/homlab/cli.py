@@ -37,6 +37,7 @@ def _build_parser():
         p.add_argument("--out", default=None,
                        help="output CSV path ('-' for stdout; default from "
                             "output.csv in the config)")
+        # perfbench/child.py passes --threads 1 (ROADMAP item 7)
         p.add_argument("--threads", type=int, default=1,
                        help="worker threads for schedule rows (default 1)")
         p.add_argument("--seed", type=int, default=1234,

@@ -14,7 +14,6 @@ import numpy as np
 
 from .errors import NumericalBreach
 from .families import deviation_triple
-from .fields import matrix_abs
 from .lattice import Lattice, cells_inside, cell_integral, default_refine
 
 
@@ -61,10 +60,10 @@ def criterion_report(family, eps, eta, refine=None):
     """Evaluate both cell criteria for a family at one (eps, eta), on the
     family's suggested lattice or else the unit one.
 
-    rho1 is the max over cells of the entrywise norm of the cell mean of
-    the deviation (each perturbation component separately, worst one
+    rho1 is the max over cells of the modulus of the cell mean of the
+    deviation (each perturbation component separately, worst one
     reported); rho3 is the max over cells of the cell mean of the squared
-    entrywise norm of the deviation.  Each component is integrated over
+    modulus of the deviation.  Each component is integrated over
     all cells in one batched call, which also integrates its square.
     """
     eps = float(eps)
@@ -78,8 +77,8 @@ def criterion_report(family, eps, eta, refine=None):
     for dev in deviation_triple(family, eps).components():
         integral, err, sq_int, sq_err = _finite(cell_integral(
             lat, gammas, eta, dev, r, squares=True), eps, eta)
-        rho1 = max(rho1, float(np.max(matrix_abs(integral) / measure)))
-        rho3 = max(rho3, float(np.max(sq_int[:, 0, 0].real)) / measure)
+        rho1 = max(rho1, float(np.max(np.abs(integral) / measure)))
+        rho3 = max(rho3, float(np.max(sq_int.real)) / measure)
         quad_err = max(quad_err, float(np.max(err)) / measure,
                        float(np.max(sq_err)) / measure)
     return CriterionReport(
@@ -127,7 +126,7 @@ def optimize_eta(family, eps, exponents=DEFAULT_ETA_EXPONENTS, refine=None):
 def worst_gap(pairs):
     """Largest |a - b| over the pairs whose window was sampled (a, b not
     None); nan when none was."""
-    return max((float(matrix_abs(a - b)) for a, b in pairs
+    return max((float(abs(a - b)) for a, b in pairs
                 if a is not None and b is not None), default=math.nan)
 
 

@@ -39,13 +39,17 @@ class PerturbationFamily:
 
     name: str
     dim: int
-    ncomp: int
     domain: Box
     at: Callable[[float], FieldTriple]
     limit: FieldTriple
     rate: Callable[[float], float]
     finest_scale: Callable[[float], float]
     suggested_lattice: Optional[Lattice] = None
+
+    @property
+    def ncomp(self):
+        # always 1; perfbench/oracle.py passes it to mesh_rule (ROADMAP item 7)
+        return 1
 
 
 def deviation_triple(family, eps):
@@ -60,7 +64,7 @@ def deviation_triple(family, eps):
         if a is not None and (b is None or b.sup_bound == 0.0):
             return a
         if a is None:
-            a = zero_field(family.dim, family.ncomp, family.domain)
+            a = zero_field(family.dim, family.domain)
         return sub_fields(a, b)
 
     trip = family.at(eps)
@@ -90,12 +94,11 @@ def make_family(v_of_eps, v0, rate, domain, name, finest_scale,
     """
     lim = _as_triple(v0)
     probe = _as_triple(v_of_eps(0.5))
-    if (probe.v.dim, probe.v.ncomp) != (lim.v.dim, lim.v.ncomp):
-        raise ValueError("limit shape does not match the family fields")
+    if probe.v.dim != lim.v.dim:
+        raise ValueError("limit dimension does not match the family fields")
     return PerturbationFamily(
         name=name,
         dim=lim.v.dim,
-        ncomp=lim.v.ncomp,
         domain=domain,
         at=lambda eps: _as_triple(v_of_eps(eps)),
         limit=lim,

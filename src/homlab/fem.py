@@ -1,7 +1,7 @@
-"""P1 finite elements on uniform 1D meshes for vector sesquilinear forms.
+"""P1 finite elements on uniform 1D meshes for scalar sesquilinear forms.
 
-The base operator is -u'' with Dirichlet conditions, acting on
-n-component complex fields; its form (u', v') is the stiffness matrix.
+The base operator is -u'' with Dirichlet conditions, acting on complex
+functions; its form (u', v') is the stiffness matrix.
 Perturbations add the lower-order forms
 
     (Q u', v) - (P u, v') + (V u, v).
@@ -9,9 +9,10 @@ Perturbations add the lower-order forms
 Oscillating coefficients are integrated per element with the
 composite Gauss rule from the lattice module.  Direct solves go through a
 sparse LU factorization with compensated-residual iterative refinement, so
-forward errors sit near machine precision even on fine meshes.  A refined
-solve takes a column block of loads (n, k); each column gets the same bits
-as a solve of a block holding that column alone.
+forward errors sit near machine precision even on fine meshes.  The solver
+takes real forms only; loads may be complex.  A refined solve takes a
+column block of loads (n, k); each column gets the same bits as a solve of
+a block holding that column alone.
 
 The compensated residual is built from error-free transformations:
 TwoProduct with Dekker-split factors (the matrix diagonals are split once
@@ -126,25 +127,24 @@ def build_mesh(domain: Box, n_elements: int) -> Mesh1D:
     return Mesh1D(domain.lower[0], domain.upper[0], int(n_elements))
 
 
+# ncomp is unused; perfbench/oracle.py passes it (ROADMAP item 7)
 def mesh_rule(finest_scale, ncomp, min_elements, cap_dof):
     """(n_elements, capped): enough elements for h to resolve the finest
     coefficient scale 16-fold, at least min_elements, and at most cap_dof
-    dofs over ncomp components; capped says the cap cut the mesh."""
+    (one dof a node); capped says the cap cut the mesh."""
     n = int(np.ceil(16.0 / max(finest_scale, 1e-12)))
     n = max(n, min_elements)
-    cap = max(cap_dof // max(ncomp, 1), min_elements)
+    cap = max(cap_dof, min_elements)
     capped = n > cap
     return min(n, cap), capped
 
 
 @dataclass(frozen=True)
 class OperatorSpec:
-    """The base operator -u'' with Dirichlet conditions on a 1D domain,
-    for fields of ncomp components; perturbations enter only through
-    assemble_perturbation."""
+    """The base operator -u'' with Dirichlet conditions on a 1D domain;
+    perturbations enter only through assemble_perturbation."""
 
     domain: Box
-    ncomp: int
 
     def __post_init__(self):
         if self.domain.dim != 1:
@@ -153,72 +153,59 @@ class OperatorSpec:
 
 @dataclass(frozen=True)
 class FeSpace:
-    """P1 vector element space with Dirichlet conditions at both ends."""
+    """P1 element space with Dirichlet conditions at both ends."""
 
     mesh: Mesh1D
-    ncomp: int
 
     def bc_mask(self):
-        """Flat dof indices (into the full node set) that are kept: every
-        node but the two ends."""
-        nodes = np.arange(1, self.mesh.n_elements)
-        return (nodes[:, None] * self.ncomp + np.arange(self.ncomp)).ravel()
+        """Node indices that are kept as dofs: every node but the two
+        ends."""
+        return np.arange(1, self.mesh.n_elements)
 
 
 def _element_moments(field_, mesh, refine):
     """Weighted element integrals of a field against P1 shape products.
 
     Returns dict with keys '1', 'L', 'R', 'LL', 'LR', 'RR' mapping to
-    arrays (n_elements, n, n): the integral of field * (shape factors)
-    over each element.
+    arrays (n_elements,): the integral of field * (shape factors) over
+    each element.
     """
     refine = int(max(1, refine))
     t, w = _panel_rule(refine)
     h = mesh.h
     starts = mesh.a + h * np.arange(mesh.n_elements)
     pts = (starts[:, None] + h * t[None, :]).ravel()[:, None]
-    vals = field_(pts).reshape(mesh.n_elements, len(t), field_.ncomp, field_.ncomp)
-    wl = w * (1.0 - t)
-    wr = w * t
-    out = {
-        "1": h * np.einsum("q,eqij->eij", w, vals),
-        "L": h * np.einsum("q,eqij->eij", wl, vals),
-        "R": h * np.einsum("q,eqij->eij", wr, vals),
-        "LL": h * np.einsum("q,eqij->eij", w * (1.0 - t) ** 2, vals),
-        "LR": h * np.einsum("q,eqij->eij", w * t * (1.0 - t), vals),
-        "RR": h * np.einsum("q,eqij->eij", w * t ** 2, vals),
+    vals = field_(pts).reshape(mesh.n_elements, len(t))
+    weights = {
+        "1": w,
+        "L": w * (1.0 - t),
+        "R": w * t,
+        "LL": w * (1.0 - t) ** 2,
+        "LR": w * t * (1.0 - t),
+        "RR": w * t ** 2,
     }
-    return out
+    return {k: h * np.einsum("q,eq->e", wk, vals) for k, wk in weights.items()}
 
 
-def _accumulate(blocks, mesh, ncomp):
+def _accumulate(blocks, mesh):
     """Assemble per-element 2x2 node blocks into a CSR matrix.
 
-    blocks[(a, b)] is (n_elements, n, n) for local test node a and trial
-    node b in {0, 1}.
+    blocks[(a, b)] is (n_elements,) for local test node a and trial node
+    b in {0, 1}.
     """
     nel = mesh.n_elements
-    size = (nel + 1) * ncomp
-    rows, cols, data = [], [], []
     elem = np.arange(nel)
-    ci = np.arange(ncomp)
-    for (a, b), vals in blocks.items():
-        rnode = elem + a
-        cnode = elem + b
-        r = (rnode[:, None, None] * ncomp + ci[None, :, None])
-        c = (cnode[:, None, None] * ncomp + ci[None, None, :])
-        rows.append(np.broadcast_to(r, vals.shape).ravel())
-        cols.append(np.broadcast_to(c, vals.shape).ravel())
-        data.append(vals.ravel())
+    rows = np.concatenate([elem + a for a, _ in blocks])
+    cols = np.concatenate([elem + b for _, b in blocks])
     mat = sp.coo_matrix(
-        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(size, size),
+        (np.concatenate(list(blocks.values())), (rows, cols)),
+        shape=(nel + 1, nel + 1),
     ).tocsr()
     mat.sum_duplicates()
     return mat
 
 
-def _form_matrix(mesh, ncomp, coef, term, refine):
+def _form_matrix(mesh, coef, term, refine):
     """Full (unconstrained) matrix of one term of the form with one
     coefficient A: "stiffness" (A u', v'), "plus" (A u', v), "minus"
     -(A u, v') or "mass" (A u, v)."""
@@ -236,7 +223,7 @@ def _form_matrix(mesh, ncomp, coef, term, refine):
     # blocks in the order (0,0), (0,1), (1,0), (1,1): _accumulate sums the
     # duplicate entries in that order
     return _accumulate({(a, b): block(a, b) for a in (0, 1) for b in (0, 1)},
-                       mesh, ncomp)
+                       mesh)
 
 
 def _restrict(mat, space: FeSpace):
@@ -258,19 +245,18 @@ class DiscreteOperator:
         return self.base_form.shape[0]
 
 
+# spec repeats the mesh's span; perfbench/oracle.py passes it (ROADMAP item 7)
 def assemble_base(spec: OperatorSpec, mesh: Mesh1D) -> DiscreteOperator:
     """Assemble the base form and both Gram matrices on one mesh.
 
     The base form is the stiffness matrix; the H1 Gram is stiffness plus
-    mass, each with identity component coupling.  Hermiticity of both
-    Grams and the Gram ordering (L2 below H1) are construction
-    guarantees, checked here once per assembly.
+    mass.  Hermiticity of both Grams and the Gram ordering (L2 below H1)
+    are construction guarantees, checked here once per assembly.
     """
-    space = FeSpace(mesh, spec.ncomp)
-    eye = constant_field(1, np.eye(spec.ncomp), spec.domain)
-    stiff = _restrict(_form_matrix(mesh, spec.ncomp, eye, "stiffness", 1),
-                      space)
-    mass = _restrict(_form_matrix(mesh, spec.ncomp, eye, "mass", 1), space)
+    space = FeSpace(mesh)
+    one = constant_field(1, 1.0, spec.domain)
+    stiff = _restrict(_form_matrix(mesh, one, "stiffness", 1), space)
+    mass = _restrict(_form_matrix(mesh, one, "mass", 1), space)
     gram = (stiff + mass).tocsr()
     for g in (gram, mass):
         asym = abs(g - g.getH()).max()
@@ -303,16 +289,16 @@ def assemble_perturbation(space: FeSpace, q=(), p=(), v=None,
     mesh = space.mesh
     total = None
     for qf in q:
-        mat = _form_matrix(mesh, space.ncomp, qf, "plus", refine)
+        mat = _form_matrix(mesh, qf, "plus", refine)
         total = mat if total is None else total + mat
     for pf in p:
-        mat = _form_matrix(mesh, space.ncomp, pf, "minus", refine)
+        mat = _form_matrix(mesh, pf, "minus", refine)
         total = mat if total is None else total + mat
     if v is not None:
-        mat = _form_matrix(mesh, space.ncomp, v, "mass", refine)
+        mat = _form_matrix(mesh, v, "mass", refine)
         total = mat if total is None else total + mat
     if total is None:
-        size = (mesh.n_elements + 1) * space.ncomp
+        size = mesh.n_elements + 1
         total = sp.csr_matrix((size, size), dtype=complex)
     return PerturbationMatrix(_restrict(total, space))
 
@@ -329,9 +315,12 @@ def perturbation_refine(space, finest_scale):
 
 
 class LinearSolver:
-    """Sparse LU with compensated-residual iterative refinement.
+    """Sparse LU of a real form with compensated-residual iterative
+    refinement.
 
-    Residuals are evaluated from the matrix diagonals with exact two-term
+    The form must be real: a nonzero imaginary entry raises
+    NumericalBreach.  Loads and solutions are complex.  Residuals are
+    evaluated from the matrix diagonals with exact two-term
     products and TwoSum accumulation, so the refinement loop converges to
     a solution accurate to working precision, and the reported residual is
     the true one.  The diagonals are split into Dekker halves once, here.
@@ -347,6 +336,9 @@ class LinearSolver:
 
     def __init__(self, matrix):
         self.matrix = matrix.tocsc().astype(complex)
+        if self.matrix.data.imag.any():
+            raise NumericalBreach("the solver takes a real form; this one "
+                                  "has a nonzero imaginary entry")
         try:
             self.lu = spla.splu(self.matrix)
         except RuntimeError as exc:
@@ -354,47 +346,34 @@ class LinearSolver:
         dia = sp.dia_matrix(self.matrix)
         n = self.matrix.shape[0]
         dia_r = np.ascontiguousarray(dia.data.real)
-        dia_i = np.ascontiguousarray(dia.data.imag)
-        self._complex = bool(np.any(dia_i))
-        # per nonempty diagonal: its column range, offset and the split
-        # real and imaginary parts; a real matrix keeps no imaginary part
+        # per nonempty diagonal: its column range, offset and split entries
         self._bands = []
         for k, off in enumerate(dia.offsets):
             j0, j1 = max(0, off), min(n, n + off)
             if j0 >= j1:
                 continue
-            di = _split(dia_i[k, j0:j1]) if self._complex else None
-            self._bands.append((j0, j1, off, _split(dia_r[k, j0:j1]), di))
+            self._bands.append((j0, j1, off, _split(dia_r[k, j0:j1])))
         self.shape = self.matrix.shape
         self.matrix_norm = float(np.abs(self.matrix).sum(axis=1).max())
 
     def _dd_residual(self, rhs, x):
         """rhs - A x with compensated accumulation.
 
-        x and rhs have shape (n, k); each column is independent.  Real and
-        imaginary parts of all columns are carried in one real array
-        (2, k, n), so one operation serves every accumulator along
-        contiguous rows; each entry sees the same sequence of roundings as
-        a lone column's would.
+        x and rhs have shape (n, k); each column is independent.  The
+        matrix is real, so real and imaginary parts of all columns are
+        carried in one real array (2, k, n), and one operation serves every
+        accumulator along contiguous rows; each entry sees the same
+        sequence of roundings as a lone column's would.
         """
         x = x.T
         rhs = rhs.T
         xs = _split(np.stack((x.real, x.imag)))
-        # (Im x, Re x) for the imaginary diagonal parts
-        xw = tuple(a[::-1] for a in xs)
         acc = _Compensated(np.stack((rhs.real, rhs.imag)))
-        # Re gains Im(d) Im(x), Im loses Im(d) Re(x); subtracting -p
-        # rounds as adding p does
-        sign = np.array([-1.0, 1.0])[:, None, None]
-        for j0, j1, off, dr, di in self._bands:
+        for j0, j1, off, d in self._bands:
             o0, o1 = j0 - off, j1 - off
-            p, e = _two_prod(dr, tuple(a[..., j0:j1] for a in xs))
+            p, e = _two_prod(d, tuple(a[..., j0:j1] for a in xs))
             acc.sub(p, o0, o1)
             acc.sub(e, o0, o1)
-            if self._complex:
-                p, e = _two_prod(di, tuple(a[..., j0:j1] for a in xw))
-                acc.sub(p * sign, o0, o1)
-                acc.sub(e * sign, o0, o1)
         r = acc.value()
         return (r[0] + 1j * r[1]).T
 

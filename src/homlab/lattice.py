@@ -33,8 +33,6 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .fields import matrix_abs
-
 MAX_REFINE = 4096
 GAUSS_ORDER = 4
 # most rule points of one field evaluation: whole cells, or a slice of one
@@ -195,7 +193,7 @@ def _rule_integrals(field_, origins, span, refine, order, squares):
     other cells.  squares=True adds the integrals of |field|^2 taken from
     the same values.
     """
-    dim, n = span.shape[0], field_.ncomp
+    dim = span.shape[0]
     pts1, wts1 = _panel_rule(refine, order)
     size = len(pts1)  # rule points of a block
     factors = _block_weights(dim, refine, order)
@@ -208,35 +206,31 @@ def _rule_integrals(field_, origins, span, refine, order, squares):
     per = min(blocks, max(1, CHUNK_POINTS // size))
     piece = min(per * size, CHUNK_POINTS)  # points of a cell per evaluation
     cap = min(step, len(origins))
-    bufs = [np.empty((cap, per, size, n, n), dtype=complex)]
-    if squares:
-        # kept complex, as a scalar field's values would be: a real sum
-        # rounds differently in the last digits
-        bufs.append(np.empty((cap, per, size, 1, 1), dtype=complex))
-    block_sums = [np.empty((cap, blocks) + buf.shape[3:], dtype=complex)
-                  for buf in bufs]
-    outs = [np.empty((len(origins),) + buf.shape[3:], dtype=complex)
-            for buf in bufs]
+    # the |field|^2 buffer is kept complex like the values: einsum sums
+    # a real buffer with another kernel, which rounds differently in the
+    # last digits
+    bufs = [np.empty((cap, per, size), dtype=complex)
+            for _ in range(1 + squares)]
+    block_sums = [np.empty((cap, blocks), dtype=complex) for _ in bufs]
+    outs = [np.empty(len(origins), dtype=complex) for _ in bufs]
     for a in range(0, len(origins), step):
         cells = origins[a:a + step]
         c = len(cells)
-        flat = [buf[:c].reshape(c, per * size, *buf.shape[3:])
-                for buf in bufs]
+        flat = [buf[:c].reshape(c, per * size) for buf in bufs]
         for b in range(0, blocks, per):
             k = min(per, blocks - b)  # whole blocks in this fill
             for s in range(0, k * size, piece):
                 stop = min(s + piece, k * size)
                 pts = _rule_points(pts1, span, cells, b * size + s,
                                    b * size + stop)
-                v = field_(pts).reshape(c, -1, n, n)
+                v = field_(pts).reshape(c, -1)
                 flat[0][:, s:stop] = v
                 if squares:
-                    flat[1][:, s:stop, 0, 0] = matrix_abs(v) ** 2
+                    flat[1][:, s:stop] = np.abs(v) ** 2
             # row j holds the weights of block b + j
             wts = np.multiply.outer(factors[b:b + k], wts1)
             for buf, sums in zip(bufs, block_sums):
-                sums[:c, b:b + k] = np.einsum("km,ckmij->ckij", wts,
-                                              buf[:c, :k])
+                sums[:c, b:b + k] = np.einsum("km,ckm->ck", wts, buf[:c, :k])
         for out, sums in zip(outs, block_sums):
             out[a:a + step] = jac * sums[:c].sum(axis=1)
     return outs
@@ -257,8 +251,8 @@ def cell_integral(lattice, z, eta, field_, refine, squares=False):
     """Integrals of a coefficient field over cells, with error estimates.
 
     z is a stack of cell indices (C, d).  Returns (integral, error
-    estimate) as arrays (C, n, n) and (C,).  Each cell's integral is a
-    two-level sum: one sum per block of its tensor rule (a run of the
+    estimate) as arrays (C,), the integral complex.  Each cell's integral
+    is a two-level sum: one sum per block of its tensor rule (a run of the
     last axis), then one reduction over all of its block sums.  A block
     is never split between two sums, and a 1D cell is a single block.
     The field is called on at most CHUNK_POINTS points at a time, and no
@@ -266,8 +260,8 @@ def cell_integral(lattice, z, eta, field_, refine, squares=False):
     stack.  The estimate compares the requested resolution against the
     half-resolution rule (one order-2 panel at refine 1); doubling the
     refine changes the result by less than the estimate.
-    squares=True appends the same pair for the scalar |field|^2, taken
-    from the same field values.
+    squares=True appends the same pair for |field|^2, taken from the same
+    field values.
     """
     origins = eta * lattice.point(z)
     span = eta * lattice.basis
@@ -278,5 +272,5 @@ def cell_integral(lattice, z, eta, field_, refine, squares=False):
     coarse = _rule_integrals(field_, origins, span, *coarse_rule, squares)
     out = []
     for f, c in zip(fine, coarse):
-        out += [f, matrix_abs(f - c) + 1e-300]
+        out += [f, np.abs(f - c) + 1e-300]
     return tuple(out)

@@ -232,7 +232,7 @@ def norm_m1m1(op, v_field, refine=1, seed=1234):
 def norm_m10(op, q_field, refine=1, seed=1234):
     """Discrete product-norm of a weight: sup |Q u|_L2 / |u|_V.
 
-    Uses the mass matrix weighted by Q* Q; the norm is the square root of
+    Uses the mass matrix weighted by |Q|^2; the norm is the square root of
     the top generalized eigenvalue against the H1 Gram.
     """
     weight = gram_field(q_field)

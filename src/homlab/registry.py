@@ -5,8 +5,8 @@ Each entry is one oscillation mechanism of the paper: it reads its
 predicted rate and finest scale in one place, then builds the
 `PerturbationFamily` through `families.make_family`.  So every mechanism
 is reachable from a text config without writing Python, and the code for
-a mechanism is the entry that uses it.  Every entry is scalar (ncomp 1)
-and one-dimensional except `fractal_2d`.
+a mechanism is the entry that uses it.  Every entry is one-dimensional
+except `fractal_2d`.
 """
 
 import math
@@ -15,7 +15,7 @@ import numpy as np
 
 from .config import ConfigError, StudyConfig
 from .families import make_family
-from .fields import Box, constant_field, scalar_field
+from .fields import Box, CoefficientField, constant_field
 from .lattice import Lattice
 
 # smallest |phi'| that modulated_diffeo accepts for its cubic phase
@@ -54,7 +54,7 @@ def _build_regular_sin(cfg):
         raise ConfigError("family.frequency must be positive")
 
     def v_of_eps(eps):
-        return scalar_field(
+        return CoefficientField(
             1, lambda pts: amp * np.sin(freq * pts[:, 0] / eps), abs(amp),
             box)
 
@@ -79,7 +79,7 @@ def _build_sign_sin(cfg):
     box = _domain(cfg, (0.0, 1.0))
 
     def v_of_eps(eps):
-        return scalar_field(
+        return CoefficientField(
             1, lambda pts: np.sign(np.sin(freq * pts[:, 0] / eps)), 1.0, box)
 
     return make_family(
@@ -118,7 +118,7 @@ def _build_sparse_bumps(cfg):
                 out[mask] += np.cos(0.5 * math.pi * r[mask]) ** 2 * amp
             return out
 
-        return scalar_field(1, bumps, abs(amp), box)
+        return CoefficientField(1, bumps, abs(amp), box)
 
     return make_family(
         v_of_eps,
@@ -136,7 +136,7 @@ def _build_stabilizing_arctan(cfg):
     box = _domain(cfg, (0.0, 1.0))
 
     def v_of_eps(eps):
-        return scalar_field(
+        return CoefficientField(
             1, lambda pts: amp * (2.0 / math.pi) * np.arctan(pts[:, 0] / eps),
             abs(amp), box)
 
@@ -181,7 +181,7 @@ def _build_locally_periodic(cfg):
                 vals = vals * np.cos(2 * math.pi * (x / s))
             return vals
 
-        return scalar_field(1, oscillation, 1.5 * abs(amp), box)
+        return CoefficientField(1, oscillation, 1.5 * abs(amp), box)
 
     def rate(eps):
         s = scales(eps)
@@ -209,14 +209,15 @@ def _build_two_scale_linear(cfg):
     span = max(abs(box.lower[0]), abs(box.upper[0]))
 
     def v_of_eps(eps):
-        return scalar_field(
+        return CoefficientField(
             1, lambda pts: amp * pts[:, 0]
             * (1.0 + np.cos(2 * math.pi * (pts[:, 0] / eps))),
             2.0 * abs(amp) * span, box)
 
     return make_family(
         v_of_eps,
-        scalar_field(1, lambda pts: amp * pts[:, 0], abs(amp) * span, box),
+        CoefficientField(1, lambda pts: amp * pts[:, 0], abs(amp) * span,
+                         box),
         lambda eps: math.sqrt(eps),
         box,
         name="two_scale_linear",
@@ -256,7 +257,7 @@ def _build_almost_periodic(cfg):
                 out += np.exp(1j * (pts[:, 0] * alpha) / eps) * c
             return out + mean
 
-        return scalar_field(1, trig_sum, sup, box)
+        return CoefficientField(1, trig_sum, sup, box)
 
     def rate(eps):
         eta = math.sqrt(eps)
@@ -293,7 +294,7 @@ def _build_modulated_diffeo(cfg):
     rho8 = _rho8(cfg)
 
     def v_of_eps(eps):
-        return scalar_field(
+        return CoefficientField(
             1, lambda pts: amp * np.sin(2 * math.pi * (pts[:, 0] ** 3 / eps)),
             abs(amp), box)
 
@@ -341,18 +342,20 @@ def _build_modulated_periodic(cfg):
     """
     amp = cfg.get_float("family.amplitude", 1.0)
     box = _domain(cfg, (0.5, 3.5))
+    a, b = box.lower[0], box.upper[0]
     rho8 = _rho8(cfg)
-    # max |phi'| = max |sin x|, sampled over the domain
-    sample = box.sample(4096, np.random.default_rng(0))
-    jac_max = float(np.max(np.abs(np.sin(sample[:, 0]))))
-    edge = min(abs(math.sin(box.lower[0])), abs(math.sin(box.upper[0])))
+    # max |phi'| = max |sin x|: 1 if the domain holds a crest pi/2 + k pi,
+    # else at an end, since |sin| is monotone between crests
+    crest = math.pi / 2 + math.pi * math.ceil((a - math.pi / 2) / math.pi)
+    jac_max = 1.0 if crest <= b else max(abs(math.sin(a)), abs(math.sin(b)))
+    edge = min(abs(math.sin(a)), abs(math.sin(b)))
 
     def p0(r):
         # |sin| margin at distance r from the interior critical point
         return min(math.sin(min(max(r, 0.0), 0.5 * math.pi)), edge)
 
     def v_of_eps(eps):
-        return scalar_field(
+        return CoefficientField(
             1, lambda pts: amp * np.sin(2 * math.pi * (np.cos(pts[:, 0]) / eps)),
             abs(amp), box)
 
@@ -361,7 +364,7 @@ def _build_modulated_periodic(cfg):
             eta = implicit_eta(p0, eps)
         except ValueError:
             raise ConfigError(
-                f"family.domain = {box.lower[0]!r}, {box.upper[0]!r}: the "
+                f"family.domain = {a!r}, {b!r}: the "
                 f"phase margin |sin| at the domain ends is {edge:.3g}, too "
                 f"small for an admissible eta at eps = {eps!r}; end the "
                 "domain farther from a multiple of pi"
@@ -396,7 +399,7 @@ def _build_fractal_2d(cfg):
             return (amp * np.cos(x1 / eps)
                     * np.cos(x1 * pts[:, 1] / eps ** 2))
 
-        return scalar_field(2, products, abs(amp), box)
+        return CoefficientField(2, products, abs(amp), box)
 
     return make_family(
         v_of_eps,
@@ -442,7 +445,7 @@ def _build_random_rotation(cfg):
     flow = np.array([[1.0, math.sqrt(2.0)]])
 
     def v_of_eps(eps):
-        return scalar_field(
+        return CoefficientField(
             1, lambda pts: observable(np.mod(w0 + (pts / eps) @ flow, 1.0)),
             abs(mean) + abs(amp), box)
 

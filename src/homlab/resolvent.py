@@ -181,6 +181,7 @@ def truncation_study(ctx, orders=(0, 1, 2, 3), seed=1234):
     )
 
 
+# op_spec repeats family.domain; perfbench/oracle.py passes it (ROADMAP item 7)
 def assemble_setting(op_spec, family, eps, min_elements, cap_dof):
     """Mesh and assemble everything one epsilon needs, shift-free.
 

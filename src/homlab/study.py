@@ -175,11 +175,12 @@ def _require_1d(family, kind):
         )
 
 
+# cfg is unused; perfbench/oracle.py passes it (ROADMAP item 7)
 def _operator_spec(cfg, family):
     """The base operator on the family's domain; no key of cfg sets it."""
     from .fem import OperatorSpec
 
-    return OperatorSpec(family.domain, family.ncomp)
+    return OperatorSpec(family.domain)
 
 
 def _mesh_opts(cfg):
@@ -265,6 +266,10 @@ def homogenize_study(cfg, seed=1234, threads=1):
             f"homogenize.sample_points must be at least 1, got {points}")
     mu_power = cfg.get_float("homogenize.mu_power", 0.5)
     slack = cfg.get_float("homogenize.slack", 1.5)
+    for key, val in (("homogenize.mu_power", mu_power),
+                     ("homogenize.slack", slack)):
+        if not val > 0:
+            raise ConfigError(f"{key} must be positive, got {val!r}")
     rep = criteria.local_mean_limit(
         family, schedule,
         mu_rule=lambda eps: eps ** mu_power,

@@ -260,6 +260,23 @@ def test_min_elements_above_cap_exits_2_naming_both_keys(tmp_path, capsys):
     assert "mesh.min_elements" in err and "mesh.cap_dof" in err
 
 
+@pytest.mark.parametrize("line", ["homogenize.mu_power = 0",
+                                  "homogenize.mu_power = -0.5",
+                                  "homogenize.slack = -1"])
+def test_nonpositive_homogenize_option_exits_2_naming_the_key(tmp_path,
+                                                               capsys, line):
+    # mu_power 0 skipped every window and exited 0 with a nan verdict;
+    # slack -1 exited 0 against a negative budget
+    key = line.split(" = ")[0]
+    text = (ROOT / "configs" / "two_scale_homogenize.cfg").read_text()
+    path = tmp_path / "homogenize.cfg"
+    path.write_text("".join(line + "\n" if old.startswith(key + " ") else old
+                            for old in text.splitlines(keepends=True)))
+    code = main(["homogenize", "--config", str(path), "--out", "-"])
+    assert code == 2
+    assert f"{key} must be positive" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("value", ["nan", "-inf", "-1, -2"])
 def test_bad_shift_exits_2_naming_the_key(tmp_path, capsys, value):
     path = tmp_path / "shift.cfg"

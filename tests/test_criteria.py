@@ -11,8 +11,7 @@ from homlab.criteria import (NoCellsError, criterion_report, local_mean_limit,
                              optimize_eta)
 from homlab.families import FieldTriple, deviation_triple, make_family
 from homlab.fem import NumericalBreach
-from homlab.fields import (Box, CoefficientField, constant_field, matrix_abs,
-                           scalar_field, zero_field)
+from homlab.fields import Box, CoefficientField, constant_field, zero_field
 from homlab.lattice import Lattice, cell_integral, cells_inside
 
 UNIT = Box((0.0,), (1.0,))
@@ -20,10 +19,10 @@ UNIT = Box((0.0,), (1.0,))
 
 def sin_family(amp=1.0):
     def at(eps):
-        return scalar_field(
+        return CoefficientField(
             1, lambda p: amp * np.sin(p[:, 0] / eps), abs(amp), UNIT)
 
-    return make_family(at, zero_field(1, 1, UNIT),
+    return make_family(at, zero_field(1, UNIT),
                        lambda eps: 2.0 * math.sqrt(eps), UNIT, name="sin",
                        finest_scale=lambda eps: 2 * math.pi * eps)
 
@@ -119,10 +118,10 @@ def test_optimize_eta_minimizes_bound():
 
 def sin_weight_family():
     """sin(x/eps) as a first-order weight q, next to a zero potential."""
-    zero = zero_field(1, 1, UNIT)
+    zero = zero_field(1, UNIT)
 
     def at(eps):
-        q = scalar_field(1, lambda p: np.sin(p[:, 0] / eps), 1.0, UNIT)
+        q = CoefficientField(1, lambda p: np.sin(p[:, 0] / eps), 1.0, UNIT)
         return FieldTriple(v=zero, q=(q,))
 
     return make_family(at, FieldTriple(v=zero, q=(zero,)),
@@ -148,7 +147,7 @@ def test_optimize_eta_objective_m10():
 
 def test_optimize_eta_raises_when_nothing_fits():
     tiny = Box((0.0,), (0.05,))
-    v0 = zero_field(1, 1, tiny)
+    v0 = zero_field(1, tiny)
     fam = family_of(lambda eps: v0, v0, tiny)
     with pytest.raises(ValueError):
         optimize_eta(fam, 0.5, exponents=(0.3, 0.5))
@@ -163,7 +162,7 @@ def test_local_mean_limit_constant_family():
     mu = math.sqrt(0.025)
     for x, val in zip(rep["grid"][:, 0], rep["samples"][-1]):
         if x + mu <= 1.0:
-            assert val[0, 0] == pytest.approx(2.0, abs=1e-12)
+            assert val == pytest.approx(2.0, abs=1e-12)
         else:
             assert val is None  # window sticks out of the domain
 
@@ -199,11 +198,11 @@ def reference_report(family, eps, eta, refine):
     measure = lat.cell_measure * eta ** family.dim
     rho1_, rho3_, quad = 0.0, 0.0, 0.0
     for dev in deviation_triple(family, eps).components():
-        sq = scalar_field(dev.dim, lambda p, d=dev: matrix_abs(d(p)) ** 2,
-                          dev.sup_bound ** 2, dev.domain)
+        sq = CoefficientField(dev.dim, lambda p, d=dev: np.abs(d(p)) ** 2,
+                              dev.sup_bound ** 2, dev.domain)
         for z in cells:
             (integral,), (err,) = cell_integral(lat, [z], eta, dev, refine)
-            val = float(matrix_abs(integral)) / measure
+            val = float(abs(integral)) / measure
             quad = max(quad, err / measure)
             rho1_ = max(rho1_, val)
             (sq_int,), (sq_err,) = cell_integral(lat, [z], eta, sq, refine)
@@ -230,9 +229,9 @@ def _counting_family(sizes):
         def func(pts):
             sizes.append(len(pts))
             return scale * np.sin(pts[:, 0] / 0.003)
-        return scalar_field(1, func, abs(scale), UNIT)
+        return CoefficientField(1, func, abs(scale), UNIT)
 
-    zero = zero_field(1, 1, UNIT)
+    zero = zero_field(1, UNIT)
     return family_of(
         lambda eps: FieldTriple(v=counted(1.0), q=(counted(2.0),)),
         FieldTriple(v=zero, q=(zero,)))
@@ -262,15 +261,15 @@ def test_evaluations_stay_within_the_chunk_budget(monkeypatch, budget):
 
 def test_optimize_eta_reports_field_errors_instead_of_skipping():
     def wrong_shape(eps):
-        # a closure returning (m, 2, 2) values for a 1x1 field
+        # a closure returning (m, 2, 2) values for a scalar field
         return CoefficientField(
-            1, 1, lambda p: np.zeros((len(p), 2, 2)), 1.0, UNIT)
+            1, lambda p: np.zeros((len(p), 2, 2)), 1.0, UNIT)
 
-    fam = family_of(wrong_shape, zero_field(1, 1, UNIT))
+    fam = family_of(wrong_shape, zero_field(1, UNIT))
     with pytest.raises(ValueError, match="closure returned shape"):
         optimize_eta(fam, 0.01, exponents=(0.5,))
     tiny = Box((0.0,), (0.05,))
-    v0 = zero_field(1, 1, tiny)
+    v0 = zero_field(1, tiny)
     nothing_fits = family_of(lambda eps: v0, v0, tiny)
     with pytest.raises(NoCellsError):
         optimize_eta(nothing_fits, 0.5, exponents=(0.3, 0.5))
@@ -283,8 +282,8 @@ def _nan_family():
         out[0] = np.nan
         return out
 
-    field_ = scalar_field(1, func, 1.0, UNIT)
-    return family_of(lambda eps: field_, zero_field(1, 1, UNIT))
+    field_ = CoefficientField(1, func, 1.0, UNIT)
+    return family_of(lambda eps: field_, zero_field(1, UNIT))
 
 
 def test_nan_field_breaches_instead_of_certifying_zero():

@@ -8,8 +8,8 @@ import pytest
 
 from homlab.config import ConfigError, StudyConfig
 from homlab.families import FieldTriple, deviation_triple, make_family
-from homlab.fields import (Box, CoefficientField, constant_field, scalar_field,
-                           sub_fields, zero_field)
+from homlab.fields import (Box, CoefficientField, constant_field, sub_fields,
+                           zero_field)
 from homlab.registry import build_family, implicit_eta
 from homlab.study import run_study
 
@@ -27,29 +27,31 @@ def _entry(text):
 
 def _value(field_, x):
     """The field at the single point x, as a real number."""
-    val = complex(field_(np.array([[x]]))[0, 0, 0])
+    val = complex(field_(np.array([[x]]))[0])
     assert val.imag == 0.0
     return val.real
 
 
 def _regular_sin():
     def at(eps):
-        return scalar_field(1, lambda p: eps * np.sin(p[:, 0]), eps, UNIT)
+        return CoefficientField(1, lambda p: eps * np.sin(p[:, 0]), eps, UNIT)
 
-    return _family(at, zero_field(1, 1, UNIT))
+    return _family(at, zero_field(1, UNIT))
 
 
 def test_regular_family_deviations_match_definition():
     fam = _regular_sin()
     pts = np.linspace(0.1, 0.9, 7)[:, None]
-    got = deviation_triple(fam, 0.25).v(pts)[:, 0, 0]
+    got = deviation_triple(fam, 0.25).v(pts)
     assert np.allclose(got, 0.25 * np.sin(pts[:, 0]), atol=1e-15)
     assert fam.rate(0.25) == pytest.approx(0.25)
 
 
 def test_regular_family_rejects_shape_mismatch():
-    with pytest.raises(ValueError):
-        _family(lambda eps: zero_field(1, 2, UNIT), zero_field(1, 1, UNIT))
+    # a 2D field against a 1D limit
+    square = Box((0.0, 0.0), (1.0, 1.0))
+    with pytest.raises(ValueError, match="dimension"):
+        _family(lambda eps: zero_field(2, square), zero_field(1, UNIT))
 
 
 def test_zero_or_absent_limit_is_not_subtracted():
@@ -57,14 +59,15 @@ def test_zero_or_absent_limit_is_not_subtracted():
 
     def zero(pts):
         calls.append(len(pts))
-        return np.zeros((len(pts), 1, 1))
+        return np.zeros(len(pts))
 
-    lim = CoefficientField(1, 1, zero, 0.0, UNIT)
+    lim = CoefficientField(1, zero, 0.0, UNIT)
 
     def at(eps):
         return FieldTriple(
-            v=scalar_field(1, lambda p: eps * np.sin(p[:, 0]), eps, UNIT),
-            q=(scalar_field(1, lambda p: -eps * np.cos(p[:, 0]), eps, UNIT),))
+            v=CoefficientField(1, lambda p: eps * np.sin(p[:, 0]), eps, UNIT),
+            q=(CoefficientField(1, lambda p: -eps * np.cos(p[:, 0]), eps,
+                                UNIT),))
 
     fam = _family(at, lim)
     pts = np.linspace(0.0, 1.0, 11)[:, None]
@@ -73,7 +76,7 @@ def test_zero_or_absent_limit_is_not_subtracted():
     assert (len(dev.q), len(dev.p)) == (1, 0)
     for got, ref in ((dev.v, sub_fields(parts.v, lim)),
                      (dev.q[0], sub_fields(parts.q[0],
-                                           zero_field(1, 1, UNIT)))):
+                                           zero_field(1, UNIT)))):
         calls.clear()
         assert np.array_equal(got(pts), ref(pts))
         assert got.sup_bound == ref.sup_bound
@@ -87,10 +90,10 @@ def test_deviation_triple_keeps_weight_order():
     # eleven weights: ordering them by a text label would put q10 third
     weights = tuple(constant_field(1, j + 1.0, UNIT) for j in range(11))
     fam = _family(
-        lambda eps: FieldTriple(v=zero_field(1, 1, UNIT), q=weights),
-        zero_field(1, 1, UNIT))
+        lambda eps: FieldTriple(v=zero_field(1, UNIT), q=weights),
+        zero_field(1, UNIT))
     point = np.array([[0.5]])
-    got = [q(point)[0, 0, 0].real for q in deviation_triple(fam, 0.1).q]
+    got = [q(point)[0].real for q in deviation_triple(fam, 0.1).q]
     assert got == [float(j) for j in range(1, 12)]
 
 
@@ -167,7 +170,7 @@ def test_almost_periodic_box_average_oracle():
     r = 0.2
     n = 40001
     xs = np.linspace(0.0, r, n)[:, None]
-    vals = fam.at(eps).v(xs)[:, 0, 0]
+    vals = fam.at(eps).v(xs)
     measured = np.trapezoid(vals, dx=r / (n - 1)) / r
     exact = 2 * eps * math.sin(r * 3.0 / eps) / (r * 3.0)
     assert abs(measured.imag) < 1e-15
@@ -207,7 +210,7 @@ def test_sparse_bumps_vanish_off_support():
     assert _value(v, 0.3) == 0.0
     assert _value(v, 0.95) == pytest.approx(2.0)
     xs = np.linspace(0.0, 1.0, 2001)
-    vals = v(xs[:, None])[:, 0, 0]
+    vals = v(xs[:, None])
     centers = 0.05 + 0.1 * np.arange(10)
     dist = np.min(np.abs(xs[:, None] - centers[None, :]), axis=1)
     near = dist <= 0.01 * (1 + 1e-9)
@@ -216,6 +219,19 @@ def test_sparse_bumps_vanish_off_support():
     assert fam.rate(eps) == pytest.approx(0.1 + 0.1)
     assert fam.finest_scale(eps) == pytest.approx(0.01)
     assert fam.limit.v.sup_bound == 0.0
+
+
+@pytest.mark.parametrize("lower, upper, jac_max", [
+    (0.5, 3.5, 1.0),  # holds the crest pi/2 of |sin|
+    (4.0, 5.0, 1.0),  # holds the crest 3 pi/2
+    (3.3, 4.5, abs(math.sin(4.5))),  # between crests: the larger end
+], ids=["first_crest", "second_crest", "between_crests"])
+def test_modulated_periodic_finest_scale_uses_the_exact_max_slope(
+        lower, upper, jac_max):
+    # the finest scale is eps / max |phi'|, with phi' = -sin on the domain
+    fam = _entry("family.name = modulated_periodic\n"
+                 f"family.domain = {lower}, {upper}\n")
+    assert fam.finest_scale(0.01) == 0.01 / jac_max
 
 
 def test_implicit_eta_closed_form():

@@ -18,7 +18,7 @@ from homlab.fem import (
     MIN_ELEMENTS,
     OperatorSpec,
 )
-from homlab.fields import Box, constant_field, scalar_field
+from homlab.fields import Box, CoefficientField, constant_field
 from homlab.lattice import _panel_rule
 
 UNIT = Box((0.0,), (1.0,))
@@ -35,7 +35,7 @@ def tridiag(n, lo, di, up):
 def test_dirichlet_laplacian_matches_tridiagonal_oracle():
     n = 16
     mesh = build_mesh(UNIT, n)
-    op = assemble_base(OperatorSpec(UNIT, 1), mesh)
+    op = assemble_base(OperatorSpec(UNIT), mesh)
     h = 1.0 / n
     # classic P1 stiffness: (1/h) tridiag(-1, 2, -1) on interior nodes
     expect = tridiag(n - 1, -1.0 / h, 2.0 / h, -1.0 / h)
@@ -50,8 +50,8 @@ def test_dirichlet_laplacian_matches_tridiagonal_oracle():
 def test_potential_adds_weighted_mass():
     n = 12
     mesh = build_mesh(UNIT, n)
-    op = assemble_base(OperatorSpec(UNIT, 1), mesh)
-    v = constant_field(1, 3.0 * np.eye(1), UNIT)
+    op = assemble_base(OperatorSpec(UNIT), mesh)
+    v = constant_field(1, 3.0, UNIT)
     pert = assemble_perturbation(op.space, v=v)
     assert np.allclose(pert.matrix.toarray(), 3.0 * op.gram_l2.toarray(),
                        atol=1e-12)
@@ -60,9 +60,9 @@ def test_potential_adds_weighted_mass():
 def test_first_order_constant_gives_central_difference():
     n = 10
     mesh = build_mesh(UNIT, n)
-    space = FeSpace(mesh, 1)
+    space = FeSpace(mesh)
     c = 1.7
-    q = constant_field(1, c * np.eye(1), UNIT)
+    q = constant_field(1, c, UNIT)
     pert = assemble_perturbation(space, q=(q,))
     # (c u', v) on P1: antisymmetric central difference c/2 off-diagonals
     expect = tridiag(n - 1, -c / 2.0, 0.0, c / 2.0)
@@ -74,9 +74,9 @@ def test_transport_pair_with_constant_coefficient_assembles_to_zero():
     # which the Dirichlet restriction removes entirely
     n = 14
     mesh = build_mesh(UNIT, n)
-    space = FeSpace(mesh, 1)
-    q = constant_field(1, 0.8 * np.eye(1), UNIT)
-    p = constant_field(1, -0.8 * np.eye(1), UNIT)
+    space = FeSpace(mesh)
+    q = constant_field(1, 0.8, UNIT)
+    p = constant_field(1, -0.8, UNIT)
     pert = assemble_perturbation(space, q=(q,), p=(p,))
     assert abs(pert.matrix).max() < 1e-14
 
@@ -86,8 +86,8 @@ def test_oscillating_potential_element_means():
     # integral of V * (shape^2) over the two adjacent elements
     n = 32
     mesh = build_mesh(UNIT, n)
-    space = FeSpace(mesh, 1)
-    v = scalar_field(1, lambda x: np.sin(20.0 * x[..., 0]), 1.0, UNIT)
+    space = FeSpace(mesh)
+    v = CoefficientField(1, lambda x: np.sin(20.0 * x[..., 0]), 1.0, UNIT)
     pert = assemble_perturbation(space, v=v, refine=64)
     h = mesh.h
     from scipy.integrate import quad
@@ -99,21 +99,9 @@ def test_oscillating_potential_element_means():
         assert abs(got - exact) < 1e-9
 
 
-def test_two_component_blocks_are_diagonal_copies():
-    n = 9
-    mesh = build_mesh(UNIT, n)
-    op2 = assemble_base(OperatorSpec(UNIT, 2), mesh)
-    op1 = assemble_base(OperatorSpec(UNIT, 1), mesh)
-    a2 = op2.base_form.toarray()
-    a1 = op1.base_form.toarray()
-    assert np.allclose(a2[0::2, 0::2], a1, atol=1e-12)
-    assert np.allclose(a2[1::2, 1::2], a1, atol=1e-12)
-    assert abs(a2[0::2, 1::2]).max() < 1e-15
-
-
 def test_gram_matrices_are_hermitian_and_ordered():
     mesh = build_mesh(UNIT, 20)
-    op = assemble_base(OperatorSpec(UNIT, 1), mesh)
+    op = assemble_base(OperatorSpec(UNIT), mesh)
     for g in (op.gram_h1, op.gram_l2):
         assert abs(g - g.getH()).max() < 1e-12
     # H1 dominates L2: smallest eigenvalue of (H1 - L2) is >= 0
@@ -123,17 +111,15 @@ def test_gram_matrices_are_hermitian_and_ordered():
 
 # ---------------------------------------------------------------- mesh rule
 
-def _mesh_rule(finest_scale, ncomp=1):
+def _mesh_rule(finest_scale):
     """mesh_rule at the defaults a config without mesh.* keys gets."""
-    return mesh_rule(finest_scale, ncomp, MIN_ELEMENTS, CAP_DOF)
+    return mesh_rule(finest_scale, 1, MIN_ELEMENTS, CAP_DOF)
 
 
 def test_mesh_rule_tracks_finest_scale():
     assert _mesh_rule(1.0) == (64, False)
     assert _mesh_rule(0.1) == (160, False)
     assert _mesh_rule(0.001) == (8192, True)
-    n, capped = _mesh_rule(0.001, ncomp=2)
-    assert n == 4096 and capped
     assert _mesh_rule(2.0 * np.pi * 0.05) == (64, False)
 
 
@@ -153,22 +139,20 @@ def test_mesh_validation():
 
 # ---------------------------------------------------------------- solutions
 
-def load_vector(space, fvec, refine=4):
-    """Right-hand side (f, phi_i) of a vector function f on the free dofs."""
+def load_vector(space, f, refine=4):
+    """Right-hand side (f, phi_i) of a function f on the free dofs."""
     mesh = space.mesh
     t, w = _panel_rule(int(max(1, refine)))
     h = mesh.h
     starts = mesh.a + h * np.arange(mesh.n_elements)
     pts = (starts[:, None] + h * t[None, :]).ravel()[:, None]
-    vals = np.asarray(fvec(pts), dtype=complex).reshape(
-        mesh.n_elements, len(t), space.ncomp
-    )
-    left = h * np.einsum("q,eqi->ei", w * (1 - t), vals)
-    right = h * np.einsum("q,eqi->ei", w * t, vals)
-    full = np.zeros((mesh.n_elements + 1, space.ncomp), dtype=complex)
-    np.add.at(full, np.arange(mesh.n_elements), left)
-    np.add.at(full, np.arange(1, mesh.n_elements + 1), right)
-    return full.ravel()[space.bc_mask()]
+    vals = np.asarray(f(pts), dtype=complex).reshape(mesh.n_elements, len(t))
+    left = h * np.einsum("q,eq->e", w * (1 - t), vals)
+    right = h * np.einsum("q,eq->e", w * t, vals)
+    full = np.zeros(mesh.n_elements + 1, dtype=complex)
+    full[:-1] += left
+    full[1:] += right
+    return full[space.bc_mask()]
 
 
 def test_nodal_exactness_for_manufactured_solution():
@@ -176,7 +160,7 @@ def test_nodal_exactness_for_manufactured_solution():
     # interpolant of the true solution at the nodes
     n = 64
     mesh = build_mesh(UNIT, n)
-    op = assemble_base(OperatorSpec(UNIT, 1), mesh)
+    op = assemble_base(OperatorSpec(UNIT), mesh)
     f = lambda pts: (np.pi ** 2) * np.sin(np.pi * pts)
     rhs = load_vector(op.space, f, refine=8)
     u = LinearSolver(op.base_form).solve(rhs[:, None])[0][:, 0]
@@ -190,7 +174,7 @@ def test_energy_deficit_decays_quadratically():
     deficits = []
     for n in (32, 64, 128):
         mesh = build_mesh(UNIT, n)
-        op = assemble_base(OperatorSpec(UNIT, 1), mesh)
+        op = assemble_base(OperatorSpec(UNIT), mesh)
         f = lambda pts: (np.pi ** 2) * np.sin(np.pi * pts)
         rhs = load_vector(op.space, f, refine=8)
         u = LinearSolver(op.base_form).solve(rhs[:, None])[0][:, 0]
@@ -203,7 +187,7 @@ def test_energy_deficit_decays_quadratically():
 
 def test_l2_norm_of_interpolated_constant():
     mesh = build_mesh(UNIT, 40)
-    op = assemble_base(OperatorSpec(UNIT, 1), mesh)
+    op = assemble_base(OperatorSpec(UNIT), mesh)
     # 1 on every interior node: the function is 1 except on the two end
     # elements, where it ramps from 0 and each contributes h/3
     ones = np.ones(op.dof)
@@ -213,7 +197,7 @@ def test_l2_norm_of_interpolated_constant():
 
 def test_load_vector_of_one_sums_to_measure():
     mesh = build_mesh(UNIT, 17)
-    space = FeSpace(mesh, 1)
+    space = FeSpace(mesh)
     rhs = load_vector(space, lambda pts: np.ones_like(pts))
     # the two end nodes, h/2 of the measure each, are not dofs
     assert rhs.sum() + mesh.h == pytest.approx(1.0, abs=1e-12)
@@ -221,13 +205,11 @@ def test_load_vector_of_one_sums_to_measure():
 
 # ---------------------------------------------------------------- solver
 
-def _random_banded(rng, n, complex_=True):
+def _random_banded(rng, n):
     a = np.diag(rng.uniform(2.0, 3.0, n))
     for off in (1, 2):
         band = rng.uniform(-0.3, 0.3, n - off)
         a += np.diag(band, off) + np.diag(rng.uniform(-0.3, 0.3, n - off), -off)
-    if complex_:
-        a = a + 1j * np.diag(rng.uniform(-0.5, 0.5, n))
     return a
 
 
@@ -240,7 +222,6 @@ def test_solver_reaches_working_precision():
     for off in (1, 2):
         a += np.diag(rng.integers(-4, 5, n - off) / 16.0, off)
         a += np.diag(rng.integers(-4, 5, n - off) / 16.0, -off)
-    a = a + 1j * np.diag(rng.integers(-8, 9, n) / 16.0)
     x_true = (rng.integers(-8, 9, n) + 1j * rng.integers(-8, 9, n)).astype(complex)
     b = (a @ x_true)[:, None]
     solver = LinearSolver(sp.csr_matrix(a))
@@ -264,6 +245,16 @@ def test_reported_residual_is_true_residual():
         b.astype(np.clongdouble) - a.astype(np.clongdouble) @ x
     )
     assert got == pytest.approx(float(ref), rel=1e-12)
+
+
+def test_complex_form_raises():
+    # the compensated residual covers real forms only; loads may be complex
+    a = sp.csr_matrix(np.array([[2.0, 1.0j], [-1.0j, 2.0]]))
+    with pytest.raises(NumericalBreach, match="nonzero imaginary entry"):
+        LinearSolver(a)
+    b = np.array([[1.0j], [1.0]])
+    x, _ = LinearSolver(a.real).solve(b)
+    assert np.allclose(a.real @ x, b, rtol=0, atol=1e-15)
 
 
 def test_singular_matrix_raises():
@@ -316,7 +307,6 @@ def _ref_dd_residual(matrix, rhs, x):
     n = matrix.shape[0]
     dia = sp.dia_matrix(sp.csc_matrix(matrix).astype(complex))
     dia_r = np.ascontiguousarray(dia.data.real)
-    dia_i = np.ascontiguousarray(dia.data.imag)
     xr = np.ascontiguousarray(x.real)
     xi = np.ascontiguousarray(x.imag)
     acc_r = _RefCompensated(rhs.real)
@@ -336,38 +326,30 @@ def _ref_dd_residual(matrix, rhs, x):
         p, e = _ref_two_prod(dr, vi)
         acc_i.add(-p, o0, o1)
         acc_i.add(-e, o0, o1)
-        if np.any(dia_i):
-            di = dia_i[k, j0:j1]
-            p, e = _ref_two_prod(di, vi)
-            acc_r.add(p, o0, o1)
-            acc_r.add(e, o0, o1)
-            p, e = _ref_two_prod(di, vr)
-            acc_i.add(-p, o0, o1)
-            acc_i.add(-e, o0, o1)
     return acc_r.value() + 1j * acc_i.value()
 
 
-def _wide_banded(rng, n, complex_):
-    """Five real diagonals and, if complex_, imaginary parts on three."""
+def _wide_banded(rng, n):
+    """Five real diagonals, at offsets 0, +-1 and +-3."""
     a = np.diag(rng.uniform(2.0, 3.0, n))
     for off in (1, 3):
         a += np.diag(rng.uniform(-0.3, 0.3, n - off), off)
         a += np.diag(rng.uniform(-0.3, 0.3, n - off), -off)
-    if complex_:
-        a = a + 1j * (np.diag(rng.uniform(-0.5, 0.5, n))
-                      + np.diag(rng.uniform(-0.5, 0.5, n - 1), 1)
-                      + np.diag(rng.uniform(-0.5, 0.5, n - 3), -3))
     return a
 
 
 @pytest.mark.parametrize("complex_", [False, True])
 def test_dd_residual_matches_reference_loop(complex_):
+    # complex_ picks complex loads and iterates; real ones carry zero
+    # imaginary parts through the same accumulators
     rng = np.random.default_rng(11)
     n = 45
-    a = _wide_banded(rng, n, complex_)
+    a = _wide_banded(rng, n)
     solver = LinearSolver(sp.csr_matrix(a))
     x = rng.standard_normal((n, 4)) + 1j * rng.standard_normal((n, 4))
     b = rng.standard_normal((n, 4)) + 1j * rng.standard_normal((n, 4))
+    if not complex_:
+        x, b = x.real + 0j, b.real + 0j
     # a sign pattern with zeros and a solution-sized residual
     x[::7, 0] = 0.0
     b[:, 1] = a @ x[:, 1]
@@ -401,7 +383,6 @@ def test_block_solve_equals_column_solves(monkeypatch):
          - np.diag(np.ones(n - 1), -1))
     a += (np.diag(rng.uniform(-0.3, 0.3, n - 3), 3)
           + np.diag(rng.uniform(-0.3, 0.3, n - 3), -3))
-    a = a + 1j * np.diag(rng.uniform(-0.05, 0.05, n))
     solver = LinearSolver(sp.csr_matrix(a))
     b = np.asfortranarray(rng.standard_normal((n, 4))
                           + 1j * rng.standard_normal((n, 4)))
@@ -423,7 +404,7 @@ def test_block_solve_equals_column_solves(monkeypatch):
 def test_solve_pair_reuses_the_final_residual(monkeypatch):
     rng = np.random.default_rng(19)
     n = 40
-    solver = LinearSolver(sp.csr_matrix(_wide_banded(rng, n, True)))
+    solver = LinearSolver(sp.csr_matrix(_wide_banded(rng, n)))
     b = rng.standard_normal((n, 1)) + 1j * rng.standard_normal((n, 1))
     widths = _passes_per_call(solver, monkeypatch)
     solver.solve(b)

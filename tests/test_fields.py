@@ -6,10 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from homlab.fields import (Box, CoefficientField, add_fields, adjoint_field,
-                           constant_field, gram_field, matmul_fields,
-                           matrix_abs, sampled_sup, scalar_field, scale_field,
-                           sub_fields, zero_field)
+from homlab.fields import (Box, CoefficientField, add_fields, constant_field,
+                           gram_field, sampled_sup, scale_field, sub_fields,
+                           zero_field)
 
 UNIT = Box((0.0,), (1.0,))
 
@@ -28,65 +27,57 @@ def test_box_rejects_empty_sides():
 def test_constant_field_values():
     f = constant_field(1, 2.5, UNIT)
     vals = f(np.array([[0.1], [0.9]]))
-    assert vals.shape == (2, 1, 1)
+    assert vals.shape == (2,) and vals.dtype == complex
     assert np.allclose(vals, 2.5)
+    assert f.sup_bound == 2.5
 
 
 def test_zero_field_is_zero():
-    f = zero_field(2, ncomp=3, domain=Box((0.0, 0.0), (1.0, 1.0)))
+    f = zero_field(2, domain=Box((0.0, 0.0), (1.0, 1.0)))
     vals = f(np.array([[0.3, 0.7]]))
-    assert vals.shape == (1, 3, 3)
-    assert np.all(vals == 0)
+    assert vals.shape == (1,)
+    assert np.all(vals == 0) and f.sup_bound == 0.0
 
 
 def test_scalar_field_wraps_shape():
-    f = scalar_field(1, lambda pts: np.sin(pts[:, 0]), 1.0, UNIT)
+    # a real closure's values come out complex, one per point
+    f = CoefficientField(1, lambda pts: np.sin(pts[:, 0]), 1.0, UNIT)
     pts = np.array([[0.0], [math.pi / 2.0]])
     vals = f(pts)
-    assert vals.shape == (2, 1, 1)
-    assert vals[1, 0, 0] == pytest.approx(1.0)
+    assert vals.shape == (2,) and vals.dtype == complex
+    assert vals[1] == pytest.approx(1.0)
 
 
 def test_field_algebra_pointwise():
     rng = np.random.default_rng(3)
-    a = CoefficientField(
-        1, 2, lambda p: np.tile(np.array([[1.0, 2.0], [0.0, 1.0]]),
-                                (p.shape[0], 1, 1)), 4.0, UNIT)
-    b = constant_field(1, np.array([[0.0, 1.0], [1.0, 0.0]]), UNIT)
+    a = CoefficientField(1, lambda p: np.exp(2j * p[:, 0]) + p[:, 0], 2.0,
+                         UNIT)
+    b = constant_field(1, 0.5 - 1.5j, UNIT)
     pts = rand_pts(rng, 5)
     va, vb = a(pts), b(pts)
     assert np.allclose(add_fields(a, b)(pts), va + vb)
     assert np.allclose(sub_fields(a, b)(pts), va - vb)
     assert np.allclose(scale_field(2.0 - 1.0j, a)(pts), (2.0 - 1.0j) * va)
-    assert np.allclose(matmul_fields(a, b)(pts), va @ vb)
-
-
-def test_adjoint_is_conjugate_transpose():
-    c = np.array([[1.0 + 2.0j, 3.0], [0.5j, -1.0]])
-    f = constant_field(1, c, UNIT)
-    vals = adjoint_field(f)(np.array([[0.5]]))
-    assert np.allclose(vals[0], c.conj().T)
 
 
 def test_gram_field_is_psd():
-    rng = np.random.default_rng(11)
-    c = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    f = constant_field(1, c, UNIT)
-    g = gram_field(f)(np.array([[0.25]]))[0]
-    eigs = np.linalg.eigvalsh(g)
-    assert np.all(eigs >= -1e-12)
-    assert np.allclose(g, c.conj().T @ c)
+    # |q|^2 from one evaluation of q per call
+    calls = []
 
+    def q(pts):
+        calls.append(len(pts))
+        return np.exp(3j * pts[:, 0]) * (1.0 + pts[:, 0])
 
-def test_matrix_abs_is_entry_sum():
-    m = np.array([[1.0, -2.0], [3.0j, 0.0]])
-    assert matrix_abs(m) == pytest.approx(6.0)
-    batch = np.stack([m, 2 * m])
-    assert np.allclose(matrix_abs(batch), [6.0, 12.0])
+    f = CoefficientField(1, q, 2.0, UNIT)
+    pts = np.array([[0.25], [0.75]])
+    g = gram_field(f)(pts)
+    assert calls == [2]
+    assert np.allclose(g, np.abs(f(pts)) ** 2) and np.all(g.imag == 0)
+    assert gram_field(f).sup_bound == 4.0
 
 
 def test_sampled_sup_sine():
-    f = scalar_field(1, lambda pts: np.sin(40.0 * pts[:, 0]), 1.0, UNIT)
+    f = CoefficientField(1, lambda pts: np.sin(40.0 * pts[:, 0]), 1.0, UNIT)
     s = sampled_sup(f, UNIT)
     assert 0.99 <= s <= 1.0 + 1e-12
 
@@ -102,14 +93,15 @@ def test_linearity_property(c1, c2, x):
     b = constant_field(1, c2, UNIT)
     pts = np.array([[x]])
     lhs = add_fields(scale_field(2.0, a), scale_field(-3.0, b))(pts)
-    assert lhs[0, 0, 0] == pytest.approx(2.0 * c1 - 3.0 * c2)
+    assert lhs[0] == pytest.approx(2.0 * c1 - 3.0 * c2)
 
 
 def test_field_shape_mismatch_raises():
+    # a closure must return one value per point, not a matrix per point
     bad = CoefficientField(
-        1, 2, lambda pts: np.zeros((pts.shape[0], 1, 1)), 1.0, UNIT
+        1, lambda pts: np.zeros((pts.shape[0], 1, 1)), 1.0, UNIT
     )
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="expected"):
         bad(np.array([[0.5]]))
 
 

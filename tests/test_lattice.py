@@ -8,8 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from homlab import lattice
-from homlab.fields import (Box, CoefficientField, constant_field, matrix_abs,
-                           scalar_field)
+from homlab.fields import Box, CoefficientField, constant_field
 from homlab.lattice import (CHUNK_POINTS, GAUSS_ORDER, MAX_REFINE, Lattice,
                             _panel_rule, cell_integral, cells_inside,
                             default_refine)
@@ -21,7 +20,7 @@ SKEW = Lattice(2, basis=np.array([[0.7, 0.2], [-0.1, 0.5]]),
 
 
 def sin_field(eps):
-    return scalar_field(1, lambda pts: np.sin(pts[:, 0] / eps), 1.0, UNIT)
+    return CoefficientField(1, lambda pts: np.sin(pts[:, 0] / eps), 1.0, UNIT)
 
 
 def test_singular_basis_rejected():
@@ -91,7 +90,7 @@ def test_sine_cell_integral_closed_form():
     h = 0.3
     (val,), (err,) = cell_integral(Lattice(1), [(0,)], h, sin_field(eps), 64)
     exact = eps * (1.0 - math.cos(h / eps))
-    assert val[0, 0] == pytest.approx(exact, abs=1e-12)
+    assert val == pytest.approx(exact, abs=1e-12)
     assert err < 1e-10
 
 
@@ -100,7 +99,7 @@ def test_shifted_cell_integral_closed_form():
     h = 0.2
     (val,), _ = cell_integral(Lattice(1), [(2,)], h, sin_field(eps), 64)
     exact = eps * (math.cos(2 * h / eps) - math.cos(3 * h / eps))
-    assert val[0, 0] == pytest.approx(exact, abs=1e-12)
+    assert val == pytest.approx(exact, abs=1e-12)
 
 
 def test_cell_mean_of_constant():
@@ -108,7 +107,7 @@ def test_cell_mean_of_constant():
     measure = lat.cell_measure * 0.37 ** 2
     (integral,), (err,) = cell_integral(
         lat, [(0, 0)], 0.37, constant_field(2, 3.25, Box((0, 0), (4, 4))), 3)
-    assert integral[0, 0] / measure == pytest.approx(3.25, abs=1e-13)
+    assert integral / measure == pytest.approx(3.25, abs=1e-13)
     assert err / measure < 1e-12
 
 
@@ -117,16 +116,16 @@ def test_error_estimate_majorizes_refinement_change():
     field_ = sin_field(eps)
     (val8,), (err8,) = cell_integral(Lattice(1), [(0,)], 0.5, field_, 8)
     (val16,), _ = cell_integral(Lattice(1), [(0,)], 0.5, field_, 16)
-    assert abs(val16[0, 0] - val8[0, 0]) <= err8
+    assert abs(val16 - val8) <= err8
 
 
 def test_box_integral_2d_product():
     # the box (0,1) x (0,2) as the one cell at eta 1; int x y = 1/2 * 2
     lat = Lattice(2, basis=np.diag([1.0, 2.0]))
     box = Box((0.0, 0.0), (1.0, 2.0))
-    f = scalar_field(2, lambda pts: pts[:, 0] * pts[:, 1], 2.0, box)
+    f = CoefficientField(2, lambda pts: pts[:, 0] * pts[:, 1], 2.0, box)
     (val,), (err,) = cell_integral(lat, [(0, 0)], 1.0, f, 16)
-    assert val[0, 0] == pytest.approx(0.5 * 2.0, abs=1e-12)
+    assert val == pytest.approx(0.5 * 2.0, abs=1e-12)
     assert err < 1e-12
 
 
@@ -154,38 +153,33 @@ def test_affine_lattice_point():
     h=st.floats(0.05, 0.9, allow_nan=False),
 )
 def test_cell_integral_linearity(a, b, h):
-    f = scalar_field(1, lambda pts: np.cos(5.0 * pts[:, 0]), 1.0, UNIT)
-    g = scalar_field(1, lambda pts: pts[:, 0] ** 2, 1.0, UNIT)
-    comb = scalar_field(
+    f = CoefficientField(1, lambda pts: np.cos(5.0 * pts[:, 0]), 1.0, UNIT)
+    g = CoefficientField(1, lambda pts: pts[:, 0] ** 2, 1.0, UNIT)
+    comb = CoefficientField(
         1, lambda pts: a * np.cos(5.0 * pts[:, 0]) + b * pts[:, 0] ** 2,
         abs(a) + abs(b), UNIT,
     )
     (vf,), _ = cell_integral(Lattice(1), [(0,)], h, f, 16)
     (vg,), _ = cell_integral(Lattice(1), [(0,)], h, g, 16)
     (vc,), _ = cell_integral(Lattice(1), [(0,)], h, comb, 16)
-    assert vc[0, 0] == pytest.approx(a * vf[0, 0] + b * vg[0, 0], abs=1e-12)
+    assert vc == pytest.approx(a * vf + b * vg, abs=1e-12)
 
 
 # ------------------------------------------------------- batched quadrature
 
-def complex_2x2(pts):
+def complex_2d(pts):
     x, y = pts[:, 0], pts[:, 1]
-    out = np.empty((len(pts), 2, 2), dtype=complex)
-    out[:, 0, 0] = np.sin(7.0 * x) + 1j * np.cos(3.0 * y)
-    out[:, 0, 1] = np.exp(1j * 5.0 * x * y)
-    out[:, 1, 0] = x * y - 2j * x
-    out[:, 1, 1] = np.cos(11.0 * (x + y)) ** 2
-    return out
+    return (np.sin(7.0 * x) + 1j * np.cos(3.0 * y) + np.exp(1j * 5.0 * x * y)
+            + (x * y - 2j * x) * np.cos(11.0 * (x + y)) ** 2)
 
 
 @pytest.mark.parametrize("refine", [1, 2, 5])
 def test_stacked_cell_integral_equals_single_calls(refine):
     # refine 1 takes the order-2 single-panel estimate
-    field_ = CoefficientField(2, 2, complex_2x2, 6.0, Box((-5, -5), (5, 5)))
+    field_ = CoefficientField(2, complex_2d, 30.0, Box((-5, -5), (5, 5)))
     zs = np.array([[0, 0], [1, -2], [3, 1], [-2, 4], [5, 5]])
     stack = cell_integral(SKEW, zs, 0.3, field_, refine, squares=True)
-    assert stack[0].shape == (5, 2, 2) and stack[1].shape == (5,)
-    assert stack[2].shape == (5, 1, 1) and stack[3].shape == (5,)
+    assert [r.shape for r in stack] == [(5,)] * 4
     for k in range(len(zs)):
         one = cell_integral(SKEW, zs[k:k + 1], 0.3, field_, refine,
                             squares=True)
@@ -201,9 +195,9 @@ def test_square_integral_matches_closed_form():
     eps, h = 0.05, 0.3
     _, _, (sq,), (sq_err,) = cell_integral(Lattice(1), [(0,)], h,
                                            sin_field(eps), 64, squares=True)
-    assert sq.shape == (1, 1) and sq.dtype == complex
+    assert sq.shape == () and sq.dtype == complex
     exact = h / 2 - eps * math.sin(2 * h / eps) / 4
-    assert sq[0, 0].real == pytest.approx(exact, abs=1e-12)
+    assert sq.real == pytest.approx(exact, abs=1e-12)
     assert sq_err < 1e-10
 
 
@@ -228,7 +222,7 @@ def test_batches_never_split_a_cell(monkeypatch):
         sizes.append(len(pts))
         return np.cos(pts[:, 0] / 0.01)
 
-    field_ = scalar_field(1, counted, 1.0, UNIT)
+    field_ = CoefficientField(1, counted, 1.0, UNIT)
     zs = np.arange(10)[:, None]
     whole = cell_integral(Lattice(1), zs, 0.1, field_, 4)
     assert sizes == [16 * 10, 8 * 10]  # fine and coarse rule, one batch each
@@ -253,9 +247,9 @@ def test_streamed_cell_equals_whole_cell(monkeypatch, budget):
 
     def counted(pts):
         sizes.append(len(pts))
-        return complex_2x2(pts)
+        return complex_2d(pts)
 
-    field_ = CoefficientField(2, 2, counted, 6.0, Box((-5, -5), (5, 5)))
+    field_ = CoefficientField(2, counted, 30.0, Box((-5, -5), (5, 5)))
     zs = np.array([[0, 0], [1, -2], [3, 1]])
     whole = cell_integral(SKEW, zs, 0.3, field_, 5, squares=True)
     assert sizes == [3 * 400, 3 * 64]
@@ -306,17 +300,16 @@ def two_level_reference(field_, lat, z, eta, refine):
     # cell's block sums, for the field and for |field|^2
     pts1, wts1 = _panel_rule(refine)
     span = eta * lat.basis
-    size, dim, n = len(pts1), lat.dim, field_.ncomp
+    size, dim = len(pts1), lat.dim
     m = size ** dim
     pts = lattice._rule_points(pts1, span, eta * lat.point([z]), 0, m)
-    vals = field_(pts).reshape(m // size, size, n, n)
-    squares = np.zeros((m // size, size, 1, 1), dtype=complex)
-    squares[..., 0, 0] = matrix_abs(vals) ** 2
+    vals = field_(pts).reshape(m // size, size)
+    squares = (np.abs(vals) ** 2).astype(complex)
     factors = lattice._block_weights(dim, refine)
     jac = abs(float(np.linalg.det(span)))
     out = []
     for v in (vals, squares):
-        sums = np.array([np.einsum("m,mij->ij", f * wts1, block)
+        sums = np.array([np.einsum("m,m->", f * wts1, block)
                          for f, block in zip(factors, v)])
         out.append(jac * sums.sum(axis=0))
     return out
@@ -326,7 +319,7 @@ def two_level_reference(field_, lat, z, eta, refine):
 def test_2d_cell_equals_two_level_reference(monkeypatch, budget):
     # refine 5: 20 blocks of 20 points; budget 7 slices a block, 150
     # fills 7 blocks at a time, and the default takes whole cells
-    field_ = CoefficientField(2, 2, complex_2x2, 6.0, Box((-5, -5), (5, 5)))
+    field_ = CoefficientField(2, complex_2d, 30.0, Box((-5, -5), (5, 5)))
     zs = np.array([[0, 0], [1, -2], [3, 1]])
     monkeypatch.setattr(lattice, "CHUNK_POINTS", budget)
     integral, _, sq, _ = cell_integral(SKEW, zs, 0.3, field_, 5,
@@ -356,12 +349,12 @@ def test_empty_stack_has_no_cells():
 
     def counted(pts):
         calls.append(len(pts))
-        return complex_2x2(pts)
+        return complex_2d(pts)
 
-    field_ = CoefficientField(2, 2, counted, 6.0, Box((-5, -5), (5, 5)))
+    field_ = CoefficientField(2, counted, 30.0, Box((-5, -5), (5, 5)))
     out = cell_integral(SKEW, np.zeros((0, 2), dtype=int), 0.3, field_, 5,
                         squares=True)
-    assert [r.shape for r in out] == [(0, 2, 2), (0,), (0, 1, 1), (0,)]
+    assert [r.shape for r in out] == [(0,)] * 4
     assert calls == []
 
 

@@ -13,7 +13,7 @@ from homlab.config import StudyConfig
 from homlab.families import make_family
 from homlab.fem import CAP_DOF, MIN_ELEMENTS, NumericalBreach, \
     OperatorSpec, assemble_base, assemble_perturbation, build_mesh
-from homlab.fields import Box, scalar_field, zero_field
+from homlab.fields import Box, CoefficientField, zero_field
 from homlab.resolvent import (
     assemble_setting,
     context_from_setting,
@@ -31,12 +31,12 @@ MESH = {"min_elements": MIN_ELEMENTS, "cap_dof": CAP_DOF}
 
 def sin_family(amplitude=1.0):
     def v_of(eps):
-        return scalar_field(
+        return CoefficientField(
             1, lambda x: amplitude * np.sin(x[..., 0] / eps), abs(amplitude),
             UNIT)
 
     return make_family(
-        v_of, zero_field(1, 1, UNIT),
+        v_of, zero_field(1, UNIT),
         rate=lambda eps: 2.0 * abs(amplitude) * math.sqrt(eps),
         domain=UNIT,
         name="sin",
@@ -82,9 +82,9 @@ def build_setting(op_spec, family, eps, lam, mesh=MESH):
 
 def small_context(n=5, lam=-1.0, amplitude=1.0):
     mesh = build_mesh(UNIT, n)
-    op = assemble_base(OperatorSpec(UNIT, 1), mesh)
-    v = scalar_field(1, lambda x: amplitude * np.sin(9.0 * x[..., 0]),
-                     abs(amplitude), UNIT)
+    op = assemble_base(OperatorSpec(UNIT), mesh)
+    v = CoefficientField(1, lambda x: amplitude * np.sin(9.0 * x[..., 0]),
+                         abs(amplitude), UNIT)
     pert = assemble_perturbation(op.space, v=v, refine=8)
     return context_from_difference(op, lam, pert.matrix)
 
@@ -99,8 +99,8 @@ def test_context_difference_is_exact_entrywise():
 
 def test_route_mismatch_is_rejected():
     mesh = build_mesh(UNIT, 5)
-    op = assemble_base(OperatorSpec(UNIT, 1), mesh)
-    v = scalar_field(1, lambda x: np.sin(9.0 * x[..., 0]), 1.0, UNIT)
+    op = assemble_base(OperatorSpec(UNIT), mesh)
+    v = CoefficientField(1, lambda x: np.sin(9.0 * x[..., 0]), 1.0, UNIT)
     pert = assemble_perturbation(op.space, v=v, refine=8).matrix
     setting = difference_setting(op, pert)
     setting["x_eps"] = (pert * (1.0 + 1e-5)).tocsr()
@@ -181,13 +181,13 @@ def test_partial_sum_recursion_consistency():
 
 def test_difference_identity_on_fe_context():
     fam = sin_family()
-    ctx = build_setting(OperatorSpec(UNIT, 1), fam, eps=0.05, lam=-1.0)
+    ctx = build_setting(OperatorSpec(UNIT), fam, eps=0.05, lam=-1.0)
     assert identity_residual(ctx) <= 1e-10
 
 
 def test_identity_residual_zero_perturbation():
     mesh = build_mesh(UNIT, 16)
-    op = assemble_base(OperatorSpec(UNIT, 1), mesh)
+    op = assemble_base(OperatorSpec(UNIT), mesh)
     zero = assemble_perturbation(op.space)
     ctx = context_from_difference(op, -1.0, zero.matrix)
     assert identity_residual(ctx, n_rhs=5) == 0.0
@@ -217,7 +217,7 @@ def _identity_residual_per_load(ctx, n_rhs, seed):
 @pytest.mark.parametrize("width", [1, 3, 7, 50])
 def test_identity_residual_blocks_match_per_load_loop(width, monkeypatch):
     fam = sin_family()
-    ctx = build_setting(OperatorSpec(UNIT, 1), fam, eps=0.05, lam=-1.0)
+    ctx = build_setting(OperatorSpec(UNIT), fam, eps=0.05, lam=-1.0)
     expect = _identity_residual_per_load(ctx, n_rhs=7, seed=5)
     monkeypatch.setattr(resolvent, "IDENTITY_BLOCK", width * ctx.dim)
     calls = []
@@ -364,7 +364,7 @@ def test_perturbation_norm_is_difference_form_norm():
 
 def test_setting_routes_cross_check():
     fam = sin_family()
-    setting = assemble_setting(OperatorSpec(UNIT, 1), fam, eps=0.1,
+    setting = assemble_setting(OperatorSpec(UNIT), fam, eps=0.1,
                                **MESH)
     ctx = context_from_setting(setting, -1.0)
     assert ctx.meta["eps"] == 0.1
@@ -378,7 +378,7 @@ def test_setting_routes_cross_check():
 
 def test_deviation_route_equals_direct_difference():
     fam = sin_family()
-    setting = assemble_setting(OperatorSpec(UNIT, 1), fam, eps=0.1,
+    setting = assemble_setting(OperatorSpec(UNIT), fam, eps=0.1,
                                **MESH)
     gap = abs(setting["x_eps"] - (setting["x_lim"] + setting["x_dev"])).max()
     scale = abs(setting["x_eps"]).max()

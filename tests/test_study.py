@@ -248,12 +248,13 @@ def _shipped_with(name, *replacements):
 
 
 def test_homogenize_without_sampled_windows_is_not_consistent():
-    # windows of size eps^0 = 1 leave the unit domain from every grid
-    # point, and sign_sin declares the limit 0.5 against a true mean of 0
+    # windows of size eps^0.001 > 0.99 leave the unit domain from every
+    # grid point (the first is at 1/34), and sign_sin declares the limit
+    # 0.5 against a true mean of 0
     cfg = _shipped_with(
         "two_scale_homogenize",
         ("family.name = two_scale_linear", "family.name = sign_sin"),
-        ("homogenize.mu_power = 0.5", "homogenize.mu_power = 0"))
+        ("homogenize.mu_power = 0.5", "homogenize.mu_power = 0.001"))
     res = run_study("homogenize", cfg)
     assert all(math.isnan(row["declared_gap"]) for row in res.rows)
     assert all(math.isnan(row["pair_gap"]) for row in res.rows)
@@ -261,7 +262,7 @@ def test_homogenize_without_sampled_windows_is_not_consistent():
     # no pair of windows was sampled: rho2 and its bound are no evidence
     assert res.footer == (
         "# rho2 = nan",
-        "# mu_final = 1",
+        f"# mu_final = {0.0005 ** 0.001:.17g}",
         "# bound = nan",
         "# skipped_windows = 165",
         "# declared_limit_consistent: false (gap nan vs budget nan)")
