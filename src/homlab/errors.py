@@ -10,4 +10,5 @@ class NumericalBreach(RuntimeError):
 
 
 class CoercivityError(RuntimeError):
-    """No shift above the search floor makes every form coercive."""
+    """A form is not coercive: at no shift above the search floor, or at
+    the fixed shift a study uses."""

@@ -7,14 +7,13 @@ Gram plus a primal/dual flag: a primal vector x has norm |U x|, a dual
 one |U^{-H} x|.  An operator A from X to Y is then the plain matrix
 K = T_Y A T_X^{-1} in these coordinates, and its norm is the square root
 of the top eigenvalue of K^H K, which ARPACK's Lanczos finds from a
-seeded start vector.  ARPACK checks convergence only once its basis is
-full, so the basis size is the cost floor of every norm.  A small basis
-is tried first and settles every easy norm at that first check (14
-applications of K^H K); only a norm it cannot settle, such as a
-resolvent whose top singular values cluster just below one, reruns with
-the wide basis those clusters need.  The explicit eigen-residual of the
-returned Ritz pair is the error bar; a residual above the requested
-relative tolerance flags the value.
+seeded start vector in one call.  ARPACK checks convergence only once
+its basis is full, so the basis size is the cost floor of every norm; the
+basis used settles every shipped norm at that first check (14
+applications of K^H K), and a norm whose top values cluster converges
+through restarts of the same basis, up to a fixed cap.  The explicit
+eigen-residual of the returned Ritz pair is the error bar; a residual
+above the requested relative tolerance flags the value.
 
 The coercivity constant is a smallest pencil eigenvalue, bracketed by
 inertia bisection below and, to a rounding margin, inverse iteration above.
@@ -34,24 +33,16 @@ from .errors import CoercivityError, NumericalBreach
 from .fem import assemble_perturbation
 from .fields import gram_field
 
-# First Lanczos rung: basis size and restart cap (one restart).  Of the
-# 123 norms of the shipped configs, a basis of 12 settles all but
-# sin_neumann's R_0 and R_eps at its first check, in 14 applications of
-# K^H K with the explicit residual.  Smaller bases need their restart on
-# some: a basis of 11 on 18 norms (19 applications), 10 on 48 (17) and
-# 8 on 67 (up to 18)
-LANCZOS_FIRST_NCV = 12
-LANCZOS_FIRST_MAXITER = 2
-# Fallback rung: basis size.  The top singular values of a resolvent
-# cluster just below one: on sin_neumann's R_eps ARPACK's default basis
-# of 20 takes about 4400 applications, a basis of 40 about 800.  Only
-# sin_neumann's R_0 and R_eps reach this rung, after 25 applications in
-# the first; the fallback then takes 977 and 867
-LANCZOS_NCV = 40
-# Fallback restart cap.  The shipped norms need at most about 40 restarts
-# (sin_neumann's R_eps); ARPACK's default of 10 * dim grows with the
-# size, so a norm that never converges would run that much longer
-# unflagged
+# Lanczos basis size.  Of the 121 norms of the shipped configs, a basis of
+# 12 settles every one at its first check, in 14 applications of K^H K
+# with the explicit residual.  Smaller bases need a restart on some: a
+# basis of 11 on 18 norms (19 applications), 10 on 48 (17) and 8 on 67
+# (up to 18)
+LANCZOS_NCV = 12
+# Restart cap.  No shipped norm restarts; two top values 1e-4 apart
+# converge through restarts in 38 applications.  ARPACK's default of
+# 10 * dim grows with the size, so a norm that never converges would run
+# that much longer unflagged; 200 bounds it at 12 * 201 applications
 LANCZOS_MAXITER = 200
 
 
@@ -119,22 +110,20 @@ def _power_singular(apply_, apply_adj, dim, seed, rel_tol):
     """Largest singular value of K, from the top eigenpair of K^H K.
 
     ARPACK Lanczos (eigs on the Hermitian K^H K, the call eigsh makes for
-    a complex operator) from a seeded start vector v0, in two rungs.  The
-    first builds a basis of LANCZOS_FIRST_NCV vectors with one restart
-    allowed; only if that does not converge does the second rerun from
-    the same v0 with LANCZOS_NCV vectors and LANCZOS_MAXITER restarts.
-    Each rung draws ARPACK's restart vectors from a generator seeded
-    with seed, so identical calls give identical bits.  ARPACK stops on
-    its own residual estimate, so it is asked for rel_tol / 100 to leave
-    the explicit residual room below rel_tol.
+    a complex operator) from a seeded start vector v0, with a basis of
+    LANCZOS_NCV vectors and at most LANCZOS_MAXITER restarts, whose
+    vectors come from a generator seeded with seed, so identical calls
+    give identical bits.  ARPACK stops on its own residual estimate, so it
+    is asked for rel_tol / 100 to leave the explicit residual room below
+    rel_tol.
 
-    Returns (value, applications of K^H K over both rungs, explicit
-    residual |K^H K v - theta v| of the unit vector v, mode): "residual"
-    when a rung converged, "max_iter" when the second rung ran out of
-    restarts (v is then the applied vector of largest Rayleigh quotient),
-    "zero" when K annihilates the start vector.  The name is that of the
-    power iteration this replaced; perfbench/probes.py counts
-    applications and exit modes through it.
+    Returns (value, applications of K^H K, explicit residual
+    |K^H K v - theta v| of the unit vector v, mode): "residual" when
+    Lanczos converged, "max_iter" when it ran out of restarts (v is then
+    the applied vector of largest Rayleigh quotient), "zero" when K
+    annihilates the start vector.  The name is that of the power
+    iteration this replaced; perfbench/probes.py counts applications and
+    exit modes through it.
     """
     applications = 0
     best = (-math.inf, None)
@@ -161,18 +150,12 @@ def _power_singular(apply_, apply_adj, dim, seed, rel_tol):
         theta, v = w[-1], vecs[:, -1]
     else:
         op = LinearOperator((dim, dim), matvec=gram, dtype=complex)
-
-        def lanczos(ncv, maxiter):
-            w, vecs = eigs(op, k=1, which="LR", v0=v0, ncv=min(dim, ncv),
-                           tol=rel_tol / 100, maxiter=maxiter,
-                           rng=np.random.default_rng(seed))
-            return w[0].real, vecs[:, 0]
-
         try:
-            try:
-                theta, v = lanczos(LANCZOS_FIRST_NCV, LANCZOS_FIRST_MAXITER)
-            except ArpackNoConvergence:
-                theta, v = lanczos(LANCZOS_NCV, LANCZOS_MAXITER)
+            w, vecs = eigs(op, k=1, which="LR", v0=v0,
+                           ncv=min(dim, LANCZOS_NCV), tol=rel_tol / 100,
+                           maxiter=LANCZOS_MAXITER,
+                           rng=np.random.default_rng(seed))
+            theta, v = w[0].real, vecs[:, 0]
         except ArpackNoConvergence:
             theta, v = best
             v = v / np.linalg.norm(v)

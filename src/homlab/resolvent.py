@@ -6,7 +6,9 @@ norm between the discrete H1 space and its dual, evaluated matrix-free
 with plain LU solves.  Resolvent differences are applied through the
 identity R_eps - S_N = (-R_0 L)^(N+1) R_eps (S_N the order-N series,
 S_-1 = 0), so no norm measures a difference of nearby solutions; the
-resolvent difference kappa = |R_eps - R_0| is the order-0 remainder.
+resolvent difference kappa = |R_eps - R_0| is the order-0 remainder.  A
+lone resolvent G^{-1} is bounded instead by Lax-Milgram, by one over the
+coercivity constant of G.
 """
 
 import math
@@ -15,11 +17,12 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from . import criteria
-from .errors import NumericalBreach
+from .errors import CoercivityError, NumericalBreach
 from .families import deviation_triple
 from .fem import (LinearSolver, assemble_base, assemble_triple, build_mesh,
                   column_norms, mesh_rule, perturbation_refine)
-from .norms import Space, induced_norm, norm_v_to_vstar
+from .norms import (Space, _hermitian_part, _witness, induced_norm,
+                    norm_v_to_vstar, smallest_eigenvalue)
 
 SOLVE_RTOL = 1e-10
 # entries per column block of identity_residual's loads: 2**14 solved the
@@ -85,16 +88,24 @@ def _series_remainder(ctx, f, order, adjoint=False):
     return u
 
 
-def resolvent_norm(ctx, which="eps", seed=1234):
-    """Norm of a shifted resolvent from the dual space into H1."""
-    solver = ctx.solver_eps if which == "eps" else ctx.solver0
-    h1 = Space(ctx.op.gram_h1)
-    return induced_norm(
-        solver.quick,
-        lambda g: solver.quick(g, adjoint=True),
-        h1.star(), h1,
-        seed=seed,
-    )
+def _lax_milgram_bound(ctx, which):
+    """1/c >= |G^{-1}| from the dual space into H1, with equality for a
+    Hermitian G.
+
+    c is the certified lower end of the smallest eigenvalue of G's
+    Hermitian part against the H1 Gram, the bracket find_lambda uses,
+    checked by its witness; Re (G u, u) >= c |u|^2 gives the bound.
+    """
+    name, G = ("Geps", ctx.Geps) if which == "eps" else ("G0", ctx.G0)
+    H = _hermitian_part(G)
+    c = smallest_eigenvalue(H, ctx.op.gram_h1)
+    if c <= 0:
+        raise CoercivityError(
+            f"{name} is not coercive at operator.shift = "
+            f"{ctx.meta['shift']:g}: c = {c:.3g}, so its resolvent has no "
+            "Lax-Milgram bound")
+    _witness(H, ctx.op.gram_h1, c)
+    return 1.0 / c
 
 
 def perturbation_norm(ctx, seed=1234):
@@ -146,16 +157,17 @@ class TruncationReport:
 def truncation_study(ctx, orders=(0, 1, 2, 3), seed=1234):
     """Measure series truncation errors and the a-priori envelope.
 
-    The envelope is c2^(N+2) |L|^(N+1) with c2 the largest resolvent
-    norm (floored at one); consecutive error ratios are reported next
+    The envelope is c2^(N+2) |L|^(N+1) with c2 bounding |R_0| and
+    |R_eps|: the larger Lax-Milgram bound 1/c, floored at one (ROADMAP
+    item 4 drops the floor).  A form that is not coercive at the shift
+    raises CoercivityError.  Consecutive error ratios are reported next
     to the contraction factor they should track.
     """
+    c2 = max(1.0, _lax_milgram_bound(ctx, "base"),
+             _lax_milgram_bound(ctx, "eps"))
     rep_L = perturbation_norm(ctx, seed)
-    rep_r0 = resolvent_norm(ctx, "base", seed)
-    rep_re = resolvent_norm(ctx, "eps", seed)
     rep_c = contraction_norm(ctx, seed)
-    c2 = max(1.0, rep_r0.value, rep_re.value)
-    flagged = any(r.flagged for r in (rep_L, rep_r0, rep_re, rep_c))
+    flagged = rep_L.flagged or rep_c.flagged
     rows = []
     prev = None
     for order in orders:
@@ -218,7 +230,8 @@ def context_from_setting(setting, lam):
     matrix scale.  The difference form L is the entrywise Geps - G0;
     nearby entries subtract exactly, so the second-resolvent identity
     holds to roundoff of the difference, not of the full forms.  The
-    context keeps the unshifted operator, for its H1 Gram.
+    context keeps the unshifted operator, for its H1 Gram, and the shift
+    as meta["shift"].
     """
     op = setting["op"]
     G0 = ((op.base_form + setting["x_lim"]).tocsr()
@@ -240,7 +253,7 @@ def context_from_setting(setting, lam):
         LH=L.getH().tocsr(),
         solver0=LinearSolver(G0),
         solver_eps=LinearSolver(Geps),
-        meta=dict(setting["meta"]),
+        meta={**setting["meta"], "shift": lam},
     )
 
 

@@ -167,6 +167,20 @@ def test_coercivity_failure_exits_3(crit_cfg, monkeypatch, capsys):
     assert len(err.strip().splitlines()) == 1
 
 
+def test_noncoercive_fixed_shift_exits_3(tmp_path, capsys):
+    # at amplitude 200 the perturbed form has c = -1.19 at shift -2; the
+    # series envelope needs a Lax-Milgram bound on its resolvent
+    path = tmp_path / "neumann.cfg"
+    path.write_text((ROOT / "configs" / "sin_neumann.cfg").read_text()
+                    .replace("family.amplitude = 1.0",
+                             "family.amplitude = 200"))
+    code = main(["neumann", "--config", str(path), "--out", "-"])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "coercivity error: Geps is not coercive at operator.shift = -2" \
+        in err
+
+
 def test_misspelled_key_exits_2(tmp_path, capsys):
     path = tmp_path / "typo.cfg"
     path.write_text(CRIT_CFG + "family.amplitud = 5\n")

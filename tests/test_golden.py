@@ -23,7 +23,10 @@ from pathlib import Path
 
 import pytest
 
+from homlab import registry, study
 from homlab.config import StudyConfig
+from homlab.norms import _hermitian_part, smallest_eigenvalue
+from homlab.resolvent import assemble_setting, context_from_setting
 from homlab.study import render_csv, run_study
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -105,6 +108,17 @@ def test_sin_neumann_errors_below_bounds():
     assert all(row["error"] <= row["bound"] for row in res.rows)
     assert not res.meta["report"].divergent
     assert not res.meta["report"].flagged
+    # c2 is the larger Lax-Milgram bound 1/c of the two shifted forms
+    cfg = StudyConfig.load(CONFIGS / "sin_neumann.cfg")
+    family = registry.build_family(cfg)
+    ctx = context_from_setting(
+        assemble_setting(study._operator_spec(cfg, family), family,
+                         cfg.get_float("study.eps"), **study._mesh_opts(cfg)),
+        cfg.get_float("operator.shift"))
+    inverse_c = [1.0 / smallest_eigenvalue(_hermitian_part(g),
+                                           ctx.op.gram_h1)
+                 for g in (ctx.G0, ctx.Geps)]
+    assert f"# c2 = {max(1.0, *inverse_c):.17g}" in res.footer
 
 
 def test_resolvent_bytes_identical_across_threads():

@@ -111,21 +111,20 @@ def test_lanczos_restarts_are_capped():
     rep = norm_v_to_vstar(_clustered_form(), sp.identity(200, format="csr"))
     assert rep.flagged
     assert rep.method["converged"] == "max_iter"
-    # both rungs count: the first gives up, then the fallback runs out
-    cap = (norms.LANCZOS_FIRST_NCV * (norms.LANCZOS_FIRST_MAXITER + 1)
-           + norms.LANCZOS_NCV * (norms.LANCZOS_MAXITER + 1))
+    # every restart refills the basis, then the explicit residual
+    cap = norms.LANCZOS_NCV * (norms.LANCZOS_MAXITER + 1) + 1
     assert rep.method["iterations"] <= cap
 
 
-def test_easy_form_norm_stops_in_first_rung():
+def test_easy_form_norm_stops_at_first_check():
     mesh = build_mesh(UNIT, 64)
     op = assemble_base(OperatorSpec(UNIT), mesh)
     v = CoefficientField(1, lambda x: np.sin(x[..., 0] / 0.05), 1.0, UNIT)
     x = assemble_perturbation(op.space, v=v, refine=4).matrix
     rep = norm_v_to_vstar(x, op.gram_h1)
-    assert op.dof > norms.LANCZOS_FIRST_NCV
-    # one full first basis, one more application and the explicit residual
-    assert rep.method["iterations"] <= norms.LANCZOS_FIRST_NCV + 2
+    assert op.dof > norms.LANCZOS_NCV
+    # one full basis, one more application and the explicit residual
+    assert rep.method["iterations"] <= norms.LANCZOS_NCV + 2
     assert rep.value == pytest.approx(
         dense_v_to_vstar(x.toarray(), op.gram_h1.toarray()), rel=2e-8)
     assert not rep.flagged
@@ -133,24 +132,24 @@ def test_easy_form_norm_stops_in_first_rung():
 
 def _close_top_form(n=200):
     # diagonal form whose two top values lie 1e-4 apart: too close for the
-    # first basis, resolved by the fallback within its restarts
+    # first check, resolved by restarts of the same basis
     return sp.diags(np.r_[1.0, 1.0 - 1e-4, np.linspace(0.9, 0.1, n - 2)]) \
         .tocsr()
 
 
-def test_close_top_falls_back_and_matches_dense():
+def test_close_top_restarts_and_matches_dense():
     x, s = _close_top_form(), sp.identity(200, format="csr")
     rep = norm_v_to_vstar(x, s)
-    # the fallback alone builds a basis of LANCZOS_NCV vectors
-    assert rep.method["iterations"] > norms.LANCZOS_NCV
+    # more than one full basis: Lanczos restarted
+    assert rep.method["iterations"] > norms.LANCZOS_NCV + 2
     assert rep.method["converged"] == "residual"
     assert not rep.flagged
     assert rep.value == pytest.approx(
         dense_v_to_vstar(x.toarray(), s.toarray()), rel=2e-8)
 
 
-def test_fallback_is_the_single_wide_lanczos_call():
-    # the same v0, tolerance and restart generator as the fallback rung
+def test_norm_is_the_single_lanczos_call():
+    # the same v0, basis, tolerance, restart cap and restart generator
     x, seed = _close_top_form(), 1234
     xh = x.getH().tocsr()
     rep = norm_v_to_vstar(x, sp.identity(200, format="csr"), seed=seed)
