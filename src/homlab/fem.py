@@ -12,7 +12,8 @@ sparse LU factorization with compensated-residual iterative refinement, so
 forward errors sit near machine precision even on fine meshes.  The solver
 takes real forms only; loads may be complex.  A refined solve takes a
 column block of loads (n, k); each column gets the same bits as a solve of
-a block holding that column alone.
+a block holding that column alone, and only the columns that the second
+refinement pass moves get a third residual.
 
 The compensated residual is built from error-free transformations:
 TwoProduct with Dekker-split factors (the matrix diagonals are split once
@@ -327,14 +328,18 @@ class LinearSolver:
     are split into Dekker halves once, here.
 
     The refined solves take a block of loads (n, k) and solve A x = b.  A
-    block is held column-contiguous and every column gets the same two
-    refinement passes, so each column gets the bits of its own solve.  On
+    block is held column-contiguous and every column gets two refinement
+    passes.  The second pass's residual and correction are also what a
+    third residual and its LU solve would give for a column the pass left
+    unchanged, so only the columns it moved get those two steps again, at
+    their own width; each column still gets the bits of its own solve.  On
     the shipped resolvent configs the first pass reaches working precision
     and the second moves no bit; it is the margin for a worse-conditioned
     form, and the callers' residual contract catches a solve left short.
     The solver keeps no state between calls: solve returns the final
-    residual block with the solution, and solve_pair returns its column
-    norms for cheap downstream checks.
+    residual block and the sub-ulp correction with the solution, and
+    solve_pair returns the residual's column norms for cheap downstream
+    checks.
     """
 
     def __init__(self, matrix):
@@ -381,29 +386,40 @@ class LinearSolver:
         return (r[0] + 1j * r[1]).T
 
     def solve(self, rhs):
-        """Refined solve of a load block (n, k): the solution after two
-        refinement passes and its compensated residual, both (n, k)."""
+        """Refined solve of a load block (n, k).
+
+        Returns (x, residual, x_lo), each (n, k): the solution after two
+        refinement passes, its compensated residual, and the LU solve of
+        that residual, the correction living below the solution's last
+        bit.  A column that the second pass leaves bit for bit unchanged
+        keeps the pass's own residual and correction; bits, not values,
+        are compared, so a zero that changes sign counts as moved.
+        """
         b = np.asfortranarray(rhs, dtype=complex)
         x = np.asfortranarray(self.lu.solve(b))
         if not np.all(np.isfinite(x)):
             raise NumericalBreach("factorization produced non-finite solution")
-        for _ in range(2):
-            x += self.lu.solve(self._dd_residual(b, x))
-        return x, self._dd_residual(b, x)
+        x += self.lu.solve(self._dd_residual(b, x))
+        r = self._dd_residual(b, x)
+        x_lo = self.lu.solve(r)
+        last, x = x, x + x_lo
+        moved = np.flatnonzero(
+            (x.T.view(np.uint64) != last.T.view(np.uint64)).any(axis=1))
+        if moved.size:
+            r[:, moved] = self._dd_residual(b[:, moved], x[:, moved])
+            x_lo[:, moved] = self.lu.solve(r[:, moved])
+        return x, r, x_lo
 
     def solve_pair(self, rhs):
         """Refined solve plus the correction living below its last bit.
 
-        One more LU pass against the compensated residual of the
-        refined iterate, the one its solve has just measured, recovers
-        the part of the solution that double precision cannot store.
         Callers that difference two nearby solutions add the corrections
         back in, which keeps the trailing digits of the difference that
         would otherwise drown in the iterates' own rounding.  Returns
         (x, x_lo, residual norms), one norm per column.
         """
-        x, r = self.solve(rhs)
-        return x, self.lu.solve(r), np.array(column_norms(r))
+        x, r, x_lo = self.solve(rhs)
+        return x, x_lo, np.array(column_norms(r))
 
     def quick(self, rhs, adjoint=False):
         """Single unrefined LU solve, for the operators whose norms are

@@ -25,8 +25,11 @@ from .norms import (Space, _hermitian_part, _witness, induced_norm,
                     norm_v_to_vstar, smallest_eigenvalue)
 
 SOLVE_RTOL = 1e-10
-# entries per column block of identity_residual's loads: 2**14 solved the
-# 2559-dof rows faster but raised a resolvent study's peak memory by 10 MB
+# entries per column block of identity_residual's loads.  Wider blocks
+# trade memory for time (resolvent_mix benchmark, 5 runs each, 2-core x86
+# VM): 2**13 cut wall_s by 5% for 3 MB more peak RSS, 2**14 by 7% for
+# 11 MB more; the 2559-dof rows, at width 1 here, took 93 ms at 2**12 and
+# 94 ms at 2**14 (median of 40 interleaved calls)
 IDENTITY_BLOCK = 2 ** 12
 
 

@@ -253,7 +253,7 @@ def test_complex_form_raises():
     with pytest.raises(NumericalBreach, match="nonzero imaginary entry"):
         LinearSolver(a)
     b = np.array([[1.0j], [1.0]])
-    x, _ = LinearSolver(a.real).solve(b)
+    x, _, _ = LinearSolver(a.real).solve(b)
     assert np.allclose(a.real @ x, b, rtol=0, atol=1e-15)
 
 
@@ -389,8 +389,9 @@ def test_block_solve_equals_column_solves():
     x, x_lo, res = solver.solve_pair(b)
     assert x.shape == x_lo.shape == (n, 4) and res.shape == (4,)
     for j in range(4):
-        xj, rj = solver.solve(b[:, j:j + 1])
+        xj, rj, xj_lo = solver.solve(b[:, j:j + 1])
         assert np.array_equal(x[:, j:j + 1], xj)
+        assert np.array_equal(x_lo[:, j:j + 1], xj_lo)
         assert column_norms(rj) == [res[j]]
         xj, xj_lo, resj = solver.solve_pair(b[:, j:j + 1])
         assert np.array_equal(x[:, j:j + 1], xj)
@@ -398,14 +399,89 @@ def test_block_solve_equals_column_solves():
         assert resj[0] == res[j]
 
 
-def test_solve_pair_reuses_the_final_residual(monkeypatch):
+def _near_singular_laplacian(n, delta):
+    """tridiag(-1, 2, -1) shifted to within delta of its lowest
+    eigenvalue, so its condition number is about 4 / delta."""
+    lam = 4.0 * np.sin(np.pi / (2 * (n + 1))) ** 2
+    return tridiag(n, -1.0, 2.0 - lam + delta, -1.0)
+
+
+def _moves_in_pass_two(n_rhs=5, zero=2):
+    """A near-singular form and a load block whose random columns the
+    second refinement pass moves; the zero-load column it does not."""
+    rng = np.random.default_rng(23)
+    n = 60
+    a = _near_singular_laplacian(n, 1e-9)
+    b = np.asfortranarray(rng.standard_normal((n, n_rhs))
+                          + 1j * rng.standard_normal((n, n_rhs)))
+    b[:, zero] = 0.0
+    return a, b
+
+
+def _ref_refined_solve(solver, a, b):
+    """The refined solve of one load as first written: two passes, then a
+    third residual and its LU solve for the sub-ulp correction."""
+    x = solver.lu.solve(b)
+    steps = [x]
+    for _ in range(2):
+        x = x + solver.lu.solve(_ref_dd_residual(a, b, x))
+        steps.append(x)
+    r = _ref_dd_residual(a, b, x)
+    return steps, r, solver.lu.solve(r)
+
+
+def _same_bits(u, v):
+    return np.array_equal(u.view(np.uint64), v.view(np.uint64))
+
+
+def test_second_pass_matches_three_residual_reference(monkeypatch):
+    a, b = _moves_in_pass_two()
+    solver = LinearSolver(sp.csr_matrix(a))
+    refs = [_ref_refined_solve(solver, a, b[:, j]) for j in range(5)]
+    # the premise: pass 2 moves every random column and not the zero one
+    moved = [not _same_bits(steps[1], steps[2]) for steps, _, _ in refs]
+    assert moved == [True, True, False, True, True]
+
+    lu_widths = []
+    inner_lu = solver.lu
+
+    class CountedLU:
+        def solve(self, rhs):
+            lu_widths.append(rhs.shape[1])
+            return inner_lu.solve(rhs)
+
+    monkeypatch.setattr(solver, "lu", CountedLU())
+    widths = _passes_per_call(solver, monkeypatch)
+    x, r, x_lo = solver.solve(b)
+    # the moved columns get the third residual and LU solve at width 4
+    assert widths == [5, 5, 4]
+    assert lu_widths == [5, 5, 5, 4]
+    px, px_lo, res = solver.solve_pair(b)
+    for j, (steps, r_ref, lo_ref) in enumerate(refs):
+        for got in (x, px):
+            assert _same_bits(got[:, j], steps[2])
+        for got in (x_lo, px_lo):
+            assert _same_bits(got[:, j], lo_ref)
+        assert _same_bits(r[:, j], r_ref)
+        assert res[j] == float(np.linalg.norm(r_ref))
+
+
+def test_third_residual_covers_only_the_moved_columns(monkeypatch):
+    # a block that pass 2 leaves unchanged takes two residuals, in solve
+    # and solve_pair alike
     rng = np.random.default_rng(19)
     n = 40
     solver = LinearSolver(sp.csr_matrix(_wide_banded(rng, n)))
-    b = rng.standard_normal((n, 1)) + 1j * rng.standard_normal((n, 1))
+    b = rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3))
     widths = _passes_per_call(solver, monkeypatch)
     solver.solve(b)
-    alone = len(widths)
+    assert widths == [3, 3]
     widths.clear()
     solver.solve_pair(b)
-    assert len(widths) == alone
+    assert widths == [3, 3]
+    # on a near-singular form the third residual takes the moved columns
+    a, b = _moves_in_pass_two(n_rhs=3, zero=0)
+    solver = LinearSolver(sp.csr_matrix(a))
+    widths = _passes_per_call(solver, monkeypatch)
+    solver.solve_pair(b)
+    assert widths == [3, 3, 2]

@@ -85,13 +85,35 @@ def test_bench_kappa(benchmark, eps, dof):
     assert rep.method["iterations"] <= FIRST_RUNG
 
 
+# a refined solve on these rows: the second refinement pass moves no bit,
+# so it takes the residuals of its two passes and no third one.  Counted
+# outside the timed rounds; a regression fails here even when the timings
+# are noisy
+RESIDUALS_PER_SOLVE = 2
+
+
+def _counted(method, calls, name):
+    def wrapper(*args, **kwargs):
+        calls[name] += 1
+        return method(*args, **kwargs)
+    return wrapper
+
+
 @pytest.mark.parametrize("eps, dof", SIZES)
-def test_bench_identity_residual(benchmark, eps, dof):
+def test_bench_identity_residual(benchmark, eps, dof, monkeypatch):
     # 20 loads, three refined solves each, in column blocks
     ctx = context_from_setting(_stabilizing_setting(eps, dof), -1.0)
     err = benchmark.pedantic(identity_residual, args=(ctx,), rounds=5,
                              iterations=1)
     assert err <= 1e-15
+    calls = {"solve_pair": 0, "_dd_residual": 0}
+    for solver in (ctx.solver0, ctx.solver_eps):
+        for name in calls:
+            monkeypatch.setattr(solver, name,
+                                _counted(getattr(solver, name), calls, name))
+    assert identity_residual(ctx) == err
+    assert calls["solve_pair"] > 0
+    assert calls["_dd_residual"] == RESIDUALS_PER_SOLVE * calls["solve_pair"]
 
 
 # criterion_report on rows of sign_criterion (1D, many small cells batched
