@@ -37,9 +37,10 @@ def _build_parser():
         p.add_argument("--out", default=None,
                        help="output CSV path ('-' for stdout; default from "
                             "output.csv in the config)")
-        # perfbench/child.py passes --threads 1 (ROADMAP item 7)
-        p.add_argument("--threads", type=int, default=1,
-                       help="worker threads for schedule rows (default 1)")
+        # rows run in one thread; perfbench/child.py still passes
+        # --threads 1 (ROADMAP item 7)
+        p.add_argument("--threads", type=int, default=1, choices=(1,),
+                       help=argparse.SUPPRESS)
         p.add_argument("--seed", type=int, default=1234,
                        help="base seed for iterative norms (default 1234)")
         p.add_argument("--verbose", action="store_true")
@@ -123,7 +124,7 @@ def _run_kind(kind, args):
         raise ConfigError(
             "no output path: pass --out or set output.csv in the config"
         )
-    result = run_study(kind, cfg, seed=args.seed, threads=args.threads)
+    result = run_study(kind, cfg, seed=args.seed)
     if out == "-":
         sys.stdout.write(study_mod.render_csv(result))
     else:

@@ -346,6 +346,6 @@ def find_lambda(forms, gram_l2s, S_list, lambda_start=-1.0, c4_min=0.05,
             return CoercivityReport(lambda0=lam, c4=min(c4s), per_eps=c4s)
         lam *= 2.0
     raise CoercivityError(
-        f"no coercive shift above {lambda_abort}: the numerical range "
-        "cone never cleared the threshold"
+        f"no shift on the doubling path above lambda_abort = {lambda_abort} "
+        f"kept every form's certified c at or above c4_min = {c4_min}"
     )

@@ -1,23 +1,19 @@
 """Config-driven studies producing deterministic CSV tables.
 
 A study maps a decreasing epsilon schedule (or a series-order schedule)
-to one measurement row per entry.  Rows are computed independently, so
-they parallelize over threads without changing the output bytes: every
-row gets its seed from the base seed and its schedule index, and rows
-are written in schedule order regardless of completion order.
+to one measurement row per entry, computed in schedule order.  Every row
+gets its seed from the base seed and its schedule index.
 
 Import boundary: the criterion and homogenize studies need only cell
 quadrature, so this module does not import fem, norms or resolvent, and
 through them SciPy, when it loads.  The norm, resolvent and neumann
-studies import what they use at the top of their own body, in the
-calling thread, before any row worker starts: a first import never runs
-inside a worker, and a cell-criterion run starts without SciPy's import
-cost.
+studies import what they use at the top of their own body, so SciPy
+loads only when a discretizing study starts, and a cell-criterion run
+starts without its import cost.
 """
 
 import math
-from concurrent.futures import ThreadPoolExecutor, as_completed
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,7 +42,6 @@ class StudyResult:
     rows: tuple
     footer: tuple = ()
     echo: tuple = ()
-    meta: dict = dc_field(default_factory=dict)
 
 
 def fit_rate(eps_values, values):
@@ -145,19 +140,6 @@ def read_csv(path):
     return fieldnames, rows, comments
 
 
-def _parallel(items, fn, threads):
-    """Index-ordered map, optionally over a thread pool."""
-    items = list(items)
-    if threads and threads > 1 and len(items) > 1:
-        out = [None] * len(items)
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            futures = {ex.submit(fn, i, item): i for i, item in enumerate(items)}
-            for fut in as_completed(futures):
-                out[futures[fut]] = fut.result()
-        return out
-    return [fn(i, item) for i, item in enumerate(items)]
-
-
 def _schedule(cfg):
     eps = cfg.get_floats("schedule.eps")
     if any(e <= 0 for e in eps):
@@ -208,7 +190,7 @@ def _criterion_exponents(cfg):
                           criteria.DEFAULT_ETA_EXPONENTS)
 
 
-def criterion_study(cfg, seed=1234, threads=1):
+def criterion_study(cfg, seed=1234):
     """Optimized cell-criterion table over the epsilon schedule."""
     family = registry.build_family(cfg)
     schedule = _schedule(cfg)
@@ -219,9 +201,10 @@ def criterion_study(cfg, seed=1234, threads=1):
                           "it from the family)")
     refine = refine or None
 
-    def one(i, eps):
+    rows = []
+    for eps in schedule:
         eta, rep = criteria.optimize_eta(family, eps, exponents, refine=refine)
-        return {
+        rows.append({
             "eps": eps,
             "eta": eta,
             "rho1": rep.rho1,
@@ -231,9 +214,7 @@ def criterion_study(cfg, seed=1234, threads=1):
             "quad_error": rep.quad_error,
             "cell_count": rep.cell_count,
             "predicted": family.rate(eps),
-        }
-
-    rows = _parallel(schedule, one, threads)
+        })
     eps_col = [r["eps"] for r in rows]
     footer = [
         _fit_line("bound_m1m1", eps_col, [r["bound_m1m1"] for r in rows]),
@@ -245,11 +226,10 @@ def criterion_study(cfg, seed=1234, threads=1):
         rows=tuple(rows),
         footer=tuple(footer),
         echo=tuple(cfg.echo()),
-        meta={"family": family.name},
     )
 
 
-def homogenize_study(cfg, seed=1234, threads=1):
+def homogenize_study(cfg, seed=1234):
     """Local-mean limit identification against the declared limit.
 
     A row with no sampled window has a nan gap, and a nan gap at the final
@@ -304,11 +284,10 @@ def homogenize_study(cfg, seed=1234, threads=1):
         rows=tuple(rows),
         footer=tuple(footer),
         echo=tuple(cfg.echo()),
-        meta={"family": family.name, "consistent": consistent},
     )
 
 
-def norm_study(cfg, seed=1234, threads=1):
+def norm_study(cfg, seed=1234):
     """Multiplier norms of the deviation components per epsilon.
 
     Measures the assembled difference form against the triangle-type
@@ -379,7 +358,7 @@ def norm_study(cfg, seed=1234, threads=1):
         row["within_budget"] = int(fits and not flagged and not capped)
         return row, fits, {"flagged": flagged, "capped": capped}
 
-    results = _parallel(schedule, one, threads)
+    results = [one(i, eps) for i, eps in enumerate(schedule)]
     rows = [row for row, _, _ in results]
     eps_col = [r["eps"] for r in rows]
     footer = [
@@ -399,7 +378,6 @@ def norm_study(cfg, seed=1234, threads=1):
         rows=tuple(rows),
         footer=tuple(footer),
         echo=tuple(cfg.echo()),
-        meta={"family": family.name},
     )
 
 
@@ -431,7 +409,7 @@ def _resolve_shift(cfg, settings):
     return lam, None
 
 
-def resolvent_study(cfg, seed=1234, threads=1):
+def resolvent_study(cfg, seed=1234):
     """Resolvent-difference convergence over the epsilon schedule."""
     from .resolvent import (assemble_setting, convergence_row,
                             convergence_verdict)
@@ -443,20 +421,12 @@ def resolvent_study(cfg, seed=1234, threads=1):
     opts = _mesh_opts(cfg)
     exponents = _criterion_exponents(cfg)
 
-    settings = _parallel(
-        schedule,
-        lambda i, eps: assemble_setting(op_spec, family, eps, **opts),
-        threads,
-    )
+    settings = [assemble_setting(op_spec, family, eps, **opts)
+                for eps in schedule]
     lam, coercivity = _resolve_shift(cfg, settings)
-
-    def one(i, pair):
-        eps, setting = pair
-        return convergence_row(family, eps, lam, setting,
-                               seed=seed + 1000 * i,
-                               eta_exponents=exponents)
-
-    rows = _parallel(zip(schedule, settings), one, threads)
+    rows = [convergence_row(family, eps, lam, setting, seed=seed + 1000 * i,
+                            eta_exponents=exponents)
+            for i, (eps, setting) in enumerate(zip(schedule, settings))]
     verdict, detail = convergence_verdict(rows)
     eps_col = [r["eps"] for r in rows]
     max_identity = max(r["identity_err"] for r in rows)
@@ -487,11 +457,10 @@ def resolvent_study(cfg, seed=1234, threads=1):
         rows=tuple(rows),
         footer=tuple(footer),
         echo=tuple(cfg.echo()),
-        meta={"family": family.name, "verdict": verdict},
     )
 
 
-def neumann_study(cfg, seed=1234, threads=1):
+def neumann_study(cfg, seed=1234):
     """Truncated-series error table at one fixed epsilon."""
     from .resolvent import (assemble_setting, context_from_setting,
                             truncation_study)
@@ -531,7 +500,6 @@ def neumann_study(cfg, seed=1234, threads=1):
         rows=tuple(rows),
         footer=tuple(footer),
         echo=tuple(cfg.echo()),
-        meta={"family": family.name, "report": rep},
     )
 
 
@@ -544,9 +512,8 @@ _RUNNERS = {
 }
 
 
-def run_study(kind, cfg, seed=1234, threads=1):
-    """Dispatch one study kind with the base seed and row thread count of
-    the --seed and --threads flags.
+def run_study(kind, cfg, seed=1234):
+    """Dispatch one study kind with the base seed of the --seed flag.
 
     Keys the study never read are rejected once it returns, so a
     misspelled key fails instead of running with the default.
@@ -559,10 +526,8 @@ def run_study(kind, cfg, seed=1234, threads=1):
             f"config declares study.kind = {declared}, but the {kind} "
             "study was requested"
         )
-    if threads < 1:
-        raise ConfigError("--threads must be at least 1")
     if seed < 0:
         raise ConfigError(f"--seed must be nonnegative, got {seed}")
-    result = _RUNNERS[kind](cfg, seed=seed, threads=threads)
+    result = _RUNNERS[kind](cfg, seed=seed)
     cfg.check_all_used()
     return result

@@ -345,10 +345,20 @@ def test_report_default_svg_name(tmp_path, crit_cfg):
 
 
 def test_seed_and_threads_flags_accepted(tmp_path, crit_cfg):
-    out = tmp_path / "a.csv"
-    code = main(["criterion", "--config", str(crit_cfg), "--out", str(out),
-                 "--seed", "9", "--threads", "2", "--verbose"])
-    assert code == 0
+    # perfbench/child.py's flags; --threads 1 changes no byte
+    flagged, plain = tmp_path / "a.csv", tmp_path / "b.csv"
+    run = ["criterion", "--config", str(crit_cfg), "--seed", "9"]
+    assert main([*run, "--out", str(flagged), "--threads", "1",
+                 "--verbose"]) == 0
+    assert main([*run, "--out", str(plain)]) == 0
+    assert flagged.read_bytes() == plain.read_bytes()
+
+
+def test_threads_other_than_one_exits_2(crit_cfg):
+    with pytest.raises(SystemExit) as exc:
+        main(["criterion", "--config", str(crit_cfg), "--out", "-",
+              "--threads", "2"])
+    assert exc.value.code == 2
 
 
 def _fresh_python(args, blas_threads):
@@ -398,10 +408,10 @@ for argv in runs:
     assert main(argv) == 0, argv
     print("loaded:", *sorted(m for m in sys.modules
                               if m.startswith(("scipy", "homlab.", "xml.",
-                                               "urllib."))))
+                                               "urllib.", "concurrent."))))
 """
 HEAVY = ("homlab.fem", "homlab.norms", "homlab.resolvent", "xml.sax",
-         "urllib.request")
+         "urllib.request", "concurrent.futures")
 
 
 def test_cell_criterion_runs_load_no_scipy(tmp_path):
@@ -416,12 +426,3 @@ def test_cell_criterion_runs_load_no_scipy(tmp_path):
                     if m.startswith("scipy") or m in HEAVY]
     # the boundary is real: a discretizing study does load SciPy
     assert "scipy" in after_norm and "homlab.fem" in after_norm
-
-
-def test_first_fe_import_under_row_threads_keeps_bytes():
-    # from a fresh interpreter the FE layer first loads inside the
-    # resolvent study, before any row worker starts
-    args = ["-m", "homlab.cli", "resolvent", "--out", "-",
-            "--config", str(ROOT / "configs" / "sin_resolvent.cfg")]
-    assert (_fresh_python([*args, "--threads", "2"], None)
-            == _fresh_python([*args, "--threads", "1"], None))

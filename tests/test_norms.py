@@ -361,7 +361,9 @@ def test_find_lambda_gives_up_at_abort_threshold():
     op = assemble_base(OperatorSpec(UNIT), mesh)
     k = (op.gram_h1 - op.gram_l2).tocsr()
     form = (k - 1e7 * op.gram_l2).tocsr()
-    with pytest.raises(CoercivityError):
+    with pytest.raises(CoercivityError, match=r"above lambda_abort = "
+                       r"-1000\.0 kept every form's certified c at or "
+                       r"above c4_min = 0\.05"):
         find_lambda([form], [op.gram_l2], [op.gram_h1], lambda_abort=-1e3)
 
 
@@ -408,7 +410,7 @@ def _dense_lambda_mins(forms, masses, grams, lam):
 
 
 @pytest.mark.parametrize("seed", [1, 7])
-def test_find_lambda_random_rotation_passes_cone_check(seed):
+def test_find_lambda_random_rotation_keeps_c4_below_dense_lambda_min(seed):
     # two realizations w0 of the rotation family; the witness inside
     # find_lambda raises if c4 overshoots any form's lambda_min
     forms, masses, grams = _shift_search_forms("random_resolvent", (0.1,),
