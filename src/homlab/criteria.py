@@ -130,8 +130,7 @@ def worst_gap(pairs):
                 if a is not None and b is not None), default=math.nan)
 
 
-def local_mean_limit(family, eps_schedule, mu_rule=None, sample_points=33,
-                     refine=None):
+def local_mean_limit(family, eps_schedule, mu_rule, sample_points=33):
     """Reconstruct the limit potential from shrinking local means.
 
     For each scheduled eps the candidate limit at a grid point x is the
@@ -146,7 +145,6 @@ def local_mean_limit(family, eps_schedule, mu_rule=None, sample_points=33,
     """
     if len(eps_schedule) < 2:
         raise ValueError("local mean limit needs at least two eps entries")
-    mu_rule = mu_rule or (lambda eps: math.sqrt(eps))
     box = family.domain
     dim = family.dim
     axes = [
@@ -162,7 +160,7 @@ def local_mean_limit(family, eps_schedule, mu_rule=None, sample_points=33,
     skipped_all = []
     for eps in eps_schedule:
         mu = float(mu_rule(eps))
-        r = refine or default_refine(mu, family.finest_scale(eps))
+        r = default_refine(mu, family.finest_scale(eps))
         inside = np.all((grid >= lower) & (grid + mu <= upper), axis=1)
         vals = [None] * len(grid)
         # mean over x + mu*(0,1)^d as a unit lattice cell at scale mu

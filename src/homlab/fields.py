@@ -11,6 +11,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
+SUP_SAMPLES = 257
+
 
 @dataclass(frozen=True)
 class Box:
@@ -121,10 +123,10 @@ def gram_field(q):
     return CoefficientField(q.dim, func, q.sup_bound ** 2, q.domain)
 
 
-def sampled_sup(field_, box, per_axis=257):
-    """Sup of |field| over a tensor sample grid (diagnostic, not certified)."""
+def sampled_sup(field_, box):
+    """Sup of |field| on SUP_SAMPLES points per axis (not certified)."""
     axes = [
-        np.linspace(box.lower[j], box.upper[j], per_axis)
+        np.linspace(box.lower[j], box.upper[j], SUP_SAMPLES)
         for j in range(box.dim)
     ]
     mesh = np.meshgrid(*axes, indexing="ij")

@@ -11,32 +11,32 @@ slowest, so its points fall into blocks: runs of the last axis, each as
 long as the 1D rule.  The sum over a cell has two fixed levels.  Each
 block is summed on its own against its weights, and the cell's
 integral is one reduction over the complete array of its block sums.  A
-block is never split between two sums, and a 1D cell is a single block.
+1D cell is a single block.
 
 cell_integral takes a stack of cell indices (C, d), and a single cell
-is a stack of one.  Every field evaluation takes at most CHUNK_POINTS
-rule points: a batch of whole cells when a cell has fewer, else as many
-whole blocks of one cell as fit, else a slice of one block.  The value
-buffers hold whole blocks, at most max(CHUNK_POINTS, one block) points,
-whatever the cell size, so a cell's result is the same bits as in a
-stack of that cell alone and whatever the chunking.  On request the same
-field values also give the integrals of |field|^2.  The 1D Gauss rule is
-memoized per (refine, order); a slice's points are copies of its nodes,
-and a block's weights are the products of its factor and the 1D
-weights, both built per buffer fill, so no array of a whole cell's
-weights is built either.
+is a stack of one.  Every field evaluation is a run of whole blocks of
+at most CHUNK_POINTS points: a batch of whole cells when a cell has
+fewer, else as many whole blocks of one cell as fit.  CHUNK_POINTS is
+the length of a block at MAX_REFINE, the finest rule cell_integral
+takes, so a block is never split, and a cell's result is the same bits
+as in a stack of that cell alone and whatever the chunking.  On request
+the same field values also give the integrals of |field|^2.  Only the
+1D Gauss nodes of each order are cached; the composite rule, a fill's
+points and its block weights are built afresh, so no array of a whole
+cell's points or weights is built.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 MAX_REFINE = 4096
 GAUSS_ORDER = 4
-# most rule points of one field evaluation: whole cells, or a slice of one
-CHUNK_POINTS = 2 ** 14
+# most rule points of one field evaluation: whole cells, or whole blocks
+# of one cell; the longest block fits exactly
+CHUNK_POINTS = GAUSS_ORDER * MAX_REFINE
 
 
 def _affine_points(cols, mat, shifts):
@@ -45,7 +45,7 @@ def _affine_points(cols, mat, shifts):
 
     The sum runs over j in a fixed order: a BLAS product can round a row
     differently by its position in the stack, and a cell's points must
-    not depend on the stack or slice they are built in.
+    not depend on the stack or block range they are built in.
     """
     k, dim = len(cols[0]), len(cols)
     out = np.empty((len(shifts), k, dim))
@@ -124,57 +124,44 @@ def cells_inside(lattice, eta, box):
     return tuple(map(tuple, zs[inside].tolist()))
 
 
-@lru_cache(maxsize=64)
-def _panel_rule(refine, order=GAUSS_ORDER):
-    """Composite Gauss rule of `order` nodes on [0,1] with `refine` subcells.
+# Gauss nodes and weights per order, shared, so never written to; two
+# orders are used: GAUSS_ORDER, and 2 for the refine-1 estimate
+_gauss = cache(leggauss)
 
-    Memoized, so the returned arrays are read-only.
-    """
-    nodes, weights = leggauss(order)
+
+def _panel_rule(refine, order=GAUSS_ORDER):
+    """Composite Gauss rule of `order` nodes on [0,1], `refine` subcells."""
+    nodes, weights = _gauss(order)
     h = 1.0 / refine
     starts = np.arange(refine) * h
     pts = (starts[:, None] + (nodes[None, :] + 1.0) * (h / 2.0)).ravel()
     wts = np.tile(weights * (h / 2.0), refine)
-    pts.flags.writeable = False
-    wts.flags.writeable = False
     return pts, wts
 
 
-def _block_weights(dim, refine, order=GAUSS_ORDER):
-    """Weight factor of each block of the d-fold tensor rule, first axis
-    slowest: the product of its weights along the first d - 1 axes, left
-    to right, so a block's weights are this factor times the 1D weights.
-    A 1D rule is one block of factor 1."""
-    _, wts1 = _panel_rule(refine, order)
+def _block_weights(dim, wts1):
+    """Weight factor of each block of the d-fold tensor rule over the 1D
+    weights wts1, first axis slowest: the product of its weights along
+    the first d - 1 axes, left to right, so a block's weights are this
+    factor times wts1.  A 1D rule is one block of factor 1."""
     wts = np.ones(1)
     for _ in range(dim - 1):
         wts = np.multiply.outer(wts, wts1).ravel()
     return wts
 
 
-def _axis_nodes(pts1, q, start, stop):
-    """Coordinates along one axis of the tensor-rule points start:stop,
-    for the axis whose node index, (k // q) mod len(pts1), steps every q
-    points: copies of the nodes, without integer arithmetic per point."""
-    first, last = start // q, (stop - 1) // q
-    nodes = np.resize(np.roll(pts1, -first), last - first + 1)
-    if q == 1:
-        return nodes
-    counts = np.full(len(nodes), q)
-    counts[0] -= start - first * q
-    counts[-1] -= (last + 1) * q - stop
-    return np.repeat(nodes, counts)
-
-
-def _rule_points(pts1, span, origins, start, stop):
-    """Points start:stop of the d-fold tensor rule over the 1D nodes pts1,
-    first axis slowest, in each cell origins[c] + span (0,1)^d: shape
-    (C * (stop - start), d), cell after cell.  The unmapped points are
-    copies of 1D nodes, so every slice has the same rows as the whole
-    rule."""
-    dim = len(span)
-    cols = [_axis_nodes(pts1, len(pts1) ** (dim - 1 - a), start, stop)
-            for a in range(dim)]
+def _rule_points(pts1, span, origins, first, count):
+    """Points of the blocks first:first + count of the d-fold tensor rule
+    over the 1D nodes pts1, first axis slowest, in each cell origins[c] +
+    span (0,1)^d: shape (C * count * len(pts1), d), cell after cell.  The
+    first d - 1 coordinates of a block are the nodes its index's base
+    len(pts1) digits pick, and the last axis runs over pts1, so every
+    block range has the same rows as the whole rule."""
+    dim, size = len(span), len(pts1)
+    blocks = np.arange(first, first + count)
+    cols = [np.repeat(pts1[blocks // size ** (dim - 2 - a) % size], size)
+            for a in range(dim - 1)]
+    cols.append(np.tile(pts1, count))
     return _affine_points(cols, span, origins)
 
 
@@ -186,25 +173,24 @@ def _rule_integrals(field_, origins, span, refine, order, squares):
     factor and the 1D weights; then each cell's complete array of block
     sums is reduced once and scaled by the Jacobian.  A batch holds as
     many whole cells as one field evaluation of at most CHUNK_POINTS
-    points takes, or else one cell.  The value buffers are filled with
-    whole blocks, by one evaluation or, when a block has more than
-    CHUNK_POINTS points, by several, so no block is split between two
-    sums and a cell's integral does not depend on the chunking or on the
-    other cells.  squares=True adds the integrals of |field|^2 taken from
-    the same values.
+    points takes, or else one cell.  Every buffer fill is one evaluation
+    of whole blocks: all of a batch's, or as many of its one cell's as
+    CHUNK_POINTS takes, at least one, since a block at MAX_REFINE has
+    CHUNK_POINTS points.  So no block is split between two sums, and a
+    cell's integral does not depend on the chunking or on the other
+    cells.  squares=True adds the integrals of |field|^2 taken from the
+    same values.
     """
     dim = span.shape[0]
     pts1, wts1 = _panel_rule(refine, order)
     size = len(pts1)  # rule points of a block
-    factors = _block_weights(dim, refine, order)
+    factors = _block_weights(dim, wts1)
     blocks = len(factors)
-    m = blocks * size
+    step = max(1, CHUNK_POINTS // (blocks * size))  # whole cells per batch
+    # whole blocks of each cell per fill: all of them when a batch holds
+    # whole cells, else as many as one evaluation takes
+    per = min(blocks, CHUNK_POINTS // size)
     jac = abs(float(np.linalg.det(span)))
-    step = max(1, CHUNK_POINTS // m)  # whole cells per batch
-    # whole blocks of each cell per buffer fill: all of them when a batch
-    # holds whole cells, else as many as one evaluation takes, else one
-    per = min(blocks, max(1, CHUNK_POINTS // size))
-    piece = min(per * size, CHUNK_POINTS)  # points of a cell per evaluation
     cap = min(step, len(origins))
     # the |field|^2 buffer is kept complex like the values: einsum sums
     # a real buffer with another kernel, which rounds differently in the
@@ -216,17 +202,13 @@ def _rule_integrals(field_, origins, span, refine, order, squares):
     for a in range(0, len(origins), step):
         cells = origins[a:a + step]
         c = len(cells)
-        flat = [buf[:c].reshape(c, per * size) for buf in bufs]
         for b in range(0, blocks, per):
             k = min(per, blocks - b)  # whole blocks in this fill
-            for s in range(0, k * size, piece):
-                stop = min(s + piece, k * size)
-                pts = _rule_points(pts1, span, cells, b * size + s,
-                                   b * size + stop)
-                v = field_(pts).reshape(c, -1)
-                flat[0][:, s:stop] = v
-                if squares:
-                    flat[1][:, s:stop] = np.abs(v) ** 2
+            v = field_(_rule_points(pts1, span, cells, b, k))
+            v = v.reshape(c, k, size)
+            bufs[0][:c, :k] = v
+            if squares:
+                bufs[1][:c, :k] = np.abs(v) ** 2
             # row j holds the weights of block b + j
             wts = np.multiply.outer(factors[b:b + k], wts1)
             for buf, sums in zip(bufs, block_sums):
@@ -255,17 +237,20 @@ def cell_integral(lattice, z, eta, field_, refine, squares=False):
     is a two-level sum: one sum per block of its tensor rule (a run of the
     last axis), then one reduction over all of its block sums.  A block
     is never split between two sums, and a 1D cell is a single block.
-    The field is called on at most CHUNK_POINTS points at a time, and no
-    cell's result depends on that chunking or on the other cells of the
-    stack.  The estimate compares the requested resolution against the
-    half-resolution rule (one order-2 panel at refine 1); doubling the
-    refine changes the result by less than the estimate.
-    squares=True appends the same pair for |field|^2, taken from the same
-    field values.
+    The field is called on whole blocks, at most CHUNK_POINTS points at a
+    time, and no cell's result depends on that chunking or on the other
+    cells of the stack; a refine above MAX_REFINE, whose blocks would not
+    fit, raises ValueError.  The estimate compares the requested
+    resolution against the half-resolution rule (one order-2 panel at
+    refine 1); doubling the refine changes the result by less than the
+    estimate.  squares=True appends the same pair for |field|^2, taken
+    from the same field values.
     """
     origins = eta * lattice.point(z)
     span = eta * lattice.basis
     refine = int(max(1, refine))
+    if refine > MAX_REFINE:
+        raise ValueError(f"refine must be at most {MAX_REFINE}, got {refine}")
     coarse_rule = (refine // 2, GAUSS_ORDER) if refine > 1 else (1, 2)
     fine = _rule_integrals(field_, origins, span, refine, GAUSS_ORDER,
                            squares)

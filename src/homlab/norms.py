@@ -44,6 +44,10 @@ LANCZOS_NCV = 12
 # 10 * dim grows with the size, so a norm that never converges would run
 # that much longer unflagged; 200 bounds it at 12 * 201 applications
 LANCZOS_MAXITER = 200
+REL_TOL = 1e-8  # residual tolerance of a norm, relative to theta
+# find_lambda doubles the shift down to LAMBDA_ABORT until every form's
+# certified coercivity constant is at least C4_MIN
+C4_MIN, LAMBDA_ABORT = 0.05, -1e6
 
 
 class Space:
@@ -106,7 +110,7 @@ class NormReport:
     flagged: bool = False
 
 
-def _power_singular(apply_, apply_adj, dim, seed, rel_tol):
+def _power_singular(apply_, apply_adj, dim, seed):
     """Largest singular value of K, from the top eigenpair of K^H K.
 
     ARPACK Lanczos (eigs on the Hermitian K^H K, the call eigsh makes for
@@ -114,8 +118,8 @@ def _power_singular(apply_, apply_adj, dim, seed, rel_tol):
     LANCZOS_NCV vectors and at most LANCZOS_MAXITER restarts, whose
     vectors come from a generator seeded with seed, so identical calls
     give identical bits.  ARPACK stops on its own residual estimate, so it
-    is asked for rel_tol / 100 to leave the explicit residual room below
-    rel_tol.
+    is asked for REL_TOL / 100 to leave the explicit residual room below
+    REL_TOL.
 
     Returns (value, applications of K^H K, explicit residual
     |K^H K v - theta v| of the unit vector v, mode): "residual" when
@@ -152,7 +156,7 @@ def _power_singular(apply_, apply_adj, dim, seed, rel_tol):
         op = LinearOperator((dim, dim), matvec=gram, dtype=complex)
         try:
             w, vecs = eigs(op, k=1, which="LR", v0=v0,
-                           ncv=min(dim, LANCZOS_NCV), tol=rel_tol / 100,
+                           ncv=min(dim, LANCZOS_NCV), tol=REL_TOL / 100,
                            maxiter=LANCZOS_MAXITER,
                            rng=np.random.default_rng(seed))
             theta, v = w[0].real, vecs[:, 0]
@@ -167,12 +171,11 @@ def _power_singular(apply_, apply_adj, dim, seed, rel_tol):
     return math.sqrt(theta), applications, residual, mode
 
 
-def induced_norm(apply_, apply_adj, space_in, space_out, seed=1234,
-                 rel_tol=1e-8):
+def induced_norm(apply_, apply_adj, space_in, space_out, seed=1234):
     """Operator norm from space_in to space_out, with its residual bound.
 
     The report is flagged when Lanczos ran out of restarts or the
-    explicit residual exceeds rel_tol times the eigenvalue of K^H K.
+    explicit residual exceeds REL_TOL times the eigenvalue of K^H K.
     """
 
     def k(x):
@@ -183,7 +186,7 @@ def induced_norm(apply_, apply_adj, space_in, space_out, seed=1234,
                                adjoint=True)
 
     value, applications, residual, mode = _power_singular(
-        k, k_adj, space_in.dim, seed, rel_tol)
+        k, k_adj, space_in.dim, seed)
     return NormReport(
         value=value,
         method={
@@ -193,7 +196,7 @@ def induced_norm(apply_, apply_adj, space_in, space_out, seed=1234,
             "converged": mode,
             "uncertainty": residual / (2.0 * value) if value > 0 else 0.0,
         },
-        flagged=mode == "max_iter" or residual > rel_tol * value * value,
+        flagged=mode == "max_iter" or residual > REL_TOL * value * value,
     )
 
 
@@ -323,29 +326,28 @@ def _hermitian_part(G):
     return ((G + G.getH()) * 0.5).tocsr()
 
 
-def find_lambda(forms, gram_l2s, S_list, lambda_start=-1.0, c4_min=0.05,
-                lambda_abort=-1e6):
+def find_lambda(forms, gram_l2s, S_list, lambda_start=-1.0):
     """Doubling descent to a shift coercive for every assembled form.
 
     forms[i] is the full form matrix (base plus perturbation, without the
     shift term); the candidate form is forms[i] - lam * gram_l2s[i].
     Returns the first lam on the doubling path whose Hermitian parts keep
-    all smallest S-metric eigenvalues at or above c4_min.  Each form's
+    all smallest S-metric eigenvalues at or above C4_MIN.  Each form's
     bracket is c (smallest_eigenvalue) <= lambda_min <= r (_witness at lam);
     r < c - u (|x|^T|H||x| + |r| |x|^T|S||x|) / x^H S x (Higham 3.1) raises.
     """
     lam = float(lambda_start)
     if lam >= 0:
         raise ValueError("descent starts from a negative shift")
-    while lam > lambda_abort:
+    while lam > LAMBDA_ABORT:
         hs = [_hermitian_part(G - lam * M) for G, M in zip(forms, gram_l2s)]
         c4s = tuple(map(smallest_eigenvalue, hs, S_list))
-        if min(c4s) >= c4_min:
+        if min(c4s) >= C4_MIN:
             for H, S, c in zip(hs, S_list, c4s):
                 _witness(H, S, c)
             return CoercivityReport(lambda0=lam, c4=min(c4s), per_eps=c4s)
         lam *= 2.0
     raise CoercivityError(
-        f"no shift on the doubling path above lambda_abort = {lambda_abort} "
-        f"kept every form's certified c at or above c4_min = {c4_min}"
+        f"no shift on the doubling path above lambda_abort = {LAMBDA_ABORT} "
+        f"kept every form's certified c at or above c4_min = {C4_MIN}"
     )

@@ -31,6 +31,10 @@ SOLVE_RTOL = 1e-10
 # 11 MB more; the 2559-dof rows, at width 1 here, took 93 ms at 2**12 and
 # 94 ms at 2**14 (median of 40 interleaved calls)
 IDENTITY_BLOCK = 2 ** 12
+IDENTITY_LOADS = 20  # random loads of identity_residual
+# convergence_verdict: a step may rise VERDICT_SLACK-fold, and the last
+# value must be at most VERDICT_DROP times the first
+VERDICT_SLACK, VERDICT_DROP = 1.1, 0.5
 
 
 def _max_entry(mat):
@@ -260,17 +264,18 @@ def context_from_setting(setting, lam):
     )
 
 
-def identity_residual(ctx, n_rhs=20, seed=1234):
+def identity_residual(ctx, seed=1234):
     """Worst relative defect of the exact difference identity.
 
-    For every random load f the solved difference R_eps f - R_0 f must
-    match -R_0 L R_eps f; the defect is measured relative to the larger
-    of the two sides.  Both sides are tiny differences of order-one
-    solutions, so each solve carries its sub-ulp correction and the big
-    parts are cancelled before the corrections come back in; without
-    that the comparison floor sits at roundoff of the solutions instead
-    of roundoff of their difference.  This exercises both factorizations
-    and the deviation-route difference form in one shot.
+    For each of IDENTITY_LOADS random loads f the solved difference
+    R_eps f - R_0 f must match -R_0 L R_eps f; the defect is measured
+    relative to the larger of the two sides.  Both sides are tiny
+    differences of order-one solutions, so each solve carries its sub-ulp
+    correction and the big parts are cancelled before the corrections
+    come back in; without that the comparison floor sits at roundoff of
+    the solutions instead of roundoff of their difference.  This
+    exercises both factorizations and the deviation-route difference
+    form in one shot.
 
     The loads are drawn one after another and solved in column blocks of
     at most IDENTITY_BLOCK entries; a column's result does not depend on
@@ -279,9 +284,9 @@ def identity_residual(ctx, n_rhs=20, seed=1234):
     rng = np.random.default_rng(seed)
     width = max(1, IDENTITY_BLOCK // ctx.dim)
     worst = 0.0
-    for start in range(0, n_rhs, width):
-        f = np.empty((ctx.dim, min(width, n_rhs - start)), dtype=complex,
-                     order="F")
+    for start in range(0, IDENTITY_LOADS, width):
+        f = np.empty((ctx.dim, min(width, IDENTITY_LOADS - start)),
+                     dtype=complex, order="F")
         for j in range(f.shape[1]):
             f[:, j] = (rng.standard_normal(ctx.dim)
                        + 1j * rng.standard_normal(ctx.dim))
@@ -329,11 +334,11 @@ def convergence_row(family, eps, lam, setting, seed=1234,
     }
 
 
-def convergence_verdict(rows, step_slack=1.1, drop=0.5):
+def convergence_verdict(rows):
     """Declare convergence only when both norms genuinely shrink.
 
-    Each step may rise by at most the slack factor, and the last value
-    must drop below the stated fraction of the first, for the resolvent
+    Each step may rise at most VERDICT_SLACK-fold, and the last value
+    must be at most VERDICT_DROP times the first, for the resolvent
     difference and for the difference-form norm simultaneously.  A row
     with a flagged norm or a capped mesh rules convergence out; the
     detail then names those rows' eps under flagged_rows / capped_rows.
@@ -341,9 +346,9 @@ def convergence_verdict(rows, step_slack=1.1, drop=0.5):
     verdicts = {}
     for key in ("kappa", "norm_L"):
         vals = [row[key] for row in rows]
-        mono = all(vals[i + 1] <= vals[i] * step_slack
+        mono = all(vals[i + 1] <= vals[i] * VERDICT_SLACK
                    for i in range(len(vals) - 1))
-        shrunk = vals[-1] <= drop * vals[0] if vals[0] > 0 else True
+        shrunk = vals[-1] <= VERDICT_DROP * vals[0] if vals[0] > 0 else True
         verdicts[key] = bool(mono and shrunk)
     ok = verdicts["kappa"] and verdicts["norm_L"]
     for key in ("flagged", "capped"):

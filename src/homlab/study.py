@@ -21,6 +21,7 @@ from . import criteria, registry
 from .config import ConfigError
 from .families import deviation_triple
 from .fields import sampled_sup
+from .lattice import MAX_REFINE
 
 STUDY_KINDS = ("criterion", "homogenize", "norm", "resolvent", "neumann")
 
@@ -196,9 +197,9 @@ def criterion_study(cfg, seed=1234):
     schedule = _schedule(cfg)
     exponents = _criterion_exponents(cfg)
     refine = cfg.get_int("criterion.refine", 0)
-    if refine < 0:
-        raise ConfigError("criterion.refine must be nonnegative (0 derives "
-                          "it from the family)")
+    if not 0 <= refine <= MAX_REFINE:
+        raise ConfigError(f"criterion.refine must be from 0 to {MAX_REFINE} "
+                          f"(0 derives it from the family), got {refine}")
     refine = refine or None
 
     rows = []
@@ -316,7 +317,8 @@ def norm_study(cfg, seed=1234):
          "v_sup"] + comp_fields + ["within_budget"]
     )
 
-    def one(i, eps):
+    rows, marks = [], []
+    for i, eps in enumerate(schedule):
         row_seed = seed + 1000 * i
         finest = family.finest_scale(eps)
         n, capped = mesh_rule(finest, ncomp=family.ncomp, **opts)
@@ -356,20 +358,19 @@ def norm_study(cfg, seed=1234):
         flagged = any(rep.flagged for rep in reports)
         fits = measured <= chain * (1 + 1e-8) + 1e-12
         row["within_budget"] = int(fits and not flagged and not capped)
-        return row, fits, {"flagged": flagged, "capped": capped}
+        rows.append(row)
+        marks.append({"fits": fits, "flagged": flagged, "capped": capped})
 
-    results = [one(i, eps) for i, eps in enumerate(schedule)]
-    rows = [row for row, _, _ in results]
     eps_col = [r["eps"] for r in rows]
     footer = [
         _fit_line("norm_x", eps_col, [r["norm_x"] for r in rows]),
         _fit_line("v_m1m1", eps_col, [r["v_m1m1"] for r in rows]),
     ]
-    if not all(fits for _, fits, _ in results):
+    if not all(m["fits"] for m in marks):
         footer.append("# budget_violation: measured norm exceeded the "
                       "multiplier chain bound")
     for mark in ("flagged", "capped"):
-        marked = [row["eps"] for row, _, marks in results if marks[mark]]
+        marked = [row["eps"] for row, m in zip(rows, marks) if m[mark]]
         if marked:
             footer.append(f"# {mark}_rows=" + ";".join(f"{e:g}"
                                                         for e in marked))
@@ -379,6 +380,13 @@ def norm_study(cfg, seed=1234):
         footer=tuple(footer),
         echo=tuple(cfg.echo()),
     )
+
+
+def _fixed_shift(cfg):
+    lam = cfg.get_float("operator.shift", -2.0)
+    if lam >= 0:
+        raise ConfigError("operator.shift must be negative")
+    return lam
 
 
 def _resolve_shift(cfg, settings):
@@ -403,10 +411,7 @@ def _resolve_shift(cfg, settings):
         return rep.lambda0, rep
     if isinstance(raw, str):
         raise ConfigError("operator.shift must be a negative number or auto")
-    lam = cfg.get_float("operator.shift", -2.0)
-    if lam >= 0:
-        raise ConfigError("operator.shift must be negative")
-    return lam, None
+    return _fixed_shift(cfg), None
 
 
 def resolvent_study(cfg, seed=1234):
@@ -476,9 +481,7 @@ def neumann_study(cfg, seed=1234):
     orders = tuple(int(o) for o in orders)
     if any(o < 0 for o in orders) or list(orders) != sorted(set(orders)):
         raise ConfigError("schedule.orders must be increasing and nonnegative")
-    lam = cfg.get_float("operator.shift", -2.0)
-    if lam >= 0:
-        raise ConfigError("operator.shift must be negative")
+    lam = _fixed_shift(cfg)
     op_spec = _operator_spec(cfg, family)
     opts = _mesh_opts(cfg)
     ctx = context_from_setting(assemble_setting(op_spec, family, eps, **opts),

@@ -102,6 +102,17 @@ def test_negative_criterion_refine_exits_2(tmp_path, capsys):
     assert "criterion.refine" in capsys.readouterr().err
 
 
+def test_criterion_refine_above_max_exits_2(tmp_path, capsys):
+    # a block of a finer rule would not fit one field evaluation
+    path = tmp_path / "refine.cfg"
+    path.write_text(CRIT_CFG.replace("criterion.refine = 64",
+                                     "criterion.refine = 4097"))
+    code = main(["criterion", "--config", str(path), "--out", "-"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "criterion.refine" in err and "4096" in err
+
+
 def test_fractional_series_orders_exit_2(tmp_path, capsys):
     # int() used to truncate them to 0, 1, 2 and exit 0
     path = tmp_path / "orders.cfg"

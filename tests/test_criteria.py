@@ -156,8 +156,8 @@ def test_optimize_eta_raises_when_nothing_fits():
 def test_local_mean_limit_constant_family():
     v0 = constant_field(1, 2.0, UNIT)
     fam = family_of(lambda eps: v0, v0, UNIT)
-    rep = local_mean_limit(fam, [0.1, 0.05, 0.025], sample_points=9,
-                           refine=8)
+    rep = local_mean_limit(fam, [0.1, 0.05, 0.025], math.sqrt,
+                           sample_points=9)
     assert rep["rho2"] == pytest.approx(0.0, abs=1e-13)
     mu = math.sqrt(0.025)
     for x, val in zip(rep["grid"][:, 0], rep["samples"][-1]):
@@ -171,7 +171,7 @@ def test_local_mean_limit_skips_boundary_windows():
     v0 = constant_field(1, 1.0, UNIT)
     fam = family_of(lambda eps: v0, v0, UNIT)
     rep = local_mean_limit(fam, [0.1, 0.05], mu_rule=lambda e: 0.5,
-                           sample_points=9, refine=4)
+                           sample_points=9)
     assert len(rep["skipped"]) > 0
     assert rep["mu_final"] == pytest.approx(0.5)
 
@@ -180,7 +180,7 @@ def test_local_mean_limit_needs_two_entries():
     v0 = constant_field(1, 1.0, UNIT)
     fam = family_of(lambda eps: v0, v0, UNIT)
     with pytest.raises(ValueError):
-        local_mean_limit(fam, [0.1])
+        local_mean_limit(fam, [0.1], math.sqrt)
 
 
 # ------------------------------------------------- batched cell quadrature
@@ -245,8 +245,10 @@ def test_each_deviation_is_evaluated_once_per_rule():
     assert rep.cell_count == 10
 
 
-@pytest.mark.parametrize("budget", [10, 100, 1000])
+@pytest.mark.parametrize("budget", [64, 100, 1000])
 def test_evaluations_stay_within_the_chunk_budget(monkeypatch, budget):
+    # a 1D cell is one block, 64 points on the fine rule and 32 on the
+    # coarse one, so every evaluation is whole cells
     from homlab import lattice
     sizes = []
     fam = _counting_family(sizes)
@@ -255,7 +257,10 @@ def test_evaluations_stay_within_the_chunk_budget(monkeypatch, budget):
     sizes.clear()
     rep = criterion_report(fam, 0.01, 0.1, refine=16)
     assert max(sizes) <= budget
-    assert sum(sizes) == 2 * 10 * (64 + 32)
+    # per component: the fine rule's fills, then the coarse rule's
+    assert sizes == {64: [64] * 10 + [64] * 5,
+                     100: [64] * 10 + [96] * 3 + [32],
+                     1000: [640, 320]}[budget] * 2
     assert rep == expected
 
 
@@ -295,4 +300,4 @@ def test_nan_field_breaches_instead_of_certifying_zero():
         optimize_eta(fam, 0.01, exponents=(0.5,), refine=16)
     with pytest.raises(NumericalBreach, match="eps 0.01, eta 0.1"):
         local_mean_limit(fam, [0.01, 0.005], mu_rule=lambda eps: 0.1,
-                         sample_points=3, refine=16)
+                         sample_points=3)

@@ -201,11 +201,14 @@ def test_square_integral_matches_closed_form():
     assert sq_err < 1e-10
 
 
-def test_panel_rule_is_memoized_and_read_only():
+def test_panel_rule_is_built_from_cached_gauss_nodes():
+    # only the 1D Gauss nodes of an order are cached; the composite rule
+    # is built on each call, with the same bits
+    assert lattice._gauss(GAUSS_ORDER) is lattice._gauss(GAUSS_ORDER)
     pts, wts = _panel_rule(3)
-    assert _panel_rule(3)[0] is pts
-    with pytest.raises(ValueError):
-        wts[0] = 1.0
+    again = _panel_rule(3)
+    assert again[0] is not pts
+    assert np.array_equal(again[0], pts) and np.array_equal(again[1], wts)
     # the single order-2 panel of the coarse estimate at refine 1
     pts2, wts2 = _panel_rule(1, order=2)
     assert pts2 == pytest.approx([0.5 - 0.5 / math.sqrt(3),
@@ -215,7 +218,8 @@ def test_panel_rule_is_memoized_and_read_only():
 
 def test_batches_never_split_a_cell(monkeypatch):
     # a batch holds whole cells and each cell's sum runs once over all of
-    # its values; only a field evaluation may cover part of a cell
+    # its values; a 1D cell is one block, so no evaluation covers part of
+    # a cell
     sizes = []
 
     def counted(pts):
@@ -231,18 +235,19 @@ def test_batches_never_split_a_cell(monkeypatch):
     split = cell_integral(Lattice(1), zs, 0.1, field_, 4)
     assert sizes == [32] * 5 + [40] * 2
     sizes.clear()
-    monkeypatch.setattr(lattice, "CHUNK_POINTS", 6)  # part of a coarse cell
-    sliced = cell_integral(Lattice(1), zs, 0.1, field_, 4)
-    assert sizes == [6, 6, 4] * 10 + [6, 2] * 10
-    for a, b, c in zip(whole, split, sliced):
+    monkeypatch.setattr(lattice, "CHUNK_POINTS", 16)  # one fine block
+    single = cell_integral(Lattice(1), zs, 0.1, field_, 4)
+    assert sizes == [16] * 10 + [16] * 5
+    for a, b, c in zip(whole, split, single):
         assert np.array_equal(a, b)
         assert np.array_equal(a, c)
 
 
-@pytest.mark.parametrize("budget", [7, 150, 399])
+@pytest.mark.parametrize("budget", [20, 150, 399])
 def test_streamed_cell_equals_whole_cell(monkeypatch, budget):
-    # refine 5 has 400 rule points per cell, so every budget slices a cell
-    # and leaves a ragged last slice
+    # refine 5 has 400 rule points per cell in 20 blocks of 20, and the
+    # coarse rule 64 in blocks of 8: every budget streams a fine cell in
+    # fills of whole blocks, 150 and 399 with a ragged last fill
     sizes = []
 
     def counted(pts):
@@ -257,7 +262,11 @@ def test_streamed_cell_equals_whole_cell(monkeypatch, budget):
     monkeypatch.setattr(lattice, "CHUNK_POINTS", budget)
     streamed = cell_integral(SKEW, zs, 0.3, field_, 5, squares=True)
     assert max(sizes) <= budget
-    assert 400 % budget and sum(sizes) == 3 * (400 + 64)
+    # the fine rule's fills of whole blocks, one cell at a time, then the
+    # coarse rule's, of whole cells when they fit
+    assert sizes == {20: [20] * 60 + [16] * 12,
+                     150: [140, 140, 120] * 3 + [128, 64],
+                     399: [380, 20] * 3 + [192]}[budget]
     for a, b in zip(whole, streamed):
         assert np.array_equal(a, b)
 
@@ -274,25 +283,32 @@ def _meshgrid_tensor_rule(dim, refine):
 @pytest.mark.parametrize("dim, refine", [(2, 3), (2, 60), (2, 342), (3, 3)])
 def test_tensor_rule_matches_meshgrid_reference(dim, refine):
     pts1, wts1 = _panel_rule(refine)
+    size = len(pts1)
     # the weights of block b are factor b times the 1D weights
-    wts = np.multiply.outer(lattice._block_weights(dim, refine), wts1).ravel()
-    m = len(wts)
+    factors = lattice._block_weights(dim, wts1)
+    wts = np.multiply.outer(factors, wts1).ravel()
+    blocks = len(factors)
     ref_pts, ref_wts = _meshgrid_tensor_rule(dim, refine)
     assert np.array_equal(wts, ref_wts)
     unit, origin = np.eye(dim), np.zeros((1, dim))
-    whole = lattice._rule_points(pts1, unit, origin, 0, m)
+    whole = lattice._rule_points(pts1, unit, origin, 0, blocks)
     assert np.array_equal(whole, ref_pts)
-    # every slice, ragged or shorter than a row, is the same rows
-    for start, stop in [(m // 3 + 1, m), (1, 2), (m - 5, m), (7, m // 2 + 3)]:
+    # every block range, one block or many, is the same rows
+    for first, count in [(blocks // 3, blocks - blocks // 3), (1, 1),
+                         (blocks - 1, 1), (2, blocks // 2)]:
         assert np.array_equal(
-            lattice._rule_points(pts1, unit, origin, start, stop),
-            ref_pts[start:stop])
+            lattice._rule_points(pts1, unit, origin, first, count),
+            ref_pts[first * size:(first + count) * size])
 
 
-def test_block_fits_one_evaluation():
-    # the longest production block, a run of the finest rule's last axis,
-    # is filled by a single field evaluation
-    assert GAUSS_ORDER * MAX_REFINE <= CHUNK_POINTS
+def test_refine_above_max_is_rejected():
+    # a block of a finer rule would not fit one field evaluation
+    calls = []
+    field_ = CoefficientField(1, lambda pts: calls.append(pts) or pts[:, 0],
+                              1.0, UNIT)
+    with pytest.raises(ValueError, match=str(MAX_REFINE)):
+        cell_integral(Lattice(1), [(0,)], 0.1, field_, MAX_REFINE + 1)
+    assert calls == []
 
 
 def two_level_reference(field_, lat, z, eta, refine):
@@ -302,10 +318,11 @@ def two_level_reference(field_, lat, z, eta, refine):
     span = eta * lat.basis
     size, dim = len(pts1), lat.dim
     m = size ** dim
-    pts = lattice._rule_points(pts1, span, eta * lat.point([z]), 0, m)
+    pts = lattice._rule_points(pts1, span, eta * lat.point([z]), 0,
+                               m // size)
     vals = field_(pts).reshape(m // size, size)
     squares = (np.abs(vals) ** 2).astype(complex)
-    factors = lattice._block_weights(dim, refine)
+    factors = lattice._block_weights(dim, wts1)
     jac = abs(float(np.linalg.det(span)))
     out = []
     for v in (vals, squares):
@@ -315,10 +332,10 @@ def two_level_reference(field_, lat, z, eta, refine):
     return out
 
 
-@pytest.mark.parametrize("budget", [7, 150, 2 ** 14])
+@pytest.mark.parametrize("budget", [20, 150, 2 ** 14])
 def test_2d_cell_equals_two_level_reference(monkeypatch, budget):
-    # refine 5: 20 blocks of 20 points; budget 7 slices a block, 150
-    # fills 7 blocks at a time, and the default takes whole cells
+    # refine 5: 20 blocks of 20 points; budget 20 fills one block at a
+    # time, 150 fills 7, and the default takes whole cells
     field_ = CoefficientField(2, complex_2d, 30.0, Box((-5, -5), (5, 5)))
     zs = np.array([[0, 0], [1, -2], [3, 1]])
     monkeypatch.setattr(lattice, "CHUNK_POINTS", budget)

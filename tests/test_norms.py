@@ -356,7 +356,8 @@ def test_find_lambda_doubles_until_coercive():
     assert len(rep.per_eps) == 1
 
 
-def test_find_lambda_gives_up_at_abort_threshold():
+def test_find_lambda_gives_up_at_abort_threshold(monkeypatch):
+    monkeypatch.setattr(norms, "LAMBDA_ABORT", -1e3)
     mesh = build_mesh(UNIT, 16)
     op = assemble_base(OperatorSpec(UNIT), mesh)
     k = (op.gram_h1 - op.gram_l2).tocsr()
@@ -364,7 +365,7 @@ def test_find_lambda_gives_up_at_abort_threshold():
     with pytest.raises(CoercivityError, match=r"above lambda_abort = "
                        r"-1000\.0 kept every form's certified c at or "
                        r"above c4_min = 0\.05"):
-        find_lambda([form], [op.gram_l2], [op.gram_h1], lambda_abort=-1e3)
+        find_lambda([form], [op.gram_l2], [op.gram_h1])
 
 
 def test_find_lambda_rejects_nonnegative_start():

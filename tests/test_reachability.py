@@ -4,7 +4,8 @@ Every function and class defined in a ``src/homlab`` module must be
 referenced by an identifier in ``src/homlab`` or ``perfbench/`` outside
 its own definition, every annotated class field must be read as an
 attribute there, every dataclass field with a default must be set by
-some constructor call there, and no ``src/homlab`` module may import a
+some constructor call there, every defaulted function parameter must be
+passed by some call there, and no ``src/homlab`` module may import a
 name it never uses.  References are matched by name (``Name`` ids,
 attribute names and imported names, including the original name of an
 ``import x as y``), so the check is coarse but needs no linter.  A
@@ -19,6 +20,7 @@ the test.
 """
 
 import ast
+import math
 from collections import Counter
 from pathlib import Path
 
@@ -35,6 +37,16 @@ UNREAD_FIELDS = {
     # the per-form c4 values that ROADMAP item 4's per-row resolvent chain
     # check (kappa <= |L| / (c4(0) c4(eps))) is planned to read
     "CoercivityReport.per_eps",
+}
+# defaulted parameters passed by no call, each with the reason
+UNPASSED_PARAMS = {
+    # perfbench/probes.py binds it by name through inspect.signature to
+    # count the shifts tried
+    "find_lambda.lambda_start",
+    # run_study passes the seed through the _RUNNERS table, a call no
+    # name matches
+    "criterion_study.seed", "homogenize_study.seed", "norm_study.seed",
+    "resolvent_study.seed", "neumann_study.seed",
 }
 # config keys read but set by no shipped config, each with the reason
 UNSET_KEYS = {
@@ -140,8 +152,10 @@ def _is_dataclass(cls):
     return any("dataclass" in _identifiers(dec) for dec in cls.decorator_list)
 
 
-def _constructor_calls(trees):
-    """{class name: [(positional count, keyword names)]} of every call."""
+def _calls(trees):
+    """{callee name: [(positional count, keyword names)]} of every call.
+    A *args counts as every position and a **kwargs, whose keyword name
+    is None, as every keyword."""
     calls = {}
     for tree in trees.values():
         for call in ast.walk(tree):
@@ -149,15 +163,18 @@ def _constructor_calls(trees):
                 continue
             func = call.func
             name = getattr(func, "id", None) or getattr(func, "attr", None)
+            n_args = len(call.args)
+            if any(isinstance(arg, ast.Starred) for arg in call.args):
+                n_args = math.inf
             keywords = {kw.arg for kw in call.keywords}
-            calls.setdefault(name, []).append((len(call.args), keywords))
+            calls.setdefault(name, []).append((n_args, keywords))
     return calls
 
 
 def test_every_defaulted_field_is_set():
     # a default that no call overrides is an input nobody sets
     trees = _trees()
-    calls = _constructor_calls(trees)
+    calls = _calls(trees)
     unset = []
     for path, tree in trees.items():
         if not path.is_relative_to(SRC):
@@ -177,6 +194,55 @@ def test_every_defaulted_field_is_set():
                 unset.append(f"{path.relative_to(ROOT)}:{stmt.lineno} "
                              f"{cls.name}.{name}")
     assert unset == []
+
+
+def _functions(tree):
+    """(callee names, function) of every def: its own name, and for an
+    __init__ its class's and cls, which a classmethod calls."""
+    inits = {id(stmt): node.name for node in ast.walk(tree)
+             if isinstance(node, ast.ClassDef) for stmt in node.body
+             if isinstance(stmt, ast.FunctionDef) and stmt.name == "__init__"}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef):
+            yield ((inits[id(node)], "cls") if id(node) in inits
+                   else (node.name,)), node
+
+
+def test_every_defaulted_parameter_is_passed():
+    # a default that no call overrides is a constant with a parameter's
+    # name
+    trees = _trees()
+    calls = _calls(trees)
+    unpassed = []
+    for path, tree in trees.items():
+        if not path.is_relative_to(SRC):
+            continue
+        for names, fn in _functions(tree):
+            args = fn.args
+            positional = args.posonlyargs + args.args
+            # a call passes no argument for the bound self or cls
+            offset = int(bool(positional)
+                         and positional[0].arg in ("self", "cls"))
+            params = [(positional.index(arg) - offset, arg.arg)
+                      for arg in positional[len(positional)
+                                            - len(args.defaults):]]
+            params += [(math.inf, arg.arg) for arg, default
+                       in zip(args.kwonlyargs, args.kw_defaults)
+                       if default is not None]
+            for pos, name in params:
+                if any(pos < n_args or name in keywords or None in keywords
+                       for callee in names
+                       for n_args, keywords in calls.get(callee, ())):
+                    continue
+                if f"{names[0]}.{name}" not in UNPASSED_PARAMS:
+                    unpassed.append(f"{path.relative_to(ROOT)}:{fn.lineno} "
+                                    f"{names[0]}.{name}")
+    assert unpassed == []
+    # every allowlisted parameter is still defined
+    defined = {f"{names[0]}.{arg.arg}" for tree in trees.values()
+               for names, fn in _functions(tree)
+               for arg in fn.args.args + fn.args.kwonlyargs}
+    assert UNPASSED_PARAMS <= defined
 
 
 def _bindings(tree):

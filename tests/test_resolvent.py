@@ -184,12 +184,13 @@ def test_difference_identity_on_fe_context():
     assert identity_residual(ctx) <= 1e-10
 
 
-def test_identity_residual_zero_perturbation():
+def test_identity_residual_zero_perturbation(monkeypatch):
+    monkeypatch.setattr(resolvent, "IDENTITY_LOADS", 5)
     mesh = build_mesh(UNIT, 16)
     op = assemble_base(OperatorSpec(UNIT), mesh)
     zero = assemble_perturbation(op.space)
     ctx = context_from_difference(op, -1.0, zero.matrix)
-    assert identity_residual(ctx, n_rhs=5) == 0.0
+    assert identity_residual(ctx) == 0.0
 
 
 def _identity_residual_per_load(ctx, n_rhs, seed):
@@ -219,6 +220,7 @@ def test_identity_residual_blocks_match_per_load_loop(width, monkeypatch):
     ctx = build_setting(OperatorSpec(UNIT), fam, eps=0.05, lam=-1.0)
     expect = _identity_residual_per_load(ctx, n_rhs=7, seed=5)
     monkeypatch.setattr(resolvent, "IDENTITY_BLOCK", width * ctx.dim)
+    monkeypatch.setattr(resolvent, "IDENTITY_LOADS", 7)
     calls = []
     inner = ctx.solver_eps.solve_pair
 
@@ -227,7 +229,7 @@ def test_identity_residual_blocks_match_per_load_loop(width, monkeypatch):
         return inner(rhs)
 
     monkeypatch.setattr(ctx.solver_eps, "solve_pair", counted)
-    assert identity_residual(ctx, n_rhs=7, seed=5) == expect
+    assert identity_residual(ctx, seed=5) == expect
     # 7 loads are not a multiple of the width: the last block is narrower
     assert calls == [min(width, 7 - a) for a in range(0, 7, width)]
 
