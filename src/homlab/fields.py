@@ -41,7 +41,10 @@ class CoefficientField:
     """Bounded scalar coefficient on a box domain.
 
     func maps points (m, dim) -> values (m,), taken as complex; a call
-    takes points of exactly that shape.
+    takes points of exactly that shape, in any memory order: cell
+    quadrature passes them column-contiguous (a transposed (dim, m)
+    array), so a closure indexes columns, pts[:, j], and its values must
+    not depend on the layout.
     sup_bound is a declared uniform bound on |value|, taken on trust:
     evaluation does not check it.
     """

@@ -19,11 +19,13 @@ at most CHUNK_POINTS points: a batch of whole cells when a cell has
 fewer, else as many whole blocks of one cell as fit.  CHUNK_POINTS is
 the length of a block at MAX_REFINE, the finest rule cell_integral
 takes, so a block is never split, and a cell's result is the same bits
-as in a stack of that cell alone and whatever the chunking.  On request
-the same field values also give the integrals of |field|^2.  Only the
-1D Gauss nodes of each order are cached; the composite rule, a fill's
-points and its block weights are built afresh, so no array of a whole
-cell's points or weights is built.
+as in a stack of that cell alone and whatever the chunking.  The block
+sums are taken straight from each evaluation's values, and on request
+the same values also give the integrals of |field|^2.  The points of an
+evaluation come with each coordinate column contiguous.  Only the 1D
+Gauss nodes of each order are cached; the composite rule, an
+evaluation's points and its block weights are built afresh, so no array
+of a whole cell's points or weights is built.
 """
 
 from dataclasses import dataclass
@@ -41,20 +43,21 @@ CHUNK_POINTS = GAUSS_ORDER * MAX_REFINE
 
 def _affine_points(cols, mat, shifts):
     """Points shifts[c] + sum_j cols[j] * mat[:, j] for d coordinate
-    columns (k,), one block of k rows per shift: shape (C * k, d).
+    columns (k,), one block of k rows per shift: shape (C * k, d), each
+    coordinate column contiguous (a transposed (d, C * k) array).
 
     The sum runs over j in a fixed order: a BLAS product can round a row
     differently by its position in the stack, and a cell's points must
     not depend on the stack or block range they are built in.
     """
     k, dim = len(cols[0]), len(cols)
-    out = np.empty((len(shifts), k, dim))
+    out = np.empty((dim, len(shifts), k))
     for i, row in enumerate(mat):
         acc = cols[0] * row[0]
         for col, entry in zip(cols[1:], row[1:]):
             acc += col * entry
-        np.add(shifts[:, i, None], acc, out=out[..., i])
-    return out.reshape(-1, dim)
+        np.add(shifts[:, i, None], acc, out=out[i])
+    return out.reshape(dim, -1).T
 
 
 @dataclass(frozen=True)
@@ -173,11 +176,12 @@ def _rule_integrals(field_, origins, span, refine, order, squares):
     factor and the 1D weights; then each cell's complete array of block
     sums is reduced once and scaled by the Jacobian.  A batch holds as
     many whole cells as one field evaluation of at most CHUNK_POINTS
-    points takes, or else one cell.  Every buffer fill is one evaluation
-    of whole blocks: all of a batch's, or as many of its one cell's as
+    points takes, or else one cell.  Every evaluation is of whole
+    blocks: all of a batch's, or as many of its one cell's as
     CHUNK_POINTS takes, at least one, since a block at MAX_REFINE has
-    CHUNK_POINTS points.  So no block is split between two sums, and a
-    cell's integral does not depend on the chunking or on the other
+    CHUNK_POINTS points, and its block sums are taken from its values as
+    the field returned them.  So no block is split between two sums, and
+    a cell's integral does not depend on the chunking or on the other
     cells.  squares=True adds the integrals of |field|^2 taken from the
     same values.
     """
@@ -187,32 +191,30 @@ def _rule_integrals(field_, origins, span, refine, order, squares):
     factors = _block_weights(dim, wts1)
     blocks = len(factors)
     step = max(1, CHUNK_POINTS // (blocks * size))  # whole cells per batch
-    # whole blocks of each cell per fill: all of them when a batch holds
-    # whole cells, else as many as one evaluation takes
+    # whole blocks of each cell per evaluation: all of them when a batch
+    # holds whole cells, else as many as one evaluation takes
     per = min(blocks, CHUNK_POINTS // size)
     jac = abs(float(np.linalg.det(span)))
     cap = min(step, len(origins))
-    # the |field|^2 buffer is kept complex like the values: einsum sums
-    # a real buffer with another kernel, which rounds differently in the
-    # last digits
-    bufs = [np.empty((cap, per, size), dtype=complex)
-            for _ in range(1 + squares)]
-    block_sums = [np.empty((cap, blocks), dtype=complex) for _ in bufs]
-    outs = [np.empty(len(origins), dtype=complex) for _ in bufs]
+    block_sums = [np.empty((cap, blocks), dtype=complex)
+                  for _ in range(1 + squares)]
+    outs = [np.empty(len(origins), dtype=complex) for _ in block_sums]
     for a in range(0, len(origins), step):
         cells = origins[a:a + step]
         c = len(cells)
         for b in range(0, blocks, per):
-            k = min(per, blocks - b)  # whole blocks in this fill
+            k = min(per, blocks - b)  # whole blocks in this evaluation
             v = field_(_rule_points(pts1, span, cells, b, k))
-            v = v.reshape(c, k, size)
-            bufs[0][:c, :k] = v
+            vals = [v.reshape(c, k, size)]
             if squares:
-                bufs[1][:c, :k] = np.abs(v) ** 2
+                # |field|^2 is summed as complex like the values: einsum
+                # sums a real array with another kernel, which rounds
+                # differently in the last digits
+                vals.append((np.abs(vals[0]) ** 2).astype(complex))
             # row j holds the weights of block b + j
             wts = np.multiply.outer(factors[b:b + k], wts1)
-            for buf, sums in zip(bufs, block_sums):
-                sums[:c, b:b + k] = np.einsum("km,ckm->ck", wts, buf[:c, :k])
+            for val, sums in zip(vals, block_sums):
+                sums[:c, b:b + k] = np.einsum("km,ckm->ck", wts, val)
         for out, sums in zip(outs, block_sums):
             out[a:a + step] = jac * sums[:c].sum(axis=1)
     return outs

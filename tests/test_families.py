@@ -10,7 +10,8 @@ from homlab.config import ConfigError, StudyConfig
 from homlab.families import FieldTriple, deviation_triple, make_family
 from homlab.fields import (Box, CoefficientField, constant_field, sub_fields,
                            zero_field)
-from homlab.registry import build_family, implicit_eta
+from homlab.lattice import _panel_rule, _rule_points
+from homlab.registry import REGISTRY, build_family, implicit_eta
 from homlab.study import run_study
 
 UNIT = Box((0.0,), (1.0,))
@@ -284,3 +285,57 @@ def test_modulated_diffeo_refuses_a_degenerate_jacobian():
         f"{CRIT}family.name = modulated_diffeo\nfamily.domain = 1e-5, 1\n")
     with pytest.raises(ConfigError, match="family.domain"):
         run_study("criterion", cfg)
+
+
+def _fractal_cases():
+    # points of a tensor fill of the lattice 2 Z^2 - (1, 1), where x1 is
+    # constant along each block; the same points shuffled; a skew rule,
+    # where x1 varies inside a block; and a single point
+    pts1, _ = _panel_rule(5)
+    tensor = _rule_points(pts1, 0.5 * np.eye(2),
+                          np.array([[0.5, 0.5], [1.5, 0.5]]), 0, 20)
+    shuffled = tensor[np.random.default_rng(5).permutation(len(tensor))]
+    skew = _rule_points(pts1, np.array([[0.7, 0.2], [-0.1, 0.5]]),
+                        np.array([[0.3, 0.4]]), 3, 9)
+    single = np.array([[1.3, 0.7]])
+    return {"tensor": tensor, "shuffled": shuffled, "skew": skew,
+            "single": single}
+
+
+@pytest.mark.parametrize("case", sorted(_fractal_cases()))
+def test_fractal_field_equals_the_elementwise_product(case):
+    # one cos(x1 / eps) per run of equal x1 gives the bits of the product
+    # written out point by point
+    amp, eps = 0.7, 0.13
+    pts = _fractal_cases()[case]
+    x1, x2 = pts[:, 0], pts[:, 1]
+    ref = amp * np.cos(x1 / eps) * np.cos(x1 * x2 / eps ** 2)
+    field_ = _entry(f"family.name = fractal_2d\n"
+                    f"family.amplitude = {amp}\n").at(eps).v
+    assert np.array_equal(field_(pts), ref)
+    if case == "tensor":
+        # runs of one block, 20 points each
+        assert np.all(x1.reshape(-1, 20) == x1[::20, None])
+    if case == "skew":
+        assert np.all(x1[1:] != x1[:-1])
+
+
+def _family_fields(family, eps):
+    trips = (family.at(eps), family.limit)
+    return [f for t in trips for f in (t.v, *t.q, *t.p)]
+
+
+@pytest.mark.parametrize("name", sorted(REGISTRY))
+def test_fields_do_not_depend_on_memory_layout(name):
+    # cell quadrature passes column-contiguous points; a field must give
+    # the same bits as on a C-ordered copy.  x1 comes in runs of 8, as in
+    # a tensor rule's blocks
+    family = _entry(f"family.name = {name}\n")
+    lo, hi = np.array(family.domain.lower), np.array(family.domain.upper)
+    rng = np.random.default_rng(11)
+    pts = lo + (hi - lo) * rng.random((96, family.dim))
+    pts[:, 0] = np.repeat(pts[::8, 0], 8)
+    rows, cols = np.ascontiguousarray(pts), np.asfortranarray(pts)
+    assert not cols.flags.c_contiguous or family.dim == 1
+    for field_ in _family_fields(family, 0.1):
+        assert np.array_equal(field_(rows), field_(cols))

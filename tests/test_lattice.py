@@ -301,6 +301,50 @@ def test_tensor_rule_matches_meshgrid_reference(dim, refine):
             ref_pts[first * size:(first + count) * size])
 
 
+def _row_major_points(cols, mat, shifts):
+    # shifts[c] + sum_j cols[j] * mat[:, j], written point by point into
+    # a C-ordered (C, k, d) array, the sum over j in the same order
+    out = np.empty((len(shifts), len(cols[0]), len(cols)))
+    for i, row in enumerate(mat):
+        acc = cols[0] * row[0]
+        for col, entry in zip(cols[1:], row[1:]):
+            acc = acc + col * entry
+        out[:, :, i] = shifts[:, i, None] + acc
+    return out.reshape(-1, len(cols))
+
+
+def _columns_are_contiguous(pts):
+    return all(pts[:, j].flags.c_contiguous for j in range(pts.shape[1]))
+
+
+@pytest.mark.parametrize("dim, first, count", [(2, 0, 20), (2, 7, 3),
+                                               (3, 11, 25)])
+def test_rule_points_come_column_contiguous(dim, first, count):
+    # each coordinate of a fill is one contiguous column, with the bits
+    # a row-major build of the same sums gives
+    pts1, _ = _panel_rule(5)
+    size = len(pts1)
+    rng = np.random.default_rng(3)
+    span = np.eye(dim) + 0.2 * rng.standard_normal((dim, dim))
+    origins = rng.standard_normal((3, dim))
+    pts = lattice._rule_points(pts1, span, origins, first, count)
+    blocks = np.arange(first, first + count)
+    cols = [np.repeat(pts1[blocks // size ** (dim - 2 - a) % size], size)
+            for a in range(dim - 1)] + [np.tile(pts1, count)]
+    ref = _row_major_points(cols, span, origins)
+    assert pts.shape == ref.shape == (3 * count * size, dim)
+    assert _columns_are_contiguous(pts)
+    assert np.array_equal(pts, ref)
+
+
+def test_lattice_points_come_column_contiguous():
+    z = np.array([[0, 0], [3, -2], [-1, 4], [7, 7]])
+    pts = SKEW.point(z)
+    ref = _row_major_points(z.T.astype(float), SKEW.basis, SKEW.offset[None])
+    assert _columns_are_contiguous(pts)
+    assert np.array_equal(pts, ref)
+
+
 def test_refine_above_max_is_rejected():
     # a block of a finer rule would not fit one field evaluation
     calls = []
@@ -375,13 +419,13 @@ def test_empty_stack_has_no_cells():
     assert calls == []
 
 
-def test_large_cell_memory_stays_within_its_value_buffers():
-    # the value and |value|^2 buffers take 16 bytes a point each and hold
-    # at most CHUNK_POINTS points, whatever the cell; the points and field
-    # intermediates of one evaluation take a few more such units, and the
-    # block sums 2 x 16 bytes a block.  The bound does not grow with the
-    # cell: a whole-cell buffer would break it at either size, and the
-    # second cell has 4x the points of the first.
+def test_large_cell_memory_does_not_grow_with_the_cell():
+    # one field evaluation takes at most CHUNK_POINTS points, whatever the
+    # cell: its points, the field's intermediates, its complex values and
+    # their |value|^2 take a few units of 16 bytes a point, and the block
+    # sums 2 x 16 bytes a block.  The bound does not grow with the cell:
+    # holding a whole cell's points or values would break it at either
+    # size, and the second cell has 4x the points of the first.
     import tracemalloc
     from homlab import registry
     from homlab.config import StudyConfig

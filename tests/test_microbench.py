@@ -7,11 +7,13 @@ prints the timing table alone.
 
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from homlab import registry, study
 from homlab.config import StudyConfig
 from homlab.criteria import criterion_report
+from homlab.lattice import CHUNK_POINTS, GAUSS_ORDER, cell_integral
 from homlab.norms import (_hermitian_part, find_lambda, norm_v_to_vstar,
                           smallest_eigenvalue)
 from homlab.resolvent import (assemble_setting, context_from_setting,
@@ -135,3 +137,19 @@ def test_bench_criterion_report(benchmark, name, eps, exponent, cells):
         kwargs={"refine": refine}, rounds=5, iterations=1)
     assert rep.cell_count == cells
     assert rep.rho1 > 0.0
+
+
+def test_bench_fractal_cell_integral(benchmark):
+    # one 2D cell of fractal_2d at eps 0.13, refine 64: the fine rule is
+    # four field evaluations of CHUNK_POINTS points, the coarse one more
+    family = registry.build_family(
+        StudyConfig.from_text("family.name = fractal_2d\n"))
+    field_ = family.at(0.13).v
+    refine = 64
+    assert (GAUSS_ORDER * refine) ** 2 == 4 * CHUNK_POINTS
+    # the cell (0.5, 1.5)^2 of the lattice 2 Z^2 - (1, 1) at eta 0.5
+    out = benchmark.pedantic(
+        cell_integral,
+        args=(family.suggested_lattice, [(1, 1)], 0.5, field_, refine),
+        kwargs={"squares": True}, rounds=5, iterations=1)
+    assert all(np.isfinite(r).all() for r in out)
