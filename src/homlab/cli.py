@@ -101,7 +101,7 @@ def _report(args):
         out, xs, series,
         xlabel=xcol, ylabel="value",
         title=f"{args.csv}",
-        xscale=xscale, yscale="log", guides=guides,
+        xscale=xscale, guides=guides,
     )
     print(f"wrote {out}")
     if xcol == "eps":

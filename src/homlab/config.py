@@ -67,9 +67,11 @@ def parse_config(text, source="<config>"):
         if not val:
             raise ConfigError(f"{source}:{lineno}: empty value for {key!r}")
         if "," in val:
-            entries[key] = tuple(
-                _parse_scalar(tok) for tok in val.split(",") if tok.strip()
-            )
+            tokens = [tok.strip() for tok in val.split(",")]
+            if not all(tokens):
+                raise ConfigError(
+                    f"{source}:{lineno}: empty list entry for {key!r}")
+            entries[key] = tuple(_parse_scalar(tok) for tok in tokens)
         else:
             entries[key] = _parse_scalar(val)
     return entries

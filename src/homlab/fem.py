@@ -6,6 +6,10 @@ Perturbations add the lower-order forms
 
     (Q u', v) - (P u, v') + (V u, v).
 
+Every matrix is built on the interior nodes, the Dirichlet dofs, as
+three diagonals summed from the per-element 2x2 blocks; the boundary
+nodes never enter.
+
 Oscillating coefficients are integrated per element with the
 composite Gauss rule from the lattice module.  Direct solves go through a
 sparse LU factorization with compensated-residual iterative refinement, so
@@ -154,14 +158,11 @@ class OperatorSpec:
 
 @dataclass(frozen=True)
 class FeSpace:
-    """P1 element space with Dirichlet conditions at both ends."""
+    """P1 element space with Dirichlet conditions at both ends: the dofs
+    are the interior nodes.  It holds only the mesh, and stays because
+    perfbench/ passes op.space (ROADMAP item 7)."""
 
     mesh: Mesh1D
-
-    def bc_mask(self):
-        """Node indices that are kept as dofs: every node but the two
-        ends."""
-        return np.arange(1, self.mesh.n_elements)
 
 
 def _element_moments(field_, mesh, refine):
@@ -188,28 +189,18 @@ def _element_moments(field_, mesh, refine):
     return {k: h * np.einsum("q,eq->e", wk, vals) for k, wk in weights.items()}
 
 
-def _accumulate(blocks, mesh):
-    """Assemble per-element 2x2 node blocks into a CSR matrix.
-
-    blocks[(a, b)] is (n_elements,) for local test node a and trial node
-    b in {0, 1}.
-    """
-    nel = mesh.n_elements
-    elem = np.arange(nel)
-    rows = np.concatenate([elem + a for a, _ in blocks])
-    cols = np.concatenate([elem + b for _, b in blocks])
-    mat = sp.coo_matrix(
-        (np.concatenate(list(blocks.values())), (rows, cols)),
-        shape=(nel + 1, nel + 1),
-    ).tocsr()
-    mat.sum_duplicates()
-    return mat
-
-
 def _form_matrix(mesh, coef, term, refine):
-    """Full (unconstrained) matrix of one term of the form with one
+    """Matrix on the interior nodes of one term of the form with one
     coefficient A: "stiffness" (A u', v'), "plus" (A u', v), "minus"
-    -(A u, v') or "mass" (A u, v)."""
+    -(A u, v') or "mass" (A u, v).
+
+    block(a, b) is the (n_elements,) contribution of each element to
+    local test node a and trial node b in {0, 1}.  Interior node i sits
+    at local node 1 of element i - 1 and local node 0 of element i, so
+    its diagonal entry is the sum of those two contributions and each
+    off-diagonal entry is one contribution; the matrix is three
+    diagonals, and zero entries are not stored.
+    """
     h = mesh.h
     d = (-1.0 / h, 1.0 / h)
     m = _element_moments(coef, mesh, refine)
@@ -221,15 +212,9 @@ def _form_matrix(mesh, coef, term, refine):
         "minus": lambda a, b: -d[a] * m[side[b]],
         "mass": lambda a, b: m[pair[a][b]],
     }[term]
-    # blocks in the order (0,0), (0,1), (1,0), (1,1): _accumulate sums the
-    # duplicate entries in that order
-    return _accumulate({(a, b): block(a, b) for a in (0, 1) for b in (0, 1)},
-                       mesh)
-
-
-def _restrict(mat, space: FeSpace):
-    keep = space.bc_mask()
-    return mat[keep][:, keep].tocsr()
+    main = block(0, 0)[1:] + block(1, 1)[:-1]
+    return sp.diags([block(1, 0)[1:-1], main, block(0, 1)[1:-1]],
+                    [-1, 0, 1], format="csr")
 
 
 @dataclass(frozen=True)
@@ -256,8 +241,8 @@ def assemble_base(spec: OperatorSpec, mesh: Mesh1D) -> DiscreteOperator:
     """
     space = FeSpace(mesh)
     one = constant_field(1, 1.0, spec.domain)
-    stiff = _restrict(_form_matrix(mesh, one, "stiffness", 1), space)
-    mass = _restrict(_form_matrix(mesh, one, "mass", 1), space)
+    stiff = _form_matrix(mesh, one, "stiffness", 1)
+    mass = _form_matrix(mesh, one, "mass", 1)
     gram = (stiff + mass).tocsr()
     for g in (gram, mass):
         asym = abs(g - g.getH()).max()
@@ -281,27 +266,21 @@ class PerturbationMatrix:
 
 def assemble_perturbation(space: FeSpace, q=(), p=(), v=None,
                           refine=1) -> PerturbationMatrix:
-    """Matrix of (Q u', v) - (P u, v') + (V u, v) on the constrained dofs.
+    """Matrix of (Q u', v) - (P u, v') + (V u, v) on the interior nodes.
 
     The sign convention places the derivative on the trial function for Q
     and on the test function for P, with a minus sign on the P term, so a
     triple with Q = -P and V = Q' assembles to the zero form.
     """
     mesh = space.mesh
-    total = None
-    for qf in q:
-        mat = _form_matrix(mesh, qf, "plus", refine)
-        total = mat if total is None else total + mat
-    for pf in p:
-        mat = _form_matrix(mesh, pf, "minus", refine)
-        total = mat if total is None else total + mat
+    terms = [(qf, "plus") for qf in q] + [(pf, "minus") for pf in p]
     if v is not None:
-        mat = _form_matrix(mesh, v, "mass", refine)
-        total = mat if total is None else total + mat
-    if total is None:
-        size = mesh.n_elements + 1
-        total = sp.csr_matrix((size, size), dtype=complex)
-    return PerturbationMatrix(_restrict(total, space))
+        terms.append((v, "mass"))
+    dof = mesh.n_elements - 1
+    total = sp.csr_matrix((dof, dof), dtype=complex)
+    for field_, term in terms:
+        total = total + _form_matrix(mesh, field_, term, refine)
+    return PerturbationMatrix(total)
 
 
 def assemble_triple(space, triple, refine=1):

@@ -46,12 +46,19 @@ def _rho8(cfg):
     return lambda t: min(2.0 * c, c * t)
 
 
+def _frequency(cfg):
+    """family.frequency of the sine families: the finest scale is
+    2 pi eps / frequency, so it must be positive."""
+    freq = cfg.get_float("family.frequency", 1.0)
+    if freq <= 0:
+        raise ConfigError(f"family.frequency must be positive, got {freq:g}")
+    return freq
+
+
 def _build_regular_sin(cfg):
     amp = cfg.get_float("family.amplitude", 1.0)
-    freq = cfg.get_float("family.frequency", 1.0)
+    freq = _frequency(cfg)
     box = _domain(cfg, (0.0, 1.0))
-    if freq <= 0:
-        raise ConfigError("family.frequency must be positive")
 
     def v_of_eps(eps):
         return CoefficientField(
@@ -75,7 +82,7 @@ def _build_sign_sin(cfg):
     wrong-limit family for negative tests.
     """
     declared = cfg.get_float("family.declared_limit", 0.5)
-    freq = cfg.get_float("family.frequency", 1.0)
+    freq = _frequency(cfg)
     box = _domain(cfg, (0.0, 1.0))
 
     def v_of_eps(eps):

@@ -168,7 +168,8 @@ def truncation_study(ctx, orders=(0, 1, 2, 3), seed=1234):
     |R_eps|: the larger Lax-Milgram bound 1/c, floored at one (ROADMAP
     item 4 drops the floor).  A form that is not coercive at the shift
     raises CoercivityError.  Consecutive error ratios are reported next
-    to the contraction factor they should track.
+    to the contraction factor they should track.  The keys of each row,
+    in order, are the neumann study's CSV columns.
     """
     c2 = max(1.0, _lax_milgram_bound(ctx, "base"),
              _lax_milgram_bound(ctx, "eps"))
@@ -309,7 +310,8 @@ def identity_residual(ctx, seed=1234):
 def convergence_row(family, eps, lam, setting, seed=1234,
                     eta_exponents=None):
     """All measurements for one epsilon of a convergence study, on the
-    setting assemble_setting made for that epsilon."""
+    setting assemble_setting made for that epsilon; the keys, in order,
+    are the study's CSV columns."""
     ctx = context_from_setting(setting, lam)
     eta, crit = criteria.optimize_eta(
         family, eps,

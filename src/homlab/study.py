@@ -82,6 +82,17 @@ def _fit_line(column, eps_values, values):
             f"used={fit['used']} dropped={fit['dropped']}")
 
 
+def _table(cfg, rows, fits=(), footer=()):
+    """A study's result: the keys of its first row, in order, are the CSV
+    columns; the footer is a fit line per column named in fits, then
+    footer."""
+    lines = [_fit_line(c, [r["eps"] for r in rows], [r[c] for r in rows])
+             for c in fits]
+    return StudyResult(fieldnames=tuple(rows[0]), rows=tuple(rows),
+                       footer=tuple(lines) + tuple(footer),
+                       echo=tuple(cfg.echo()))
+
+
 def _cell(value):
     if isinstance(value, bool):
         return "1" if value else "0"
@@ -216,18 +227,7 @@ def criterion_study(cfg, seed=1234):
             "cell_count": rep.cell_count,
             "predicted": family.rate(eps),
         })
-    eps_col = [r["eps"] for r in rows]
-    footer = [
-        _fit_line("bound_m1m1", eps_col, [r["bound_m1m1"] for r in rows]),
-        _fit_line("bound_m10", eps_col, [r["bound_m10"] for r in rows]),
-    ]
-    return StudyResult(
-        fieldnames=("eps", "eta", "rho1", "rho3", "bound_m1m1", "bound_m10",
-                    "quad_error", "cell_count", "predicted"),
-        rows=tuple(rows),
-        footer=tuple(footer),
-        echo=tuple(cfg.echo()),
-    )
+    return _table(cfg, rows, fits=("bound_m1m1", "bound_m10"))
 
 
 def homogenize_study(cfg, seed=1234):
@@ -280,12 +280,7 @@ def homogenize_study(cfg, seed=1234):
         f"# declared_limit_consistent: {'true' if consistent else 'false'} "
         f"(gap {final_gap:.6g} vs budget {budget:.6g})",
     ]
-    return StudyResult(
-        fieldnames=("eps", "mu", "declared_gap", "pair_gap"),
-        rows=tuple(rows),
-        footer=tuple(footer),
-        echo=tuple(cfg.echo()),
-    )
+    return _table(cfg, rows, footer=footer)
 
 
 def norm_study(cfg, seed=1234):
@@ -309,14 +304,6 @@ def norm_study(cfg, seed=1234):
     opts = _mesh_opts(cfg)
     sqrt_d = math.sqrt(family.dim)
 
-    probe = deviation_triple(family, schedule[0])
-    comp_fields = [f"q{j}_m10" for j in range(len(probe.q))]
-    comp_fields += [f"p{j}_m10" for j in range(len(probe.p))]
-    fieldnames = tuple(
-        ["eps", "n_elements", "norm_x", "chain_bound", "v_m1m1", "v_m10",
-         "v_sup"] + comp_fields + ["within_budget"]
-    )
-
     rows, marks = [], []
     for i, eps in enumerate(schedule):
         row_seed = seed + 1000 * i
@@ -334,38 +321,34 @@ def norm_study(cfg, seed=1234):
                  if trip.q or trip.p else rep_x)
         reports = [rep_x, rep_v, norm_m10(op, trip.v, refine, row_seed)]
         measured, v_m1m1, v_m10 = (rep.value for rep in reports)
-        v_sup = sampled_sup(trip.v, family.domain)
-        row = {
-            "eps": eps,
-            "n_elements": n,
-            "v_m1m1": v_m1m1,
-            "v_m10": v_m10,
-            "v_sup": v_sup,
-        }
+        comps = {}
         chain = v_m1m1
         for j, qf in enumerate(trip.q):
             rep = norm_m10(op, qf, refine, row_seed)
             reports.append(rep)
-            row[f"q{j}_m10"] = rep.value
+            comps[f"q{j}_m10"] = rep.value
             chain += sqrt_d * rep.value
         for j, pf in enumerate(trip.p):
             rep = norm_m10(op, pf, refine, row_seed)
             reports.append(rep)
-            row[f"p{j}_m10"] = rep.value
+            comps[f"p{j}_m10"] = rep.value
             chain += rep.value
-        row["norm_x"] = measured
-        row["chain_bound"] = chain
         flagged = any(rep.flagged for rep in reports)
         fits = measured <= chain * (1 + 1e-8) + 1e-12
-        row["within_budget"] = int(fits and not flagged and not capped)
-        rows.append(row)
+        rows.append({
+            "eps": eps,
+            "n_elements": n,
+            "norm_x": measured,
+            "chain_bound": chain,
+            "v_m1m1": v_m1m1,
+            "v_m10": v_m10,
+            "v_sup": sampled_sup(trip.v, family.domain),
+            **comps,
+            "within_budget": int(fits and not flagged and not capped),
+        })
         marks.append({"fits": fits, "flagged": flagged, "capped": capped})
 
-    eps_col = [r["eps"] for r in rows]
-    footer = [
-        _fit_line("norm_x", eps_col, [r["norm_x"] for r in rows]),
-        _fit_line("v_m1m1", eps_col, [r["v_m1m1"] for r in rows]),
-    ]
+    footer = []
     if not all(m["fits"] for m in marks):
         footer.append("# budget_violation: measured norm exceeded the "
                       "multiplier chain bound")
@@ -374,12 +357,7 @@ def norm_study(cfg, seed=1234):
         if marked:
             footer.append(f"# {mark}_rows=" + ";".join(f"{e:g}"
                                                         for e in marked))
-    return StudyResult(
-        fieldnames=fieldnames,
-        rows=tuple(rows),
-        footer=tuple(footer),
-        echo=tuple(cfg.echo()),
-    )
+    return _table(cfg, rows, fits=("norm_x", "v_m1m1"), footer=footer)
 
 
 def _fixed_shift(cfg):
@@ -433,14 +411,8 @@ def resolvent_study(cfg, seed=1234):
                             eta_exponents=exponents)
             for i, (eps, setting) in enumerate(zip(schedule, settings))]
     verdict, detail = convergence_verdict(rows)
-    eps_col = [r["eps"] for r in rows]
     max_identity = max(r["identity_err"] for r in rows)
-    footer = [
-        _fit_line("kappa", eps_col, [r["kappa"] for r in rows]),
-        _fit_line("norm_L", eps_col, [r["norm_L"] for r in rows]),
-        _fit_line("bound_m1m1", eps_col, [r["bound_m1m1"] for r in rows]),
-        f"# shift = {lam:.17g}",
-    ]
+    footer = [f"# shift = {lam:.17g}"]
     if coercivity is not None:
         footer.append(f"# coercivity_c4 = {coercivity.c4:.17g}")
     detail_line = (f"# verdict_detail: "
@@ -454,15 +426,8 @@ def resolvent_study(cfg, seed=1234):
         f"# verdict: {verdict}",
         detail_line,
     ]
-    fieldnames = ("eps", "n_elements", "capped", "eta", "rho1", "rho3",
-                  "bound_m1m1", "bound_m10", "kappa", "norm_L",
-                  "identity_err", "predicted", "flagged")
-    return StudyResult(
-        fieldnames=fieldnames,
-        rows=tuple(rows),
-        footer=tuple(footer),
-        echo=tuple(cfg.echo()),
-    )
+    return _table(cfg, rows, fits=("kappa", "norm_L", "bound_m1m1"),
+                  footer=footer)
 
 
 def neumann_study(cfg, seed=1234):
@@ -487,7 +452,6 @@ def neumann_study(cfg, seed=1234):
     ctx = context_from_setting(assemble_setting(op_spec, family, eps, **opts),
                                lam)
     rep = truncation_study(ctx, orders, seed=seed)
-    rows = [dict(r) for r in rep.rows]
     footer = [
         f"# eps = {eps:.17g}",
         f"# norm_L = {rep.norm_L:.17g}",
@@ -498,12 +462,7 @@ def neumann_study(cfg, seed=1234):
     if rep.flagged:
         footer.append("# norm_flagged: some norm missed its residual "
                       "tolerance")
-    return StudyResult(
-        fieldnames=("order", "error", "bound", "ratio_vs_prev"),
-        rows=tuple(rows),
-        footer=tuple(footer),
-        echo=tuple(cfg.echo()),
-    )
+    return _table(cfg, rep.rows, footer=footer)
 
 
 _RUNNERS = {

@@ -71,8 +71,8 @@ def _collect(xs, series):
 
 
 def plot(xs, series, xlabel="", ylabel="", title="", xscale="log",
-         yscale="log", guides=()):
-    """Render line series to SVG text.
+         guides=()):
+    """Render line series to SVG text on a log y axis.
 
     series maps label -> y values aligned with xs.  Nonpositive values
     are dropped on log axes.  guides are slopes p drawn as dashed lines
@@ -81,10 +81,9 @@ def plot(xs, series, xlabel="", ylabel="", title="", xscale="log",
     data = _collect(xs, series)
     cleaned = {}
     for label, pts in data.items():
+        pts = [(x, y) for x, y in pts if y > 0]
         if xscale == "log":
             pts = [(x, y) for x, y in pts if x > 0]
-        if yscale == "log":
-            pts = [(x, y) for x, y in pts if y > 0]
         if pts:
             cleaned[label] = sorted(pts)
     if not cleaned:
@@ -94,8 +93,7 @@ def plot(xs, series, xlabel="", ylabel="", title="", xscale="log",
     all_y = [y for pts in cleaned.values() for _, y in pts]
     ax_x = _Axis(min(all_x), max(all_x), MARGIN_L, WIDTH - MARGIN_R,
                  xscale == "log")
-    ax_y = _Axis(min(all_y), max(all_y), HEIGHT - MARGIN_B, MARGIN_T,
-                 yscale == "log")
+    ax_y = _Axis(min(all_y), max(all_y), HEIGHT - MARGIN_B, MARGIN_T, True)
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" '
@@ -125,16 +123,6 @@ def plot(xs, series, xlabel="", ylabel="", title="", xscale="log",
         n = int((hi - lo) / step) + 1
         return [lo + k * step for k in range(n)]
 
-    def y_ticks():
-        if yscale == "log":
-            return [t for t in _decades(min(all_y), max(all_y))
-                    if ax_y.lo - 1e-9 <= math.log10(t) <= ax_y.hi + 1e-9]
-        lo, hi = min(all_y), max(all_y)
-        if hi == lo:
-            return [lo]
-        step = (hi - lo) / 5
-        return [lo + k * step for k in range(6)]
-
     for t in x_ticks():
         px = ax_x.pix(t)
         parts.append(
@@ -146,7 +134,9 @@ def plot(xs, series, xlabel="", ylabel="", title="", xscale="log",
             f'text-anchor="middle" font-family="sans-serif" font-size="11" '
             f'fill="#222222">{_escape(_fmt_tick(t, xscale == "log"))}</text>'
         )
-    for t in y_ticks():
+    y_ticks = [t for t in _decades(min(all_y), max(all_y))
+               if ax_y.lo - 1e-9 <= math.log10(t) <= ax_y.hi + 1e-9]
+    for t in y_ticks:
         py = ax_y.pix(t)
         parts.append(
             f'<line x1="{MARGIN_L - 6}" y1="{py:.2f}" x2="{MARGIN_L}" '
@@ -155,7 +145,7 @@ def plot(xs, series, xlabel="", ylabel="", title="", xscale="log",
         parts.append(
             f'<text x="{MARGIN_L - 10}" y="{py + 4:.2f}" text-anchor="end" '
             f'font-family="sans-serif" font-size="11" fill="#222222">'
-            f'{_escape(_fmt_tick(t, yscale == "log"))}</text>'
+            f'{_escape(_fmt_tick(t, True))}</text>'
         )
 
     parts.append(
@@ -171,7 +161,7 @@ def plot(xs, series, xlabel="", ylabel="", title="", xscale="log",
     )
 
     # slope guides, anchored at the first point of the first series
-    if guides and xscale == "log" and yscale == "log":
+    if guides and xscale == "log":
         first_pts = next(iter(cleaned.values()))
         x0, y0 = first_pts[0]
         gx = sorted(all_x)

@@ -85,11 +85,29 @@ def test_missing_config_exits_2(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
-def test_bad_schedule_exits_2(tmp_path, capsys):
+@pytest.mark.parametrize("eps", ["0.05, 0.1", ","],
+                         ids=["increasing", "empty"])
+def test_bad_schedule_exits_2(tmp_path, capsys, eps):
+    # an empty entry used to be dropped, so "," ran an empty table
     path = tmp_path / "bad.cfg"
-    path.write_text(CRIT_CFG.replace("0.1, 0.05", "0.05, 0.1"))
+    path.write_text(CRIT_CFG.replace("0.1, 0.05", eps))
     code = main(["criterion", "--config", str(path), "--out", "-"])
     assert code == 2
+    assert "schedule.eps" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("freq", ["0", "-1"])
+@pytest.mark.parametrize("name", ["regular_sin", "sign_sin"])
+def test_nonpositive_frequency_exits_2(tmp_path, capsys, name, freq):
+    # sign_sin used to divide by it in finest_scale, or cap the mesh on a
+    # negative scale
+    path = tmp_path / "freq.cfg"
+    path.write_text("study.kind = resolvent\n"
+                    f"family.name = {name}\nfamily.frequency = {freq}\n"
+                    "schedule.eps = 0.1, 0.05\n")
+    code = main(["resolvent", "--config", str(path), "--out", "-"])
+    assert code == 2
+    assert "family.frequency" in capsys.readouterr().err
 
 
 def test_negative_criterion_refine_exits_2(tmp_path, capsys):

@@ -31,10 +31,19 @@ def test_comments_and_blank_lines_ignored():
     "a.b = ",
     "a.b = 1\na.b = 2",
     "3x = 5",
+    "a.b = 1, , 2",
+    "a.b = 1,",
+    "a.b = ,",
 ])
 def test_malformed_lines_raise(bad):
     with pytest.raises(ConfigError):
         parse_config(bad)
+
+
+def test_empty_list_entry_names_line_and_key():
+    with pytest.raises(ConfigError,
+                       match=r"^cfg:2: empty list entry for 'schedule.eps'$"):
+        parse_config("a.b = 1\nschedule.eps = 0.1, , 0.05\n", source="cfg")
 
 
 def test_error_message_names_line():

@@ -13,6 +13,8 @@ from homlab.fem import (
     assemble_perturbation,
     build_mesh,
     FeSpace,
+    _element_moments,
+    _form_matrix,
     mesh_rule,
     CAP_DOF,
     MIN_ELEMENTS,
@@ -99,6 +101,49 @@ def test_oscillating_potential_element_means():
         assert abs(got - exact) < 1e-9
 
 
+def _full_node_route(mesh, coef, term, refine):
+    """A form matrix the long way: every element block into a full-node
+    COO matrix in the order (0,0), (0,1), (1,0), (1,1), summed to CSR,
+    then cut to the interior nodes."""
+    h = mesh.h
+    d = (-1.0 / h, 1.0 / h)
+    m = _element_moments(coef, mesh, refine)
+    side = ("L", "R")
+    pair = (("LL", "LR"), ("LR", "RR"))
+    block = {
+        "stiffness": lambda a, b: d[a] * d[b] * m["1"],
+        "plus": lambda a, b: d[b] * m[side[a]],
+        "minus": lambda a, b: -d[a] * m[side[b]],
+        "mass": lambda a, b: m[pair[a][b]],
+    }[term]
+    nel = mesh.n_elements
+    elem = np.arange(nel)
+    ab = [(a, b) for a in (0, 1) for b in (0, 1)]
+    mat = sp.coo_matrix(
+        (np.concatenate([block(a, b) for a, b in ab]),
+         (np.concatenate([elem + a for a, _ in ab]),
+          np.concatenate([elem + b for _, b in ab]))),
+        shape=(nel + 1, nel + 1),
+    ).tocsr()
+    mat.sum_duplicates()
+    return mat[1:-1][:, 1:-1]
+
+
+@pytest.mark.parametrize("term", ["stiffness", "plus", "minus", "mass"])
+@pytest.mark.parametrize("n", [2, 3, 64])
+@pytest.mark.parametrize("refine", [1, 3])
+def test_form_matrix_equals_full_node_route(term, n, refine):
+    coef = CoefficientField(
+        1, lambda x: (1.3 + np.sin(37.0 * x[:, 0]))
+        * np.exp(5j * x[:, 0]), 2.3, UNIT)
+    mesh = build_mesh(UNIT, n)
+    got = _form_matrix(mesh, coef, term, refine)
+    want = _full_node_route(mesh, coef, term, refine)
+    assert got.shape == (n - 1, n - 1)
+    assert got.has_canonical_format
+    assert np.array_equal(got.toarray(), want.toarray())
+
+
 def test_gram_matrices_are_hermitian_and_ordered():
     mesh = build_mesh(UNIT, 20)
     op = assemble_base(OperatorSpec(UNIT), mesh)
@@ -152,7 +197,7 @@ def load_vector(space, f, refine=4):
     full = np.zeros(mesh.n_elements + 1, dtype=complex)
     full[:-1] += left
     full[1:] += right
-    return full[space.bc_mask()]
+    return full[1:-1]
 
 
 def test_nodal_exactness_for_manufactured_solution():
