@@ -17,7 +17,8 @@ forward errors sit near machine precision even on fine meshes.  The solver
 takes real forms only; loads may be complex.  A refined solve takes a
 column block of loads (n, k); each column gets the same bits as a solve of
 a block holding that column alone, and only the columns that the second
-refinement pass moves get a third residual.
+refinement pass moves get a third residual.  The refined solve that keeps
+the sub-ulp correction also checks each column's residual contract.
 
 The compensated residual is built from error-free transformations:
 TwoProduct with Dekker-split factors (the matrix diagonals are split once
@@ -35,6 +36,7 @@ from .fields import Box, constant_field
 from .lattice import _panel_rule, default_refine
 
 _SPLIT = 134217729.0  # 2**27 + 1, Dekker splitting constant
+SOLVE_RTOL = 1e-10  # residual contract of solve_pair, relative to the load
 # mesh.min_elements and mesh.cap_dof when a config leaves them out
 MIN_ELEMENTS = 64
 CAP_DOF = 8192
@@ -294,6 +296,19 @@ def perturbation_refine(space, finest_scale):
     return default_refine(space.mesh.h, finest_scale)
 
 
+def discretize(spec, family, eps, min_elements, cap_dof):
+    """(op, mesh): the base operator for one epsilon of a family on the
+    mesh mesh_rule picks for its finest scale, and that mesh's
+    n_elements, capped, perturbation refine and finest_scale."""
+    finest = family.finest_scale(eps)
+    n, capped = mesh_rule(finest, ncomp=family.ncomp,
+                          min_elements=min_elements, cap_dof=cap_dof)
+    op = assemble_base(spec, build_mesh(spec.domain, n))
+    return op, {"n_elements": n, "capped": capped,
+                "refine": perturbation_refine(op.space, finest),
+                "finest_scale": finest}
+
+
 class LinearSolver:
     """Sparse LU of a real form with compensated-residual iterative
     refinement.
@@ -314,11 +329,11 @@ class LinearSolver:
     their own width; each column still gets the bits of its own solve.  On
     the shipped resolvent configs the first pass reaches working precision
     and the second moves no bit; it is the margin for a worse-conditioned
-    form, and the callers' residual contract catches a solve left short.
+    form, and solve_pair's residual contract catches a solve left short.
     The solver keeps no state between calls: solve returns the final
     residual block and the sub-ulp correction with the solution, and
-    solve_pair returns the residual's column norms for cheap downstream
-    checks.
+    solve_pair returns the solution and its correction once every column's
+    residual has passed the contract.
     """
 
     def __init__(self, matrix):
@@ -390,15 +405,26 @@ class LinearSolver:
         return x, r, x_lo
 
     def solve_pair(self, rhs):
-        """Refined solve plus the correction living below its last bit.
+        """Refined solve plus the correction living below its last bit,
+        checked against the residual contract.
 
         Callers that difference two nearby solutions add the corrections
         back in, which keeps the trailing digits of the difference that
         would otherwise drown in the iterates' own rounding.  Returns
-        (x, x_lo, residual norms), one norm per column.
+        (x, x_lo).  Column j's residual must be at most SOLVE_RTOL |b_j|,
+        or 32 u (|A|_inf |x_j| + |b_j|), the roundoff of A x that no
+        solution stored in doubles gets below; one above both raises.
         """
         x, r, x_lo = self.solve(rhs)
-        return x, x_lo, np.array(column_norms(r))
+        res, nb, nx = (np.linalg.norm(a, axis=0) for a in (r, rhs, x))
+        floor = 32.0 * np.finfo(float).eps * (self.matrix_norm * nx + nb)
+        bad = np.flatnonzero(~(res <= np.maximum(SOLVE_RTOL * nb, floor)))
+        if bad.size:
+            j = bad[0]
+            raise NumericalBreach(
+                f"linear solve residual {res[j]:.3e} above {SOLVE_RTOL:.0e} "
+                f"of |rhs| = {nb[j]:.3e} (column {j})")
+        return x, x_lo
 
     def quick(self, rhs, adjoint=False):
         """Single unrefined LU solve, for the operators whose norms are

@@ -15,8 +15,9 @@ through restarts of the same basis, up to a fixed cap.  The explicit
 eigen-residual of the returned Ritz pair is the error bar; a residual
 above the requested relative tolerance flags the value.
 
-The coercivity constant is a smallest pencil eigenvalue, bracketed by
-inertia bisection below and, to a rounding margin, inverse iteration above.
+The coercivity constant is a smallest pencil eigenvalue, bracketed in one
+call: inertia bisection below, and above, to a rounding margin, the Ritz
+value of inverse iterates solved with the bisection's last passing factor.
 """
 
 import copy
@@ -27,7 +28,7 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 from scipy.sparse.linalg import (ArpackError, ArpackNoConvergence,
-                                 LinearOperator, eigs, splu)
+                                 LinearOperator, eigs)
 
 from .errors import CoercivityError, NumericalBreach
 from .fem import assemble_perturbation
@@ -247,15 +248,15 @@ def _upper_band(mat, u):
 
 
 def smallest_eigenvalue(H, S):
-    """Lower bound on the smallest eigenvalue of the pencil (H, S) for
-    Hermitian H, S > 0, by inertia bisection.
+    """Witnessed bracket (c, r), c <= lambda_min <= r, of the smallest
+    eigenvalue of the pencil (H, S) for Hermitian H, S > 0.
 
     H - c S is positive definite exactly when c lies below every
     eigenvalue (Sylvester), and one banded Cholesky decides that.  The
     bracket starts at hi = min Re H_ii / S_ii, a Rayleigh quotient, steps
     down geometrically until the factorization passes and is bisected to
-    a relative width of 1e-12.  The returned lower end is a shift at which
-    the factorization passed.
+    a relative width of 1e-12.  The lower end c is a shift at which the
+    factorization passed, and its factor gives the upper end (_witness).
     """
     u = _half_bandwidth(H, S)
     band_h, band_s = _upper_band(H, u), _upper_band(S, u)
@@ -266,37 +267,43 @@ def smallest_eigenvalue(H, S):
     # the pencil's own scale keeps the stopping width finite near zero
     scale = float(np.abs(ratio).max()) or 1.0
 
-    def definite(c):
+    def factor(c):  # upper Cholesky band of H - c S, None if indefinite
         try:
-            sla.cholesky_banded(band_h - c * band_s, overwrite_ab=True,
-                                check_finite=False)
+            return sla.cholesky_banded(band_h - c * band_s, overwrite_ab=True,
+                                       check_finite=False)
         except sla.LinAlgError:
-            return False
-        return True
+            return None
 
     lo = hi - scale
-    while not definite(lo):
+    lo_factor = factor(lo)
+    while lo_factor is None:
         lo = hi - 2.0 * (hi - lo)
         if not math.isfinite(lo):
             raise NumericalBreach("no finite shift makes H - c S positive "
                                   "definite: S is not")
+        lo_factor = factor(lo)
     while hi - lo > 1e-12 * max(abs(lo), scale):
         mid = 0.5 * (lo + hi)
-        if definite(mid):
-            lo = mid
-        else:
+        mid_factor = factor(mid)
+        if mid_factor is None:
             hi = mid
-    return lo
+        else:
+            lo, lo_factor = mid, mid_factor
+    return lo, _witness(H, S, lo, lo_factor)
 
 
-def _witness(H, S, c):
+def _witness(H, S, c, band):
     """Rayleigh quotient r >= lambda_min(H, S) of the lowest Ritz vector of
-    three inverse iterates at c from ones, whose span keeps lambda_min's
-    vector when c overshoots nearer lambda_2; raises if r < c - margin."""
-    solve = splu((H - c * S).tocsc()).solve
-    basis = [np.ones(H.shape[0], dtype=H.dtype)]
+    three inverse iterates at c from ones, solved with the upper banded
+    Cholesky factor of H - c S.  Their span keeps lambda_min's vector even
+    when a factorization passed by rounding above lambda_min, nearer
+    lambda_2.  Raises NumericalBreach if
+    r < c - u (|x|^T |H| |x| + |r| |x|^T |S| |x|) / x^H S x (Higham 3.1)."""
+    basis = [np.ones(H.shape[0], dtype=band.dtype)]
     for _ in range(3):
-        basis.append(solve(basis[-1] / np.linalg.norm(basis[-1])))
+        basis.append(sla.cho_solve_banded(
+            (band, False), basis[-1] / np.linalg.norm(basis[-1]),
+            check_finite=False))
     q = np.linalg.qr(np.column_stack(basis))[0]
     x = q @ sla.eigh(q.conj().T @ (H @ q), q.conj().T @ (S @ q))[1][:, 0]
     xsx = np.vdot(x, S @ x).real
@@ -313,8 +320,8 @@ def _witness(H, S, c):
 class CoercivityReport:
     """Shift making the whole schedule coercive in the H1 metric.
 
-    c4 = min(per_eps), each the lower end c of its form's bracket c <=
-    lambda_min <= r; find_lambda checks r against c and its margin.
+    c4 = min(per_eps), each the lower end c of its form's witnessed
+    bracket c <= lambda_min <= r from smallest_eigenvalue.
     """
 
     lambda0: float
@@ -332,19 +339,18 @@ def find_lambda(forms, gram_l2s, S_list, lambda_start=-1.0):
     forms[i] is the full form matrix (base plus perturbation, without the
     shift term); the candidate form is forms[i] - lam * gram_l2s[i].
     Returns the first lam on the doubling path whose Hermitian parts keep
-    all smallest S-metric eigenvalues at or above C4_MIN.  Each form's
-    bracket is c (smallest_eigenvalue) <= lambda_min <= r (_witness at lam);
-    r < c - u (|x|^T|H||x| + |r| |x|^T|S||x|) / x^H S x (Higham 3.1) raises.
+    all smallest S-metric eigenvalues at or above C4_MIN.  Each form at
+    each shift tried takes one smallest_eigenvalue call, whose bracket
+    c <= lambda_min <= r is witnessed inside it: an r below c by more
+    than its rounding margin raises NumericalBreach.
     """
     lam = float(lambda_start)
     if lam >= 0:
         raise ValueError("descent starts from a negative shift")
     while lam > LAMBDA_ABORT:
         hs = [_hermitian_part(G - lam * M) for G, M in zip(forms, gram_l2s)]
-        c4s = tuple(map(smallest_eigenvalue, hs, S_list))
+        c4s = tuple(smallest_eigenvalue(H, S)[0] for H, S in zip(hs, S_list))
         if min(c4s) >= C4_MIN:
-            for H, S, c in zip(hs, S_list, c4s):
-                _witness(H, S, c)
             return CoercivityReport(lambda0=lam, c4=min(c4s), per_eps=c4s)
         lam *= 2.0
     raise CoercivityError(

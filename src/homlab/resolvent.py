@@ -8,7 +8,9 @@ identity R_eps - S_N = (-R_0 L)^(N+1) R_eps (S_N the order-N series,
 S_-1 = 0), so no norm measures a difference of nearby solutions; the
 resolvent difference kappa = |R_eps - R_0| is the order-0 remainder.  A
 lone resolvent G^{-1} is bounded instead by Lax-Milgram, by one over the
-coercivity constant of G.
+coercivity constant of G, whose bracket smallest_eigenvalue witnesses.
+The difference identity is checked on refined solves, whose residual
+contract LinearSolver.solve_pair checks.
 """
 
 import math
@@ -19,12 +21,11 @@ import numpy as np
 from . import criteria
 from .errors import CoercivityError, NumericalBreach
 from .families import deviation_triple
-from .fem import (LinearSolver, assemble_base, assemble_triple, build_mesh,
-                  column_norms, mesh_rule, perturbation_refine)
-from .norms import (Space, _hermitian_part, _witness, induced_norm,
-                    norm_v_to_vstar, smallest_eigenvalue)
+from .fem import (SOLVE_RTOL, LinearSolver, assemble_triple, column_norms,
+                  discretize)
+from .norms import (Space, _hermitian_part, induced_norm, norm_v_to_vstar,
+                    smallest_eigenvalue)
 
-SOLVE_RTOL = 1e-10
 # entries per column block of identity_residual's loads.  Wider blocks
 # trade memory for time (resolvent_mix benchmark, 5 runs each, 2-core x86
 # VM): 2**13 cut wall_s by 5% for 3 MB more peak RSS, 2**14 by 7% for
@@ -59,29 +60,6 @@ class ResolventContext:
     def dim(self):
         return self.G0.shape[0]
 
-    def solve_pair(self, rhs, which="eps"):
-        """Refined solve keeping the sub-ulp correction, contract-checked.
-
-        rhs is a column block (n, k); returns the solution block and its
-        correction block.  The residual of every column must clear 1e-10
-        of its load; a solution stored in doubles cannot have a residual
-        below roundoff of G x, so the check also admits that
-        attainability floor.
-        """
-        solver = self.solver_eps if which == "eps" else self.solver0
-        x, x_lo, residuals = solver.solve_pair(rhs)
-        self._check_contract(solver, x, rhs, residuals, which)
-        return x, x_lo
-
-    def _check_contract(self, solver, x, rhs, residuals, which):
-        for res, nf, nx in zip(residuals, column_norms(rhs), column_norms(x)):
-            floor = 32.0 * np.finfo(float).eps * (solver.matrix_norm * nx + nf)
-            if res > max(SOLVE_RTOL * nf, floor):
-                raise NumericalBreach(
-                    f"linear solve residual {res:.3e} above {SOLVE_RTOL:.0e} "
-                    f"of |rhs| = {nf:.3e} ({which})"
-                )
-
 
 def _series_remainder(ctx, f, order, adjoint=False):
     """(R_eps - S_N) f = (-R_0 L)^(N+1) R_eps f, or its adjoint."""
@@ -100,18 +78,16 @@ def _lax_milgram_bound(ctx, which):
     Hermitian G.
 
     c is the certified lower end of the smallest eigenvalue of G's
-    Hermitian part against the H1 Gram, the bracket find_lambda uses,
-    checked by its witness; Re (G u, u) >= c |u|^2 gives the bound.
+    Hermitian part against the H1 Gram, the witnessed bracket find_lambda
+    uses; Re (G u, u) >= c |u|^2 gives the bound.
     """
     name, G = ("Geps", ctx.Geps) if which == "eps" else ("G0", ctx.G0)
-    H = _hermitian_part(G)
-    c = smallest_eigenvalue(H, ctx.op.gram_h1)
+    c, _ = smallest_eigenvalue(_hermitian_part(G), ctx.op.gram_h1)
     if c <= 0:
         raise CoercivityError(
             f"{name} is not coercive at operator.shift = "
             f"{ctx.meta['shift']:g}: c = {c:.3g}, so its resolvent has no "
             "Lax-Milgram bound")
-    _witness(H, ctx.op.gram_h1, c)
     return 1.0 / c
 
 
@@ -211,12 +187,8 @@ def assemble_setting(op_spec, family, eps, min_elements, cap_dof):
     chosen.  Splitting assembly from shifting lets a coercivity search
     reuse the matrices across candidate shifts.
     """
-    finest = family.finest_scale(eps)
-    n, capped = mesh_rule(finest, ncomp=family.ncomp,
-                          min_elements=min_elements, cap_dof=cap_dof)
-    mesh = build_mesh(op_spec.domain, n)
-    op = assemble_base(op_spec, mesh)
-    refine = perturbation_refine(op.space, finest)
+    op, mesh = discretize(op_spec, family, eps, min_elements, cap_dof)
+    refine = mesh["refine"]
     x_lim = assemble_triple(op.space, family.limit, refine)
     x_eps = assemble_triple(op.space, family.at(eps), refine)
     x_dev = assemble_triple(op.space, deviation_triple(family, eps), refine)
@@ -225,8 +197,7 @@ def assemble_setting(op_spec, family, eps, min_elements, cap_dof):
         "x_lim": x_lim.matrix.tocsr(),
         "x_eps": x_eps.matrix.tocsr(),
         "x_dev": x_dev.matrix.tocsr(),
-        "meta": {"eps": eps, "n_elements": n, "capped": capped,
-                 "refine": refine, "finest_scale": finest},
+        "meta": {"eps": eps, **mesh},
     }
 
 
@@ -291,10 +262,10 @@ def identity_residual(ctx, seed=1234):
         for j in range(f.shape[1]):
             f[:, j] = (rng.standard_normal(ctx.dim)
                        + 1j * rng.standard_normal(ctx.dim))
-        ue, ue_lo = ctx.solve_pair(f, which="eps")
-        u0, u0_lo = ctx.solve_pair(f, which="base")
+        ue, ue_lo = ctx.solver_eps.solve_pair(f)
+        u0, u0_lo = ctx.solver0.solve_pair(f)
         g = np.asfortranarray(ctx.L @ ue + ctx.L @ ue_lo)
-        y, y_lo = ctx.solve_pair(g, which="base")
+        y, y_lo = ctx.solver0.solve_pair(g)
         lhs = (ue - u0) + (ue_lo - u0_lo)
         rhs = -(y + y_lo)
         defect = ((ue - u0) + y) + ((ue_lo - u0_lo) + y_lo)

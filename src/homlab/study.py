@@ -293,8 +293,7 @@ def norm_study(cfg, seed=1234):
     budget, and the footer then names its eps under flagged_rows or
     capped_rows.
     """
-    from .fem import (assemble_base, assemble_triple, build_mesh, mesh_rule,
-                      perturbation_refine)
+    from .fem import assemble_triple, discretize
     from .norms import norm_m1m1, norm_m10, norm_v_to_vstar
 
     family = registry.build_family(cfg)
@@ -307,11 +306,8 @@ def norm_study(cfg, seed=1234):
     rows, marks = [], []
     for i, eps in enumerate(schedule):
         row_seed = seed + 1000 * i
-        finest = family.finest_scale(eps)
-        n, capped = mesh_rule(finest, ncomp=family.ncomp, **opts)
-        mesh = build_mesh(family.domain, n)
-        op = assemble_base(op_spec, mesh)
-        refine = perturbation_refine(op.space, finest)
+        op, mesh = discretize(op_spec, family, eps, **opts)
+        refine, capped = mesh["refine"], mesh["capped"]
         trip = deviation_triple(family, eps)
         pert = assemble_triple(op.space, trip, refine)
         rep_x = norm_v_to_vstar(pert.matrix, op.gram_h1, seed=row_seed)
@@ -337,7 +333,7 @@ def norm_study(cfg, seed=1234):
         fits = measured <= chain * (1 + 1e-8) + 1e-12
         rows.append({
             "eps": eps,
-            "n_elements": n,
+            "n_elements": mesh["n_elements"],
             "norm_x": measured,
             "chain_bound": chain,
             "v_m1m1": v_m1m1,

@@ -270,12 +270,13 @@ def test_solver_reaches_working_precision():
     x_true = (rng.integers(-8, 9, n) + 1j * rng.integers(-8, 9, n)).astype(complex)
     b = (a @ x_true)[:, None]
     solver = LinearSolver(sp.csr_matrix(a))
-    x, _, residuals = solver.solve_pair(b)
+    x, _ = solver.solve_pair(b)
     # refinement drives forward error to roundoff, not just the residual
     fwd = float(np.abs(x[:, 0] - x_true).max() / np.abs(x_true).max())
     assert fwd < 5e-15
-    assert residuals.shape == (1,)
-    assert residuals[0] < 1e-12 * np.linalg.norm(b)
+    _, r, _ = solver.solve(b)
+    assert r.shape == (n, 1)
+    assert np.linalg.norm(r) < 1e-12 * np.linalg.norm(b)
 
 
 def test_reported_residual_is_true_residual():
@@ -431,17 +432,39 @@ def test_block_solve_equals_column_solves():
     b = np.asfortranarray(rng.standard_normal((n, 4))
                           + 1j * rng.standard_normal((n, 4)))
     b[:, 1] = 0.0
-    x, x_lo, res = solver.solve_pair(b)
-    assert x.shape == x_lo.shape == (n, 4) and res.shape == (4,)
+    x, x_lo = solver.solve_pair(b)
+    assert x.shape == x_lo.shape == (n, 4)
+    _, r, _ = solver.solve(b)
     for j in range(4):
         xj, rj, xj_lo = solver.solve(b[:, j:j + 1])
         assert np.array_equal(x[:, j:j + 1], xj)
         assert np.array_equal(x_lo[:, j:j + 1], xj_lo)
-        assert column_norms(rj) == [res[j]]
-        xj, xj_lo, resj = solver.solve_pair(b[:, j:j + 1])
+        assert np.array_equal(r[:, j:j + 1], rj)
+        assert column_norms(rj) == column_norms(r[:, j:j + 1])
+        xj, xj_lo = solver.solve_pair(b[:, j:j + 1])
         assert np.array_equal(x[:, j:j + 1], xj)
         assert np.array_equal(x_lo[:, j:j + 1], xj_lo)
-        assert resj[0] == res[j]
+
+
+def test_breach_in_one_column_of_a_block_raises(monkeypatch):
+    # a residual above the contract in the middle column of three
+    rng = np.random.default_rng(6)
+    n = 31
+    solver = LinearSolver(sp.csr_matrix(_wide_banded(rng, n)))
+    b = np.asfortranarray(rng.standard_normal((n, 3))
+                          + 1j * rng.standard_normal((n, 3)))
+    solver.solve_pair(b)
+    inner = solver.solve
+
+    def one_bad_column(rhs):
+        x, r, x_lo = inner(rhs)
+        r[:, 1] = 1e-3 * rhs[:, 1]
+        return x, r, x_lo
+
+    monkeypatch.setattr(solver, "solve", one_bad_column)
+    with pytest.raises(NumericalBreach,
+                       match=r"linear solve residual .* \(column 1\)"):
+        solver.solve_pair(b)
 
 
 def _near_singular_laplacian(n, delta):
@@ -501,14 +524,13 @@ def test_second_pass_matches_three_residual_reference(monkeypatch):
     # the moved columns get the third residual and LU solve at width 4
     assert widths == [5, 5, 4]
     assert lu_widths == [5, 5, 5, 4]
-    px, px_lo, res = solver.solve_pair(b)
+    px, px_lo = solver.solve_pair(b)
     for j, (steps, r_ref, lo_ref) in enumerate(refs):
         for got in (x, px):
             assert _same_bits(got[:, j], steps[2])
         for got in (x_lo, px_lo):
             assert _same_bits(got[:, j], lo_ref)
         assert _same_bits(r[:, j], r_ref)
-        assert res[j] == float(np.linalg.norm(r_ref))
 
 
 def test_third_residual_covers_only_the_moved_columns(monkeypatch):

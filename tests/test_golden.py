@@ -117,6 +117,6 @@ def test_sin_neumann_errors_below_bounds():
                          cfg.get_float("study.eps"), **study._mesh_opts(cfg)),
         cfg.get_float("operator.shift"))
     inverse_c = [1.0 / smallest_eigenvalue(_hermitian_part(g),
-                                           ctx.op.gram_h1)
+                                           ctx.op.gram_h1)[0]
                  for g in (ctx.G0, ctx.Geps)]
     assert f"# c2 = {max(1.0, *inverse_c):.17g}" in res.footer

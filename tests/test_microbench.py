@@ -38,9 +38,10 @@ def test_bench_smallest_eigenvalue(benchmark, eps, dof):
     setting = _stabilizing_setting(eps, dof)
     op = setting["op"]
     h = _hermitian_part(op.base_form + setting["x_eps"] + op.gram_l2)
-    c4 = benchmark.pedantic(smallest_eigenvalue, args=(h, op.gram_h1),
-                            rounds=5, iterations=1)
+    c4, upper = benchmark.pedantic(smallest_eigenvalue, args=(h, op.gram_h1),
+                                   rounds=5, iterations=1)
     assert c4 == pytest.approx(1.0, abs=1e-5)
+    assert upper == pytest.approx(c4, rel=1e-10)
 
 
 def test_bench_find_lambda(benchmark):

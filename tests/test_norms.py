@@ -328,9 +328,10 @@ def test_smallest_eigenvalue_matches_dense():
     h = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     h = (h + h.conj().T) / 2.0
     s = random_spd(rng, n)
-    got = smallest_eigenvalue(sp.csr_matrix(h), sp.csr_matrix(s))
+    got, upper = smallest_eigenvalue(sp.csr_matrix(h), sp.csr_matrix(s))
     expect = float(sla.eigh(h, s, eigvals_only=True)[0])
     assert got == pytest.approx(expect, rel=1e-7, abs=1e-9)
+    assert upper == pytest.approx(expect, rel=1e-7, abs=1e-9)
 
 
 def test_find_lambda_immediate_acceptance():
@@ -413,7 +414,7 @@ def _dense_lambda_mins(forms, masses, grams, lam):
 @pytest.mark.parametrize("seed", [1, 7])
 def test_find_lambda_random_rotation_keeps_c4_below_dense_lambda_min(seed):
     # two realizations w0 of the rotation family; the witness inside
-    # find_lambda raises if c4 overshoots any form's lambda_min
+    # smallest_eigenvalue raises if c4 overshoots any form's lambda_min
     forms, masses, grams = _shift_search_forms("random_resolvent", (0.1,),
                                                family__seed=seed)
     assert forms[0].shape[0] == 226
@@ -422,21 +423,45 @@ def test_find_lambda_random_rotation_keeps_c4_below_dense_lambda_min(seed):
     assert rep.c4 == pytest.approx(expect, rel=1e-10)
 
 
+def _overshooting_cholesky(monkeypatch, gram, delta):
+    """Make every banded Cholesky factor its matrix plus delta S, so the
+    bisection of the pencil (H, S = gram) passes shifts up to delta above
+    lambda_min and ends there; the witness still sees the true H and S."""
+    band_s = norms._upper_band(gram, 1)
+    cholesky = sla.cholesky_banded
+    monkeypatch.setattr(sla, "cholesky_banded",
+                        lambda ab, **kw: cholesky(ab + delta * band_s, **kw))
+
+
 @pytest.mark.parametrize("which", [0, 1], ids=["perturbed", "limit"])
 def test_witness_fires_just_above_dense_lambda_min(monkeypatch, which):
     # a lower end 1e-8 relative above the true lambda_min, on the 639-dof
     # perturbed and limit forms of stabilizing_resolvent, coercive at -1.
-    # On the perturbed one lambda_2 - lambda_min is 2.1e-8 relative, so the
-    # raised end sits nearer lambda_2 than lambda_min
+    # On the perturbed one lambda_2 - lambda_min is 2.1e-8 relative
     forms, masses, grams = _shift_search_forms("stabilizing_resolvent",
                                                (0.025,))
     form, mass, gram = forms[which], masses[which], grams[which]
     assert form.shape[0] == 639
     (low,) = _dense_lambda_mins([form], [mass], [gram], -1.0)
-    monkeypatch.setattr(norms, "smallest_eigenvalue",
-                        lambda h, s: low * (1 + 1e-8))
-    with pytest.raises(NumericalBreach, match="fell below the certified"):
+    _overshooting_cholesky(monkeypatch, gram, 1e-8 * low)
+    with pytest.raises(NumericalBreach,
+                       match=r"witness .* fell below the certified"):
         find_lambda([form], [mass], [gram])
+
+
+def test_smallest_eigenvalue_raises_when_its_bisection_overshoots(
+        monkeypatch):
+    # the bisection of the stiffness against the H1 Gram on 63 dof ends
+    # 1e-6 above lambda_min, about pi^2 / (pi^2 + 1)
+    op = assemble_base(OperatorSpec(UNIT), build_mesh(UNIT, 64))
+    k, s = op.base_form, op.gram_h1
+    low = float(sla.eigh(k.toarray(), s.toarray(), eigvals_only=True)[0])
+    c, r = smallest_eigenvalue(k, s)
+    assert c == pytest.approx(low, rel=1e-10)
+    assert r == pytest.approx(low, rel=1e-10)
+    _overshooting_cholesky(monkeypatch, s, 1e-6)
+    with pytest.raises(NumericalBreach, match="fell below the certified"):
+        smallest_eigenvalue(k, s)
 
 
 @pytest.mark.parametrize("config, schedule, dofs", [
@@ -445,15 +470,17 @@ def test_witness_fires_just_above_dense_lambda_min(monkeypatch, which):
      [159, 159, 319, 319, 639, 639]),
 ], ids=["random_resolvent", "stabilizing_resolvent"])
 def test_find_lambda_brackets_dense_lambda_min(config, schedule, dofs):
-    # c <= lambda_min <= r on every form, c from the inertia bisection and
-    # r from the witness at the accepted shift
+    # c <= lambda_min <= r on every form at the accepted shift, c from the
+    # inertia bisection and r from the witness
     forms, masses, grams = _shift_search_forms(config, schedule)
     assert [g.shape[0] for g in forms] == dofs
     rep = find_lambda(forms, masses, grams)
     assert rep.c4 == min(rep.per_eps)
     lows = _dense_lambda_mins(forms, masses, grams, rep.lambda0)
-    for g, m, s, c, low in zip(forms, masses, grams, rep.per_eps, lows):
-        r = norms._witness(norms._hermitian_part(g - rep.lambda0 * m), s, c)
+    for g, m, s, c4, low in zip(forms, masses, grams, rep.per_eps, lows):
+        c, r = smallest_eigenvalue(
+            norms._hermitian_part(g - rep.lambda0 * m), s)
+        assert c == c4
         assert c <= low * (1 + 1e-10)
         assert low <= r * (1 + 1e-10)
         assert r == pytest.approx(c, rel=1e-10)
@@ -494,11 +521,12 @@ def test_smallest_eigenvalue_on_banded_forms(band, ends):
         shift[-1] = 2.0 + 1.0j
         g = (g + sp.diags(shift)).tocsr()
     h = ((g + g.getH()) * 0.5).tocsr()
-    got = smallest_eigenvalue(h, s)
+    got, upper = smallest_eigenvalue(h, s)
     expect = float(sla.eigh(h.toarray(), s.toarray(),
                             eigvals_only=True)[0])
     assert got <= expect + 1e-10 * abs(expect)
     assert got == pytest.approx(expect, rel=1e-10)
+    assert upper == pytest.approx(expect, rel=1e-10)
 
 
 @pytest.mark.parametrize("s", [[[0.0, 0.0], [0.0, 1.0]],
