@@ -8,7 +8,9 @@ Perturbations add the lower-order forms
 
 Every matrix is built on the interior nodes, the Dirichlet dofs, as
 three diagonals summed from the per-element 2x2 blocks; the boundary
-nodes never enter.
+nodes never enter.  Wherever a band is needed (the solver's residual,
+the Cholesky band of a Gram or a pencil, the Hermiticity check) it is
+read from a matrix's stored diagonals by diagonals, at any half-bandwidth.
 
 Oscillating coefficients are integrated per element with the
 composite Gauss rule from the lattice module.  Direct solves go through a
@@ -99,6 +101,55 @@ class _Compensated:
 
     def value(self):
         return self.s + self.c
+
+
+def _stored_nonzeros(mat):
+    """(offsets, cols, values) of a sparse matrix's stored nonzero entries,
+    read from its CSR arrays; offset is column minus row."""
+    mat = mat.tocsr()
+    if not mat.has_canonical_format:
+        mat = mat.copy()
+        mat.sum_duplicates()
+    rows = np.repeat(np.arange(mat.shape[0]), np.diff(mat.indptr))
+    nz = mat.data != 0
+    cols = mat.indices[nz]
+    return cols - rows[nz], cols, mat.data[nz]
+
+
+def half_bandwidth(*mats):
+    """Largest |column - row| of a stored nonzero entry of any matrix."""
+    return max(int(np.abs(_stored_nonzeros(m)[0]).max(initial=0))
+               for m in mats)
+
+
+def diagonals(mat, u=None):
+    """(offsets, data): the diagonals of a square sparse matrix at the
+    offsets -u..u (column minus row), in DIA layout, data[k, j] =
+    mat[j - offsets[k], j], zero where no nonzero entry is stored.
+
+    u defaults to the matrix's own half_bandwidth; a stored nonzero entry
+    farther out raises ValueError.  Rows u..2u, reversed, are LAPACK's
+    upper band storage.
+    """
+    offsets, cols, values = _stored_nonzeros(mat)
+    widest = int(np.abs(offsets).max(initial=0))
+    if u is None:
+        u = widest
+    elif widest > u:
+        raise ValueError(f"a stored entry lies at offset {widest}, outside "
+                         f"half-bandwidth {u}")
+    data = np.zeros((2 * u + 1, mat.shape[1]), dtype=mat.dtype)
+    data[u + offsets, cols] = values
+    return np.arange(-u, u + 1), data
+
+
+def _hermitian_gap(mat):
+    """(max |mat - mat^H|, max |mat|) over the stored diagonals."""
+    offsets, d = diagonals(mat)
+    n, u = mat.shape[0], offsets[-1]
+    gap = max(float(np.abs(d[u + k, k:] - d[u - k, :n - k].conj())
+                    .max(initial=0.0)) for k in range(u + 1))
+    return gap, float(np.abs(d).max(initial=0.0))
 
 
 def column_norms(a):
@@ -247,9 +298,8 @@ def assemble_base(spec: OperatorSpec, mesh: Mesh1D) -> DiscreteOperator:
     mass = _form_matrix(mesh, one, "mass", 1)
     gram = (stiff + mass).tocsr()
     for g in (gram, mass):
-        asym = abs(g - g.getH()).max()
-        scale = max(abs(g).max(), 1e-300)
-        if asym > 1e-12 * scale:
+        asym, scale = _hermitian_gap(g)
+        if asym > 1e-12 * max(scale, 1e-300):
             raise NumericalBreach("Gram matrix lost hermiticity")
     return DiscreteOperator(
         space=space,
@@ -319,7 +369,9 @@ class LinearSolver:
     products and TwoSum accumulation, so each refinement pass gains the
     LU's relative accuracy until the solution is accurate to working
     precision, and the reported residual is the true one.  The diagonals
-    are split into Dekker halves once, here.
+    that hold a nonzero entry are read from the stored entries
+    (diagonals) and split into Dekker halves once, here; the row sums of
+    their magnitudes give matrix_norm, |A|_inf.
 
     The refined solves take a block of loads (n, k) and solve A x = b.  A
     block is held column-contiguous and every column gets two refinement
@@ -345,18 +397,23 @@ class LinearSolver:
             self.lu = spla.splu(self.matrix)
         except RuntimeError as exc:
             raise NumericalBreach(f"singular factorization: {exc}") from exc
-        dia = sp.dia_matrix(self.matrix)
         n = self.matrix.shape[0]
-        dia_r = np.ascontiguousarray(dia.data.real)
-        # per nonempty diagonal: its column range, offset and split entries
+        offsets, data = diagonals(matrix)
+        data = np.ascontiguousarray(data.real)
+        # per diagonal holding a nonzero entry: its column range, offset
+        # and split entries, in increasing offset
         self._bands = []
-        for k, off in enumerate(dia.offsets):
-            j0, j1 = max(0, off), min(n, n + off)
-            if j0 >= j1:
+        # |A| summed along each row in increasing column, as a product
+        # with a vector of ones sums it
+        rows = np.zeros(n)
+        for off, d in zip(offsets.tolist(), data):
+            if not d.any():
                 continue
-            self._bands.append((j0, j1, off, _split(dia_r[k, j0:j1])))
+            j0, j1 = max(0, off), min(n, n + off)
+            self._bands.append((j0, j1, off, _split(d[j0:j1])))
+            rows[j0 - off:j1 - off] += np.abs(d[j0:j1])
         self.shape = self.matrix.shape
-        self.matrix_norm = float(np.abs(self.matrix).sum(axis=1).max())
+        self.matrix_norm = float(rows.max())
 
     def _dd_residual(self, rhs, x):
         """rhs - A x with compensated accumulation.

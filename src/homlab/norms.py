@@ -4,12 +4,14 @@ Every norm here is a largest singular value of a map between Hilbert
 spaces whose Grams are the H1 matrix S, its inverse (the dual space), or
 the mass matrix.  A space is the banded Cholesky factor S = U^H U of its
 Gram plus a primal/dual flag: a primal vector x has norm |U x|, a dual
-one |U^{-H} x|.  An operator A from X to Y is then the plain matrix
-K = T_Y A T_X^{-1} in these coordinates, and its norm is the square root
-of the top eigenvalue of K^H K, which ARPACK's Lanczos finds from a
-seeded start vector in one call.  ARPACK checks convergence only once
-its basis is full, so the basis size is the cost floor of every norm; the
-basis used settles every shipped norm at that first check (14
+one |U^{-H} x|.  A study row factors its mesh's H1 Gram once and every
+norm it takes shares that Space; band storage is read from a matrix's
+stored diagonals (fem.diagonals).  An operator A from X to Y is then the
+plain matrix K = T_Y A T_X^{-1} in these coordinates, and its norm is the
+square root of the top eigenvalue of K^H K, which ARPACK's Lanczos finds
+from a seeded start vector in one call.  ARPACK checks convergence only
+once its basis is full, so the basis size is the cost floor of every
+norm; the basis used settles every shipped norm at that first check (14
 applications of K^H K), and a norm whose top values cluster converges
 through restarts of the same basis, up to a fixed cap.  The explicit
 eigen-residual of the returned Ritz pair is the error bar; a residual
@@ -31,7 +33,7 @@ from scipy.sparse.linalg import (ArpackError, ArpackNoConvergence,
                                  LinearOperator, eigs)
 
 from .errors import CoercivityError, NumericalBreach
-from .fem import assemble_perturbation
+from .fem import assemble_perturbation, diagonals, half_bandwidth
 from .fields import gram_field
 
 # Lanczos basis size.  Of the 121 norms of the shipped configs, a basis of
@@ -60,10 +62,10 @@ class Space:
     """
 
     def __init__(self, gram, dual=False):
-        u = _half_bandwidth(gram)
+        upper = _upper_band(gram)
+        u = upper.shape[0] - 1
         try:
-            band = sla.cholesky_banded(_upper_band(gram, u),
-                                       check_finite=False)
+            band = sla.cholesky_banded(upper, check_finite=False)
         except sla.LinAlgError as exc:
             raise NumericalBreach(f"Gram is not positive definite: {exc}") \
                 from exc
@@ -202,29 +204,38 @@ def induced_norm(apply_, apply_adj, space_in, space_out, seed=1234):
 
 
 def norm_v_to_vstar(X, S, seed=1234):
-    """Norm of a form matrix as an operator from H1 to its dual."""
+    """Norm of a form matrix as an operator from H1 to its dual.
+
+    S is the H1 Gram, or its Space when the caller holds the factor.
+    """
     X = X.tocsr()
     XH = X.getH().tocsr()
-    h1 = Space(S)
+    h1 = S if isinstance(S, Space) else Space(S)
     return induced_norm(
         lambda v: X @ v, lambda v: XH @ v, h1, h1.star(), seed=seed)
 
 
-def norm_m1m1(op, v_field, refine=1, seed=1234):
-    """Discrete form-norm of a potential: sup |(V u, v)| / |u|_V |v|_V."""
+def norm_m1m1(op, v_field, refine=1, seed=1234, h1=None):
+    """Discrete form-norm of a potential: sup |(V u, v)| / |u|_V |v|_V.
+
+    h1 is the Space of op.gram_h1 when the caller holds its factor.
+    """
     pert = assemble_perturbation(op.space, v=v_field, refine=refine)
-    return norm_v_to_vstar(pert.matrix, op.gram_h1, seed)
+    return norm_v_to_vstar(pert.matrix, op.gram_h1 if h1 is None else h1,
+                           seed)
 
 
-def norm_m10(op, q_field, refine=1, seed=1234):
+def norm_m10(op, q_field, refine=1, seed=1234, h1=None):
     """Discrete product-norm of a weight: sup |Q u|_L2 / |u|_V.
 
     Uses the mass matrix weighted by |Q|^2; the norm is the square root of
-    the top generalized eigenvalue against the H1 Gram.
+    the top generalized eigenvalue against the H1 Gram.  h1 is as for
+    norm_m1m1.
     """
     weight = gram_field(q_field)
     pert = assemble_perturbation(op.space, v=weight, refine=refine)
-    rep = norm_v_to_vstar(pert.matrix, op.gram_h1, seed)
+    rep = norm_v_to_vstar(pert.matrix, op.gram_h1 if h1 is None else h1,
+                          seed)
     return NormReport(
         value=math.sqrt(max(rep.value, 0.0)),
         method=rep.method,
@@ -232,19 +243,11 @@ def norm_m10(op, q_field, refine=1, seed=1234):
     )
 
 
-def _half_bandwidth(*mats):
-    """Largest column-minus-row offset of any stored entry."""
-    pattern = sp.triu(sum(abs(m) for m in mats), format="coo")
-    return int(np.max(pattern.col - pattern.row, initial=0))
-
-
-def _upper_band(mat, u):
-    """LAPACK upper band storage, half-bandwidth u, of a sparse matrix."""
-    upper = sp.triu(mat, format="coo")
-    upper.eliminate_zeros()  # stored zeros may lie outside the band
-    ab = np.zeros((u + 1, mat.shape[0]), dtype=upper.dtype)
-    np.add.at(ab, (u + upper.row - upper.col, upper.col), upper.data)
-    return ab
+def _upper_band(mat, u=None):
+    """LAPACK upper band storage of a sparse matrix: its diagonals at
+    offsets u down to 0, u its own half-bandwidth by default."""
+    offsets, data = diagonals(mat, u)
+    return data[offsets >= 0][::-1]
 
 
 def smallest_eigenvalue(H, S):
@@ -258,7 +261,7 @@ def smallest_eigenvalue(H, S):
     a relative width of 1e-12.  The lower end c is a shift at which the
     factorization passed, and its factor gives the upper end (_witness).
     """
-    u = _half_bandwidth(H, S)
+    u = half_bandwidth(H, S)
     band_h, band_s = _upper_band(H, u), _upper_band(S, u)
     if not (band_s[u].real > 0).all():
         raise NumericalBreach("S is not positive definite")

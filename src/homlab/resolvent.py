@@ -3,10 +3,11 @@
 The shifted forms G = base - lam * mass are kept as sparse matrices with
 their factorizations; every norm of a resolvent expression is an induced
 norm between the discrete H1 space and its dual, evaluated matrix-free
-with plain LU solves.  Resolvent differences are applied through the
-identity R_eps - S_N = (-R_0 L)^(N+1) R_eps (S_N the order-N series,
-S_-1 = 0), so no norm measures a difference of nearby solutions; the
-resolvent difference kappa = |R_eps - R_0| is the order-0 remainder.  A
+with plain LU solves, and all of a context's norms share one H1 factor
+of its mesh (ResolventContext.h1).  Resolvent differences are applied
+through the identity R_eps - S_N = (-R_0 L)^(N+1) R_eps (S_N the order-N
+series, S_-1 = 0), so no norm measures a difference of nearby solutions;
+the resolvent difference kappa = |R_eps - R_0| is the order-0 remainder.  A
 lone resolvent G^{-1} is bounded instead by Lax-Milgram, by one over the
 coercivity constant of G, whose bracket smallest_eigenvalue witnesses.
 The difference identity is checked on refined solves, whose residual
@@ -15,6 +16,7 @@ contract LinearSolver.solve_pair checks.
 
 import math
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 
 import numpy as np
 
@@ -26,11 +28,15 @@ from .fem import (SOLVE_RTOL, LinearSolver, assemble_triple, column_norms,
 from .norms import (Space, _hermitian_part, induced_norm, norm_v_to_vstar,
                     smallest_eigenvalue)
 
-# entries per column block of identity_residual's loads.  Wider blocks
-# trade memory for time (resolvent_mix benchmark, 5 runs each, 2-core x86
-# VM): 2**13 cut wall_s by 5% for 3 MB more peak RSS, 2**14 by 7% for
-# 11 MB more; the 2559-dof rows, at width 1 here, took 93 ms at 2**12 and
-# 94 ms at 2**14 (median of 40 interleaved calls)
+# entries per block of identity_residual's refined solves before its two
+# R_0 solves were stacked.  The stacked R_0 block [f | g] holds at most
+# 3/2 IDENTITY_BLOCK entries, so a load block f holds at most 3/4 of it:
+# a refined solve's transient memory grows with its block, and on the
+# resolvent_mix benchmark (alternating pairs, 2-core x86 VM) a stacked
+# block of 2 IDENTITY_BLOCK cut wall_s by 9-12% for 1.1-1.9 MB more peak
+# RSS, 3/2 by 7-8% with peak RSS inside the parent's spread, and 1 by only
+# 1.4%.  Wider blocks before stacking: 2**13 cut wall_s by 5% for 3 MB
+# more peak RSS, 2**14 by 7% for 11 MB more
 IDENTITY_BLOCK = 2 ** 12
 IDENTITY_LOADS = 20  # random loads of identity_residual
 # convergence_verdict: a step may rise VERDICT_SLACK-fold, and the last
@@ -59,6 +65,12 @@ class ResolventContext:
     @property
     def dim(self):
         return self.G0.shape[0]
+
+    @cached_property
+    def h1(self):
+        """The H1 space of the context's mesh, factored on first use and
+        shared by every norm the context takes."""
+        return Space(self.op.gram_h1)
 
 
 def _series_remainder(ctx, f, order, adjoint=False):
@@ -93,7 +105,7 @@ def _lax_milgram_bound(ctx, which):
 
 def perturbation_norm(ctx, seed=1234):
     """Norm of the difference form from H1 into the dual space."""
-    return norm_v_to_vstar(ctx.L, ctx.op.gram_h1, seed=seed)
+    return norm_v_to_vstar(ctx.L, ctx.h1, seed=seed)
 
 
 def contraction_norm(ctx, seed=1234):
@@ -102,7 +114,7 @@ def contraction_norm(ctx, seed=1234):
     This is the series contraction factor; at 1 or above the expansion
     has no convergence certificate.
     """
-    dual = Space(ctx.op.gram_h1, dual=True)
+    dual = ctx.h1.star()
     return induced_norm(
         lambda f: ctx.L @ ctx.solver0.quick(f),
         lambda g: ctx.solver0.quick(ctx.LH @ g, adjoint=True),
@@ -116,7 +128,7 @@ def truncation_error_norm(ctx, order, seed=1234):
 
     Order 0 is the resolvent difference kappa = |R_eps - R_0|.
     """
-    h1 = Space(ctx.op.gram_h1)
+    h1 = ctx.h1
     return induced_norm(
         lambda f: _series_remainder(ctx, f, order),
         lambda g: _series_remainder(ctx, g, order, adjoint=True),
@@ -250,22 +262,26 @@ def identity_residual(ctx, seed=1234):
     form in one shot.
 
     The loads are drawn one after another and solved in column blocks of
-    at most IDENTITY_BLOCK entries; a column's result does not depend on
-    the block it sits in.
+    at most 3/4 IDENTITY_BLOCK entries, or one column; a column's result
+    does not depend on the block it sits in.  g = L R_eps f needs only the
+    R_eps solve, so the R_0 solves of f and g share one block [f | g], of
+    twice the columns: each block makes one refined solve with each
+    factorization.
     """
     rng = np.random.default_rng(seed)
-    width = max(1, IDENTITY_BLOCK // ctx.dim)
+    width = max(1, 3 * IDENTITY_BLOCK // (4 * ctx.dim))
     worst = 0.0
     for start in range(0, IDENTITY_LOADS, width):
-        f = np.empty((ctx.dim, min(width, IDENTITY_LOADS - start)),
-                     dtype=complex, order="F")
-        for j in range(f.shape[1]):
+        k = min(width, IDENTITY_LOADS - start)
+        fg = np.empty((ctx.dim, 2 * k), dtype=complex, order="F")
+        f = fg[:, :k]
+        for j in range(k):
             f[:, j] = (rng.standard_normal(ctx.dim)
                        + 1j * rng.standard_normal(ctx.dim))
         ue, ue_lo = ctx.solver_eps.solve_pair(f)
-        u0, u0_lo = ctx.solver0.solve_pair(f)
-        g = np.asfortranarray(ctx.L @ ue + ctx.L @ ue_lo)
-        y, y_lo = ctx.solver0.solve_pair(g)
+        fg[:, k:] = ctx.L @ ue + ctx.L @ ue_lo
+        x, x_lo = ctx.solver0.solve_pair(fg)
+        u0, u0_lo, y, y_lo = x[:, :k], x_lo[:, :k], x[:, k:], x_lo[:, k:]
         lhs = (ue - u0) + (ue_lo - u0_lo)
         rhs = -(y + y_lo)
         defect = ((ue - u0) + y) + ((ue_lo - u0_lo) + y_lo)

@@ -294,7 +294,7 @@ def norm_study(cfg, seed=1234):
     capped_rows.
     """
     from .fem import assemble_triple, discretize
-    from .norms import norm_m1m1, norm_m10, norm_v_to_vstar
+    from .norms import Space, norm_m1m1, norm_m10, norm_v_to_vstar
 
     family = registry.build_family(cfg)
     _require_1d(family, "norm")
@@ -310,22 +310,23 @@ def norm_study(cfg, seed=1234):
         refine, capped = mesh["refine"], mesh["capped"]
         trip = deviation_triple(family, eps)
         pert = assemble_triple(op.space, trip, refine)
-        rep_x = norm_v_to_vstar(pert.matrix, op.gram_h1, seed=row_seed)
+        h1 = Space(op.gram_h1)  # every norm of the row shares the factor
+        rep_x = norm_v_to_vstar(pert.matrix, h1, seed=row_seed)
         # a bare potential's triple form is the potential form, under the
         # same seed: norm_m1m1 would measure it again
-        rep_v = (norm_m1m1(op, trip.v, refine, row_seed)
+        rep_v = (norm_m1m1(op, trip.v, refine, row_seed, h1)
                  if trip.q or trip.p else rep_x)
-        reports = [rep_x, rep_v, norm_m10(op, trip.v, refine, row_seed)]
+        reports = [rep_x, rep_v, norm_m10(op, trip.v, refine, row_seed, h1)]
         measured, v_m1m1, v_m10 = (rep.value for rep in reports)
         comps = {}
         chain = v_m1m1
         for j, qf in enumerate(trip.q):
-            rep = norm_m10(op, qf, refine, row_seed)
+            rep = norm_m10(op, qf, refine, row_seed, h1)
             reports.append(rep)
             comps[f"q{j}_m10"] = rep.value
             chain += sqrt_d * rep.value
         for j, pf in enumerate(trip.p):
-            rep = norm_m10(op, pf, refine, row_seed)
+            rep = norm_m10(op, pf, refine, row_seed, h1)
             reports.append(rep)
             comps[f"p{j}_m10"] = rep.value
             chain += rep.value

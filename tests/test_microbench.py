@@ -5,6 +5,7 @@ the suite stays fast; `pytest tests/test_microbench.py --benchmark-only`
 prints the timing table alone.
 """
 
+import math
 from pathlib import Path
 
 import numpy as np
@@ -14,9 +15,11 @@ from homlab import registry, study
 from homlab.config import StudyConfig
 from homlab.criteria import criterion_report
 from homlab.lattice import CHUNK_POINTS, GAUSS_ORDER, cell_integral
-from homlab.norms import (_hermitian_part, find_lambda, norm_v_to_vstar,
-                          smallest_eigenvalue)
-from homlab.resolvent import (assemble_setting, context_from_setting,
+from homlab.fem import LinearSolver
+from homlab.norms import (Space, _hermitian_part, find_lambda,
+                          norm_v_to_vstar, smallest_eigenvalue)
+from homlab.resolvent import (IDENTITY_BLOCK, IDENTITY_LOADS,
+                              assemble_setting, context_from_setting,
                               identity_residual, truncation_error_norm)
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -42,6 +45,28 @@ def test_bench_smallest_eigenvalue(benchmark, eps, dof):
                                    rounds=5, iterations=1)
     assert c4 == pytest.approx(1.0, abs=1e-5)
     assert upper == pytest.approx(c4, rel=1e-10)
+
+
+# per-row set-up of a resolvent row: the LU of G0 with its split bands,
+# and the banded Cholesky factor of the mesh's H1 Gram, taken once a row
+@pytest.mark.parametrize("eps, dof", SIZES)
+def test_bench_linear_solver(benchmark, eps, dof):
+    ctx = context_from_setting(_stabilizing_setting(eps, dof), -1.0)
+    solver = benchmark.pedantic(LinearSolver, args=(ctx.G0,), rounds=5,
+                                iterations=1)
+    # the tridiagonal G0 has three bands
+    assert [band[2] for band in solver._bands] == [-1, 0, 1]
+    assert solver.matrix_norm == float(abs(ctx.G0).sum(axis=1).max())
+
+
+@pytest.mark.parametrize("eps, dof", SIZES)
+def test_bench_h1_factor(benchmark, eps, dof):
+    gram = _stabilizing_setting(eps, dof)["op"].gram_h1
+    h1 = benchmark.pedantic(Space, args=(gram,), rounds=5, iterations=1)
+    x = np.random.default_rng(dof).standard_normal(dof)
+    # the primal norm is the Gram's: |U x|^2 = x^T S x
+    assert np.linalg.norm(h1.coords(x)) ** 2 == pytest.approx(x @ (gram @ x),
+                                                              rel=1e-12)
 
 
 def test_bench_find_lambda(benchmark):
@@ -104,7 +129,8 @@ def _counted(method, calls, name):
 
 @pytest.mark.parametrize("eps, dof", SIZES)
 def test_bench_identity_residual(benchmark, eps, dof, monkeypatch):
-    # 20 loads, three refined solves each, in column blocks
+    # 20 loads in column blocks; each block makes two refined solves, one
+    # of the loads f with R_eps and one of [f | L R_eps f] with R_0
     ctx = context_from_setting(_stabilizing_setting(eps, dof), -1.0)
     err = benchmark.pedantic(identity_residual, args=(ctx,), rounds=5,
                              iterations=1)
@@ -115,7 +141,8 @@ def test_bench_identity_residual(benchmark, eps, dof, monkeypatch):
             monkeypatch.setattr(solver, name,
                                 _counted(getattr(solver, name), calls, name))
     assert identity_residual(ctx) == err
-    assert calls["solve_pair"] > 0
+    width = max(1, 3 * IDENTITY_BLOCK // (4 * dof))
+    assert calls["solve_pair"] == 2 * math.ceil(IDENTITY_LOADS / width)
     assert calls["_dd_residual"] == RESIDUALS_PER_SOLVE * calls["solve_pair"]
 
 

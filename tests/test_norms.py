@@ -14,7 +14,7 @@ from homlab import registry, study
 from homlab.config import StudyConfig
 from homlab import norms
 from homlab.fem import LinearSolver, NumericalBreach, OperatorSpec, \
-    assemble_base, assemble_perturbation, build_mesh
+    assemble_base, assemble_perturbation, build_mesh, half_bandwidth
 from homlab.fields import Box, CoefficientField, constant_field, gram_field
 from homlab.norms import (
     CoercivityError,
@@ -513,7 +513,7 @@ def test_smallest_eigenvalue_on_banded_forms(band, ends):
                                       + 1j * rng.standard_normal(op.dof - 2),
                                       2)
         s = (s + 0.5 * (b.getH() @ b)).tocsr()
-        assert norms._half_bandwidth(g, s) == 2
+        assert half_bandwidth(g, s) == 2
     if ends == "perturbed":
         # a complex and a negative shift on the first and last dof rows
         shift = np.zeros(op.dof, dtype=complex)

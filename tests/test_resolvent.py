@@ -216,19 +216,28 @@ def test_identity_residual_blocks_match_per_load_loop(width, monkeypatch):
     fam = sin_family()
     ctx = build_setting(OperatorSpec(UNIT), fam, eps=0.05, lam=-1.0)
     expect = _identity_residual_per_load(ctx, n_rhs=7, seed=5)
-    monkeypatch.setattr(resolvent, "IDENTITY_BLOCK", width * ctx.dim)
+    # the smallest block whose 3/4 holds width loads
+    monkeypatch.setattr(resolvent, "IDENTITY_BLOCK",
+                        -(-4 * width * ctx.dim // 3))
     monkeypatch.setattr(resolvent, "IDENTITY_LOADS", 7)
-    calls = []
-    inner = ctx.solver_eps.solve_pair
+    calls = {"eps": [], "base": []}
 
-    def counted(rhs):
-        calls.append(rhs.shape[1])
-        return inner(rhs)
+    def counted(solver, which):
+        inner = solver.solve_pair
 
-    monkeypatch.setattr(ctx.solver_eps, "solve_pair", counted)
+        def wrapper(rhs):
+            calls[which].append(rhs.shape[1])
+            return inner(rhs)
+        monkeypatch.setattr(solver, "solve_pair", wrapper)
+
+    counted(ctx.solver_eps, "eps")
+    counted(ctx.solver0, "base")
     assert identity_residual(ctx, seed=5) == expect
     # 7 loads are not a multiple of the width: the last block is narrower
-    assert calls == [min(width, 7 - a) for a in range(0, 7, width)]
+    widths = [min(width, 7 - a) for a in range(0, 7, width)]
+    assert calls["eps"] == widths
+    # the R_0 solves of the loads f and of g = L R_eps f: one block [f | g]
+    assert calls["base"] == [2 * k for k in widths]
 
 
 # ------------------------------------------------------------- norms
