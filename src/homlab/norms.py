@@ -203,39 +203,33 @@ def induced_norm(apply_, apply_adj, space_in, space_out, seed=1234):
     )
 
 
-def norm_v_to_vstar(X, S, seed=1234):
-    """Norm of a form matrix as an operator from H1 to its dual.
-
-    S is the H1 Gram, or its Space when the caller holds the factor.
-    """
+def norm_v_to_vstar(X, h1, seed=1234):
+    """Norm of a form matrix as an operator from H1 to its dual; h1 is
+    the Space of the H1 Gram."""
     X = X.tocsr()
     XH = X.getH().tocsr()
-    h1 = S if isinstance(S, Space) else Space(S)
     return induced_norm(
         lambda v: X @ v, lambda v: XH @ v, h1, h1.star(), seed=seed)
 
 
-def norm_m1m1(op, v_field, refine=1, seed=1234, h1=None):
+def norm_m1m1(op, v_field, h1, refine=1, seed=1234):
     """Discrete form-norm of a potential: sup |(V u, v)| / |u|_V |v|_V.
 
-    h1 is the Space of op.gram_h1 when the caller holds its factor.
+    h1 is the Space of op.gram_h1.
     """
     pert = assemble_perturbation(op.space, v=v_field, refine=refine)
-    return norm_v_to_vstar(pert.matrix, op.gram_h1 if h1 is None else h1,
-                           seed)
+    return norm_v_to_vstar(pert.matrix, h1, seed)
 
 
-def norm_m10(op, q_field, refine=1, seed=1234, h1=None):
+def norm_m10(op, q_field, h1, refine=1, seed=1234):
     """Discrete product-norm of a weight: sup |Q u|_L2 / |u|_V.
 
     Uses the mass matrix weighted by |Q|^2; the norm is the square root of
-    the top generalized eigenvalue against the H1 Gram.  h1 is as for
-    norm_m1m1.
+    the top generalized eigenvalue against the H1 Gram, whose Space is h1.
     """
     weight = gram_field(q_field)
     pert = assemble_perturbation(op.space, v=weight, refine=refine)
-    rep = norm_v_to_vstar(pert.matrix, op.gram_h1 if h1 is None else h1,
-                          seed)
+    rep = norm_v_to_vstar(pert.matrix, h1, seed)
     return NormReport(
         value=math.sqrt(max(rep.value, 0.0)),
         method=rep.method,

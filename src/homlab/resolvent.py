@@ -28,16 +28,13 @@ from .fem import (SOLVE_RTOL, LinearSolver, assemble_triple, column_norms,
 from .norms import (Space, _hermitian_part, induced_norm, norm_v_to_vstar,
                     smallest_eigenvalue)
 
-# entries per block of identity_residual's refined solves before its two
-# R_0 solves were stacked.  The stacked R_0 block [f | g] holds at most
-# 3/2 IDENTITY_BLOCK entries, so a load block f holds at most 3/4 of it:
-# a refined solve's transient memory grows with its block, and on the
-# resolvent_mix benchmark (alternating pairs, 2-core x86 VM) a stacked
-# block of 2 IDENTITY_BLOCK cut wall_s by 9-12% for 1.1-1.9 MB more peak
-# RSS, 3/2 by 7-8% with peak RSS inside the parent's spread, and 1 by only
-# 1.4%.  Wider blocks before stacking: 2**13 cut wall_s by 5% for 3 MB
-# more peak RSS, 2**14 by 7% for 11 MB more
-IDENTITY_BLOCK = 2 ** 12
+# entries of identity_residual's stacked R_0 block [f | g]; its load block
+# f holds half as many.  A refined solve's transient memory grows with its
+# block.  On the resolvent_mix benchmark (alternating pairs, 2-core x86 VM)
+# this size made wall_s 7-8% lower than separate R_0 solves of 2**12-entry
+# blocks, with peak RSS inside their spread; 2**13 made it 9-12% lower for
+# 1.1-1.9 MB more peak RSS, 2**12 only 1.4%
+IDENTITY_BLOCK = 3 * 2 ** 11
 IDENTITY_LOADS = 20  # random loads of identity_residual
 # convergence_verdict: a step may rise VERDICT_SLACK-fold, and the last
 # value must be at most VERDICT_DROP times the first
@@ -261,15 +258,14 @@ def identity_residual(ctx, seed=1234):
     exercises both factorizations and the deviation-route difference
     form in one shot.
 
-    The loads are drawn one after another and solved in column blocks of
-    at most 3/4 IDENTITY_BLOCK entries, or one column; a column's result
-    does not depend on the block it sits in.  g = L R_eps f needs only the
-    R_eps solve, so the R_0 solves of f and g share one block [f | g], of
-    twice the columns: each block makes one refined solve with each
-    factorization.
+    The loads are drawn one after another and solved in column blocks;
+    a column's result does not depend on the block it sits in.
+    g = L R_eps f needs only the R_eps solve, so the R_0 solves of f and g
+    share one block [f | g] of at most IDENTITY_BLOCK entries, or two
+    columns: each block makes one refined solve with each factorization.
     """
     rng = np.random.default_rng(seed)
-    width = max(1, 3 * IDENTITY_BLOCK // (4 * ctx.dim))
+    width = max(1, IDENTITY_BLOCK // (2 * ctx.dim))
     worst = 0.0
     for start in range(0, IDENTITY_LOADS, width):
         k = min(width, IDENTITY_LOADS - start)

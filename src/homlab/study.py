@@ -314,19 +314,19 @@ def norm_study(cfg, seed=1234):
         rep_x = norm_v_to_vstar(pert.matrix, h1, seed=row_seed)
         # a bare potential's triple form is the potential form, under the
         # same seed: norm_m1m1 would measure it again
-        rep_v = (norm_m1m1(op, trip.v, refine, row_seed, h1)
+        rep_v = (norm_m1m1(op, trip.v, h1, refine, row_seed)
                  if trip.q or trip.p else rep_x)
-        reports = [rep_x, rep_v, norm_m10(op, trip.v, refine, row_seed, h1)]
+        reports = [rep_x, rep_v, norm_m10(op, trip.v, h1, refine, row_seed)]
         measured, v_m1m1, v_m10 = (rep.value for rep in reports)
         comps = {}
         chain = v_m1m1
         for j, qf in enumerate(trip.q):
-            rep = norm_m10(op, qf, refine, row_seed, h1)
+            rep = norm_m10(op, qf, h1, refine, row_seed)
             reports.append(rep)
             comps[f"q{j}_m10"] = rep.value
             chain += sqrt_d * rep.value
         for j, pf in enumerate(trip.p):
-            rep = norm_m10(op, pf, refine, row_seed, h1)
+            rep = norm_m10(op, pf, h1, refine, row_seed)
             reports.append(rep)
             comps[f"p{j}_m10"] = rep.value
             chain += rep.value

@@ -2,11 +2,11 @@
 replaced.
 
 fem.diagonals is the one place a band is read from a sparse matrix: the
-solver's split diagonals and |A|_inf, the Cholesky band of a Gram or a
-pencil, and the Hermiticity check of assemble_base.  The constructions
-below (DIA conversion; abs-sum, triu, COO and np.add.at) are the ones
-they replaced, kept as the oracle: on every form the shipped resolvent
-configs build, the new bands must hold the same bytes.
+solver's split diagonals and |A|_inf, and the Cholesky band of a Gram
+or a pencil.  The constructions below (DIA conversion; abs-sum, triu,
+COO and np.add.at) are the ones they replaced, kept as the oracle: on
+every form the shipped resolvent configs build, the new bands must hold
+the same bytes.
 """
 
 from functools import lru_cache
@@ -18,8 +18,7 @@ import scipy.sparse as sp
 
 from homlab import norms, registry, study
 from homlab.config import StudyConfig
-from homlab.fem import (LinearSolver, _hermitian_gap, _split, diagonals,
-                        half_bandwidth)
+from homlab.fem import LinearSolver, _split, diagonals, half_bandwidth
 from homlab.resolvent import assemble_setting, context_from_setting
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -103,15 +102,6 @@ def test_shipped_bands_match_replaced_constructions(name):
         bands, matrix_norm = _old_solver_bands(form)
         assert _same_bands(solver._bands, bands), label
         assert solver.matrix_norm.hex() == matrix_norm.hex(), label
-
-
-@pytest.mark.parametrize("name", RESOLVENTS)
-def test_shipped_hermitian_gaps_match(name):
-    # assemble_base's check, on the H1 Gram of every mesh of the config
-    for label, form, gram in _shipped_forms(name):
-        if label.startswith("gram_h1"):
-            assert _hermitian_gap(gram) == (abs(gram - gram.getH()).max(),
-                                            abs(gram).max()), label
 
 
 def _pentadiagonal(outer):

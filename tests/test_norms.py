@@ -49,7 +49,7 @@ def dense_v_to_vstar(x, s):
 def test_gram_as_operator_has_unit_norm():
     rng = np.random.default_rng(0)
     s = random_spd(rng, 17)
-    rep = norm_v_to_vstar(sp.csr_matrix(s), sp.csr_matrix(s))
+    rep = norm_v_to_vstar(sp.csr_matrix(s), Space(sp.csr_matrix(s)))
     assert rep.value == pytest.approx(1.0, rel=1e-9)
     assert not rep.flagged
 
@@ -58,7 +58,8 @@ def test_scaled_gram_norm_is_scale():
     rng = np.random.default_rng(1)
     s = random_spd(rng, 12)
     for c in (-2.5, 3.0j):
-        rep = norm_v_to_vstar(sp.csr_matrix(c * s), sp.csr_matrix(s))
+        rep = norm_v_to_vstar(sp.csr_matrix(c * s),
+                              Space(sp.csr_matrix(s)))
         assert rep.value == pytest.approx(abs(c), rel=1e-9)
 
 
@@ -77,7 +78,7 @@ def test_form_norm_matches_dense_oracle(n):
     rng = np.random.default_rng(100 + n)
     x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     s = random_spd(rng, n)
-    rep = norm_v_to_vstar(sp.csr_matrix(x), sp.csr_matrix(s))
+    rep = norm_v_to_vstar(sp.csr_matrix(x), Space(sp.csr_matrix(s)))
     assert rep.value == pytest.approx(dense_v_to_vstar(x, s), rel=2e-8)
     assert rep.method["residual"] <= 1e-8 * rep.value + 1e-13
 
@@ -87,7 +88,7 @@ def test_norm_report_invariants():
     n = 21
     x = rng.standard_normal((n, n))
     s = random_spd(rng, n)
-    rep = norm_v_to_vstar(sp.csr_matrix(x), sp.csr_matrix(s))
+    rep = norm_v_to_vstar(sp.csr_matrix(x), Space(sp.csr_matrix(s)))
     assert rep.method["iterations"] >= 1
     assert rep.method["converged"] in ("residual", "max_iter", "zero")
 
@@ -100,7 +101,8 @@ def _clustered_form(n=200):
 def test_unconverged_lanczos_is_flagged(monkeypatch):
     # a top cluster 1e-9 wide cannot be resolved in one Lanczos restart
     monkeypatch.setattr(norms, "LANCZOS_MAXITER", 1)
-    rep = norm_v_to_vstar(_clustered_form(), sp.identity(200, format="csr"))
+    rep = norm_v_to_vstar(_clustered_form(),
+                          Space(sp.identity(200, format="csr")))
     assert rep.flagged
     assert rep.method["converged"] == "max_iter"
     assert 0.9 < rep.value <= 1.0
@@ -108,7 +110,8 @@ def test_unconverged_lanczos_is_flagged(monkeypatch):
 
 def test_lanczos_restarts_are_capped():
     # ARPACK's own default (10 * dim restarts) took 40042 applications
-    rep = norm_v_to_vstar(_clustered_form(), sp.identity(200, format="csr"))
+    rep = norm_v_to_vstar(_clustered_form(),
+                          Space(sp.identity(200, format="csr")))
     assert rep.flagged
     assert rep.method["converged"] == "max_iter"
     # every restart refills the basis, then the explicit residual
@@ -121,7 +124,7 @@ def test_easy_form_norm_stops_at_first_check():
     op = assemble_base(OperatorSpec(UNIT), mesh)
     v = CoefficientField(1, lambda x: np.sin(x[..., 0] / 0.05), 1.0, UNIT)
     x = assemble_perturbation(op.space, v=v, refine=4).matrix
-    rep = norm_v_to_vstar(x, op.gram_h1)
+    rep = norm_v_to_vstar(x, Space(op.gram_h1))
     assert op.dof > norms.LANCZOS_NCV
     # one full basis, one more application and the explicit residual
     assert rep.method["iterations"] <= norms.LANCZOS_NCV + 2
@@ -139,7 +142,7 @@ def _close_top_form(n=200):
 
 def test_close_top_restarts_and_matches_dense():
     x, s = _close_top_form(), sp.identity(200, format="csr")
-    rep = norm_v_to_vstar(x, s)
+    rep = norm_v_to_vstar(x, Space(s))
     # more than one full basis: Lanczos restarted
     assert rep.method["iterations"] > norms.LANCZOS_NCV + 2
     assert rep.method["converged"] == "residual"
@@ -152,7 +155,8 @@ def test_norm_is_the_single_lanczos_call():
     # the same v0, basis, tolerance, restart cap and restart generator
     x, seed = _close_top_form(), 1234
     xh = x.getH().tocsr()
-    rep = norm_v_to_vstar(x, sp.identity(200, format="csr"), seed=seed)
+    rep = norm_v_to_vstar(x, Space(sp.identity(200, format="csr")),
+                          seed=seed)
     rng = np.random.default_rng(seed)
     v0 = rng.standard_normal(200) + 1j * rng.standard_normal(200)
     op = LinearOperator((200, 200), matvec=lambda v: xh @ (x @ v),
@@ -167,7 +171,7 @@ def test_zero_form_reports_zero():
     rng = np.random.default_rng(5)
     s = random_spd(rng, 8)
     rep = norm_v_to_vstar(sp.csr_matrix((8, 8), dtype=complex),
-                          sp.csr_matrix(s))
+                          Space(sp.csr_matrix(s)))
     assert rep.value == 0.0
     assert rep.method["converged"] == "zero"
 
@@ -176,7 +180,7 @@ def test_homogeneity_and_triangle_inequality():
     rng = np.random.default_rng(6)
     n = 15
     s = random_spd(rng, n)
-    ssp = sp.csr_matrix(s)
+    ssp = Space(sp.csr_matrix(s))
     x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     y = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     nx = norm_v_to_vstar(sp.csr_matrix(x), ssp).value
@@ -246,7 +250,7 @@ def test_potential_form_norm_matches_dense_pencil():
     op = assemble_base(OperatorSpec(UNIT), mesh)
     v = CoefficientField(1, lambda x: 1.0 + 0.5 * np.sin(7.0 * x[..., 0]),
                          1.5, UNIT)
-    rep = norm_m1m1(op, v, refine=4)
+    rep = norm_m1m1(op, v, Space(op.gram_h1), refine=4)
     pert = assemble_perturbation(op.space, v=v, refine=4)
     expect = dense_v_to_vstar(pert.matrix.toarray(), op.gram_h1.toarray())
     assert rep.value == pytest.approx(expect, rel=2e-8)
@@ -256,7 +260,7 @@ def test_weight_norm_matches_dense_pencil():
     mesh = build_mesh(UNIT, 24)
     op = assemble_base(OperatorSpec(UNIT), mesh)
     q = CoefficientField(1, lambda x: np.cos(5.0 * x[..., 0]), 1.0, UNIT)
-    rep = norm_m10(op, q, refine=4)
+    rep = norm_m10(op, q, Space(op.gram_h1), refine=4)
     w = assemble_perturbation(op.space, v=gram_field(q), refine=4)
     top = sla.eigh(w.matrix.toarray(), op.gram_h1.toarray(),
                    eigvals_only=True)[-1]
@@ -268,7 +272,7 @@ def test_constant_weight_m10_vs_mass_pencil():
     mesh = build_mesh(UNIT, 32)
     op = assemble_base(OperatorSpec(UNIT), mesh)
     q = constant_field(1, 2.0, UNIT)
-    rep = norm_m10(op, q)
+    rep = norm_m10(op, q, Space(op.gram_h1))
     k = (op.gram_h1 - op.gram_l2).toarray()
     lam_min = sla.eigh(k, op.gram_l2.toarray(), eigvals_only=True)[0]
     assert rep.value == pytest.approx(2.0 / math.sqrt(1.0 + lam_min),
@@ -297,15 +301,16 @@ def test_multiplier_chain_bound_on_random_triples(draw):
     rng = np.random.default_rng(40 + draw)
     mesh = build_mesh(UNIT, 96)
     op = assemble_base(OperatorSpec(UNIT), mesh)
+    h1 = Space(op.gram_h1)
     for trial in range(3):
         q = _random_trig_field(rng)
         p = _random_trig_field(rng)
         v = _random_trig_field(rng)
         pert = assemble_perturbation(op.space, q=(q,), p=(p,), v=v, refine=4)
-        full = norm_v_to_vstar(pert.matrix, op.gram_h1).value
-        bound = (norm_m10(op, q, 4).value
-                 + norm_m10(op, p, 4).value
-                 + norm_m1m1(op, v, 4).value)
+        full = norm_v_to_vstar(pert.matrix, h1).value
+        bound = (norm_m10(op, q, h1, 4).value
+                 + norm_m10(op, p, h1, 4).value
+                 + norm_m1m1(op, v, h1, 4).value)
         assert full <= bound * (1.0 + 1e-8) + 1e-12
 
 
@@ -314,8 +319,9 @@ def test_form_norm_below_weight_norm_below_sup():
     mesh = build_mesh(UNIT, 128)
     op = assemble_base(OperatorSpec(UNIT), mesh)
     v = CoefficientField(1, lambda x: np.sin(x[..., 0] / 0.05), 1.0, UNIT)
-    m1m1 = norm_m1m1(op, v, 8).value
-    m10 = norm_m10(op, v, 8).value
+    h1 = Space(op.gram_h1)
+    m1m1 = norm_m1m1(op, v, h1, 8).value
+    m10 = norm_m10(op, v, h1, 8).value
     assert m1m1 <= m10 * (1.0 + 1e-8)
     assert m10 <= 1.0 * (1.0 + 1e-8)
 

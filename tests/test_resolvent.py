@@ -216,9 +216,8 @@ def test_identity_residual_blocks_match_per_load_loop(width, monkeypatch):
     fam = sin_family()
     ctx = build_setting(OperatorSpec(UNIT), fam, eps=0.05, lam=-1.0)
     expect = _identity_residual_per_load(ctx, n_rhs=7, seed=5)
-    # the smallest block whose 3/4 holds width loads
-    monkeypatch.setattr(resolvent, "IDENTITY_BLOCK",
-                        -(-4 * width * ctx.dim // 3))
+    # a stacked block [f | g] of width loads each
+    monkeypatch.setattr(resolvent, "IDENTITY_BLOCK", 2 * width * ctx.dim)
     monkeypatch.setattr(resolvent, "IDENTITY_LOADS", 7)
     calls = {"eps": [], "base": []}
 
@@ -324,9 +323,9 @@ def test_truncation_errors_match_dense_partial_sums(sin_neumann_context):
 
 
 def test_perturbation_norm_is_difference_form_norm():
-    from homlab.norms import norm_v_to_vstar
+    from homlab.norms import Space, norm_v_to_vstar
     ctx = small_context(n=20)
-    direct = norm_v_to_vstar(ctx.L, ctx.op.gram_h1).value
+    direct = norm_v_to_vstar(ctx.L, Space(ctx.op.gram_h1)).value
     assert perturbation_norm(ctx).value == pytest.approx(direct, rel=1e-10)
 
 

@@ -194,8 +194,8 @@ def test_norm_study_marks_flagged_rows(monkeypatch):
     from homlab import norms
 
     # regular_sin is a bare potential: norm_x also serves as v_m1m1
-    def flag_second_row(X, S, seed=1234):
-        rep = norm_v_to_vstar(X, S, seed)
+    def flag_second_row(X, h1, seed=1234):
+        rep = norm_v_to_vstar(X, h1, seed)
         return dataclasses.replace(rep, flagged=seed == 1234 + 1000)
 
     clean = run_study("norm", StudyConfig.from_text(NORM_CFG))
