@@ -8,9 +8,12 @@ Perturbations add the lower-order forms
 
 Every matrix is built on the interior nodes, the Dirichlet dofs, as
 three diagonals summed from the per-element 2x2 blocks; the boundary
-nodes never enter.  Wherever a band is needed (the solver's residual,
-the Cholesky band of a Gram or a pencil) it is read from a matrix's
-stored diagonals by diagonals, at any half-bandwidth.
+nodes never enter.  Each term of a form integrates only the element
+moments its blocks read, and its CSR arrays are written straight from
+the three diagonals, with no zero entry stored.  Wherever a band is
+needed (the solver's residual, the Cholesky band of a Gram or a pencil)
+it is read from a matrix's stored diagonals by diagonals, at any
+half-bandwidth.
 
 Oscillating coefficients are integrated per element with the
 composite Gauss rule from the lattice module.  Direct solves go through a
@@ -209,12 +212,14 @@ class FeSpace:
     mesh: Mesh1D
 
 
-def _element_moments(field_, mesh, refine):
+def _element_moments(field_, mesh, refine, keys):
     """Weighted element integrals of a field against P1 shape products.
 
-    Returns dict with keys '1', 'L', 'R', 'LL', 'LR', 'RR' mapping to
-    arrays (n_elements,): the integral of field * (shape factors) over
-    each element.
+    keys names the moments to take, from '1', 'L', 'R', 'LL', 'LR' and
+    'RR' (the shape factors 1, 1 - t, t and their products); a form term
+    reads only its own (see _TERM_MOMENTS).  Returns a dict mapping each
+    key to an array (n_elements,): the integral of field * (shape
+    factors) over each element.
     """
     refine = int(max(1, refine))
     t, w = _panel_rule(refine)
@@ -230,11 +235,20 @@ def _element_moments(field_, mesh, refine):
         "LR": w * t * (1.0 - t),
         "RR": w * t ** 2,
     }
-    return {k: h * np.einsum("q,eq->e", wk, vals) for k, wk in weights.items()}
+    return {k: h * np.einsum("q,eq->e", weights[k], vals) for k in keys}
+
+
+# the element moments each term of the form reads
+_TERM_MOMENTS = {
+    "stiffness": ("1",),
+    "plus": ("L", "R"),
+    "minus": ("L", "R"),
+    "mass": ("LL", "LR", "RR"),
+}
 
 
 def _form_matrix(mesh, coef, term, refine):
-    """Matrix on the interior nodes of one term of the form with one
+    """CSR matrix on the interior nodes of one term of the form with one
     coefficient A: "stiffness" (A u', v'), "plus" (A u', v), "minus"
     -(A u, v') or "mass" (A u, v).
 
@@ -243,11 +257,13 @@ def _form_matrix(mesh, coef, term, refine):
     at local node 1 of element i - 1 and local node 0 of element i, so
     its diagonal entry is the sum of those two contributions and each
     off-diagonal entry is one contribution; the matrix is three
-    diagonals, and zero entries are not stored.
+    diagonals.  The CSR arrays are written from them row by row, in
+    column order, and an entry equal to zero is not stored: the same
+    arrays SciPy's DIA to CSR conversion gives.
     """
     h = mesh.h
     d = (-1.0 / h, 1.0 / h)
-    m = _element_moments(coef, mesh, refine)
+    m = _element_moments(coef, mesh, refine, _TERM_MOMENTS[term])
     side = ("L", "R")
     pair = (("LL", "LR"), ("LR", "RR"))
     block = {
@@ -257,8 +273,22 @@ def _form_matrix(mesh, coef, term, refine):
         "mass": lambda a, b: m[pair[a][b]],
     }[term]
     main = block(0, 0)[1:] + block(1, 1)[:-1]
-    return sp.diags([block(1, 0)[1:-1], main, block(0, 1)[1:-1]],
-                    [-1, 0, 1], format="csr")
+    n = main.size
+    # row i holds columns i - 1, i, i + 1; the two corners lie outside
+    # the matrix and stay zero, so they are dropped with the zero entries
+    entries = np.zeros((n, 3), dtype=main.dtype)
+    entries[1:, 0] = block(1, 0)[1:-1]
+    entries[:, 1] = main
+    entries[:-1, 2] = block(0, 1)[1:-1]
+    stored = entries != 0
+    cols = (np.arange(-1, n - 1, dtype=np.int32)[:, None]
+            + np.arange(3, dtype=np.int32))
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(stored.sum(axis=1, dtype=np.int32), out=indptr[1:])
+    mat = sp.csr_matrix((entries[stored], cols[stored], indptr),
+                        shape=(n, n))
+    mat.has_canonical_format = True
+    return mat
 
 
 @dataclass(frozen=True)
@@ -289,8 +319,12 @@ def assemble_base(spec: OperatorSpec, mesh: Mesh1D) -> DiscreteOperator:
     mass = _form_matrix(mesh, one, "mass", 1)
     gram = (stiff + mass).tocsr()
     for g in (gram, mass):
-        asym = abs(g - g.getH()).max()
-        scale = max(abs(g).max(), 1e-300)
+        # max |g - g^H| over the diagonal and the pairs (j + 1, j), (j, j + 1)
+        _, band = diagonals(g, 1)
+        lower, diag, upper = band
+        asym = max(np.abs(diag - diag.conj()).max(),
+                   np.abs(lower[:-1] - upper[1:].conj()).max(initial=0.0))
+        scale = max(np.abs(band).max(), 1e-300)
         if asym > 1e-12 * scale:
             raise NumericalBreach("Gram matrix lost hermiticity")
     return DiscreteOperator(
@@ -314,16 +348,21 @@ def assemble_perturbation(space: FeSpace, q=(), p=(), v=None,
 
     The sign convention places the derivative on the trial function for Q
     and on the test function for P, with a minus sign on the P term, so a
-    triple with Q = -P and V = Q' assembles to the zero form.
+    triple with Q = -P and V = Q' assembles to the zero form.  The matrix
+    is complex; the sum starts from the first term's matrix, and stores
+    no zero entry.
     """
     mesh = space.mesh
     terms = [(qf, "plus") for qf in q] + [(pf, "minus") for pf in p]
     if v is not None:
         terms.append((v, "mass"))
-    dof = mesh.n_elements - 1
-    total = sp.csr_matrix((dof, dof), dtype=complex)
-    for field_, term in terms:
-        total = total + _form_matrix(mesh, field_, term, refine)
+    if not terms:
+        dof = mesh.n_elements - 1
+        return PerturbationMatrix(sp.csr_matrix((dof, dof), dtype=complex))
+    mats = (_form_matrix(mesh, field_, term, refine) for field_, term in terms)
+    total = next(mats).astype(complex, copy=False)
+    for mat in mats:
+        total = total + mat
     return PerturbationMatrix(total)
 
 

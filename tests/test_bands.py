@@ -6,7 +6,9 @@ solver's split diagonals and |A|_inf, and the Cholesky band of a Gram
 or a pencil.  The constructions below (DIA conversion; abs-sum, triu,
 COO and np.add.at) are the ones they replaced, kept as the oracle: on
 every form the shipped resolvent configs build, the new bands must hold
-the same bytes.
+the same bytes.  So is the sp.diags(..., format="csr") assembly that
+fem._form_matrix replaced: the matrices a resolvent row assembles must
+hold the same CSR arrays.
 """
 
 from functools import lru_cache
@@ -16,9 +18,10 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from homlab import norms, registry, study
+from homlab import fem, norms, registry, study
 from homlab.config import StudyConfig
-from homlab.fem import LinearSolver, _split, diagonals, half_bandwidth
+from homlab.fem import (LinearSolver, _element_moments, _split, diagonals,
+                        half_bandwidth)
 from homlab.resolvent import assemble_setting, context_from_setting
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -51,6 +54,40 @@ def _old_solver_bands(matrix):
             continue
         bands.append((j0, j1, off, _split(dia_r[k, j0:j1])))
     return bands, float(np.abs(matrix).sum(axis=1).max())
+
+
+def _diags_form_matrix(mesh, coef, term, refine):
+    """A form matrix as fem._form_matrix built it: all six element
+    moments, and the three diagonals through sp.diags(..., format="csr")."""
+    h = mesh.h
+    d = (-1.0 / h, 1.0 / h)
+    m = _element_moments(coef, mesh, refine,
+                         ("1", "L", "R", "LL", "LR", "RR"))
+    side = ("L", "R")
+    pair = (("LL", "LR"), ("LR", "RR"))
+    block = {
+        "stiffness": lambda a, b: d[a] * d[b] * m["1"],
+        "plus": lambda a, b: d[b] * m[side[a]],
+        "minus": lambda a, b: -d[a] * m[side[b]],
+        "mass": lambda a, b: m[pair[a][b]],
+    }[term]
+    main = block(0, 0)[1:] + block(1, 1)[:-1]
+    return sp.diags([block(1, 0)[1:-1], main, block(0, 1)[1:-1]],
+                    [-1, 0, 1], format="csr")
+
+
+def _empty_start_perturbation(space, q=(), p=(), v=None, refine=1):
+    """fem.assemble_perturbation as it summed: from an empty complex CSR,
+    one sparse add a term, each term from _diags_form_matrix."""
+    mesh = space.mesh
+    terms = [(qf, "plus") for qf in q] + [(pf, "minus") for pf in p]
+    if v is not None:
+        terms.append((v, "mass"))
+    dof = mesh.n_elements - 1
+    total = sp.csr_matrix((dof, dof), dtype=complex)
+    for field_, term in terms:
+        total = total + _diags_form_matrix(mesh, field_, term, refine)
+    return fem.PerturbationMatrix(total)
 
 
 def _same_bytes(a, b):
@@ -102,6 +139,42 @@ def test_shipped_bands_match_replaced_constructions(name):
         bands, matrix_norm = _old_solver_bands(form)
         assert _same_bands(solver._bands, bands), label
         assert solver.matrix_norm.hex() == matrix_norm.hex(), label
+
+
+def _same_csr(a, b):
+    return (a.shape == b.shape
+            and all(_same_bytes(getattr(a, k), getattr(b, k))
+                    for k in ("indptr", "indices", "data")))
+
+
+SETTING_MATRICES = ("base_form", "gram_h1", "gram_l2", "x_lim", "x_eps",
+                    "x_dev")
+
+
+def _setting_matrices(setting):
+    op = setting["op"]
+    return (op.base_form, op.gram_h1, op.gram_l2, setting["x_lim"],
+            setting["x_eps"], setting["x_dev"])
+
+
+@pytest.mark.parametrize("name", RESOLVENTS)
+def test_row_matrices_match_diags_assembly(name, monkeypatch):
+    # the first and last row of each shipped resolvent config
+    cfg = StudyConfig.load(CONFIGS / f"{name}.cfg")
+    family = registry.build_family(cfg)
+    spec = study._operator_spec(cfg, family)
+    schedule = study._schedule(cfg)
+    for eps in (schedule[0], schedule[-1]):
+        args = (spec, family, eps)
+        opts = study._mesh_opts(cfg)
+        with monkeypatch.context() as patch:
+            patch.setattr(fem, "_form_matrix", _diags_form_matrix)
+            patch.setattr(fem, "assemble_perturbation",
+                          _empty_start_perturbation)
+            old = _setting_matrices(assemble_setting(*args, **opts))
+        new = _setting_matrices(assemble_setting(*args, **opts))
+        for key, got, want in zip(SETTING_MATRICES, new, old):
+            assert _same_csr(got, want), f"{key} eps={eps:g}"
 
 
 def _pentadiagonal(outer):

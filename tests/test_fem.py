@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from homlab import fem
 from homlab.fem import (
     LinearSolver,
     Mesh1D,
@@ -102,12 +103,13 @@ def test_oscillating_potential_element_means():
 
 
 def _full_node_route(mesh, coef, term, refine):
-    """A form matrix the long way: every element block into a full-node
-    COO matrix in the order (0,0), (0,1), (1,0), (1,1), summed to CSR,
-    then cut to the interior nodes."""
+    """A form matrix the long way: all six element moments, every element
+    block into a full-node COO matrix in the order (0,0), (0,1), (1,0),
+    (1,1), summed to CSR, then cut to the interior nodes."""
     h = mesh.h
     d = (-1.0 / h, 1.0 / h)
-    m = _element_moments(coef, mesh, refine)
+    m = _element_moments(coef, mesh, refine,
+                         ("1", "L", "R", "LL", "LR", "RR"))
     side = ("L", "R")
     pair = (("LL", "LR"), ("LR", "RR"))
     block = {
@@ -129,19 +131,41 @@ def _full_node_route(mesh, coef, term, refine):
     return mat[1:-1][:, 1:-1]
 
 
+def _oscillating(x):
+    return (1.3 + np.sin(37.0 * x[:, 0])) * np.exp(5j * x[:, 0])
+
+
+def _gapped(x):
+    # exactly zero on [0.25, 0.5]: whole elements of the 64-element mesh,
+    # whose entries are then zeros that a CSR build must not store
+    return np.where((x[:, 0] < 0.25) | (x[:, 0] > 0.5), _oscillating(x), 0.0)
+
+
+def _same_bytes(a, b):
+    return (a.dtype == b.dtype and a.shape == b.shape
+            and a.tobytes() == b.tobytes())
+
+
 @pytest.mark.parametrize("term", ["stiffness", "plus", "minus", "mass"])
 @pytest.mark.parametrize("n", [2, 3, 64])
 @pytest.mark.parametrize("refine", [1, 3])
 def test_form_matrix_equals_full_node_route(term, n, refine):
-    coef = CoefficientField(
-        1, lambda x: (1.3 + np.sin(37.0 * x[:, 0]))
-        * np.exp(5j * x[:, 0]), 2.3, UNIT)
     mesh = build_mesh(UNIT, n)
-    got = _form_matrix(mesh, coef, term, refine)
-    want = _full_node_route(mesh, coef, term, refine)
-    assert got.shape == (n - 1, n - 1)
-    assert got.has_canonical_format
-    assert np.array_equal(got.toarray(), want.toarray())
+    for func in (_oscillating, _gapped):
+        coef = CoefficientField(1, func, 2.3, UNIT)
+        got = _form_matrix(mesh, coef, term, refine)
+        want = _full_node_route(mesh, coef, term, refine)
+        assert got.shape == (n - 1, n - 1)
+        assert got.has_canonical_format
+        assert np.array_equal(got.toarray(), want.toarray())
+        # the same CSR arrays, bit for bit, once the full-node route drops
+        # the zero entries it stores
+        want.eliminate_zeros()
+        for arr in ("indptr", "indices", "data"):
+            assert _same_bytes(getattr(got, arr), getattr(want, arr)), arr
+    if n == 64:
+        # _gapped left a run of zero entries unstored
+        assert got.nnz < 3 * (n - 1) - 2
 
 
 def test_gram_matrices_are_hermitian_and_ordered():
@@ -152,6 +176,30 @@ def test_gram_matrices_are_hermitian_and_ordered():
     # H1 dominates L2: smallest eigenvalue of (H1 - L2) is >= 0
     gap = np.linalg.eigvalsh((op.gram_h1 - op.gram_l2).toarray())
     assert gap.min() > -1e-12
+
+
+@pytest.mark.parametrize("rel, breach", [(1e-10, True), (1e-14, False)])
+def test_gram_hermiticity_check_on_perturbed_mass(monkeypatch, rel, breach):
+    # one off-diagonal mass entry scaled by 1 + rel: an asymmetry of rel / 4
+    # of max |mass|, against the check's 1e-12
+    form_matrix = fem._form_matrix
+
+    def perturbed(mesh, coef, term, refine):
+        mat = form_matrix(mesh, coef, term, refine)
+        if term == "mass":
+            assert mat[0, 1] == mat[1, 0]
+            mat.data[1] *= 1.0 + rel  # row 0 stores (0, 0), (0, 1)
+            assert mat[0, 1] != mat[1, 0]
+        return mat
+
+    monkeypatch.setattr(fem, "_form_matrix", perturbed)
+    mesh = build_mesh(UNIT, 20)
+    if breach:
+        with pytest.raises(NumericalBreach, match="lost hermiticity"):
+            assemble_base(OperatorSpec(UNIT), mesh)
+    else:
+        op = assemble_base(OperatorSpec(UNIT), mesh)
+        assert op.gram_l2[0, 1] != op.gram_l2[1, 0]
 
 
 # ---------------------------------------------------------------- mesh rule

@@ -14,7 +14,7 @@ from homlab import registry, study
 from homlab.config import StudyConfig
 from homlab.criteria import criterion_report
 from homlab.lattice import CHUNK_POINTS, GAUSS_ORDER, cell_integral
-from homlab.fem import LinearSolver
+from homlab.fem import LinearSolver, assemble_base, assemble_triple
 from homlab.norms import (Space, _hermitian_part, find_lambda,
                           norm_v_to_vstar, smallest_eigenvalue)
 from homlab.resolvent import (assemble_setting, context_from_setting,
@@ -24,13 +24,45 @@ CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 SIZES = [(0.1, 159), (0.025, 639), (0.00625, 2559)]
 
 
-def _stabilizing_setting(eps, dof):
+def _stabilizing():
+    """(config, family, operator spec) of stabilizing_resolvent."""
     cfg = StudyConfig.load(CONFIGS / "stabilizing_resolvent.cfg")
     family = registry.build_family(cfg)
-    spec = study._operator_spec(cfg, family)
+    return cfg, family, study._operator_spec(cfg, family)
+
+
+def _stabilizing_setting(eps, dof):
+    cfg, family, spec = _stabilizing()
     setting = assemble_setting(spec, family, eps, **study._mesh_opts(cfg))
     assert setting["op"].dof == dof
     return setting
+
+
+# the per-eps assembly of a stabilizing_resolvent row: the base form with
+# both Grams on its mesh, and one perturbation triple at the row's refine
+@pytest.mark.parametrize("eps, dof", SIZES)
+def test_bench_assemble_base(benchmark, eps, dof):
+    _, _, spec = _stabilizing()
+    setting = _stabilizing_setting(eps, dof)
+    op = benchmark.pedantic(assemble_base,
+                            args=(spec, setting["op"].space.mesh), rounds=5,
+                            iterations=1)
+    assert op.dof == dof
+    for name in ("base_form", "gram_h1", "gram_l2"):
+        got, want = getattr(op, name), getattr(setting["op"], name)
+        assert (got != want).nnz == 0 and got.nnz == want.nnz == 3 * dof - 2
+
+
+@pytest.mark.parametrize("eps, dof", SIZES)
+def test_bench_assemble_triple(benchmark, eps, dof):
+    _, family, _ = _stabilizing()
+    setting = _stabilizing_setting(eps, dof)
+    x = benchmark.pedantic(
+        assemble_triple,
+        args=(setting["op"].space, family.at(eps), setting["meta"]["refine"]),
+        rounds=5, iterations=1)
+    assert (x.matrix != setting["x_eps"]).nnz == 0
+    assert x.matrix.nnz == setting["x_eps"].nnz
 
 
 @pytest.mark.parametrize("eps, dof", SIZES)
