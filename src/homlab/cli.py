@@ -6,8 +6,8 @@ Exit codes: 0 success, 2 configuration problems (including keys no
 study reads), 3 numerical failures: breaches (a failed Lanczos run
 among them) and forms no shift makes coercive.
 
-Only the studies that discretize the operator (norm, resolvent, neumann)
-load SciPy, when their study starts; criterion, homogenize, families and
+Only the studies that discretize the operator (norm, resolvent) load
+SciPy, when their study starts; criterion, homogenize, families and
 report run without it.
 """
 
@@ -60,23 +60,14 @@ def _build_parser():
 
 _EPS_COLUMNS = ("kappa", "norm_L", "bound_m1m1", "rho1", "predicted",
                 "norm_x", "chain_bound", "declared_gap")
-_ORDER_COLUMNS = ("error", "bound")
 
 
 def _report(args):
     fields, rows, comments = read_csv(args.csv)
     if not rows:
         raise ConfigError(f"{args.csv}: no data rows")
-    if "eps" in fields:
-        xcol, xscale, guides = "eps", "log", (0.5, 1.0)
-        default_cols = _EPS_COLUMNS
-    elif "order" in fields:
-        xcol, xscale, guides = "order", "linear", ()
-        default_cols = _ORDER_COLUMNS
-    else:
-        raise ConfigError(
-            f"{args.csv}: need an 'eps' or 'order' column to plot against"
-        )
+    if "eps" not in fields:
+        raise ConfigError(f"{args.csv}: need an 'eps' column to plot against")
     if args.columns:
         wanted = [c.strip() for c in args.columns.split(",") if c.strip()]
         missing = [c for c in wanted if c not in fields]
@@ -85,11 +76,11 @@ def _report(args):
                 f"{args.csv}: columns not present: {', '.join(missing)}"
             )
     else:
-        wanted = [c for c in default_cols if c in fields]
+        wanted = [c for c in _EPS_COLUMNS if c in fields]
         if not wanted:
             raise ConfigError(f"{args.csv}: no plottable columns found")
 
-    xs = [row[xcol] for row in rows]
+    xs = [row["eps"] for row in rows]
     series = {}
     for col in wanted:
         series[col] = [
@@ -99,17 +90,16 @@ def _report(args):
                        else args.csv) + ".svg"
     write_plot(
         out, xs, series,
-        xlabel=xcol, ylabel="value",
+        xlabel="eps", ylabel="value",
         title=f"{args.csv}",
-        xscale=xscale, guides=guides,
+        guides=(0.5, 1.0),
     )
     print(f"wrote {out}")
-    if xcol == "eps":
-        for col in wanted:
-            fit = study_mod.fit_rate(xs, [v if v is not None else math.nan
-                                          for v in series[col]])
-            print(f"fit {col}: slope={fit['slope']:.6g} "
-                  f"constant={fit['constant']:.6g} used={fit['used']}")
+    for col in wanted:
+        fit = study_mod.fit_rate(xs, [v if v is not None else math.nan
+                                      for v in series[col]])
+        print(f"fit {col}: slope={fit['slope']:.6g} "
+              f"constant={fit['constant']:.6g} used={fit['used']}")
     if args.verbose:
         for line in comments:
             print(line)

@@ -1,4 +1,5 @@
-"""Resolvent differences, truncated perturbation series, and studies.
+"""Resolvent differences, truncated perturbation series, and the row
+of a resolvent convergence study.
 
 The shifted forms G = base - lam * mass are kept as sparse matrices with
 their factorizations; every norm of a resolvent expression is an induced
@@ -14,7 +15,6 @@ The difference identity is checked on refined solves, whose residual
 contract LinearSolver.solve_pair checks.
 """
 
-import math
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
 
@@ -134,56 +134,31 @@ def truncation_error_norm(ctx, order, seed=1234):
     )
 
 
-@dataclass(frozen=True)
-class TruncationReport:
-    """Truncated-series errors against their certified envelope."""
+def series_columns(ctx, orders, rep_kappa, rep_L, seed):
+    """Truncated-series errors against their a-priori envelope.
 
-    norm_L: float
-    c2: float
-    contraction: float
-    rows: tuple
-    divergent: bool
-    flagged: bool
-
-
-def truncation_study(ctx, orders=(0, 1, 2, 3), seed=1234):
-    """Measure series truncation errors and the a-priori envelope.
-
-    The envelope is c2^(N+2) |L|^(N+1) with c2 bounding |R_0| and
-    |R_eps|: the larger Lax-Milgram bound 1/c, floored at one (ROADMAP
-    item 4 drops the floor).  A form that is not coercive at the shift
-    raises CoercivityError.  Consecutive error ratios are reported next
-    to the contraction factor they should track.  The keys of each row,
-    in order, are the neumann study's CSV columns.
+    c2 bounds |R_0| and |R_eps|: the larger Lax-Milgram bound 1/c,
+    floored at one (ROADMAP item 4 drops the floor); a form that is not
+    coercive at the shift raises CoercivityError.  For each order N,
+    err_N is the norm of R_eps minus the order-N series and bound_N =
+    c2^(N+2) |L|^(N+1) its envelope.  Order 0 is kappa, so rep_kappa
+    serves it, and rep_L gives |L|.  The series is divergent when the
+    contraction factor is 1 or above.  Returns the columns, in order, and
+    whether a norm they read missed its tolerance.
     """
     c2 = max(1.0, _lax_milgram_bound(ctx, "base"),
              _lax_milgram_bound(ctx, "eps"))
-    rep_L = perturbation_norm(ctx, seed)
     rep_c = contraction_norm(ctx, seed)
-    flagged = rep_L.flagged or rep_c.flagged
-    rows = []
-    prev = None
+    cols = {"c2": c2, "contraction": rep_c.value,
+            "divergent": int(rep_c.value >= 1.0)}
+    flagged = rep_c.flagged
     for order in orders:
-        rep_err = truncation_error_norm(ctx, order, seed)
-        flagged = flagged or rep_err.flagged
-        err = rep_err.value
-        bound = c2 ** (order + 2) * rep_L.value ** (order + 1)
-        ratio = err / prev if prev else math.nan
-        rows.append({
-            "order": order,
-            "error": err,
-            "bound": bound,
-            "ratio_vs_prev": ratio,
-        })
-        prev = err
-    return TruncationReport(
-        norm_L=rep_L.value,
-        c2=c2,
-        contraction=rep_c.value,
-        rows=tuple(rows),
-        divergent=rep_c.value >= 1.0,
-        flagged=flagged,
-    )
+        rep = (rep_kappa if order == 0
+               else truncation_error_norm(ctx, order, seed))
+        flagged = flagged or rep.flagged
+        cols[f"err_{order}"] = rep.value
+        cols[f"bound_{order}"] = c2 ** (order + 2) * rep_L.value ** (order + 1)
+    return cols, flagged
 
 
 # op_spec repeats family.domain; perfbench/oracle.py passes it (ROADMAP item 7)
@@ -291,10 +266,15 @@ def identity_residual(ctx, seed=1234):
 
 
 def convergence_row(family, eps, lam, setting, seed=1234,
-                    eta_exponents=None):
+                    eta_exponents=None, orders=()):
     """All measurements for one epsilon of a convergence study, on the
     setting assemble_setting made for that epsilon; the keys, in order,
-    are the study's CSV columns."""
+    are the study's CSV columns.
+
+    Nonempty orders add series_columns before flagged: c2, contraction,
+    divergent, then err_N and bound_N for each order N.  flagged is 1
+    when any norm of the row missed its tolerance.
+    """
     ctx = context_from_setting(setting, lam)
     eta, crit = criteria.optimize_eta(
         family, eps,
@@ -302,7 +282,7 @@ def convergence_row(family, eps, lam, setting, seed=1234,
     )
     rep_kappa = truncation_error_norm(ctx, 0, seed)
     rep_L = perturbation_norm(ctx, seed)
-    return {
+    row = {
         "eps": eps,
         "n_elements": ctx.meta["n_elements"],
         "capped": int(ctx.meta["capped"]),
@@ -315,8 +295,15 @@ def convergence_row(family, eps, lam, setting, seed=1234,
         "norm_L": rep_L.value,
         "identity_err": identity_residual(ctx, seed=seed),
         "predicted": family.rate(eps),
-        "flagged": int(rep_kappa.flagged or rep_L.flagged),
     }
+    flagged = rep_kappa.flagged or rep_L.flagged
+    if orders:
+        series, series_flagged = series_columns(ctx, orders, rep_kappa,
+                                                rep_L, seed)
+        row.update(series)
+        flagged = flagged or series_flagged
+    row["flagged"] = int(flagged)
+    return row
 
 
 def convergence_verdict(rows):

@@ -1,15 +1,15 @@
 """Config-driven studies producing deterministic CSV tables.
 
-A study maps a decreasing epsilon schedule (or a series-order schedule)
-to one measurement row per entry, computed in schedule order.  Every row
-gets its seed from the base seed and its schedule index.
+A study maps a decreasing epsilon schedule to one measurement row per
+entry, computed in schedule order.  Every row gets its seed from the
+base seed and its schedule index.
 
 Import boundary: the criterion and homogenize studies need only cell
 quadrature, so this module does not import fem, norms or resolvent, and
-through them SciPy, when it loads.  The norm, resolvent and neumann
-studies import what they use at the top of their own body, so SciPy
-loads only when a discretizing study starts, and a cell-criterion run
-starts without its import cost.
+through them SciPy, when it loads.  The norm and resolvent studies
+import what they use at the top of their own body, so SciPy loads only
+when a discretizing study starts, and a cell-criterion run starts
+without its import cost.
 """
 
 import math
@@ -23,7 +23,7 @@ from .families import deviation_triple
 from .fields import sampled_sup
 from .lattice import MAX_REFINE
 
-STUDY_KINDS = ("criterion", "homogenize", "norm", "resolvent", "neumann")
+STUDY_KINDS = ("criterion", "homogenize", "norm", "resolvent")
 
 
 def __getattr__(name):
@@ -357,13 +357,6 @@ def norm_study(cfg, seed=1234):
     return _table(cfg, rows, fits=("norm_x", "v_m1m1"), footer=footer)
 
 
-def _fixed_shift(cfg):
-    lam = cfg.get_float("operator.shift", -2.0)
-    if lam >= 0:
-        raise ConfigError("operator.shift must be negative")
-    return lam
-
-
 def _resolve_shift(cfg, settings):
     """Fixed negative shift, or a coercive one found by descent.
 
@@ -386,17 +379,38 @@ def _resolve_shift(cfg, settings):
         return rep.lambda0, rep
     if isinstance(raw, str):
         raise ConfigError("operator.shift must be a negative number or auto")
-    return _fixed_shift(cfg), None
+    lam = cfg.get_float("operator.shift", -2.0)
+    if lam >= 0:
+        raise ConfigError("operator.shift must be negative")
+    return lam, None
+
+
+def _series_orders(cfg):
+    orders = cfg.get_floats("series.orders", ())
+    if not all(o.is_integer() for o in orders):
+        raise ConfigError("series.orders must be whole numbers")
+    orders = tuple(int(o) for o in orders)
+    if any(o < 0 for o in orders) or list(orders) != sorted(set(orders)):
+        raise ConfigError("series.orders must be increasing and nonnegative")
+    return orders
 
 
 def resolvent_study(cfg, seed=1234):
-    """Resolvent-difference convergence over the epsilon schedule."""
+    """Resolvent-difference convergence over the epsilon schedule.
+
+    series.orders, when set, adds the truncated perturbation series at
+    those orders to every row (see resolvent.convergence_row).
+    """
     from .resolvent import (assemble_setting, convergence_row,
                             convergence_verdict)
 
     family = registry.build_family(cfg)
     _require_1d(family, "resolvent")
     schedule = _schedule(cfg)
+    if len(schedule) < 2:
+        raise ConfigError("resolvent needs at least two schedule.eps "
+                          "entries to judge convergence")
+    orders = _series_orders(cfg)
     op_spec = _operator_spec(cfg, family)
     opts = _mesh_opts(cfg)
     exponents = _criterion_exponents(cfg)
@@ -405,7 +419,7 @@ def resolvent_study(cfg, seed=1234):
                 for eps in schedule]
     lam, coercivity = _resolve_shift(cfg, settings)
     rows = [convergence_row(family, eps, lam, setting, seed=seed + 1000 * i,
-                            eta_exponents=exponents)
+                            eta_exponents=exponents, orders=orders)
             for i, (eps, setting) in enumerate(zip(schedule, settings))]
     verdict, detail = convergence_verdict(rows)
     max_identity = max(r["identity_err"] for r in rows)
@@ -427,47 +441,11 @@ def resolvent_study(cfg, seed=1234):
                   footer=footer)
 
 
-def neumann_study(cfg, seed=1234):
-    """Truncated-series error table at one fixed epsilon."""
-    from .resolvent import (assemble_setting, context_from_setting,
-                            truncation_study)
-
-    family = registry.build_family(cfg)
-    _require_1d(family, "neumann")
-    eps = cfg.get_float("study.eps")
-    if eps <= 0:
-        raise ConfigError("study.eps must be positive")
-    orders = cfg.get_floats("schedule.orders", (0.0, 1.0, 2.0, 3.0, 4.0))
-    if not all(o.is_integer() for o in orders):
-        raise ConfigError("schedule.orders must be whole numbers")
-    orders = tuple(int(o) for o in orders)
-    if any(o < 0 for o in orders) or list(orders) != sorted(set(orders)):
-        raise ConfigError("schedule.orders must be increasing and nonnegative")
-    lam = _fixed_shift(cfg)
-    op_spec = _operator_spec(cfg, family)
-    opts = _mesh_opts(cfg)
-    ctx = context_from_setting(assemble_setting(op_spec, family, eps, **opts),
-                               lam)
-    rep = truncation_study(ctx, orders, seed=seed)
-    footer = [
-        f"# eps = {eps:.17g}",
-        f"# norm_L = {rep.norm_L:.17g}",
-        f"# c2 = {rep.c2:.17g}",
-        f"# contraction = {rep.contraction:.17g}",
-        f"# divergent: {'true' if rep.divergent else 'false'}",
-    ]
-    if rep.flagged:
-        footer.append("# norm_flagged: some norm missed its residual "
-                      "tolerance")
-    return _table(cfg, rep.rows, footer=footer)
-
-
 _RUNNERS = {
     "criterion": criterion_study,
     "homogenize": homogenize_study,
     "norm": norm_study,
     "resolvent": resolvent_study,
-    "neumann": neumann_study,
 }
 
 

@@ -1,8 +1,8 @@
 """Self-contained SVG line plots for study tables.
 
 No plotting dependency: the figures are assembled as SVG text directly.
-Log axes get decade ticks; rate plots can carry dashed slope guides
-anchored at the first point of the first series.
+Both axes are logarithmic with decade ticks; rate plots can carry dashed
+slope guides anchored at the first point of the first series.
 """
 
 import math
@@ -29,31 +29,29 @@ def _decades(lo, hi):
     return [10.0 ** k for k in range(start, stop + 1)]
 
 
-def _fmt_tick(value, log):
-    if log:
-        exp = round(math.log10(value))
-        if -3 <= exp <= 3:
-            return format(value, "g")
-        return f"1e{exp:d}"
-    return format(value, "g")
+def _fmt_tick(value):
+    exp = round(math.log10(value))
+    if -3 <= exp <= 3:
+        return format(value, "g")
+    return f"1e{exp:d}"
 
 
 class _Axis:
-    def __init__(self, lo, hi, pix_lo, pix_hi, log):
-        if log:
-            lo_, hi_ = math.log10(lo), math.log10(hi)
-        else:
-            lo_, hi_ = lo, hi
+    """A log axis from lo to hi onto pixels pix_lo to pix_hi, with the
+    decades that fall on it as ticks."""
+
+    def __init__(self, lo, hi, pix_lo, pix_hi):
+        lo_, hi_ = math.log10(lo), math.log10(hi)
         if hi_ <= lo_:
             pad = max(abs(lo_) * 0.1, 0.5)
             lo_, hi_ = lo_ - pad, hi_ + pad
         self.lo, self.hi = lo_, hi_
         self.pix_lo, self.pix_hi = pix_lo, pix_hi
-        self.log = log
+        self.ticks = [t for t in _decades(lo, hi)
+                      if lo_ - 1e-9 <= math.log10(t) <= hi_ + 1e-9]
 
     def pix(self, value):
-        v = math.log10(value) if self.log else value
-        t = (v - self.lo) / (self.hi - self.lo)
+        t = (math.log10(value) - self.lo) / (self.hi - self.lo)
         return self.pix_lo + t * (self.pix_hi - self.pix_lo)
 
 
@@ -70,20 +68,17 @@ def _collect(xs, series):
     return pts
 
 
-def plot(xs, series, xlabel="", ylabel="", title="", xscale="log",
-         guides=()):
-    """Render line series to SVG text on a log y axis.
+def plot(xs, series, xlabel="", ylabel="", title="", guides=()):
+    """Render line series to SVG text on log-log axes.
 
-    series maps label -> y values aligned with xs.  Nonpositive values
-    are dropped on log axes.  guides are slopes p drawn as dashed lines
-    y = y0 (x/x0)^p through the first plotted point (log-log only).
+    series maps label -> y values aligned with xs.  Points with a
+    nonpositive x or y are dropped.  guides are slopes p drawn as dashed
+    lines y = y0 (x/x0)^p through the first plotted point.
     """
     data = _collect(xs, series)
     cleaned = {}
     for label, pts in data.items():
-        pts = [(x, y) for x, y in pts if y > 0]
-        if xscale == "log":
-            pts = [(x, y) for x, y in pts if x > 0]
+        pts = [(x, y) for x, y in pts if x > 0 and y > 0]
         if pts:
             cleaned[label] = sorted(pts)
     if not cleaned:
@@ -91,9 +86,8 @@ def plot(xs, series, xlabel="", ylabel="", title="", xscale="log",
 
     all_x = [x for pts in cleaned.values() for x, _ in pts]
     all_y = [y for pts in cleaned.values() for _, y in pts]
-    ax_x = _Axis(min(all_x), max(all_x), MARGIN_L, WIDTH - MARGIN_R,
-                 xscale == "log")
-    ax_y = _Axis(min(all_y), max(all_y), HEIGHT - MARGIN_B, MARGIN_T, True)
+    ax_x = _Axis(min(all_x), max(all_x), MARGIN_L, WIDTH - MARGIN_R)
+    ax_y = _Axis(min(all_y), max(all_y), HEIGHT - MARGIN_B, MARGIN_T)
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" '
@@ -112,18 +106,7 @@ def plot(xs, series, xlabel="", ylabel="", title="", xscale="log",
         f'stroke="#444444" stroke-width="1"/>'
     )
 
-    def x_ticks():
-        if xscale == "log":
-            return [t for t in _decades(min(all_x), max(all_x))
-                    if ax_x.lo - 1e-9 <= math.log10(t) <= ax_x.hi + 1e-9]
-        lo, hi = min(all_x), max(all_x)
-        if hi == lo:
-            return [lo]
-        step = max(1.0, round((hi - lo) / 5))
-        n = int((hi - lo) / step) + 1
-        return [lo + k * step for k in range(n)]
-
-    for t in x_ticks():
+    for t in ax_x.ticks:
         px = ax_x.pix(t)
         parts.append(
             f'<line x1="{px:.2f}" y1="{HEIGHT - MARGIN_B}" x2="{px:.2f}" '
@@ -132,11 +115,9 @@ def plot(xs, series, xlabel="", ylabel="", title="", xscale="log",
         parts.append(
             f'<text x="{px:.2f}" y="{HEIGHT - MARGIN_B + 20}" '
             f'text-anchor="middle" font-family="sans-serif" font-size="11" '
-            f'fill="#222222">{_escape(_fmt_tick(t, xscale == "log"))}</text>'
+            f'fill="#222222">{_escape(_fmt_tick(t))}</text>'
         )
-    y_ticks = [t for t in _decades(min(all_y), max(all_y))
-               if ax_y.lo - 1e-9 <= math.log10(t) <= ax_y.hi + 1e-9]
-    for t in y_ticks:
+    for t in ax_y.ticks:
         py = ax_y.pix(t)
         parts.append(
             f'<line x1="{MARGIN_L - 6}" y1="{py:.2f}" x2="{MARGIN_L}" '
@@ -145,7 +126,7 @@ def plot(xs, series, xlabel="", ylabel="", title="", xscale="log",
         parts.append(
             f'<text x="{MARGIN_L - 10}" y="{py + 4:.2f}" text-anchor="end" '
             f'font-family="sans-serif" font-size="11" fill="#222222">'
-            f'{_escape(_fmt_tick(t, True))}</text>'
+            f'{_escape(_fmt_tick(t))}</text>'
         )
 
     parts.append(
@@ -161,7 +142,7 @@ def plot(xs, series, xlabel="", ylabel="", title="", xscale="log",
     )
 
     # slope guides, anchored at the first point of the first series
-    if guides and xscale == "log":
+    if guides:
         first_pts = next(iter(cleaned.values()))
         x0, y0 = first_pts[0]
         gx = sorted(all_x)

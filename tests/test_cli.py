@@ -131,14 +131,44 @@ def test_criterion_refine_above_max_exits_2(tmp_path, capsys):
     assert "criterion.refine" in err and "4096" in err
 
 
+def run_series_orders(tmp_path, orders):
+    path = tmp_path / "orders.cfg"
+    path.write_text("study.kind = resolvent\nfamily.name = regular_sin\n"
+                    "schedule.eps = 0.05, 0.025\n"
+                    f"series.orders = {orders}\n")
+    return main(["resolvent", "--config", str(path), "--out", "-"])
+
+
 def test_fractional_series_orders_exit_2(tmp_path, capsys):
     # int() used to truncate them to 0, 1, 2 and exit 0
-    path = tmp_path / "orders.cfg"
-    path.write_text("study.kind = neumann\nfamily.name = regular_sin\n"
-                    "study.eps = 0.05\nschedule.orders = 0.5, 1.5, 2.5\n")
-    code = main(["neumann", "--config", str(path), "--out", "-"])
+    assert run_series_orders(tmp_path, "0.5, 1.5, 2.5") == 2
+    assert "series.orders" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("orders", ["-1, 0, 1", "0, 2, 1", "0, 1, 1"])
+def test_negative_or_unordered_series_orders_exit_2(tmp_path, capsys,
+                                                    orders):
+    assert run_series_orders(tmp_path, orders) == 2
+    assert "series.orders" in capsys.readouterr().err
+
+
+def test_neumann_kind_is_gone(capsys):
+    # the series errors are columns of the resolvent row (series.orders)
+    with pytest.raises(SystemExit) as exc:
+        main(["neumann", "--config",
+              str(ROOT / "configs" / "sin_neumann.cfg"), "--out", "-"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'neumann'" in capsys.readouterr().err
+
+
+def test_single_eps_resolvent_exits_2(tmp_path, capsys):
+    # one row used to print a not_convergent verdict from nan fits
+    path = tmp_path / "one.cfg"
+    path.write_text("study.kind = resolvent\nfamily.name = regular_sin\n"
+                    "schedule.eps = 0.05\noperator.shift = -2.0\n")
+    code = main(["resolvent", "--config", str(path), "--out", "-"])
     assert code == 2
-    assert "schedule.orders" in capsys.readouterr().err
+    assert "schedule.eps" in capsys.readouterr().err
 
 
 def test_kind_mismatch_exits_2(tmp_path, crit_cfg):
@@ -198,12 +228,13 @@ def test_coercivity_failure_exits_3(crit_cfg, monkeypatch, capsys):
 
 def test_noncoercive_fixed_shift_exits_3(tmp_path, capsys):
     # at amplitude 200 the perturbed form has c = -1.19 at shift -2; the
-    # series envelope needs a Lax-Milgram bound on its resolvent
-    path = tmp_path / "neumann.cfg"
+    # series envelope (series.orders) needs a Lax-Milgram bound on its
+    # resolvent
+    path = tmp_path / "series.cfg"
     path.write_text((ROOT / "configs" / "sin_neumann.cfg").read_text()
                     .replace("family.amplitude = 1.0",
                              "family.amplitude = 200"))
-    code = main(["neumann", "--config", str(path), "--out", "-"])
+    code = main(["resolvent", "--config", str(path), "--out", "-"])
     assert code == 3
     err = capsys.readouterr().err
     assert "coercivity error: Geps is not coercive at operator.shift = -2" \
@@ -324,7 +355,7 @@ def test_nonpositive_homogenize_option_exits_2_naming_the_key(tmp_path,
 def test_bad_shift_exits_2_naming_the_key(tmp_path, capsys, value):
     path = tmp_path / "shift.cfg"
     path.write_text("study.kind = resolvent\nfamily.name = regular_sin\n"
-                    "schedule.eps = 0.2\nmesh.min_elements = 16\n"
+                    "schedule.eps = 0.2, 0.1\nmesh.min_elements = 16\n"
                     f"operator.shift = {value}\n")
     code = main(["resolvent", "--config", str(path), "--out", "-"])
     assert code == 2
@@ -333,7 +364,7 @@ def test_bad_shift_exits_2_naming_the_key(tmp_path, capsys, value):
 
 @pytest.mark.parametrize("kind, config", [
     ("criterion", "sin_criterion"), ("norm", "sin_norm"),
-    ("resolvent", "sin_resolvent"), ("neumann", "sin_neumann")])
+    ("resolvent", "sin_resolvent")])
 def test_negative_seed_exits_2_naming_the_flag(capsys, kind, config):
     code = main([kind, "--config", str(ROOT / "configs" / f"{config}.cfg"),
                  "--out", "-", "--seed", "-1"])

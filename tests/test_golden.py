@@ -30,7 +30,9 @@ from homlab.resolvent import assemble_setting, context_from_setting
 from homlab.study import render_csv, run_study
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
-RESOLVENTS = sorted(p.stem for p in CONFIGS.glob("*_resolvent.cfg"))
+RESOLVENTS = sorted(
+    p.stem for p in CONFIGS.glob("*.cfg")
+    if StudyConfig.load(p).get_str("study.kind") == "resolvent")
 NEGATIVE_CONTROLS = {"sign_resolvent"}
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
 DIGESTS = {
@@ -51,7 +53,7 @@ DIGESTS = {
     "sign_criterion": "2120550c057e5c5e6ecb3fdd9b14e3af10e36f03c60a337006a1b1ad2eda51a7",
     "sign_resolvent": "eecefc59df0a97796dca662035346e816ff3615f63852d442fc4fef60c3f6e30",
     "sin_criterion": "965d58409d88f0e4a5ce3d21c4b54cee8bc5779cf5b5bb2485435ad2c7e805ef",
-    "sin_neumann": "5887a4c9075e5c1ac759e0c3ea235a3eb9c98e71942ef3c46be785d25b74f509",
+    "sin_neumann": "37ac40842898d453aed2a4c1fabb5dd8c466980f75be2949e14d379905078d3b",
     "sin_norm": "3184ee7cbec9772eea84b2855d3d150af4f74a974ad2a300ad420ab822f4c818",
     "sin_resolvent": "e2e8b0c7abae18578300eae3ea88ff45d5a8fabb693c9cbbc739a9c5b3a18181",
     "sparse_criterion": "fe9e3410e9aee7200f2f9ef58266407554e1e69e670c3b8201b6df80e1c3d326",
@@ -108,7 +110,7 @@ def test_studies_repeat_their_bytes_at_other_seeds():
 
 
 def test_every_resolvent_config_is_covered():
-    assert len(RESOLVENTS) == 10
+    assert len(RESOLVENTS) == 11
 
 
 @pytest.mark.parametrize("name", RESOLVENTS)
@@ -129,19 +131,39 @@ def test_two_scale_limit_is_consistent():
     assert footer[-1].startswith("# declared_limit_consistent: true ")
 
 
+# the series table of sin_neumann at eps 0.05 when it was a study kind of
+# its own: (error, bound) per order 0-4, then norm_L, c2 and contraction
+SERIES_TABLE = (
+    ((0.010334625153686215, 0.011206184118875397),
+     (0.00011295341762880907, 0.00012557856250613515),
+     (1.1840207957486657e-06, 1.4072564928274529e-06),
+     (1.2857995100160994e-08, 1.5769975361107291e-08),
+     (1.3565105743623246e-10, 1.7672124744669685e-10)),
+    0.011206184118875397, 1.0, 0.011057807107828051,
+)
+
+
 def test_sin_neumann_errors_below_bounds():
-    res = _run("sin_neumann")
-    assert all(row["error"] <= row["bound"] for row in res.rows)
-    assert "# divergent: false" in res.footer
-    assert not any(line.startswith("# norm_flagged") for line in res.footer)
+    rows = _run("sin_neumann").rows
+    orders = range(5)
+    for row in rows:
+        assert all(row[f"err_{n}"] <= row[f"bound_{n}"] for n in orders)
+        assert row["divergent"] == 0
+    first = rows[0]
+    errors, norm_l, c2, contraction = SERIES_TABLE
+    assert [(first[f"err_{n}"], first[f"bound_{n}"]) for n in orders] \
+        == list(errors)
+    assert (first["norm_L"], first["c2"], first["contraction"]) \
+        == (norm_l, c2, contraction)
     # c2 is the larger Lax-Milgram bound 1/c of the two shifted forms
     cfg = StudyConfig.load(CONFIGS / "sin_neumann.cfg")
     family = registry.build_family(cfg)
     ctx = context_from_setting(
         assemble_setting(study._operator_spec(cfg, family), family,
-                         cfg.get_float("study.eps"), **study._mesh_opts(cfg)),
+                         first["eps"], **study._mesh_opts(cfg)),
         cfg.get_float("operator.shift"))
     inverse_c = [1.0 / smallest_eigenvalue(_hermitian_part(g),
                                            ctx.op.gram_h1)[0]
                  for g in (ctx.G0, ctx.Geps)]
-    assert f"# c2 = {max(1.0, *inverse_c):.17g}" in res.footer
+    assert first["eps"] == 0.05
+    assert first["c2"] == max(1.0, *inverse_c)

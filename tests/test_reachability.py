@@ -46,7 +46,7 @@ UNPASSED_PARAMS = {
     # run_study passes the seed through the _RUNNERS table, a call no
     # name matches
     "criterion_study.seed", "homogenize_study.seed", "norm_study.seed",
-    "resolvent_study.seed", "neumann_study.seed",
+    "resolvent_study.seed",
 }
 # config keys read but set by no shipped config, each with the reason
 UNSET_KEYS = {

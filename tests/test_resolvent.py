@@ -20,8 +20,8 @@ from homlab.resolvent import (
     convergence_verdict,
     identity_residual,
     perturbation_norm,
+    series_columns,
     truncation_error_norm,
-    truncation_study,
 )
 
 UNIT = Box((0.0,), (1.0,))
@@ -241,18 +241,28 @@ def test_identity_residual_blocks_match_per_load_loop(width, monkeypatch):
 
 # ------------------------------------------------------------- norms
 
+def series_of(ctx, orders):
+    """The series columns of a row, from the kappa and |L| it measured."""
+    return series_columns(ctx, orders, truncation_error_norm(ctx, 0, 1234),
+                          perturbation_norm(ctx, 1234), 1234)
+
+
 def test_truncation_errors_decay_geometrically():
     ctx = small_context(n=32, amplitude=0.4)
-    rep = truncation_study(ctx, orders=(0, 1, 2, 3))
-    errs = [row["error"] for row in rep.rows]
+    orders = (0, 1, 2, 3)
+    cols, flagged = series_of(ctx, orders)
+    assert list(cols) == ["c2", "contraction", "divergent", "err_0",
+                          "bound_0", "err_1", "bound_1", "err_2", "bound_2",
+                          "err_3", "bound_3"]
+    assert not flagged
+    errs = [cols[f"err_{n}"] for n in orders]
     assert all(b < a for a, b in zip(errs, errs[1:]))
-    assert not rep.divergent
-    assert rep.c2 >= 1.0
-    for row in rep.rows:
-        assert row["error"] <= row["bound"] * (1.0 + 1e-8)
+    assert cols["divergent"] == 0
+    assert cols["c2"] >= 1.0
+    for n in orders:
+        assert cols[f"err_{n}"] <= cols[f"bound_{n}"] * (1.0 + 1e-8)
     # consecutive ratios settle near the contraction factor
-    assert rep.rows[-1]["ratio_vs_prev"] == pytest.approx(rep.contraction,
-                                                          rel=0.3)
+    assert errs[-1] / errs[-2] == pytest.approx(cols["contraction"], rel=0.3)
 
 
 def test_truncation_flags_divergent_series():
@@ -261,15 +271,15 @@ def test_truncation_flags_divergent_series():
     op = assemble_base(OperatorSpec(UNIT), mesh)
     pert = assemble_perturbation(op.space, v=constant_field(1, 20.0, UNIT))
     ctx = context_from_difference(op, -1.0, pert.matrix)
-    rep = truncation_study(ctx, orders=(0, 1))
-    assert rep.divergent
-    errs = [row["error"] for row in rep.rows]
-    assert errs[1] > errs[0]
+    cols, _ = series_of(ctx, (0, 1))
+    assert cols["divergent"] == 1
+    assert cols["err_1"] > cols["err_0"]
 
 
 @pytest.fixture(scope="module")
 def sin_neumann_context():
-    """The context of configs/sin_neumann.cfg: 63 dof, eps 0.05, shift -2."""
+    """The context of the first row of configs/sin_neumann.cfg: 63 dof,
+    eps 0.05, shift -2."""
     configs = Path(__file__).resolve().parents[1] / "configs"
     cfg = StudyConfig.load(configs / "sin_neumann.cfg")
     family = registry.build_family(cfg)
