@@ -45,8 +45,7 @@ def _build_parser():
                        help="base seed for iterative norms (default 1234)")
         p.add_argument("--verbose", action="store_true")
 
-    pf = sub.add_parser("families", help="list the family catalogue")
-    pf.add_argument("--verbose", action="store_true")
+    sub.add_parser("families", help="list the family catalogue")
 
     pr = sub.add_parser("report", help="plot a study CSV as SVG")
     pr.add_argument("--csv", required=True, help="study CSV to read")

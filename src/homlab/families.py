@@ -1,15 +1,17 @@
 """Perturbation families: the eps-indexed coefficients a study walks.
 
 A perturbation family is an eps-indexed triple of coefficient fields
-(potential V, first-order weights Q_j, P_j) together with its declared
-limit triple, a predicted convergence-rate function and the finest length
-scale of its oscillation.  This module holds the family record and the
-one constructor, `make_family`.  The oscillation mechanisms themselves
-(uniform, sparse bumps, stabilizing tails, locally periodic, almost
-periodic, modulated phases, fractal-type products and an ergodic torus
-rotation) live in `registry.py`, one catalogue entry each: an entry reads
-its `family.*` keys and writes out its field, limit, rate and finest
-scale in one place.
+(potential V, first-order weights Q_j, P_j) on one box domain, together
+with its declared limit triple, a predicted convergence-rate function and
+the finest length scale of its oscillation.  The family owns the domain
+and its dimension: fields carry neither.  This module holds the family
+record and the one constructor, `make_family`.  The oscillation
+mechanisms themselves (uniform, sparse bumps, stabilizing tails, locally
+periodic, almost periodic, modulated phases, fractal-type products and
+an ergodic torus rotation) live in `registry.py`, one catalogue entry
+each: an entry reads its `family.*` keys and writes out its field,
+limit, rate and finest scale in one place.  A family has no name of its
+own; `family.name` in the config names the entry that built it.
 """
 
 from dataclasses import dataclass
@@ -35,16 +37,19 @@ class FieldTriple:
 
 @dataclass(frozen=True)
 class PerturbationFamily:
-    """eps-indexed perturbation with declared limit and predicted rate."""
+    """eps-indexed perturbation on domain, with declared limit and
+    predicted rate; every field of at(eps) and of limit lives on domain."""
 
-    name: str
-    dim: int
     domain: Box
     at: Callable[[float], FieldTriple]
     limit: FieldTriple
     rate: Callable[[float], float]
     finest_scale: Callable[[float], float]
     suggested_lattice: Optional[Lattice] = None
+
+    @property
+    def dim(self):
+        return self.domain.dim
 
     @property
     def ncomp(self):
@@ -64,7 +69,7 @@ def deviation_triple(family, eps):
         if a is not None and (b is None or b.sup_bound == 0.0):
             return a
         if a is None:
-            a = zero_field(family.dim, family.domain)
+            a = zero_field(family.dim)
         return sub_fields(a, b)
 
     trip = family.at(eps)
@@ -82,7 +87,7 @@ def _as_triple(v_or_triple):
     return FieldTriple(v=v_or_triple)
 
 
-def make_family(v_of_eps, v0, rate, domain, name, finest_scale,
+def make_family(v_of_eps, v0, rate, domain, finest_scale,
                 suggested_lattice=None):
     """Family with the limit, rate and finest scale declared by the caller.
 
@@ -90,15 +95,18 @@ def make_family(v_of_eps, v0, rate, domain, name, finest_scale,
     declared limit.  rate(eps) is the predicted convergence rate and
     finest_scale(eps) the shortest oscillation length, which sets the
     quadrature and mesh resolution.  suggested_lattice, when given,
-    replaces the unit lattice of the cell criteria.
+    replaces the unit lattice of the cell criteria.  Raises ValueError
+    unless the field at eps = 0.5, the limit and the domain have one
+    dimension.
     """
     lim = _as_triple(v0)
     probe = _as_triple(v_of_eps(0.5))
-    if probe.v.dim != lim.v.dim:
-        raise ValueError("limit dimension does not match the family fields")
+    if not probe.v.dim == lim.v.dim == domain.dim:
+        raise ValueError(
+            f"dimension mismatch: field {probe.v.dim}, limit {lim.v.dim}, "
+            f"domain {domain.dim}"
+        )
     return PerturbationFamily(
-        name=name,
-        dim=lim.v.dim,
         domain=domain,
         at=lambda eps: _as_triple(v_of_eps(eps)),
         limit=lim,

@@ -305,7 +305,7 @@ class DiscreteOperator:
         return self.base_form.shape[0]
 
 
-# spec repeats the mesh's span; perfbench/oracle.py passes it (ROADMAP item 7)
+# spec is unused; perfbench/oracle.py passes it (ROADMAP item 7)
 def assemble_base(spec: OperatorSpec, mesh: Mesh1D) -> DiscreteOperator:
     """Assemble the base form and both Gram matrices on one mesh.
 
@@ -314,7 +314,7 @@ def assemble_base(spec: OperatorSpec, mesh: Mesh1D) -> DiscreteOperator:
     are construction guarantees, checked here once per assembly.
     """
     space = FeSpace(mesh)
-    one = constant_field(1, 1.0, spec.domain)
+    one = constant_field(1, 1.0)
     stiff = _form_matrix(mesh, one, "stiffness", 1)
     mass = _form_matrix(mesh, one, "mass", 1)
     gram = (stiff + mass).tocsr()

@@ -7,7 +7,7 @@ closure receives points of shape (m, dim) and returns values of shape
 """
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -38,7 +38,7 @@ class Box:
 
 @dataclass(frozen=True)
 class CoefficientField:
-    """Bounded scalar coefficient on a box domain.
+    """Bounded scalar coefficient of dim variables.
 
     func maps points (m, dim) -> values (m,), taken as complex; a call
     takes points of exactly that shape, in any memory order: cell
@@ -47,12 +47,13 @@ class CoefficientField:
     not depend on the layout.
     sup_bound is a declared uniform bound on |value|, taken on trust:
     evaluation does not check it.
+    A field carries no domain: the family that holds it owns the domain,
+    and every field of one family lives on it.
     """
 
     dim: int
     func: Callable[[np.ndarray], np.ndarray]
     sup_bound: float
-    domain: Optional[Box] = None
 
     def __call__(self, points):
         pts = np.asarray(points, dtype=float)
@@ -69,34 +70,27 @@ class CoefficientField:
         return vals
 
 
-def constant_field(dim, value, domain=None):
+def constant_field(dim, value):
     value = complex(value)
 
     def func(pts):
         return np.full(pts.shape[0], value)
 
-    return CoefficientField(dim, func, abs(value), domain)
+    return CoefficientField(dim, func, abs(value))
 
 
-def zero_field(dim, domain=None):
-    return constant_field(dim, 0.0, domain)
-
-
-def _common_domain(a, b):
-    if a.domain is not None and b.domain is not None and a.domain != b.domain:
-        raise ValueError("fields live on different domains")
-    return a.domain if a.domain is not None else b.domain
+def zero_field(dim):
+    return constant_field(dim, 0.0)
 
 
 def add_fields(a, b):
     if a.dim != b.dim:
         raise ValueError("field dimension mismatch in add")
-    dom = _common_domain(a, b)
 
     def func(pts):
         return a(pts) + b(pts)
 
-    return CoefficientField(a.dim, func, a.sup_bound + b.sup_bound, dom)
+    return CoefficientField(a.dim, func, a.sup_bound + b.sup_bound)
 
 
 def scale_field(c, a):
@@ -105,7 +99,7 @@ def scale_field(c, a):
     def func(pts):
         return c * a(pts)
 
-    return CoefficientField(a.dim, func, abs(c) * a.sup_bound, a.domain)
+    return CoefficientField(a.dim, func, abs(c) * a.sup_bound)
 
 
 def sub_fields(a, b):
@@ -123,7 +117,7 @@ def gram_field(q):
         vals = q(pts)
         return vals.real ** 2 + vals.imag ** 2
 
-    return CoefficientField(q.dim, func, q.sup_bound ** 2, q.domain)
+    return CoefficientField(q.dim, func, q.sup_bound ** 2)
 
 
 def sampled_sup(field_, box):

@@ -59,9 +59,10 @@ class Space:
     The primal norm is |U x| and the dual norm |U^{-H} x|.  coords maps a
     vector to the coordinates whose 2-norm is its norm (T x), vector maps
     coordinates back (T^{-1} y); adjoint=True applies their adjoints.
+    Space(gram) is the primal space; star() gives the dual.
     """
 
-    def __init__(self, gram, dual=False):
+    def __init__(self, gram):
         upper = _upper_band(gram)
         u = upper.shape[0] - 1
         try:
@@ -70,7 +71,7 @@ class Space:
             raise NumericalBreach(f"Gram is not positive definite: {exc}") \
                 from exc
         self.dim = gram.shape[0]
-        self.dual = dual
+        self.dual = False
         self._band = band.astype(complex)
         self._u = sp.dia_array((band, np.arange(u, -1, -1)),
                                shape=gram.shape)

@@ -7,6 +7,13 @@ predicted rate and finest scale in one place, then builds the
 is reachable from a text config without writing Python, and the code for
 a mechanism is the entry that uses it.  Every entry is one-dimensional
 except `fractal_2d`.
+
+REGISTRY maps each family name to its builder, and that table is the
+catalogue's one record of an entry: `homlab families` lists each name
+with the first line of its builder's docstring as the description and
+the keys `family_keys` records as the builder reads them from an empty
+config.  So every builder has a docstring and reads every key it takes
+on every call.
 """
 
 import math
@@ -43,6 +50,8 @@ def _domain(cfg, default):
 
 def _rho8(cfg):
     c = cfg.get_float("family.rho8_scale", 1.0)
+    if c < 0:
+        raise ConfigError(f"family.rho8_scale must be nonnegative, got {c:g}")
     return lambda t: min(2.0 * c, c * t)
 
 
@@ -56,21 +65,23 @@ def _frequency(cfg):
 
 
 def _build_regular_sin(cfg):
+    """amp sin(freq x / eps); the limit is zero.
+
+    The predicted rate is (1 + 2 |amp|) sqrt(eps).
+    """
     amp = cfg.get_float("family.amplitude", 1.0)
     freq = _frequency(cfg)
     box = _domain(cfg, (0.0, 1.0))
 
     def v_of_eps(eps):
         return CoefficientField(
-            1, lambda pts: amp * np.sin(freq * pts[:, 0] / eps), abs(amp),
-            box)
+            1, lambda pts: amp * np.sin(freq * pts[:, 0] / eps), abs(amp))
 
     return make_family(
         v_of_eps,
-        constant_field(1, 0.0, box),
+        constant_field(1, 0.0),
         lambda eps: (1.0 + 2.0 * abs(amp)) * math.sqrt(eps),
         box,
-        name="regular_sin",
         finest_scale=lambda eps: 2 * math.pi * eps / freq,
     )
 
@@ -87,14 +98,13 @@ def _build_sign_sin(cfg):
 
     def v_of_eps(eps):
         return CoefficientField(
-            1, lambda pts: np.sign(np.sin(freq * pts[:, 0] / eps)), 1.0, box)
+            1, lambda pts: np.sign(np.sin(freq * pts[:, 0] / eps)), 1.0)
 
     return make_family(
         v_of_eps,
-        constant_field(1, declared, box),
+        constant_field(1, declared),
         lambda eps: math.sqrt(eps),
         box,
-        name="sign_sin",
         finest_scale=lambda eps: 2 * math.pi * eps / freq,
     )
 
@@ -109,6 +119,10 @@ def _build_sparse_bumps(cfg):
     amp = cfg.get_float("family.amplitude", 1.0)
     p4 = cfg.get_float("family.rho4_power", 1.0 / 3.0)
     p5 = cfg.get_float("family.rho5_power", 1.0 / 3.0)
+    # rho4 and rho5 must shrink with eps: else no bump fits or they grow
+    for key, power in (("family.rho4_power", p4), ("family.rho5_power", p5)):
+        if power <= 0:
+            raise ConfigError(f"{key} must be positive, got {power:g}")
     box = _domain(cfg, (0.0, 1.0))
     a, b = box.lower[0], box.upper[0]
 
@@ -125,14 +139,13 @@ def _build_sparse_bumps(cfg):
                 out[mask] += np.cos(0.5 * math.pi * r[mask]) ** 2 * amp
             return out
 
-        return CoefficientField(1, bumps, abs(amp), box)
+        return CoefficientField(1, bumps, abs(amp))
 
     return make_family(
         v_of_eps,
-        constant_field(1, 0.0, box),
+        constant_field(1, 0.0),
         lambda eps: eps ** p5 + eps ** p4,
         box,
-        name="sparse_bumps",
         finest_scale=lambda eps: max(eps ** p4 * eps ** p5, 1e-12),
     )
 
@@ -145,7 +158,7 @@ def _build_stabilizing_arctan(cfg):
     def v_of_eps(eps):
         return CoefficientField(
             1, lambda pts: amp * (2.0 / math.pi) * np.arctan(pts[:, 0] / eps),
-            abs(amp), box)
+            abs(amp))
 
     def rate(eps):
         # outside |x/eps| >= eps^(-1/3) the profile sits within
@@ -155,10 +168,9 @@ def _build_stabilizing_arctan(cfg):
 
     return make_family(
         v_of_eps,
-        constant_field(1, amp, box),
+        constant_field(1, amp),
         rate,
         box,
-        name="stabilizing_arctan",
         finest_scale=lambda eps: max(eps, 1e-12),
     )
 
@@ -188,7 +200,7 @@ def _build_locally_periodic(cfg):
                 vals = vals * np.cos(2 * math.pi * (x / s))
             return vals
 
-        return CoefficientField(1, oscillation, 1.5 * abs(amp), box)
+        return CoefficientField(1, oscillation, 1.5 * abs(amp))
 
     def rate(eps):
         s = scales(eps)
@@ -197,10 +209,9 @@ def _build_locally_periodic(cfg):
 
     return make_family(
         v_of_eps,
-        constant_field(1, 0.0, box),
+        constant_field(1, 0.0),
         rate,
         box,
-        name="locally_periodic",
         finest_scale=lambda eps: max(min(scales(eps)), 1e-14),
     )
 
@@ -219,15 +230,13 @@ def _build_two_scale_linear(cfg):
         return CoefficientField(
             1, lambda pts: amp * pts[:, 0]
             * (1.0 + np.cos(2 * math.pi * (pts[:, 0] / eps))),
-            2.0 * abs(amp) * span, box)
+            2.0 * abs(amp) * span)
 
     return make_family(
         v_of_eps,
-        CoefficientField(1, lambda pts: amp * pts[:, 0], abs(amp) * span,
-                         box),
+        CoefficientField(1, lambda pts: amp * pts[:, 0], abs(amp) * span),
         lambda eps: math.sqrt(eps),
         box,
-        name="two_scale_linear",
         finest_scale=lambda eps: max(eps, 1e-14),
     )
 
@@ -264,7 +273,7 @@ def _build_almost_periodic(cfg):
                 out += np.exp(1j * (pts[:, 0] * alpha) / eps) * c
             return out + mean
 
-        return CoefficientField(1, trig_sum, sup, box)
+        return CoefficientField(1, trig_sum, sup)
 
     def rate(eps):
         eta = math.sqrt(eps)
@@ -274,10 +283,9 @@ def _build_almost_periodic(cfg):
 
     return make_family(
         v_of_eps,
-        constant_field(1, mean, box),
+        constant_field(1, mean),
         rate,
         box,
-        name="almost_periodic",
         finest_scale=lambda eps: 2 * math.pi * eps / max_alpha,
     )
 
@@ -303,14 +311,13 @@ def _build_modulated_diffeo(cfg):
     def v_of_eps(eps):
         return CoefficientField(
             1, lambda pts: amp * np.sin(2 * math.pi * (pts[:, 0] ** 3 / eps)),
-            abs(amp), box)
+            abs(amp))
 
     return make_family(
         v_of_eps,
-        constant_field(1, 0.0, box),
+        constant_field(1, 0.0),
         lambda eps: math.sqrt(eps) + rho8(math.sqrt(eps)),
         box,
-        name="modulated_diffeo",
         finest_scale=lambda eps: max(eps / jac_max, 1e-14),
     )
 
@@ -364,7 +371,7 @@ def _build_modulated_periodic(cfg):
     def v_of_eps(eps):
         return CoefficientField(
             1, lambda pts: amp * np.sin(2 * math.pi * (np.cos(pts[:, 0]) / eps)),
-            abs(amp), box)
+            abs(amp))
 
     def rate(eps):
         try:
@@ -380,10 +387,9 @@ def _build_modulated_periodic(cfg):
 
     return make_family(
         v_of_eps,
-        constant_field(1, 0.0, box),
+        constant_field(1, 0.0),
         rate,
         box,
-        name="modulated_periodic",
         finest_scale=lambda eps: max(eps / max(jac_max, 1e-12), 1e-14),
     )
 
@@ -418,14 +424,13 @@ def _build_fractal_2d(cfg):
                               np.diff(starts, append=len(x1)))
             return outer * np.cos(x1 * pts[:, 1] / eps ** 2)
 
-        return CoefficientField(2, products, abs(amp), box)
+        return CoefficientField(2, products, abs(amp))
 
     return make_family(
         v_of_eps,
-        constant_field(2, 0.0, box),
+        constant_field(2, 0.0),
         lambda eps: rho8(2 * math.sqrt(2) * math.sqrt(eps)) + math.sqrt(eps),
         box,
-        name="fractal_2d",
         # its x2-period 2 pi eps^2 / x1_max over 2 pi, in the operation
         # order the quadrature refine (and so the output bytes) follows
         finest_scale=lambda eps: 2 * math.pi * eps ** 2 / (2 * math.pi
@@ -445,6 +450,8 @@ def _build_random_rotation(cfg):
     """
     amp = cfg.get_float("family.amplitude", 1.0)
     seed = cfg.get_int("family.seed", 7)
+    if seed < 0:
+        raise ConfigError(f"family.seed must be nonnegative, got {seed}")
     mean = cfg.get_float("family.mean", 0.0)
     box = _domain(cfg, (0.0, 1.0))
     w0 = np.random.default_rng(seed).random(2)
@@ -466,77 +473,29 @@ def _build_random_rotation(cfg):
     def v_of_eps(eps):
         return CoefficientField(
             1, lambda pts: observable(np.mod(w0 + (pts / eps) @ flow, 1.0)),
-            abs(mean) + abs(amp), box)
+            abs(mean) + abs(amp))
 
     return make_family(
         v_of_eps,
-        constant_field(1, expectation, box),
+        constant_field(1, expectation),
         lambda eps: math.sqrt(eps),
         box,
-        name="random_rotation",
         finest_scale=lambda eps: eps / math.sqrt(2.0),
     )
 
 
 REGISTRY = {
-    "regular_sin": (
-        _build_regular_sin,
-        "uniform sine oscillation sin(freq x / eps) with zero limit",
-        ("family.amplitude", "family.frequency", "family.domain"),
-    ),
-    "sign_sin": (
-        _build_sign_sin,
-        "square-wave oscillation with a configurable declared limit",
-        ("family.declared_limit", "family.frequency", "family.domain"),
-    ),
-    "sparse_bumps": (
-        _build_sparse_bumps,
-        "bumps of radius rho4 rho5 on centers rho4 apart, vanishing limit",
-        ("family.amplitude", "family.rho4_power", "family.rho5_power",
-         "family.domain"),
-    ),
-    "stabilizing_arctan": (
-        _build_stabilizing_arctan,
-        "arctan profile V(x/eps) stabilizing to a constant",
-        ("family.amplitude", "family.domain"),
-    ),
-    "locally_periodic": (
-        _build_locally_periodic,
-        "modulated cosine oscillation on one or two nested scales",
-        ("family.amplitude", "family.levels", "family.rho8_scale",
-         "family.domain"),
-    ),
-    "two_scale_linear": (
-        _build_two_scale_linear,
-        "linear profile times a mean-one cosine, limit V0(x) = x",
-        ("family.amplitude", "family.domain"),
-    ),
-    "almost_periodic": (
-        _build_almost_periodic,
-        "sum of cosines with incommensurate frequencies",
-        ("family.frequencies", "family.amplitudes", "family.mean",
-         "family.domain"),
-    ),
-    "modulated_diffeo": (
-        _build_modulated_diffeo,
-        "sine of a cubic phase, nondegenerate modulation",
-        ("family.amplitude", "family.rho8_scale", "family.domain"),
-    ),
-    "modulated_periodic": (
-        _build_modulated_periodic,
-        "sine of a cosine phase with one critical point",
-        ("family.amplitude", "family.rho8_scale", "family.domain"),
-    ),
-    "fractal_2d": (
-        _build_fractal_2d,
-        "2D product-phase oscillation cos(x1/eps) cos(x1 x2/eps^2)",
-        ("family.amplitude", "family.rho8_scale", "family.domain"),
-    ),
-    "random_rotation": (
-        _build_random_rotation,
-        "ergodic two-torus rotation sampled along the line",
-        ("family.amplitude", "family.mean", "family.seed", "family.domain"),
-    ),
+    "regular_sin": _build_regular_sin,
+    "sign_sin": _build_sign_sin,
+    "sparse_bumps": _build_sparse_bumps,
+    "stabilizing_arctan": _build_stabilizing_arctan,
+    "locally_periodic": _build_locally_periodic,
+    "two_scale_linear": _build_two_scale_linear,
+    "almost_periodic": _build_almost_periodic,
+    "modulated_diffeo": _build_modulated_diffeo,
+    "modulated_periodic": _build_modulated_periodic,
+    "fractal_2d": _build_fractal_2d,
+    "random_rotation": _build_random_rotation,
 }
 
 
@@ -546,15 +505,39 @@ def build_family(cfg: StudyConfig):
     if name not in REGISTRY:
         known = ", ".join(sorted(REGISTRY))
         raise ConfigError(f"unknown family {name!r}; known: {known}")
-    return REGISTRY[name][0](cfg)
+    return REGISTRY[name](cfg)
+
+
+class _KeyRecorder(StudyConfig):
+    """An empty config that records every key read from it, in order."""
+
+    def __init__(self):
+        super().__init__({})
+        self.read = []
+
+    def get(self, key, *default):
+        self.read.append(key)
+        return super().get(key, *default)
+
+
+def family_keys(name):
+    """The keys the builder of name reads, in reading order.
+
+    Recorded by building the family from an empty config, where every key
+    falls back to its default; a key read only on some calls is missed.
+    """
+    cfg = _KeyRecorder()
+    REGISTRY[name](cfg)
+    return tuple(dict.fromkeys(cfg.read))
 
 
 def describe_families():
-    """Plain-text catalogue for the CLI listing."""
+    """Plain-text catalogue for the CLI listing: each entry's name, the
+    first line of its builder's docstring and the keys family_keys
+    records, so a builder must read every key it takes on every call."""
     lines = []
     for name in sorted(REGISTRY):
-        _, blurb, keys = REGISTRY[name]
-        lines.append(f"{name}")
-        lines.append(f"    {blurb}")
-        lines.append(f"    keys: {', '.join(keys)}")
+        lines.append(name)
+        lines.append(f"    {REGISTRY[name].__doc__.splitlines()[0]}")
+        lines.append(f"    keys: {', '.join(family_keys(name))}")
     return "\n".join(lines)

@@ -161,11 +161,11 @@ def _schedule(cfg):
     return eps
 
 
-def _require_1d(family, kind):
+def _require_1d(cfg, family, kind):
     if family.dim != 1:
         raise ConfigError(
             f"{kind} studies discretize the operator and need a 1D family; "
-            f"{family.name} has dim {family.dim}"
+            f"{cfg.get_str('family.name')} has dim {family.dim}"
         )
 
 
@@ -297,7 +297,7 @@ def norm_study(cfg, seed=1234):
     from .norms import Space, norm_m1m1, norm_m10, norm_v_to_vstar
 
     family = registry.build_family(cfg)
-    _require_1d(family, "norm")
+    _require_1d(cfg, family, "norm")
     schedule = _schedule(cfg)
     op_spec = _operator_spec(cfg, family)
     opts = _mesh_opts(cfg)
@@ -405,7 +405,7 @@ def resolvent_study(cfg, seed=1234):
                             convergence_verdict)
 
     family = registry.build_family(cfg)
-    _require_1d(family, "resolvent")
+    _require_1d(cfg, family, "resolvent")
     schedule = _schedule(cfg)
     if len(schedule) < 2:
         raise ConfigError("resolvent needs at least two schedule.eps "

@@ -10,7 +10,6 @@ import pytest
 
 from homlab import registry
 from homlab.cli import main
-from homlab.config import StudyConfig
 from homlab.svgplot import plot
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -40,25 +39,36 @@ def test_families_lists_catalogue(capsys):
         assert name in out
 
 
-class _RecordingConfig(StudyConfig):
-    """A config that records every key a reader asks for."""
-
-    def __init__(self, entries):
-        super().__init__(entries)
-        self.asked = []
-
-    def get(self, key, *default):
-        self.asked.append(key)
-        return super().get(key, *default)
-
-
 @pytest.mark.parametrize("name", sorted(registry.REGISTRY))
-def test_catalogue_lists_the_keys_each_builder_reads(name):
-    # every family.* key the builder reads falls back to its default here
-    build, _, keys = registry.REGISTRY[name]
-    cfg = _RecordingConfig({"family.name": name})
-    build(cfg)
-    assert sorted(keys) == sorted(set(cfg.asked))
+def test_catalogue_lists_the_keys_each_builder_reads(name, capsys):
+    # under its name, the builder docstring's first line and the keys
+    # recorded from a build
+    assert main(["families"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    at = lines.index(name)
+    summary = registry.REGISTRY[name].__doc__.splitlines()[0]
+    keys = ", ".join(registry.family_keys(name))
+    assert lines[at + 1:at + 3] == [f"    {summary}", f"    keys: {keys}"]
+
+
+def test_families_takes_no_verbose_flag():
+    with pytest.raises(SystemExit) as exc:
+        main(["families", "--verbose"])
+    assert exc.value.code == 2
+
+
+def test_family_keys_come_in_reading_order():
+    assert registry.family_keys("sparse_bumps") == (
+        "family.amplitude", "family.rho4_power", "family.rho5_power",
+        "family.domain")
+    assert registry.family_keys("random_rotation") == (
+        "family.amplitude", "family.seed", "family.mean", "family.domain")
+
+
+def test_every_builder_has_a_docstring():
+    # its first line is the entry's description in the catalogue
+    assert [name for name, build in registry.REGISTRY.items()
+            if not (build.__doc__ or "").strip()] == []
 
 
 def test_criterion_run_writes_csv(tmp_path, crit_cfg, capsys):
@@ -269,6 +279,35 @@ def test_empty_domain_exits_2_naming_the_key(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "family.domain" in err and "(1.0,)" in err and "(0.0,)" in err
+
+
+def test_discretizing_a_2d_family_exits_2_naming_it(tmp_path, capsys):
+    path = tmp_path / "fractal.cfg"
+    path.write_text("study.kind = resolvent\nfamily.name = fractal_2d\n"
+                    "schedule.eps = 0.1, 0.05\n")
+    assert main(["resolvent", "--config", str(path), "--out", "-"]) == 2
+    assert "fractal_2d has dim 2" in capsys.readouterr().err
+
+
+# parameters that would make a family meaningless: a negative rho8 scale
+# gives a negative predicted rate, and a nonpositive rho4 or rho5 power
+# places no bump or lets the rate grow as eps falls
+@pytest.mark.parametrize("family, line", [
+    ("locally_periodic", "family.rho8_scale = -1"),
+    ("sparse_bumps", "family.rho4_power = -1"),
+    ("sparse_bumps", "family.rho5_power = -0.5"),
+    ("sparse_bumps", "family.rho5_power = 0"),
+    ("random_rotation", "family.seed = -1"),
+])
+def test_meaningless_family_parameter_exits_2_naming_the_key(
+        tmp_path, capsys, family, line):
+    path = tmp_path / "bad.cfg"
+    path.write_text(f"study.kind = criterion\nfamily.name = {family}\n"
+                    f"schedule.eps = 0.1, 0.05\n{line}\n")
+    code = main(["criterion", "--config", str(path), "--out", "-"])
+    assert code == 2
+    key = line.split(" = ")[0]
+    assert capsys.readouterr().err.startswith(f"config error: {key} must ")
 
 
 def test_no_admissible_eta_exits_2_naming_the_key(tmp_path, capsys):

@@ -20,16 +20,16 @@ UNIT = Box((0.0,), (1.0,))
 def sin_family(amp=1.0):
     def at(eps):
         return CoefficientField(
-            1, lambda p: amp * np.sin(p[:, 0] / eps), abs(amp), UNIT)
+            1, lambda p: amp * np.sin(p[:, 0] / eps), abs(amp))
 
-    return make_family(at, zero_field(1, UNIT),
-                       lambda eps: 2.0 * math.sqrt(eps), UNIT, name="sin",
+    return make_family(at, zero_field(1),
+                       lambda eps: 2.0 * math.sqrt(eps), UNIT,
                        finest_scale=lambda eps: 2 * math.pi * eps)
 
 
 def family_of(at, limit, domain=UNIT):
     """make_family with a zero rate and a finest scale of 1."""
-    return make_family(at, limit, lambda eps: 0.0, domain, name="test",
+    return make_family(at, limit, lambda eps: 0.0, domain,
                        finest_scale=lambda eps: 1.0)
 
 
@@ -78,7 +78,7 @@ def test_report_bounds_are_derived_fields():
 
 
 def test_zero_family_has_zero_criteria():
-    v0 = constant_field(1, 1.5, UNIT)
+    v0 = constant_field(1, 1.5)
     fam = family_of(lambda eps: v0, v0, UNIT)
     rep = criterion_report(fam, 0.1, 0.25, refine=16)
     assert rep.rho1 == 0.0
@@ -118,15 +118,15 @@ def test_optimize_eta_minimizes_bound():
 
 def sin_weight_family():
     """sin(x/eps) as a first-order weight q, next to a zero potential."""
-    zero = zero_field(1, UNIT)
+    zero = zero_field(1)
 
     def at(eps):
-        q = CoefficientField(1, lambda p: np.sin(p[:, 0] / eps), 1.0, UNIT)
+        q = CoefficientField(1, lambda p: np.sin(p[:, 0] / eps), 1.0)
         return FieldTriple(v=zero, q=(q,))
 
     return make_family(at, FieldTriple(v=zero, q=(zero,)),
                        lambda eps: 2.0 * math.sqrt(eps), UNIT,
-                       name="sin_weight",
+                      
                        finest_scale=lambda eps: 2 * math.pi * eps)
 
 
@@ -147,14 +147,14 @@ def test_optimize_eta_objective_m10():
 
 def test_optimize_eta_raises_when_nothing_fits():
     tiny = Box((0.0,), (0.05,))
-    v0 = zero_field(1, tiny)
+    v0 = zero_field(1)
     fam = family_of(lambda eps: v0, v0, tiny)
     with pytest.raises(ValueError):
         optimize_eta(fam, 0.5, exponents=(0.3, 0.5))
 
 
 def test_local_mean_limit_constant_family():
-    v0 = constant_field(1, 2.0, UNIT)
+    v0 = constant_field(1, 2.0)
     fam = family_of(lambda eps: v0, v0, UNIT)
     rep = local_mean_limit(fam, [0.1, 0.05, 0.025], math.sqrt,
                            sample_points=9)
@@ -168,7 +168,7 @@ def test_local_mean_limit_constant_family():
 
 
 def test_local_mean_limit_skips_boundary_windows():
-    v0 = constant_field(1, 1.0, UNIT)
+    v0 = constant_field(1, 1.0)
     fam = family_of(lambda eps: v0, v0, UNIT)
     rep = local_mean_limit(fam, [0.1, 0.05], mu_rule=lambda e: 0.5,
                            sample_points=9)
@@ -177,7 +177,7 @@ def test_local_mean_limit_skips_boundary_windows():
 
 
 def test_local_mean_limit_needs_two_entries():
-    v0 = constant_field(1, 1.0, UNIT)
+    v0 = constant_field(1, 1.0)
     fam = family_of(lambda eps: v0, v0, UNIT)
     with pytest.raises(ValueError):
         local_mean_limit(fam, [0.1], math.sqrt)
@@ -199,7 +199,7 @@ def reference_report(family, eps, eta, refine):
     rho1_, rho3_, quad = 0.0, 0.0, 0.0
     for dev in deviation_triple(family, eps).components():
         sq = CoefficientField(dev.dim, lambda p, d=dev: np.abs(d(p)) ** 2,
-                              dev.sup_bound ** 2, dev.domain)
+                              dev.sup_bound ** 2)
         for z in cells:
             (integral,), (err,) = cell_integral(lat, [z], eta, dev, refine)
             val = float(abs(integral)) / measure
@@ -229,9 +229,9 @@ def _counting_family(sizes):
         def func(pts):
             sizes.append(len(pts))
             return scale * np.sin(pts[:, 0] / 0.003)
-        return CoefficientField(1, func, abs(scale), UNIT)
+        return CoefficientField(1, func, abs(scale))
 
-    zero = zero_field(1, UNIT)
+    zero = zero_field(1)
     return family_of(
         lambda eps: FieldTriple(v=counted(1.0), q=(counted(2.0),)),
         FieldTriple(v=zero, q=(zero,)))
@@ -268,13 +268,13 @@ def test_optimize_eta_reports_field_errors_instead_of_skipping():
     def wrong_shape(eps):
         # a closure returning (m, 2, 2) values for a scalar field
         return CoefficientField(
-            1, lambda p: np.zeros((len(p), 2, 2)), 1.0, UNIT)
+            1, lambda p: np.zeros((len(p), 2, 2)), 1.0)
 
-    fam = family_of(wrong_shape, zero_field(1, UNIT))
+    fam = family_of(wrong_shape, zero_field(1))
     with pytest.raises(ValueError, match="closure returned shape"):
         optimize_eta(fam, 0.01, exponents=(0.5,))
     tiny = Box((0.0,), (0.05,))
-    v0 = zero_field(1, tiny)
+    v0 = zero_field(1)
     nothing_fits = family_of(lambda eps: v0, v0, tiny)
     with pytest.raises(NoCellsError):
         optimize_eta(nothing_fits, 0.5, exponents=(0.3, 0.5))
@@ -287,8 +287,8 @@ def _nan_family():
         out[0] = np.nan
         return out
 
-    field_ = CoefficientField(1, func, 1.0, UNIT)
-    return family_of(lambda eps: field_, zero_field(1, UNIT))
+    field_ = CoefficientField(1, func, 1.0)
+    return family_of(lambda eps: field_, zero_field(1))
 
 
 def test_nan_field_breaches_instead_of_certifying_zero():

@@ -18,8 +18,7 @@ UNIT = Box((0.0,), (1.0,))
 
 
 def _family(at, limit, rate=lambda eps: eps):
-    return make_family(at, limit, rate, UNIT, name="test",
-                       finest_scale=lambda eps: 1.0)
+    return make_family(at, limit, rate, UNIT, finest_scale=lambda eps: 1.0)
 
 
 def _entry(text):
@@ -35,9 +34,9 @@ def _value(field_, x):
 
 def _regular_sin():
     def at(eps):
-        return CoefficientField(1, lambda p: eps * np.sin(p[:, 0]), eps, UNIT)
+        return CoefficientField(1, lambda p: eps * np.sin(p[:, 0]), eps)
 
-    return _family(at, zero_field(1, UNIT))
+    return _family(at, zero_field(1))
 
 
 def test_regular_family_deviations_match_definition():
@@ -49,10 +48,15 @@ def test_regular_family_deviations_match_definition():
 
 
 def test_regular_family_rejects_shape_mismatch():
-    # a 2D field against a 1D limit
+    # the field, the limit and the domain must have one dimension
+    with pytest.raises(ValueError, match="field 2, limit 1, domain 1"):
+        _family(lambda eps: zero_field(2), zero_field(1))
+    with pytest.raises(ValueError, match="field 2, limit 2, domain 1"):
+        _family(lambda eps: zero_field(2), zero_field(2))
     square = Box((0.0, 0.0), (1.0, 1.0))
-    with pytest.raises(ValueError, match="dimension"):
-        _family(lambda eps: zero_field(2, square), zero_field(1, UNIT))
+    fam = make_family(lambda eps: zero_field(2), zero_field(2),
+                      lambda eps: eps, square, finest_scale=lambda eps: 1.0)
+    assert fam.dim == 2
 
 
 def test_zero_or_absent_limit_is_not_subtracted():
@@ -62,13 +66,12 @@ def test_zero_or_absent_limit_is_not_subtracted():
         calls.append(len(pts))
         return np.zeros(len(pts))
 
-    lim = CoefficientField(1, zero, 0.0, UNIT)
+    lim = CoefficientField(1, zero, 0.0)
 
     def at(eps):
         return FieldTriple(
-            v=CoefficientField(1, lambda p: eps * np.sin(p[:, 0]), eps, UNIT),
-            q=(CoefficientField(1, lambda p: -eps * np.cos(p[:, 0]), eps,
-                                UNIT),))
+            v=CoefficientField(1, lambda p: eps * np.sin(p[:, 0]), eps),
+            q=(CoefficientField(1, lambda p: -eps * np.cos(p[:, 0]), eps),))
 
     fam = _family(at, lim)
     pts = np.linspace(0.0, 1.0, 11)[:, None]
@@ -77,11 +80,10 @@ def test_zero_or_absent_limit_is_not_subtracted():
     assert (len(dev.q), len(dev.p)) == (1, 0)
     for got, ref in ((dev.v, sub_fields(parts.v, lim)),
                      (dev.q[0], sub_fields(parts.q[0],
-                                           zero_field(1, UNIT)))):
+                                           zero_field(1)))):
         calls.clear()
         assert np.array_equal(got(pts), ref(pts))
         assert got.sup_bound == ref.sup_bound
-        assert got.domain == ref.domain
     calls.clear()
     dev.v(pts)
     assert calls == []
@@ -89,17 +91,17 @@ def test_zero_or_absent_limit_is_not_subtracted():
 
 def test_deviation_triple_keeps_weight_order():
     # eleven weights: ordering them by a text label would put q10 third
-    weights = tuple(constant_field(1, j + 1.0, UNIT) for j in range(11))
+    weights = tuple(constant_field(1, j + 1.0) for j in range(11))
     fam = _family(
-        lambda eps: FieldTriple(v=zero_field(1, UNIT), q=weights),
-        zero_field(1, UNIT))
+        lambda eps: FieldTriple(v=zero_field(1), q=weights),
+        zero_field(1))
     point = np.array([[0.5]])
     got = [q(point)[0].real for q in deviation_triple(fam, 0.1).q]
     assert got == [float(j) for j in range(1, 12)]
 
 
 def test_identical_family_has_zero_deviations():
-    v0 = constant_field(1, 3.0, UNIT)
+    v0 = constant_field(1, 3.0)
     fam = _family(lambda eps: v0, v0, lambda eps: 0.0)
     pts = np.linspace(0.0, 1.0, 11)[:, None]
     for dev in deviation_triple(fam, 0.01).components():
@@ -258,7 +260,7 @@ def test_random_family_deterministic_in_seed():
 
 
 def test_field_triple_component_order():
-    v, q0, p0, p1 = (constant_field(1, c, UNIT) for c in (1.0, 2.0, 3.0, 4.0))
+    v, q0, p0, p1 = (constant_field(1, c) for c in (1.0, 2.0, 3.0, 4.0))
     trip = FieldTriple(v=v, q=(q0,), p=(p0, p1))
     assert trip.components() == [v, q0, p0, p1]
 

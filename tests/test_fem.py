@@ -54,7 +54,7 @@ def test_potential_adds_weighted_mass():
     n = 12
     mesh = build_mesh(UNIT, n)
     op = assemble_base(OperatorSpec(UNIT), mesh)
-    v = constant_field(1, 3.0, UNIT)
+    v = constant_field(1, 3.0)
     pert = assemble_perturbation(op.space, v=v)
     assert np.allclose(pert.matrix.toarray(), 3.0 * op.gram_l2.toarray(),
                        atol=1e-12)
@@ -65,7 +65,7 @@ def test_first_order_constant_gives_central_difference():
     mesh = build_mesh(UNIT, n)
     space = FeSpace(mesh)
     c = 1.7
-    q = constant_field(1, c, UNIT)
+    q = constant_field(1, c)
     pert = assemble_perturbation(space, q=(q,))
     # (c u', v) on P1: antisymmetric central difference c/2 off-diagonals
     expect = tridiag(n - 1, -c / 2.0, 0.0, c / 2.0)
@@ -78,8 +78,8 @@ def test_transport_pair_with_constant_coefficient_assembles_to_zero():
     n = 14
     mesh = build_mesh(UNIT, n)
     space = FeSpace(mesh)
-    q = constant_field(1, 0.8, UNIT)
-    p = constant_field(1, -0.8, UNIT)
+    q = constant_field(1, 0.8)
+    p = constant_field(1, -0.8)
     pert = assemble_perturbation(space, q=(q,), p=(p,))
     assert abs(pert.matrix).max() < 1e-14
 
@@ -90,7 +90,7 @@ def test_oscillating_potential_element_means():
     n = 32
     mesh = build_mesh(UNIT, n)
     space = FeSpace(mesh)
-    v = CoefficientField(1, lambda x: np.sin(20.0 * x[..., 0]), 1.0, UNIT)
+    v = CoefficientField(1, lambda x: np.sin(20.0 * x[..., 0]), 1.0)
     pert = assemble_perturbation(space, v=v, refine=64)
     h = mesh.h
     from scipy.integrate import quad
@@ -152,7 +152,7 @@ def _same_bytes(a, b):
 def test_form_matrix_equals_full_node_route(term, n, refine):
     mesh = build_mesh(UNIT, n)
     for func in (_oscillating, _gapped):
-        coef = CoefficientField(1, func, 2.3, UNIT)
+        coef = CoefficientField(1, func, 2.3)
         got = _form_matrix(mesh, coef, term, refine)
         want = _full_node_route(mesh, coef, term, refine)
         assert got.shape == (n - 1, n - 1)

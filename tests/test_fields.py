@@ -25,7 +25,7 @@ def test_box_rejects_empty_sides():
 
 
 def test_constant_field_values():
-    f = constant_field(1, 2.5, UNIT)
+    f = constant_field(1, 2.5)
     vals = f(np.array([[0.1], [0.9]]))
     assert vals.shape == (2,) and vals.dtype == complex
     assert np.allclose(vals, 2.5)
@@ -33,7 +33,7 @@ def test_constant_field_values():
 
 
 def test_zero_field_is_zero():
-    f = zero_field(2, domain=Box((0.0, 0.0), (1.0, 1.0)))
+    f = zero_field(2)
     vals = f(np.array([[0.3, 0.7]]))
     assert vals.shape == (1,)
     assert np.all(vals == 0) and f.sup_bound == 0.0
@@ -41,7 +41,7 @@ def test_zero_field_is_zero():
 
 def test_scalar_field_wraps_shape():
     # a real closure's values come out complex, one per point
-    f = CoefficientField(1, lambda pts: np.sin(pts[:, 0]), 1.0, UNIT)
+    f = CoefficientField(1, lambda pts: np.sin(pts[:, 0]), 1.0)
     pts = np.array([[0.0], [math.pi / 2.0]])
     vals = f(pts)
     assert vals.shape == (2,) and vals.dtype == complex
@@ -50,9 +50,8 @@ def test_scalar_field_wraps_shape():
 
 def test_field_algebra_pointwise():
     rng = np.random.default_rng(3)
-    a = CoefficientField(1, lambda p: np.exp(2j * p[:, 0]) + p[:, 0], 2.0,
-                         UNIT)
-    b = constant_field(1, 0.5 - 1.5j, UNIT)
+    a = CoefficientField(1, lambda p: np.exp(2j * p[:, 0]) + p[:, 0], 2.0)
+    b = constant_field(1, 0.5 - 1.5j)
     pts = rand_pts(rng, 5)
     va, vb = a(pts), b(pts)
     assert np.allclose(add_fields(a, b)(pts), va + vb)
@@ -68,7 +67,7 @@ def test_gram_field_is_psd():
         calls.append(len(pts))
         return np.exp(3j * pts[:, 0]) * (1.0 + pts[:, 0])
 
-    f = CoefficientField(1, q, 2.0, UNIT)
+    f = CoefficientField(1, q, 2.0)
     pts = np.array([[0.25], [0.75]])
     g = gram_field(f)(pts)
     assert calls == [2]
@@ -77,7 +76,7 @@ def test_gram_field_is_psd():
 
 
 def test_sampled_sup_sine():
-    f = CoefficientField(1, lambda pts: np.sin(40.0 * pts[:, 0]), 1.0, UNIT)
+    f = CoefficientField(1, lambda pts: np.sin(40.0 * pts[:, 0]), 1.0)
     s = sampled_sup(f, UNIT)
     assert 0.99 <= s <= 1.0 + 1e-12
 
@@ -89,8 +88,8 @@ def test_sampled_sup_sine():
     x=st.floats(0.01, 0.99, allow_nan=False),
 )
 def test_linearity_property(c1, c2, x):
-    a = constant_field(1, c1, UNIT)
-    b = constant_field(1, c2, UNIT)
+    a = constant_field(1, c1)
+    b = constant_field(1, c2)
     pts = np.array([[x]])
     lhs = add_fields(scale_field(2.0, a), scale_field(-3.0, b))(pts)
     assert lhs[0] == pytest.approx(2.0 * c1 - 3.0 * c2)
@@ -99,7 +98,7 @@ def test_linearity_property(c1, c2, x):
 def test_field_shape_mismatch_raises():
     # a closure must return one value per point, not a matrix per point
     bad = CoefficientField(
-        1, lambda pts: np.zeros((pts.shape[0], 1, 1)), 1.0, UNIT
+        1, lambda pts: np.zeros((pts.shape[0], 1, 1)), 1.0
     )
     with pytest.raises(ValueError, match="expected"):
         bad(np.array([[0.5]]))
@@ -108,6 +107,6 @@ def test_field_shape_mismatch_raises():
 @pytest.mark.parametrize("points", [np.array([0.5]), np.zeros((1, 1, 1))])
 def test_field_takes_points_of_shape_m_by_dim_only(points):
     # neither one point (dim,) nor a 3D array is promoted to (m, dim)
-    f = constant_field(1, 2.0, UNIT)
+    f = constant_field(1, 2.0)
     with pytest.raises(ValueError, match=r"points \(m, 1\)"):
         f(points)

@@ -20,7 +20,7 @@ SKEW = Lattice(2, basis=np.array([[0.7, 0.2], [-0.1, 0.5]]),
 
 
 def sin_field(eps):
-    return CoefficientField(1, lambda pts: np.sin(pts[:, 0] / eps), 1.0, UNIT)
+    return CoefficientField(1, lambda pts: np.sin(pts[:, 0] / eps), 1.0)
 
 
 def test_singular_basis_rejected():
@@ -106,7 +106,7 @@ def test_cell_mean_of_constant():
     lat = Lattice(2, basis=np.diag([1.0, 2.0]))
     measure = lat.cell_measure * 0.37 ** 2
     (integral,), (err,) = cell_integral(
-        lat, [(0, 0)], 0.37, constant_field(2, 3.25, Box((0, 0), (4, 4))), 3)
+        lat, [(0, 0)], 0.37, constant_field(2, 3.25), 3)
     assert integral / measure == pytest.approx(3.25, abs=1e-13)
     assert err / measure < 1e-12
 
@@ -122,8 +122,7 @@ def test_error_estimate_majorizes_refinement_change():
 def test_box_integral_2d_product():
     # the box (0,1) x (0,2) as the one cell at eta 1; int x y = 1/2 * 2
     lat = Lattice(2, basis=np.diag([1.0, 2.0]))
-    box = Box((0.0, 0.0), (1.0, 2.0))
-    f = CoefficientField(2, lambda pts: pts[:, 0] * pts[:, 1], 2.0, box)
+    f = CoefficientField(2, lambda pts: pts[:, 0] * pts[:, 1], 2.0)
     (val,), (err,) = cell_integral(lat, [(0, 0)], 1.0, f, 16)
     assert val == pytest.approx(0.5 * 2.0, abs=1e-12)
     assert err < 1e-12
@@ -153,11 +152,11 @@ def test_affine_lattice_point():
     h=st.floats(0.05, 0.9, allow_nan=False),
 )
 def test_cell_integral_linearity(a, b, h):
-    f = CoefficientField(1, lambda pts: np.cos(5.0 * pts[:, 0]), 1.0, UNIT)
-    g = CoefficientField(1, lambda pts: pts[:, 0] ** 2, 1.0, UNIT)
+    f = CoefficientField(1, lambda pts: np.cos(5.0 * pts[:, 0]), 1.0)
+    g = CoefficientField(1, lambda pts: pts[:, 0] ** 2, 1.0)
     comb = CoefficientField(
         1, lambda pts: a * np.cos(5.0 * pts[:, 0]) + b * pts[:, 0] ** 2,
-        abs(a) + abs(b), UNIT,
+        abs(a) + abs(b),
     )
     (vf,), _ = cell_integral(Lattice(1), [(0,)], h, f, 16)
     (vg,), _ = cell_integral(Lattice(1), [(0,)], h, g, 16)
@@ -176,7 +175,7 @@ def complex_2d(pts):
 @pytest.mark.parametrize("refine", [1, 2, 5])
 def test_stacked_cell_integral_equals_single_calls(refine):
     # refine 1 takes the order-2 single-panel estimate
-    field_ = CoefficientField(2, complex_2d, 30.0, Box((-5, -5), (5, 5)))
+    field_ = CoefficientField(2, complex_2d, 30.0)
     zs = np.array([[0, 0], [1, -2], [3, 1], [-2, 4], [5, 5]])
     stack = cell_integral(SKEW, zs, 0.3, field_, refine, squares=True)
     assert [r.shape for r in stack] == [(5,)] * 4
@@ -226,7 +225,7 @@ def test_batches_never_split_a_cell(monkeypatch):
         sizes.append(len(pts))
         return np.cos(pts[:, 0] / 0.01)
 
-    field_ = CoefficientField(1, counted, 1.0, UNIT)
+    field_ = CoefficientField(1, counted, 1.0)
     zs = np.arange(10)[:, None]
     whole = cell_integral(Lattice(1), zs, 0.1, field_, 4)
     assert sizes == [16 * 10, 8 * 10]  # fine and coarse rule, one batch each
@@ -254,7 +253,7 @@ def test_streamed_cell_equals_whole_cell(monkeypatch, budget):
         sizes.append(len(pts))
         return complex_2d(pts)
 
-    field_ = CoefficientField(2, counted, 30.0, Box((-5, -5), (5, 5)))
+    field_ = CoefficientField(2, counted, 30.0)
     zs = np.array([[0, 0], [1, -2], [3, 1]])
     whole = cell_integral(SKEW, zs, 0.3, field_, 5, squares=True)
     assert sizes == [3 * 400, 3 * 64]
@@ -349,7 +348,7 @@ def test_refine_above_max_is_rejected():
     # a block of a finer rule would not fit one field evaluation
     calls = []
     field_ = CoefficientField(1, lambda pts: calls.append(pts) or pts[:, 0],
-                              1.0, UNIT)
+                              1.0)
     with pytest.raises(ValueError, match=str(MAX_REFINE)):
         cell_integral(Lattice(1), [(0,)], 0.1, field_, MAX_REFINE + 1)
     assert calls == []
@@ -380,7 +379,7 @@ def two_level_reference(field_, lat, z, eta, refine):
 def test_2d_cell_equals_two_level_reference(monkeypatch, budget):
     # refine 5: 20 blocks of 20 points; budget 20 fills one block at a
     # time, 150 fills 7, and the default takes whole cells
-    field_ = CoefficientField(2, complex_2d, 30.0, Box((-5, -5), (5, 5)))
+    field_ = CoefficientField(2, complex_2d, 30.0)
     zs = np.array([[0, 0], [1, -2], [3, 1]])
     monkeypatch.setattr(lattice, "CHUNK_POINTS", budget)
     integral, _, sq, _ = cell_integral(SKEW, zs, 0.3, field_, 5,
@@ -412,7 +411,7 @@ def test_empty_stack_has_no_cells():
         calls.append(len(pts))
         return complex_2d(pts)
 
-    field_ = CoefficientField(2, counted, 30.0, Box((-5, -5), (5, 5)))
+    field_ = CoefficientField(2, counted, 30.0)
     out = cell_integral(SKEW, np.zeros((0, 2), dtype=int), 0.3, field_, 5,
                         squares=True)
     assert [r.shape for r in out] == [(0,)] * 4

@@ -122,7 +122,7 @@ def test_lanczos_restarts_are_capped():
 def test_easy_form_norm_stops_at_first_check():
     mesh = build_mesh(UNIT, 64)
     op = assemble_base(OperatorSpec(UNIT), mesh)
-    v = CoefficientField(1, lambda x: np.sin(x[..., 0] / 0.05), 1.0, UNIT)
+    v = CoefficientField(1, lambda x: np.sin(x[..., 0] / 0.05), 1.0)
     x = assemble_perturbation(op.space, v=v, refine=4).matrix
     rep = norm_v_to_vstar(x, Space(op.gram_h1))
     assert op.dof > norms.LANCZOS_NCV
@@ -249,7 +249,7 @@ def test_potential_form_norm_matches_dense_pencil():
     mesh = build_mesh(UNIT, 24)
     op = assemble_base(OperatorSpec(UNIT), mesh)
     v = CoefficientField(1, lambda x: 1.0 + 0.5 * np.sin(7.0 * x[..., 0]),
-                         1.5, UNIT)
+                         1.5)
     rep = norm_m1m1(op, v, Space(op.gram_h1), refine=4)
     pert = assemble_perturbation(op.space, v=v, refine=4)
     expect = dense_v_to_vstar(pert.matrix.toarray(), op.gram_h1.toarray())
@@ -259,7 +259,7 @@ def test_potential_form_norm_matches_dense_pencil():
 def test_weight_norm_matches_dense_pencil():
     mesh = build_mesh(UNIT, 24)
     op = assemble_base(OperatorSpec(UNIT), mesh)
-    q = CoefficientField(1, lambda x: np.cos(5.0 * x[..., 0]), 1.0, UNIT)
+    q = CoefficientField(1, lambda x: np.cos(5.0 * x[..., 0]), 1.0)
     rep = norm_m10(op, q, Space(op.gram_h1), refine=4)
     w = assemble_perturbation(op.space, v=gram_field(q), refine=4)
     top = sla.eigh(w.matrix.toarray(), op.gram_h1.toarray(),
@@ -271,7 +271,7 @@ def test_constant_weight_m10_vs_mass_pencil():
     # |c u|_L2 / |u|_V peaks at the smallest pencil eigenvalue of (K, M)
     mesh = build_mesh(UNIT, 32)
     op = assemble_base(OperatorSpec(UNIT), mesh)
-    q = constant_field(1, 2.0, UNIT)
+    q = constant_field(1, 2.0)
     rep = norm_m10(op, q, Space(op.gram_h1))
     k = (op.gram_h1 - op.gram_l2).toarray()
     lam_min = sla.eigh(k, op.gram_l2.toarray(), eigvals_only=True)[0]
@@ -292,8 +292,7 @@ def _random_trig_field(rng):
             out = out + np.cos(2.0 * np.pi * k * x) * c
         return out
 
-    return CoefficientField(1, f, sup_bound=float(np.abs(coef).sum()),
-                            domain=UNIT)
+    return CoefficientField(1, f, sup_bound=float(np.abs(coef).sum()))
 
 
 @pytest.mark.parametrize("draw", [1, 2, 3])
@@ -318,7 +317,7 @@ def test_form_norm_below_weight_norm_below_sup():
     # the potential chain: dual-pairing norm <= product norm <= sup bound
     mesh = build_mesh(UNIT, 128)
     op = assemble_base(OperatorSpec(UNIT), mesh)
-    v = CoefficientField(1, lambda x: np.sin(x[..., 0] / 0.05), 1.0, UNIT)
+    v = CoefficientField(1, lambda x: np.sin(x[..., 0] / 0.05), 1.0)
     h1 = Space(op.gram_h1)
     m1m1 = norm_m1m1(op, v, h1, 8).value
     m10 = norm_m10(op, v, h1, 8).value

@@ -50,8 +50,7 @@ UNPASSED_PARAMS = {
 }
 # config keys read but set by no shipped config, each with the reason
 UNSET_KEYS = {
-    # family builder parameters, listed per family by `homlab families
-    # --verbose`
+    # family builder parameters, listed per family by `homlab families`
     "family.amplitudes", "family.domain", "family.frequencies",
     "family.mean", "family.rho4_power", "family.rho5_power",
     "family.rho8_scale", "family.seed",
@@ -154,15 +153,21 @@ def _is_dataclass(cls):
 
 def _calls(trees):
     """{callee name: [(positional count, keyword names)]} of every call.
+    A cls(...) call counts as a call of the class whose method makes it.
     A *args counts as every position and a **kwargs, whose keyword name
     is None, as every keyword."""
     calls = {}
     for tree in trees.values():
+        # ast.walk reaches an outer class first, so a nested one wins
+        owner = {id(call): cls.name for cls in ast.walk(tree)
+                 if isinstance(cls, ast.ClassDef) for call in ast.walk(cls)}
         for call in ast.walk(tree):
             if not isinstance(call, ast.Call):
                 continue
             func = call.func
             name = getattr(func, "id", None) or getattr(func, "attr", None)
+            if name == "cls":
+                name = owner.get(id(call))
             n_args = len(call.args)
             if any(isinstance(arg, ast.Starred) for arg in call.args):
                 n_args = math.inf
@@ -197,15 +202,14 @@ def test_every_defaulted_field_is_set():
 
 
 def _functions(tree):
-    """(callee names, function) of every def: its own name, and for an
-    __init__ its class's and cls, which a classmethod calls."""
+    """(callee name, function) of every def: its own name, or for an
+    __init__ its class's."""
     inits = {id(stmt): node.name for node in ast.walk(tree)
              if isinstance(node, ast.ClassDef) for stmt in node.body
              if isinstance(stmt, ast.FunctionDef) and stmt.name == "__init__"}
     for node in ast.walk(tree):
         if isinstance(node, ast.FunctionDef):
-            yield ((inits[id(node)], "cls") if id(node) in inits
-                   else (node.name,)), node
+            yield inits.get(id(node), node.name), node
 
 
 def test_every_defaulted_parameter_is_passed():
@@ -217,7 +221,7 @@ def test_every_defaulted_parameter_is_passed():
     for path, tree in trees.items():
         if not path.is_relative_to(SRC):
             continue
-        for names, fn in _functions(tree):
+        for callee, fn in _functions(tree):
             args = fn.args
             positional = args.posonlyargs + args.args
             # a call passes no argument for the bound self or cls
@@ -231,16 +235,15 @@ def test_every_defaulted_parameter_is_passed():
                        if default is not None]
             for pos, name in params:
                 if any(pos < n_args or name in keywords or None in keywords
-                       for callee in names
                        for n_args, keywords in calls.get(callee, ())):
                     continue
-                if f"{names[0]}.{name}" not in UNPASSED_PARAMS:
+                if f"{callee}.{name}" not in UNPASSED_PARAMS:
                     unpassed.append(f"{path.relative_to(ROOT)}:{fn.lineno} "
-                                    f"{names[0]}.{name}")
+                                    f"{callee}.{name}")
     assert unpassed == []
     # every allowlisted parameter is still defined
-    defined = {f"{names[0]}.{arg.arg}" for tree in trees.values()
-               for names, fn in _functions(tree)
+    defined = {f"{callee}.{arg.arg}" for tree in trees.values()
+               for callee, fn in _functions(tree)
                for arg in fn.args.args + fn.args.kwonlyargs}
     assert UNPASSED_PARAMS <= defined
 

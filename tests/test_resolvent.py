@@ -31,14 +31,13 @@ MESH = {"min_elements": MIN_ELEMENTS, "cap_dof": CAP_DOF}
 def sin_family(amplitude=1.0):
     def v_of(eps):
         return CoefficientField(
-            1, lambda x: amplitude * np.sin(x[..., 0] / eps), abs(amplitude),
-            UNIT)
+            1, lambda x: amplitude * np.sin(x[..., 0] / eps), abs(amplitude))
 
     return make_family(
-        v_of, zero_field(1, UNIT),
+        v_of, zero_field(1),
         rate=lambda eps: 2.0 * abs(amplitude) * math.sqrt(eps),
         domain=UNIT,
-        name="sin",
+       
         finest_scale=lambda eps: 2.0 * math.pi * eps,
     )
 
@@ -80,7 +79,7 @@ def small_context(n=5, lam=-1.0, amplitude=1.0):
     mesh = build_mesh(UNIT, n)
     op = assemble_base(OperatorSpec(UNIT), mesh)
     v = CoefficientField(1, lambda x: amplitude * np.sin(9.0 * x[..., 0]),
-                         abs(amplitude), UNIT)
+                         abs(amplitude))
     pert = assemble_perturbation(op.space, v=v, refine=8)
     return context_from_difference(op, lam, pert.matrix)
 
@@ -96,7 +95,7 @@ def test_context_difference_is_exact_entrywise():
 def test_route_mismatch_is_rejected():
     mesh = build_mesh(UNIT, 5)
     op = assemble_base(OperatorSpec(UNIT), mesh)
-    v = CoefficientField(1, lambda x: np.sin(9.0 * x[..., 0]), 1.0, UNIT)
+    v = CoefficientField(1, lambda x: np.sin(9.0 * x[..., 0]), 1.0)
     pert = assemble_perturbation(op.space, v=v, refine=8).matrix
     setting = difference_setting(op, pert)
     setting["x_eps"] = (pert * (1.0 + 1e-5)).tocsr()
@@ -269,7 +268,7 @@ def test_truncation_flags_divergent_series():
     # V = 20: both forms coercive with c about 1, |L R_0| about 1.83
     mesh = build_mesh(UNIT, 16)
     op = assemble_base(OperatorSpec(UNIT), mesh)
-    pert = assemble_perturbation(op.space, v=constant_field(1, 20.0, UNIT))
+    pert = assemble_perturbation(op.space, v=constant_field(1, 20.0))
     ctx = context_from_difference(op, -1.0, pert.matrix)
     cols, _ = series_of(ctx, (0, 1))
     assert cols["divergent"] == 1
