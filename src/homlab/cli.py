@@ -4,7 +4,7 @@ Subcommands run one study kind from a config file and write CSV, list
 the family catalogue, or turn a finished CSV into an SVG rate plot.
 Exit codes: 0 success, 2 configuration problems (including keys no
 study reads), 3 numerical failures: breaches (a failed Lanczos run
-among them) and forms no shift makes coercive.
+among them) and forms that the auto or fixed shift leaves non-coercive.
 
 Only the studies that discretize the operator (norm, resolvent) load
 SciPy, when their study starts; criterion, homogenize, families and

@@ -46,7 +46,7 @@ def _finite_float(value):
     return out
 
 
-def parse_config(text, source="<config>"):
+def parse_config(text, source):
     """Parse config text into an ordered {key: typed value} dict."""
     entries = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -97,7 +97,7 @@ class StudyConfig:
         self._seen = set()
 
     @classmethod
-    def from_text(cls, text, source="<config>"):
+    def from_text(cls, text, source):
         return cls(parse_config(text, source), source)
 
     @classmethod
@@ -107,7 +107,7 @@ class StudyConfig:
                 text = fh.read()
         except OSError as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
-        return cls.from_text(text, source=str(path))
+        return cls.from_text(text, str(path))
 
     def get(self, key, default=_MISSING):
         if key in self.entries:

@@ -27,8 +27,8 @@ class CriterionReport:
     rho3: float
     bound_m1m1: float
     bound_m10: float
-    quad_error: float = 0.0
-    cell_count: int = 0
+    quad_error: float
+    cell_count: int
 
 
 class NoCellsError(ValueError):
@@ -56,9 +56,9 @@ def _deviation_cells(family, eps, eta, refine):
     return lat, cells, int(refine)
 
 
-def criterion_report(family, eps, eta, refine=None):
-    """Evaluate both cell criteria for a family at one (eps, eta), on the
-    family's suggested lattice or else the unit one.
+def criterion_report(family, eps, eta, refine):
+    """Both cell criteria of a family at one (eps, eta, refine), refine
+    None for default_refine, on its suggested lattice or the unit one.
 
     rho1 is the max over cells of the modulus of the cell mean of the
     deviation (each perturbation component separately, worst one
@@ -93,10 +93,7 @@ def criterion_report(family, eps, eta, refine=None):
     )
 
 
-DEFAULT_ETA_EXPONENTS = (0.3, 0.4, 0.5, 0.6, 0.7)
-
-
-def optimize_eta(family, eps, exponents=DEFAULT_ETA_EXPONENTS, refine=None):
+def optimize_eta(family, eps, exponents, refine=None):
     """Pick eta from the grid {eps^a} minimizing the certified bound.
 
     The bound is the one the family's deviation needs: sqrt(rho3) +
@@ -130,12 +127,13 @@ def worst_gap(pairs):
                 if a is not None and b is not None), default=math.nan)
 
 
-def local_mean_limit(family, eps_schedule, mu_rule, sample_points=33):
+def local_mean_limit(family, eps_schedule, mu_rule, sample_points):
     """Reconstruct the limit potential from shrinking local means.
 
-    For each scheduled eps the candidate limit at a grid point x is the
-    mean of the eps-field over the window x + mu * (0,1)^d with
-    mu = mu_rule(eps); windows that leave the domain are skipped.  Returns
+    The grid has sample_points interior points per axis.  For each eps the
+    candidate limit at a grid point x is the mean of the eps-field over
+    x + mu * (0,1)^d with mu = mu_rule(eps); windows that leave the
+    domain are skipped.  Returns
     a report with the sample grid, the means per eps ("samples", None for
     a skipped window), the skipped points, the worst gap between the means
     of each pair of successive schedule entries ("pair_gaps"), and rho2,

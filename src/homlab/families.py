@@ -45,7 +45,7 @@ class PerturbationFamily:
     limit: FieldTriple
     rate: Callable[[float], float]
     finest_scale: Callable[[float], float]
-    suggested_lattice: Optional[Lattice] = None
+    suggested_lattice: Optional[Lattice]
 
     @property
     def dim(self):

@@ -310,8 +310,8 @@ def assemble_base(spec: OperatorSpec, mesh: Mesh1D) -> DiscreteOperator:
     """Assemble the base form and both Gram matrices on one mesh.
 
     The base form is the stiffness matrix; the H1 Gram is stiffness plus
-    mass.  Hermiticity of both Grams and the Gram ordering (L2 below H1)
-    are construction guarantees, checked here once per assembly.
+    mass.  Hermiticity of both Grams is a construction guarantee, checked
+    here once per assembly.
     """
     space = FeSpace(mesh)
     one = constant_field(1, 1.0)
@@ -342,8 +342,8 @@ class PerturbationMatrix:
     matrix: sp.csr_matrix
 
 
-def assemble_perturbation(space: FeSpace, q=(), p=(), v=None,
-                          refine=1) -> PerturbationMatrix:
+def assemble_perturbation(space: FeSpace, v, refine, q=(),
+                          p=()) -> PerturbationMatrix:
     """Matrix of (Q u', v) - (P u, v') + (V u, v) on the interior nodes.
 
     The sign convention places the derivative on the trial function for Q
@@ -353,12 +353,8 @@ def assemble_perturbation(space: FeSpace, q=(), p=(), v=None,
     no zero entry.
     """
     mesh = space.mesh
-    terms = [(qf, "plus") for qf in q] + [(pf, "minus") for pf in p]
-    if v is not None:
-        terms.append((v, "mass"))
-    if not terms:
-        dof = mesh.n_elements - 1
-        return PerturbationMatrix(sp.csr_matrix((dof, dof), dtype=complex))
+    terms = ([(qf, "plus") for qf in q] + [(pf, "minus") for pf in p]
+             + [(v, "mass")])
     mats = (_form_matrix(mesh, field_, term, refine) for field_, term in terms)
     total = next(mats).astype(complex, copy=False)
     for mat in mats:
@@ -366,10 +362,10 @@ def assemble_perturbation(space: FeSpace, q=(), p=(), v=None,
     return PerturbationMatrix(total)
 
 
-def assemble_triple(space, triple, refine=1):
+def assemble_triple(space, triple, refine):
     """Perturbation matrix of a family field triple."""
-    return assemble_perturbation(space, q=triple.q, p=triple.p, v=triple.v,
-                                 refine=refine)
+    return assemble_perturbation(space, triple.v, refine, q=triple.q,
+                                 p=triple.p)
 
 
 def perturbation_refine(space, finest_scale):

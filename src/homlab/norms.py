@@ -111,7 +111,7 @@ class NormReport:
 
     value: float
     method: dict
-    flagged: bool = False
+    flagged: bool
 
 
 def _power_singular(apply_, apply_adj, dim, seed):
@@ -175,7 +175,7 @@ def _power_singular(apply_, apply_adj, dim, seed):
     return math.sqrt(theta), applications, residual, mode
 
 
-def induced_norm(apply_, apply_adj, space_in, space_out, seed=1234):
+def induced_norm(apply_, apply_adj, space_in, space_out, seed):
     """Operator norm from space_in to space_out, with its residual bound.
 
     The report is flagged when Lanczos ran out of restarts or the
@@ -204,7 +204,7 @@ def induced_norm(apply_, apply_adj, space_in, space_out, seed=1234):
     )
 
 
-def norm_v_to_vstar(X, h1, seed=1234):
+def norm_v_to_vstar(X, h1, seed):
     """Norm of a form matrix as an operator from H1 to its dual; h1 is
     the Space of the H1 Gram."""
     X = X.tocsr()
@@ -213,23 +213,23 @@ def norm_v_to_vstar(X, h1, seed=1234):
         lambda v: X @ v, lambda v: XH @ v, h1, h1.star(), seed=seed)
 
 
-def norm_m1m1(op, v_field, h1, refine=1, seed=1234):
+def norm_m1m1(op, v_field, h1, refine, seed):
     """Discrete form-norm of a potential: sup |(V u, v)| / |u|_V |v|_V.
 
     h1 is the Space of op.gram_h1.
     """
-    pert = assemble_perturbation(op.space, v=v_field, refine=refine)
+    pert = assemble_perturbation(op.space, v_field, refine)
     return norm_v_to_vstar(pert.matrix, h1, seed)
 
 
-def norm_m10(op, q_field, h1, refine=1, seed=1234):
+def norm_m10(op, q_field, h1, refine, seed):
     """Discrete product-norm of a weight: sup |Q u|_L2 / |u|_V.
 
     Uses the mass matrix weighted by |Q|^2; the norm is the square root of
     the top generalized eigenvalue against the H1 Gram, whose Space is h1.
     """
     weight = gram_field(q_field)
-    pert = assemble_perturbation(op.space, v=weight, refine=refine)
+    pert = assemble_perturbation(op.space, weight, refine)
     rep = norm_v_to_vstar(pert.matrix, h1, seed)
     return NormReport(
         value=math.sqrt(max(rep.value, 0.0)),
@@ -243,6 +243,14 @@ def _upper_band(mat, u=None):
     offsets u down to 0, u its own half-bandwidth by default."""
     offsets, data = diagonals(mat, u)
     return data[offsets >= 0][::-1]
+
+
+def _cholesky(band):
+    """Upper Cholesky factor of a Hermitian band, None if indefinite."""
+    try:
+        return sla.cholesky_banded(band, overwrite_ab=True, check_finite=False)
+    except sla.LinAlgError:
+        return None
 
 
 def smallest_eigenvalue(H, S):
@@ -265,24 +273,17 @@ def smallest_eigenvalue(H, S):
     # the pencil's own scale keeps the stopping width finite near zero
     scale = float(np.abs(ratio).max()) or 1.0
 
-    def factor(c):  # upper Cholesky band of H - c S, None if indefinite
-        try:
-            return sla.cholesky_banded(band_h - c * band_s, overwrite_ab=True,
-                                       check_finite=False)
-        except sla.LinAlgError:
-            return None
-
     lo = hi - scale
-    lo_factor = factor(lo)
+    lo_factor = _cholesky(band_h - lo * band_s)
     while lo_factor is None:
         lo = hi - 2.0 * (hi - lo)
         if not math.isfinite(lo):
             raise NumericalBreach("no finite shift makes H - c S positive "
                                   "definite: S is not")
-        lo_factor = factor(lo)
+        lo_factor = _cholesky(band_h - lo * band_s)
     while hi - lo > 1e-12 * max(abs(lo), scale):
         mid = 0.5 * (lo + hi)
-        mid_factor = factor(mid)
+        mid_factor = _cholesky(band_h - mid * band_s)
         if mid_factor is None:
             hi = mid
         else:
@@ -324,11 +325,16 @@ class CoercivityReport:
 
     lambda0: float
     c4: float
-    per_eps: tuple = ()
+    per_eps: tuple
 
 
 def _hermitian_part(G):
     return ((G + G.getH()) * 0.5).tocsr()
+
+
+def is_coercive(G):
+    """Whether G's Hermitian part is positive definite (c > 0, Sylvester)."""
+    return _cholesky(_upper_band(_hermitian_part(G))) is not None
 
 
 def find_lambda(forms, gram_l2s, S_list, lambda_start=-1.0):

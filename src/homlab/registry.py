@@ -444,8 +444,9 @@ def _build_random_rotation(cfg):
 
     The torus point is w(x) = w0 + (x, sqrt(2) x) / eps (mod 1).  1 and
     sqrt(2) are rationally independent, so the rotation is ergodic and
-    space averages tend to the torus expectation, the declared limit.
-    One realization w0 is drawn from family.seed and reused for every eps;
+    space averages tend to the torus expectation, the declared limit,
+    which is mean exactly: each cosine has torus mean zero.  One
+    realization w0 is drawn from family.seed and reused for every eps;
     the predicted rate is sqrt(eps).
     """
     amp = cfg.get_float("family.amplitude", 1.0)
@@ -462,12 +463,6 @@ def _build_random_rotation(cfg):
         )
         return vals.astype(complex)
 
-    # the torus expectation by the 128 x 128 midpoint rule, exact for
-    # trigonometric polynomials of degree below 128
-    axis = (np.arange(128) + 0.5) / 128
-    grid = np.stack([g.ravel() for g in np.meshgrid(axis, axis,
-                                                    indexing="ij")], axis=1)
-    expectation = observable(grid).mean(axis=0)
     flow = np.array([[1.0, math.sqrt(2.0)]])
 
     def v_of_eps(eps):
@@ -477,7 +472,7 @@ def _build_random_rotation(cfg):
 
     return make_family(
         v_of_eps,
-        constant_field(1, expectation),
+        constant_field(1, mean),
         lambda eps: math.sqrt(eps),
         box,
         finest_scale=lambda eps: eps / math.sqrt(2.0),

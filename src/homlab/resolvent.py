@@ -15,7 +15,7 @@ The difference identity is checked on refined solves, whose residual
 contract LinearSolver.solve_pair checks.
 """
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -57,7 +57,7 @@ class ResolventContext:
     LH: object
     solver0: LinearSolver
     solver_eps: LinearSolver
-    meta: dict = dc_field(default_factory=dict)
+    meta: dict
 
     @property
     def dim(self):
@@ -100,12 +100,12 @@ def _lax_milgram_bound(ctx, which):
     return 1.0 / c
 
 
-def perturbation_norm(ctx, seed=1234):
+def perturbation_norm(ctx, seed):
     """Norm of the difference form from H1 into the dual space."""
     return norm_v_to_vstar(ctx.L, ctx.h1, seed=seed)
 
 
-def contraction_norm(ctx, seed=1234):
+def contraction_norm(ctx, seed):
     """Norm of L R0 as a map of the dual space to itself.
 
     This is the series contraction factor; at 1 or above the expansion
@@ -120,7 +120,7 @@ def contraction_norm(ctx, seed=1234):
     )
 
 
-def truncation_error_norm(ctx, order, seed=1234):
+def truncation_error_norm(ctx, order, seed):
     """Norm of R_eps minus the order-N series, dual space into H1.
 
     Order 0 is the resolvent difference kappa = |R_eps - R_0|.
@@ -220,7 +220,7 @@ def context_from_setting(setting, lam):
     )
 
 
-def identity_residual(ctx, seed=1234):
+def identity_residual(ctx, seed):
     """Worst relative defect of the exact difference identity.
 
     For each of IDENTITY_LOADS random loads f the solved difference
@@ -265,21 +265,17 @@ def identity_residual(ctx, seed=1234):
     return worst
 
 
-def convergence_row(family, eps, lam, setting, seed=1234,
-                    eta_exponents=None, orders=()):
+def convergence_row(family, eps, lam, setting, seed, eta_exponents, orders):
     """All measurements for one epsilon of a convergence study, on the
     setting assemble_setting made for that epsilon; the keys, in order,
-    are the study's CSV columns.
+    are the study's CSV columns; eta comes from the grid eps^eta_exponents.
 
     Nonempty orders add series_columns before flagged: c2, contraction,
     divergent, then err_N and bound_N for each order N.  flagged is 1
     when any norm of the row missed its tolerance.
     """
     ctx = context_from_setting(setting, lam)
-    eta, crit = criteria.optimize_eta(
-        family, eps,
-        exponents=eta_exponents or criteria.DEFAULT_ETA_EXPONENTS,
-    )
+    eta, crit = criteria.optimize_eta(family, eps, eta_exponents)
     rep_kappa = truncation_error_norm(ctx, 0, seed)
     rep_L = perturbation_norm(ctx, seed)
     row = {
@@ -293,7 +289,7 @@ def convergence_row(family, eps, lam, setting, seed=1234,
         "bound_m10": crit.bound_m10,
         "kappa": rep_kappa.value,
         "norm_L": rep_L.value,
-        "identity_err": identity_residual(ctx, seed=seed),
+        "identity_err": identity_residual(ctx, seed),
         "predicted": family.rate(eps),
     }
     flagged = rep_kappa.flagged or rep_L.flagged

@@ -41,8 +41,8 @@ class StudyResult:
 
     fieldnames: tuple
     rows: tuple
-    footer: tuple = ()
-    echo: tuple = ()
+    footer: tuple
+    echo: tuple
 
 
 def fit_rate(eps_values, values):
@@ -197,12 +197,15 @@ def _mesh_opts(cfg):
     return opts
 
 
+def _row_seeds(seed, schedule):
+    return [(seed + 1000 * i, eps) for i, eps in enumerate(schedule)]
+
+
 def _criterion_exponents(cfg):
-    return cfg.get_floats("criterion.exponents",
-                          criteria.DEFAULT_ETA_EXPONENTS)
+    return cfg.get_floats("criterion.exponents", (0.3, 0.4, 0.5, 0.6, 0.7))
 
 
-def criterion_study(cfg, seed=1234):
+def criterion_study(cfg, seed):
     """Optimized cell-criterion table over the epsilon schedule."""
     family = registry.build_family(cfg)
     schedule = _schedule(cfg)
@@ -230,7 +233,7 @@ def criterion_study(cfg, seed=1234):
     return _table(cfg, rows, fits=("bound_m1m1", "bound_m10"))
 
 
-def homogenize_study(cfg, seed=1234):
+def homogenize_study(cfg, seed):
     """Local-mean limit identification against the declared limit.
 
     A row with no sampled window has a nan gap, and a nan gap at the final
@@ -283,7 +286,7 @@ def homogenize_study(cfg, seed=1234):
     return _table(cfg, rows, footer=footer)
 
 
-def norm_study(cfg, seed=1234):
+def norm_study(cfg, seed):
     """Multiplier norms of the deviation components per epsilon.
 
     Measures the assembled difference form against the triangle-type
@@ -304,8 +307,7 @@ def norm_study(cfg, seed=1234):
     sqrt_d = math.sqrt(family.dim)
 
     rows, marks = [], []
-    for i, eps in enumerate(schedule):
-        row_seed = seed + 1000 * i
+    for row_seed, eps in _row_seeds(seed, schedule):
         op, mesh = discretize(op_spec, family, eps, **opts)
         refine, capped = mesh["refine"], mesh["capped"]
         trip = deviation_triple(family, eps)
@@ -362,9 +364,9 @@ def _resolve_shift(cfg, settings):
 
     operator.shift = auto runs the doubling search over the perturbed
     and the limit forms of every scheduled epsilon, so the returned
-    shift is uniformly coercive across the whole study.
+    shift is coercive on all of them; a fixed shift must be as well.
     """
-    from .norms import find_lambda
+    from .norms import CoercivityError, find_lambda, is_coercive
 
     raw = cfg.get("operator.shift", -2.0)
     if raw == "auto":
@@ -379,9 +381,15 @@ def _resolve_shift(cfg, settings):
         return rep.lambda0, rep
     if isinstance(raw, str):
         raise ConfigError("operator.shift must be a negative number or auto")
-    lam = cfg.get_float("operator.shift", -2.0)
+    lam = cfg.get_float("operator.shift", raw)  # raw: -2.0 when unset
     if lam >= 0:
         raise ConfigError("operator.shift must be negative")
+    for s in settings:
+        for name, x in (("Geps", s["x_eps"]), ("G0", s["x_lim"])):
+            if not is_coercive(s["op"].base_form + x - lam * s["op"].gram_l2):
+                raise CoercivityError(
+                    f"{name} is not coercive at operator.shift = {lam:g} "
+                    f"(eps = {s['meta']['eps']:g})")
     return lam, None
 
 
@@ -395,7 +403,7 @@ def _series_orders(cfg):
     return orders
 
 
-def resolvent_study(cfg, seed=1234):
+def resolvent_study(cfg, seed):
     """Resolvent-difference convergence over the epsilon schedule.
 
     series.orders, when set, adds the truncated perturbation series at
@@ -418,9 +426,9 @@ def resolvent_study(cfg, seed=1234):
     settings = [assemble_setting(op_spec, family, eps, **opts)
                 for eps in schedule]
     lam, coercivity = _resolve_shift(cfg, settings)
-    rows = [convergence_row(family, eps, lam, setting, seed=seed + 1000 * i,
-                            eta_exponents=exponents, orders=orders)
-            for i, (eps, setting) in enumerate(zip(schedule, settings))]
+    rows = [convergence_row(family, eps, lam, setting, row_seed, exponents,
+                            orders) for (row_seed, eps), setting
+            in zip(_row_seeds(seed, schedule), settings)]
     verdict, detail = convergence_verdict(rows)
     max_identity = max(r["identity_err"] for r in rows)
     footer = [f"# shift = {lam:.17g}"]
@@ -449,7 +457,7 @@ _RUNNERS = {
 }
 
 
-def run_study(kind, cfg, seed=1234):
+def run_study(kind, cfg, seed):
     """Dispatch one study kind with the base seed of the --seed flag.
 
     Keys the study never read are rejected once it returns, so a

@@ -68,7 +68,7 @@ def _collect(xs, series):
     return pts
 
 
-def plot(xs, series, xlabel="", ylabel="", title="", guides=()):
+def plot(xs, series, xlabel, ylabel, title, guides):
     """Render line series to SVG text on log-log axes.
 
     series maps label -> y values aligned with xs.  Points with a

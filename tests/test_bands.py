@@ -76,13 +76,12 @@ def _diags_form_matrix(mesh, coef, term, refine):
                     [-1, 0, 1], format="csr")
 
 
-def _empty_start_perturbation(space, q=(), p=(), v=None, refine=1):
+def _empty_start_perturbation(space, v, refine, q=(), p=()):
     """fem.assemble_perturbation as it summed: from an empty complex CSR,
     one sparse add a term, each term from _diags_form_matrix."""
     mesh = space.mesh
-    terms = [(qf, "plus") for qf in q] + [(pf, "minus") for pf in p]
-    if v is not None:
-        terms.append((v, "mass"))
+    terms = ([(qf, "plus") for qf in q] + [(pf, "minus") for pf in p]
+             + [(v, "mass")])
     dof = mesh.n_elements - 1
     total = sp.csr_matrix((dof, dof), dtype=complex)
     for field_, term in terms:

@@ -237,9 +237,7 @@ def test_coercivity_failure_exits_3(crit_cfg, monkeypatch, capsys):
 
 
 def test_noncoercive_fixed_shift_exits_3(tmp_path, capsys):
-    # at amplitude 200 the perturbed form has c = -1.19 at shift -2; the
-    # series envelope (series.orders) needs a Lax-Milgram bound on its
-    # resolvent
+    # at amplitude 200 the perturbed form has c = -1.19 at shift -2
     path = tmp_path / "series.cfg"
     path.write_text((ROOT / "configs" / "sin_neumann.cfg").read_text()
                     .replace("family.amplitude = 1.0",
@@ -249,6 +247,19 @@ def test_noncoercive_fixed_shift_exits_3(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "coercivity error: Geps is not coercive at operator.shift = -2" \
         in err
+
+
+def test_noncoercive_fixed_shift_without_series_exits_3(tmp_path, capsys):
+    # at amplitude 40 the perturbed form has c = -0.12 at shift -0.5 and
+    # eps 0.1; with no series.orders the row takes no Lax-Milgram bound
+    path = tmp_path / "fixed.cfg"
+    path.write_text("study.kind = resolvent\nfamily.name = regular_sin\n"
+                    "family.amplitude = 40\nschedule.eps = 0.1, 0.05\n"
+                    "operator.shift = -0.5\n")
+    code = main(["resolvent", "--config", str(path), "--out", "-"])
+    assert code == 3
+    assert ("coercivity error: Geps is not coercive at operator.shift = "
+            "-0.5 (eps = 0.1)") in capsys.readouterr().err
 
 
 def test_misspelled_key_exits_2(tmp_path, capsys):
@@ -424,7 +435,8 @@ def test_report_writes_wellformed_svg(tmp_path, crit_cfg, capsys):
 
 
 def test_svg_text_escapes_markup_but_not_quotes():
-    svg = plot([0.1, 0.05], {"rho1": [1.0, 0.5]}, title="a&<>\"'b")
+    svg = plot([0.1, 0.05], {"rho1": [1.0, 0.5]}, xlabel="", ylabel="",
+               title="a&<>\"'b", guides=())
     assert "a&amp;&lt;&gt;\"'b</text>" in svg
     ET.fromstring(svg)
 

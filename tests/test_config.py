@@ -11,7 +11,8 @@ def test_parse_types_by_shape():
         "schedule.eps = 0.1, 0.05, 0.025\n"
         "mesh.cap_dof = 8192\n"
         "criterion.auto = true\n"
-        "shift.value = -1.5\n"
+        "shift.value = -1.5\n",
+        "<config>",
     )
     assert entries["family.kind"] == "regular"
     assert entries["schedule.eps"] == (0.1, 0.05, 0.025)
@@ -21,7 +22,7 @@ def test_parse_types_by_shape():
 
 
 def test_comments_and_blank_lines_ignored():
-    entries = parse_config("# header\n\na.b = 1\n   # trailing\n")
+    entries = parse_config("# header\n\na.b = 1\n   # trailing\n", "<config>")
     assert entries == {"a.b": 1}
 
 
@@ -37,7 +38,7 @@ def test_comments_and_blank_lines_ignored():
 ])
 def test_malformed_lines_raise(bad):
     with pytest.raises(ConfigError):
-        parse_config(bad)
+        parse_config(bad, "<config>")
 
 
 def test_empty_list_entry_names_line_and_key():
@@ -54,7 +55,8 @@ def test_error_message_names_line():
 def test_typed_getters_enforce_types():
     cfg = StudyConfig.from_text(
         "count = 4\nscale = 2.5\nflag = false\nname = demo\n"
-        "eps = 0.1, 0.2\n"
+        "eps = 0.1, 0.2\n",
+        "<config>",
     )
     assert cfg.get_int("count") == 4
     assert cfg.get_float("scale") == 2.5
@@ -75,7 +77,7 @@ def test_typed_getters_enforce_types():
     pytest.param("1" + "0" * 400, id="int_beyond_float_range"),
 ])
 def test_float_getters_refuse_non_finite_numbers(value):
-    cfg = StudyConfig.from_text(f"x.y = {value}\n")
+    cfg = StudyConfig.from_text(f"x.y = {value}\n", "<config>")
     with pytest.raises(ConfigError, match="'x.y' needs a finite number"):
         cfg.get_floats("x.y")
     if "," not in value:
@@ -84,7 +86,7 @@ def test_float_getters_refuse_non_finite_numbers(value):
 
 
 def test_missing_key_and_defaults():
-    cfg = StudyConfig.from_text("a = 1\n")
+    cfg = StudyConfig.from_text("a = 1\n", "<config>")
     with pytest.raises(ConfigError, match="missing required"):
         cfg.get("b")
     assert cfg.get_int("b", 7) == 7
@@ -92,7 +94,7 @@ def test_missing_key_and_defaults():
 
 
 def test_unused_key_tracking():
-    cfg = StudyConfig.from_text("a = 1\nb = 2\n")
+    cfg = StudyConfig.from_text("a = 1\nb = 2\n", "<config>")
     cfg.get_int("a")
     assert cfg.unused_keys() == ("b",)
     with pytest.raises(ConfigError, match="unrecognized"):
@@ -108,9 +110,9 @@ def test_echo_round_trip():
         "flag = true\n"
         "shift.value = -0.10000000000000001\n"
     )
-    cfg = StudyConfig.from_text(text)
+    cfg = StudyConfig.from_text(text, "<config>")
     echoed = "\n".join(f"{k} = {v}" for k, v in cfg.echo())
-    again = parse_config(echoed)
+    again = parse_config(echoed, "<config>")
     assert again == cfg.entries
 
 

@@ -180,7 +180,7 @@ def test_local_mean_limit_needs_two_entries():
     v0 = constant_field(1, 1.0)
     fam = family_of(lambda eps: v0, v0, UNIT)
     with pytest.raises(ValueError):
-        local_mean_limit(fam, [0.1], math.sqrt)
+        local_mean_limit(fam, [0.1], math.sqrt, sample_points=9)
 
 
 # ------------------------------------------------- batched cell quadrature
@@ -188,7 +188,7 @@ def test_local_mean_limit_needs_two_entries():
 def _family(text):
     from homlab import registry
     from homlab.config import StudyConfig
-    return registry.build_family(StudyConfig.from_text(text))
+    return registry.build_family(StudyConfig.from_text(text, "<config>"))
 
 
 def reference_report(family, eps, eta, refine):

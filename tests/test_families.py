@@ -22,7 +22,7 @@ def _family(at, limit, rate=lambda eps: eps):
 
 
 def _entry(text):
-    return build_family(StudyConfig.from_text(text))
+    return build_family(StudyConfig.from_text(text, "<config>"))
 
 
 def _value(field_, x):
@@ -128,9 +128,10 @@ def test_stabilizing_rate_ignores_the_amplitude_sign():
     for amp in (-2.0, 2.0):
         cfg = StudyConfig.from_text(
             "study.kind = criterion\nfamily.name = stabilizing_arctan\n"
-            f"family.amplitude = {amp}\nschedule.eps = 0.1, 0.05\n")
-        rows[amp] = [row["predicted"] for row in run_study("criterion",
-                                                           cfg).rows]
+            f"family.amplitude = {amp}\nschedule.eps = 0.1, 0.05\n",
+            "<config>")
+        rows[amp] = [row["predicted"] for row
+                     in run_study("criterion", cfg, seed=1234).rows]
     assert rows[-2.0] == rows[2.0]
     assert all(p > 0 for p in rows[2.0])
 
@@ -276,17 +277,18 @@ CRIT = "study.kind = criterion\nschedule.eps = 0.1\n"
 ])
 def test_domain_needs_the_entry_dimension(name, bounds):
     cfg = StudyConfig.from_text(
-        f"{CRIT}family.name = {name}\nfamily.domain = {bounds}\n")
+        f"{CRIT}family.name = {name}\nfamily.domain = {bounds}\n", "<config>")
     with pytest.raises(ConfigError, match="family.domain"):
-        run_study("criterion", cfg)
+        run_study("criterion", cfg, seed=1234)
 
 
 def test_modulated_diffeo_refuses_a_degenerate_jacobian():
     # 3 x^2 at x = 1e-5 is 3e-10, below the Jacobian tolerance
     cfg = StudyConfig.from_text(
-        f"{CRIT}family.name = modulated_diffeo\nfamily.domain = 1e-5, 1\n")
+        f"{CRIT}family.name = modulated_diffeo\nfamily.domain = 1e-5, 1\n",
+        "<config>")
     with pytest.raises(ConfigError, match="family.domain"):
-        run_study("criterion", cfg)
+        run_study("criterion", cfg, seed=1234)
 
 
 def _fractal_cases():

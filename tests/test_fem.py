@@ -21,7 +21,7 @@ from homlab.fem import (
     MIN_ELEMENTS,
     OperatorSpec,
 )
-from homlab.fields import Box, CoefficientField, constant_field
+from homlab.fields import Box, CoefficientField, constant_field, zero_field
 from homlab.lattice import _panel_rule
 
 UNIT = Box((0.0,), (1.0,))
@@ -55,7 +55,7 @@ def test_potential_adds_weighted_mass():
     mesh = build_mesh(UNIT, n)
     op = assemble_base(OperatorSpec(UNIT), mesh)
     v = constant_field(1, 3.0)
-    pert = assemble_perturbation(op.space, v=v)
+    pert = assemble_perturbation(op.space, v, 1)
     assert np.allclose(pert.matrix.toarray(), 3.0 * op.gram_l2.toarray(),
                        atol=1e-12)
 
@@ -66,7 +66,7 @@ def test_first_order_constant_gives_central_difference():
     space = FeSpace(mesh)
     c = 1.7
     q = constant_field(1, c)
-    pert = assemble_perturbation(space, q=(q,))
+    pert = assemble_perturbation(space, zero_field(1), 1, q=(q,))
     # (c u', v) on P1: antisymmetric central difference c/2 off-diagonals
     expect = tridiag(n - 1, -c / 2.0, 0.0, c / 2.0)
     assert np.allclose(pert.matrix.toarray(), expect, atol=1e-13)
@@ -80,7 +80,7 @@ def test_transport_pair_with_constant_coefficient_assembles_to_zero():
     space = FeSpace(mesh)
     q = constant_field(1, 0.8)
     p = constant_field(1, -0.8)
-    pert = assemble_perturbation(space, q=(q,), p=(p,))
+    pert = assemble_perturbation(space, zero_field(1), 1, q=(q,), p=(p,))
     assert abs(pert.matrix).max() < 1e-14
 
 
@@ -91,7 +91,7 @@ def test_oscillating_potential_element_means():
     mesh = build_mesh(UNIT, n)
     space = FeSpace(mesh)
     v = CoefficientField(1, lambda x: np.sin(20.0 * x[..., 0]), 1.0)
-    pert = assemble_perturbation(space, v=v, refine=64)
+    pert = assemble_perturbation(space, v, 64)
     h = mesh.h
     from scipy.integrate import quad
     for i in (0, 7, n - 2):

@@ -395,7 +395,7 @@ def test_large_scalar_cell_equals_two_level_reference():
     from homlab import registry
     from homlab.config import StudyConfig
     fam = registry.build_family(
-        StudyConfig.from_text("family.name = fractal_2d\n"))
+        StudyConfig.from_text("family.name = fractal_2d\n", "<config>"))
     field_ = fam.at(0.13).v
     integral, _, sq, _ = cell_integral(Lattice(2), [(0, 0)], 0.5, field_, 64,
                                        squares=True)
@@ -429,7 +429,7 @@ def test_large_cell_memory_does_not_grow_with_the_cell():
     from homlab import registry
     from homlab.config import StudyConfig
     fam = registry.build_family(
-        StudyConfig.from_text("family.name = fractal_2d\n"))
+        StudyConfig.from_text("family.name = fractal_2d\n", "<config>"))
     field_ = fam.at(0.13).v
     for refine in (128, 256):
         blocks = GAUSS_ORDER * refine

@@ -128,7 +128,7 @@ FIRST_RUNG = 12 + 2
 def test_bench_norm_v_to_vstar(benchmark, eps, dof):
     ctx = context_from_setting(_stabilizing_setting(eps, dof), -1.0)
     # the norm alone: a row factors its H1 Gram once (test_bench_h1_factor)
-    rep = benchmark.pedantic(norm_v_to_vstar, args=(ctx.L, ctx.h1),
+    rep = benchmark.pedantic(norm_v_to_vstar, args=(ctx.L, ctx.h1, 1234),
                              rounds=5, iterations=1)
     assert not rep.flagged
     assert rep.method["iterations"] <= FIRST_RUNG
@@ -138,8 +138,8 @@ def test_bench_norm_v_to_vstar(benchmark, eps, dof):
 def test_bench_kappa(benchmark, eps, dof):
     # kappa = |R_eps - R_0| is the order-0 series remainder
     ctx = context_from_setting(_stabilizing_setting(eps, dof), -1.0)
-    rep = benchmark.pedantic(truncation_error_norm, args=(ctx, 0), rounds=5,
-                             iterations=1)
+    rep = benchmark.pedantic(truncation_error_norm, args=(ctx, 0, 1234),
+                             rounds=5, iterations=1)
     assert not rep.flagged
     assert rep.method["iterations"] <= FIRST_RUNG
 
@@ -163,7 +163,7 @@ def test_bench_identity_residual(benchmark, eps, dof, monkeypatch):
     # 20 loads in column blocks; each block makes two refined solves, one
     # of the loads f with R_eps and one of [f | L R_eps f] with R_0
     ctx = context_from_setting(_stabilizing_setting(eps, dof), -1.0)
-    err = benchmark.pedantic(identity_residual, args=(ctx,), rounds=5,
+    err = benchmark.pedantic(identity_residual, args=(ctx, 1234), rounds=5,
                              iterations=1)
     assert err <= 1e-15
     calls = {"solve_pair": 0, "_dd_residual": 0}
@@ -175,7 +175,7 @@ def test_bench_identity_residual(benchmark, eps, dof, monkeypatch):
     monkeypatch.setattr(ctx.solver_eps, "solve_pair",
                         _counted(ctx.solver_eps.solve_pair, per_block,
                                  "solve_pair"))
-    assert identity_residual(ctx) == err
+    assert identity_residual(ctx, seed=1234) == err
     # one R_eps solve a block, and as many with R_0
     assert per_block["solve_pair"] >= 1
     assert calls["solve_pair"] == 2 * per_block["solve_pair"]
@@ -207,7 +207,7 @@ def test_bench_fractal_cell_integral(benchmark):
     # one 2D cell of fractal_2d at eps 0.13, refine 64: the fine rule is
     # four field evaluations of CHUNK_POINTS points, the coarse one more
     family = registry.build_family(
-        StudyConfig.from_text("family.name = fractal_2d\n"))
+        StudyConfig.from_text("family.name = fractal_2d\n", "<config>"))
     field_ = family.at(0.13).v
     refine = 64
     assert (GAUSS_ORDER * refine) ** 2 == 4 * CHUNK_POINTS

@@ -7,7 +7,6 @@ the torus expectation, mean, as its limit.
 """
 
 import numpy as np
-import pytest
 
 from homlab.config import StudyConfig
 from homlab.lattice import Lattice, cell_integral
@@ -17,7 +16,7 @@ from homlab.registry import build_family
 def _rotation(mean=0.0, amplitude=1.0, seed=7):
     return build_family(StudyConfig.from_text(
         f"family.name = random_rotation\nfamily.mean = {mean}\n"
-        f"family.amplitude = {amplitude}\nfamily.seed = {seed}\n"))
+        f"family.amplitude = {amplitude}\nfamily.seed = {seed}\n", "<config>"))
 
 
 def _limit(family):
@@ -25,19 +24,22 @@ def _limit(family):
 
 
 def test_expectation_of_cosine_vanishes():
-    assert abs(_limit(_rotation(mean=0.0))) < 1e-14
+    # exactly zero, bound included, so deviation_triple skips subtracting it
+    fam = _rotation(mean=0.0)
+    assert _limit(fam) == 0.0
+    assert fam.limit.v.sup_bound == 0.0
 
 
 def test_expectation_of_shifted_cosine():
-    assert abs(_limit(_rotation(mean=0.3)) - 0.3) < 1e-14
+    assert _limit(_rotation(mean=0.3)) == 0.3
 
 
 def test_expectation_two_torus_product():
-    # the 128 x 128 product midpoint rule on the two-torus integrates the
-    # degree-one cosines of both axes exactly, whatever their amplitude
+    # the cosines of both axes have torus mean zero whatever their
+    # amplitude, so the expectation is the mean exactly
     fam = _rotation(mean=-0.4, amplitude=2.5)
-    assert abs(_limit(fam) + 0.4) < 1e-14
-    assert fam.limit.v.sup_bound == pytest.approx(0.4, abs=1e-14)
+    assert _limit(fam) == -0.4
+    assert fam.limit.v.sup_bound == 0.4
 
 
 def test_birkhoff_average_approaches_expectation():

@@ -4,14 +4,15 @@ Every function and class defined in a ``src/homlab`` module must be
 referenced by an identifier in ``src/homlab`` or ``perfbench/`` outside
 its own definition, every annotated class field must be read as an
 attribute there, every dataclass field with a default must be set by
-some constructor call there, every defaulted function parameter must be
-passed by some call there, and no ``src/homlab`` module may import a
-name it never uses.  References are matched by name (``Name`` ids,
-attribute names and imported names, including the original name of an
-``import x as y``), so the check is coarse but needs no linter.  A
-method or property is only reached through an attribute, so for those
-only attribute names count: a local variable of the same name elsewhere
-does not keep one alive.
+some constructor call there and left out by another, every defaulted
+function parameter must likewise be passed by some call there and
+omitted by another, and no module of ``src/homlab`` or ``tests``, nor
+``conftest.py``, may import a name it never uses.  References are
+matched by name (``Name`` ids, attribute names and imported names,
+including the original name of an ``import x as y``), so the check is
+coarse but needs no linter.  A method or property is only reached
+through an attribute, so for those only attribute names count: a local
+variable of the same name elsewhere does not keep one alive.
 Every config key that ``src/homlab`` reads by a literal name must be set
 by some shipped config, or be listed with its reason in UNSET_KEYS, and
 every family of the registry must be built by some shipped config.
@@ -30,6 +31,7 @@ from homlab.registry import REGISTRY
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "homlab"
 CONFIGS = ROOT / "configs"
+TESTS = ROOT / "tests"
 USERS = (SRC, ROOT / "perfbench")
 ALLOWED = {"main"}
 # fields kept without a reader, each with the reason
@@ -43,10 +45,6 @@ UNPASSED_PARAMS = {
     # perfbench/probes.py binds it by name through inspect.signature to
     # count the shifts tried
     "find_lambda.lambda_start",
-    # run_study passes the seed through the _RUNNERS table, a call no
-    # name matches
-    "criterion_study.seed", "homogenize_study.seed", "norm_study.seed",
-    "resolvent_study.seed",
 }
 # config keys read but set by no shipped config, each with the reason
 UNSET_KEYS = {
@@ -153,21 +151,29 @@ def _is_dataclass(cls):
 
 def _calls(trees):
     """{callee name: [(positional count, keyword names)]} of every call.
-    A cls(...) call counts as a call of the class whose method makes it.
-    A *args counts as every position and a **kwargs, whose keyword name
-    is None, as every keyword."""
+    A cls(...) call counts as a call of the class whose method makes it,
+    and a super().__init__(...) call as a call of that class's first
+    base.  A *args counts as every position and a **kwargs, whose keyword
+    name is None, as every keyword."""
     calls = {}
     for tree in trees.values():
         # ast.walk reaches an outer class first, so a nested one wins
-        owner = {id(call): cls.name for cls in ast.walk(tree)
+        owner = {id(call): cls for cls in ast.walk(tree)
                  if isinstance(cls, ast.ClassDef) for call in ast.walk(cls)}
         for call in ast.walk(tree):
             if not isinstance(call, ast.Call):
                 continue
             func = call.func
             name = getattr(func, "id", None) or getattr(func, "attr", None)
-            if name == "cls":
-                name = owner.get(id(call))
+            cls = owner.get(id(call))
+            if name == "cls" and cls:
+                name = cls.name
+            elif (name == "__init__" and cls and cls.bases
+                  and isinstance(func.value, ast.Call)
+                  and getattr(func.value.func, "id", None) == "super"):
+                base = cls.bases[0]
+                name = (getattr(base, "id", None)
+                        or getattr(base, "attr", None))
             n_args = len(call.args)
             if any(isinstance(arg, ast.Starred) for arg in call.args):
                 n_args = math.inf
@@ -176,11 +182,9 @@ def _calls(trees):
     return calls
 
 
-def test_every_defaulted_field_is_set():
-    # a default that no call overrides is an input nobody sets
-    trees = _trees()
-    calls = _calls(trees)
-    unset = []
+def _defaulted_fields(trees):
+    """(location, class name, position, field) of every dataclass field
+    with a default in src/homlab."""
     for path, tree in trees.items():
         if not path.is_relative_to(SRC):
             continue
@@ -191,13 +195,19 @@ def test_every_defaulted_field_is_set():
                       if isinstance(stmt, ast.AnnAssign)
                       and isinstance(stmt.target, ast.Name)]
             for pos, stmt in enumerate(fields):
-                name = stmt.target.id
-                if stmt.value is None or any(
-                        pos < n_args or name in keywords
-                        for n_args, keywords in calls.get(cls.name, ())):
-                    continue
-                unset.append(f"{path.relative_to(ROOT)}:{stmt.lineno} "
-                             f"{cls.name}.{name}")
+                if stmt.value is not None:
+                    yield (f"{path.relative_to(ROOT)}:{stmt.lineno}",
+                           cls.name, pos, stmt.target.id)
+
+
+def test_every_defaulted_field_is_set():
+    # a default that no call overrides is an input nobody sets
+    trees = _trees()
+    calls = _calls(trees)
+    unset = [f"{where} {cls}.{name}"
+             for where, cls, pos, name in _defaulted_fields(trees)
+             if not any(pos < n_args or name in keywords
+                        for n_args, keywords in calls.get(cls, ()))]
     assert unset == []
 
 
@@ -212,12 +222,10 @@ def _functions(tree):
             yield inits.get(id(node), node.name), node
 
 
-def test_every_defaulted_parameter_is_passed():
-    # a default that no call overrides is a constant with a parameter's
-    # name
-    trees = _trees()
-    calls = _calls(trees)
-    unpassed = []
+def _defaulted_params(trees):
+    """(location, callee name, position, parameter, default) of every
+    defaulted parameter in src/homlab; a keyword-only one has position
+    inf."""
     for path, tree in trees.items():
         if not path.is_relative_to(SRC):
             continue
@@ -227,25 +235,56 @@ def test_every_defaulted_parameter_is_passed():
             # a call passes no argument for the bound self or cls
             offset = int(bool(positional)
                          and positional[0].arg in ("self", "cls"))
-            params = [(positional.index(arg) - offset, arg.arg)
-                      for arg in positional[len(positional)
-                                            - len(args.defaults):]]
-            params += [(math.inf, arg.arg) for arg, default
-                       in zip(args.kwonlyargs, args.kw_defaults)
-                       if default is not None]
-            for pos, name in params:
-                if any(pos < n_args or name in keywords or None in keywords
-                       for n_args, keywords in calls.get(callee, ())):
-                    continue
-                if f"{callee}.{name}" not in UNPASSED_PARAMS:
-                    unpassed.append(f"{path.relative_to(ROOT)}:{fn.lineno} "
-                                    f"{callee}.{name}")
+            where = f"{path.relative_to(ROOT)}:{fn.lineno}"
+            for arg, default in zip(positional[len(positional)
+                                               - len(args.defaults):],
+                                    args.defaults):
+                yield (where, callee, positional.index(arg) - offset,
+                       arg.arg, default)
+            for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                if default is not None:
+                    yield where, callee, math.inf, arg.arg, default
+
+
+def _passes(call, pos, name):
+    n_args, keywords = call
+    return pos < n_args or name in keywords or None in keywords
+
+
+def test_every_defaulted_parameter_is_passed():
+    # a default that no call overrides is a constant with a parameter's
+    # name
+    trees = _trees()
+    calls = _calls(trees)
+    unpassed = [f"{where} {callee}.{name}"
+                for where, callee, pos, name, _ in _defaulted_params(trees)
+                if f"{callee}.{name}" not in UNPASSED_PARAMS
+                and not any(_passes(call, pos, name)
+                            for call in calls.get(callee, ()))]
     assert unpassed == []
-    # every allowlisted parameter is still defined
-    defined = {f"{callee}.{arg.arg}" for tree in trees.values()
-               for callee, fn in _functions(tree)
-               for arg in fn.args.args + fn.args.kwonlyargs}
-    assert UNPASSED_PARAMS <= defined
+    # every allowlisted parameter is still a defaulted one
+    defaulted = {f"{callee}.{name}"
+                 for _, callee, _, name, _ in _defaulted_params(trees)}
+    assert UNPASSED_PARAMS <= defaulted
+
+
+def test_every_default_is_taken():
+    # a default that every call overrides is a second copy of a value the
+    # callers hold, which a call that forgets its argument silently takes.
+    # The config getters' _MISSING sentinel is exempt: leaving it out makes
+    # a key required.
+    trees = _trees()
+    calls = _calls(trees)
+    untaken = [f"{where} {callee}.{name}"
+               for where, callee, pos, name, default
+               in _defaulted_params(trees)
+               if getattr(default, "id", None) != "_MISSING"
+               and all(_passes(call, pos, name)
+                       for call in calls.get(callee, ()))]
+    untaken += [f"{where} {cls}.{name}"
+                for where, cls, pos, name in _defaulted_fields(trees)
+                if all(_passes(call, pos, name) for call in calls.get(cls, ()))]
+    assert untaken == []
 
 
 def _bindings(tree):
@@ -274,7 +313,8 @@ def test_no_unused_imports():
     # resolvent's SOLVE_RTOL that perfbench/checks.py reads, is used
     reexported = set(_imported_from(_trees()))
     unused = []
-    for path in sorted(SRC.rglob("*.py")):
+    for path in [*sorted(SRC.rglob("*.py")), *sorted(TESTS.glob("*.py")),
+                 ROOT / "conftest.py"]:
         tree = _parse(path)
         used = {sub.id for sub in ast.walk(tree) if isinstance(sub, ast.Name)}
         for name, line in _bindings(tree):
@@ -303,7 +343,8 @@ def test_every_key_read_is_set_somewhere():
     # a key no config sets is a knob nobody turns
     set_keys = set()
     for path in CONFIGS.glob("*.cfg"):
-        set_keys.update(parse_config(path.read_text(encoding="utf-8")))
+        set_keys.update(parse_config(path.read_text(encoding="utf-8"),
+                                     str(path)))
     read = list(_keys_read())
     unset = [f"{where} {key}" for key, where in read
              if key not in set_keys and key not in UNSET_KEYS]
@@ -316,6 +357,6 @@ def test_every_registry_family_is_built_somewhere():
     # a catalogue entry no config builds is a mechanism nobody runs
     built = set()
     for path in CONFIGS.glob("*.cfg"):
-        built.add(parse_config(path.read_text(encoding="utf-8"))
+        built.add(parse_config(path.read_text(encoding="utf-8"), str(path))
                   .get("family.name"))
     assert sorted(set(REGISTRY) - built) == []

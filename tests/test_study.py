@@ -4,7 +4,6 @@ import dataclasses
 import math
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from homlab.config import ConfigError, StudyConfig
@@ -87,7 +86,8 @@ def test_csv_round_trip_preserves_floats(tmp_path):
 
 
 def test_csv_rejects_cells_needing_quotes():
-    res = StudyResult(fieldnames=("a",), rows=({"a": "1,2"},))
+    res = StudyResult(fieldnames=("a",), rows=({"a": "1,2"},), footer=(),
+                      echo=())
     with pytest.raises(ValueError, match="quoting"):
         render_csv(res)
 
@@ -102,15 +102,15 @@ def test_read_csv_requires_header(tmp_path):
 # ------------------------------------------------------------- dispatch
 
 def test_run_study_rejects_unknown_kind():
-    cfg = StudyConfig.from_text(CRIT_CFG)
+    cfg = StudyConfig.from_text(CRIT_CFG, "<config>")
     with pytest.raises(ConfigError, match="unknown study kind"):
-        run_study("frobnicate", cfg)
+        run_study("frobnicate", cfg, seed=1234)
 
 
 def test_run_study_rejects_kind_mismatch():
-    cfg = StudyConfig.from_text(CRIT_CFG)
+    cfg = StudyConfig.from_text(CRIT_CFG, "<config>")
     with pytest.raises(ConfigError, match="declares study.kind"):
-        run_study("norm", cfg)
+        run_study("norm", cfg, seed=1234)
 
 
 @pytest.mark.parametrize("schedule", [
@@ -119,9 +119,10 @@ def test_run_study_rejects_kind_mismatch():
     "-0.1, -0.2",
 ])
 def test_schedule_must_strictly_decrease(schedule):
-    cfg = StudyConfig.from_text(CRIT_CFG.replace("0.1, 0.05", schedule))
+    cfg = StudyConfig.from_text(CRIT_CFG.replace("0.1, 0.05", schedule),
+                                "<config>")
     with pytest.raises(ConfigError):
-        run_study("criterion", cfg)
+        run_study("criterion", cfg, seed=1234)
 
 
 def test_resolvent_footer_names_capped_rows():
@@ -133,8 +134,8 @@ schedule.eps = 0.2, 0.1
 operator.shift = -1.0
 mesh.min_elements = 16
 mesh.cap_dof = 24
-""")
-    res = run_study("resolvent", cfg)
+""", "<config>")
+    res = run_study("resolvent", cfg, seed=1234)
     assert [row["capped"] for row in res.rows] == [0, 1]
     assert "# verdict: not_convergent" in res.footer
     assert res.footer[-1].endswith(" capped_rows=0.1")
@@ -144,13 +145,13 @@ mesh.cap_dof = 24
 # ------------------------------------------------------------- determinism
 
 def test_run_study_rejects_unread_keys():
-    cfg = StudyConfig.from_text(CRIT_CFG + "family.amplitud = 5\n")
+    cfg = StudyConfig.from_text(CRIT_CFG + "family.amplitud = 5\n", "<config>")
     with pytest.raises(ConfigError, match="family.amplitud"):
-        run_study("criterion", cfg)
+        run_study("criterion", cfg, seed=1234)
 
 
 def test_criterion_study_row_content():
-    cfg = StudyConfig.from_text(CRIT_CFG)
+    cfg = StudyConfig.from_text(CRIT_CFG, "<config>")
     res = run_study("criterion", cfg, seed=1)
     assert [r["eps"] for r in res.rows] == [0.1, 0.05]
     for row in res.rows:
@@ -163,8 +164,10 @@ def test_criterion_study_row_content():
 
 def test_seed_changes_nothing_for_deterministic_study():
     # criterion rows involve no randomness, so seeds must not leak in
-    res_a = run_study("criterion", StudyConfig.from_text(CRIT_CFG), seed=1)
-    res_b = run_study("criterion", StudyConfig.from_text(CRIT_CFG), seed=2)
+    res_a = run_study("criterion", StudyConfig.from_text(CRIT_CFG, "<config>"),
+                      seed=1)
+    res_b = run_study("criterion", StudyConfig.from_text(CRIT_CFG, "<config>"),
+                      seed=2)
     assert render_csv(res_a) == render_csv(res_b)
 
 
@@ -185,7 +188,8 @@ def test_norm_study_measures_a_bare_potential_once(monkeypatch):
 
     # norm_study looks its norms up on homlab.norms when it starts
     monkeypatch.setattr(norms, "norm_m1m1", measured_again)
-    res = run_study("norm", StudyConfig.from_text(NORM_CFG))
+    res = run_study("norm", StudyConfig.from_text(NORM_CFG, "<config>"),
+                    seed=1234)
     assert all(row["v_m1m1"] == row["norm_x"] == row["chain_bound"]
                for row in res.rows)
 
@@ -198,9 +202,11 @@ def test_norm_study_marks_flagged_rows(monkeypatch):
         rep = norm_v_to_vstar(X, h1, seed)
         return dataclasses.replace(rep, flagged=seed == 1234 + 1000)
 
-    clean = run_study("norm", StudyConfig.from_text(NORM_CFG))
+    clean = run_study("norm", StudyConfig.from_text(NORM_CFG, "<config>"),
+                      seed=1234)
     monkeypatch.setattr(norms, "norm_v_to_vstar", flag_second_row)
-    res = run_study("norm", StudyConfig.from_text(NORM_CFG))
+    res = run_study("norm", StudyConfig.from_text(NORM_CFG, "<config>"),
+                    seed=1234)
     assert [row["within_budget"] for row in clean.rows] == [1, 1]
     assert [row["within_budget"] for row in res.rows] == [1, 0]
     assert not any("flagged_rows" in line for line in clean.footer)
@@ -212,8 +218,8 @@ def test_norm_study_marks_flagged_rows(monkeypatch):
 def test_norm_study_marks_capped_rows():
     # the rows want 255 and 2547 elements; both run on the cap of 64
     cfg = StudyConfig.from_text(NORM_CFG.replace("0.1, 0.05", "0.01, 0.001")
-                                + "mesh.cap_dof = 64\n")
-    res = run_study("norm", cfg)
+                                + "mesh.cap_dof = 64\n", "<config>")
+    res = run_study("norm", cfg, seed=1234)
     assert [row["n_elements"] for row in res.rows] == [64, 64]
     assert [row["within_budget"] for row in res.rows] == [0, 0]
     assert res.footer[-1] == "# capped_rows=0.01;0.001"
@@ -241,7 +247,7 @@ def test_homogenize_without_sampled_windows_is_not_consistent():
         "two_scale_homogenize",
         ("family.name = two_scale_linear", "family.name = sign_sin"),
         ("homogenize.mu_power = 0.5", "homogenize.mu_power = 0.001"))
-    res = run_study("homogenize", cfg)
+    res = run_study("homogenize", cfg, seed=1234)
     assert all(math.isnan(row["declared_gap"]) for row in res.rows)
     assert all(math.isnan(row["pair_gap"]) for row in res.rows)
     assert res.footer[-1].startswith("# declared_limit_consistent: false ")
@@ -262,6 +268,6 @@ def test_homogenize_rejects_an_empty_sample_grid(points):
          f"homogenize.sample_points = {points}"))
     with pytest.raises(ConfigError, match="homogenize.sample_points must be "
                                           f"at least 1, got {points}"):
-        run_study("homogenize", cfg)
+        run_study("homogenize", cfg, seed=1234)
 
 
