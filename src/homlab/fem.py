@@ -11,19 +11,21 @@ three diagonals summed from the per-element 2x2 blocks; the boundary
 nodes never enter.  Each term of a form integrates only the element
 moments its blocks read, and its CSR arrays are written straight from
 the three diagonals, with no zero entry stored.  Wherever a band is
-needed (the solver's residual, the Cholesky band of a Gram or a pencil)
-it is read from a matrix's stored diagonals by diagonals, at any
+needed (the solver's LU and residual, the Cholesky band of a Gram or a
+pencil) it is read from a matrix's stored diagonals by diagonals, at any
 half-bandwidth.
 
 Oscillating coefficients are integrated per element with the
-composite Gauss rule from the lattice module.  Direct solves go through a
-sparse LU factorization with compensated-residual iterative refinement, so
-forward errors sit near machine precision even on fine meshes.  The solver
-takes real forms only; loads may be complex.  A refined solve takes a
-column block of loads (n, k); each column gets the same bits as a solve of
-a block holding that column alone, and only the columns that the second
-refinement pass moves get a third residual.  The refined solve that keeps
-the sub-ulp correction also checks each column's residual contract.
+composite Gauss rule from the lattice module.  Direct solves go through
+LAPACK's banded LU with partial pivoting (zgbtrf, zgbtrs), held in band
+storage at the form's own half-bandwidth, with compensated-residual
+iterative refinement, so forward errors sit near machine precision even
+on fine meshes.  The solver takes real forms only; loads may be complex.
+A refined solve takes a column block of loads (n, k); each column gets
+the same bits as a solve of a block holding that column alone, and only
+the columns that the second refinement pass moves get a third residual.
+The refined solve that keeps the sub-ulp correction also checks each
+column's residual contract.
 
 The compensated residual is built from error-free transformations:
 TwoProduct with Dekker-split factors (the matrix diagonals are split once
@@ -34,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+from scipy.linalg.lapack import zgbtrf, zgbtrs
 
 from .errors import NumericalBreach
 from .fields import Box, constant_field
@@ -42,9 +44,6 @@ from .lattice import _panel_rule, default_refine
 
 _SPLIT = 134217729.0  # 2**27 + 1, Dekker splitting constant
 SOLVE_RTOL = 1e-10  # residual contract of solve_pair, relative to the load
-# mesh.min_elements and mesh.cap_dof when a config leaves them out
-MIN_ELEMENTS = 64
-CAP_DOF = 8192
 
 
 def _split(a):
@@ -247,19 +246,18 @@ _TERM_MOMENTS = {
 }
 
 
-def _form_matrix(mesh, coef, term, refine):
-    """CSR matrix on the interior nodes of one term of the form with one
-    coefficient A: "stiffness" (A u', v'), "plus" (A u', v), "minus"
-    -(A u, v') or "mass" (A u, v).
+def _form_diagonals(mesh, coef, term, refine):
+    """(sub, main, sup): the three diagonals on the interior nodes of one
+    term of the form with one coefficient A: "stiffness" (A u', v'),
+    "plus" (A u', v), "minus" -(A u, v') or "mass" (A u, v).  sub[i] is
+    the entry (i + 1, i), main[i] the entry (i, i), sup[i] the entry
+    (i, i + 1).
 
     block(a, b) is the (n_elements,) contribution of each element to
     local test node a and trial node b in {0, 1}.  Interior node i sits
     at local node 1 of element i - 1 and local node 0 of element i, so
     its diagonal entry is the sum of those two contributions and each
-    off-diagonal entry is one contribution; the matrix is three
-    diagonals.  The CSR arrays are written from them row by row, in
-    column order, and an entry equal to zero is not stored: the same
-    arrays SciPy's DIA to CSR conversion gives.
+    off-diagonal entry is one contribution.
     """
     h = mesh.h
     d = (-1.0 / h, 1.0 / h)
@@ -273,13 +271,21 @@ def _form_matrix(mesh, coef, term, refine):
         "mass": lambda a, b: m[pair[a][b]],
     }[term]
     main = block(0, 0)[1:] + block(1, 1)[:-1]
+    return block(1, 0)[1:-1], main, block(0, 1)[1:-1]
+
+
+def _tridiagonal_csr(sub, main, sup):
+    """CSR matrix of three diagonals, laid out as _form_diagonals returns
+    them.  The arrays are written row by row, in column order, and an
+    entry equal to zero is not stored: the same arrays SciPy's DIA to CSR
+    conversion gives."""
     n = main.size
     # row i holds columns i - 1, i, i + 1; the two corners lie outside
     # the matrix and stay zero, so they are dropped with the zero entries
     entries = np.zeros((n, 3), dtype=main.dtype)
-    entries[1:, 0] = block(1, 0)[1:-1]
+    entries[1:, 0] = sub
     entries[:, 1] = main
-    entries[:-1, 2] = block(0, 1)[1:-1]
+    entries[:-1, 2] = sup
     stored = entries != 0
     cols = (np.arange(-1, n - 1, dtype=np.int32)[:, None]
             + np.arange(3, dtype=np.int32))
@@ -289,6 +295,12 @@ def _form_matrix(mesh, coef, term, refine):
                         shape=(n, n))
     mat.has_canonical_format = True
     return mat
+
+
+def _form_matrix(mesh, coef, term, refine):
+    """CSR matrix on the interior nodes of one term of the form (see
+    _form_diagonals)."""
+    return _tridiagonal_csr(*_form_diagonals(mesh, coef, term, refine))
 
 
 @dataclass(frozen=True)
@@ -311,22 +323,24 @@ def assemble_base(spec: OperatorSpec, mesh: Mesh1D) -> DiscreteOperator:
 
     The base form is the stiffness matrix; the H1 Gram is stiffness plus
     mass.  Hermiticity of both Grams is a construction guarantee, checked
-    here once per assembly.
+    here once per assembly on the three diagonals they are built from.
     """
     space = FeSpace(mesh)
     one = constant_field(1, 1.0)
-    stiff = _form_matrix(mesh, one, "stiffness", 1)
-    mass = _form_matrix(mesh, one, "mass", 1)
-    gram = (stiff + mass).tocsr()
-    for g in (gram, mass):
+    stiff = _form_diagonals(mesh, one, "stiffness", 1)
+    mass = _form_diagonals(mesh, one, "mass", 1)
+    gram = tuple(s + m for s, m in zip(stiff, mass))
+    for lower, diag, upper in (gram, mass):
         # max |g - g^H| over the diagonal and the pairs (j + 1, j), (j, j + 1)
-        _, band = diagonals(g, 1)
-        lower, diag, upper = band
         asym = max(np.abs(diag - diag.conj()).max(),
-                   np.abs(lower[:-1] - upper[1:].conj()).max(initial=0.0))
-        scale = max(np.abs(band).max(), 1e-300)
+                   np.abs(lower - upper.conj()).max(initial=0.0))
+        scale = max(np.abs(lower).max(initial=0.0), np.abs(diag).max(),
+                    np.abs(upper).max(initial=0.0), 1e-300)
         if asym > 1e-12 * scale:
             raise NumericalBreach("Gram matrix lost hermiticity")
+    stiff = _tridiagonal_csr(*stiff)
+    mass = _tridiagonal_csr(*mass)
+    gram = (stiff + mass).tocsr()
     return DiscreteOperator(
         space=space,
         base_form=stiff,
@@ -387,18 +401,24 @@ def discretize(spec, family, eps, min_elements, cap_dof):
 
 
 class LinearSolver:
-    """Sparse LU of a real form with compensated-residual iterative
+    """Banded LU of a real form with compensated-residual iterative
     refinement.
 
     The form must be real: a nonzero imaginary entry raises
-    NumericalBreach.  Loads and solutions are complex.  Residuals are
-    evaluated from the matrix diagonals with exact two-term
+    NumericalBreach.  Loads and solutions are complex.  The form is
+    factored once, with LAPACK's complex banded LU with partial pivoting
+    (zgbtrf) at its own half-bandwidth u: the band storage holds 3u + 1
+    rows of n entries, u of them for the fill-in of row interchanges, and
+    the pivots.  Every solve is zgbtrs on that storage, whatever u is.  A
+    zero pivot raises NumericalBreach.
+
+    Residuals are evaluated from the matrix diagonals with exact two-term
     products and TwoSum accumulation, so each refinement pass gains the
     LU's relative accuracy until the solution is accurate to working
     precision, and the reported residual is the true one.  The diagonals
-    that hold a nonzero entry are read from the stored entries
-    (diagonals) and split into Dekker halves once, here; the row sums of
-    their magnitudes give matrix_norm, |A|_inf.
+    are read from the stored entries (diagonals) once, here: they fill the
+    band storage, and those holding a nonzero entry are split into Dekker
+    halves; the row sums of their magnitudes give matrix_norm, |A|_inf.
 
     The refined solves take a block of loads (n, k) and solve A x = b.  A
     block is held column-contiguous and every column gets two refinement
@@ -416,17 +436,25 @@ class LinearSolver:
     """
 
     def __init__(self, matrix):
-        self.matrix = matrix.tocsc().astype(complex)
-        if self.matrix.data.imag.any():
+        n = matrix.shape[0]
+        offsets, data = diagonals(matrix)
+        if data.imag.any():
             raise NumericalBreach("the solver takes a real form; this one "
                                   "has a nonzero imaginary entry")
-        try:
-            self.lu = spla.splu(self.matrix)
-        except RuntimeError as exc:
-            raise NumericalBreach(f"singular factorization: {exc}") from exc
-        n = self.matrix.shape[0]
-        offsets, data = diagonals(matrix)
         data = np.ascontiguousarray(data.real)
+        u = int(offsets[-1])
+        # LAPACK band storage: A[i, j] sits in row 2u + i - j of column j,
+        # that is the diagonal at offset j - i in row 2u - offset; the top
+        # u rows take the fill-in of the row interchanges
+        ab = np.zeros((3 * u + 1, n), dtype=complex, order="F")
+        ab[u:] = data[::-1]
+        self._lu, self._piv, info = zgbtrf(ab, u, u, overwrite_ab=True)
+        if info > 0:
+            raise NumericalBreach(f"singular factorization: pivot {info} "
+                                  f"of {n} is zero")
+        if info < 0:
+            raise NumericalBreach(f"zgbtrf rejected its argument {-info}")
+        self._u = u
         # per diagonal holding a nonzero entry: its column range, offset
         # and split entries, in increasing offset
         self._bands = []
@@ -439,8 +467,17 @@ class LinearSolver:
             j0, j1 = max(0, off), min(n, n + off)
             self._bands.append((j0, j1, off, _split(d[j0:j1])))
             rows[j0 - off:j1 - off] += np.abs(d[j0:j1])
-        self.shape = self.matrix.shape
+        self.shape = matrix.shape
         self.matrix_norm = float(rows.max())
+
+    def _lu_solve(self, rhs, adjoint=False):
+        """A^-1 rhs, or A^-H rhs, from the banded LU, for a load vector
+        (n,) or block (n, k); the result is a new array."""
+        x, info = zgbtrs(self._lu, self._u, self._u, rhs, self._piv,
+                         trans=2 if adjoint else 0)
+        if info:
+            raise NumericalBreach(f"zgbtrs rejected its argument {-info}")
+        return x
 
     def _dd_residual(self, rhs, x):
         """rhs - A x with compensated accumulation.
@@ -474,18 +511,18 @@ class LinearSolver:
         are compared, so a zero that changes sign counts as moved.
         """
         b = np.asfortranarray(rhs, dtype=complex)
-        x = np.asfortranarray(self.lu.solve(b))
+        x = self._lu_solve(b)
         if not np.all(np.isfinite(x)):
             raise NumericalBreach("factorization produced non-finite solution")
-        x += self.lu.solve(self._dd_residual(b, x))
+        x += self._lu_solve(self._dd_residual(b, x))
         r = self._dd_residual(b, x)
-        x_lo = self.lu.solve(r)
+        x_lo = self._lu_solve(r)
         last, x = x, x + x_lo
         moved = np.flatnonzero(
             (x.T.view(np.uint64) != last.T.view(np.uint64)).any(axis=1))
         if moved.size:
             r[:, moved] = self._dd_residual(b[:, moved], x[:, moved])
-            x_lo[:, moved] = self.lu.solve(r[:, moved])
+            x_lo[:, moved] = self._lu_solve(r[:, moved])
         return x, r, x_lo
 
     def solve_pair(self, rhs):
@@ -520,8 +557,7 @@ class LinearSolver:
         refined path is reserved for solves with an explicit residual
         contract.
         """
-        x = self.lu.solve(np.asarray(rhs, dtype=complex),
-                          trans="H" if adjoint else "N")
+        x = self._lu_solve(np.asarray(rhs, dtype=complex), adjoint)
         if not np.all(np.isfinite(x)):
             raise NumericalBreach("factorization produced non-finite solution")
         return x

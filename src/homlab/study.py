@@ -177,9 +177,12 @@ def _operator_spec(cfg, family):
     return OperatorSpec(family.domain)
 
 
-def _mesh_opts(cfg):
-    from .fem import CAP_DOF, MIN_ELEMENTS
+# mesh.min_elements and mesh.cap_dof when a config leaves them out
+MIN_ELEMENTS = 64
+CAP_DOF = 8192
 
+
+def _mesh_opts(cfg):
     opts = {
         "min_elements": cfg.get_int("mesh.min_elements", MIN_ELEMENTS),
         "cap_dof": cfg.get_int("mesh.cap_dof", CAP_DOF),

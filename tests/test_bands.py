@@ -7,8 +7,8 @@ or a pencil.  The constructions below (DIA conversion; abs-sum, triu,
 COO and np.add.at) are the ones they replaced, kept as the oracle: on
 every form the shipped resolvent configs build, the new bands must hold
 the same bytes.  So is the sp.diags(..., format="csr") assembly that
-fem._form_matrix replaced: the matrices a resolvent row assembles must
-hold the same CSR arrays.
+fem._form_matrix and fem._tridiagonal_csr replaced: the matrices a
+resolvent row assembles must hold the same CSR arrays.
 """
 
 from functools import lru_cache
@@ -74,6 +74,12 @@ def _diags_form_matrix(mesh, coef, term, refine):
     main = block(0, 0)[1:] + block(1, 1)[:-1]
     return sp.diags([block(1, 0)[1:-1], main, block(0, 1)[1:-1]],
                     [-1, 0, 1], format="csr")
+
+
+def _diags_csr(sub, main, sup):
+    """The base forms' CSR matrices as sp.diags(..., format="csr") built
+    them from their three diagonals."""
+    return sp.diags([sub, main, sup], [-1, 0, 1], format="csr")
 
 
 def _empty_start_perturbation(space, v, refine, q=(), p=()):
@@ -168,6 +174,7 @@ def test_row_matrices_match_diags_assembly(name, monkeypatch):
         opts = study._mesh_opts(cfg)
         with monkeypatch.context() as patch:
             patch.setattr(fem, "_form_matrix", _diags_form_matrix)
+            patch.setattr(fem, "_tridiagonal_csr", _diags_csr)
             patch.setattr(fem, "assemble_perturbation",
                           _empty_start_perturbation)
             old = _setting_matrices(assemble_setting(*args, **opts))

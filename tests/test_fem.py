@@ -17,12 +17,11 @@ from homlab.fem import (
     _element_moments,
     _form_matrix,
     mesh_rule,
-    CAP_DOF,
-    MIN_ELEMENTS,
     OperatorSpec,
 )
 from homlab.fields import Box, CoefficientField, constant_field, zero_field
 from homlab.lattice import _panel_rule
+from homlab.study import CAP_DOF, MIN_ELEMENTS
 
 UNIT = Box((0.0,), (1.0,))
 
@@ -182,17 +181,18 @@ def test_gram_matrices_are_hermitian_and_ordered():
 def test_gram_hermiticity_check_on_perturbed_mass(monkeypatch, rel, breach):
     # one off-diagonal mass entry scaled by 1 + rel: an asymmetry of rel / 4
     # of max |mass|, against the check's 1e-12
-    form_matrix = fem._form_matrix
+    form_diagonals = fem._form_diagonals
 
     def perturbed(mesh, coef, term, refine):
-        mat = form_matrix(mesh, coef, term, refine)
+        sub, main, sup = form_diagonals(mesh, coef, term, refine)
         if term == "mass":
-            assert mat[0, 1] == mat[1, 0]
-            mat.data[1] *= 1.0 + rel  # row 0 stores (0, 0), (0, 1)
-            assert mat[0, 1] != mat[1, 0]
-        return mat
+            assert sup[0] == sub[0]
+            sup = sup.copy()  # the mass's sub and sup share their moments
+            sup[0] *= 1.0 + rel  # the entry (0, 1)
+            assert sup[0] != sub[0]
+        return sub, main, sup
 
-    monkeypatch.setattr(fem, "_form_matrix", perturbed)
+    monkeypatch.setattr(fem, "_form_diagonals", perturbed)
     mesh = build_mesh(UNIT, 20)
     if breach:
         with pytest.raises(NumericalBreach, match="lost hermiticity"):
@@ -537,13 +537,13 @@ def _moves_in_pass_two(n_rhs=5, zero=2):
 def _ref_refined_solve(solver, a, b):
     """The refined solve of one load as first written: two passes, then a
     third residual and its LU solve for the sub-ulp correction."""
-    x = solver.lu.solve(b)
+    x = solver._lu_solve(b)
     steps = [x]
     for _ in range(2):
-        x = x + solver.lu.solve(_ref_dd_residual(a, b, x))
+        x = x + solver._lu_solve(_ref_dd_residual(a, b, x))
         steps.append(x)
     r = _ref_dd_residual(a, b, x)
-    return steps, r, solver.lu.solve(r)
+    return steps, r, solver._lu_solve(r)
 
 
 def _same_bits(u, v):
@@ -559,14 +559,13 @@ def test_second_pass_matches_three_residual_reference(monkeypatch):
     assert moved == [True, True, False, True, True]
 
     lu_widths = []
-    inner_lu = solver.lu
+    inner_lu = solver._lu_solve
 
-    class CountedLU:
-        def solve(self, rhs):
-            lu_widths.append(rhs.shape[1])
-            return inner_lu.solve(rhs)
+    def counted_lu(rhs, adjoint=False):
+        lu_widths.append(rhs.shape[1])
+        return inner_lu(rhs, adjoint)
 
-    monkeypatch.setattr(solver, "lu", CountedLU())
+    monkeypatch.setattr(solver, "_lu_solve", counted_lu)
     widths = _passes_per_call(solver, monkeypatch)
     x, r, x_lo = solver.solve(b)
     # the moved columns get the third residual and LU solve at width 4
@@ -600,3 +599,18 @@ def test_third_residual_covers_only_the_moved_columns(monkeypatch):
     widths = _passes_per_call(solver, monkeypatch)
     solver.solve_pair(b)
     assert widths == [3, 3, 2]
+
+
+def test_quick_adjoint_solves_the_conjugate_transpose():
+    # a nonsymmetric real band, so A^-H b and A^-1 b differ
+    rng = np.random.default_rng(29)
+    n = 40
+    a = _wide_banded(rng, n)
+    solver = LinearSolver(sp.csr_matrix(a))
+    b = rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2))
+    for rhs in (b, b[:, 0]):
+        want = np.linalg.solve(a.conj().T, rhs)
+        got = solver.quick(rhs, adjoint=True)
+        assert got.shape == rhs.shape
+        assert np.allclose(got, want, rtol=0, atol=1e-14 * np.abs(want).max())
+        assert not np.allclose(solver.quick(rhs), want, rtol=0, atol=1e-3)

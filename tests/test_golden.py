@@ -37,29 +37,29 @@ NEGATIVE_CONTROLS = {"sign_resolvent"}
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
 DIGESTS = {
     "almost_periodic_criterion": "ebbaae9397281040ce70d4ae6d985e9aa8b88a23dd15853274b728f8fe149c39",
-    "almost_periodic_resolvent": "d47c9295e194564885bdaa8b10c2dc5f746d1f4c50c9a0c5a6f369045a7888ac",
+    "almost_periodic_resolvent": "86e6468fe8e10acf3338d92b8f533db6083b5f84a6d80eb84afef0da4b04800b",
     "fractal_criterion": "0adb41e56b2104d442d7572eeee483c16345cce7810cfc41d8a364c1786c4a2a",
     "locally_periodic2_criterion": "6bb9ebffe9930eb8852498714677ad4de497afb9d78414b8eaeba108fe9443b3",
-    "locally_periodic2_resolvent": "f62e0a30bc04cdbe0cd778f9e0ee9fa0d80e2131dc2cdb56c53dc202c4d374ce",
+    "locally_periodic2_resolvent": "2e639ae8f8cd58dcd8989d388ba9d9a3ee033e37c1b18e2429c0057610302130",
     "locally_periodic_criterion": "ab1a7486a459e6ab30474c8ad3bde1f8a33d0494d603ff8bf1a57cf33a5446b1",
-    "locally_periodic_resolvent": "2f52ce3ea21f2d510407b0e195a9fadbb058972506817ba29deb415a9ec38486",
+    "locally_periodic_resolvent": "317c1ba4a673b300d78b0173d616179b7a5bb351af3e17712ee8979c9f497764",
     "modulated_diffeo_criterion": "02b6c65b31e7e92dcc7c7a72b266cfed030bb6987e4964e361d3157d3d5931a5",
-    "modulated_diffeo_resolvent": "356a8527e3ec0bb159c73611f8b46226e40388e8a93a50e7163f6582a7b5026c",
+    "modulated_diffeo_resolvent": "cfed999fb61d25cf220b2f974ced6e21e89ef7136eb0dbe73296e5d03d4abf2a",
     "modulated_periodic_criterion": "d85afdea8a5dba31beae3577ea09f3148580bb2572387d2d48fb2defe2b91394",
-    "modulated_periodic_resolvent": "2be9651af808fb21ab179132bfdae0879ea2b7985d6f3545e30cb688bd1432ad",
+    "modulated_periodic_resolvent": "f8804616ee7ced85b0d936dbb3f51f662f69217846492801c6e6cbde2a8012f0",
     "random_criterion": "37325fe7e24c43d5cd64363a54729393d8345080a678fea9713420ae9b56b0d3",
-    "random_resolvent": "3bec6b78e11cebe03edf2a0efa05031e5d905f2f7ac3d53eb0860019934c9ac7",
+    "random_resolvent": "2cefbdf927d35a233ff9df6bfa9bca74be42af7c4a8ca5646f681582396d7355",
     "regular_criterion": "f4d12023647df058620736fc1b60a800a330705a8ccd7bbbb9c94874aff3626b",
     "sign_criterion": "2120550c057e5c5e6ecb3fdd9b14e3af10e36f03c60a337006a1b1ad2eda51a7",
-    "sign_resolvent": "eecefc59df0a97796dca662035346e816ff3615f63852d442fc4fef60c3f6e30",
+    "sign_resolvent": "b86b7fad9ca225b8ae703dbe1bffa9029242029a0697f87e49cf682ad078589c",
     "sin_criterion": "965d58409d88f0e4a5ce3d21c4b54cee8bc5779cf5b5bb2485435ad2c7e805ef",
-    "sin_neumann": "37ac40842898d453aed2a4c1fabb5dd8c466980f75be2949e14d379905078d3b",
+    "sin_neumann": "c97f56d90c60d181ffaad108e6b44324460526896b1b28a66812b05b7d1196ca",
     "sin_norm": "3184ee7cbec9772eea84b2855d3d150af4f74a974ad2a300ad420ab822f4c818",
-    "sin_resolvent": "e2e8b0c7abae18578300eae3ea88ff45d5a8fabb693c9cbbc739a9c5b3a18181",
+    "sin_resolvent": "e414c24566112648c8bb2a620ff429bb4faf7cc5a9a185f78c95fc32ceb1c987",
     "sparse_criterion": "fe9e3410e9aee7200f2f9ef58266407554e1e69e670c3b8201b6df80e1c3d326",
-    "sparse_resolvent": "e847a554c4c2417550ec6f2a9b4c288974bb5739ad3994fd9fce5e6c317ad411",
+    "sparse_resolvent": "f4419d8d0dee9e1fe26641baabd26e8f6846ff60b67debf3757f88e9109ee95f",
     "stabilizing_criterion": "5ce21454d61161f4cae6d2630e2ad4e4fc942ca0b84229601e65ccecc618a8b8",
-    "stabilizing_resolvent": "dc0a54ac537e7854138fd0f08812a0e696108705599746644c5ae831ee9998ce",
+    "stabilizing_resolvent": "4fafb2a2a162b47726c0eede96f8f932095186cc453ce3636b993f74a2e524f5",
     "two_scale_homogenize": "1242f519eed7e3c73193d38d5a85e8b8f0f748e04e7f1ae7ac59cf2b201edbe8"
 }
 
@@ -136,10 +136,10 @@ def test_two_scale_limit_is_consistent():
 SERIES_TABLE = (
     ((0.010334625153686215, 0.011206184118875397),
      (0.00011295341762880907, 0.00012557856250613515),
-     (1.1840207957486657e-06, 1.4072564928274529e-06),
-     (1.2857995100160994e-08, 1.5769975361107291e-08),
-     (1.3565105743623246e-10, 1.7672124744669685e-10)),
-    0.011206184118875397, 1.0, 0.011057807107828051,
+     (1.1840207957486657e-06, 1.407256492827453e-06),
+     (1.2857995100160991e-08, 1.576997536110729e-08),
+     (1.3565105743623239e-10, 1.7672124744669685e-10)),
+    0.011206184118875397, 1.0, 0.011057807107828055,
 )
 
 

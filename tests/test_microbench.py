@@ -77,8 +77,9 @@ def test_bench_smallest_eigenvalue(benchmark, eps, dof):
     assert upper == pytest.approx(c4, rel=1e-10)
 
 
-# per-row set-up of a resolvent row: the LU of G0 with its split bands,
-# and the banded Cholesky factor of the mesh's H1 Gram, taken once a row
+# per-row set-up of a resolvent row: the banded LU of G0 with its split
+# bands, and the banded Cholesky factor of the mesh's H1 Gram, taken once
+# a row
 @pytest.mark.parametrize("eps, dof", SIZES)
 def test_bench_linear_solver(benchmark, eps, dof):
     ctx = context_from_setting(_stabilizing_setting(eps, dof), -1.0)
@@ -87,6 +88,10 @@ def test_bench_linear_solver(benchmark, eps, dof):
     # the tridiagonal G0 has three bands
     assert [band[2] for band in solver._bands] == [-1, 0, 1]
     assert solver.matrix_norm == float(abs(ctx.G0).sum(axis=1).max())
+    # the factor is band storage alone: (3u + 1) n complex entries at
+    # u = 1, and n pivots
+    assert solver._lu.dtype == complex and solver._lu.size <= 4 * dof
+    assert solver._piv.size == dof
 
 
 @pytest.mark.parametrize("eps, dof", SIZES)

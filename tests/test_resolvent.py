@@ -11,8 +11,8 @@ import scipy.sparse as sp
 from homlab import registry, resolvent, study
 from homlab.config import StudyConfig
 from homlab.families import make_family
-from homlab.fem import CAP_DOF, MIN_ELEMENTS, NumericalBreach, \
-    OperatorSpec, assemble_base, assemble_perturbation, build_mesh
+from homlab.fem import NumericalBreach, OperatorSpec, assemble_base, \
+    assemble_perturbation, build_mesh
 from homlab.fields import Box, CoefficientField, constant_field, zero_field
 from homlab.resolvent import (
     assemble_setting,
@@ -23,6 +23,7 @@ from homlab.resolvent import (
     series_columns,
     truncation_error_norm,
 )
+from homlab.study import CAP_DOF, MIN_ELEMENTS
 
 UNIT = Box((0.0,), (1.0,))
 MESH = {"min_elements": MIN_ELEMENTS, "cap_dof": CAP_DOF}
