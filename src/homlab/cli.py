@@ -8,7 +8,8 @@ among them) and forms that the auto or fixed shift leaves non-coercive.
 
 Only the studies that discretize the operator (norm, resolvent) load
 SciPy, when their study starts; criterion, homogenize, families and
-report run without it.
+report run without it.  Likewise only report loads the SVG writer (and
+through it the html module), when it starts.
 """
 
 import argparse
@@ -19,7 +20,6 @@ from .config import ConfigError, StudyConfig
 from .errors import CoercivityError, NumericalBreach
 from .registry import describe_families
 from .study import STUDY_KINDS, read_csv, run_study, write_csv
-from .svgplot import write_plot
 from . import study as study_mod
 
 
@@ -62,6 +62,8 @@ _EPS_COLUMNS = ("kappa", "norm_L", "bound_m1m1", "rho1", "predicted",
 
 
 def _report(args):
+    from .svgplot import write_plot
+
     fields, rows, comments = read_csv(args.csv)
     if not rows:
         raise ConfigError(f"{args.csv}: no data rows")

@@ -23,16 +23,15 @@ as in a stack of that cell alone and whatever the chunking.  The block
 sums are taken straight from each evaluation's values, and on request
 the same values also give the integrals of |field|^2.  The points of an
 evaluation come with each coordinate column contiguous.  Only the 1D
-Gauss nodes of each order are cached; the composite rule, an
-evaluation's points and its block weights are built afresh, so no array
-of a whole cell's points or weights is built.
+Gauss nodes and weights of the two orders used are stored, as tabulated
+constants; the composite rule, an evaluation's points and its block
+weights are built afresh, so no array of a whole cell's points or
+weights is built.
 """
 
 from dataclasses import dataclass
-from functools import cache
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 MAX_REFINE = 4096
 GAUSS_ORDER = 4
@@ -127,9 +126,26 @@ def cells_inside(lattice, eta, box):
     return tuple(map(tuple, zs[inside].tolist()))
 
 
-# Gauss nodes and weights per order, shared, so never written to; two
-# orders are used: GAUSS_ORDER, and 2 for the refine-1 estimate
-_gauss = cache(leggauss)
+def _read_only(*hexes):
+    arr = np.array([float.fromhex(h) for h in hexes])
+    arr.flags.writeable = False
+    return arr
+
+
+# Gauss-Legendre nodes and weights on [-1, 1] of the two orders the
+# rules use: GAUSS_ORDER, and 2 for the refine-1 estimate.  They are the
+# bits numpy.polynomial.legendre.leggauss returns, written out so that no
+# run imports numpy.polynomial, and read-only, since every call shares
+# them.
+_GAUSS = {
+    2: (_read_only("-0x1.279a74590331cp-1", "0x1.279a74590331cp-1"),
+        _read_only("0x1.0000000000000p+0", "0x1.0000000000000p+0")),
+    4: (_read_only("-0x1.b8e6dbcf63985p-1", "-0x1.5c23fd9dd3dfcp-2",
+                   "0x1.5c23fd9dd3dfcp-2", "0x1.b8e6dbcf63985p-1"),
+        _read_only("0x1.64340f7e7b666p-2", "0x1.4de5f840c24cdp-1",
+                   "0x1.4de5f840c24cdp-1", "0x1.64340f7e7b666p-2")),
+}
+_gauss = _GAUSS.__getitem__
 
 
 def _panel_rule(refine, order=GAUSS_ORDER):

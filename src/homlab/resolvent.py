@@ -32,8 +32,9 @@ from .norms import (Space, _hermitian_part, induced_norm, norm_v_to_vstar,
 # f holds half as many.  A refined solve's transient memory grows with its
 # block.  On the resolvent_mix benchmark (alternating pairs, 2-core x86 VM)
 # this size made wall_s 7-8% lower than separate R_0 solves of 2**12-entry
-# blocks, with peak RSS inside their spread; 2**13 made it 9-12% lower for
-# 1.1-1.9 MB more peak RSS, 2**12 only 1.4%
+# blocks, with peak RSS inside their spread.  With the banded LU, blocks of
+# 2**13 and 2**14 entries are no faster, for about 0.2 and 3.5 MB more peak
+# RSS (6 pairs each)
 IDENTITY_BLOCK = 3 * 2 ** 11
 IDENTITY_LOADS = 20  # random loads of identity_residual
 # convergence_verdict: a step may rise VERDICT_SLACK-fold, and the last

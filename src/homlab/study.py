@@ -411,6 +411,11 @@ def resolvent_study(cfg, seed):
 
     series.orders, when set, adds the truncated perturbation series at
     those orders to every row (see resolvent.convergence_row).
+
+    Every epsilon's setting is assembled first, since the auto shift
+    search needs all of their forms.  Once the shift is resolved, the
+    settings are released row by row: each one is held only while its
+    own row is measured.
     """
     from .resolvent import (assemble_setting, convergence_row,
                             convergence_verdict)
@@ -429,9 +434,12 @@ def resolvent_study(cfg, seed):
     settings = [assemble_setting(op_spec, family, eps, **opts)
                 for eps in schedule]
     lam, coercivity = _resolve_shift(cfg, settings)
-    rows = [convergence_row(family, eps, lam, setting, row_seed, exponents,
-                            orders) for (row_seed, eps), setting
-            in zip(_row_seeds(seed, schedule), settings)]
+    rows = []
+    for row_seed, eps in _row_seeds(seed, schedule):
+        # the list gives up each setting as its row starts, so no
+        # earlier mesh is alive while a later, finer row runs
+        rows.append(convergence_row(family, eps, lam, settings.pop(0),
+                                    row_seed, exponents, orders))
     verdict, detail = convergence_verdict(rows)
     max_identity = max(r["identity_err"] for r in rows)
     footer = [f"# shift = {lam:.17g}"]

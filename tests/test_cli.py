@@ -519,10 +519,12 @@ for argv in runs:
     assert main(argv) == 0, argv
     print("loaded:", *sorted(m for m in sys.modules
                               if m.startswith(("scipy", "homlab.", "xml.",
-                                               "urllib.", "concurrent."))))
+                                               "urllib.", "concurrent.",
+                                               "html", "numpy.polynomial"))))
 """
 HEAVY = ("homlab.fem", "homlab.norms", "homlab.resolvent", "xml.sax",
-         "urllib.request", "concurrent.futures")
+         "urllib.request", "concurrent.futures", "numpy.polynomial")
+PLOTTING = ("homlab.svgplot", "html")
 
 
 def test_cell_criterion_runs_load_no_scipy(tmp_path):
@@ -535,5 +537,9 @@ def test_cell_criterion_runs_load_no_scipy(tmp_path):
     for modules in cell_runs:
         assert not [m for m in modules
                     if m.startswith("scipy") or m in HEAVY]
-    # the boundary is real: a discretizing study does load SciPy
+    # only report loads the SVG writer, and html through it
+    for modules, plotted in zip(loaded, (False, False, False, True, True)):
+        assert all((m in modules) == plotted for m in PLOTTING)
+    # the boundary is real: a discretizing study does load SciPy, and
+    # SciPy's own import loads numpy.polynomial, which homlab does not
     assert "scipy" in after_norm and "homlab.fem" in after_norm

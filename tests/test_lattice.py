@@ -200,10 +200,22 @@ def test_square_integral_matches_closed_form():
     assert sq_err < 1e-10
 
 
-def test_panel_rule_is_built_from_cached_gauss_nodes():
-    # only the 1D Gauss nodes of an order are cached; the composite rule
-    # is built on each call, with the same bits
-    assert lattice._gauss(GAUSS_ORDER) is lattice._gauss(GAUSS_ORDER)
+@pytest.mark.parametrize("order", [2, GAUSS_ORDER])
+def test_tabulated_gauss_rules_are_leggauss_bit_for_bit(order):
+    from numpy.polynomial.legendre import leggauss
+
+    rule = lattice._gauss(order)
+    for tabulated, computed in zip(rule, leggauss(order), strict=True):
+        assert np.array_equal(tabulated.view(np.uint64),
+                              computed.view(np.uint64))
+        # every call shares them, so none may write to them
+        assert not tabulated.flags.writeable
+    assert lattice._gauss(order) is rule
+
+
+def test_panel_rule_is_built_from_tabulated_gauss_nodes():
+    # only the 1D Gauss nodes and weights of an order are stored; the
+    # composite rule is built on each call, with the same bits
     pts, wts = _panel_rule(3)
     again = _panel_rule(3)
     assert again[0] is not pts

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import weakref
 from pathlib import Path
 
 import pytest
@@ -140,6 +141,32 @@ mesh.cap_dof = 24
     assert "# verdict: not_convergent" in res.footer
     assert res.footer[-1].endswith(" capped_rows=0.1")
     assert "flagged_rows" not in res.footer[-1]
+
+
+def test_resolvent_rows_release_earlier_settings(monkeypatch):
+    # the auto shift needs every setting at once; after it, a row's
+    # matrices must be gone before the next, finer row starts
+    from homlab import resolvent
+
+    measure = resolvent.convergence_row
+    ops, alive = [], []
+
+    def watched(family, eps, lam, setting, *args):
+        alive.append([ref() is not None for ref in ops])
+        ops.append(weakref.ref(setting["op"]))
+        return measure(family, eps, lam, setting, *args)
+
+    # resolvent_study looks convergence_row up on homlab.resolvent
+    monkeypatch.setattr(resolvent, "convergence_row", watched)
+    cfg = StudyConfig.from_text("""
+study.kind = resolvent
+family.name = regular_sin
+schedule.eps = 0.2, 0.1, 0.05
+operator.shift = auto
+mesh.min_elements = 16
+""", "<config>")
+    run_study("resolvent", cfg, seed=1234)
+    assert alive == [[], [False], [False, False]]
 
 
 # ------------------------------------------------------------- determinism
