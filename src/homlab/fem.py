@@ -30,6 +30,9 @@ column's residual contract.
 The compensated residual is built from error-free transformations:
 TwoProduct with Dekker-split factors (the matrix diagonals are split once
 per factorization, the iterate once per residual) and Knuth's TwoSum.
+It reads a complex block as the real array of its (re, im) float pairs,
+whatever the block's width, and the split diagonals hold each entry
+twice to match.
 """
 
 from dataclasses import dataclass
@@ -418,7 +421,8 @@ class LinearSolver:
     precision, and the reported residual is the true one.  The diagonals
     are read from the stored entries (diagonals) once, here: they fill the
     band storage, and those holding a nonzero entry are split into Dekker
-    halves; the row sums of their magnitudes give matrix_norm, |A|_inf.
+    halves, each entry repeated for the (re, im) pairs of the complex
+    loads; the row sums of their magnitudes give matrix_norm, |A|_inf.
 
     The refined solves take a block of loads (n, k) and solve A x = b.  A
     block is held column-contiguous and every column gets two refinement
@@ -456,7 +460,9 @@ class LinearSolver:
             raise NumericalBreach(f"zgbtrf rejected its argument {-info}")
         self._u = u
         # per diagonal holding a nonzero entry: its column range, offset
-        # and split entries, in increasing offset
+        # and split entries, in increasing offset; each entry is stored
+        # twice, once for the real and once for the imaginary part of the
+        # (re, im) pairs _dd_residual multiplies it with
         self._bands = []
         # |A| summed along each row in increasing column, as a product
         # with a vector of ones sums it
@@ -465,16 +471,19 @@ class LinearSolver:
             if not d.any():
                 continue
             j0, j1 = max(0, off), min(n, n + off)
-            self._bands.append((j0, j1, off, _split(d[j0:j1])))
+            self._bands.append((j0, j1, off,
+                                _split(np.repeat(d[j0:j1], 2))))
             rows[j0 - off:j1 - off] += np.abs(d[j0:j1])
         self.shape = matrix.shape
         self.matrix_norm = float(rows.max())
 
     def _lu_solve(self, rhs, adjoint=False):
         """A^-1 rhs, or A^-H rhs, from the banded LU, for a load vector
-        (n,) or block (n, k); the result is a new array."""
+        (n,) or block (n, k); the result is a new array.  A is real, so
+        A^-H is A^-T, the transposed solve, which skips the conjugations
+        of the factor that the conjugate-transposed one makes."""
         x, info = zgbtrs(self._lu, self._u, self._u, rhs, self._piv,
-                         trans=2 if adjoint else 0)
+                         trans=1 if adjoint else 0)
         if info:
             raise NumericalBreach(f"zgbtrs rejected its argument {-info}")
         return x
@@ -483,22 +492,25 @@ class LinearSolver:
         """rhs - A x with compensated accumulation.
 
         x and rhs have shape (n, k); each column is independent.  The
-        matrix is real, so real and imaginary parts of all columns are
-        carried in one real array (2, k, n), and one operation serves every
-        accumulator along contiguous rows; each entry sees the same
-        sequence of roundings as a lone column's would.
+        matrix is real, so each column is read as its n (re, im) pairs of
+        floats: a block is a (k, 2n) real view of its column-contiguous
+        copy, and a diagonal's columns j0:j1 are its floats 2 j0:2 j1,
+        met there by the band's entries stored twice.  One operation then
+        serves every accumulator along contiguous rows, and each float
+        sees the same sequence of roundings as in a lone column's real or
+        imaginary part.  The sum holds no -0.0, as its error part starts at
+        +0.0 and a rounded sum is -0.0 only when both terms are, so the
+        complex view of its pairs has the bits the pairs' complex sum
+        re + 1j im would have.
         """
-        x = x.T
-        rhs = rhs.T
-        xs = _split(np.stack((x.real, x.imag)))
-        acc = _Compensated(np.stack((rhs.real, rhs.imag)))
+        xs = _split(np.asfortranarray(x).T.view(float))
+        acc = _Compensated(np.asfortranarray(rhs).T.view(float))
         for j0, j1, off, d in self._bands:
             o0, o1 = j0 - off, j1 - off
-            p, e = _two_prod(d, tuple(a[..., j0:j1] for a in xs))
-            acc.sub(p, o0, o1)
-            acc.sub(e, o0, o1)
-        r = acc.value()
-        return (r[0] + 1j * r[1]).T
+            p, e = _two_prod(d, tuple(a[..., 2 * j0:2 * j1] for a in xs))
+            acc.sub(p, 2 * o0, 2 * o1)
+            acc.sub(e, 2 * o0, 2 * o1)
+        return acc.value().view(complex).T
 
     def solve(self, rhs):
         """Refined solve of a load block (n, k).

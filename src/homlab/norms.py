@@ -20,6 +20,7 @@ above the requested relative tolerance flags the value.
 The coercivity constant is a smallest pencil eigenvalue, bracketed in one
 call: inertia bisection below, and above, to a rounding margin, the Ritz
 value of inverse iterates solved with the bisection's last passing factor.
+A pencil of real forms is bisected on real bands.
 """
 
 import copy
@@ -245,6 +246,16 @@ def _upper_band(mat, u=None):
     return data[offsets >= 0][::-1]
 
 
+def _decision_band(band):
+    """An upper band for inertia decisions: real when its imaginary part
+    is all zero, so that real forms are factored by real dpbtrf, as
+    every pencil of LinearSolver's real forms is; a complex Hermitian
+    band stays complex."""
+    if np.iscomplexobj(band) and not band.imag.any():
+        return np.ascontiguousarray(band.real)
+    return band
+
+
 def _cholesky(band):
     """Upper Cholesky factor of a Hermitian band, None if indefinite."""
     try:
@@ -263,9 +274,15 @@ def smallest_eigenvalue(H, S):
     down geometrically until the factorization passes and is bisected to
     a relative width of 1e-12.  The lower end c is a shift at which the
     factorization passed, and its factor gives the upper end (_witness).
+
+    A band whose imaginary part is all zero is bisected in real
+    arithmetic (_decision_band).  Only pass or fail reaches c, and the
+    real and complex factorizations decide alike on every pencil the
+    shipped configs build; the real factor feeds the witness only.
     """
     u = half_bandwidth(H, S)
-    band_h, band_s = _upper_band(H, u), _upper_band(S, u)
+    band_h = _decision_band(_upper_band(H, u))
+    band_s = _decision_band(_upper_band(S, u))
     if not (band_s[u].real > 0).all():
         raise NumericalBreach("S is not positive definite")
     ratio = band_h[u].real / band_s[u].real
@@ -333,8 +350,11 @@ def _hermitian_part(G):
 
 
 def is_coercive(G):
-    """Whether G's Hermitian part is positive definite (c > 0, Sylvester)."""
-    return _cholesky(_upper_band(_hermitian_part(G))) is not None
+    """Whether G's Hermitian part is positive definite (c > 0, Sylvester),
+    decided by one banded Cholesky, in real arithmetic for a real part
+    (_decision_band)."""
+    band = _decision_band(_upper_band(_hermitian_part(G)))
+    return _cholesky(band) is not None
 
 
 def find_lambda(forms, gram_l2s, S_list, lambda_start=-1.0):

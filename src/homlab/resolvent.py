@@ -254,9 +254,10 @@ def identity_residual(ctx, seed):
         fg[:, k:] = ctx.L @ ue + ctx.L @ ue_lo
         x, x_lo = ctx.solver0.solve_pair(fg)
         u0, u0_lo, y, y_lo = x[:, :k], x_lo[:, :k], x[:, k:], x_lo[:, k:]
-        lhs = (ue - u0) + (ue_lo - u0_lo)
+        du, du_lo = ue - u0, ue_lo - u0_lo
+        lhs = du + du_lo
         rhs = -(y + y_lo)
-        defect = ((ue - u0) + y) + ((ue_lo - u0_lo) + y_lo)
+        defect = (du + y) + (du_lo + y_lo)
         for nl, nr, nd in zip(column_norms(lhs), column_norms(rhs),
                               column_norms(defect)):
             scale = max(nl, nr)

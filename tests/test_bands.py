@@ -23,6 +23,7 @@ from homlab.config import StudyConfig
 from homlab.fem import (LinearSolver, _element_moments, _split, diagonals,
                         half_bandwidth)
 from homlab.resolvent import assemble_setting, context_from_setting
+from test_fem import _wide_banded
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 RESOLVENTS = sorted(p.stem for p in CONFIGS.glob("*_resolvent.cfg"))
@@ -101,10 +102,31 @@ def _same_bytes(a, b):
 
 
 def _same_bands(new, old):
+    """The solver's bands hold each split entry twice, the old ones once:
+    the even entries of each part must be the old part's bytes, and the
+    odd entries the even ones'."""
     return len(new) == len(old) and all(
         (j0, j1, off) == (k0, k1, koff)
-        and all(_same_bytes(x, y) for x, y in zip(parts, kparts))
+        and all(_same_bytes(x[0::2], y) and _same_bytes(x[1::2], x[0::2])
+                for x, y in zip(parts, kparts))
         for (j0, j1, off, parts), (k0, k1, koff, kparts) in zip(new, old))
+
+
+def _old_dd_residual(bands, rhs, x):
+    """LinearSolver._dd_residual as it carried a block, on bands split
+    once per entry: real and imaginary parts stacked in a (2, k, n) array
+    and the residual rebuilt as re + 1j im."""
+    x = x.T
+    rhs = rhs.T
+    xs = _split(np.stack((x.real, x.imag)))
+    acc = fem._Compensated(np.stack((rhs.real, rhs.imag)))
+    for j0, j1, off, d in bands:
+        o0, o1 = j0 - off, j1 - off
+        p, e = fem._two_prod(d, tuple(a[..., j0:j1] for a in xs))
+        acc.sub(p, o0, o1)
+        acc.sub(e, o0, o1)
+    r = acc.value()
+    return (r[0] + 1j * r[1]).T
 
 
 @lru_cache(maxsize=None)
@@ -229,15 +251,77 @@ def test_diagonals_of_stored_zeros_are_positive_zeros():
 
 def test_stored_zero_diagonals_leave_solves_unchanged():
     # the solver skips the diagonals of stored zeros that DIA kept; with
-    # the same LU, its refined solves keep every bit
+    # the same LU, its refined solves keep every bit of the stacked
+    # residual on all five old bands
     zeros = _pentadiagonal([0.0, -0.0, 0.0, 0.0])
     solver = LinearSolver(zeros)
     old = LinearSolver(zeros)
     old._bands, matrix_norm = _old_solver_bands(zeros)
+    old._dd_residual = lambda rhs, x: _old_dd_residual(old._bands, rhs, x)
     assert [band[2] for band in solver._bands] == [-1, 0, 1]
     assert [band[2] for band in old._bands] == [-2, -1, 0, 1, 2]
+    assert _same_bands(solver._bands, old._bands[1:4])
     assert solver.matrix_norm == matrix_norm
     rng = np.random.default_rng(3)
     b = rng.standard_normal((6, 2)) + 1j * rng.standard_normal((6, 2))
     for got, want in zip(solver.solve(b), old.solve(b)):
         assert _same_bytes(got, want)
+
+
+def _loads(rng, n, k):
+    """A complex block (n, k) with every sign of zero in it: its first
+    column is all -0.0, and some real and imaginary parts are +-0.0."""
+    b = rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))
+    parts = b.view(float).reshape(n, k, 2)
+    parts[rng.random(parts.shape) < 0.1] = 0.0
+    parts[rng.random(parts.shape) < 0.1] = -0.0
+    parts[:, 0] = -0.0
+    return np.asfortranarray(b)
+
+
+def _residual_cases(solver, rng, n):
+    """(label, rhs, x) blocks laid out as solve and its callers pass them:
+    column-contiguous at widths 1, 2 and 7, row-contiguous, and picked
+    from a wider block by column indices, as solve's moved columns are."""
+    for k in (1, 2, 7):
+        b = _loads(rng, n, k)
+        x = solver._lu_solve(b)
+        # an iterate with zeros of both signs where the load has them
+        x[b == 0] = b[b == 0]
+        yield f"k={k}", b, x
+        yield f"k={k} C-ordered", np.ascontiguousarray(b), \
+            np.ascontiguousarray(x)
+        cols = np.array([k - 1, 0])[:k]
+        yield f"k={k} moved", b[:, cols], x[:, cols]
+
+
+def _assert_residuals_match_stacked(solver, old_bands, rng, n, label):
+    for case, b, x in _residual_cases(solver, rng, n):
+        got = solver._dd_residual(b, x)
+        want = _old_dd_residual(old_bands, b, x)
+        assert got.shape == want.shape == b.shape
+        assert _same_bytes(got, want), f"{label} {case}"
+
+
+@pytest.mark.parametrize("name", ["stabilizing_resolvent",
+                                  "sign_resolvent"])
+def test_interleaved_residual_matches_stacked(name):
+    # G0 and Geps of the first and the last (finest) row
+    forms = [(label, form) for label, form, _ in _shipped_forms(name)
+             if label.startswith("G")]
+    rng = np.random.default_rng(17)
+    for label, form in forms[:2] + forms[-2:]:
+        solver = LinearSolver(form)
+        _assert_residuals_match_stacked(
+            solver, _old_solver_bands(form)[0], rng, form.shape[0], label)
+
+
+def test_interleaved_residual_matches_stacked_on_five_bands():
+    # the nonsymmetric form of test_fem at offsets 0, +-1 and +-3
+    rng = np.random.default_rng(23)
+    n = 40
+    form = sp.csr_matrix(_wide_banded(rng, n))
+    solver = LinearSolver(form)
+    assert [band[2] for band in solver._bands] == [-3, -1, 0, 1, 3]
+    _assert_residuals_match_stacked(
+        solver, _old_solver_bands(form)[0], rng, n, "five bands")

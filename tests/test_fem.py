@@ -1,10 +1,14 @@
 """Finite element assembly against closed-form tridiagonal oracles."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.linalg.lapack import zgbtrs
 
-from homlab import fem
+from homlab import fem, registry, study
+from homlab.config import StudyConfig
 from homlab.fem import (
     LinearSolver,
     Mesh1D,
@@ -21,8 +25,10 @@ from homlab.fem import (
 )
 from homlab.fields import Box, CoefficientField, constant_field, zero_field
 from homlab.lattice import _panel_rule
+from homlab.resolvent import assemble_setting, context_from_setting
 from homlab.study import CAP_DOF, MIN_ELEMENTS
 
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 UNIT = Box((0.0,), (1.0,))
 
 
@@ -614,3 +620,21 @@ def test_quick_adjoint_solves_the_conjugate_transpose():
         assert got.shape == rhs.shape
         assert np.allclose(got, want, rtol=0, atol=1e-14 * np.abs(want).max())
         assert not np.allclose(solver.quick(rhs), want, rtol=0, atol=1e-3)
+    # on the real forms of a shipped row the transposed solve that quick
+    # makes has the bits of the conjugate-transposed one
+    cfg = StudyConfig.load(CONFIGS / "stabilizing_resolvent.cfg")
+    family = registry.build_family(cfg)
+    setting = assemble_setting(study._operator_spec(cfg, family), family,
+                               0.025, **study._mesh_opts(cfg))
+    ctx = context_from_setting(setting, -1.0)
+    n = ctx.dim
+    b = np.asfortranarray(rng.standard_normal((n, 2))
+                          + 1j * rng.standard_normal((n, 2)))
+    for solver in (ctx.solver0, ctx.solver_eps):
+        for rhs in (b, b[:, 0]):
+            want, info = zgbtrs(solver._lu, solver._u, solver._u, rhs,
+                                solver._piv, trans=2)
+            assert info == 0
+            got = solver.quick(rhs, adjoint=True)
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()

@@ -14,7 +14,8 @@ from homlab import registry, study
 from homlab.config import StudyConfig
 from homlab.criteria import criterion_report
 from homlab.lattice import CHUNK_POINTS, GAUSS_ORDER, cell_integral
-from homlab.fem import LinearSolver, assemble_base, assemble_triple
+from homlab.fem import (LinearSolver, _split, assemble_base, assemble_triple,
+                        diagonals)
 from homlab.norms import (Space, _hermitian_part, find_lambda,
                           norm_v_to_vstar, smallest_eigenvalue)
 from homlab.resolvent import (assemble_setting, context_from_setting,
@@ -87,6 +88,13 @@ def test_bench_linear_solver(benchmark, eps, dof):
                                 iterations=1)
     # the tridiagonal G0 has three bands
     assert [band[2] for band in solver._bands] == [-1, 0, 1]
+    # split once per entry, each split entry held twice
+    offsets, data = diagonals(ctx.G0)
+    for j0, j1, off, parts in solver._bands:
+        want = _split(data[offsets == off][0].real[j0:j1])
+        for got, once in zip(parts, want):
+            assert got[0::2].tobytes() == once.tobytes()
+            assert got[1::2].tobytes() == got[0::2].tobytes()
     assert solver.matrix_norm == float(abs(ctx.G0).sum(axis=1).max())
     # the factor is band storage alone: (3u + 1) n complex entries at
     # u = 1, and n pivots

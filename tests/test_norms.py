@@ -27,7 +27,7 @@ from homlab.norms import (
     smallest_eigenvalue,
 )
 from homlab.resolvent import (ResolventContext, assemble_setting,
-                               truncation_error_norm)
+                               context_from_setting, truncation_error_norm)
 
 UNIT = Box((0.0,), (1.0,))
 
@@ -544,3 +544,108 @@ def test_smallest_eigenvalue_rejects_indefinite_gram(s):
     with pytest.raises(NumericalBreach):
         smallest_eigenvalue(h, sp.csr_matrix(np.array(s)))
 
+
+
+# ------------------------------------------------------------ real bands
+
+def _complex_band_bisection(H, S):
+    """The lower end c of smallest_eigenvalue's bracket as it was found on
+    the stored bands: a complex H kept every trial shift H - c S complex,
+    factored by zpbtrf."""
+    u = half_bandwidth(H, S)
+    band_h, band_s = norms._upper_band(H, u), norms._upper_band(S, u)
+    assert band_h.dtype == complex
+    ratio = band_h[u].real / band_s[u].real
+    hi = float(ratio.min())
+    scale = float(np.abs(ratio).max()) or 1.0
+    lo = hi - scale
+    while norms._cholesky(band_h - lo * band_s) is None:
+        lo = hi - 2.0 * (hi - lo)
+    while hi - lo > 1e-12 * max(abs(lo), scale):
+        mid = 0.5 * (lo + hi)
+        if norms._cholesky(band_h - mid * band_s) is None:
+            hi = mid
+        else:
+            lo = mid
+    return lo
+
+
+def _factored_dtypes(monkeypatch):
+    """The dtypes of the bands every banded Cholesky is handed."""
+    dtypes = set()
+    cholesky = norms._cholesky
+
+    def spy(band):
+        dtypes.add(band.dtype)
+        return cholesky(band)
+
+    monkeypatch.setattr(norms, "_cholesky", spy)
+    return dtypes
+
+
+def test_real_bisection_matches_complex_bands_on_shift_search(monkeypatch):
+    # every pencil find_lambda builds on stabilizing_resolvent, stored
+    # complex with zero imaginary parts, is bisected on real bands
+    cfg = StudyConfig.load(CONFIGS / "stabilizing_resolvent.cfg")
+    forms, masses, grams = _shift_search_forms("stabilizing_resolvent",
+                                               study._schedule(cfg))
+    pencils = []
+    inner = norms.smallest_eigenvalue
+
+    def recorded(H, S):
+        c, r = inner(H, S)
+        pencils.append((H, S, c))
+        return c, r
+
+    monkeypatch.setattr(norms, "smallest_eigenvalue", recorded)
+    dtypes = _factored_dtypes(monkeypatch)
+    find_lambda(forms, masses, grams)
+    assert len(pencils) == 10
+    assert dtypes == {np.dtype(float)}
+    for H, S, c in pencils:
+        assert H.dtype == complex and not H.imag.toarray().any()
+        assert c.hex() == _complex_band_bisection(H, S).hex()
+
+
+def test_real_bisection_matches_complex_bands_on_lax_milgram_forms():
+    # both forms _lax_milgram_bound bisects on sin_neumann's first row
+    cfg = StudyConfig.load(CONFIGS / "sin_neumann.cfg")
+    family = registry.build_family(cfg)
+    setting = assemble_setting(study._operator_spec(cfg, family), family,
+                               0.05, **study._mesh_opts(cfg))
+    ctx = context_from_setting(setting, -2.0)
+    for G in (ctx.G0, ctx.Geps):
+        H = norms._hermitian_part(G)
+        c, _ = smallest_eigenvalue(H, ctx.op.gram_h1)
+        assert c.hex() == _complex_band_bisection(H, ctx.op.gram_h1).hex()
+
+
+def test_is_coercive_agrees_with_complex_bands(monkeypatch):
+    # the ten forms sign_resolvent's fixed shift is checked on, and the
+    # same forms at a shift that leaves some of them indefinite
+    cfg = StudyConfig.load(CONFIGS / "sign_resolvent.cfg")
+    forms, masses, _ = _shift_search_forms("sign_resolvent",
+                                           study._schedule(cfg))
+    assert len(forms) == 10
+    shifted, wants = [], []
+    for lam in (-2.0, 1e4):
+        for G, M in zip(forms, masses):
+            shifted.append(G - lam * M)
+            band = norms._upper_band(norms._hermitian_part(shifted[-1]))
+            assert band.dtype == complex
+            wants.append(norms._cholesky(band) is not None)
+    assert wants == [True] * 10 + wants[10:] and not all(wants[10:])
+    dtypes = _factored_dtypes(monkeypatch)
+    assert [norms.is_coercive(G) for G in shifted] == wants
+    assert dtypes == {np.dtype(float)}
+
+
+def test_complex_hermitian_pencil_bisects_complex_bands(monkeypatch):
+    rng = np.random.default_rng(5)
+    h = random_spd(rng, 9, shift=-2.0)
+    s = random_spd(rng, 9)
+    dtypes = _factored_dtypes(monkeypatch)
+    c, _ = smallest_eigenvalue(sp.csr_matrix(h), sp.csr_matrix(s))
+    assert dtypes == {np.dtype(complex)}
+    assert c.hex() == _complex_band_bisection(sp.csr_matrix(h),
+                                              sp.csr_matrix(s)).hex()
