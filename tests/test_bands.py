@@ -8,7 +8,9 @@ COO and np.add.at) are the ones they replaced, kept as the oracle: on
 every form the shipped resolvent configs build, the new bands must hold
 the same bytes.  So is the sp.diags(..., format="csr") assembly that
 fem._form_matrix and fem._tridiagonal_csr replaced: the matrices a
-resolvent row assembles must hold the same CSR arrays.
+resolvent row assembles must hold the same CSR arrays.  And so is the
+stacked (2, k, n) compensated residual that the solver's interleaved
+(re, im) one replaced: on shipped forms it must give the same bits.
 """
 
 from functools import lru_cache
