@@ -38,7 +38,7 @@ def _build_parser():
                        help="output CSV path ('-' for stdout; default from "
                             "output.csv in the config)")
         # rows run in one thread; perfbench/child.py still passes
-        # --threads 1 (ROADMAP item 7)
+        # --threads 1 (ROADMAP item 7a)
         p.add_argument("--threads", type=int, default=1, choices=(1,),
                        help=argparse.SUPPRESS)
         p.add_argument("--seed", type=int, default=1234,

@@ -53,7 +53,8 @@ class PerturbationFamily:
 
     @property
     def ncomp(self):
-        # always 1; perfbench/oracle.py passes it to mesh_rule (ROADMAP item 7)
+        # always 1; perfbench/oracle.py passes it to mesh_rule
+        # (ROADMAP item 7a)
         return 1
 
 

@@ -4,23 +4,23 @@ The base operator is -u'' with Dirichlet conditions, acting on complex
 functions; its form (u', v') is the stiffness matrix.
 Perturbations add the lower-order forms
 
-    (Q u', v) - (P u, v') + (V u, v).
+    (Q u', v) - (P u, v') + (V u, v)
 
-Every matrix is built on the interior nodes, the Dirichlet dofs, as
-three diagonals summed from the per-element 2x2 blocks; the boundary
-nodes never enter.  Each term of a form integrates only the element
-moments its blocks read, and its CSR arrays are written straight from
-the three diagonals, with no zero entry stored.  Wherever a band is
-needed (the solver's LU and residual, the Cholesky band of a Gram or a
-pencil) it is read from a matrix's stored diagonals by diagonals, at any
-half-bandwidth.
+with real coefficients, so every matrix is real.  Each is built on the
+interior nodes, the Dirichlet dofs, as three diagonals summed from the
+per-element 2x2 blocks; the boundary nodes never enter.  Each term of a
+form integrates only the element moments its blocks read, and its CSR
+arrays are written straight from the three diagonals, with no zero entry
+stored.  Wherever a band is needed (the solver's LU and residual, the
+Cholesky band of a Gram or a pencil) it is read from a matrix's stored
+diagonals by diagonals, at any half-bandwidth.
 
 Oscillating coefficients are integrated per element with the
 composite Gauss rule from the lattice module.  Direct solves go through
 LAPACK's banded LU with partial pivoting (zgbtrf, zgbtrs), held in band
 storage at the form's own half-bandwidth, with compensated-residual
 iterative refinement, so forward errors sit near machine precision even
-on fine meshes.  The solver takes real forms only; loads may be complex.
+on fine meshes.  The solver takes the real forms; loads may be complex.
 A refined solve takes a column block of loads (n, k); each column gets
 the same bits as a solve of a block holding that column alone, and only
 the columns that the second refinement pass moves get a third residual.
@@ -181,7 +181,7 @@ def build_mesh(domain: Box, n_elements: int) -> Mesh1D:
     return Mesh1D(domain.lower[0], domain.upper[0], int(n_elements))
 
 
-# ncomp is unused; perfbench/oracle.py passes it (ROADMAP item 7)
+# ncomp is unused; perfbench/oracle.py passes it (ROADMAP item 7a)
 def mesh_rule(finest_scale, ncomp, min_elements, cap_dof):
     """(n_elements, capped): enough elements for h to resolve the finest
     coefficient scale 16-fold, at least min_elements, and at most cap_dof
@@ -209,7 +209,7 @@ class OperatorSpec:
 class FeSpace:
     """P1 element space with Dirichlet conditions at both ends: the dofs
     are the interior nodes.  It holds only the mesh, and stays because
-    perfbench/ passes op.space (ROADMAP item 7)."""
+    perfbench/ passes op.space (ROADMAP item 7a)."""
 
     mesh: Mesh1D
 
@@ -220,8 +220,9 @@ def _element_moments(field_, mesh, refine, keys):
     keys names the moments to take, from '1', 'L', 'R', 'LL', 'LR' and
     'RR' (the shape factors 1, 1 - t, t and their products); a form term
     reads only its own (see _TERM_MOMENTS).  Returns a dict mapping each
-    key to an array (n_elements,): the integral of field * (shape
-    factors) over each element.
+    key to a real array (n_elements,): the integral of field * (shape
+    factors) over each element, the real part of the complex sum: the
+    golden digests rest on its bits.  A nonzero imaginary part raises.
     """
     refine = int(max(1, refine))
     t, w = _panel_rule(refine)
@@ -237,7 +238,10 @@ def _element_moments(field_, mesh, refine, keys):
         "LR": w * t * (1.0 - t),
         "RR": w * t ** 2,
     }
-    return {k: h * np.einsum("q,eq->e", weights[k], vals) for k in keys}
+    moments = {k: np.einsum("q,eq->e", weights[k], vals) for k in keys}
+    if any(m.imag.any() for m in moments.values()):
+        raise NumericalBreach("nonzero imaginary moment of a form coefficient")
+    return {k: h * m.real for k, m in moments.items()}
 
 
 # the element moments each term of the form reads
@@ -320,7 +324,7 @@ class DiscreteOperator:
         return self.base_form.shape[0]
 
 
-# spec is unused; perfbench/oracle.py passes it (ROADMAP item 7)
+# spec is unused; perfbench/oracle.py passes it (ROADMAP item 7a)
 def assemble_base(spec: OperatorSpec, mesh: Mesh1D) -> DiscreteOperator:
     """Assemble the base form and both Gram matrices on one mesh.
 
@@ -334,9 +338,8 @@ def assemble_base(spec: OperatorSpec, mesh: Mesh1D) -> DiscreteOperator:
     mass = _form_diagonals(mesh, one, "mass", 1)
     gram = tuple(s + m for s, m in zip(stiff, mass))
     for lower, diag, upper in (gram, mass):
-        # max |g - g^H| over the diagonal and the pairs (j + 1, j), (j, j + 1)
-        asym = max(np.abs(diag - diag.conj()).max(),
-                   np.abs(lower - upper.conj()).max(initial=0.0))
+        # max |g - g^H| over the pairs (j + 1, j), (j, j + 1)
+        asym = np.abs(lower - upper).max(initial=0.0)
         scale = max(np.abs(lower).max(initial=0.0), np.abs(diag).max(),
                     np.abs(upper).max(initial=0.0), 1e-300)
         if asym > 1e-12 * scale:
@@ -366,14 +369,14 @@ def assemble_perturbation(space: FeSpace, v, refine, q=(),
     The sign convention places the derivative on the trial function for Q
     and on the test function for P, with a minus sign on the P term, so a
     triple with Q = -P and V = Q' assembles to the zero form.  The matrix
-    is complex; the sum starts from the first term's matrix, and stores
-    no zero entry.
+    is real (see _element_moments); the sum starts from the first term's
+    matrix, and stores no zero entry.
     """
     mesh = space.mesh
     terms = ([(qf, "plus") for qf in q] + [(pf, "minus") for pf in p]
              + [(v, "mass")])
     mats = (_form_matrix(mesh, field_, term, refine) for field_, term in terms)
-    total = next(mats).astype(complex, copy=False)
+    total = next(mats)
     for mat in mats:
         total = total + mat
     return PerturbationMatrix(total)
@@ -407,7 +410,7 @@ class LinearSolver:
     """Banded LU of a real form with compensated-residual iterative
     refinement.
 
-    The form must be real: a nonzero imaginary entry raises
+    The form must be real, as assembled forms are: a complex one raises
     NumericalBreach.  Loads and solutions are complex.  The form is
     factored once, with LAPACK's complex banded LU with partial pivoting
     (zgbtrf) at its own half-bandwidth u: the band storage holds 3u + 1
@@ -440,12 +443,12 @@ class LinearSolver:
     """
 
     def __init__(self, matrix):
+        # the compensated residual is exact only for a real A
+        if np.iscomplexobj(matrix):
+            raise NumericalBreach("the solver takes a real form; a complex "
+                                  "one may hold a nonzero imaginary entry")
         n = matrix.shape[0]
         offsets, data = diagonals(matrix)
-        if data.imag.any():
-            raise NumericalBreach("the solver takes a real form; this one "
-                                  "has a nonzero imaginary entry")
-        data = np.ascontiguousarray(data.real)
         u = int(offsets[-1])
         # LAPACK band storage: A[i, j] sits in row 2u + i - j of column j,
         # that is the diagonal at offset j - i in row 2u - offset; the top

@@ -20,7 +20,8 @@ above the requested relative tolerance flags the value.
 The coercivity constant is a smallest pencil eigenvalue, bracketed in one
 call: inertia bisection below, and above, to a rounding margin, the Ritz
 value of inverse iterates solved with the bisection's last passing factor.
-A pencil of real forms is bisected on real bands.
+The forms are real, so their pencils are bisected on real bands; a
+complex Hermitian pencil is bisected on complex ones.
 """
 
 import copy
@@ -64,7 +65,9 @@ class Space:
     """
 
     def __init__(self, gram):
-        upper = _upper_band(gram)
+        # the Gram is real, but the golden digests rest on the bits of
+        # complex zpbtrf's factor; a real one moves every norm's last digits
+        upper = _upper_band(gram).astype(complex)
         u = upper.shape[0] - 1
         try:
             band = sla.cholesky_banded(upper, check_finite=False)
@@ -73,7 +76,7 @@ class Space:
                 from exc
         self.dim = gram.shape[0]
         self.dual = False
-        self._band = band.astype(complex)
+        self._band = band
         self._u = sp.dia_array((band, np.arange(u, -1, -1)),
                                shape=gram.shape)
         self._uh = self._u.conj().T
@@ -246,16 +249,6 @@ def _upper_band(mat, u=None):
     return data[offsets >= 0][::-1]
 
 
-def _decision_band(band):
-    """An upper band for inertia decisions: real when its imaginary part
-    is all zero, so that real forms are factored by real dpbtrf, as
-    every pencil of LinearSolver's real forms is; a complex Hermitian
-    band stays complex."""
-    if np.iscomplexobj(band) and not band.imag.any():
-        return np.ascontiguousarray(band.real)
-    return band
-
-
 def _cholesky(band):
     """Upper Cholesky factor of a Hermitian band, None if indefinite."""
     try:
@@ -275,14 +268,13 @@ def smallest_eigenvalue(H, S):
     a relative width of 1e-12.  The lower end c is a shift at which the
     factorization passed, and its factor gives the upper end (_witness).
 
-    A band whose imaginary part is all zero is bisected in real
-    arithmetic (_decision_band).  Only pass or fail reaches c, and the
-    real and complex factorizations decide alike on every pencil the
-    shipped configs build; the real factor feeds the witness only.
+    The bands keep the pencil's own dtype: the pencils of the assembled
+    forms are real and factored by real dpbtrf, and a complex Hermitian
+    pencil by zpbtrf.
     """
     u = half_bandwidth(H, S)
-    band_h = _decision_band(_upper_band(H, u))
-    band_s = _decision_band(_upper_band(S, u))
+    band_h = _upper_band(H, u)
+    band_s = _upper_band(S, u)
     if not (band_s[u].real > 0).all():
         raise NumericalBreach("S is not positive definite")
     ratio = band_h[u].real / band_s[u].real
@@ -351,10 +343,9 @@ def _hermitian_part(G):
 
 def is_coercive(G):
     """Whether G's Hermitian part is positive definite (c > 0, Sylvester),
-    decided by one banded Cholesky, in real arithmetic for a real part
-    (_decision_band)."""
-    band = _decision_band(_upper_band(_hermitian_part(G)))
-    return _cholesky(band) is not None
+    decided by one banded Cholesky in G's own dtype, real for the
+    assembled forms."""
+    return _cholesky(_upper_band(_hermitian_part(G))) is not None
 
 
 def find_lambda(forms, gram_l2s, S_list, lambda_start=-1.0):

@@ -162,7 +162,8 @@ def series_columns(ctx, orders, rep_kappa, rep_L, seed):
     return cols, flagged
 
 
-# op_spec repeats family.domain; perfbench/oracle.py passes it (ROADMAP item 7)
+# op_spec repeats family.domain; perfbench/oracle.py passes it
+# (ROADMAP item 7a)
 def assemble_setting(op_spec, family, eps, min_elements, cap_dof):
     """Mesh and assemble everything one epsilon needs, shift-free.
 

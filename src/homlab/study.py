@@ -169,7 +169,7 @@ def _require_1d(cfg, family, kind):
         )
 
 
-# cfg is unused; perfbench/oracle.py passes it (ROADMAP item 7)
+# cfg is unused; perfbench/oracle.py passes it (ROADMAP item 7a)
 def _operator_spec(cfg, family):
     """The base operator on the family's domain; no key of cfg sets it."""
     from .fem import OperatorSpec

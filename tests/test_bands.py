@@ -7,10 +7,14 @@ or a pencil.  The constructions below (DIA conversion; abs-sum, triu,
 COO and np.add.at) are the ones they replaced, kept as the oracle: on
 every form the shipped resolvent configs build, the new bands must hold
 the same bytes.  So is the sp.diags(..., format="csr") assembly that
-fem._form_matrix and fem._tridiagonal_csr replaced: the matrices a
-resolvent row assembles must hold the same CSR arrays.  And so is the
-stacked (2, k, n) compensated residual that the solver's interleaved
-(re, im) one replaced: on shipped forms it must give the same bits.
+fem._form_matrix and fem._tridiagonal_csr replaced, on the complex
+element moments the forms were once stored with: the matrices a
+resolvent row assembles must hold the same CSR arrays, the real parts of
+the complex ones, whose imaginary parts are all +0.0.  Every form those
+rows build is real, and so is every band their inertia decisions factor.
+And so is the stacked (2, k, n) compensated residual that the solver's
+interleaved (re, im) one replaced: on shipped forms it must give the
+same bits.
 """
 
 from functools import lru_cache
@@ -20,12 +24,15 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from homlab import fem, norms, registry, study
+from homlab import fem, norms, registry, resolvent, study
 from homlab.config import StudyConfig
-from homlab.fem import (LinearSolver, _element_moments, _split, diagonals,
-                        half_bandwidth)
+from homlab.fem import (LinearSolver, _split, assemble_triple, diagonals,
+                        discretize, half_bandwidth)
+from homlab.families import deviation_triple
+from homlab.lattice import _panel_rule
 from homlab.resolvent import assemble_setting, context_from_setting
 from test_fem import _wide_banded
+from test_norms import _factored_dtypes
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 RESOLVENTS = sorted(p.stem for p in CONFIGS.glob("*_resolvent.cfg"))
@@ -59,13 +66,32 @@ def _old_solver_bands(matrix):
     return bands, float(np.abs(matrix).sum(axis=1).max())
 
 
+def _complex_element_moments(field_, mesh, refine, keys):
+    """fem._element_moments as it returned the complex moments, imaginary
+    parts and all."""
+    t, w = _panel_rule(int(max(1, refine)))
+    h = mesh.h
+    starts = mesh.a + h * np.arange(mesh.n_elements)
+    pts = (starts[:, None] + h * t[None, :]).ravel()[:, None]
+    vals = field_(pts).reshape(mesh.n_elements, len(t))
+    weights = {
+        "1": w,
+        "L": w * (1.0 - t),
+        "R": w * t,
+        "LL": w * (1.0 - t) ** 2,
+        "LR": w * t * (1.0 - t),
+        "RR": w * t ** 2,
+    }
+    return {k: h * np.einsum("q,eq->e", weights[k], vals) for k in keys}
+
+
 def _diags_form_matrix(mesh, coef, term, refine):
-    """A form matrix as fem._form_matrix built it: all six element
+    """A form matrix as fem._form_matrix built it: all six complex element
     moments, and the three diagonals through sp.diags(..., format="csr")."""
     h = mesh.h
     d = (-1.0 / h, 1.0 / h)
-    m = _element_moments(coef, mesh, refine,
-                         ("1", "L", "R", "LL", "LR", "RR"))
+    m = _complex_element_moments(coef, mesh, refine,
+                                 ("1", "L", "R", "LL", "LR", "RR"))
     side = ("L", "R")
     pair = (("LL", "LR"), ("LR", "RR"))
     block = {
@@ -188,7 +214,8 @@ def _setting_matrices(setting):
 
 @pytest.mark.parametrize("name", RESOLVENTS)
 def test_row_matrices_match_diags_assembly(name, monkeypatch):
-    # the first and last row of each shipped resolvent config
+    # the first and last row of each shipped resolvent config, against the
+    # complex route: the old assembly on the complex moments
     cfg = StudyConfig.load(CONFIGS / f"{name}.cfg")
     family = registry.build_family(cfg)
     spec = study._operator_spec(cfg, family)
@@ -197,6 +224,7 @@ def test_row_matrices_match_diags_assembly(name, monkeypatch):
         args = (spec, family, eps)
         opts = study._mesh_opts(cfg)
         with monkeypatch.context() as patch:
+            patch.setattr(fem, "_element_moments", _complex_element_moments)
             patch.setattr(fem, "_form_matrix", _diags_form_matrix)
             patch.setattr(fem, "_tridiagonal_csr", _diags_csr)
             patch.setattr(fem, "assemble_perturbation",
@@ -204,7 +232,51 @@ def test_row_matrices_match_diags_assembly(name, monkeypatch):
             old = _setting_matrices(assemble_setting(*args, **opts))
         new = _setting_matrices(assemble_setting(*args, **opts))
         for key, got, want in zip(SETTING_MATRICES, new, old):
-            assert _same_csr(got, want), f"{key} eps={eps:g}"
+            label = f"{key} eps={eps:g}"
+            # every imaginary part is +0.0, all of its bits zero
+            assert want.dtype == complex, label
+            assert not want.data.imag.view(np.uint64).any(), label
+            want = sp.csr_matrix((want.data.real.copy(), want.indices,
+                                  want.indptr), shape=want.shape)
+            assert _same_csr(got, want), label
+
+
+@pytest.mark.parametrize("name", RESOLVENTS)
+def test_row_forms_and_decision_bands_are_real(name, monkeypatch):
+    # the first and last row of each shipped resolvent config: its shift
+    # search or fixed-shift check and both Lax-Milgram bounds factor only
+    # real bands
+    cfg = StudyConfig.load(CONFIGS / f"{name}.cfg")
+    family = registry.build_family(cfg)
+    spec = study._operator_spec(cfg, family)
+    schedule = study._schedule(cfg)
+    settings = [assemble_setting(spec, family, eps, **study._mesh_opts(cfg))
+                for eps in (schedule[0], schedule[-1])]
+    dtypes = _factored_dtypes(monkeypatch)
+    lam, _ = study._resolve_shift(cfg, settings)
+    for setting in settings:
+        ctx = context_from_setting(setting, lam)
+        mats = dict(zip(SETTING_MATRICES, _setting_matrices(setting)),
+                    G0=ctx.G0, Geps=ctx.Geps, L=ctx.L)
+        for key, mat in mats.items():
+            assert mat.dtype == np.float64, \
+                f"{key} eps={setting['meta']['eps']:g}"
+        for which in ("base", "eps"):
+            resolvent._lax_milgram_bound(ctx, which)
+    assert dtypes == {np.dtype(float)}
+
+
+def test_norm_study_perturbation_is_real():
+    # the first and last row of sin_norm
+    cfg = StudyConfig.load(CONFIGS / "sin_norm.cfg")
+    family = registry.build_family(cfg)
+    spec = study._operator_spec(cfg, family)
+    schedule = study._schedule(cfg)
+    for eps in (schedule[0], schedule[-1]):
+        op, mesh = discretize(spec, family, eps, **study._mesh_opts(cfg))
+        pert = assemble_triple(op.space, deviation_triple(family, eps),
+                               mesh["refine"])
+        assert pert.matrix.dtype == np.float64, f"eps={eps:g}"
 
 
 def _pentadiagonal(outer):

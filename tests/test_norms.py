@@ -549,12 +549,12 @@ def test_smallest_eigenvalue_rejects_indefinite_gram(s):
 # ------------------------------------------------------------ real bands
 
 def _complex_band_bisection(H, S):
-    """The lower end c of smallest_eigenvalue's bracket as it was found on
-    the stored bands: a complex H kept every trial shift H - c S complex,
-    factored by zpbtrf."""
+    """The lower end c of smallest_eigenvalue's bracket as it was found
+    when every form was stored complex: each trial shift H - c S was a
+    complex band, factored by zpbtrf."""
     u = half_bandwidth(H, S)
-    band_h, band_s = norms._upper_band(H, u), norms._upper_band(S, u)
-    assert band_h.dtype == complex
+    band_h = norms._upper_band(H.astype(complex), u)
+    band_s = norms._upper_band(S.astype(complex), u)
     ratio = band_h[u].real / band_s[u].real
     hi = float(ratio.min())
     scale = float(np.abs(ratio).max()) or 1.0
@@ -584,8 +584,8 @@ def _factored_dtypes(monkeypatch):
 
 
 def test_real_bisection_matches_complex_bands_on_shift_search(monkeypatch):
-    # every pencil find_lambda builds on stabilizing_resolvent, stored
-    # complex with zero imaginary parts, is bisected on real bands
+    # every pencil find_lambda builds on stabilizing_resolvent is real and
+    # bisected on real bands, to the c of the complex bands it once was
     cfg = StudyConfig.load(CONFIGS / "stabilizing_resolvent.cfg")
     forms, masses, grams = _shift_search_forms("stabilizing_resolvent",
                                                study._schedule(cfg))
@@ -603,7 +603,7 @@ def test_real_bisection_matches_complex_bands_on_shift_search(monkeypatch):
     assert len(pencils) == 10
     assert dtypes == {np.dtype(float)}
     for H, S, c in pencils:
-        assert H.dtype == complex and not H.imag.toarray().any()
+        assert H.dtype == S.dtype == np.float64
         assert c.hex() == _complex_band_bisection(H, S).hex()
 
 
@@ -614,8 +614,10 @@ def test_real_bisection_matches_complex_bands_on_lax_milgram_forms():
     setting = assemble_setting(study._operator_spec(cfg, family), family,
                                0.05, **study._mesh_opts(cfg))
     ctx = context_from_setting(setting, -2.0)
+    assert ctx.op.gram_h1.dtype == np.float64
     for G in (ctx.G0, ctx.Geps):
         H = norms._hermitian_part(G)
+        assert H.dtype == np.float64
         c, _ = smallest_eigenvalue(H, ctx.op.gram_h1)
         assert c.hex() == _complex_band_bisection(H, ctx.op.gram_h1).hex()
 
@@ -631,8 +633,9 @@ def test_is_coercive_agrees_with_complex_bands(monkeypatch):
     for lam in (-2.0, 1e4):
         for G, M in zip(forms, masses):
             shifted.append(G - lam * M)
-            band = norms._upper_band(norms._hermitian_part(shifted[-1]))
-            assert band.dtype == complex
+            herm = norms._hermitian_part(shifted[-1])
+            assert herm.dtype == np.float64
+            band = norms._upper_band(herm.astype(complex))
             wants.append(norms._cholesky(band) is not None)
     assert wants == [True] * 10 + wants[10:] and not all(wants[10:])
     dtypes = _factored_dtypes(monkeypatch)

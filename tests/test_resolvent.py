@@ -60,7 +60,7 @@ def neumann_apply(ctx, f, order):
 
 def difference_setting(op, pert):
     """A setting whose limit adds nothing and whose eps route adds pert."""
-    zero = sp.csr_matrix(pert.shape, dtype=complex)
+    zero = sp.csr_matrix(pert.shape, dtype=pert.dtype)
     return {"op": op, "x_lim": zero, "x_eps": pert, "x_dev": pert,
             "meta": {}}
 
