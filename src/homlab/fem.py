@@ -183,9 +183,11 @@ def build_mesh(domain: Box, n_elements: int) -> Mesh1D:
 
 # ncomp is unused; perfbench/oracle.py passes it (ROADMAP item 7a)
 def mesh_rule(finest_scale, ncomp, min_elements, cap_dof):
-    """(n_elements, capped): enough elements for h to resolve the finest
-    coefficient scale 16-fold, at least min_elements, and at most cap_dof
-    (one dof a node); capped says the cap cut the mesh."""
+    """(n_elements, capped): ceil(16 / finest_scale) elements, at least
+    min_elements and at most cap_dof (one dof a node); capped says the
+    cap cut the mesh.  The count ignores the domain's length l: h is
+    about l finest_scale / 16, so a finest scale spans about 16 / l
+    elements, 16 only on a unit domain."""
     n = int(np.ceil(16.0 / max(finest_scale, 1e-12)))
     n = max(n, min_elements)
     cap = max(cap_dof, min_elements)
@@ -304,12 +306,6 @@ def _tridiagonal_csr(sub, main, sup):
     return mat
 
 
-def _form_matrix(mesh, coef, term, refine):
-    """CSR matrix on the interior nodes of one term of the form (see
-    _form_diagonals)."""
-    return _tridiagonal_csr(*_form_diagonals(mesh, coef, term, refine))
-
-
 @dataclass(frozen=True)
 class DiscreteOperator:
     """Assembled base form with its Gram matrices and dof bookkeeping."""
@@ -375,7 +371,8 @@ def assemble_perturbation(space: FeSpace, v, refine, q=(),
     mesh = space.mesh
     terms = ([(qf, "plus") for qf in q] + [(pf, "minus") for pf in p]
              + [(v, "mass")])
-    mats = (_form_matrix(mesh, field_, term, refine) for field_, term in terms)
+    mats = (_tridiagonal_csr(*_form_diagonals(mesh, field_, term, refine))
+            for field_, term in terms)
     total = next(mats)
     for mat in mats:
         total = total + mat

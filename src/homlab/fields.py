@@ -83,27 +83,13 @@ def zero_field(dim):
     return constant_field(dim, 0.0)
 
 
-def add_fields(a, b):
-    if a.dim != b.dim:
-        raise ValueError("field dimension mismatch in add")
+def sub_fields(a, b):
+    """a - b; a call checks its points against each field's dim."""
 
     def func(pts):
-        return a(pts) + b(pts)
+        return a(pts) - b(pts)
 
     return CoefficientField(a.dim, func, a.sup_bound + b.sup_bound)
-
-
-def scale_field(c, a):
-    c = complex(c)
-
-    def func(pts):
-        return c * a(pts)
-
-    return CoefficientField(a.dim, func, abs(c) * a.sup_bound)
-
-
-def sub_fields(a, b):
-    return add_fields(a, scale_field(-1.0, b))
 
 
 def gram_field(q):

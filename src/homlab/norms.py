@@ -217,15 +217,6 @@ def norm_v_to_vstar(X, h1, seed):
         lambda v: X @ v, lambda v: XH @ v, h1, h1.star(), seed=seed)
 
 
-def norm_m1m1(op, v_field, h1, refine, seed):
-    """Discrete form-norm of a potential: sup |(V u, v)| / |u|_V |v|_V.
-
-    h1 is the Space of op.gram_h1.
-    """
-    pert = assemble_perturbation(op.space, v_field, refine)
-    return norm_v_to_vstar(pert.matrix, h1, seed)
-
-
 def norm_m10(op, q_field, h1, refine, seed):
     """Discrete product-norm of a weight: sup |Q u|_L2 / |u|_V.
 
@@ -348,23 +339,22 @@ def is_coercive(G):
     return _cholesky(_upper_band(_hermitian_part(G))) is not None
 
 
-def find_lambda(forms, gram_l2s, S_list, lambda_start=-1.0):
+def find_lambda(pencils, lambda_start=-1.0):
     """Doubling descent to a shift coercive for every assembled form.
 
-    forms[i] is the full form matrix (base plus perturbation, without the
-    shift term); the candidate form is forms[i] - lam * gram_l2s[i].
-    Returns the first lam on the doubling path whose Hermitian parts keep
-    all smallest S-metric eigenvalues at or above C4_MIN.  Each form at
-    each shift tried takes one smallest_eigenvalue call, whose bracket
-    c <= lambda_min <= r is witnessed inside it: an r below c by more
-    than its rounding margin raises NumericalBreach.
+    pencils(lam) lists the pencils (H, S) of the forms at shift lam: H the
+    Hermitian part of a shifted form, S its H1 Gram.  Returns the first
+    lam on the doubling path whose pencils all keep their smallest
+    eigenvalue at or above C4_MIN.  Each pencil at each shift tried takes
+    one smallest_eigenvalue call, whose bracket c <= lambda_min <= r is
+    witnessed inside it: an r below c by more than its rounding margin
+    raises NumericalBreach.
     """
     lam = float(lambda_start)
     if lam >= 0:
         raise ValueError("descent starts from a negative shift")
     while lam > LAMBDA_ABORT:
-        hs = [_hermitian_part(G - lam * M) for G, M in zip(forms, gram_l2s)]
-        c4s = tuple(smallest_eigenvalue(H, S)[0] for H, S in zip(hs, S_list))
+        c4s = tuple(smallest_eigenvalue(H, S)[0] for H, S in pencils(lam))
         if min(c4s) >= C4_MIN:
             return CoercivityReport(lambda0=lam, c4=min(c4s), per_eps=c4s)
         lam *= 2.0

@@ -101,11 +101,6 @@ def _lax_milgram_bound(ctx, which):
     return 1.0 / c
 
 
-def perturbation_norm(ctx, seed):
-    """Norm of the difference form from H1 into the dual space."""
-    return norm_v_to_vstar(ctx.L, ctx.h1, seed=seed)
-
-
 def contraction_norm(ctx, seed):
     """Norm of L R0 as a map of the dual space to itself.
 
@@ -187,21 +182,27 @@ def assemble_setting(op_spec, family, eps, min_elements, cap_dof):
     }
 
 
+def shifted_forms(setting, lam):
+    """(Geps, G0) = (base + x_eps - lam M, base + x_lim - lam M): the
+    perturbed and limit forms of an assembled setting at shift lam."""
+    op = setting["op"]
+    return tuple(((op.base_form + setting[x]).tocsr()
+                  - lam * op.gram_l2).tocsr() for x in ("x_eps", "x_lim"))
+
+
 def context_from_setting(setting, lam):
     """Shift an assembled setting into a factored, cross-checked context.
 
-    G0 = base + x_lim - lam M and Geps = base + x_eps - lam M must agree
-    with the deviation route: Geps = G0 + x_dev entrywise to 1e-12 of the
-    matrix scale.  The difference form L is the entrywise Geps - G0;
-    nearby entries subtract exactly, so the second-resolvent identity
-    holds to roundoff of the difference, not of the full forms.  The
-    context keeps the unshifted operator, for its H1 Gram, and the shift
-    as meta["shift"].
+    The shifted forms G0 and Geps (shifted_forms) must agree with the
+    deviation route: Geps = G0 + x_dev entrywise to 1e-12 of the matrix
+    scale.  The difference form L is the entrywise Geps - G0; nearby
+    entries subtract exactly, so the second-resolvent identity holds to
+    roundoff of the difference, not of the full forms.  The context keeps
+    the unshifted operator, for its H1 Gram, and the shift as
+    meta["shift"].
     """
     op = setting["op"]
-    G0 = ((op.base_form + setting["x_lim"]).tocsr()
-          - lam * op.gram_l2).tocsr()
-    Geps = (op.base_form + setting["x_eps"] - lam * op.gram_l2).tocsr()
+    Geps, G0 = shifted_forms(setting, lam)
     scale = max(_max_entry(Geps), _max_entry(G0))
     gap = _max_entry(Geps - (G0 + setting["x_dev"]))
     if gap > 1e-12 * scale:
@@ -280,7 +281,7 @@ def convergence_row(family, eps, lam, setting, seed, eta_exponents, orders):
     ctx = context_from_setting(setting, lam)
     eta, crit = criteria.optimize_eta(family, eps, eta_exponents)
     rep_kappa = truncation_error_norm(ctx, 0, seed)
-    rep_L = perturbation_norm(ctx, seed)
+    rep_L = norm_v_to_vstar(ctx.L, ctx.h1, seed=seed)
     row = {
         "eps": eps,
         "n_elements": ctx.meta["n_elements"],

@@ -299,8 +299,8 @@ def norm_study(cfg, seed):
     budget, and the footer then names its eps under flagged_rows or
     capped_rows.
     """
-    from .fem import assemble_triple, discretize
-    from .norms import Space, norm_m1m1, norm_m10, norm_v_to_vstar
+    from .fem import assemble_perturbation, assemble_triple, discretize
+    from .norms import Space, norm_m10, norm_v_to_vstar
 
     family = registry.build_family(cfg)
     _require_1d(cfg, family, "norm")
@@ -318,23 +318,21 @@ def norm_study(cfg, seed):
         h1 = Space(op.gram_h1)  # every norm of the row shares the factor
         rep_x = norm_v_to_vstar(pert.matrix, h1, seed=row_seed)
         # a bare potential's triple form is the potential form, under the
-        # same seed: norm_m1m1 would measure it again
-        rep_v = (norm_m1m1(op, trip.v, h1, refine, row_seed)
-                 if trip.q or trip.p else rep_x)
+        # same seed: assembling the potential apart would measure it again
+        rep_v = (norm_v_to_vstar(
+            assemble_perturbation(op.space, trip.v, refine).matrix, h1,
+            row_seed) if trip.q or trip.p else rep_x)
         reports = [rep_x, rep_v, norm_m10(op, trip.v, h1, refine, row_seed)]
         measured, v_m1m1, v_m10 = (rep.value for rep in reports)
         comps = {}
         chain = v_m1m1
-        for j, qf in enumerate(trip.q):
-            rep = norm_m10(op, qf, h1, refine, row_seed)
-            reports.append(rep)
-            comps[f"q{j}_m10"] = rep.value
-            chain += sqrt_d * rep.value
-        for j, pf in enumerate(trip.p):
-            rep = norm_m10(op, pf, h1, refine, row_seed)
-            reports.append(rep)
-            comps[f"p{j}_m10"] = rep.value
-            chain += rep.value
+        for name, weight, fields_ in (("q", sqrt_d, trip.q),
+                                      ("p", 1.0, trip.p)):
+            for j, f in enumerate(fields_):
+                rep = norm_m10(op, f, h1, refine, row_seed)
+                reports.append(rep)
+                comps[f"{name}{j}_m10"] = rep.value
+                chain += weight * rep.value
         flagged = any(rep.flagged for rep in reports)
         fits = measured <= chain * (1 + 1e-8) + 1e-12
         rows.append({
@@ -369,18 +367,15 @@ def _resolve_shift(cfg, settings):
     and the limit forms of every scheduled epsilon, so the returned
     shift is coercive on all of them; a fixed shift must be as well.
     """
-    from .norms import CoercivityError, find_lambda, is_coercive
+    from .norms import (CoercivityError, _hermitian_part, find_lambda,
+                        is_coercive)
+    from .resolvent import shifted_forms
 
     raw = cfg.get("operator.shift", -2.0)
     if raw == "auto":
-        forms, masses, grams = [], [], []
-        for s in settings:
-            op = s["op"]
-            forms.append((op.base_form + s["x_eps"]).tocsr())
-            forms.append((op.base_form + s["x_lim"]).tocsr())
-            masses.extend([op.gram_l2, op.gram_l2])
-            grams.extend([op.gram_h1, op.gram_h1])
-        rep = find_lambda(forms, masses, grams)
+        rep = find_lambda(lambda lam: [
+            (_hermitian_part(G), s["op"].gram_h1)
+            for s in settings for G in shifted_forms(s, lam)])
         return rep.lambda0, rep
     if isinstance(raw, str):
         raise ConfigError("operator.shift must be a negative number or auto")
@@ -388,8 +383,8 @@ def _resolve_shift(cfg, settings):
     if lam >= 0:
         raise ConfigError("operator.shift must be negative")
     for s in settings:
-        for name, x in (("Geps", s["x_eps"]), ("G0", s["x_lim"])):
-            if not is_coercive(s["op"].base_form + x - lam * s["op"].gram_l2):
+        for name, G in zip(("Geps", "G0"), shifted_forms(s, lam)):
+            if not is_coercive(G):
                 raise CoercivityError(
                     f"{name} is not coercive at operator.shift = {lam:g} "
                     f"(eps = {s['meta']['eps']:g})")

@@ -7,14 +7,13 @@ or a pencil.  The constructions below (DIA conversion; abs-sum, triu,
 COO and np.add.at) are the ones they replaced, kept as the oracle: on
 every form the shipped resolvent configs build, the new bands must hold
 the same bytes.  So is the sp.diags(..., format="csr") assembly that
-fem._form_matrix and fem._tridiagonal_csr replaced, on the complex
-element moments the forms were once stored with: the matrices a
-resolvent row assembles must hold the same CSR arrays, the real parts of
-the complex ones, whose imaginary parts are all +0.0.  Every form those
-rows build is real, and so is every band their inertia decisions factor.
-And so is the stacked (2, k, n) compensated residual that the solver's
-interleaved (re, im) one replaced: on shipped forms it must give the
-same bits.
+fem._tridiagonal_csr replaced, on the complex element moments the forms
+were once stored with: the matrices a resolvent row assembles must hold
+the same CSR arrays, the real parts of the complex ones, whose imaginary
+parts are all +0.0.  Every form those rows build is real, and so is
+every band their inertia decisions factor.  And so is the stacked
+(2, k, n) compensated residual that the solver's interleaved (re, im)
+one replaced: on shipped forms it must give the same bits.
 """
 
 from functools import lru_cache
@@ -86,7 +85,7 @@ def _complex_element_moments(field_, mesh, refine, keys):
 
 
 def _diags_form_matrix(mesh, coef, term, refine):
-    """A form matrix as fem._form_matrix built it: all six complex element
+    """A term's form matrix as it was built: all six complex element
     moments, and the three diagonals through sp.diags(..., format="csr")."""
     h = mesh.h
     d = (-1.0 / h, 1.0 / h)
@@ -225,7 +224,6 @@ def test_row_matrices_match_diags_assembly(name, monkeypatch):
         opts = study._mesh_opts(cfg)
         with monkeypatch.context() as patch:
             patch.setattr(fem, "_element_moments", _complex_element_moments)
-            patch.setattr(fem, "_form_matrix", _diags_form_matrix)
             patch.setattr(fem, "_tridiagonal_csr", _diags_csr)
             patch.setattr(fem, "assemble_perturbation",
                           _empty_start_perturbation)

@@ -17,9 +17,11 @@ from homlab.fem import (
     column_norms,
     assemble_perturbation,
     build_mesh,
+    discretize,
     FeSpace,
     _element_moments,
-    _form_matrix,
+    _form_diagonals,
+    _tridiagonal_csr,
     mesh_rule,
     OperatorSpec,
 )
@@ -158,7 +160,7 @@ def test_form_matrix_equals_full_node_route(term, n, refine):
     mesh = build_mesh(UNIT, n)
     for func in (_oscillating, _gapped):
         coef = CoefficientField(1, func, 2.3)
-        got = _form_matrix(mesh, coef, term, refine)
+        got = _tridiagonal_csr(*_form_diagonals(mesh, coef, term, refine))
         want = _full_node_route(mesh, coef, term, refine)
         assert got.shape == (n - 1, n - 1)
         assert got.has_canonical_format
@@ -232,6 +234,19 @@ def test_mesh_rule_tracks_finest_scale():
     assert _mesh_rule(0.1) == (160, False)
     assert _mesh_rule(0.001) == (8192, True)
     assert _mesh_rule(2.0 * np.pi * 0.05) == (64, False)
+
+
+def test_mesh_rule_ignores_the_domain_length():
+    # modulated_periodic lives on (0.5, 3.5), and its finest scale at eps
+    # 0.005 is eps: 16 / 0.005 elements, so 16 / 3 span a finest scale
+    cfg = StudyConfig.load(CONFIGS / "modulated_periodic_resolvent.cfg")
+    family = registry.build_family(cfg)
+    assert family.domain == Box((0.5,), (3.5,))
+    op, mesh = discretize(study._operator_spec(cfg, family), family, 0.005,
+                          **study._mesh_opts(cfg))
+    assert (mesh["n_elements"], mesh["capped"]) == (3200, False)
+    assert op.space.mesh.h == pytest.approx(3.0 / 3200, rel=1e-14)
+    assert mesh["finest_scale"] / op.space.mesh.h == pytest.approx(16 / 3)
 
 
 def test_mesh_rule_respects_minimum():

@@ -23,7 +23,7 @@ from pathlib import Path
 
 import pytest
 
-from homlab import registry, study
+from homlab import registry, resolvent, study
 from homlab.config import StudyConfig
 from homlab.norms import _hermitian_part, smallest_eigenvalue
 from homlab.resolvent import assemble_setting, context_from_setting
@@ -155,7 +155,9 @@ def test_sin_neumann_errors_below_bounds():
         == list(errors)
     assert (first["norm_L"], first["c2"], first["contraction"]) \
         == (norm_l, c2, contraction)
-    # c2 is the larger Lax-Milgram bound 1/c of the two shifted forms
+    # c2 is the larger Lax-Milgram bound 1/c of the two shifted forms.
+    # Both 1/c lie below one, so the floor hides them from c2: they are
+    # matched bit for bit on their own
     cfg = StudyConfig.load(CONFIGS / "sin_neumann.cfg")
     family = registry.build_family(cfg)
     ctx = context_from_setting(
@@ -167,3 +169,5 @@ def test_sin_neumann_errors_below_bounds():
                  for g in (ctx.G0, ctx.Geps)]
     assert first["eps"] == 0.05
     assert first["c2"] == max(1.0, *inverse_c)
+    assert [resolvent._lax_milgram_bound(ctx, which)
+            for which in ("base", "eps")] == inverse_c

@@ -19,7 +19,9 @@ from homlab.fem import (LinearSolver, _split, assemble_base, assemble_triple,
 from homlab.norms import (Space, _hermitian_part, find_lambda,
                           norm_v_to_vstar, smallest_eigenvalue)
 from homlab.resolvent import (assemble_setting, context_from_setting,
-                              identity_residual, truncation_error_norm)
+                              identity_residual, shifted_forms,
+                              truncation_error_norm)
+from test_norms import _pencils
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 SIZES = [(0.1, 159), (0.025, 639), (0.00625, 2559)]
@@ -71,7 +73,7 @@ def test_bench_smallest_eigenvalue(benchmark, eps, dof):
     # the stabilizing_arctan pencil that find_lambda examines at shift -1
     setting = _stabilizing_setting(eps, dof)
     op = setting["op"]
-    h = _hermitian_part(op.base_form + setting["x_eps"] + op.gram_l2)
+    h = _hermitian_part(shifted_forms(setting, -1.0)[0])
     c4, upper = benchmark.pedantic(smallest_eigenvalue, args=(h, op.gram_h1),
                                    rounds=5, iterations=1)
     assert c4 == pytest.approx(1.0, abs=1e-5)
@@ -116,16 +118,10 @@ def test_bench_find_lambda(benchmark):
     # the coercivity search of stabilizing_resolvent on the perturbed and
     # limit forms of its first three eps: six bisections and witnesses at
     # the shift -1 it accepts
-    forms, masses, grams = [], [], []
-    for eps, dof in [(0.1, 159), (0.05, 319), (0.025, 639)]:
-        setting = _stabilizing_setting(eps, dof)
-        op = setting["op"]
-        for x in (setting["x_eps"], setting["x_lim"]):
-            forms.append((op.base_form + x).tocsr())
-            masses.append(op.gram_l2)
-            grams.append(op.gram_h1)
-    rep = benchmark.pedantic(find_lambda, args=(forms, masses, grams),
-                             rounds=5, iterations=1)
+    pencils = _pencils([_stabilizing_setting(eps, dof) for eps, dof
+                        in [(0.1, 159), (0.05, 319), (0.025, 639)]])
+    rep = benchmark.pedantic(find_lambda, args=(pencils,), rounds=5,
+                             iterations=1)
     assert rep.lambda0 == -1.0
     assert rep.c4 == pytest.approx(1.0, abs=1e-5)
 

@@ -22,12 +22,12 @@ from homlab.norms import (
     find_lambda,
     induced_norm,
     norm_m10,
-    norm_m1m1,
     norm_v_to_vstar,
     smallest_eigenvalue,
 )
 from homlab.resolvent import (ResolventContext, assemble_setting,
-                               context_from_setting, truncation_error_norm)
+                               context_from_setting, shifted_forms,
+                               truncation_error_norm)
 
 UNIT = Box((0.0,), (1.0,))
 
@@ -250,8 +250,8 @@ def test_potential_form_norm_matches_dense_pencil():
     op = assemble_base(OperatorSpec(UNIT), mesh)
     v = CoefficientField(1, lambda x: 1.0 + 0.5 * np.sin(7.0 * x[..., 0]),
                          1.5)
-    rep = norm_m1m1(op, v, Space(op.gram_h1), refine=4, seed=1234)
     pert = assemble_perturbation(op.space, v, 4)
+    rep = norm_v_to_vstar(pert.matrix, Space(op.gram_h1), seed=1234)
     expect = dense_v_to_vstar(pert.matrix.toarray(), op.gram_h1.toarray())
     assert rep.value == pytest.approx(expect, rel=2e-8)
 
@@ -295,6 +295,12 @@ def _random_trig_field(rng):
     return CoefficientField(1, f, sup_bound=float(np.abs(coef).sum()))
 
 
+def _potential_norm(op, v, h1, refine):
+    """Form norm of a potential: sup |(V u, w)| / |u|_V |w|_V."""
+    pert = assemble_perturbation(op.space, v, refine)
+    return norm_v_to_vstar(pert.matrix, h1, seed=1234).value
+
+
 @pytest.mark.parametrize("draw", [1, 2, 3])
 def test_multiplier_chain_bound_on_random_triples(draw):
     rng = np.random.default_rng(40 + draw)
@@ -309,7 +315,7 @@ def test_multiplier_chain_bound_on_random_triples(draw):
         full = norm_v_to_vstar(pert.matrix, h1, seed=1234).value
         bound = (norm_m10(op, q, h1, 4, 1234).value
                  + norm_m10(op, p, h1, 4, 1234).value
-                 + norm_m1m1(op, v, h1, 4, 1234).value)
+                 + _potential_norm(op, v, h1, 4))
         assert full <= bound * (1.0 + 1e-8) + 1e-12
 
 
@@ -319,7 +325,7 @@ def test_form_norm_below_weight_norm_below_sup():
     op = assemble_base(OperatorSpec(UNIT), mesh)
     v = CoefficientField(1, lambda x: np.sin(x[..., 0] / 0.05), 1.0)
     h1 = Space(op.gram_h1)
-    m1m1 = norm_m1m1(op, v, h1, 8, 1234).value
+    m1m1 = _potential_norm(op, v, h1, 8)
     m10 = norm_m10(op, v, h1, 8, 1234).value
     assert m1m1 <= m10 * (1.0 + 1e-8)
     assert m10 <= 1.0 * (1.0 + 1e-8)
@@ -339,11 +345,16 @@ def test_smallest_eigenvalue_matches_dense():
     assert upper == pytest.approx(expect, rel=1e-7, abs=1e-9)
 
 
+def _one_pencil(op, form):
+    """The pencil of form - lam M against the H1 Gram, at each lam."""
+    return lambda lam: [((form - lam * op.gram_l2).tocsr(), op.gram_h1)]
+
+
 def test_find_lambda_immediate_acceptance():
     mesh = build_mesh(UNIT, 16)
     op = assemble_base(OperatorSpec(UNIT), mesh)
     k = (op.gram_h1 - op.gram_l2).tocsr()
-    rep = find_lambda([k], [op.gram_l2], [op.gram_h1])
+    rep = find_lambda(_one_pencil(op, k))
     assert rep.lambda0 == -1.0
     # candidate form K + M equals the H1 gram, so c4 is exactly 1
     assert rep.c4 == pytest.approx(1.0, rel=1e-7)
@@ -354,7 +365,7 @@ def test_find_lambda_doubles_until_coercive():
     op = assemble_base(OperatorSpec(UNIT), mesh)
     k = (op.gram_h1 - op.gram_l2).tocsr()
     form = (k - 15.0 * op.gram_l2).tocsr()
-    rep = find_lambda([form], [op.gram_l2], [op.gram_h1])
+    rep = find_lambda(_one_pencil(op, form))
     assert rep.lambda0 == -8.0
     h = (k - 7.0 * op.gram_l2).toarray()
     expect = float(sla.eigh(h, op.gram_h1.toarray(), eigvals_only=True)[0])
@@ -371,12 +382,12 @@ def test_find_lambda_gives_up_at_abort_threshold(monkeypatch):
     with pytest.raises(CoercivityError, match=r"above lambda_abort = "
                        r"-1000\.0 kept every form's certified c at or "
                        r"above c4_min = 0\.05"):
-        find_lambda([form], [op.gram_l2], [op.gram_h1])
+        find_lambda(_one_pencil(op, form))
 
 
 def test_find_lambda_rejects_nonnegative_start():
     with pytest.raises(ValueError):
-        find_lambda([], [], [], lambda_start=0.5)
+        find_lambda(lambda lam: [], lambda_start=0.5)
 
 
 # ------------------------------------------------------------ bound direction
@@ -384,47 +395,42 @@ def test_find_lambda_rejects_nonnegative_start():
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
-def _shift_search_forms(config, schedule, **overrides):
-    """The forms, masses and Grams an auto-shift study hands find_lambda.
+def _shift_search_settings(config, schedule, **overrides):
+    """The settings an auto-shift study assembles, one per eps.
 
     overrides replace config entries, keyed with "." as "__"."""
     cfg = StudyConfig.load(CONFIGS / f"{config}.cfg")
     cfg.entries.update({k.replace("__", "."): v for k, v in overrides.items()})
     family = registry.build_family(cfg)
     spec = study._operator_spec(cfg, family)
-    forms, masses, grams = [], [], []
-    for eps in schedule:
-        setting = assemble_setting(spec, family, eps, **study._mesh_opts(cfg))
-        op = setting["op"]
-        for x in (setting["x_eps"], setting["x_lim"]):
-            forms.append((op.base_form + x).tocsr())
-            masses.append(op.gram_l2)
-            grams.append(op.gram_h1)
-    return forms, masses, grams
+    return [assemble_setting(spec, family, eps, **study._mesh_opts(cfg))
+            for eps in schedule]
 
 
-def _dense_lambda_mins(forms, masses, grams, lam):
-    """Smallest pencil eigenvalue of each shifted form, by dense eigh."""
-    lows = []
-    for g, m, s in zip(forms, masses, grams):
-        a = (g - lam * m).toarray()
-        herm = 0.5 * (a + a.conj().T)
-        if not herm.imag.any():
-            herm = herm.real
-        lows.append(float(sla.eigh(herm, s.toarray(), eigvals_only=True,
-                                   subset_by_index=[0, 0])[0]))
-    return lows
+def _pencils(settings):
+    """The pencils an auto-shift study hands find_lambda: at each shift,
+    the Hermitian part of every setting's shifted perturbed and limit
+    form against its H1 Gram."""
+    return lambda lam: [(norms._hermitian_part(G), s["op"].gram_h1)
+                        for s in settings for G in shifted_forms(s, lam)]
+
+
+def _dense_lambda_mins(pencils):
+    """Smallest eigenvalue of each pencil (H, S), by dense eigh."""
+    return [float(sla.eigh(H.toarray(), S.toarray(), eigvals_only=True,
+                           subset_by_index=[0, 0])[0]) for H, S in pencils]
 
 
 @pytest.mark.parametrize("seed", [1, 7])
 def test_find_lambda_random_rotation_keeps_c4_below_dense_lambda_min(seed):
     # two realizations w0 of the rotation family; the witness inside
     # smallest_eigenvalue raises if c4 overshoots any form's lambda_min
-    forms, masses, grams = _shift_search_forms("random_resolvent", (0.1,),
-                                               family__seed=seed)
-    assert forms[0].shape[0] == 226
-    rep = find_lambda(forms, masses, grams)
-    expect = min(_dense_lambda_mins(forms, masses, grams, rep.lambda0))
+    pencils = _pencils(_shift_search_settings("random_resolvent", (0.1,),
+                                              family__seed=seed))
+    rep = find_lambda(pencils)
+    accepted = pencils(rep.lambda0)
+    assert accepted[0][0].shape[0] == 226
+    expect = min(_dense_lambda_mins(accepted))
     assert rep.c4 == pytest.approx(expect, rel=1e-10)
 
 
@@ -443,15 +449,15 @@ def test_witness_fires_just_above_dense_lambda_min(monkeypatch, which):
     # a lower end 1e-8 relative above the true lambda_min, on the 639-dof
     # perturbed and limit forms of stabilizing_resolvent, coercive at -1.
     # On the perturbed one lambda_2 - lambda_min is 2.1e-8 relative
-    forms, masses, grams = _shift_search_forms("stabilizing_resolvent",
-                                               (0.025,))
-    form, mass, gram = forms[which], masses[which], grams[which]
-    assert form.shape[0] == 639
-    (low,) = _dense_lambda_mins([form], [mass], [gram], -1.0)
+    pencils = _pencils(_shift_search_settings("stabilizing_resolvent",
+                                              (0.025,)))
+    H, gram = pencils(-1.0)[which]
+    assert H.shape[0] == 639
+    (low,) = _dense_lambda_mins([(H, gram)])
     _overshooting_cholesky(monkeypatch, gram, 1e-8 * low)
     with pytest.raises(NumericalBreach,
                        match=r"witness .* fell below the certified"):
-        find_lambda([form], [mass], [gram])
+        find_lambda(lambda lam: [pencils(lam)[which]])
 
 
 def test_smallest_eigenvalue_raises_when_its_bisection_overshoots(
@@ -477,14 +483,14 @@ def test_smallest_eigenvalue_raises_when_its_bisection_overshoots(
 def test_find_lambda_brackets_dense_lambda_min(config, schedule, dofs):
     # c <= lambda_min <= r on every form at the accepted shift, c from the
     # inertia bisection and r from the witness
-    forms, masses, grams = _shift_search_forms(config, schedule)
-    assert [g.shape[0] for g in forms] == dofs
-    rep = find_lambda(forms, masses, grams)
+    pencils = _pencils(_shift_search_settings(config, schedule))
+    rep = find_lambda(pencils)
+    accepted = pencils(rep.lambda0)
+    assert [H.shape[0] for H, _ in accepted] == dofs
     assert rep.c4 == min(rep.per_eps)
-    lows = _dense_lambda_mins(forms, masses, grams, rep.lambda0)
-    for g, m, s, c4, low in zip(forms, masses, grams, rep.per_eps, lows):
-        c, r = smallest_eigenvalue(
-            norms._hermitian_part(g - rep.lambda0 * m), s)
+    lows = _dense_lambda_mins(accepted)
+    for (H, S), c4, low in zip(accepted, rep.per_eps, lows):
+        c, r = smallest_eigenvalue(H, S)
         assert c == c4
         assert c <= low * (1 + 1e-10)
         assert low <= r * (1 + 1e-10)
@@ -587,8 +593,8 @@ def test_real_bisection_matches_complex_bands_on_shift_search(monkeypatch):
     # every pencil find_lambda builds on stabilizing_resolvent is real and
     # bisected on real bands, to the c of the complex bands it once was
     cfg = StudyConfig.load(CONFIGS / "stabilizing_resolvent.cfg")
-    forms, masses, grams = _shift_search_forms("stabilizing_resolvent",
-                                               study._schedule(cfg))
+    search = _pencils(_shift_search_settings("stabilizing_resolvent",
+                                             study._schedule(cfg)))
     pencils = []
     inner = norms.smallest_eigenvalue
 
@@ -599,7 +605,7 @@ def test_real_bisection_matches_complex_bands_on_shift_search(monkeypatch):
 
     monkeypatch.setattr(norms, "smallest_eigenvalue", recorded)
     dtypes = _factored_dtypes(monkeypatch)
-    find_lambda(forms, masses, grams)
+    find_lambda(search)
     assert len(pencils) == 10
     assert dtypes == {np.dtype(float)}
     for H, S, c in pencils:
@@ -626,17 +632,16 @@ def test_is_coercive_agrees_with_complex_bands(monkeypatch):
     # the ten forms sign_resolvent's fixed shift is checked on, and the
     # same forms at a shift that leaves some of them indefinite
     cfg = StudyConfig.load(CONFIGS / "sign_resolvent.cfg")
-    forms, masses, _ = _shift_search_forms("sign_resolvent",
-                                           study._schedule(cfg))
-    assert len(forms) == 10
-    shifted, wants = [], []
-    for lam in (-2.0, 1e4):
-        for G, M in zip(forms, masses):
-            shifted.append(G - lam * M)
-            herm = norms._hermitian_part(shifted[-1])
-            assert herm.dtype == np.float64
-            band = norms._upper_band(herm.astype(complex))
-            wants.append(norms._cholesky(band) is not None)
+    settings = _shift_search_settings("sign_resolvent", study._schedule(cfg))
+    shifted = [G for lam in (-2.0, 1e4) for s in settings
+               for G in shifted_forms(s, lam)]
+    assert len(shifted) == 20
+    wants = []
+    for G in shifted:
+        herm = norms._hermitian_part(G)
+        assert herm.dtype == np.float64
+        band = norms._upper_band(herm.astype(complex))
+        wants.append(norms._cholesky(band) is not None)
     assert wants == [True] * 10 + wants[10:] and not all(wants[10:])
     dtypes = _factored_dtypes(monkeypatch)
     assert [norms.is_coercive(G) for G in shifted] == wants

@@ -1,5 +1,6 @@
 """Resolvent series and difference identities against dense oracles."""
 
+import dataclasses
 import math
 from pathlib import Path
 
@@ -14,12 +15,12 @@ from homlab.families import make_family
 from homlab.fem import NumericalBreach, OperatorSpec, assemble_base, \
     assemble_perturbation, build_mesh
 from homlab.fields import Box, CoefficientField, constant_field, zero_field
+from homlab.norms import norm_v_to_vstar
 from homlab.resolvent import (
     assemble_setting,
     context_from_setting,
     convergence_verdict,
     identity_residual,
-    perturbation_norm,
     series_columns,
     truncation_error_norm,
 )
@@ -190,6 +191,17 @@ def test_identity_residual_zero_perturbation(monkeypatch):
     assert identity_residual(ctx, seed=1234) == 0.0
 
 
+def test_identity_residual_detects_a_scaled_difference_form(
+        sin_neumann_context):
+    # L scaled by 1 + 1e-12, with its adjoint, breaks the identity by that
+    # much: the intact context reads 3.6e-16, the scaled one 1.0e-12
+    ctx = sin_neumann_context
+    scaled = (ctx.L * (1 + 1e-12)).tocsr()
+    bad = dataclasses.replace(ctx, L=scaled, LH=scaled.getH().tocsr())
+    assert identity_residual(ctx, seed=1234) <= 1e-14
+    assert identity_residual(bad, seed=1234) >= 5e-13
+
+
 def _identity_residual_per_load(ctx, n_rhs, seed):
     """identity_residual as first written: one load at a time."""
     rng = np.random.default_rng(seed)
@@ -244,7 +256,7 @@ def test_identity_residual_blocks_match_per_load_loop(width, monkeypatch):
 def series_of(ctx, orders):
     """The series columns of a row, from the kappa and |L| it measured."""
     return series_columns(ctx, orders, truncation_error_norm(ctx, 0, 1234),
-                          perturbation_norm(ctx, 1234), 1234)
+                          norm_v_to_vstar(ctx.L, ctx.h1, 1234), 1234)
 
 
 def test_truncation_errors_decay_geometrically():
@@ -346,11 +358,13 @@ def test_truncation_errors_match_dense_partial_sums(sin_neumann_context):
 
 
 def test_perturbation_norm_is_difference_form_norm():
-    from homlab.norms import Space, norm_v_to_vstar
+    # a row's norm_L, on the context's shared H1 factor, against the
+    # dense |U^-H L U^-1| of the H1 Gram S = U^H U
     ctx = small_context(n=20)
-    direct = norm_v_to_vstar(ctx.L, Space(ctx.op.gram_h1), seed=1234).value
-    assert perturbation_norm(ctx, seed=1234).value == pytest.approx(
-        direct, rel=1e-10)
+    u_inv = np.linalg.inv(sla.cholesky(ctx.op.gram_h1.toarray()))
+    expect = sla.svdvals(u_inv.conj().T @ ctx.L.toarray() @ u_inv)[0]
+    assert norm_v_to_vstar(ctx.L, ctx.h1, seed=1234).value == pytest.approx(
+        expect, rel=2e-8)
 
 
 # ------------------------------------------------------------- settings

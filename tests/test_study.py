@@ -210,13 +210,19 @@ schedule.eps = 0.1, 0.05
 def test_norm_study_measures_a_bare_potential_once(monkeypatch):
     from homlab import norms
 
-    def measured_again(*args):
-        raise AssertionError("the potential form was measured twice")
+    measured = []
 
-    # norm_study looks its norms up on homlab.norms when it starts
-    monkeypatch.setattr(norms, "norm_m1m1", measured_again)
+    def counted(X, h1, seed):
+        measured.append(seed)
+        return norm_v_to_vstar(X, h1, seed)
+
+    # norm_study looks its norms up on homlab.norms when it starts, and
+    # norm_m10 looks norm_v_to_vstar up there too: a row measures norm_x
+    # and v_m10, and no potential form apart
+    monkeypatch.setattr(norms, "norm_v_to_vstar", counted)
     res = run_study("norm", StudyConfig.from_text(NORM_CFG, "<config>"),
                     seed=1234)
+    assert measured == [1234, 1234, 2234, 2234]
     assert all(row["v_m1m1"] == row["norm_x"] == row["chain_bound"]
                for row in res.rows)
 
