@@ -136,10 +136,10 @@ def local_mean_limit(family, eps_schedule, mu_rule, sample_points):
     domain are skipped.  Returns
     a report with the sample grid, the means per eps ("samples", None for
     a skipped window), the skipped points, the worst gap between the means
-    of each pair of successive schedule entries ("pair_gaps"), and rho2,
-    the largest of those gaps, with its bound rho2 + sqrt(mu) at the
-    finest eps.  With no window sampled at two successive entries there
-    is no evidence, and rho2 and its bound are nan.
+    of each pair of successive schedule entries ("pair_gaps"), rho2, the
+    largest of those gaps, and the finest window size mu_final.  With no
+    window sampled at two successive entries there is no evidence, and
+    rho2 is nan.
     """
     if len(eps_schedule) < 2:
         raise ValueError("local mean limit needs at least two eps entries")
@@ -174,12 +174,10 @@ def local_mean_limit(family, eps_schedule, mu_rule, sample_points):
                  for a, b in zip(samples[:-1], samples[1:])]
     # fmax skips the nan of a pair with no sampled window
     rho2 = float(np.fmax.reduce(pair_gaps))
-    mu_fin = float(mu_rule(float(eps_schedule[-1])))
     return {
         "pair_gaps": pair_gaps,
         "rho2": rho2,
-        "mu_final": mu_fin,
-        "bound": rho2 + math.sqrt(mu_fin),
+        "mu_final": float(mu_rule(float(eps_schedule[-1]))),
         "grid": grid,
         "samples": samples,
         "skipped": tuple(skipped_all),

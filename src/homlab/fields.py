@@ -44,7 +44,9 @@ class CoefficientField:
     takes points of exactly that shape, in any memory order: cell
     quadrature passes them column-contiguous (a transposed (dim, m)
     array), so a closure indexes columns, pts[:, j], and its values must
-    not depend on the layout.
+    not depend on the layout.  Cell quadrature may also run a closure on
+    several threads at once, so a closure must not mutate shared state:
+    it reads what it captured and writes only arrays of its own.
     sup_bound is a declared uniform bound on |value|, taken on trust:
     evaluation does not check it.
     A field carries no domain: the family that holds it owns the domain,

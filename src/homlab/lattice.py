@@ -27,8 +27,18 @@ Gauss nodes and weights of the two orders used are stored, as tabulated
 constants; the composite rule, an evaluation's points and its block
 weights are built afresh, so no array of a whole cell's points or
 weights is built.
+
+A rule that takes more than one field evaluation shares them among as
+many threads as the process has CPUs to run on, at most one per
+evaluation: the NumPy calls that take most of an evaluation's time, in
+the field closure and in the block sums, release the GIL.  Each
+evaluation writes only its own slice of the rule's block sums, and the
+calling thread reduces each cell's block sums once all are written, so
+no bit of a result depends on the number of threads.
 """
 
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -172,16 +182,77 @@ def _block_weights(dim, wts1):
 def _rule_points(pts1, span, origins, first, count):
     """Points of the blocks first:first + count of the d-fold tensor rule
     over the 1D nodes pts1, first axis slowest, in each cell origins[c] +
-    span (0,1)^d: shape (C * count * len(pts1), d), cell after cell.  The
-    first d - 1 coordinates of a block are the nodes its index's base
-    len(pts1) digits pick, and the last axis runs over pts1, so every
-    block range has the same rows as the whole rule."""
+    span (0,1)^d: shape (C * count * len(pts1), d), cell after cell, each
+    coordinate column contiguous.  The first d - 1 coordinates of a block
+    are the nodes its index's base len(pts1) digits pick, and the last
+    axis runs over pts1, so every block range has the same rows as the
+    whole rule.
+
+    Coordinate i is shifts + (sum of the head nodes times span[i, :-1],
+    left to right, one value per block) + pts1 * span[i, -1], broadcast
+    over the blocks and cells: the sums _affine_points takes over the
+    expanded columns, in the same order, so the same bits.
+    """
     dim, size = len(span), len(pts1)
     blocks = np.arange(first, first + count)
-    cols = [np.repeat(pts1[blocks // size ** (dim - 2 - a) % size], size)
-            for a in range(dim - 1)]
-    cols.append(np.tile(pts1, count))
-    return _affine_points(cols, span, origins)
+    heads = [pts1[blocks // size ** (dim - 2 - a) % size]
+             for a in range(dim - 1)]
+    out = np.empty((dim, len(origins), count, size))
+    for i, row in enumerate(span):
+        acc = pts1 * row[-1]
+        if heads:
+            head = heads[0] * row[0]
+            for col, entry in zip(heads[1:], row[1:-1]):
+                head += col * entry
+            acc = head[:, None] + acc
+        np.add(origins[:, i, None, None], acc, out=out[i])
+    return out.reshape(dim, -1).T
+
+
+def _workers():
+    """CPUs this process may run on: the most threads that share one
+    rule's field evaluations."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _split(task, count):
+    """task(0), ..., task(count - 1), shared among min(_workers(), count)
+    threads: share w takes the indices w, w + workers, ..., in order, and
+    the calling thread takes share 0.
+
+    Every thread is joined before this returns or raises.  A share stops
+    at its first error, and the error of the lowest index is raised: every
+    lower index ran without one, so it is the error a serial loop raises.
+    An interrupt or exit, which is no Exception, is raised before any
+    error.
+    """
+    workers = min(_workers(), count)
+    errors = [None] * workers  # (index, error) of each share's failure
+
+    def share(w):
+        for i in range(w, count, workers):
+            try:
+                task(i)
+            except BaseException as exc:
+                errors[w] = (i, exc)
+                return
+
+    threads = []
+    try:
+        for w in range(1, workers):
+            threads.append(threading.Thread(target=share, args=(w,)))
+            threads[-1].start()
+        share(0)
+    finally:
+        for thread in threads:
+            thread.join()
+    failed = [e for e in errors if e is not None]
+    if failed:
+        raise min(failed,
+                  key=lambda e: (isinstance(e[1], Exception), e[0]))[1]
 
 
 def _rule_integrals(field_, origins, span, refine, order, squares):
@@ -200,6 +271,14 @@ def _rule_integrals(field_, origins, span, refine, order, squares):
     a cell's integral does not depend on the chunking or on the other
     cells.  squares=True adds the integrals of |field|^2 taken from the
     same values.
+
+    A rule of more than one evaluation shares them among threads (see
+    _split).  Each evaluation writes only its own cells' and blocks'
+    slice of the (cells, blocks) block sums, and each batch's cells are
+    reduced once every evaluation is done, by the calling thread, the
+    same sum over the same slice as a serial run takes.  So no bit of the
+    result depends on the number of threads or on the order they finish
+    in.  A rule of one evaluation runs it on the calling thread.
     """
     dim = span.shape[0]
     pts1, wts1 = _panel_rule(refine, order)
@@ -211,28 +290,38 @@ def _rule_integrals(field_, origins, span, refine, order, squares):
     # holds whole cells, else as many as one evaluation takes
     per = min(blocks, CHUNK_POINTS // size)
     jac = abs(float(np.linalg.det(span)))
-    cap = min(step, len(origins))
-    block_sums = [np.empty((cap, blocks), dtype=complex)
+    block_sums = [np.empty((len(origins), blocks), dtype=complex)
                   for _ in range(1 + squares)]
-    outs = [np.empty(len(origins), dtype=complex) for _ in block_sums]
-    for a in range(0, len(origins), step):
+
+    def evaluate(a, b):
         cells = origins[a:a + step]
         c = len(cells)
-        for b in range(0, blocks, per):
-            k = min(per, blocks - b)  # whole blocks in this evaluation
-            v = field_(_rule_points(pts1, span, cells, b, k))
-            vals = [v.reshape(c, k, size)]
-            if squares:
-                # |field|^2 is summed as complex like the values: einsum
-                # sums a real array with another kernel, which rounds
-                # differently in the last digits
-                vals.append((np.abs(vals[0]) ** 2).astype(complex))
-            # row j holds the weights of block b + j
-            wts = np.multiply.outer(factors[b:b + k], wts1)
-            for val, sums in zip(vals, block_sums):
-                sums[:c, b:b + k] = np.einsum("km,ckm->ck", wts, val)
+        k = min(per, blocks - b)  # whole blocks in this evaluation
+        v = field_(_rule_points(pts1, span, cells, b, k)).reshape(c, k, size)
+        vals = [v]
+        if squares:
+            # |field|^2 is summed as complex like the values: einsum sums
+            # a real array with another kernel, which rounds differently
+            # in the last digits
+            sq = np.zeros(v.shape, dtype=complex)
+            np.abs(v, out=sq.real)
+            np.square(sq.real, out=sq.real)
+            vals.append(sq)
+        # row j holds the weights of block b + j
+        wts = np.multiply.outer(factors[b:b + k], wts1)
+        for val, sums in zip(vals, block_sums):
+            sums[a:a + c, b:b + k] = np.einsum("km,ckm->ck", wts, val)
+
+    starts = [(a, b) for a in range(0, len(origins), step)
+              for b in range(0, blocks, per)]
+    if len(starts) == 1:
+        evaluate(*starts[0])
+    elif starts:
+        _split(lambda i: evaluate(*starts[i]), len(starts))
+    outs = [np.empty(len(origins), dtype=complex) for _ in block_sums]
+    for a in range(0, len(origins), step):
         for out, sums in zip(outs, block_sums):
-            out[a:a + step] = jac * sums[:c].sum(axis=1)
+            out[a:a + step] = jac * sums[a:a + step].sum(axis=1)
     return outs
 
 

@@ -25,8 +25,7 @@ from .errors import CoercivityError, NumericalBreach
 from .families import deviation_triple
 from .fem import (SOLVE_RTOL, LinearSolver, assemble_triple, column_norms,
                   discretize)
-from .norms import (Space, _hermitian_part, induced_norm, norm_v_to_vstar,
-                    smallest_eigenvalue)
+from .norms import Space, _hermitian_part, induced_norm, smallest_eigenvalue
 
 # entries of identity_residual's stacked R_0 block [f | g]; its load block
 # f holds half as many.  A refined solve's transient memory grows with its
@@ -281,7 +280,8 @@ def convergence_row(family, eps, lam, setting, seed, eta_exponents, orders):
     ctx = context_from_setting(setting, lam)
     eta, crit = criteria.optimize_eta(family, eps, eta_exponents)
     rep_kappa = truncation_error_norm(ctx, 0, seed)
-    rep_L = norm_v_to_vstar(ctx.L, ctx.h1, seed=seed)
+    rep_L = induced_norm(lambda v: ctx.L @ v, lambda v: ctx.LH @ v, ctx.h1,
+                         ctx.h1.star(), seed=seed)
     row = {
         "eps": eps,
         "n_elements": ctx.meta["n_elements"],

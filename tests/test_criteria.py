@@ -254,6 +254,8 @@ def test_evaluations_stay_within_the_chunk_budget(monkeypatch, budget):
     fam = _counting_family(sizes)
     expected = criterion_report(fam, 0.01, 0.1, refine=16)
     monkeypatch.setattr(lattice, "CHUNK_POINTS", budget)
+    # the order of a rule's evaluations is defined only on one thread
+    monkeypatch.setattr(lattice, "_workers", lambda: 1)
     sizes.clear()
     rep = criterion_report(fam, 0.01, 0.1, refine=16)
     assert max(sizes) <= budget

@@ -343,3 +343,33 @@ def test_fields_do_not_depend_on_memory_layout(name):
     assert not cols.flags.c_contiguous or family.dim == 1
     for field_ in _family_fields(family, 0.1):
         assert np.array_equal(field_(rows), field_(cols))
+
+
+@pytest.mark.parametrize("name", sorted(REGISTRY))
+def test_fields_evaluate_concurrently_bit_for_bit(name):
+    # cell quadrature may run a field's closure on several threads at
+    # once; two threads evaluating every field together must each get the
+    # bits of a serial evaluation
+    import threading
+    family = _entry(f"family.name = {name}\n")
+    lo, hi = np.array(family.domain.lower), np.array(family.domain.upper)
+    pts = np.asfortranarray(
+        lo + (hi - lo) * np.random.default_rng(13).random((20000, family.dim)))
+    fields = _family_fields(family, 0.1)
+    serial = [f(pts).tobytes() for f in fields]
+    start = threading.Barrier(2)
+    results = [[], []]
+
+    def evaluate(k):
+        start.wait()
+        for _ in range(10):
+            results[k].append([f(pts).tobytes() for f in fields])
+
+    threads = [threading.Thread(target=evaluate, args=(k,)) for k in (0, 1)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+    assert all(got == serial for res in results for got in res)
+    assert len(results[0]) == len(results[1]) == 10

@@ -3,7 +3,8 @@ and writes the bytes it wrote before.
 
 Resolvent studies converge except the sign_resolvent negative control,
 sin_norm stays within its chain budget, the two-scale limit is
-consistent, and the sin_neumann series errors stay below their envelope.
+consistent and the sign_homogenize negative control is not, and the
+sin_neumann series errors stay below their envelope.
 No norm in any of them may be flagged.
 
 Every shipped config's CSV text (render_csv, seed 1234) must match the
@@ -51,6 +52,7 @@ DIGESTS = {
     "random_resolvent": "2cefbdf927d35a233ff9df6bfa9bca74be42af7c4a8ca5646f681582396d7355",
     "regular_criterion": "f4d12023647df058620736fc1b60a800a330705a8ccd7bbbb9c94874aff3626b",
     "sign_criterion": "2120550c057e5c5e6ecb3fdd9b14e3af10e36f03c60a337006a1b1ad2eda51a7",
+    "sign_homogenize": "c5c4826f5f67af3e0c5da9f201fa2633e681ab1dd601533a199337db0db7b545",
     "sign_resolvent": "b86b7fad9ca225b8ae703dbe1bffa9029242029a0697f87e49cf682ad078589c",
     "sin_criterion": "965d58409d88f0e4a5ce3d21c4b54cee8bc5779cf5b5bb2485435ad2c7e805ef",
     "sin_neumann": "c97f56d90c60d181ffaad108e6b44324460526896b1b28a66812b05b7d1196ca",
@@ -60,7 +62,7 @@ DIGESTS = {
     "sparse_resolvent": "f4419d8d0dee9e1fe26641baabd26e8f6846ff60b67debf3757f88e9109ee95f",
     "stabilizing_criterion": "5ce21454d61161f4cae6d2630e2ad4e4fc942ca0b84229601e65ccecc618a8b8",
     "stabilizing_resolvent": "4fafb2a2a162b47726c0eede96f8f932095186cc453ce3636b993f74a2e524f5",
-    "two_scale_homogenize": "1242f519eed7e3c73193d38d5a85e8b8f0f748e04e7f1ae7ac59cf2b201edbe8"
+    "two_scale_homogenize": "2fd89a43a3c6e73ee651da169e940dc31405076a9dbb33d226e675d41921e009"
 }
 
 
@@ -129,6 +131,28 @@ def test_sin_norm_within_budget():
 def test_two_scale_limit_is_consistent():
     footer = _run("two_scale_homogenize").footer
     assert footer[-1].startswith("# declared_limit_consistent: true ")
+
+
+def test_misdeclared_sign_limit_is_not_consistent():
+    footer = _run("sign_homogenize").footer
+    assert footer[-1].startswith("# declared_limit_consistent: false ")
+
+
+@pytest.mark.parametrize("name", RESOLVENTS)
+def test_homogenize_verdict_agrees_with_the_resolvent_verdict(name):
+    # the paper's two routes to the limit, local means by cell quadrature
+    # and resolvents by finite elements, on each resolvent config's family
+    # and schedule: the declared limit is consistent exactly when the
+    # resolvents converge
+    text = (CONFIGS / f"{name}.cfg").read_text()
+    keys = [line for line in text.splitlines()
+            if line.startswith(("family.", "schedule."))]
+    cfg = StudyConfig.from_text(
+        "\n".join(["study.kind = homogenize", *keys]), name)
+    consistent = run_study("homogenize", cfg, seed=1234).footer[-1]
+    convergent = "# verdict: convergent" in _run(name).footer
+    assert consistent.startswith(
+        f"# declared_limit_consistent: {'true' if convergent else 'false'} ")
 
 
 # the series table of sin_neumann at eps 0.05 when it was a study kind of

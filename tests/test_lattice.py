@@ -2,6 +2,8 @@
 
 import itertools
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -227,10 +229,17 @@ def test_panel_rule_is_built_from_tabulated_gauss_nodes():
     assert wts2 == pytest.approx([0.5, 0.5])
 
 
+def _one_worker(monkeypatch):
+    # the order of a rule's evaluations is defined only when one thread
+    # runs them all
+    monkeypatch.setattr(lattice, "_workers", lambda: 1)
+
+
 def test_batches_never_split_a_cell(monkeypatch):
     # a batch holds whole cells and each cell's sum runs once over all of
     # its values; a 1D cell is one block, so no evaluation covers part of
     # a cell
+    _one_worker(monkeypatch)
     sizes = []
 
     def counted(pts):
@@ -259,6 +268,7 @@ def test_streamed_cell_equals_whole_cell(monkeypatch, budget):
     # refine 5 has 400 rule points per cell in 20 blocks of 20, and the
     # coarse rule 64 in blocks of 8: every budget streams a fine cell in
     # fills of whole blocks, 150 and 399 with a ragged last fill
+    _one_worker(monkeypatch)
     sizes = []
 
     def counted(pts):
@@ -430,20 +440,22 @@ def test_empty_stack_has_no_cells():
     assert calls == []
 
 
-def test_large_cell_memory_does_not_grow_with_the_cell():
+def test_large_cell_memory_does_not_grow_with_the_cell(monkeypatch):
     # one field evaluation takes at most CHUNK_POINTS points, whatever the
     # cell: its points, the field's intermediates, its complex values and
     # their |value|^2 take a few units of 16 bytes a point, and the block
-    # sums 2 x 16 bytes a block.  The bound does not grow with the cell:
-    # holding a whole cell's points or values would break it at either
-    # size, and the second cell has 4x the points of the first.
+    # sums 2 x 16 bytes a block.  Each worker holds one evaluation at a
+    # time, so the bound is that much per worker.  It does not grow with
+    # the cell: holding a whole cell's points or values would break it at
+    # either size, and the second cell has 4x the points of the first.
     import tracemalloc
     from homlab import registry
     from homlab.config import StudyConfig
     fam = registry.build_family(
         StudyConfig.from_text("family.name = fractal_2d\n", "<config>"))
     field_ = fam.at(0.13).v
-    for refine in (128, 256):
+    for workers, refine in itertools.product((1, 2, 3), (128, 256)):
+        monkeypatch.setattr(lattice, "_workers", lambda: workers)
         blocks = GAUSS_ORDER * refine
         assert blocks ** 2 >= 16 * CHUNK_POINTS
         tracemalloc.start()
@@ -454,4 +466,210 @@ def test_large_cell_memory_does_not_grow_with_the_cell():
         finally:
             tracemalloc.stop()
         assert all(np.isfinite(r).all() for r in out)
-        assert peak < 8 * 16 * CHUNK_POINTS + 2 * 16 * blocks, refine
+        assert peak < workers * 8 * 16 * CHUNK_POINTS + 2 * 16 * blocks, \
+            (workers, refine)
+
+
+# ------------------------------------------------- evaluations on threads
+
+def _fractal(eps=0.13):
+    from homlab import registry
+    from homlab.config import StudyConfig
+    fam = registry.build_family(
+        StudyConfig.from_text("family.name = fractal_2d\n", "<config>"))
+    return fam, fam.at(eps).v
+
+
+def _recorded(field_, sizes, threads):
+    """field_ that records each evaluation's size and thread."""
+
+    def func(pts):
+        sizes.append(len(pts))
+        threads.add(threading.get_ident())
+        return field_(pts)
+
+    return CoefficientField(field_.dim, func, field_.sup_bound)
+
+
+def _split_cases():
+    fractal = _fractal()[1]
+    sin = sin_field(0.01)
+    skew = CoefficientField(2, complex_2d, 30.0)
+    # (lattice, cells, eta, field, refine, CHUNK_POINTS); each rule takes
+    # several evaluations
+    return {
+        # 4 cells of 16 whole blocks a fine evaluation, 1 a coarse one
+        "fractal_2d": (Lattice(2, 2.0 * np.eye(2), -np.ones(2)),
+                       [(1, 1), (1, 2), (2, 1), (2, 2)], 0.5, fractal, 64,
+                       CHUNK_POINTS),
+        # 120 cells of 400 points, 40 a batch; then a small budget
+        "skew": (SKEW, [(i, j) for i in range(-3, 3) for j in range(20)],
+                 0.3, skew, 5, CHUNK_POINTS),
+        "skew_streamed": (SKEW, [(0, 0), (1, -2), (3, 1)], 0.3, skew, 5,
+                          150),
+        # 1D batches of 2.5 fine cells, then of one block
+        "1d": (Lattice(1), [(k,) for k in range(10)], 0.1, sin, 4, 40),
+        "1d_blocks": (Lattice(1), [(k,) for k in range(10)], 0.1, sin, 4,
+                      16),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_split_cases()))
+def test_results_do_not_follow_the_worker_count(monkeypatch, case):
+    lat, zs, eta, field_, refine, budget = _split_cases()[case]
+    monkeypatch.setattr(lattice, "CHUNK_POINTS", budget)
+    results = {}
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(lattice, "_workers", lambda: workers)
+        sizes, threads = [], set()
+        out = cell_integral(lat, np.array(zs), eta,
+                            _recorded(field_, sizes, threads), refine,
+                            squares=True)
+        results[workers] = out, sorted(sizes)
+        # the evaluations ran on the calling thread alone, or on at
+        # least as many threads as asked for (each rule starts its own)
+        assert threading.get_ident() in threads
+        assert len(threads) == 1 if workers == 1 else len(threads) >= workers
+    one, one_sizes = results[1]
+    assert all(np.isfinite(r).all() for r in one)
+    for out, sizes in results.values():
+        assert sizes == one_sizes
+        for got, want in zip(out, one, strict=True):
+            assert np.array_equal(got, want)
+
+
+def test_many_small_evaluations_on_more_threads_than_cpus(monkeypatch):
+    # one evaluation per 1D cell, on 8 threads that switch as often as the
+    # interpreter allows: a block sum lost or written to another cell's
+    # slice would change a result
+    field_ = sin_field(0.01)
+    zs = np.arange(300)[:, None]
+    monkeypatch.setattr(lattice, "CHUNK_POINTS", 16)
+    monkeypatch.setattr(lattice, "_workers", lambda: 1)
+    serial = cell_integral(Lattice(1), zs, 0.01, field_, 4, squares=True)
+    monkeypatch.setattr(lattice, "_workers", lambda: 8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        split = cell_integral(Lattice(1), zs, 0.01, field_, 4, squares=True)
+    finally:
+        sys.setswitchinterval(interval)
+    for got, want in zip(split, serial, strict=True):
+        assert np.array_equal(got, want)
+
+
+def test_criterion_report_does_not_follow_the_worker_count(monkeypatch):
+    from homlab.criteria import criterion_report
+    fam = _fractal()[0]
+    reports = []
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(lattice, "_workers", lambda: workers)
+        reports.append(criterion_report(fam, 0.13, 0.25, 64))
+    assert reports[0].cell_count == 9
+    assert reports[1] == reports[0] and reports[2] == reports[0]
+
+
+def _failing_at(bad):
+    """A 1D field evaluated in batches of two cells of 0.1 (CHUNK_POINTS
+    32 at refine 4): bad(pts) spoils the values of the batches from the
+    second on, whose points start at x >= 0.2.  Also returns the threads
+    that ran a spoiled batch."""
+    threads = set()
+
+    def func(pts):
+        vals = np.sin(pts[:, 0] / 0.01)
+        if pts[0, 0] < 0.2:
+            return vals
+        threads.add(threading.get_ident())
+        return bad(pts, vals)
+
+    return CoefficientField(1, func, 1.0), threads
+
+
+def _raised(monkeypatch, workers, field_):
+    monkeypatch.setattr(lattice, "CHUNK_POINTS", 32)
+    monkeypatch.setattr(lattice, "_workers", lambda: workers)
+    with pytest.raises(BaseException) as info:
+        cell_integral(Lattice(1), np.arange(10)[:, None], 0.1, field_, 4)
+    return info.value
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_a_worker_raises_the_serial_error(monkeypatch, workers):
+    # the batch of cells 2k and 2k + 1 returns k values, so each batch
+    # gives its own message; the serial loop stops at the second batch
+    def wrong_shape(pts, vals):
+        return vals[:int(round(pts[0, 0] * 5))]
+
+    field_, threads = _failing_at(wrong_shape)
+    serial = _raised(monkeypatch, 1, field_)
+    assert str(serial) == ("field closure returned shape (1,), expected "
+                           "(32,)")
+    threads.clear()
+    split = _raised(monkeypatch, workers, field_)
+    assert type(split) is type(serial) and str(split) == str(serial)
+    # the second batch runs on a worker, and the calling thread's own
+    # failure (the third batch) is not the one raised
+    assert threading.get_ident() in threads and len(threads) > 1
+
+
+def test_an_interrupt_is_raised_before_a_lower_error(monkeypatch):
+    # at 2 workers the second batch fails on the worker and the third is
+    # interrupted on the calling thread: the interrupt wins
+    def interrupted(pts, vals):
+        if threading.get_ident() == threading.main_thread().ident:
+            raise KeyboardInterrupt
+        raise ValueError("second batch")
+
+    field_, threads = _failing_at(interrupted)
+    assert type(_raised(monkeypatch, 1, field_)) is KeyboardInterrupt
+    assert type(_raised(monkeypatch, 2, field_)) is KeyboardInterrupt
+    assert len(threads) == 2
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_a_non_finite_worker_value_breaches(monkeypatch, workers):
+    from homlab.criteria import NumericalBreach, criterion_report
+    from homlab.families import make_family
+    from homlab.fields import zero_field
+
+    def nan_at_first(pts, vals):
+        vals[0] = np.nan
+        return vals
+
+    field_, threads = _failing_at(nan_at_first)
+    fam = make_family(lambda eps: field_, zero_field(1), lambda eps: 0.0,
+                      UNIT, finest_scale=lambda eps: 1.0)
+    monkeypatch.setattr(lattice, "CHUNK_POINTS", 32)
+    messages = []
+    for w in (1, workers):
+        monkeypatch.setattr(lattice, "_workers", lambda: w)
+        threads.clear()
+        with pytest.raises(NumericalBreach) as info:
+            criterion_report(fam, 0.01, 0.1, refine=4)
+        messages.append(str(info.value))
+    assert messages[1] == messages[0] == (
+        "non-finite cell integral at eps 0.01, eta 0.1")
+    # the spoiled second batch ran on a worker
+    assert len(threads) >= workers
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_a_rule_with_no_cells_at_any_worker_count(monkeypatch, workers):
+    # every homogenize window skipped: each rule has no cell to evaluate
+    from homlab.criteria import local_mean_limit
+    from homlab.families import make_family
+    from homlab.fields import zero_field
+    monkeypatch.setattr(lattice, "_workers", lambda: workers)
+    calls = []
+    field_ = CoefficientField(1, lambda pts: calls.append(pts) or pts[:, 0],
+                              1.0)
+    fam = make_family(lambda eps: field_, zero_field(1), lambda eps: 0.0,
+                      Box((0.0,), (0.05,)), finest_scale=lambda eps: 1.0)
+    rep = local_mean_limit(fam, [0.01, 0.005], mu_rule=lambda eps: 0.1,
+                           sample_points=3)
+    assert math.isnan(rep["rho2"]) and len(rep["skipped"]) == 6
+    assert calls == []
+    out = cell_integral(Lattice(1), np.zeros((0, 1), dtype=int), 0.1,
+                        field_, 4, squares=True)
+    assert [r.shape for r in out] == [(0,)] * 4

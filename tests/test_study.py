@@ -284,11 +284,12 @@ def test_homogenize_without_sampled_windows_is_not_consistent():
     assert all(math.isnan(row["declared_gap"]) for row in res.rows)
     assert all(math.isnan(row["pair_gap"]) for row in res.rows)
     assert res.footer[-1].startswith("# declared_limit_consistent: false ")
-    # no pair of windows was sampled: rho2 and its bound are no evidence
+    # no pair of windows was sampled: rho2 and the finest pair's gap are
+    # no evidence
     assert res.footer == (
         "# rho2 = nan",
         f"# mu_final = {0.0005 ** 0.001:.17g}",
-        "# bound = nan",
+        "# finest_pair_gap = nan",
         "# skipped_windows = 165",
         "# declared_limit_consistent: false (gap nan vs budget nan)")
 
