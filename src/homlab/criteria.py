@@ -62,9 +62,9 @@ def criterion_report(family, eps, eta, refine):
 
     rho1 is the max over cells of the modulus of the cell mean of the
     deviation (each perturbation component separately, worst one
-    reported); rho3 is the max over cells of the cell mean of the squared
-    modulus of the deviation.  Each component is integrated over
-    all cells in one batched call, which also integrates its square.
+    reported); rho3 is the max over cells of the cell mean of the square
+    of the deviation.  Each component is integrated over all cells in one
+    batched call, which also integrates its square.
     """
     eps = float(eps)
     eta = float(eta)
@@ -78,7 +78,7 @@ def criterion_report(family, eps, eta, refine):
         integral, err, sq_int, sq_err = _finite(cell_integral(
             lat, gammas, eta, dev, r, squares=True), eps, eta)
         rho1 = max(rho1, float(np.max(np.abs(integral) / measure)))
-        rho3 = max(rho3, float(np.max(sq_int.real)) / measure)
+        rho3 = max(rho3, float(np.max(sq_int)) / measure)
         quad_err = max(quad_err, float(np.max(err)) / measure,
                        float(np.max(sq_err)) / measure)
     return CriterionReport(

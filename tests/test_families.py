@@ -26,10 +26,8 @@ def _entry(text):
 
 
 def _value(field_, x):
-    """The field at the single point x, as a real number."""
-    val = complex(field_(np.array([[x]]))[0])
-    assert val.imag == 0.0
-    return val.real
+    """The field at the single point x, as a float."""
+    return float(field_(np.array([[x]]))[0])
 
 
 def _regular_sin():
@@ -96,7 +94,7 @@ def test_deviation_triple_keeps_weight_order():
         lambda eps: FieldTriple(v=zero_field(1), q=weights),
         zero_field(1))
     point = np.array([[0.5]])
-    got = [q(point)[0].real for q in deviation_triple(fam, 0.1).q]
+    got = [q(point)[0] for q in deviation_triple(fam, 0.1).q]
     assert got == [float(j) for j in range(1, 12)]
 
 
@@ -167,7 +165,7 @@ def test_locally_periodic_two_scale_separation_penalty():
 
 def test_almost_periodic_box_average_oracle():
     # 2 cos(3 x / eps): its mean over (0, r) is 2 eps sin(3 r / eps) / (3 r),
-    # at most 2 eps / (3 r) / 2 per exponential of the conjugate pair
+    # within the rate's term for the cosine, 2 |a| eps / (alpha r)
     fam = _entry("family.name = almost_periodic\nfamily.frequencies = 3.0\n"
                  "family.amplitudes = 2.0\n")
     eps = 0.01
@@ -177,8 +175,7 @@ def test_almost_periodic_box_average_oracle():
     vals = fam.at(eps).v(xs)
     measured = np.trapezoid(vals, dx=r / (n - 1)) / r
     exact = 2 * eps * math.sin(r * 3.0 / eps) / (r * 3.0)
-    assert abs(measured.imag) < 1e-15
-    assert measured.real == pytest.approx(exact, abs=5e-6)
+    assert measured == pytest.approx(exact, abs=5e-6)
     assert abs(measured) <= 2 * (2 * eps / (r * 3.0)) + 1e-12
     assert _value(fam.limit.v, 0.5) == 0.0
 
@@ -190,10 +187,10 @@ def test_almost_periodic_limit_is_family_mean():
     eps = 0.04
     assert _value(fam.at(eps).v, 0.3) == pytest.approx(
         1.5 + math.cos(2.0 * 0.3 / eps))
-    # rate at eps: the cell eta = sqrt(eps) covers eta/eps periods, and
-    # each exponential of the pair carries half the amplitude
+    # rate at eps: the cell eta = sqrt(eps) covers eta/eps periods of the
+    # cosine, of amplitude 1
     eta = math.sqrt(eps)
-    expected = 2 * min(1.0, 2.0 / (2.0 * eta / eps)) * 0.5 + eta
+    expected = min(1.0, 2.0 / (2.0 * eta / eps)) * 1.0 + eta
     assert fam.rate(eps) == pytest.approx(expected)
 
 
@@ -219,7 +216,7 @@ def test_sparse_bumps_vanish_off_support():
     dist = np.min(np.abs(xs[:, None] - centers[None, :]), axis=1)
     near = dist <= 0.01 * (1 + 1e-9)
     assert np.all(vals[~near] == 0.0)
-    assert np.all(vals.real[near] >= 0.0)
+    assert np.all(vals[near] >= 0.0)
     assert fam.rate(eps) == pytest.approx(0.1 + 0.1)
     assert fam.finest_scale(eps) == pytest.approx(0.01)
     assert fam.limit.v.sup_bound == 0.0

@@ -175,18 +175,6 @@ def test_form_matrix_equals_full_node_route(term, n, refine):
         assert got.nnz < 3 * (n - 1) - 2
 
 
-@pytest.mark.parametrize("slot", ["v", "q", "p"])
-def test_complex_coefficient_raises(slot):
-    # every form is real: a coefficient with an imaginary moment is refused
-    # where it is integrated, whichever term it enters
-    space = FeSpace(build_mesh(UNIT, 16))
-    wave = CoefficientField(1, lambda x: np.exp(5j * x[:, 0]), 1.0)
-    terms = {"v": wave} if slot == "v" else {"v": zero_field(1),
-                                             slot: (wave,)}
-    with pytest.raises(NumericalBreach, match="nonzero imaginary moment"):
-        assemble_perturbation(space, refine=2, **terms)
-
-
 def test_gram_matrices_are_hermitian_and_ordered():
     mesh = build_mesh(UNIT, 20)
     op = assemble_base(OperatorSpec(UNIT), mesh)

@@ -37,32 +37,32 @@ RESOLVENTS = sorted(
 NEGATIVE_CONTROLS = {"sign_resolvent"}
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
 DIGESTS = {
-    "almost_periodic_criterion": "ebbaae9397281040ce70d4ae6d985e9aa8b88a23dd15853274b728f8fe149c39",
-    "almost_periodic_resolvent": "86e6468fe8e10acf3338d92b8f533db6083b5f84a6d80eb84afef0da4b04800b",
-    "fractal_criterion": "0adb41e56b2104d442d7572eeee483c16345cce7810cfc41d8a364c1786c4a2a",
-    "locally_periodic2_criterion": "6bb9ebffe9930eb8852498714677ad4de497afb9d78414b8eaeba108fe9443b3",
-    "locally_periodic2_resolvent": "2e639ae8f8cd58dcd8989d388ba9d9a3ee033e37c1b18e2429c0057610302130",
-    "locally_periodic_criterion": "ab1a7486a459e6ab30474c8ad3bde1f8a33d0494d603ff8bf1a57cf33a5446b1",
-    "locally_periodic_resolvent": "317c1ba4a673b300d78b0173d616179b7a5bb351af3e17712ee8979c9f497764",
-    "modulated_diffeo_criterion": "02b6c65b31e7e92dcc7c7a72b266cfed030bb6987e4964e361d3157d3d5931a5",
-    "modulated_diffeo_resolvent": "cfed999fb61d25cf220b2f974ced6e21e89ef7136eb0dbe73296e5d03d4abf2a",
-    "modulated_periodic_criterion": "d85afdea8a5dba31beae3577ea09f3148580bb2572387d2d48fb2defe2b91394",
-    "modulated_periodic_resolvent": "f8804616ee7ced85b0d936dbb3f51f662f69217846492801c6e6cbde2a8012f0",
-    "random_criterion": "37325fe7e24c43d5cd64363a54729393d8345080a678fea9713420ae9b56b0d3",
-    "random_resolvent": "2cefbdf927d35a233ff9df6bfa9bca74be42af7c4a8ca5646f681582396d7355",
-    "regular_criterion": "f4d12023647df058620736fc1b60a800a330705a8ccd7bbbb9c94874aff3626b",
-    "sign_criterion": "2120550c057e5c5e6ecb3fdd9b14e3af10e36f03c60a337006a1b1ad2eda51a7",
-    "sign_homogenize": "c5c4826f5f67af3e0c5da9f201fa2633e681ab1dd601533a199337db0db7b545",
-    "sign_resolvent": "b86b7fad9ca225b8ae703dbe1bffa9029242029a0697f87e49cf682ad078589c",
-    "sin_criterion": "965d58409d88f0e4a5ce3d21c4b54cee8bc5779cf5b5bb2485435ad2c7e805ef",
-    "sin_neumann": "c97f56d90c60d181ffaad108e6b44324460526896b1b28a66812b05b7d1196ca",
-    "sin_norm": "3184ee7cbec9772eea84b2855d3d150af4f74a974ad2a300ad420ab822f4c818",
-    "sin_resolvent": "e414c24566112648c8bb2a620ff429bb4faf7cc5a9a185f78c95fc32ceb1c987",
-    "sparse_criterion": "fe9e3410e9aee7200f2f9ef58266407554e1e69e670c3b8201b6df80e1c3d326",
-    "sparse_resolvent": "f4419d8d0dee9e1fe26641baabd26e8f6846ff60b67debf3757f88e9109ee95f",
-    "stabilizing_criterion": "5ce21454d61161f4cae6d2630e2ad4e4fc942ca0b84229601e65ccecc618a8b8",
-    "stabilizing_resolvent": "4fafb2a2a162b47726c0eede96f8f932095186cc453ce3636b993f74a2e524f5",
-    "two_scale_homogenize": "2fd89a43a3c6e73ee651da169e940dc31405076a9dbb33d226e675d41921e009"
+    "almost_periodic_criterion": "8442402b957bdb43e7f130295d7f9e09d8d52c4bab038348d8eb857a65521bf9",
+    "almost_periodic_resolvent": "42824f81117c39d9d1e9e94e457d20669bfdc6fc7ef0739cd7408fc1735e86eb",
+    "fractal_criterion": "3834990e72c6eb00bc6cefee4c34ae44daf7e5a20f8480ec5d3d2ab39134758d",
+    "locally_periodic2_criterion": "e8c6e89930bed4bada04879014a89ae111f246d3fce488f5c1f288349d9941cd",
+    "locally_periodic2_resolvent": "0e7c85f7eb25e448d43944f230c29023732231dece127d86c2b24638a8c7a2b1",
+    "locally_periodic_criterion": "3cf25c12fbeed9d964d910b566671aaa99f593ed3c5894d9ef76d28403d6f536",
+    "locally_periodic_resolvent": "e389ba0c617edd74e1c579beee220acdc3da7f35e035c163533cfd9f02c9e65d",
+    "modulated_diffeo_criterion": "31d911759af2f8b48769c7aa398b43aac727cee63bbc3334e93b281a4a40c11a",
+    "modulated_diffeo_resolvent": "2807f41a96f1e2086c16c1102c3c19ec54334fe8e95c666bf451b48141a9cb3b",
+    "modulated_periodic_criterion": "a1a8ee8b83063a41b2a9c30038f9ae8e466d2a217153cdce182ddf98a8a96952",
+    "modulated_periodic_resolvent": "3b579ad22d9324912c4bf0c4be501b8d0ae9fc5732aecb731237c3717b516e2a",
+    "random_criterion": "94d55ba766d608d1451722a0561a8a8be76ccc3b469480d324bba4e7cfda376e",
+    "random_resolvent": "a259479cd3ce5b5496f9bcefe821f51afa35cdfa9808a26d59741b6cfe05927c",
+    "regular_criterion": "f7337c882a22cac24541f1f7715ea4931e7c47f27dc262ff396315ed00763e93",
+    "sign_criterion": "847c15f747e709067d80cd61e63664959f6036193489c70af91179900625335b",
+    "sign_homogenize": "8f13c320fb731cfc10a6d0dbf6ebf2dd9112ce7a4854b42b2105b43639f6e5d1",
+    "sign_resolvent": "10adaa30f4a2233f8529b7ad92d572c0739dc62bd168f6ea05e9a6f176b69d5f",
+    "sin_criterion": "ac0465e4a6dfe904c0366faa1b69d0443763352e158904da4a603926bedc1773",
+    "sin_neumann": "e2d5f0019ebdb07619af9eddb31621d56f0e0358afcdb94c8029f8b2ec625ddb",
+    "sin_norm": "2b531ec3f61d40fffb760f42cf665b0eabd140f49f81f4c5a3b279a2faef6522",
+    "sin_resolvent": "c31531fa9a6319dcc6f690cf22d873c4a9209bffc9f27d33b4cfe7ce6387829a",
+    "sparse_criterion": "bad1d820b19be945b971424193f5a1d319a35d878369dda5ae1cb2155d8e1013",
+    "sparse_resolvent": "f8d564fd0d63f9eec0afaf773509a1ed83f4842f92f800ff256b9008b5e0e8e1",
+    "stabilizing_criterion": "bc4306fe03985587bf9796d5a492c8cd0351135c4d1d01f651859cc3e5c11270",
+    "stabilizing_resolvent": "bcb87078f9e1b040ef77492dd8ad075e30ce28ae9001ad5a893d58b5699ba883",
+    "two_scale_homogenize": "f6958ff9faed8d8049fc8f90e9d635c6c8de375b4ad81fe0818cab98944098fb"
 }
 
 

@@ -168,16 +168,18 @@ def test_cell_integral_linearity(a, b, h):
 
 # ------------------------------------------------------- batched quadrature
 
-def complex_2d(pts):
+def skew_2d(pts):
+    # neither symmetric in x and y nor a product of one-axis factors, and
+    # of both signs
     x, y = pts[:, 0], pts[:, 1]
-    return (np.sin(7.0 * x) + 1j * np.cos(3.0 * y) + np.exp(1j * 5.0 * x * y)
-            + (x * y - 2j * x) * np.cos(11.0 * (x + y)) ** 2)
+    return (np.sin(7.0 * x) - np.cos(3.0 * y) + np.sin(5.0 * x * y)
+            + (x * y - 2.0 * x) * np.cos(11.0 * (x + y)) ** 2)
 
 
 @pytest.mark.parametrize("refine", [1, 2, 5])
 def test_stacked_cell_integral_equals_single_calls(refine):
     # refine 1 takes the order-2 single-panel estimate
-    field_ = CoefficientField(2, complex_2d, 30.0)
+    field_ = CoefficientField(2, skew_2d, 30.0)
     zs = np.array([[0, 0], [1, -2], [3, 1], [-2, 4], [5, 5]])
     stack = cell_integral(SKEW, zs, 0.3, field_, refine, squares=True)
     assert [r.shape for r in stack] == [(5,)] * 4
@@ -196,9 +198,9 @@ def test_square_integral_matches_closed_form():
     eps, h = 0.05, 0.3
     _, _, (sq,), (sq_err,) = cell_integral(Lattice(1), [(0,)], h,
                                            sin_field(eps), 64, squares=True)
-    assert sq.shape == () and sq.dtype == complex
+    assert sq.shape == () and sq.dtype == float
     exact = h / 2 - eps * math.sin(2 * h / eps) / 4
-    assert sq.real == pytest.approx(exact, abs=1e-12)
+    assert sq == pytest.approx(exact, abs=1e-12)
     assert sq_err < 1e-10
 
 
@@ -273,7 +275,7 @@ def test_streamed_cell_equals_whole_cell(monkeypatch, budget):
 
     def counted(pts):
         sizes.append(len(pts))
-        return complex_2d(pts)
+        return skew_2d(pts)
 
     field_ = CoefficientField(2, counted, 30.0)
     zs = np.array([[0, 0], [1, -2], [3, 1]])
@@ -378,7 +380,7 @@ def test_refine_above_max_is_rejected():
 
 def two_level_reference(field_, lat, z, eta, refine):
     # the whole cell at once: one einsum per block, then one sum over the
-    # cell's block sums, for the field and for |field|^2
+    # cell's block sums, for the field and for field^2
     pts1, wts1 = _panel_rule(refine)
     span = eta * lat.basis
     size, dim = len(pts1), lat.dim
@@ -386,7 +388,7 @@ def two_level_reference(field_, lat, z, eta, refine):
     pts = lattice._rule_points(pts1, span, eta * lat.point([z]), 0,
                                m // size)
     vals = field_(pts).reshape(m // size, size)
-    squares = (np.abs(vals) ** 2).astype(complex)
+    squares = vals * vals
     factors = lattice._block_weights(dim, wts1)
     jac = abs(float(np.linalg.det(span)))
     out = []
@@ -401,7 +403,7 @@ def two_level_reference(field_, lat, z, eta, refine):
 def test_2d_cell_equals_two_level_reference(monkeypatch, budget):
     # refine 5: 20 blocks of 20 points; budget 20 fills one block at a
     # time, 150 fills 7, and the default takes whole cells
-    field_ = CoefficientField(2, complex_2d, 30.0)
+    field_ = CoefficientField(2, skew_2d, 30.0)
     zs = np.array([[0, 0], [1, -2], [3, 1]])
     monkeypatch.setattr(lattice, "CHUNK_POINTS", budget)
     integral, _, sq, _ = cell_integral(SKEW, zs, 0.3, field_, 5,
@@ -431,7 +433,7 @@ def test_empty_stack_has_no_cells():
 
     def counted(pts):
         calls.append(len(pts))
-        return complex_2d(pts)
+        return skew_2d(pts)
 
     field_ = CoefficientField(2, counted, 30.0)
     out = cell_integral(SKEW, np.zeros((0, 2), dtype=int), 0.3, field_, 5,
@@ -442,9 +444,9 @@ def test_empty_stack_has_no_cells():
 
 def test_large_cell_memory_does_not_grow_with_the_cell(monkeypatch):
     # one field evaluation takes at most CHUNK_POINTS points, whatever the
-    # cell: its points, the field's intermediates, its complex values and
-    # their |value|^2 take a few units of 16 bytes a point, and the block
-    # sums 2 x 16 bytes a block.  Each worker holds one evaluation at a
+    # cell: its points, the field's intermediates, its values and their
+    # squares take a few units of 8 bytes a point, and the block sums
+    # 2 x 8 bytes a block.  Each worker holds one evaluation at a
     # time, so the bound is that much per worker.  It does not grow with
     # the cell: holding a whole cell's points or values would break it at
     # either size, and the second cell has 4x the points of the first.
@@ -466,7 +468,7 @@ def test_large_cell_memory_does_not_grow_with_the_cell(monkeypatch):
         finally:
             tracemalloc.stop()
         assert all(np.isfinite(r).all() for r in out)
-        assert peak < workers * 8 * 16 * CHUNK_POINTS + 2 * 16 * blocks, \
+        assert peak < workers * 8 * 8 * CHUNK_POINTS + 2 * 8 * blocks, \
             (workers, refine)
 
 
@@ -494,7 +496,7 @@ def _recorded(field_, sizes, threads):
 def _split_cases():
     fractal = _fractal()[1]
     sin = sin_field(0.01)
-    skew = CoefficientField(2, complex_2d, 30.0)
+    skew = CoefficientField(2, skew_2d, 30.0)
     # (lattice, cells, eta, field, refine, CHUNK_POINTS); each rule takes
     # several evaluations
     return {
@@ -673,3 +675,24 @@ def test_a_rule_with_no_cells_at_any_worker_count(monkeypatch, workers):
     out = cell_integral(Lattice(1), np.zeros((0, 1), dtype=int), 0.1,
                         field_, 4, squares=True)
     assert [r.shape for r in out] == [(0,)] * 4
+
+
+def test_a_one_evaluation_rule_starts_no_thread(monkeypatch):
+    # every rule goes through _split: one evaluation runs on the calling
+    # thread, and no evaluation runs nothing, whatever the CPU count
+    def no_thread(*args, **kwargs):
+        raise AssertionError("a thread was started")
+
+    monkeypatch.setattr(lattice, "_workers", lambda: 4)
+    monkeypatch.setattr(threading, "Thread", no_thread)
+    sizes, threads = [], set()
+    field_ = _recorded(sin_field(0.01), sizes, threads)
+    out = cell_integral(Lattice(1), np.arange(10)[:, None], 0.1, field_, 4,
+                        squares=True)
+    assert sizes == [16 * 10, 8 * 10]  # fine and coarse rule, one each
+    assert threads == {threading.get_ident()}
+    assert all(np.isfinite(r).all() for r in out)
+    ran = []
+    lattice._split(ran.append, 0)
+    lattice._split(ran.append, 1)
+    assert ran == [0]
