@@ -27,13 +27,13 @@ from .fem import (SOLVE_RTOL, LinearSolver, assemble_triple, column_norms,
                   discretize)
 from .norms import Space, _hermitian_part, induced_norm, smallest_eigenvalue
 
-# entries of identity_residual's stacked R_0 block [f | g]; its load block
-# f holds half as many.  A refined solve's transient memory grows with its
-# block.  On the resolvent_mix benchmark (alternating pairs, 2-core x86 VM)
-# this size made wall_s 7-8% lower than separate R_0 solves of 2**12-entry
-# blocks, with peak RSS inside their spread.  With the banded LU, blocks of
-# 2**13 and 2**14 entries are no faster, for about 0.2 and 3.5 MB more peak
-# RSS (6 pairs each)
+# entries of identity_residual's two refined blocks together, its loads f
+# for R_eps and h = fl(f - g) for R_0; each holds half as many, and the
+# unrefined R_0 block [h_lo | f | g] three halves.  A refined solve's
+# transient memory grows with its block.  On the resolvent_mix benchmark
+# (6 alternating pairs, 2-core x86 VM, one BLAS thread) 3 * 2**12 entries
+# read wall_s 0.365 s against 0.374 s here (medians), for 74.4 against
+# 73.5 MB peak RSS, higher in 6 of 6 pairs, so this size stays
 IDENTITY_BLOCK = 3 * 2 ** 11
 IDENTITY_LOADS = 20  # random loads of identity_residual
 # convergence_verdict: a step may rise VERDICT_SLACK-fold, and the last
@@ -225,41 +225,57 @@ def context_from_setting(setting, lam):
 def identity_residual(ctx, seed):
     """Worst relative defect of the exact difference identity.
 
-    For each of IDENTITY_LOADS random loads f the solved difference
-    R_eps f - R_0 f must match -R_0 L R_eps f; the defect is measured
-    relative to the larger of the two sides.  Both sides are tiny
-    differences of order-one solutions, so each solve carries its sub-ulp
-    correction and the big parts are cancelled before the corrections
-    come back in; without that the comparison floor sits at roundoff of
-    the solutions instead of roundoff of their difference.  This
-    exercises both factorizations and the deviation-route difference
-    form in one shot.
+    For each of IDENTITY_LOADS random loads f, R_eps f - R_0 f must match
+    -R_0 g, g = L R_eps f; the defect R_eps f - R_0 (f - g) is measured
+    relative to the larger of the two sides.  It is a tiny difference of
+    order-one solutions, so it is formed from refined solves, each with
+    its sub-ulp correction, and the big parts are cancelled before the
+    corrections come back in:
+
+        (ue, ue_lo) = R_eps f, refined, and g = L ue + L ue_lo
+        h = fl(f - g) and its rounding error h_lo (TwoSum), so that
+            h + h_lo = f - g exactly
+        (w, w_lo) = R_0 h, refined
+        defect = (ue - w) + (ue_lo - w_lo - R_0 h_lo)
+
+    h_lo is about u |f|; left out, its image under R_0 would stay in the
+    defect and lift the comparison floor to about u |x| / |du|, roundoff
+    of the solutions x instead of roundoff of their difference du.  The
+    defect is R_eps f - R_0 f + R_0 g regrouped, so a wrong L, or a wrong
+    factor in either solver, shows in it in full.  The scale needs no such
+    care: R_0 f and R_0 g, for the two sides, come with R_0 h_lo from one
+    unrefined solve, accurate to about cond u relative, which is ample for
+    a denominator.  This exercises both factorizations and the
+    deviation-route difference form in one shot.
 
     The loads are drawn one after another and solved in column blocks;
-    a column's result does not depend on the block it sits in.
-    g = L R_eps f needs only the R_eps solve, so the R_0 solves of f and g
-    share one block [f | g] of at most IDENTITY_BLOCK entries, or two
-    columns: each block makes one refined solve with each factorization.
+    a column's result does not depend on the block it sits in.  A block
+    of k loads makes one refined solve of k columns with each
+    factorization, at most IDENTITY_BLOCK entries together or one load,
+    and one unrefined R_0 solve of the 3k columns [h_lo | f | g].
     """
     rng = np.random.default_rng(seed)
     width = max(1, IDENTITY_BLOCK // (2 * ctx.dim))
     worst = 0.0
     for start in range(0, IDENTITY_LOADS, width):
         k = min(width, IDENTITY_LOADS - start)
-        fg = np.empty((ctx.dim, 2 * k), dtype=complex, order="F")
-        f = fg[:, :k]
+        # the unrefined R_0 block [h_lo | f | g]
+        block = np.empty((ctx.dim, 3 * k), dtype=complex, order="F")
+        h_lo, f, g = block[:, :k], block[:, k:2 * k], block[:, 2 * k:]
         for j in range(k):
             f[:, j] = (rng.standard_normal(ctx.dim)
                        + 1j * rng.standard_normal(ctx.dim))
         ue, ue_lo = ctx.solver_eps.solve_pair(f)
-        fg[:, k:] = ctx.L @ ue + ctx.L @ ue_lo
-        x, x_lo = ctx.solver0.solve_pair(fg)
-        u0, u0_lo, y, y_lo = x[:, :k], x_lo[:, :k], x[:, k:], x_lo[:, k:]
-        du, du_lo = ue - u0, ue_lo - u0_lo
-        lhs = du + du_lo
-        rhs = -(y + y_lo)
-        defect = (du + y) + (du_lo + y_lo)
-        for nl, nr, nd in zip(column_norms(lhs), column_norms(rhs),
+        g[...] = ctx.L @ ue + ctx.L @ ue_lo
+        # TwoSum of f and -g, on the real and imaginary parts alike
+        h = f - g
+        bv = h - f
+        h_lo[...] = (f - (h - bv)) - (g + bv)
+        w, w_lo = ctx.solver0.solve_pair(h)
+        x = ctx.solver0.quick(block)
+        defect = (ue - w) + (ue_lo - w_lo - x[:, :k])
+        lhs = ue - x[:, k:2 * k]
+        for nl, nr, nd in zip(column_norms(lhs), column_norms(x[:, 2 * k:]),
                               column_norms(defect)):
             scale = max(nl, nr)
             if scale == 0.0:

@@ -431,6 +431,10 @@ def resolvent_study(cfg, seed):
     search needs all of their forms.  Once the shift is resolved, the
     settings are released row by row: each one is held only while its
     own row is measured.
+
+    The footer gives the largest norm_L / bound_m1m1, the criterion's
+    upper side of the link to |L|, and names the eps of any row where
+    norm_L exceeds bound_m1m1 under norm_l_above_bound_rows.
     """
     from .resolvent import (assemble_setting, convergence_row,
                             convergence_verdict)
@@ -466,11 +470,20 @@ def resolvent_study(cfg, seed):
     for key in ("flagged_rows", "capped_rows"):
         if key in detail:
             detail_line += f" {key}=" + ";".join(f"{e:g}" for e in detail[key])
+    # the criterion's multiplier bound rho1 + eta > 0 must hold |L|;
+    # norm_L is the Lanczos value, a lower estimate, until it carries a
+    # certified upper end (ROADMAP item 3)
+    link = max(r["norm_L"] / r["bound_m1m1"] for r in rows)
     footer += [
         f"# max_identity_err = {max_identity:.17g}",
-        f"# verdict: {verdict}",
-        detail_line,
+        f"# max norm_L/bound_m1m1 = {link:.17g} "
+        "(norm_L is a Lanczos lower estimate)",
     ]
+    above = [r["eps"] for r in rows if r["norm_L"] > r["bound_m1m1"]]
+    if above:
+        footer.append("# norm_l_above_bound_rows="
+                      + ";".join(f"{e:g}" for e in above))
+    footer += [f"# verdict: {verdict}", detail_line]
     return _table(cfg, rows, fits=("kappa", "norm_L", "bound_m1m1"),
                   footer=footer)
 

@@ -483,11 +483,15 @@ def _fractal(eps=0.13):
 
 
 def _recorded(field_, sizes, threads):
-    """field_ that records each evaluation's size and thread."""
+    """field_ that records each evaluation's size and thread.
+
+    Threads are recorded as their Thread objects, which the set keeps
+    alive: a thread that has ended may hand its ident on to the next one
+    started, so idents can count two threads as one."""
 
     def func(pts):
         sizes.append(len(pts))
-        threads.add(threading.get_ident())
+        threads.add(threading.current_thread())
         return field_(pts)
 
     return CoefficientField(field_.dim, func, field_.sup_bound)
@@ -530,7 +534,7 @@ def test_results_do_not_follow_the_worker_count(monkeypatch, case):
         results[workers] = out, sorted(sizes)
         # the evaluations ran on the calling thread alone, or on at
         # least as many threads as asked for (each rule starts its own)
-        assert threading.get_ident() in threads
+        assert threading.current_thread() in threads
         assert len(threads) == 1 if workers == 1 else len(threads) >= workers
     one, one_sizes = results[1]
     assert all(np.isfinite(r).all() for r in one)
@@ -582,7 +586,7 @@ def _failing_at(bad):
         vals = np.sin(pts[:, 0] / 0.01)
         if pts[0, 0] < 0.2:
             return vals
-        threads.add(threading.get_ident())
+        threads.add(threading.current_thread())
         return bad(pts, vals)
 
     return CoefficientField(1, func, 1.0), threads
@@ -612,7 +616,7 @@ def test_a_worker_raises_the_serial_error(monkeypatch, workers):
     assert type(split) is type(serial) and str(split) == str(serial)
     # the second batch runs on a worker, and the calling thread's own
     # failure (the third batch) is not the one raised
-    assert threading.get_ident() in threads and len(threads) > 1
+    assert threading.current_thread() in threads and len(threads) > 1
 
 
 def test_an_interrupt_is_raised_before_a_lower_error(monkeypatch):
@@ -690,7 +694,7 @@ def test_a_one_evaluation_rule_starts_no_thread(monkeypatch):
     out = cell_integral(Lattice(1), np.arange(10)[:, None], 0.1, field_, 4,
                         squares=True)
     assert sizes == [16 * 10, 8 * 10]  # fine and coarse rule, one each
-    assert threads == {threading.get_ident()}
+    assert threads == {threading.current_thread()}
     assert all(np.isfinite(r).all() for r in out)
     ran = []
     lattice._split(ran.append, 0)

@@ -12,8 +12,8 @@ import scipy.sparse as sp
 from homlab import registry, resolvent, study
 from homlab.config import StudyConfig
 from homlab.families import make_family
-from homlab.fem import NumericalBreach, OperatorSpec, assemble_base, \
-    assemble_perturbation, build_mesh
+from homlab.fem import LinearSolver, NumericalBreach, OperatorSpec, \
+    assemble_base, assemble_perturbation, build_mesh
 from homlab.fields import Box, CoefficientField, constant_field, zero_field
 from homlab.norms import norm_v_to_vstar
 from homlab.resolvent import (
@@ -203,22 +203,26 @@ def test_identity_residual_detects_a_scaled_difference_form(
 
 
 def _identity_residual_per_load(ctx, n_rhs, seed):
-    """identity_residual as first written: one load at a time."""
+    """identity_residual one load at a time: the defect
+    R_eps f - R_0 (f - g), g = L R_eps f, from refined solves of f and of
+    h = fl(f - g), and an unrefined one of h's rounding error h_lo."""
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(n_rhs):
         f = (rng.standard_normal((ctx.dim, 1))
              + 1j * rng.standard_normal((ctx.dim, 1)))
         ue, ue_lo = ctx.solver_eps.solve_pair(f)
-        u0, u0_lo = ctx.solver0.solve_pair(f)
         g = ctx.L @ ue + ctx.L @ ue_lo
-        y, y_lo = ctx.solver0.solve_pair(g)
-        lhs = (ue - u0) + (ue_lo - u0_lo)
-        rhs = -(y + y_lo)
-        scale = max(float(np.linalg.norm(lhs)), float(np.linalg.norm(rhs)))
+        # Knuth's TwoSum of f and -g: h + h_lo == f - g exactly
+        h = f - g
+        bv = h - f
+        h_lo = (f - (h - bv)) + (-g - bv)
+        w, w_lo = ctx.solver0.solve_pair(h)
+        scale = max(float(np.linalg.norm(ue - ctx.solver0.quick(f))),
+                    float(np.linalg.norm(ctx.solver0.quick(g))))
         if scale == 0.0:
             continue
-        defect = ((ue - u0) + y) + ((ue_lo - u0_lo) + y_lo)
+        defect = (ue - w) + (ue_lo - w_lo - ctx.solver0.quick(h_lo))
         worst = max(worst, float(np.linalg.norm(defect)) / scale)
     return worst
 
@@ -228,27 +232,43 @@ def test_identity_residual_blocks_match_per_load_loop(width, monkeypatch):
     fam = sin_family()
     ctx = build_setting(OperatorSpec(UNIT), fam, eps=0.05, lam=-1.0)
     expect = _identity_residual_per_load(ctx, n_rhs=7, seed=5)
-    # a stacked block [f | g] of width loads each
+    # blocks of width loads each
     monkeypatch.setattr(resolvent, "IDENTITY_BLOCK", 2 * width * ctx.dim)
     monkeypatch.setattr(resolvent, "IDENTITY_LOADS", 7)
-    calls = {"eps": [], "base": []}
+    calls = {"eps": [], "base": [], "quick": []}
 
-    def counted(solver, which):
-        inner = solver.solve_pair
+    def counted(solver, name, which):
+        inner = getattr(solver, name)
 
-        def wrapper(rhs):
+        def wrapper(rhs, *args):
             calls[which].append(rhs.shape[1])
-            return inner(rhs)
-        monkeypatch.setattr(solver, "solve_pair", wrapper)
+            return inner(rhs, *args)
+        monkeypatch.setattr(solver, name, wrapper)
 
-    counted(ctx.solver_eps, "eps")
-    counted(ctx.solver0, "base")
+    counted(ctx.solver_eps, "solve_pair", "eps")
+    counted(ctx.solver0, "solve_pair", "base")
+    counted(ctx.solver0, "quick", "quick")
     assert identity_residual(ctx, seed=5) == expect
     # 7 loads are not a multiple of the width: the last block is narrower
     widths = [min(width, 7 - a) for a in range(0, 7, width)]
+    # one refined solve of the block's k loads with each factorization
     assert calls["eps"] == widths
-    # the R_0 solves of the loads f and of g = L R_eps f: one block [f | g]
-    assert calls["base"] == [2 * k for k in widths]
+    assert calls["base"] == widths
+    # and one unrefined R_0 solve of [h_lo | f | g]
+    assert calls["quick"] == [3 * k for k in widths]
+
+
+@pytest.mark.parametrize("which", ["solver0", "solver_eps"])
+def test_identity_residual_detects_a_scaled_form_in_either_solver(
+        which, sin_neumann_context):
+    # a solver of its form scaled by 1 + 1e-12 breaks the identity by
+    # more than that: this context reads 4.6e-10 (solver0) and 4.3e-10
+    # (solver_eps), the intact one 3.6e-16
+    ctx = sin_neumann_context
+    form = ctx.G0 if which == "solver0" else ctx.Geps
+    bad = dataclasses.replace(
+        ctx, **{which: LinearSolver((form * (1 + 1e-12)).tocsr())})
+    assert identity_residual(bad, seed=1234) >= 5e-13
 
 
 # ------------------------------------------------------------- norms
