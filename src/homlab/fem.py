@@ -27,10 +27,16 @@ the columns that the second refinement pass moves get a third residual.
 The refined solve that keeps the sub-ulp correction also checks each
 column's residual contract.
 
-The compensated residual is built from error-free transformations:
-TwoProduct with Dekker-split factors (the matrix diagonals are split once
-per factorization, the iterate once per residual) and Knuth's TwoSum.
-It reads a complex block as the real array of its (re, im) float pairs,
+The compensated residual b - A x is the Dot2 dot product of Ogita, Rump
+and Oishi, built from error-free transformations: TwoProduct with
+Dekker-split factors (the matrix diagonals are split once per
+factorization, the iterate once per residual) turns each band's product
+into p + e exactly; p is summed with Knuth's TwoSum, and TwoSum's
+rounding errors and the products' errors e are summed plainly in a
+correction.  Each float of the result is within u |r| + gamma_m^2 (|b| +
+sum |d| |x|) of the exact residual r of its row, u the unit roundoff,
+gamma_m = m u / (1 - m u) and m = 2 M + 1 for a row of M bands.  It
+reads a complex block as the real array of its (re, im) float pairs,
 whatever the block's width, and the split diagonals hold each entry
 twice to match.
 """
@@ -77,8 +83,11 @@ def _two_prod(a, b):
 
 
 class _Compensated:
-    """Running sum of a real array with the exact rounding errors of every
-    step (Knuth's TwoSum) summed apart and added back at the end.
+    """Running sum of a real array less exact products p + e, in Dot2 form
+    (Ogita, Rump and Oishi, "Accurate sum and dot product", SIAM J. Sci.
+    Comput. 26(6), 2005): each product p goes through Knuth's TwoSum, and
+    TwoSum's exact rounding error and the product's own error e are summed
+    apart in a correction that is added back at the end.
 
     The error terms are exact, so the sum and its correction come out the
     same whichever exact method finds them.
@@ -88,20 +97,23 @@ class _Compensated:
         self.s = np.array(init, dtype=float)
         self.c = np.zeros_like(self.s)
 
-    def sub(self, t, lo, hi):
-        """Subtract t from the entries lo:hi of the last axis.
+    def sub(self, p, e, lo, hi):
+        """Subtract p + e from the entries lo:hi of the last axis.
 
-        TwoSum of s and -t: the new sum is s - t and its exact rounding
-        error (s - (tot - bv)) + (-t - bv), with bv = tot - s.
+        TwoSum of s and -p: the new sum is s - p and its exact rounding
+        error (s - (tot - bv)) + (-p - bv), with bv = tot - s; that error
+        and -e go to the correction.
         """
         s = self.s[..., lo:hi]
-        tot = s - t
+        c = self.c[..., lo:hi]
+        tot = s - p
         bv = tot - s
         err = tot - bv
         np.subtract(s, err, out=err)
-        np.add(t, bv, out=bv)
+        np.add(p, bv, out=bv)
         err -= bv
-        self.c[..., lo:hi] += err
+        c += err
+        c -= e
         s[...] = tot
 
     def value(self):
@@ -411,14 +423,14 @@ class LinearSolver:
     the pivots.  Every solve is zgbtrs on that storage, whatever u is.  A
     zero pivot raises NumericalBreach.
 
-    Residuals are evaluated from the matrix diagonals with exact two-term
-    products and TwoSum accumulation, so each refinement pass gains the
-    LU's relative accuracy until the solution is accurate to working
-    precision, and the reported residual is the true one.  The diagonals
-    are read from the stored entries (diagonals) once, here: they fill the
-    band storage, and those holding a nonzero entry are split into Dekker
-    halves, each entry repeated for the (re, im) pairs of the complex
-    loads; the row sums of their magnitudes give matrix_norm, |A|_inf.
+    Residuals are evaluated from the matrix diagonals in Dot2 form (see
+    residual), so each refinement pass gains the LU's relative accuracy
+    until the solution is accurate to working precision, and the reported
+    residual is the true one.  The diagonals are read from the stored
+    entries (diagonals) once, here: they fill the band storage, and those
+    holding a nonzero entry are split into Dekker halves, each entry
+    repeated for the (re, im) pairs of the complex loads; the row sums of
+    their magnitudes give matrix_norm, |A|_inf.
 
     The refined solves take a block of loads (n, k) and solve A x = b.  A
     block is held column-contiguous and every column gets two refinement
@@ -458,7 +470,7 @@ class LinearSolver:
         # per diagonal holding a nonzero entry: its column range, offset
         # and split entries, in increasing offset; each entry is stored
         # twice, once for the real and once for the imaginary part of the
-        # (re, im) pairs _dd_residual multiplies it with
+        # (re, im) pairs residual multiplies it with
         self._bands = []
         # |A| summed along each row in increasing column, as a product
         # with a vector of ones sums it
@@ -484,8 +496,16 @@ class LinearSolver:
             raise NumericalBreach(f"zgbtrs rejected its argument {-info}")
         return x
 
-    def _dd_residual(self, rhs, x):
-        """rhs - A x with compensated accumulation.
+    def residual(self, rhs, x):
+        """rhs - A x, accurate as if summed in twice the working precision
+        and rounded once.
+
+        Dot2 form: each band's product d x is split exactly into p + e
+        (TwoProduct); p is subtracted from the sum by TwoSum, whose exact
+        rounding error joins -e in a correction, and the correction is
+        added to the sum at the end.  For a row of M bands, m = 2 M + 1
+        terms, each float is within u |r| + gamma_m^2 (|b| + sum |d| |x|)
+        of the exact residual r.
 
         x and rhs have shape (n, k); each column is independent.  The
         matrix is real, so each column is read as its n (re, im) pairs of
@@ -504,8 +524,7 @@ class LinearSolver:
         for j0, j1, off, d in self._bands:
             o0, o1 = j0 - off, j1 - off
             p, e = _two_prod(d, tuple(a[..., 2 * j0:2 * j1] for a in xs))
-            acc.sub(p, 2 * o0, 2 * o1)
-            acc.sub(e, 2 * o0, 2 * o1)
+            acc.sub(p, e, 2 * o0, 2 * o1)
         return acc.value().view(complex).T
 
     def solve(self, rhs):
@@ -522,14 +541,14 @@ class LinearSolver:
         x = self._lu_solve(b)
         if not np.all(np.isfinite(x)):
             raise NumericalBreach("factorization produced non-finite solution")
-        x += self._lu_solve(self._dd_residual(b, x))
-        r = self._dd_residual(b, x)
+        x += self._lu_solve(self.residual(b, x))
+        r = self.residual(b, x)
         x_lo = self._lu_solve(r)
         last, x = x, x + x_lo
         moved = np.flatnonzero(
             (x.T.view(np.uint64) != last.T.view(np.uint64)).any(axis=1))
         if moved.size:
-            r[:, moved] = self._dd_residual(b[:, moved], x[:, moved])
+            r[:, moved] = self.residual(b[:, moved], x[:, moved])
             x_lo[:, moved] = self._lu_solve(r[:, moved])
         return x, r, x_lo
 

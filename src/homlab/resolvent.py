@@ -11,8 +11,10 @@ series, S_-1 = 0), so no norm measures a difference of nearby solutions;
 the resolvent difference kappa = |R_eps - R_0| is the order-0 remainder.  A
 lone resolvent G^{-1} is bounded instead by Lax-Milgram, by one over the
 coercivity constant of G, whose bracket smallest_eigenvalue witnesses.
-The difference identity is checked on refined solves, whose residual
-contract LinearSolver.solve_pair checks.
+The difference identity is checked on one refined solve of R_eps per
+load, whose residual contract LinearSolver.solve_pair checks, and on an
+unrefined R_0 solve of the compensated residual that solution leaves
+(identity_residual).
 """
 
 from dataclasses import dataclass
@@ -27,13 +29,14 @@ from .fem import (SOLVE_RTOL, LinearSolver, assemble_triple, column_norms,
                   discretize)
 from .norms import Space, _hermitian_part, induced_norm, smallest_eigenvalue
 
-# entries of identity_residual's two refined blocks together, its loads f
-# for R_eps and h = fl(f - g) for R_0; each holds half as many, and the
-# unrefined R_0 block [h_lo | f | g] three halves.  A refined solve's
-# transient memory grows with its block.  On the resolvent_mix benchmark
-# (6 alternating pairs, 2-core x86 VM, one BLAS thread) 3 * 2**12 entries
-# read wall_s 0.365 s against 0.374 s here (medians), for 74.4 against
-# 73.5 MB peak RSS, higher in 6 of 6 pairs, so this size stays
+# twice the entries of identity_residual's refined block, its loads f for
+# R_eps; the unrefined R_0 block [t | f | g] holds three halves of it.  A
+# refined solve's transient memory grows with its block.  The width rule
+# dates from two refined blocks a load, f and h = fl(f - g), that counted
+# together: on the resolvent_mix benchmark (6 alternating pairs, 2-core
+# x86 VM, one BLAS thread) 3 * 2**12 entries then read wall_s 0.365 s
+# against 0.374 s here (medians), for 74.4 against 73.5 MB peak RSS,
+# higher in 6 of 6 pairs, so this size stays
 IDENTITY_BLOCK = 3 * 2 ** 11
 IDENTITY_LOADS = 20  # random loads of identity_residual
 # convergence_verdict: a step may rise VERDICT_SLACK-fold, and the last
@@ -228,40 +231,45 @@ def identity_residual(ctx, seed):
     For each of IDENTITY_LOADS random loads f, R_eps f - R_0 f must match
     -R_0 g, g = L R_eps f; the defect R_eps f - R_0 (f - g) is measured
     relative to the larger of the two sides.  It is a tiny difference of
-    order-one solutions, so it is formed from refined solves, each with
-    its sub-ulp correction, and the big parts are cancelled before the
-    corrections come back in:
+    order-one solutions, so R_eps f comes from a refined solve with its
+    sub-ulp correction, and R_0 (f - g) is taken as ue plus a solve of
+    what ue leaves of f - g, so the big parts cancel before any solve:
 
         (ue, ue_lo) = R_eps f, refined, and g = L ue + L ue_lo
         h = fl(f - g) and its rounding error h_lo (TwoSum), so that
             h + h_lo = f - g exactly
-        (w, w_lo) = R_0 h, refined
-        defect = (ue - w) + (ue_lo - w_lo - R_0 h_lo)
+        t = (h - G0 ue) + h_lo, h - G0 ue the compensated residual on
+            G0's bands (LinearSolver.residual)
+        defect = ue_lo - R_0 t
 
-    h_lo is about u |f|; left out, its image under R_0 would stay in the
-    defect and lift the comparison floor to about u |x| / |du|, roundoff
-    of the solutions x instead of roundoff of their difference du.  The
-    defect is R_eps f - R_0 f + R_0 g regrouped, so a wrong L, or a wrong
-    factor in either solver, shows in it in full.  The scale needs no such
-    care: R_0 f and R_0 g, for the two sides, come with R_0 h_lo from one
-    unrefined solve, accurate to about cond u relative, which is ample for
-    a denominator.  This exercises both factorizations and the
-    deviation-route difference form in one shot.
+    R_0 t = R_0 (f - g) - ue, so the defect is (ue + ue_lo) - R_0 (f - g),
+    R_eps f - R_0 f + R_0 g regrouped: a wrong L, or a wrong factor in
+    either solver, shows in it in full.  t is about one ulp of G0 ue, so
+    the unrefined solve's relative error, about cond u, costs only about
+    cond u^2 |ue|.  h_lo is about u |f|; left out, its image under R_0
+    would stay in the defect and lift the comparison floor to about u |x|
+    / |du|, roundoff of the solutions x instead of roundoff of their
+    difference du.  With L = 0, t is bit for bit solver_eps's last
+    residual and R_0 t is ue_lo, so the defect is exactly 0.  The scale
+    needs no such care: R_0 f and R_0 g, for the two sides, come with
+    R_0 t from one unrefined solve, accurate to about cond u relative,
+    which is ample for a denominator.  This exercises both
+    factorizations and the deviation-route difference form in one shot.
 
     The loads are drawn one after another and solved in column blocks;
     a column's result does not depend on the block it sits in.  A block
-    of k loads makes one refined solve of k columns with each
-    factorization, at most IDENTITY_BLOCK entries together or one load,
-    and one unrefined R_0 solve of the 3k columns [h_lo | f | g].
+    of k loads makes one refined solve of k columns with solver_eps, at
+    most IDENTITY_BLOCK / 2 entries or one load, and one unrefined R_0
+    solve of the 3k columns [t | f | g].
     """
     rng = np.random.default_rng(seed)
     width = max(1, IDENTITY_BLOCK // (2 * ctx.dim))
     worst = 0.0
     for start in range(0, IDENTITY_LOADS, width):
         k = min(width, IDENTITY_LOADS - start)
-        # the unrefined R_0 block [h_lo | f | g]
+        # the unrefined R_0 block [t | f | g]
         block = np.empty((ctx.dim, 3 * k), dtype=complex, order="F")
-        h_lo, f, g = block[:, :k], block[:, k:2 * k], block[:, 2 * k:]
+        t, f, g = block[:, :k], block[:, k:2 * k], block[:, 2 * k:]
         for j in range(k):
             f[:, j] = (rng.standard_normal(ctx.dim)
                        + 1j * rng.standard_normal(ctx.dim))
@@ -270,10 +278,10 @@ def identity_residual(ctx, seed):
         # TwoSum of f and -g, on the real and imaginary parts alike
         h = f - g
         bv = h - f
-        h_lo[...] = (f - (h - bv)) - (g + bv)
-        w, w_lo = ctx.solver0.solve_pair(h)
+        h_lo = (f - (h - bv)) - (g + bv)
+        t[...] = ctx.solver0.residual(h, ue) + h_lo
         x = ctx.solver0.quick(block)
-        defect = (ue - w) + (ue_lo - w_lo - x[:, :k])
+        defect = ue_lo - x[:, :k]
         lhs = ue - x[:, k:2 * k]
         for nl, nr, nd in zip(column_norms(lhs), column_norms(x[:, 2 * k:]),
                               column_norms(defect)):

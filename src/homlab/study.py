@@ -82,7 +82,7 @@ def _fit_line(column, eps_values, values):
             f"used={fit['used']} dropped={fit['dropped']}")
 
 
-def _table(cfg, rows, fits=(), footer=()):
+def _table(cfg, rows, footer, fits=()):
     """A study's result: the keys of its first row, in order, are the CSV
     columns; the footer is a fit line per column named in fits, then
     footer."""
@@ -208,8 +208,22 @@ def _criterion_exponents(cfg):
     return cfg.get_floats("criterion.exponents", (0.3, 0.4, 0.5, 0.6, 0.7))
 
 
+# criterion_study's verdict: bound_m1m1 <= RATE_FACTOR * predicted on every
+# row.  On the shipped configs the 11 families whose declared limit is
+# right reach at most 1.011 (sparse_criterion), 1.98-fold below the factor,
+# and sign_criterion, whose declared limit is wrong, reads 10.72 to 13.62,
+# at least 5.36-fold above it.  Never raise the factor to make a row pass
+RATE_FACTOR = 2.0
+
+
 def criterion_study(cfg, seed):
-    """Optimized cell-criterion table over the epsilon schedule."""
+    """Optimized cell-criterion table over the epsilon schedule.
+
+    The footer gives the largest bound_m1m1 / predicted and the verdict:
+    rate_certified when bound_m1m1 <= RATE_FACTOR * predicted on every
+    row, the criterion bound then following the family's declared rate,
+    and not_certified otherwise.
+    """
     family = registry.build_family(cfg)
     schedule = _schedule(cfg)
     exponents = _criterion_exponents(cfg)
@@ -233,7 +247,13 @@ def criterion_study(cfg, seed):
             "cell_count": rep.cell_count,
             "predicted": family.rate(eps),
         })
-    return _table(cfg, rows, fits=("bound_m1m1", "bound_m10"))
+    certified = all(r["bound_m1m1"] <= RATE_FACTOR * r["predicted"]
+                    for r in rows)
+    worst = max(r["bound_m1m1"] / r["predicted"] for r in rows)
+    verdict = "rate_certified" if certified else "not_certified"
+    footer = [f"# max bound_m1m1/predicted = {worst:.17g}",
+              f"# verdict: {verdict}"]
+    return _table(cfg, rows, fits=("bound_m1m1", "bound_m10"), footer=footer)
 
 
 def homogenize_study(cfg, seed):

@@ -119,7 +119,7 @@ def _same_bands(new, old):
 
 
 def _old_dd_residual(bands, rhs, x):
-    """LinearSolver._dd_residual as it carried a block, on bands split
+    """LinearSolver.residual as it carried a block, on bands split
     once per entry: real and imaginary parts stacked in a (2, k, n) array
     and the residual rebuilt as re + 1j im."""
     x = x.T
@@ -129,8 +129,7 @@ def _old_dd_residual(bands, rhs, x):
     for j0, j1, off, d in bands:
         o0, o1 = j0 - off, j1 - off
         p, e = fem._two_prod(d, tuple(a[..., j0:j1] for a in xs))
-        acc.sub(p, o0, o1)
-        acc.sub(e, o0, o1)
+        acc.sub(p, e, o0, o1)
     r = acc.value()
     return (r[0] + 1j * r[1]).T
 
@@ -303,7 +302,7 @@ def test_stored_zero_diagonals_leave_solves_unchanged():
     solver = LinearSolver(zeros)
     old = LinearSolver(zeros)
     old._bands, matrix_norm = _old_solver_bands(zeros)
-    old._dd_residual = lambda rhs, x: _old_dd_residual(old._bands, rhs, x)
+    old.residual = lambda rhs, x: _old_dd_residual(old._bands, rhs, x)
     assert [band[2] for band in solver._bands] == [-1, 0, 1]
     assert [band[2] for band in old._bands] == [-2, -1, 0, 1, 2]
     assert _same_bands(solver._bands, old._bands[1:4])
@@ -343,7 +342,7 @@ def _residual_cases(solver, rng, n):
 
 def _assert_residuals_match_stacked(solver, old_bands, rng, n, label):
     for case, b, x in _residual_cases(solver, rng, n):
-        got = solver._dd_residual(b, x)
+        got = solver.residual(b, x)
         want = _old_dd_residual(old_bands, b, x)
         assert got.shape == want.shape == b.shape
         assert _same_bytes(got, want), f"{label} {case}"

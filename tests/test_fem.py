@@ -1,5 +1,6 @@
 """Finite element assembly against closed-form tridiagonal oracles."""
 
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -355,7 +356,7 @@ def test_reported_residual_is_true_residual():
     solver = LinearSolver(sp.csr_matrix(a))
     x = rng.standard_normal((n, 1)) + 1j * rng.standard_normal((n, 1))
     b = rng.standard_normal((n, 1)) + 1j * rng.standard_normal((n, 1))
-    got = np.linalg.norm(solver._dd_residual(b, x))
+    got = np.linalg.norm(solver.residual(b, x))
     ref = np.linalg.norm(
         b.astype(np.clongdouble) - a.astype(np.clongdouble) @ x
     )
@@ -418,7 +419,9 @@ class _RefCompensated:
 
 
 def _ref_dd_residual(matrix, rhs, x):
-    """The residual loop as first written: Neumaier sums, splits per call."""
+    """The residual loop as first written, splits per call and Neumaier
+    sums of the products p, with each product's error e taken straight
+    into the correction, as Dot2 takes it."""
     n = matrix.shape[0]
     dia = sp.dia_matrix(sp.csc_matrix(matrix).astype(complex))
     dia_r = np.ascontiguousarray(dia.data.real)
@@ -437,10 +440,10 @@ def _ref_dd_residual(matrix, rhs, x):
         vi = xi[j0:j1]
         p, e = _ref_two_prod(dr, vr)
         acc_r.add(-p, o0, o1)
-        acc_r.add(-e, o0, o1)
+        acc_r.c[o0:o1] -= e
         p, e = _ref_two_prod(dr, vi)
         acc_i.add(-p, o0, o1)
-        acc_i.add(-e, o0, o1)
+        acc_i.c[o0:o1] -= e
     return acc_r.value() + 1j * acc_i.value()
 
 
@@ -468,24 +471,97 @@ def test_dd_residual_matches_reference_loop(complex_):
     # a sign pattern with zeros and a solution-sized residual
     x[::7, 0] = 0.0
     b[:, 1] = a @ x[:, 1]
-    block = solver._dd_residual(np.asfortranarray(b), np.asfortranarray(x))
+    block = solver.residual(np.asfortranarray(b), np.asfortranarray(x))
     for j in range(4):
         ref = _ref_dd_residual(a, b[:, j], x[:, j])
-        one = solver._dd_residual(b[:, j:j + 1], x[:, j:j + 1])
+        one = solver.residual(b[:, j:j + 1], x[:, j:j + 1])
         assert np.array_equal(one[:, 0], ref)
         assert np.array_equal(block[:, j], ref)
+
+
+_U = Fraction(1, 2 ** 53)  # unit roundoff of a double
+
+
+def _dot2_violations(a, b, x, r):
+    """Entries of the residual r of A x = b, dense real a and complex
+    blocks (n, k), outside the Dot2 bound u |rho| + gamma_m^2 (|b| +
+    sum |a| |x|), rho the exact residual, found in rational arithmetic
+    on the real and imaginary parts apart.  m = 2 M + 1 for a row of M
+    nonzero entries: b, and each product's two parts p and e."""
+    bad = []
+    for j in range(b.shape[1]):
+        for part in ("real", "imag"):
+            bj, xj, rj = (getattr(v[:, j], part) for v in (b, x, r))
+            for i in range(a.shape[0]):
+                cols = np.flatnonzero(a[i])
+                prods = [Fraction(a[i, c]) * Fraction(xj[c]) for c in cols]
+                rho = Fraction(bj[i]) - sum(prods)
+                m = 2 * len(cols) + 1
+                gamma = m * _U / (1 - m * _U)
+                size = abs(Fraction(bj[i])) + sum(abs(q) for q in prods)
+                bound = _U * abs(rho) + gamma ** 2 * size
+                if abs(Fraction(rj[i]) - rho) > bound:
+                    bad.append((i, j, part))
+    return bad
+
+
+def _residual_cases():
+    """(label, a, b, x): a random tridiagonal form, the five-band
+    _wide_banded one and the shipped G0 of stabilizing_resolvent's first
+    row, each with complex loads in three columns: a random residual, the
+    residual of a refined solve, and a solution-sized one, b = fl(A x)."""
+    rng = np.random.default_rng(31)
+    n = 40
+    tri = (np.diag(rng.uniform(2.0, 3.0, n))
+           + np.diag(rng.uniform(-1.0, 1.0, n - 1), 1)
+           + np.diag(rng.uniform(-1.0, 1.0, n - 1), -1))
+    cfg = StudyConfig.load(CONFIGS / "stabilizing_resolvent.cfg")
+    family = registry.build_family(cfg)
+    setting = assemble_setting(study._operator_spec(cfg, family), family,
+                               0.1, **study._mesh_opts(cfg))
+    shipped = context_from_setting(setting, -1.0).G0.toarray()
+    five = _wide_banded(rng, n)
+    for label, a in (("tridiagonal", tri), ("five bands", five),
+                     ("shipped G0", shipped)):
+        n = a.shape[0]
+        solver = LinearSolver(sp.csr_matrix(a))
+        x = rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3))
+        b = rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3))
+        x[:, 1] = solver.solve(b[:, 1:2])[0][:, 0]
+        b[:, 2] = a @ x[:, 2]
+        yield label, a, np.asfortranarray(b), np.asfortranarray(x)
+
+
+def test_compensated_residual_meets_the_dot2_bound():
+    # every entry, boundary rows included, on every case
+    for label, a, b, x in _residual_cases():
+        solver = LinearSolver(sp.csr_matrix(a))
+        assert _dot2_violations(a, b, x, solver.residual(b, x)) == [], label
+
+
+def test_dot2_bound_refuses_weaker_residuals(monkeypatch):
+    # a plain b - A x, or the compensated one with each product's error e
+    # dropped, misses the bound on the solution-sized residuals
+    cases = list(_residual_cases())
+    two_prod = fem._two_prod
+    monkeypatch.setattr(fem, "_two_prod",
+                        lambda d, v: (two_prod(d, v)[0], 0.0))
+    for label, a, b, x in cases:
+        for r in (b - a @ x, LinearSolver(sp.csr_matrix(a)).residual(b, x)):
+            bad = _dot2_violations(a, b[:, 1:], x[:, 1:], r[:, 1:])
+            assert len(bad) > a.shape[0], label
 
 
 def _passes_per_call(solver, monkeypatch):
     """Column counts of every residual evaluation the solver makes."""
     widths = []
-    inner = solver._dd_residual
+    inner = solver.residual
 
     def counted(rhs, x):
         widths.append(x.shape[1])
         return inner(rhs, x)
 
-    monkeypatch.setattr(solver, "_dd_residual", counted)
+    monkeypatch.setattr(solver, "residual", counted)
     return widths
 
 

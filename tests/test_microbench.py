@@ -169,13 +169,13 @@ def _counted(method, calls, name):
 
 @pytest.mark.parametrize("eps, dof", SIZES)
 def test_bench_identity_residual(benchmark, eps, dof, monkeypatch):
-    # 20 loads in column blocks; each block makes two refined solves, one
-    # of the loads f with R_eps and one of [f | L R_eps f] with R_0
+    # 20 loads in column blocks; each block makes one refined solve of the
+    # loads f with R_eps, and one compensated residual on G0's bands
     ctx = context_from_setting(_stabilizing_setting(eps, dof), -1.0)
     err = benchmark.pedantic(identity_residual, args=(ctx, 1234), rounds=5,
                              iterations=1)
     assert err <= 1e-15
-    calls = {"solve_pair": 0, "_dd_residual": 0}
+    calls = {"solve_pair": 0, "residual": 0}
     for solver in (ctx.solver0, ctx.solver_eps):
         for name in calls:
             monkeypatch.setattr(solver, name,
@@ -185,10 +185,11 @@ def test_bench_identity_residual(benchmark, eps, dof, monkeypatch):
                         _counted(ctx.solver_eps.solve_pair, per_block,
                                  "solve_pair"))
     assert identity_residual(ctx, seed=1234) == err
-    # one R_eps solve a block, and as many with R_0
+    # one R_eps solve a block, and none with R_0
     assert per_block["solve_pair"] >= 1
-    assert calls["solve_pair"] == 2 * per_block["solve_pair"]
-    assert calls["_dd_residual"] == RESIDUALS_PER_SOLVE * calls["solve_pair"]
+    assert calls["solve_pair"] == per_block["solve_pair"]
+    # the refined solve's own residuals, and one on G0's bands a block
+    assert calls["residual"] == (RESIDUALS_PER_SOLVE + 1) * calls["solve_pair"]
 
 
 # criterion_report on rows of sign_criterion (1D, many small cells batched

@@ -204,8 +204,9 @@ def test_identity_residual_detects_a_scaled_difference_form(
 
 def _identity_residual_per_load(ctx, n_rhs, seed):
     """identity_residual one load at a time: the defect
-    R_eps f - R_0 (f - g), g = L R_eps f, from refined solves of f and of
-    h = fl(f - g), and an unrefined one of h's rounding error h_lo."""
+    R_eps f - R_0 (f - g), g = L R_eps f, from a refined solve of f and an
+    unrefined R_0 solve of t = (h - G0 ue) + h_lo, where h = fl(f - g),
+    h_lo its rounding error and h - G0 ue the compensated residual."""
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(n_rhs):
@@ -217,12 +218,12 @@ def _identity_residual_per_load(ctx, n_rhs, seed):
         h = f - g
         bv = h - f
         h_lo = (f - (h - bv)) + (-g - bv)
-        w, w_lo = ctx.solver0.solve_pair(h)
+        t = ctx.solver0.residual(h, ue) + h_lo
         scale = max(float(np.linalg.norm(ue - ctx.solver0.quick(f))),
                     float(np.linalg.norm(ctx.solver0.quick(g))))
         if scale == 0.0:
             continue
-        defect = (ue - w) + (ue_lo - w_lo - ctx.solver0.quick(h_lo))
+        defect = ue_lo - ctx.solver0.quick(t)
         worst = max(worst, float(np.linalg.norm(defect)) / scale)
     return worst
 
@@ -235,7 +236,7 @@ def test_identity_residual_blocks_match_per_load_loop(width, monkeypatch):
     # blocks of width loads each
     monkeypatch.setattr(resolvent, "IDENTITY_BLOCK", 2 * width * ctx.dim)
     monkeypatch.setattr(resolvent, "IDENTITY_LOADS", 7)
-    calls = {"eps": [], "base": [], "quick": []}
+    calls = {"eps": [], "base": [], "residual": [], "quick": []}
 
     def counted(solver, name, which):
         inner = getattr(solver, name)
@@ -247,14 +248,17 @@ def test_identity_residual_blocks_match_per_load_loop(width, monkeypatch):
 
     counted(ctx.solver_eps, "solve_pair", "eps")
     counted(ctx.solver0, "solve_pair", "base")
+    counted(ctx.solver0, "residual", "residual")
     counted(ctx.solver0, "quick", "quick")
     assert identity_residual(ctx, seed=5) == expect
     # 7 loads are not a multiple of the width: the last block is narrower
     widths = [min(width, 7 - a) for a in range(0, 7, width)]
-    # one refined solve of the block's k loads with each factorization
+    # one refined solve of the block's k loads with R_eps, none with R_0
     assert calls["eps"] == widths
-    assert calls["base"] == widths
-    # and one unrefined R_0 solve of [h_lo | f | g]
+    assert calls["base"] == []
+    # one compensated residual of the k loads on G0's bands, and one
+    # unrefined R_0 solve of [t | f | g]
+    assert calls["residual"] == widths
     assert calls["quick"] == [3 * k for k in widths]
 
 

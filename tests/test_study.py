@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from homlab import study
 from homlab.config import ConfigError, StudyConfig
 from homlab.norms import norm_v_to_vstar
 from homlab.study import (
@@ -187,6 +188,23 @@ def test_criterion_study_row_content():
         assert row["quad_error"] < 1e-8
     assert any(line.startswith("# fit bound_m1m1") for line in res.footer)
     assert ("family.name", "regular_sin") in res.echo
+
+
+def test_criterion_verdict_needs_every_row_within_the_factor(monkeypatch):
+    # the row with the largest bound_m1m1 / predicted decides: a factor
+    # just below that ratio refuses the study, one just above certifies it
+    def footer():
+        cfg = StudyConfig.from_text(CRIT_CFG, "<config>")
+        return run_study("criterion", cfg, seed=1).footer
+
+    lines = footer()
+    assert lines[-2].startswith("# max bound_m1m1/predicted = ")
+    worst = float(lines[-2].rpartition("= ")[2])
+    assert lines[-1] == "# verdict: rate_certified"
+    monkeypatch.setattr(study, "RATE_FACTOR", worst * (1 + 1e-9))
+    assert footer()[-1] == "# verdict: rate_certified"
+    monkeypatch.setattr(study, "RATE_FACTOR", worst * (1 - 1e-9))
+    assert footer()[-1] == "# verdict: not_certified"
 
 
 def test_seed_changes_nothing_for_deterministic_study():
