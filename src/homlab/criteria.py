@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import NumericalBreach
 from .families import deviation_triple
-from .lattice import Lattice, cells_inside, cell_integral, default_refine
+from .lattice import cell_integral, cells_inside, default_refine, unit_lattice
 
 
 @dataclass(frozen=True)
@@ -45,7 +45,7 @@ def _finite(results, eps, eta):
 
 
 def _deviation_cells(family, eps, eta, refine):
-    lat = family.suggested_lattice or Lattice(family.dim)
+    lat = family.suggested_lattice or unit_lattice(family.dim)
     cells = cells_inside(lat, eta, family.domain)
     if not cells:
         raise NoCellsError(
@@ -99,19 +99,49 @@ def optimize_eta(family, eps, exponents, refine=None):
     The bound is the one the family's deviation needs: sqrt(rho3) +
     sqrt(eta) (bound_m10) when it has a first-order weight, otherwise
     rho1 + eta (bound_m1m1).  Grid values whose cells do not fit in the
-    domain are skipped; ties prefer the larger eta (cheaper quadrature).
+    domain are skipped.  The pick is that of a scan from the largest eta
+    down that moves only to a bound below the best so far by the factor
+    1 - 1e-12, so near-ties keep the larger eta.  (At the default refine
+    a candidate's cost does not depend on eta; a fixed refine makes a
+    smaller eta cost more.)
+
+    A candidate that cannot win is not evaluated.  Since rho1, rho3 >= 0,
+    each bound has an exact floor: bound_m1m1 = fl(rho1 + eta) >= eta and
+    bound_m10 >= fl(sqrt(eta)).  Candidates are evaluated from the
+    smallest eta up, and i is skipped when an evaluated eta_j < eta_i has
+    v_j < floor_i (1 - 1e-12)^(m + 2), m the number of candidates.  The
+    scan then runs over the evaluated ones.  It picks what the full scan
+    picks: until the scans with and without i merge, a candidate that only
+    one of them takes has a bound of at least 1 - 1e-12 times the smaller
+    of their running bests (else both would take it), so that falls by at
+    most this factor a step.  Fewer than m steps lead from i to j, and v_j
+    < v_i (1 - 1e-12)^(m + 2), so both scans take j and merge there at the
+    latest; the two extra powers cover the rounding of the margin and of
+    its products.  Each skipped candidate has an evaluated witness, so the
+    argument removes them one at a time.  A skipped candidate's field is
+    never evaluated, so a non-finite value there raises nothing, and
+    errors come from the smallest eta first.
     """
     trip = deviation_triple(family, eps)
     weighted = bool(trip.q or trip.p)
-    candidates = sorted({float(eps) ** a for a in exponents}, reverse=True)
-    best = None
-    best_val = None
+    candidates = sorted({float(eps) ** a for a in exponents})
+    margin = (1 - 1e-12) ** (len(candidates) + 2)
+    evaluated = []
+    record = math.inf  # least bound evaluated so far
     for eta in candidates:
+        floor = math.sqrt(eta) if weighted else eta
+        if record < floor * margin:
+            continue
         try:
             rep = criterion_report(family, eps, eta, refine)
         except NoCellsError:
             continue
         val = rep.bound_m10 if weighted else rep.bound_m1m1
+        evaluated.append((rep, val))
+        record = min(record, val)
+    best = None
+    best_val = None
+    for rep, val in reversed(evaluated):
         if best_val is None or val < best_val * (1 - 1e-12):
             best, best_val = rep, val
     if best is None:
@@ -163,7 +193,7 @@ def local_mean_limit(family, eps_schedule, mu_rule, sample_points):
         vals = [None] * len(grid)
         # mean over x + mu*(0,1)^d as a unit lattice cell at scale mu
         integral, _ = _finite(cell_integral(
-            Lattice(dim), grid[inside] / mu, mu, family.at(eps).v, r
+            unit_lattice(dim), grid[inside] / mu, mu, family.at(eps).v, r
         ), eps, mu)
         for k, m in zip(np.flatnonzero(inside), integral / mu ** dim):
             vals[k] = m

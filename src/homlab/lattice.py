@@ -37,9 +37,11 @@ calling thread reduces each cell's block sums once all are written, so
 no bit of a result depends on the number of threads.
 """
 
+import itertools
 import os
 import threading
 from dataclasses import dataclass
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -71,7 +73,12 @@ def _affine_points(cols, mat, shifts):
 
 @dataclass(frozen=True)
 class Lattice:
-    """Affine lattice B Z^d + offset with reference cell B (0,1)^d."""
+    """Affine lattice B Z^d + offset with reference cell B (0,1)^d.
+
+    basis and offset are stored as read-only copies, so the constants
+    derived from them (cell measure, inverse basis, vertex offsets) are
+    computed once, on first use, and stay valid.
+    """
 
     dim: int
     basis: np.ndarray = None
@@ -81,24 +88,43 @@ class Lattice:
         basis = self.basis
         if basis is None:
             basis = np.eye(self.dim)
-        basis = np.asarray(basis, dtype=float).reshape(self.dim, self.dim)
+        basis = np.array(basis, dtype=float).reshape(self.dim, self.dim)
         offset = self.offset
         if offset is None:
             offset = np.zeros(self.dim)
-        offset = np.asarray(offset, dtype=float).reshape(self.dim)
+        offset = np.array(offset, dtype=float).reshape(self.dim)
         if abs(np.linalg.det(basis)) < 1e-14:
             raise ValueError("lattice basis is singular")
+        basis.flags.writeable = False
+        offset.flags.writeable = False
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "offset", offset)
 
-    @property
+    @cached_property
     def cell_measure(self):
         return abs(float(np.linalg.det(self.basis)))
+
+    @cached_property
+    def _inverse_basis(self):
+        return np.linalg.inv(self.basis)
+
+    @cached_property
+    def _vertex_offsets(self):
+        """B v for the 2^d vertices v of (0,1)^d, first axis slowest:
+        shape (2^d, d)."""
+        unit = np.array(list(itertools.product([0.0, 1.0], repeat=self.dim)))
+        return unit @ self.basis.T
 
     def point(self, z):
         """Lattice points for a stack of integer indices z, shape (C, d)."""
         return _affine_points(np.asarray(z, dtype=float).T, self.basis,
                               self.offset[None])
+
+
+@cache
+def unit_lattice(dim):
+    """The lattice Z^d with the unit cube as its cell, one per dimension."""
+    return Lattice(dim)
 
 
 def cells_inside(lattice, eta, box):
@@ -117,21 +143,18 @@ def cells_inside(lattice, eta, box):
     lo = np.array(box.lower)
     hi = np.array(box.upper)
     # integer search window from the preimage of the box corners
-    binv = np.linalg.inv(lattice.basis)
-    corners = np.array(
-        np.meshgrid(*zip(lo / eta, hi / eta), indexing="ij")
-    ).reshape(dim, -1).T
-    zimg = (corners - lattice.offset) @ binv.T
+    corners = np.array(list(itertools.product(*zip(lo / eta, hi / eta))))
+    zimg = (corners - lattice.offset) @ lattice._inverse_basis.T
     zlo = np.floor(zimg.min(axis=0)).astype(int) - 1
     zhi = np.ceil(zimg.max(axis=0)).astype(int) + 1
-    pad = 1e-12 * max(1.0, float(np.max(np.abs(np.concatenate([lo, hi])))))
+    pad = 1e-12 * max(1.0, *map(abs, box.lower + box.upper))
     # candidates in lexicographic order, so the result comes out sorted
-    zs = np.stack(np.meshgrid(*map(np.arange, zlo, zhi + 1), indexing="ij"),
-                  axis=-1).reshape(-1, dim)
-    unit = np.array(
-        np.meshgrid(*[[0.0, 1.0]] * dim, indexing="ij")
-    ).reshape(dim, -1).T
-    verts = eta * ((unit @ lattice.basis.T)[None] + lattice.point(zs)[:, None])
+    if dim == 1:
+        zs = np.arange(zlo[0], zhi[0] + 1)[:, None]
+    else:
+        zs = np.stack(np.meshgrid(*map(np.arange, zlo, zhi + 1),
+                                  indexing="ij"), axis=-1).reshape(-1, dim)
+    verts = eta * (lattice._vertex_offsets[None] + lattice.point(zs)[:, None])
     inside = np.all((verts >= lo - pad) & (verts <= hi + pad), axis=(1, 2))
     return tuple(map(tuple, zs[inside].tolist()))
 
@@ -164,7 +187,7 @@ def _panel_rule(refine, order=GAUSS_ORDER):
     h = 1.0 / refine
     starts = np.arange(refine) * h
     pts = (starts[:, None] + (nodes[None, :] + 1.0) * (h / 2.0)).ravel()
-    wts = np.tile(weights * (h / 2.0), refine)
+    wts = (weights * (h / 2.0))[None].repeat(refine, axis=0).ravel()
     return pts, wts
 
 
@@ -230,7 +253,8 @@ def _split(task, count):
     An interrupt or exit, which is no Exception, is raised before any
     error.
     """
-    workers = max(1, min(_workers(), count))
+    # one task needs no affinity call: it runs on this thread anyway
+    workers = max(1, min(_workers(), count)) if count > 1 else 1
     errors = [None] * workers  # (index, error) of each share's failure
 
     def share(w):
@@ -256,8 +280,9 @@ def _split(task, count):
                   key=lambda e: (isinstance(e[1], Exception), e[0]))[1]
 
 
-def _rule_integrals(field_, origins, span, refine, order, squares):
-    """Integrals over the cells origins[c] + span (0,1)^d at one rule.
+def _rule_integrals(field_, origins, span, jac, refine, order, squares):
+    """Integrals over the cells origins[c] + span (0,1)^d at one rule,
+    jac = |det span|.
 
     The sum has two fixed levels.  Each block, a run of the rule's last
     axis, is summed on its own against its weights, the products of its
@@ -290,7 +315,6 @@ def _rule_integrals(field_, origins, span, refine, order, squares):
     # whole blocks of each cell per evaluation: all of them when a batch
     # holds whole cells, else as many as one evaluation takes
     per = min(blocks, CHUNK_POINTS // size)
-    jac = abs(float(np.linalg.det(span)))
     block_sums = [np.empty((len(origins), blocks))
                   for _ in range(1 + squares)]
 
@@ -318,7 +342,12 @@ def _rule_integrals(field_, origins, span, refine, order, squares):
 def default_refine(eta, finest_scale):
     """Subcells per axis so panels resolve the finest oscillation scale.
 
-    Targets at least 8 panels per length `finest_scale`, capped at 4096.
+    ceil(8 eta / finest_scale), from 1 to MAX_REFINE: at least 8 panels
+    per length `finest_scale` along a side of length eta.  A cell's side
+    is |basis column| * eta, so on another lattice than the unit one the
+    panels scale with its basis: the cells of fractal_2d's lattice
+    2 Z^2 - (1, 1) have sides 2 eta, and get at least 4 panels per
+    finest scale.
     """
     if finest_scale <= 0:
         return MAX_REFINE
@@ -349,9 +378,11 @@ def cell_integral(lattice, z, eta, field_, refine, squares=False):
     if refine > MAX_REFINE:
         raise ValueError(f"refine must be at most {MAX_REFINE}, got {refine}")
     coarse_rule = (refine // 2, GAUSS_ORDER) if refine > 1 else (1, 2)
-    fine = _rule_integrals(field_, origins, span, refine, GAUSS_ORDER,
+    jac = abs(float(np.linalg.det(span)))
+    fine = _rule_integrals(field_, origins, span, jac, refine, GAUSS_ORDER,
                            squares)
-    coarse = _rule_integrals(field_, origins, span, *coarse_rule, squares)
+    coarse = _rule_integrals(field_, origins, span, jac, *coarse_rule,
+                             squares)
     out = []
     for f, c in zip(fine, coarse):
         out += [f, np.abs(f - c) + 1e-300]

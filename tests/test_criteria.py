@@ -1,14 +1,17 @@
 """Cell criteria against closed-form cell means of sin(x/eps)."""
 
+import collections
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from homlab.criteria import (NoCellsError, criterion_report, local_mean_limit,
-                             optimize_eta)
+from homlab import criteria
+from homlab.criteria import (CriterionReport, NoCellsError, criterion_report,
+                             local_mean_limit, optimize_eta)
 from homlab.families import FieldTriple, deviation_triple, make_family
 from homlab.fem import NumericalBreach
 from homlab.fields import Box, CoefficientField, constant_field, zero_field
@@ -143,6 +146,157 @@ def test_optimize_eta_objective_m10():
     assert m10 != m1m1
     assert eta == m10
     assert rep.bound_m10 == reps[m10].bound_m10
+
+
+def full_scan(bounds):
+    """The pick of the descending scan over every candidate: eta -> bound,
+    None for a candidate with no cells.  It moves only to a bound below
+    the best by the relative margin 1e-12, so ties keep the larger eta."""
+    best = None
+    for eta in sorted(bounds, reverse=True):
+        val = bounds[eta]
+        if val is None:
+            continue
+        if best is None or val < best[1] * (1 - 1e-12):
+            best = (eta, val)
+    return best
+
+
+@st.composite
+def _candidate_bounds(draw, floor):
+    """Exponents and a bound for each eta = 0.5^a they give, each at or
+    above the exact floor of its bound: some at the floor, some a few
+    1e-12 from another candidate's bound or floor, some far above, some
+    with no cells."""
+    base = draw(st.lists(st.floats(0.1, 3.0), min_size=1, max_size=4))
+    # exponents 1e-11 apart give etas a few 1e-12 apart
+    near = [a + k * 1e-11 for a in base
+            for k in draw(st.lists(st.integers(1, 3), max_size=2))]
+    exponents = base + near
+    etas = sorted({0.5 ** a for a in exponents})
+    bounds = {}
+    for eta in etas:
+        low = floor(eta)
+        kind = draw(st.sampled_from(["floor", "near", "far", "none"]))
+        if kind == "none":
+            bounds[eta] = None
+        elif kind == "far":
+            bounds[eta] = low * draw(st.floats(1.0, 4.0))
+        else:
+            anchors = [low] + [floor(e) for e in etas] + [
+                v for v in bounds.values() if v is not None]
+            ref = low if kind == "floor" else draw(st.sampled_from(anchors))
+            k = draw(st.integers(-2 * len(etas) - 8, 2 * len(etas) + 8))
+            bounds[eta] = max(low, ref * (1 + k * 0.5e-12))
+    return exponents, bounds
+
+
+def _pick_with_bounds(family, bounds, exponents):
+    """optimize_eta's pick at eps 0.5 when each eta = 0.5^a has the given
+    bound (None for no cells), and the etas it evaluated, in order."""
+    calls = []
+
+    def report(family, eps, eta, refine):
+        calls.append(eta)
+        if bounds[eta] is None:
+            raise NoCellsError("no cells")
+        return CriterionReport(eps=eps, eta=eta, rho1=0.0, rho3=0.0,
+                               bound_m1m1=bounds[eta], bound_m10=bounds[eta],
+                               quad_error=0.0, cell_count=1)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(criteria, "criterion_report", report)
+        eta, _ = optimize_eta(family, 0.5, exponents, refine=16)
+    return eta, calls
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_pruned_pick_is_the_full_scans_pick(weighted, data):
+    # bound_m10 >= fl(sqrt(eta)), bound_m1m1 >= eta
+    floor = math.sqrt if weighted else float
+    exponents, bounds = data.draw(_candidate_bounds(floor))
+    fam = sin_weight_family() if weighted else sin_family()
+    want = full_scan(bounds)
+    if want is None:
+        with pytest.raises(NoCellsError):
+            _pick_with_bounds(fam, bounds, exponents)
+        return
+    eta, calls = _pick_with_bounds(fam, bounds, exponents)
+    assert eta == want[0]
+    assert calls == sorted(calls)  # from the smallest eta up
+    assert eta in calls
+
+
+def _near_tie_chain(steps):
+    """Bounds on which the scans with and without eta 0.5 stay apart the
+    longest: 2 at 0.5^0.5, 0.5 at its floor at 0.5, then at each smaller
+    eta 0.5^2, 0.5^3, ... the lower of the two running bests times the
+    margin, which only the scan holding the higher one takes, steps times
+    and once more."""
+    r = 1 - 1e-12
+    bounds = {0.5 ** 0.5: 2.0, 0.5: 0.5}
+    held = [0.5, 2.0]  # the running bests with and without 0.5
+    for t in range(steps + 1):
+        low = min(held)
+        val = low * r
+        bounds[0.5 ** (t + 2)] = val
+        held[held.index(max(held))] = val
+    return bounds
+
+
+@pytest.mark.parametrize("steps", [0, 1, 2, 4])
+def test_pruning_margin_covers_a_run_of_near_ties(steps):
+    # the smallest bound is 0.5 (1 - 1e-12)^(steps + 1): a margin of
+    # (1 - 1e-12)^steps or less would skip 0.5, and the scan without it
+    # ends on another candidate than the full scan
+    bounds = _near_tie_chain(steps)
+    want = full_scan(bounds)
+    exponents = [0.5] + list(range(1, steps + 3))
+    assert want[0] != full_scan({**bounds, 0.5: None})[0]
+    eta, calls = _pick_with_bounds(sin_family(), bounds, exponents)
+    assert eta == want[0]
+    # 0.5 ** 0.5 has its floor far above every smaller bound
+    assert calls == sorted(bounds)[:-1]
+
+
+# reports per row of each shipped criterion config: the candidates whose
+# floor lies above a bound a smaller eta reached are never evaluated
+SHIPPED_REPORTS_PER_ROW = {
+    "almost_periodic_criterion": [5, 5, 5, 5, 4],
+    "fractal_criterion": [1] * 5,  # a single exponent
+    "locally_periodic2_criterion": [1] * 5,
+    "locally_periodic_criterion": [2, 2, 2, 2, 1],
+    "modulated_diffeo_criterion": [1] * 5,
+    "modulated_periodic_criterion": [5] * 5,
+    "random_criterion": [2, 2, 2, 2, 1],
+    "regular_criterion": [5, 5, 5, 4, 2],
+    "sign_criterion": [5] * 5,
+    "sin_criterion": [1] * 7,
+    "sparse_criterion": [5] * 5,
+    "stabilizing_criterion": [5] * 5,
+}
+
+
+def test_shipped_criterion_configs_report_traffic(monkeypatch):
+    from homlab import study
+    from homlab.config import StudyConfig
+    configs = Path(__file__).resolve().parents[1] / "configs"
+    assert sorted(SHIPPED_REPORTS_PER_ROW) == sorted(
+        p.stem for p in configs.glob("*_criterion.cfg"))
+    calls = []
+    original = criteria.criterion_report
+
+    def counted(family, eps, eta, refine):
+        calls.append(eps)
+        return original(family, eps, eta, refine)
+
+    monkeypatch.setattr(criteria, "criterion_report", counted)
+    for name, want in SHIPPED_REPORTS_PER_ROW.items():
+        calls.clear()
+        study.criterion_study(StudyConfig.load(configs / f"{name}.cfg"), 1234)
+        assert list(collections.Counter(calls).values()) == want, name
 
 
 def test_optimize_eta_raises_when_nothing_fits():

@@ -7,7 +7,7 @@ import threading
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from homlab import lattice
 from homlab.fields import Box, CoefficientField, constant_field
@@ -84,6 +84,96 @@ def test_cells_inside_matches_vertex_loop(lat, box, etas):
         want = brute_force_cells(lat, eta, box, window=40)
         assert cells_inside(lat, eta, box) == want
     assert len(cells_inside(lat, etas[0], box)) > 1
+
+
+def vertex_scan(lat, eta, box):
+    """cells_inside by brute force: every vertex of every index of a
+    window wide enough to hold every cell in the box, each coordinate
+    eta * (B v + (offset + sum_j z_j B[:, j])) summed in the order
+    Lattice.point takes, so each vertex has the bits cells_inside tests."""
+    dim = lat.dim
+    lo, hi = np.array(box.lower), np.array(box.upper)
+    pad = 1e-12 * max(1.0, float(np.max(np.abs(np.concatenate([lo, hi])))))
+    # a cell inside the box has its vertex eta (B z + offset) in it, so
+    # |z| <= |B^-1| (|x| / eta + |offset|) over the box's points x
+    reach = np.abs(np.linalg.inv(lat.basis)).sum(axis=1).max() * (
+        np.max(np.abs(np.concatenate([lo, hi]))) / eta
+        + np.max(np.abs(lat.offset)))
+    window = int(np.ceil(reach)) + 2
+    axis = np.arange(-window, window + 1)
+    zs = np.stack(np.meshgrid(*[axis] * dim, indexing="ij"),
+                  axis=-1).reshape(-1, dim)
+    inside = np.ones(len(zs), dtype=bool)
+    for v in itertools.product([0.0, 1.0], repeat=dim):
+        for i in range(dim):
+            corner = sum(v[j] * lat.basis[i, j] for j in range(dim))
+            acc = zs[:, 0] * lat.basis[i, 0]
+            for j in range(1, dim):
+                acc = acc + zs[:, j] * lat.basis[i, j]
+            x = eta * (corner + (lat.offset[i] + acc))
+            inside &= (x >= lo[i] - pad) & (x <= hi[i] + pad)
+    found = zs[inside]
+    assert not len(found) or np.abs(found).max() < window  # none cut off
+    return tuple(map(tuple, found.tolist()))
+
+
+_entry = st.floats(0.25, 2.0).flatmap(
+    lambda x: st.sampled_from([x, -x]))
+
+
+@st.composite
+def _lattices(draw):
+    kind = draw(st.sampled_from(["1d", "diagonal", "skewed"]))
+    if kind == "1d":
+        basis = [[draw(_entry)]]
+    elif kind == "diagonal":
+        basis = np.diag([draw(_entry), draw(_entry)])
+    else:
+        # off-diagonal entries at most half the smaller diagonal one keep
+        # |det| >= 3/4 of the diagonal's product, and the search window
+        # of vertex_scan small
+        d1, d2 = draw(_entry), draw(_entry)
+        side = min(abs(d1), abs(d2))
+        basis = np.array([[d1, side * draw(st.floats(-0.5, 0.5))],
+                          [side * draw(st.floats(-0.5, 0.5)), d2]])
+    dim = len(basis)
+    offset = draw(st.lists(st.floats(-2.0, 2.0), min_size=dim,
+                           max_size=dim))
+    return Lattice(dim, basis=basis, offset=offset)
+
+
+@st.composite
+def _boxes(draw, lat, eta):
+    """A random box, or one whose faces are the extreme vertex coordinates
+    of two cells, each moved by a few times 1e-12 of the box's scale, so
+    that cells touch it on either side of the pad."""
+    dim = lat.dim
+    if draw(st.booleans()):
+        lo = draw(st.lists(st.floats(-3.0, 2.0), min_size=dim, max_size=dim))
+        size = draw(st.lists(st.floats(0.05, 3.0), min_size=dim,
+                             max_size=dim))
+        return Box(lo, np.add(lo, size))
+    za, zb = (np.array(draw(st.lists(st.integers(-4, 4), min_size=dim,
+                                     max_size=dim))) for _ in range(2))
+    unit = np.array(list(itertools.product([0.0, 1.0], repeat=dim)))
+    va = eta * (unit @ lat.basis.T + lat.point(za[None]))
+    vb = eta * (unit @ lat.basis.T + lat.point(zb[None]))
+    lo, hi = va.min(axis=0), vb.max(axis=0)
+    assume(np.all(hi - lo > 1e-6))
+    scale = max(1.0, float(np.max(np.abs(np.concatenate([lo, hi])))))
+    nudge = st.sampled_from([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0])
+    lo = lo + 1e-12 * scale * np.array([draw(nudge) for _ in range(dim)])
+    hi = hi + 1e-12 * scale * np.array([draw(nudge) for _ in range(dim)])
+    return Box(lo, hi)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_cells_inside_matches_vertex_scan(data):
+    lat = data.draw(_lattices())
+    eta = data.draw(st.floats(0.2, 1.5))
+    box = data.draw(_boxes(lat, eta))
+    assert cells_inside(lat, eta, box) == vertex_scan(lat, eta, box)
 
 
 def test_sine_cell_integral_closed_form():
