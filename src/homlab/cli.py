@@ -13,6 +13,7 @@ through it the html module), when it starts.
 """
 
 import argparse
+import functools
 import math
 import sys
 
@@ -23,6 +24,8 @@ from .study import STUDY_KINDS, read_csv, run_study, write_csv
 from . import study as study_mod
 
 
+# built once per process; parse_args keeps no state between calls
+@functools.cache
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="homlab",

@@ -8,12 +8,15 @@ Perturbations add the lower-order forms
 
 with real coefficients, so every matrix is real.  Each is built on the
 interior nodes, the Dirichlet dofs, as three diagonals summed from the
-per-element 2x2 blocks; the boundary nodes never enter.  Each term of a
-form integrates only the element moments its blocks read, and its CSR
-arrays are written straight from the three diagonals, with no zero entry
-stored.  Wherever a band is needed (the solver's LU and residual, the
-Cholesky band of a Gram or a pencil) it is read from a matrix's stored
-diagonals by diagonals, at any half-bandwidth.
+per-element 2x2 blocks; the boundary nodes never enter, and each term of
+a form integrates only the element moments its blocks read.
+
+Every form is a band form (band_form): a SciPy dia_array at its own
+half-bandwidth u, with its diagonals at offsets -u..u in increasing
+order, so its data array is the band.  Sums, shifts and adjoints are
+NumPy arithmetic on it, and the solver's LU and residual and every
+Cholesky band read it (diagonals).  Its products sum each row in column
+order, as a CSR product does.
 
 Oscillating coefficients are integrated per element with the
 composite Gauss rule from the lattice module.  Direct solves go through
@@ -120,44 +123,55 @@ class _Compensated:
         return self.s + self.c
 
 
-def _stored_nonzeros(mat):
-    """(offsets, cols, values) of a sparse matrix's stored nonzero entries,
-    read from its CSR arrays; offset is column minus row."""
-    mat = mat.tocsr()
-    if not mat.has_canonical_format:
-        mat = mat.copy()
-        mat.sum_duplicates()
-    rows = np.repeat(np.arange(mat.shape[0]), np.diff(mat.indptr))
-    nz = mat.data != 0
-    cols = mat.indices[nz]
-    return cols - rows[nz], cols, mat.data[nz]
+def band_form(data):
+    """The square dia_array of a band data (2u + 1, n): data[k, j] =
+    A[j - k + u, j], the diagonals at offsets -u..u, zero outside A.
 
-
-def half_bandwidth(*mats):
-    """Largest |column - row| of a stored nonzero entry of any matrix."""
-    return max(int(np.abs(_stored_nonzeros(m)[0]).max(initial=0))
-               for m in mats)
-
-
-def diagonals(mat, u=None):
-    """(offsets, data): the diagonals of a square sparse matrix at the
-    offsets -u..u (column minus row), in DIA layout, data[k, j] =
-    mat[j - offsets[k], j], zero where no nonzero entry is stored.
-
-    u defaults to the matrix's own half_bandwidth; a stored nonzero entry
-    farther out raises ValueError.  Rows u..2u, reversed, are LAPACK's
-    upper band storage.
+    Outer pairs of diagonals with no nonzero entry are dropped, so a form
+    keeps its own half-bandwidth.  data is taken over, and each zero in it
+    becomes +0.0: no arithmetic on bands leaves a signed zero behind.
     """
-    offsets, cols, values = _stored_nonzeros(mat)
-    widest = int(np.abs(offsets).max(initial=0))
-    if u is None:
-        u = widest
-    elif widest > u:
-        raise ValueError(f"a stored entry lies at offset {widest}, outside "
+    data += 0.0
+    u = (data.shape[0] - 1) // 2
+    own = int(np.abs(np.flatnonzero(data.any(axis=1)) - u).max(initial=0))
+    return sp.dia_array((data[u - own:u + own + 1], np.arange(-own, own + 1)),
+                        shape=(data.shape[1],) * 2)
+
+
+def diagonals(form, u=None):
+    """(offsets, data): the band of a band form at the offsets -u..u
+    (column minus row).  u defaults to the form's own half-bandwidth, and
+    data is then the form's own array; a larger u pads it with zero
+    diagonals, a smaller one raises ValueError.  Rows u..2u, reversed, are
+    LAPACK's upper band storage.
+    """
+    data = form.data
+    own = (data.shape[0] - 1) // 2
+    if (form.format != "dia" or data.shape[1] != form.shape[1]
+            or not np.array_equal(form.offsets, np.arange(-own, own + 1))):
+        raise TypeError("not a band form: a dia_array at offsets -u..u")
+    if u is None or u == own:
+        return form.offsets, data
+    if u < own:
+        raise ValueError(f"a diagonal lies at offset {own}, outside "
                          f"half-bandwidth {u}")
-    data = np.zeros((2 * u + 1, mat.shape[1]), dtype=mat.dtype)
-    data[u + offsets, cols] = values
-    return np.arange(-u, u + 1), data
+    return np.arange(-u, u + 1), np.pad(data, ((u - own, u - own), (0, 0)))
+
+
+def aligned_bands(*forms):
+    """The bands of band forms at the largest of their half-bandwidths."""
+    u = max(len(form.offsets) for form in forms) // 2
+    return [diagonals(form, u)[1] for form in forms]
+
+
+def adjoint(form):
+    """A^H of a band form, as a band form.  Its diagonal at offset k is the
+    conjugate of A's at -k moved k columns, round which the zeros outside
+    A wrap, so its offsets increase too (a dia_array's .T reverses them,
+    which reorders a product's sums)."""
+    data, u = form.data, len(form.offsets) // 2
+    return band_form(np.conjugate(
+        [np.roll(data[u - k], k) for k in range(-u, u + 1)]))
 
 
 def column_norms(a):
@@ -291,27 +305,11 @@ def _form_diagonals(mesh, coef, term, refine):
     return block(1, 0)[1:-1], main, block(0, 1)[1:-1]
 
 
-def _tridiagonal_csr(sub, main, sup):
-    """CSR matrix of three diagonals, laid out as _form_diagonals returns
-    them.  The arrays are written row by row, in column order, and an
-    entry equal to zero is not stored: the same arrays SciPy's DIA to CSR
-    conversion gives."""
-    n = main.size
-    # row i holds columns i - 1, i, i + 1; the two corners lie outside
-    # the matrix and stay zero, so they are dropped with the zero entries
-    entries = np.zeros((n, 3), dtype=main.dtype)
-    entries[1:, 0] = sub
-    entries[:, 1] = main
-    entries[:-1, 2] = sup
-    stored = entries != 0
-    cols = (np.arange(-1, n - 1, dtype=np.int32)[:, None]
-            + np.arange(3, dtype=np.int32))
-    indptr = np.zeros(n + 1, dtype=np.int32)
-    np.cumsum(stored.sum(axis=1, dtype=np.int32), out=indptr[1:])
-    mat = sp.csr_matrix((entries[stored], cols[stored], indptr),
-                        shape=(n, n))
-    mat.has_canonical_format = True
-    return mat
+def _tridiagonal(sub, main, sup):
+    """Band of three diagonals laid out as _form_diagonals returns them."""
+    data = np.zeros((3, main.size))
+    data[0, :-1], data[1], data[2, 1:] = sub, main, sup
+    return data
 
 
 @dataclass(frozen=True)
@@ -319,9 +317,9 @@ class DiscreteOperator:
     """Assembled base form with its Gram matrices and dof bookkeeping."""
 
     space: FeSpace
-    base_form: sp.csr_matrix
-    gram_h1: sp.csr_matrix
-    gram_l2: sp.csr_matrix
+    base_form: sp.dia_array
+    gram_h1: sp.dia_array
+    gram_l2: sp.dia_array
 
     @property
     def dof(self):
@@ -348,14 +346,11 @@ def assemble_base(spec: OperatorSpec, mesh: Mesh1D) -> DiscreteOperator:
                     np.abs(upper).max(initial=0.0), 1e-300)
         if asym > 1e-12 * scale:
             raise NumericalBreach("Gram matrix lost hermiticity")
-    stiff = _tridiagonal_csr(*stiff)
-    mass = _tridiagonal_csr(*mass)
-    gram = (stiff + mass).tocsr()
     return DiscreteOperator(
         space=space,
-        base_form=stiff,
-        gram_h1=gram,
-        gram_l2=mass,
+        base_form=band_form(_tridiagonal(*stiff)),
+        gram_h1=band_form(_tridiagonal(*gram)),
+        gram_l2=band_form(_tridiagonal(*mass)),
     )
 
 
@@ -363,7 +358,7 @@ def assemble_base(spec: OperatorSpec, mesh: Mesh1D) -> DiscreteOperator:
 class PerturbationMatrix:
     """Assembled first-order-plus-potential perturbation form."""
 
-    matrix: sp.csr_matrix
+    matrix: sp.dia_array
 
 
 def assemble_perturbation(space: FeSpace, v, refine, q=(),
@@ -373,18 +368,18 @@ def assemble_perturbation(space: FeSpace, v, refine, q=(),
     The sign convention places the derivative on the trial function for Q
     and on the test function for P, with a minus sign on the P term, so a
     triple with Q = -P and V = Q' assembles to the zero form.  The matrix
-    is real (see _element_moments); the sum starts from the first term's
-    matrix, and stores no zero entry.
+    is real (see _element_moments); the terms' bands are summed in order,
+    from the first term's.
     """
     mesh = space.mesh
     terms = ([(qf, "plus") for qf in q] + [(pf, "minus") for pf in p]
              + [(v, "mass")])
-    mats = (_tridiagonal_csr(*_form_diagonals(mesh, field_, term, refine))
-            for field_, term in terms)
-    total = next(mats)
-    for mat in mats:
-        total = total + mat
-    return PerturbationMatrix(total)
+    bands = (_tridiagonal(*_form_diagonals(mesh, field_, term, refine))
+             for field_, term in terms)
+    total = next(bands)
+    for band in bands:
+        total = total + band
+    return PerturbationMatrix(band_form(total))
 
 
 def assemble_triple(space, triple, refine):
@@ -426,11 +421,11 @@ class LinearSolver:
     Residuals are evaluated from the matrix diagonals in Dot2 form (see
     residual), so each refinement pass gains the LU's relative accuracy
     until the solution is accurate to working precision, and the reported
-    residual is the true one.  The diagonals are read from the stored
-    entries (diagonals) once, here: they fill the band storage, and those
-    holding a nonzero entry are split into Dekker halves, each entry
-    repeated for the (re, im) pairs of the complex loads; the row sums of
-    their magnitudes give matrix_norm, |A|_inf.
+    residual is the true one.  The form is a band form, and its diagonals
+    are read once, here: they fill the band storage, and those holding a
+    nonzero entry are split into Dekker halves, each entry repeated for
+    the (re, im) pairs of the complex loads; the row sums of their
+    magnitudes give matrix_norm, |A|_inf.
 
     The refined solves take a block of loads (n, k) and solve A x = b.  A
     block is held column-contiguous and every column gets two refinement

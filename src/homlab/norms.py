@@ -5,8 +5,8 @@ spaces whose Grams are the H1 matrix S, its inverse (the dual space), or
 the mass matrix.  A space is the banded Cholesky factor S = U^H U of its
 Gram plus a primal/dual flag: a primal vector x has norm |U x|, a dual
 one |U^{-H} x|.  A study row factors its mesh's H1 Gram once and every
-norm it takes shares that Space; band storage is read from a matrix's
-stored diagonals (fem.diagonals).  An operator A from X to Y is then the
+norm it takes shares that Space; a Gram's band is the data of its band
+form (fem.diagonals).  An operator A from X to Y is then the
 plain matrix K = T_Y A T_X^{-1} in these coordinates, and its norm is the
 square root of the top eigenvalue of K^H K, which ARPACK's Lanczos finds
 from a seeded start vector in one call.  ARPACK checks convergence only
@@ -35,7 +35,7 @@ from scipy.sparse.linalg import (ArpackError, ArpackNoConvergence,
                                  LinearOperator, eigs)
 
 from .errors import CoercivityError, NumericalBreach
-from .fem import assemble_perturbation, diagonals, half_bandwidth
+from .fem import adjoint, assemble_perturbation, band_form, diagonals
 from .fields import gram_field
 
 # Lanczos basis size.  Of the 121 norms of the shipped configs, a basis of
@@ -209,10 +209,11 @@ def induced_norm(apply_, apply_adj, space_in, space_out, seed):
 
 
 def norm_v_to_vstar(X, h1, seed):
-    """Norm of a form matrix as an operator from H1 to its dual; h1 is
-    the Space of the H1 Gram."""
-    X = X.tocsr()
-    XH = X.getH().tocsr()
+    """Norm of a band form as an operator from H1 to its dual; h1 is the
+    Space of the H1 Gram.  X and X^H are held complex, as the vectors
+    they multiply are, so no product casts the form's entries again."""
+    X = X.astype(complex)
+    XH = adjoint(X)
     return induced_norm(
         lambda v: X @ v, lambda v: XH @ v, h1, h1.star(), seed=seed)
 
@@ -233,10 +234,10 @@ def norm_m10(op, q_field, h1, refine, seed):
     )
 
 
-def _upper_band(mat, u=None):
-    """LAPACK upper band storage of a sparse matrix: its diagonals at
-    offsets u down to 0, u its own half-bandwidth by default."""
-    offsets, data = diagonals(mat, u)
+def _upper_band(form, u=None):
+    """LAPACK upper band storage of a band form: its diagonals at offsets
+    u down to 0, u its own half-bandwidth by default."""
+    offsets, data = diagonals(form, u)
     return data[offsets >= 0][::-1]
 
 
@@ -250,7 +251,7 @@ def _cholesky(band):
 
 def smallest_eigenvalue(H, S):
     """Witnessed bracket (c, r), c <= lambda_min <= r, of the smallest
-    eigenvalue of the pencil (H, S) for Hermitian H, S > 0.
+    eigenvalue of the pencil (H, S) of band forms, Hermitian H and S > 0.
 
     H - c S is positive definite exactly when c lies below every
     eigenvalue (Sylvester), and one banded Cholesky decides that.  The
@@ -263,7 +264,7 @@ def smallest_eigenvalue(H, S):
     forms are real and factored by real dpbtrf, and a complex Hermitian
     pencil by zpbtrf.
     """
-    u = half_bandwidth(H, S)
+    u = max(len(H.offsets), len(S.offsets)) // 2  # offsets run -u..u
     band_h = _upper_band(H, u)
     band_s = _upper_band(S, u)
     if not (band_s[u].real > 0).all():
@@ -329,7 +330,8 @@ class CoercivityReport:
 
 
 def _hermitian_part(G):
-    return ((G + G.getH()) * 0.5).tocsr()
+    """(G + G^H) / 2 of a band form, as a band form."""
+    return band_form((G.data + adjoint(G).data) * 0.5)
 
 
 def is_coercive(G):

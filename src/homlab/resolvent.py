@@ -1,15 +1,16 @@
 """Resolvent differences, truncated perturbation series, and the row
 of a resolvent convergence study.
 
-The shifted forms G = base - lam * mass are kept as sparse matrices with
-their factorizations; every norm of a resolvent expression is an induced
-norm between the discrete H1 space and its dual, evaluated matrix-free
-with plain LU solves, and all of a context's norms share one H1 factor
-of its mesh (ResolventContext.h1).  Resolvent differences are applied
-through the identity R_eps - S_N = (-R_0 L)^(N+1) R_eps (S_N the order-N
-series, S_-1 = 0), so no norm measures a difference of nearby solutions;
-the resolvent difference kappa = |R_eps - R_0| is the order-0 remainder.  A
-lone resolvent G^{-1} is bounded instead by Lax-Milgram, by one over the
+The shifted forms G = base - lam * mass are kept as band forms
+(fem.band_form) with their factorizations; every norm of a resolvent
+expression is an induced norm between the discrete H1 space and its
+dual, evaluated matrix-free with plain LU solves, and all of a context's
+norms share one H1 factor of its mesh (ResolventContext.h1).  Resolvent
+differences are applied through the identity
+R_eps - S_N = (-R_0 L)^(N+1) R_eps (S_N the order-N series, S_-1 = 0),
+so no norm measures a difference of nearby solutions; the resolvent
+difference kappa = |R_eps - R_0| is the order-0 remainder.  A lone
+resolvent G^{-1} is bounded instead by Lax-Milgram, by one over the
 coercivity constant of G, whose bracket smallest_eigenvalue witnesses.
 The difference identity is checked on one refined solve of R_eps per
 load, whose residual contract LinearSolver.solve_pair checks, and on an
@@ -25,8 +26,8 @@ import numpy as np
 from . import criteria
 from .errors import CoercivityError, NumericalBreach
 from .families import deviation_triple
-from .fem import (SOLVE_RTOL, LinearSolver, assemble_triple, column_norms,
-                  discretize)
+from .fem import (SOLVE_RTOL, LinearSolver, adjoint, aligned_bands,
+                  assemble_triple, band_form, column_norms, discretize)
 from .norms import Space, _hermitian_part, induced_norm, smallest_eigenvalue
 
 # twice the entries of identity_residual's refined block, its loads f for
@@ -42,11 +43,6 @@ IDENTITY_LOADS = 20  # random loads of identity_residual
 # convergence_verdict: a step may rise VERDICT_SLACK-fold, and the last
 # value must be at most VERDICT_DROP times the first
 VERDICT_SLACK, VERDICT_DROP = 1.1, 0.5
-
-
-def _max_entry(mat):
-    data = mat.tocsr().data
-    return float(np.abs(data).max()) if data.size else 0.0
 
 
 @dataclass(frozen=True)
@@ -177,9 +173,9 @@ def assemble_setting(op_spec, family, eps, min_elements, cap_dof):
     x_dev = assemble_triple(op.space, deviation_triple(family, eps), refine)
     return {
         "op": op,
-        "x_lim": x_lim.matrix.tocsr(),
-        "x_eps": x_eps.matrix.tocsr(),
-        "x_dev": x_dev.matrix.tocsr(),
+        "x_lim": x_lim.matrix,
+        "x_eps": x_eps.matrix,
+        "x_dev": x_dev.matrix,
         "meta": {"eps": eps, **mesh},
     }
 
@@ -188,8 +184,9 @@ def shifted_forms(setting, lam):
     """(Geps, G0) = (base + x_eps - lam M, base + x_lim - lam M): the
     perturbed and limit forms of an assembled setting at shift lam."""
     op = setting["op"]
-    return tuple(((op.base_form + setting[x]).tocsr()
-                  - lam * op.gram_l2).tocsr() for x in ("x_eps", "x_lim"))
+    base, mass, *forms = aligned_bands(op.base_form, op.gram_l2,
+                                       setting["x_eps"], setting["x_lim"])
+    return tuple(band_form(base + x - lam * mass) for x in forms)
 
 
 def context_from_setting(setting, lam):
@@ -199,26 +196,28 @@ def context_from_setting(setting, lam):
     deviation route: Geps = G0 + x_dev entrywise to 1e-12 of the matrix
     scale.  The difference form L is the entrywise Geps - G0; nearby
     entries subtract exactly, so the second-resolvent identity holds to
-    roundoff of the difference, not of the full forms.  The context keeps
+    roundoff of the difference, not of the full forms.  L and L^H are
+    held complex, as the vectors they multiply are.  The context keeps
     the unshifted operator, for its H1 Gram, and the shift as
     meta["shift"].
     """
     op = setting["op"]
     Geps, G0 = shifted_forms(setting, lam)
-    scale = max(_max_entry(Geps), _max_entry(G0))
-    gap = _max_entry(Geps - (G0 + setting["x_dev"]))
+    g_eps, g0, dev = aligned_bands(Geps, G0, setting["x_dev"])
+    scale = float(max(np.abs(g_eps).max(), np.abs(g0).max()))
+    gap = float(np.abs(g_eps - (g0 + dev)).max())
     if gap > 1e-12 * scale:
         raise NumericalBreach(
             f"perturbed form disagrees with base + difference by {gap:.3e} "
             f"(scale {scale:.3e})"
         )
-    L = (Geps - G0).tocsr()
+    L = band_form((g_eps - g0).astype(complex))
     return ResolventContext(
         op=op,
         G0=G0,
         Geps=Geps,
         L=L,
-        LH=L.getH().tocsr(),
+        LH=adjoint(L),
         solver0=LinearSolver(G0),
         solver_eps=LinearSolver(Geps),
         meta={**setting["meta"], "shift": lam},

@@ -1,18 +1,20 @@
-"""Band storage read from stored diagonals, against the constructions it
-replaced.
+"""Band forms against the constructions they replaced.
 
-fem.diagonals is the one place a band is read from a sparse matrix: the
-solver's split diagonals and |A|_inf, and the Cholesky band of a Gram
-or a pencil.  The constructions below (DIA conversion; abs-sum, triu,
-COO and np.add.at) are the ones they replaced, kept as the oracle: on
-every form the shipped resolvent configs build, the new bands must hold
-the same bytes.  So is the sp.diags(..., format="csr") assembly that
-fem._tridiagonal_csr replaced, on all six real element moments: the
-matrices a resolvent row assembles must hold the same CSR arrays.  Every
-form those rows build is real, and so is every band their inertia
-decisions factor.  And so is the stacked (2, k, n) compensated residual
-that the solver's interleaved (re, im) one replaced: on shipped forms it
-must give the same bits.
+Every form is a band form (fem.band_form), whose data array is the band
+that the solver's split diagonals and |A|_inf, and the Cholesky band of
+a Gram or a pencil, read through fem.diagonals.  The routes they
+replaced are kept as oracles: the CSR assembly, sparse arithmetic and
+CSR-to-band readers of csr_oracle, and before those the DIA conversion,
+abs-sum, triu, COO and np.add.at readers and the sp.diags(...,
+format="csr") assembly on all six real element moments.  On the first
+and last row of every shipped resolvent config, each form's band, the
+products of L and L^H, the Hermitian pencil band at every shift tried,
+the solver's bands and the H1 factor must hold the same bytes, and the
+coercivity search must find the same c4.  Every form those rows build is
+real, and so is every band their inertia decisions factor; L and L^H
+are held complex, with zero imaginary parts.  And so is the stacked
+(2, k, n) compensated residual that the solver's interleaved (re, im)
+one replaced: on shipped forms it must give the same bits.
 """
 
 from functools import lru_cache
@@ -20,19 +22,27 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 import scipy.sparse as sp
 
+import csr_oracle
+from csr_oracle import band
 from homlab import fem, norms, registry, resolvent, study
 from homlab.config import StudyConfig
-from homlab.fem import (LinearSolver, _split, assemble_triple, diagonals,
-                        discretize, half_bandwidth)
+from homlab.fem import (LinearSolver, _split, assemble_triple, band_form,
+                        diagonals, discretize)
 from homlab.families import deviation_triple
-from homlab.resolvent import assemble_setting, context_from_setting
+from homlab.norms import Space, find_lambda
+from homlab.resolvent import (assemble_setting, context_from_setting,
+                              shifted_forms)
 from test_fem import _wide_banded
 from test_norms import _factored_dtypes
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 RESOLVENTS = sorted(p.stem for p in CONFIGS.glob("*_resolvent.cfg"))
+AUTO_SHIFT = [name for name in RESOLVENTS
+              if StudyConfig.load(CONFIGS / f"{name}.cfg")
+              .get("operator.shift", None) == "auto"]
 
 
 def _old_half_bandwidth(*mats):
@@ -161,8 +171,11 @@ def _shipped_forms(name):
 @pytest.mark.parametrize("name", RESOLVENTS)
 def test_shipped_bands_match_replaced_constructions(name):
     for label, form, gram in _shipped_forms(name):
-        assert half_bandwidth(form) == _old_half_bandwidth(form) == 1, label
-        assert half_bandwidth(form, gram) \
+        assert form.format == "dia", label
+        assert diagonals(form)[0].tolist() == [-1, 0, 1], label
+        assert csr_oracle.half_bandwidth(form) \
+            == _old_half_bandwidth(form) == 1, label
+        assert csr_oracle.half_bandwidth(form, gram) \
             == _old_half_bandwidth(form, gram) == 1, label
         band = _old_upper_band(form, 1)
         assert _same_bytes(norms._upper_band(form, 1), band), label
@@ -173,10 +186,13 @@ def test_shipped_bands_match_replaced_constructions(name):
         assert solver.matrix_norm.hex() == matrix_norm.hex(), label
 
 
-def _same_csr(a, b):
-    return (a.shape == b.shape
-            and all(_same_bytes(getattr(a, k), getattr(b, k))
-                    for k in ("indptr", "indices", "data")))
+def _same_band(form, mat):
+    """A band form holds the bytes of the band read from a CSR matrix,
+    at the same offsets."""
+    offsets, data = csr_oracle.diagonals(mat)
+    return (form.format == "dia" and form.shape == mat.shape
+            and form.offsets.tolist() == offsets.tolist()
+            and _same_bytes(form.data, data))
 
 
 SETTING_MATRICES = ("base_form", "gram_h1", "gram_l2", "x_lim", "x_eps",
@@ -201,7 +217,8 @@ def test_row_matrices_match_diags_assembly(name, monkeypatch):
         args = (spec, family, eps)
         opts = study._mesh_opts(cfg)
         with monkeypatch.context() as patch:
-            patch.setattr(fem, "_tridiagonal_csr", _diags_csr)
+            patch.setattr(csr_oracle, "tridiagonal_csr", _diags_csr)
+            patch.setattr(fem, "assemble_base", csr_oracle.assemble_base)
             patch.setattr(fem, "assemble_perturbation",
                           _empty_start_perturbation)
             old = _setting_matrices(assemble_setting(*args, **opts))
@@ -209,7 +226,7 @@ def test_row_matrices_match_diags_assembly(name, monkeypatch):
         for key, got, want in zip(SETTING_MATRICES, new, old):
             label = f"{key} eps={eps:g}"
             assert want.dtype == np.float64, label
-            assert _same_csr(got, want), label
+            assert _same_band(got, want), label
 
 
 @pytest.mark.parametrize("name", RESOLVENTS)
@@ -227,11 +244,15 @@ def test_row_forms_and_decision_bands_are_real(name, monkeypatch):
     lam, _ = study._resolve_shift(cfg, settings)
     for setting in settings:
         ctx = context_from_setting(setting, lam)
+        eps = setting["meta"]["eps"]
         mats = dict(zip(SETTING_MATRICES, _setting_matrices(setting)),
-                    G0=ctx.G0, Geps=ctx.Geps, L=ctx.L)
+                    G0=ctx.G0, Geps=ctx.Geps)
         for key, mat in mats.items():
-            assert mat.dtype == np.float64, \
-                f"{key} eps={setting['meta']['eps']:g}"
+            assert mat.dtype == np.float64, f"{key} eps={eps:g}"
+        # the product operands are complex, their entries real
+        for key, mat in (("L", ctx.L), ("LH", ctx.LH)):
+            assert mat.dtype == np.complex128, f"{key} eps={eps:g}"
+            assert not mat.data.imag.any(), f"{key} eps={eps:g}"
         for which in ("base", "eps"):
             resolvent._lax_milgram_bound(ctx, which)
     assert dtypes == {np.dtype(float)}
@@ -271,27 +292,51 @@ def test_half_bandwidth_counts_stored_nonzeros_only():
     eye = sp.identity(6, format="csr")
     # a lone matrix and a pair read the same width: stored zeros do not
     # count, where the abs-sum route counted them for a lone matrix only
+    half_bandwidth = csr_oracle.half_bandwidth
     assert half_bandwidth(zeros) == half_bandwidth(zeros, eye) == 1
     assert (_old_half_bandwidth(zeros), _old_half_bandwidth(zeros, eye)) \
         == (2, 1)
     some = _pentadiagonal([0.0, 0.5, 0.0, 0.0])
     assert half_bandwidth(some) == half_bandwidth(some, eye) == 2
+    # a band form keeps the width of its nonzero diagonals: band_form
+    # drops an outer pair that holds zeros only, of either sign
+    data = diagonals(band(some), 2)[1]
+    assert diagonals(band(some))[0].tolist() == [-2, -1, 0, 1, 2]
+    data[[0, 4]] = -0.0
+    form = band_form(data)
+    assert form.offsets.tolist() == [-1, 0, 1]
+    assert _same_bytes(form.data, diagonals(band(zeros))[1])
 
 
 def test_diagonals_of_stored_zeros_are_positive_zeros():
     mat = _pentadiagonal([0.0, -0.0, 0.5, 0.0])
     for fmt in ("csr", "csc"):
-        offsets, data = diagonals(mat.asformat(fmt))
+        form = band(mat.asformat(fmt))
+        offsets, data = diagonals(form)
         assert offsets.tolist() == [-2, -1, 0, 1, 2]
+        assert data is form.data
         assert _same_bytes(data, sp.dia_matrix(mat.toarray()).data)
         # a stored -0.0 reads as +0.0, as the np.add.at route gave it
         assert not (np.signbit(data) & (data == 0)).any()
-        offsets, data = diagonals(mat.asformat(fmt), 3)
+        offsets, data = diagonals(form, 3)
         assert offsets.tolist() == [-3, -2, -1, 0, 1, 2, 3]
         assert not data[[0, 6]].any()
+        assert _same_bytes(data[1:6], form.data)
+    form = band(mat)
     with pytest.raises(ValueError, match="outside half-bandwidth 1"):
-        diagonals(mat, 1)
-    assert _same_bytes(norms._upper_band(mat), _old_upper_band(mat, 2))
+        diagonals(form, 1)
+    assert _same_bytes(norms._upper_band(form), _old_upper_band(mat, 2))
+    # band_form stores every zero as +0.0, whatever sign the band held
+    data = diagonals(form)[1].copy()
+    data[data == 0] = -0.0
+    got = band_form(data).data
+    assert not (np.signbit(got) & (got == 0)).any()
+    # a matrix whose data array is no band of offsets -u..u, increasing,
+    # is refused
+    upper = sp.dia_array((np.ones((2, 6)), [0, 1]), shape=(6, 6))
+    for other in (mat, form.T, upper):
+        with pytest.raises(TypeError, match="not a band form"):
+            diagonals(other)
 
 
 def test_stored_zero_diagonals_leave_solves_unchanged():
@@ -299,8 +344,8 @@ def test_stored_zero_diagonals_leave_solves_unchanged():
     # the same LU, its refined solves keep every bit of the stacked
     # residual on all five old bands
     zeros = _pentadiagonal([0.0, -0.0, 0.0, 0.0])
-    solver = LinearSolver(zeros)
-    old = LinearSolver(zeros)
+    solver = LinearSolver(band(zeros))
+    old = LinearSolver(band(zeros))
     old._bands, matrix_norm = _old_solver_bands(zeros)
     old.residual = lambda rhs, x: _old_dd_residual(old._bands, rhs, x)
     assert [band[2] for band in solver._bands] == [-1, 0, 1]
@@ -365,8 +410,111 @@ def test_interleaved_residual_matches_stacked_on_five_bands():
     # the nonsymmetric form of test_fem at offsets 0, +-1 and +-3
     rng = np.random.default_rng(23)
     n = 40
-    form = sp.csr_matrix(_wide_banded(rng, n))
+    form = band(_wide_banded(rng, n))
     solver = LinearSolver(form)
     assert [band[2] for band in solver._bands] == [-3, -1, 0, 1, 3]
     _assert_residuals_match_stacked(
         solver, _old_solver_bands(form)[0], rng, n, "five bands")
+
+
+def _row_settings(name):
+    """(cfg, new settings, CSR settings) of the first and last row of a
+    shipped resolvent config."""
+    cfg = StudyConfig.load(CONFIGS / f"{name}.cfg")
+    family = registry.build_family(cfg)
+    spec = study._operator_spec(cfg, family)
+    schedule = study._schedule(cfg)
+    args = [(spec, family, eps) for eps in (schedule[0], schedule[-1])]
+    opts = study._mesh_opts(cfg)
+    return (cfg, [assemble_setting(*a, **opts) for a in args],
+            [csr_oracle.csr_setting(assemble_setting, *a, **opts)
+             for a in args])
+
+
+def _products_match(form, mat, rng, label):
+    """form @ x has the bits of the CSR product mat @ x, on a complex
+    vector and on 3-column blocks in either memory order."""
+    n = mat.shape[0]
+    vec = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    block = rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3))
+    for case, x in (("vector", vec), ("block", block),
+                    ("F block", np.asfortranarray(block))):
+        got, want = form @ x, mat @ x
+        assert _same_bytes(got, want), f"{label} {case}"
+
+
+@pytest.mark.parametrize("name", RESOLVENTS)
+def test_row_forms_match_csr_route(name):
+    # the first and last row of each shipped resolvent config, against
+    # the CSR assembly, sparse arithmetic and band readers they replaced
+    cfg, news, olds = _row_settings(name)
+    lam, _ = study._resolve_shift(cfg, news)
+    tried = (csr_oracle.shifts_tried(lam)
+             if cfg.get("operator.shift", None) == "auto" else [lam])
+    rng = np.random.default_rng(29)
+    for new, old in zip(news, olds):
+        eps = new["meta"]["eps"]
+        for key, got, want in zip(SETTING_MATRICES, _setting_matrices(new),
+                                  _setting_matrices(old)):
+            assert _same_band(got, want), f"{key} eps={eps:g}"
+        # the Hermitian pencil band of both shifted forms, at every shift
+        # the search tried or the fixed shift
+        for shift in tried:
+            for which, got, want in zip(
+                    ("Geps", "G0"), shifted_forms(new, shift),
+                    csr_oracle.shifted_forms(old, shift)):
+                label = f"{which} eps={eps:g} shift={shift:g}"
+                assert _same_band(got, want), label
+                assert _same_bytes(
+                    norms._upper_band(norms._hermitian_part(got)),
+                    csr_oracle.upper_band(csr_oracle.hermitian_part(want))), \
+                    label
+        ctx = context_from_setting(new, lam)
+        g_eps, g0 = csr_oracle.shifted_forms(old, lam)
+        for which, form, mat in (("G0", ctx.G0, g0), ("Geps", ctx.Geps,
+                                                       g_eps)):
+            solver = LinearSolver(form)
+            bands, matrix_norm = _old_solver_bands(mat)
+            assert _same_bands(solver._bands, bands), f"{which} eps={eps:g}"
+            assert solver.matrix_norm.hex() == matrix_norm.hex()
+        # L and L^H: complex bands of the CSR difference and its adjoint,
+        # and the bits of its products
+        for which, form, mat in zip(("L", "LH"), (ctx.L, ctx.LH),
+                                    csr_oracle.difference_forms(old, lam)):
+            label = f"{which} eps={eps:g}"
+            offsets, data = csr_oracle.diagonals(mat)
+            assert form.offsets.tolist() == offsets.tolist(), label
+            assert _same_bytes(form.data, data.astype(complex)), label
+            _products_match(form, mat, rng, label)
+        # the H1 factor every norm of the row reads
+        gram = old["op"].gram_h1
+        want = sla.cholesky_banded(
+            csr_oracle.upper_band(gram).astype(complex), check_finite=False)
+        assert _same_bytes(Space(ctx.op.gram_h1)._band, want), f"eps={eps:g}"
+
+
+@pytest.mark.parametrize("name", AUTO_SHIFT)
+def test_find_lambda_band_route_matches_csr_route(name, monkeypatch):
+    # the whole search of an auto-shift config: c4 and every per-form c
+    # keep their bits when the pencils are CSR matrices bisected on the
+    # bands read from them
+    cfg = StudyConfig.load(CONFIGS / f"{name}.cfg")
+    family = registry.build_family(cfg)
+    spec = study._operator_spec(cfg, family)
+    opts = study._mesh_opts(cfg)
+    news, olds = [], []
+    for eps in study._schedule(cfg):
+        news.append(assemble_setting(spec, family, eps, **opts))
+        olds.append(csr_oracle.csr_setting(assemble_setting, spec, family,
+                                           eps, **opts))
+    rep = find_lambda(lambda lam: [
+        (norms._hermitian_part(G), s["op"].gram_h1)
+        for s in news for G in shifted_forms(s, lam)])
+    monkeypatch.setattr(norms, "smallest_eigenvalue",
+                        lambda H, S: (csr_oracle.bisection(H, S), None))
+    old = find_lambda(lambda lam: [
+        (csr_oracle.hermitian_part(G), s["op"].gram_h1)
+        for s in olds for G in csr_oracle.shifted_forms(s, lam)])
+    assert rep.lambda0 == old.lambda0
+    assert rep.c4.hex() == old.c4.hex()
+    assert [c.hex() for c in rep.per_eps] == [c.hex() for c in old.per_eps]

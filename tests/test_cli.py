@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from homlab import registry
+from homlab import cli, registry
 from homlab.cli import main
 from homlab.svgplot import plot
 
@@ -461,6 +461,36 @@ def test_seed_and_threads_flags_accepted(tmp_path, crit_cfg):
                  "--verbose"]) == 0
     assert main([*run, "--out", str(plain)]) == 0
     assert flagged.read_bytes() == plain.read_bytes()
+
+
+def test_consecutive_calls_share_the_parser_and_no_flags(tmp_path, crit_cfg,
+                                                       capsys, monkeypatch):
+    # one parser serves every main() call of a process; a flag of one
+    # call must not reach the next
+    seeds = []
+    run_study = cli.run_study
+
+    def recorded(kind, cfg, seed):
+        seeds.append((kind, seed))
+        return run_study(kind, cfg, seed=seed)
+
+    monkeypatch.setattr(cli, "run_study", recorded)
+    assert cli._build_parser() is cli._build_parser()
+    first, last = tmp_path / "a.csv", tmp_path / "b.csv"
+    assert main(["criterion", "--config", str(crit_cfg), "--out", str(first),
+                 "--verbose", "--seed", "9"]) == 0
+    verbose = capsys.readouterr().out
+    assert "# verdict:" in verbose
+    assert main(["families"]) == 0
+    assert "regular_sin" in capsys.readouterr().out
+    assert main(["criterion", "--config", str(crit_cfg),
+                 "--out", str(last)]) == 0
+    assert capsys.readouterr().out == f"wrote {last} (2 rows)\n"
+    sin_norm = str(ROOT / "configs" / "sin_norm.cfg")
+    assert main(["norm", "--config", sin_norm, "--out", "-"]) == 0
+    assert capsys.readouterr().out.startswith("# study.kind = norm\n")
+    assert seeds == [("criterion", 9), ("criterion", 1234), ("norm", 1234)]
+    assert first.read_bytes() == last.read_bytes()
 
 
 def test_threads_other_than_one_exits_2(crit_cfg):

@@ -22,11 +22,13 @@ from homlab.fem import (
     FeSpace,
     _element_moments,
     _form_diagonals,
-    _tridiagonal_csr,
+    _tridiagonal,
+    band_form,
     mesh_rule,
     OperatorSpec,
 )
 from homlab.fields import Box, CoefficientField, constant_field, zero_field
+from csr_oracle import band
 from homlab.lattice import _panel_rule
 from homlab.resolvent import assemble_setting, context_from_setting
 from homlab.study import CAP_DOF, MIN_ELEMENTS
@@ -89,7 +91,7 @@ def test_transport_pair_with_constant_coefficient_assembles_to_zero():
     q = constant_field(1, 0.8)
     p = constant_field(1, -0.8)
     pert = assemble_perturbation(space, zero_field(1), 1, q=(q,), p=(p,))
-    assert abs(pert.matrix).max() < 1e-14
+    assert np.abs(pert.matrix.data).max() < 1e-14
 
 
 def test_oscillating_potential_element_means():
@@ -106,7 +108,7 @@ def test_oscillating_potential_element_means():
         xi = (i + 1) * h
         phi2 = lambda x: np.sin(20.0 * x) * (1.0 - abs(x - xi) / h) ** 2
         exact, _ = quad(phi2, xi - h, xi + h, epsabs=1e-13)
-        got = pert.matrix[i, i].real
+        got = pert.matrix.diagonal()[i]
         assert abs(got - exact) < 1e-9
 
 
@@ -161,18 +163,20 @@ def test_form_matrix_equals_full_node_route(term, n, refine):
     mesh = build_mesh(UNIT, n)
     for func in (_oscillating, _gapped):
         coef = CoefficientField(1, func, 2.3)
-        got = _tridiagonal_csr(*_form_diagonals(mesh, coef, term, refine))
+        got = band_form(_tridiagonal(*_form_diagonals(mesh, coef, term,
+                                                      refine)))
         want = _full_node_route(mesh, coef, term, refine)
         assert got.shape == (n - 1, n - 1)
-        assert got.has_canonical_format
+        assert got.format == "dia"
         assert np.array_equal(got.toarray(), want.toarray())
-        # the same CSR arrays, bit for bit, once the full-node route drops
-        # the zero entries it stores
+        # the same CSR arrays, bit for bit, once both routes drop the zero
+        # entries they store
+        got = got.tocsr()
         want.eliminate_zeros()
         for arr in ("indptr", "indices", "data"):
             assert _same_bytes(getattr(got, arr), getattr(want, arr)), arr
     if n == 64:
-        # _gapped left a run of zero entries unstored
+        # _gapped left a run of zero entries in the band
         assert got.nnz < 3 * (n - 1) - 2
 
 
@@ -180,7 +184,7 @@ def test_gram_matrices_are_hermitian_and_ordered():
     mesh = build_mesh(UNIT, 20)
     op = assemble_base(OperatorSpec(UNIT), mesh)
     for g in (op.gram_h1, op.gram_l2):
-        assert abs(g - g.getH()).max() < 1e-12
+        assert np.abs(g.toarray() - g.toarray().conj().T).max() < 1e-12
     # H1 dominates L2: smallest eigenvalue of (H1 - L2) is >= 0
     gap = np.linalg.eigvalsh((op.gram_h1 - op.gram_l2).toarray())
     assert gap.min() > -1e-12
@@ -208,7 +212,8 @@ def test_gram_hermiticity_check_on_perturbed_mass(monkeypatch, rel, breach):
             assemble_base(OperatorSpec(UNIT), mesh)
     else:
         op = assemble_base(OperatorSpec(UNIT), mesh)
-        assert op.gram_l2[0, 1] != op.gram_l2[1, 0]
+        mass = op.gram_l2.toarray()
+        assert mass[0, 1] != mass[1, 0]
 
 
 # ---------------------------------------------------------------- mesh rule
@@ -339,7 +344,7 @@ def test_solver_reaches_working_precision():
         a += np.diag(rng.integers(-4, 5, n - off) / 16.0, -off)
     x_true = (rng.integers(-8, 9, n) + 1j * rng.integers(-8, 9, n)).astype(complex)
     b = (a @ x_true)[:, None]
-    solver = LinearSolver(sp.csr_matrix(a))
+    solver = LinearSolver(band(a))
     x, _ = solver.solve_pair(b)
     # refinement drives forward error to roundoff, not just the residual
     fwd = float(np.abs(x[:, 0] - x_true).max() / np.abs(x_true).max())
@@ -353,7 +358,7 @@ def test_reported_residual_is_true_residual():
     rng = np.random.default_rng(3)
     n = 50
     a = _random_banded(rng, n)
-    solver = LinearSolver(sp.csr_matrix(a))
+    solver = LinearSolver(band(a))
     x = rng.standard_normal((n, 1)) + 1j * rng.standard_normal((n, 1))
     b = rng.standard_normal((n, 1)) + 1j * rng.standard_normal((n, 1))
     got = np.linalg.norm(solver.residual(b, x))
@@ -365,22 +370,22 @@ def test_reported_residual_is_true_residual():
 
 def test_complex_form_raises():
     # the compensated residual covers real forms only; loads may be complex
-    a = sp.csr_matrix(np.array([[2.0, 1.0j], [-1.0j, 2.0]]))
+    a = band(np.array([[2.0, 1.0j], [-1.0j, 2.0]]))
     with pytest.raises(NumericalBreach, match="nonzero imaginary entry"):
         LinearSolver(a)
     b = np.array([[1.0j], [1.0]])
-    x, _, _ = LinearSolver(a.real).solve(b)
+    x, _, _ = LinearSolver(band(a.real)).solve(b)
     assert np.allclose(a.real @ x, b, rtol=0, atol=1e-15)
 
 
 def test_singular_matrix_raises():
-    a = sp.csr_matrix(np.array([[1.0, 2.0], [2.0, 4.0]]))
+    a = band(np.array([[1.0, 2.0], [2.0, 4.0]]))
     with pytest.raises(NumericalBreach):
         LinearSolver(a).solve(np.ones((2, 1)))
 
 
 def test_matrix_norm_is_row_sum():
-    a = sp.csr_matrix(np.array([[3.0, -1.0], [0.5, 2.0]]))
+    a = band(np.array([[3.0, -1.0], [0.5, 2.0]]))
     assert LinearSolver(a).matrix_norm == pytest.approx(4.0)
 
 
@@ -463,7 +468,7 @@ def test_dd_residual_matches_reference_loop(complex_):
     rng = np.random.default_rng(11)
     n = 45
     a = _wide_banded(rng, n)
-    solver = LinearSolver(sp.csr_matrix(a))
+    solver = LinearSolver(band(a))
     x = rng.standard_normal((n, 4)) + 1j * rng.standard_normal((n, 4))
     b = rng.standard_normal((n, 4)) + 1j * rng.standard_normal((n, 4))
     if not complex_:
@@ -524,7 +529,7 @@ def _residual_cases():
     for label, a in (("tridiagonal", tri), ("five bands", five),
                      ("shipped G0", shipped)):
         n = a.shape[0]
-        solver = LinearSolver(sp.csr_matrix(a))
+        solver = LinearSolver(band(a))
         x = rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3))
         b = rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3))
         x[:, 1] = solver.solve(b[:, 1:2])[0][:, 0]
@@ -535,7 +540,7 @@ def _residual_cases():
 def test_compensated_residual_meets_the_dot2_bound():
     # every entry, boundary rows included, on every case
     for label, a, b, x in _residual_cases():
-        solver = LinearSolver(sp.csr_matrix(a))
+        solver = LinearSolver(band(a))
         assert _dot2_violations(a, b, x, solver.residual(b, x)) == [], label
 
 
@@ -547,7 +552,7 @@ def test_dot2_bound_refuses_weaker_residuals(monkeypatch):
     monkeypatch.setattr(fem, "_two_prod",
                         lambda d, v: (two_prod(d, v)[0], 0.0))
     for label, a, b, x in cases:
-        for r in (b - a @ x, LinearSolver(sp.csr_matrix(a)).residual(b, x)):
+        for r in (b - a @ x, LinearSolver(band(a)).residual(b, x)):
             bad = _dot2_violations(a, b[:, 1:], x[:, 1:], r[:, 1:])
             assert len(bad) > a.shape[0], label
 
@@ -573,7 +578,7 @@ def test_block_solve_equals_column_solves():
          - np.diag(np.ones(n - 1), -1))
     a += (np.diag(rng.uniform(-0.3, 0.3, n - 3), 3)
           + np.diag(rng.uniform(-0.3, 0.3, n - 3), -3))
-    solver = LinearSolver(sp.csr_matrix(a))
+    solver = LinearSolver(band(a))
     b = np.asfortranarray(rng.standard_normal((n, 4))
                           + 1j * rng.standard_normal((n, 4)))
     b[:, 1] = 0.0
@@ -595,7 +600,7 @@ def test_breach_in_one_column_of_a_block_raises(monkeypatch):
     # a residual above the contract in the middle column of three
     rng = np.random.default_rng(6)
     n = 31
-    solver = LinearSolver(sp.csr_matrix(_wide_banded(rng, n)))
+    solver = LinearSolver(band(_wide_banded(rng, n)))
     b = np.asfortranarray(rng.standard_normal((n, 3))
                           + 1j * rng.standard_normal((n, 3)))
     solver.solve_pair(b)
@@ -649,7 +654,7 @@ def _same_bits(u, v):
 
 def test_second_pass_matches_three_residual_reference(monkeypatch):
     a, b = _moves_in_pass_two()
-    solver = LinearSolver(sp.csr_matrix(a))
+    solver = LinearSolver(band(a))
     refs = [_ref_refined_solve(solver, a, b[:, j]) for j in range(5)]
     # the premise: pass 2 moves every random column and not the zero one
     moved = [not _same_bits(steps[1], steps[2]) for steps, _, _ in refs]
@@ -682,7 +687,7 @@ def test_third_residual_covers_only_the_moved_columns(monkeypatch):
     # and solve_pair alike
     rng = np.random.default_rng(19)
     n = 40
-    solver = LinearSolver(sp.csr_matrix(_wide_banded(rng, n)))
+    solver = LinearSolver(band(_wide_banded(rng, n)))
     b = rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3))
     widths = _passes_per_call(solver, monkeypatch)
     solver.solve(b)
@@ -692,7 +697,7 @@ def test_third_residual_covers_only_the_moved_columns(monkeypatch):
     assert widths == [3, 3]
     # on a near-singular form the third residual takes the moved columns
     a, b = _moves_in_pass_two(n_rhs=3, zero=0)
-    solver = LinearSolver(sp.csr_matrix(a))
+    solver = LinearSolver(band(a))
     widths = _passes_per_call(solver, monkeypatch)
     solver.solve_pair(b)
     assert widths == [3, 3, 2]
@@ -703,7 +708,7 @@ def test_quick_adjoint_solves_the_conjugate_transpose():
     rng = np.random.default_rng(29)
     n = 40
     a = _wide_banded(rng, n)
-    solver = LinearSolver(sp.csr_matrix(a))
+    solver = LinearSolver(band(a))
     b = rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2))
     for rhs in (b, b[:, 0]):
         want = np.linalg.solve(a.conj().T, rhs)

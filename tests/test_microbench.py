@@ -41,6 +41,12 @@ def _stabilizing_setting(eps, dof):
     return setting
 
 
+def _tridiagonal_band(form):
+    """Whether a form is a tridiagonal band form, as every form of these
+    rows is: a dia_array at offsets -1, 0, 1 whose data is the band."""
+    return form.format == "dia" and form.offsets.tolist() == [-1, 0, 1]
+
+
 # the per-eps assembly of a stabilizing_resolvent row: the base form with
 # both Grams on its mesh, and one perturbation triple at the row's refine
 @pytest.mark.parametrize("eps, dof", SIZES)
@@ -74,6 +80,7 @@ def test_bench_smallest_eigenvalue(benchmark, eps, dof):
     setting = _stabilizing_setting(eps, dof)
     op = setting["op"]
     h = _hermitian_part(shifted_forms(setting, -1.0)[0])
+    assert _tridiagonal_band(h) and _tridiagonal_band(op.gram_h1)
     c4, upper = benchmark.pedantic(smallest_eigenvalue, args=(h, op.gram_h1),
                                    rounds=5, iterations=1)
     assert c4 == pytest.approx(1.0, abs=1e-5)
@@ -86,6 +93,7 @@ def test_bench_smallest_eigenvalue(benchmark, eps, dof):
 @pytest.mark.parametrize("eps, dof", SIZES)
 def test_bench_linear_solver(benchmark, eps, dof):
     ctx = context_from_setting(_stabilizing_setting(eps, dof), -1.0)
+    assert _tridiagonal_band(ctx.G0)
     solver = benchmark.pedantic(LinearSolver, args=(ctx.G0,), rounds=5,
                                 iterations=1)
     # the tridiagonal G0 has three bands
@@ -107,6 +115,7 @@ def test_bench_linear_solver(benchmark, eps, dof):
 @pytest.mark.parametrize("eps, dof", SIZES)
 def test_bench_h1_factor(benchmark, eps, dof):
     gram = _stabilizing_setting(eps, dof)["op"].gram_h1
+    assert _tridiagonal_band(gram)
     h1 = benchmark.pedantic(Space, args=(gram,), rounds=5, iterations=1)
     x = np.random.default_rng(dof).standard_normal(dof)
     # the primal norm is the Gram's: |U x|^2 = x^T S x
@@ -120,10 +129,25 @@ def test_bench_find_lambda(benchmark):
     # the shift -1 it accepts
     pencils = _pencils([_stabilizing_setting(eps, dof) for eps, dof
                         in [(0.1, 159), (0.05, 319), (0.025, 639)]])
+    assert all(_tridiagonal_band(H) and _tridiagonal_band(S)
+               for H, S in pencils(-1.0))
     rep = benchmark.pedantic(find_lambda, args=(pencils,), rounds=5,
                              iterations=1)
     assert rep.lambda0 == -1.0
     assert rep.c4 == pytest.approx(1.0, abs=1e-5)
+
+
+# a row's shift into its context: both shifted forms, the cross-check of
+# the deviation route, L and L^H, and both banded LU factorizations
+@pytest.mark.parametrize("eps, dof", [SIZES[0], SIZES[-1]])
+def test_bench_context_from_setting(benchmark, eps, dof):
+    setting = _stabilizing_setting(eps, dof)
+    ctx = benchmark.pedantic(context_from_setting, args=(setting, -1.0),
+                             rounds=5, iterations=1)
+    assert all(_tridiagonal_band(form)
+               for form in (ctx.G0, ctx.Geps, ctx.L, ctx.LH))
+    assert ctx.L.dtype == ctx.LH.dtype == complex
+    assert ctx.solver0.shape == ctx.solver_eps.shape == (dof, dof)
 
 
 # the norms of a stabilizing_resolvent row, at the shift -1 its search

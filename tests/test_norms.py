@@ -14,7 +14,7 @@ from homlab import registry, study
 from homlab.config import StudyConfig
 from homlab import norms
 from homlab.fem import LinearSolver, NumericalBreach, OperatorSpec, \
-    assemble_base, assemble_perturbation, build_mesh, half_bandwidth
+    adjoint, assemble_base, assemble_perturbation, build_mesh
 from homlab.fields import Box, CoefficientField, constant_field, gram_field
 from homlab.norms import (
     CoercivityError,
@@ -28,6 +28,8 @@ from homlab.norms import (
 from homlab.resolvent import (ResolventContext, assemble_setting,
                                context_from_setting, shifted_forms,
                                truncation_error_norm)
+import csr_oracle
+from csr_oracle import band, half_bandwidth
 
 UNIT = Box((0.0,), (1.0,))
 
@@ -49,7 +51,7 @@ def dense_v_to_vstar(x, s):
 def test_gram_as_operator_has_unit_norm():
     rng = np.random.default_rng(0)
     s = random_spd(rng, 17)
-    rep = norm_v_to_vstar(sp.csr_matrix(s), Space(sp.csr_matrix(s)), seed=1234)
+    rep = norm_v_to_vstar(band(s), Space(band(s)), seed=1234)
     assert rep.value == pytest.approx(1.0, rel=1e-9)
     assert not rep.flagged
 
@@ -58,15 +60,15 @@ def test_scaled_gram_norm_is_scale():
     rng = np.random.default_rng(1)
     s = random_spd(rng, 12)
     for c in (-2.5, 3.0j):
-        rep = norm_v_to_vstar(sp.csr_matrix(c * s),
-                              Space(sp.csr_matrix(s)), seed=1234)
+        rep = norm_v_to_vstar(band(c * s),
+                              Space(band(s)), seed=1234)
         assert rep.value == pytest.approx(abs(c), rel=1e-9)
 
 
 def test_identity_between_l2_metrics():
     rng = np.random.default_rng(2)
     m = random_spd(rng, 9)
-    space = Space(sp.csr_matrix(m))
+    space = Space(band(m))
     rep = induced_norm(lambda v: v, lambda v: v, space, space, seed=1234)
     assert rep.value == pytest.approx(1.0, rel=1e-9)
 
@@ -78,7 +80,7 @@ def test_form_norm_matches_dense_oracle(n):
     rng = np.random.default_rng(100 + n)
     x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     s = random_spd(rng, n)
-    rep = norm_v_to_vstar(sp.csr_matrix(x), Space(sp.csr_matrix(s)), seed=1234)
+    rep = norm_v_to_vstar(band(x), Space(band(s)), seed=1234)
     assert rep.value == pytest.approx(dense_v_to_vstar(x, s), rel=2e-8)
     assert rep.method["residual"] <= 1e-8 * rep.value + 1e-13
 
@@ -88,21 +90,21 @@ def test_norm_report_invariants():
     n = 21
     x = rng.standard_normal((n, n))
     s = random_spd(rng, n)
-    rep = norm_v_to_vstar(sp.csr_matrix(x), Space(sp.csr_matrix(s)), seed=1234)
+    rep = norm_v_to_vstar(band(x), Space(band(s)), seed=1234)
     assert rep.method["iterations"] >= 1
     assert rep.method["converged"] in ("residual", "max_iter", "zero")
 
 
 def _clustered_form(n=200):
     # diagonal form whose top values lie within 1e-9 of each other
-    return sp.diags(1.0 - np.logspace(-9, -1, n)).tocsr()
+    return band(sp.diags(1.0 - np.logspace(-9, -1, n)))
 
 
 def test_unconverged_lanczos_is_flagged(monkeypatch):
     # a top cluster 1e-9 wide cannot be resolved in one Lanczos restart
     monkeypatch.setattr(norms, "LANCZOS_MAXITER", 1)
     rep = norm_v_to_vstar(_clustered_form(),
-                          Space(sp.identity(200, format="csr")), seed=1234)
+                          Space(band(sp.identity(200))), seed=1234)
     assert rep.flagged
     assert rep.method["converged"] == "max_iter"
     assert 0.9 < rep.value <= 1.0
@@ -111,7 +113,7 @@ def test_unconverged_lanczos_is_flagged(monkeypatch):
 def test_lanczos_restarts_are_capped():
     # ARPACK's own default (10 * dim restarts) took 40042 applications
     rep = norm_v_to_vstar(_clustered_form(),
-                          Space(sp.identity(200, format="csr")), seed=1234)
+                          Space(band(sp.identity(200))), seed=1234)
     assert rep.flagged
     assert rep.method["converged"] == "max_iter"
     # every restart refills the basis, then the explicit residual
@@ -136,12 +138,12 @@ def test_easy_form_norm_stops_at_first_check():
 def _close_top_form(n=200):
     # diagonal form whose two top values lie 1e-4 apart: too close for the
     # first check, resolved by restarts of the same basis
-    return sp.diags(np.r_[1.0, 1.0 - 1e-4, np.linspace(0.9, 0.1, n - 2)]) \
-        .tocsr()
+    return band(sp.diags(np.r_[1.0, 1.0 - 1e-4,
+                               np.linspace(0.9, 0.1, n - 2)]))
 
 
 def test_close_top_restarts_and_matches_dense():
-    x, s = _close_top_form(), sp.identity(200, format="csr")
+    x, s = _close_top_form(), band(sp.identity(200))
     rep = norm_v_to_vstar(x, Space(s), seed=1234)
     # more than one full basis: Lanczos restarted
     assert rep.method["iterations"] > norms.LANCZOS_NCV + 2
@@ -154,8 +156,8 @@ def test_close_top_restarts_and_matches_dense():
 def test_norm_is_the_single_lanczos_call():
     # the same v0, basis, tolerance, restart cap and restart generator
     x, seed = _close_top_form(), 1234
-    xh = x.getH().tocsr()
-    rep = norm_v_to_vstar(x, Space(sp.identity(200, format="csr")),
+    xh = adjoint(x)
+    rep = norm_v_to_vstar(x, Space(band(sp.identity(200))),
                           seed=seed)
     rng = np.random.default_rng(seed)
     v0 = rng.standard_normal(200) + 1j * rng.standard_normal(200)
@@ -170,8 +172,8 @@ def test_norm_is_the_single_lanczos_call():
 def test_zero_form_reports_zero():
     rng = np.random.default_rng(5)
     s = random_spd(rng, 8)
-    rep = norm_v_to_vstar(sp.csr_matrix((8, 8), dtype=complex),
-                          Space(sp.csr_matrix(s)), seed=1234)
+    rep = norm_v_to_vstar(band(np.zeros((8, 8), dtype=complex)),
+                          Space(band(s)), seed=1234)
     assert rep.value == 0.0
     assert rep.method["converged"] == "zero"
 
@@ -180,13 +182,13 @@ def test_homogeneity_and_triangle_inequality():
     rng = np.random.default_rng(6)
     n = 15
     s = random_spd(rng, n)
-    ssp = Space(sp.csr_matrix(s))
+    ssp = Space(band(s))
     x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     y = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    nx = norm_v_to_vstar(sp.csr_matrix(x), ssp, seed=1234).value
-    ny = norm_v_to_vstar(sp.csr_matrix(y), ssp, seed=1234).value
-    nxy = norm_v_to_vstar(sp.csr_matrix(x + y), ssp, seed=1234).value
-    assert norm_v_to_vstar(sp.csr_matrix(-3.5 * x), ssp, seed=1234).value == \
+    nx = norm_v_to_vstar(band(x), ssp, seed=1234).value
+    ny = norm_v_to_vstar(band(y), ssp, seed=1234).value
+    nxy = norm_v_to_vstar(band(x + y), ssp, seed=1234).value
+    assert norm_v_to_vstar(band(-3.5 * x), ssp, seed=1234).value == \
         pytest.approx(3.5 * nx, rel=1e-8)
     assert nxy <= nx + ny + 1e-8 * (nx + ny)
 
@@ -196,11 +198,11 @@ def test_homogeneity_and_triangle_inequality():
 def kappa(geps, g0, s):
     """|R_eps - R_0| from the dual space into H1, as the resolvent studies
     measure it: the order-0 series remainder of a context of two forms."""
-    geps, g0 = sp.csr_matrix(geps), sp.csr_matrix(g0)
-    ell = (geps - g0).tocsr()
+    ell = band(geps - g0).astype(complex)
+    geps, g0 = band(geps), band(g0)
     ctx = ResolventContext(
-        op=SimpleNamespace(gram_h1=sp.csr_matrix(s)), G0=g0, Geps=geps,
-        L=ell, LH=ell.getH().tocsr(), solver0=LinearSolver(g0),
+        op=SimpleNamespace(gram_h1=band(s)), G0=g0, Geps=geps,
+        L=ell, LH=adjoint(ell), solver0=LinearSolver(g0),
         solver_eps=LinearSolver(geps), meta={})
     return truncation_error_norm(ctx, 0, seed=1234)
 
@@ -339,7 +341,7 @@ def test_smallest_eigenvalue_matches_dense():
     h = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     h = (h + h.conj().T) / 2.0
     s = random_spd(rng, n)
-    got, upper = smallest_eigenvalue(sp.csr_matrix(h), sp.csr_matrix(s))
+    got, upper = smallest_eigenvalue(csr_oracle.band(h), csr_oracle.band(s))
     expect = float(sla.eigh(h, s, eigvals_only=True)[0])
     assert got == pytest.approx(expect, rel=1e-7, abs=1e-9)
     assert upper == pytest.approx(expect, rel=1e-7, abs=1e-9)
@@ -347,13 +349,13 @@ def test_smallest_eigenvalue_matches_dense():
 
 def _one_pencil(op, form):
     """The pencil of form - lam M against the H1 Gram, at each lam."""
-    return lambda lam: [((form - lam * op.gram_l2).tocsr(), op.gram_h1)]
+    return lambda lam: [(form - lam * op.gram_l2, op.gram_h1)]
 
 
 def test_find_lambda_immediate_acceptance():
     mesh = build_mesh(UNIT, 16)
     op = assemble_base(OperatorSpec(UNIT), mesh)
-    k = (op.gram_h1 - op.gram_l2).tocsr()
+    k = op.gram_h1 - op.gram_l2
     rep = find_lambda(_one_pencil(op, k))
     assert rep.lambda0 == -1.0
     # candidate form K + M equals the H1 gram, so c4 is exactly 1
@@ -363,8 +365,8 @@ def test_find_lambda_immediate_acceptance():
 def test_find_lambda_doubles_until_coercive():
     mesh = build_mesh(UNIT, 16)
     op = assemble_base(OperatorSpec(UNIT), mesh)
-    k = (op.gram_h1 - op.gram_l2).tocsr()
-    form = (k - 15.0 * op.gram_l2).tocsr()
+    k = op.gram_h1 - op.gram_l2
+    form = k - 15.0 * op.gram_l2
     rep = find_lambda(_one_pencil(op, form))
     assert rep.lambda0 == -8.0
     h = (k - 7.0 * op.gram_l2).toarray()
@@ -377,8 +379,8 @@ def test_find_lambda_gives_up_at_abort_threshold(monkeypatch):
     monkeypatch.setattr(norms, "LAMBDA_ABORT", -1e3)
     mesh = build_mesh(UNIT, 16)
     op = assemble_base(OperatorSpec(UNIT), mesh)
-    k = (op.gram_h1 - op.gram_l2).tocsr()
-    form = (k - 1e7 * op.gram_l2).tocsr()
+    k = op.gram_h1 - op.gram_l2
+    form = k - 1e7 * op.gram_l2
     with pytest.raises(CoercivityError, match=r"above lambda_abort = "
                        r"-1000\.0 kept every form's certified c at or "
                        r"above c4_min = 0\.05"):
@@ -531,8 +533,8 @@ def test_smallest_eigenvalue_on_banded_forms(band, ends):
         shift[0] = -0.7
         shift[-1] = 2.0 + 1.0j
         g = (g + sp.diags(shift)).tocsr()
-    h = ((g + g.getH()) * 0.5).tocsr()
-    got, upper = smallest_eigenvalue(h, s)
+    h = ((g + g.conj().T) * 0.5).tocsr()
+    got, upper = smallest_eigenvalue(csr_oracle.band(h), csr_oracle.band(s))
     expect = float(sla.eigh(h.toarray(), s.toarray(),
                             eigvals_only=True)[0])
     assert got <= expect + 1e-10 * abs(expect)
@@ -546,9 +548,9 @@ def test_smallest_eigenvalue_on_banded_forms(band, ends):
 def test_smallest_eigenvalue_rejects_indefinite_gram(s):
     # no shift c makes H - c S positive definite, so the downward steps
     # run until the shift overflows
-    h = sp.csr_matrix(np.diag([-1.0, 1.0]))
+    h = band(np.diag([-1.0, 1.0]))
     with pytest.raises(NumericalBreach):
-        smallest_eigenvalue(h, sp.csr_matrix(np.array(s)))
+        smallest_eigenvalue(h, band(np.array(s)))
 
 
 
@@ -653,7 +655,7 @@ def test_complex_hermitian_pencil_bisects_complex_bands(monkeypatch):
     h = random_spd(rng, 9, shift=-2.0)
     s = random_spd(rng, 9)
     dtypes = _factored_dtypes(monkeypatch)
-    c, _ = smallest_eigenvalue(sp.csr_matrix(h), sp.csr_matrix(s))
+    c, _ = smallest_eigenvalue(band(h), band(s))
     assert dtypes == {np.dtype(complex)}
-    assert c.hex() == _complex_band_bisection(sp.csr_matrix(h),
-                                              sp.csr_matrix(s)).hex()
+    assert c.hex() == _complex_band_bisection(band(h),
+                                              band(s)).hex()

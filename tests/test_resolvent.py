@@ -7,13 +7,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.linalg as sla
-import scipy.sparse as sp
 
 from homlab import registry, resolvent, study
 from homlab.config import StudyConfig
 from homlab.families import make_family
 from homlab.fem import LinearSolver, NumericalBreach, OperatorSpec, \
-    assemble_base, assemble_perturbation, build_mesh
+    adjoint, assemble_base, assemble_perturbation, band_form, build_mesh
 from homlab.fields import Box, CoefficientField, constant_field, zero_field
 from homlab.norms import norm_v_to_vstar
 from homlab.resolvent import (
@@ -61,7 +60,7 @@ def neumann_apply(ctx, f, order):
 
 def difference_setting(op, pert):
     """A setting whose limit adds nothing and whose eps route adds pert."""
-    zero = sp.csr_matrix(pert.shape, dtype=pert.dtype)
+    zero = band_form(np.zeros((1, pert.shape[0]), dtype=pert.dtype))
     return {"op": op, "x_lim": zero, "x_eps": pert, "x_dev": pert,
             "meta": {}}
 
@@ -90,7 +89,7 @@ def small_context(n=5, lam=-1.0, amplitude=1.0):
 
 def test_context_difference_is_exact_entrywise():
     ctx = small_context()
-    gap = abs(ctx.Geps - (ctx.G0 + ctx.L)).max()
+    gap = abs(ctx.Geps - (ctx.G0 + ctx.L)).tocsr().max()
     assert gap == 0.0
 
 
@@ -100,7 +99,7 @@ def test_route_mismatch_is_rejected():
     v = CoefficientField(1, lambda x: np.sin(9.0 * x[..., 0]), 1.0)
     pert = assemble_perturbation(op.space, v, 8).matrix
     setting = difference_setting(op, pert)
-    setting["x_eps"] = (pert * (1.0 + 1e-5)).tocsr()
+    setting["x_eps"] = pert * (1.0 + 1e-5)
     with pytest.raises(NumericalBreach, match="disagrees"):
         context_from_setting(setting, -1.0)
 
@@ -196,8 +195,8 @@ def test_identity_residual_detects_a_scaled_difference_form(
     # L scaled by 1 + 1e-12, with its adjoint, breaks the identity by that
     # much: the intact context reads 3.6e-16, the scaled one 1.0e-12
     ctx = sin_neumann_context
-    scaled = (ctx.L * (1 + 1e-12)).tocsr()
-    bad = dataclasses.replace(ctx, L=scaled, LH=scaled.getH().tocsr())
+    scaled = ctx.L * (1 + 1e-12)
+    bad = dataclasses.replace(ctx, L=scaled, LH=adjoint(scaled))
     assert identity_residual(ctx, seed=1234) <= 1e-14
     assert identity_residual(bad, seed=1234) >= 5e-13
 
@@ -271,7 +270,7 @@ def test_identity_residual_detects_a_scaled_form_in_either_solver(
     ctx = sin_neumann_context
     form = ctx.G0 if which == "solver0" else ctx.Geps
     bad = dataclasses.replace(
-        ctx, **{which: LinearSolver((form * (1 + 1e-12)).tocsr())})
+        ctx, **{which: LinearSolver(form * (1 + 1e-12))})
     assert identity_residual(bad, seed=1234) >= 5e-13
 
 
@@ -402,7 +401,7 @@ def test_setting_routes_cross_check():
     assert ctx.meta["n_elements"] >= 64
     # tampering with the deviation route must trip the entrywise check
     bad = dict(setting)
-    bad["x_dev"] = (setting["x_dev"] * (1.0 + 1e-6)).tocsr()
+    bad["x_dev"] = setting["x_dev"] * (1.0 + 1e-6)
     with pytest.raises(NumericalBreach):
         context_from_setting(bad, -1.0)
 
@@ -411,8 +410,9 @@ def test_deviation_route_equals_direct_difference():
     fam = sin_family()
     setting = assemble_setting(OperatorSpec(UNIT), fam, eps=0.1,
                                **MESH)
-    gap = abs(setting["x_eps"] - (setting["x_lim"] + setting["x_dev"])).max()
-    scale = abs(setting["x_eps"]).max()
+    gap = abs(setting["x_eps"] - (setting["x_lim"] + setting["x_dev"])) \
+        .tocsr().max()
+    scale = abs(setting["x_eps"]).tocsr().max()
     assert gap <= 1e-12 * scale
 
 
