@@ -135,10 +135,10 @@ def series_columns(ctx, orders, rep_kappa, rep_L, seed):
     floored at one (ROADMAP item 4 drops the floor); a form that is not
     coercive at the shift raises CoercivityError.  For each order N,
     err_N is the norm of R_eps minus the order-N series and bound_N =
-    c2^(N+2) |L|^(N+1) its envelope.  Order 0 is kappa, so rep_kappa
-    serves it, and rep_L gives |L|.  The series is divergent when the
-    contraction factor is 1 or above.  Returns the columns, in order, and
-    whether a norm they read missed its tolerance.
+    c2^(N+2) |L|^(N+1) its envelope (a row_inequalities entry).  Order 0
+    is kappa, so rep_kappa serves it, and rep_L gives |L|.  The series is
+    divergent when the contraction factor is 1 or above.  Returns the
+    columns, in order, and whether a norm they read missed its tolerance.
     """
     c2 = max(1.0, _lax_milgram_bound(ctx, "base"),
              _lax_milgram_bound(ctx, "eps"))
@@ -327,6 +327,20 @@ def convergence_row(family, eps, lam, setting, seed, eta_exponents, orders):
         flagged = flagged or series_flagged
     row["flagged"] = int(flagged)
     return row
+
+
+def row_inequalities(orders):
+    """The inequalities lo <= hi on every row of a resolvent study with
+    series orders `orders`, as (lo, hi, lanczos) column names, lanczos the
+    side that is a Lanczos lower estimate, not a certified value.
+
+    norm_L <= bound_m1m1: the criterion's multiplier bound holds the
+    difference form.  err_N <= bound_N: each series remainder stays under
+    its envelope, whose |L| is the Lanczos norm_L.  A breach is a defect
+    the study's footer names, never a verdict input nor a tolerance.
+    """
+    return [("norm_L", "bound_m1m1", "norm_L")] + [
+        (f"err_{n}", f"bound_{n}", f"err_{n}") for n in orders]
 
 
 def convergence_verdict(rows):

@@ -82,6 +82,18 @@ def _fit_line(column, eps_values, values):
             f"used={fit['used']} dropped={fit['dropped']}")
 
 
+def _eps_list(values):
+    return ";".join(f"{e:g}" for e in values)
+
+
+def _max_line(rows, lo, hi, lanczos=None):
+    """# max lo/hi over the rows, 0 / 0 read as 0 since 0 <= 0 holds."""
+    worst = max(r[lo] / r[hi] if r[hi] else math.inf if r[lo] > 0 else 0.0
+                for r in rows)
+    note = f" ({lanczos} is a Lanczos lower estimate)" if lanczos else ""
+    return f"# max {lo}/{hi} = {worst:.17g}{note}"
+
+
 def _table(cfg, rows, footer, fits=()):
     """A study's result: the keys of its first row, in order, are the CSV
     columns; the footer is a fit line per column named in fits, then
@@ -249,9 +261,8 @@ def criterion_study(cfg, seed):
         })
     certified = all(r["bound_m1m1"] <= RATE_FACTOR * r["predicted"]
                     for r in rows)
-    worst = max(r["bound_m1m1"] / r["predicted"] for r in rows)
     verdict = "rate_certified" if certified else "not_certified"
-    footer = [f"# max bound_m1m1/predicted = {worst:.17g}",
+    footer = [_max_line(rows, "bound_m1m1", "predicted"),
               f"# verdict: {verdict}"]
     return _table(cfg, rows, fits=("bound_m1m1", "bound_m10"), footer=footer)
 
@@ -395,8 +406,7 @@ def norm_study(cfg, seed):
     for mark in ("flagged", "capped"):
         marked = [row["eps"] for row, m in zip(rows, marks) if m[mark]]
         if marked:
-            footer.append(f"# {mark}_rows=" + ";".join(f"{e:g}"
-                                                        for e in marked))
+            footer.append(f"# {mark}_rows=" + _eps_list(marked))
     return _table(cfg, rows, fits=("norm_x", "v_m1m1"), footer=footer)
 
 
@@ -452,12 +462,12 @@ def resolvent_study(cfg, seed):
     settings are released row by row: each one is held only while its
     own row is measured.
 
-    The footer gives the largest norm_L / bound_m1m1, the criterion's
-    upper side of the link to |L|, and names the eps of any row where
-    norm_L exceeds bound_m1m1 under norm_l_above_bound_rows.
+    For each row inequality lo <= hi (resolvent.row_inequalities) the
+    footer gives the largest lo / hi, and names the eps of any row that
+    breaks it under <lo>_above_<hi>_rows, a defect, not a verdict input.
     """
     from .resolvent import (assemble_setting, convergence_row,
-                            convergence_verdict)
+                            convergence_verdict, row_inequalities)
 
     family = registry.build_family(cfg)
     _require_1d(cfg, family, "resolvent")
@@ -489,20 +499,13 @@ def resolvent_study(cfg, seed):
                    f"norm_l_shrinks={str(detail['norm_L']).lower()}")
     for key in ("flagged_rows", "capped_rows"):
         if key in detail:
-            detail_line += f" {key}=" + ";".join(f"{e:g}" for e in detail[key])
-    # the criterion's multiplier bound rho1 + eta > 0 must hold |L|;
-    # norm_L is the Lanczos value, a lower estimate, until it carries a
-    # certified upper end (ROADMAP item 3)
-    link = max(r["norm_L"] / r["bound_m1m1"] for r in rows)
-    footer += [
-        f"# max_identity_err = {max_identity:.17g}",
-        f"# max norm_L/bound_m1m1 = {link:.17g} "
-        "(norm_L is a Lanczos lower estimate)",
-    ]
-    above = [r["eps"] for r in rows if r["norm_L"] > r["bound_m1m1"]]
-    if above:
-        footer.append("# norm_l_above_bound_rows="
-                      + ";".join(f"{e:g}" for e in above))
+            detail_line += f" {key}=" + _eps_list(detail[key])
+    footer.append(f"# max_identity_err = {max_identity:.17g}")
+    for lo, hi, lanczos in row_inequalities(orders):
+        footer.append(_max_line(rows, lo, hi, lanczos))
+        above = [r["eps"] for r in rows if r[lo] > r[hi]]
+        if above:
+            footer.append(f"# {lo}_above_{hi}_rows=" + _eps_list(above))
     footer += [f"# verdict: {verdict}", detail_line]
     return _table(cfg, rows, fits=("kappa", "norm_L", "bound_m1m1"),
                   footer=footer)

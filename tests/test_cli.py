@@ -120,6 +120,22 @@ def test_nonpositive_frequency_exits_2(tmp_path, capsys, name, freq):
     assert "family.frequency" in capsys.readouterr().err
 
 
+def test_zero_perturbation_series_exits_0(tmp_path, capsys):
+    # at amplitude 0, L = 0 and every err_N and bound_N is 0: 0 <= 0 holds
+    # at ratio 0, where a plain err_N / bound_N would divide by zero
+    path = tmp_path / "zero.cfg"
+    path.write_text("study.kind = resolvent\nfamily.name = regular_sin\n"
+                    "family.amplitude = 0\noperator.shift = -2\n"
+                    "schedule.eps = 0.05, 0.025\nseries.orders = 0, 1\n")
+    code = main(["resolvent", "--config", str(path), "--out", "-"])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 0
+    for n in (0, 1):
+        assert (f"# max err_{n}/bound_{n} = 0 "
+                f"(err_{n} is a Lanczos lower estimate)") in lines
+    assert not any("_above_" in line for line in lines)
+
+
 def test_negative_criterion_refine_exits_2(tmp_path, capsys):
     # 0 derives the refine from the family; a negative one was read as 1
     path = tmp_path / "refine.cfg"

@@ -4,9 +4,14 @@ and writes the bytes it wrote before.
 Resolvent studies converge except the sign_resolvent negative control,
 criterion bounds follow the declared rate except on the sign_criterion
 negative control, sin_norm stays within its chain budget, the two-scale
-limit is consistent and the sign_homogenize negative control is not, and
-the sin_neumann series errors stay below their envelope.
+limit is consistent and the sign_homogenize negative control is not.
 No norm in any of them may be flagged.
+
+The per-row inequalities live in one table, resolvent.row_inequalities:
+norm_L <= bound_m1m1 on every resolvent row, and err_N <= bound_N at each
+series order.  One test asserts every entry on every row of every
+resolvent config, with its footer line; a new inequality is a new entry
+of that table, not a test of its own.
 
 Every shipped config's CSV text (render_csv, seed 1234) must match the
 SHA-256 digest recorded in DIGESTS.  The digests are bytes of one-BLAS-
@@ -59,7 +64,7 @@ DIGESTS = {
     "sign_homogenize": "8f13c320fb731cfc10a6d0dbf6ebf2dd9112ce7a4854b42b2105b43639f6e5d1",
     "sign_resolvent": "d9fb2915267964d412c6b7836591919d7b0ee8e3e02bb8f26865fc5a3a3efd9d",
     "sin_criterion": "6b62c0889cab902f9c7b5aec2765810195fbba7dc909e3c4966aa0a8bc3afb9b",
-    "sin_neumann": "c2c4732b16a330f1688ddc5ce30b39287ce563e0bbbdf6a5ed1c2ba300aa1e5f",
+    "sin_neumann": "9c487db76632b1999ae792862e0640f25441102c6bd38a2a9dcf4ebd99677262",
     "sin_norm": "2b531ec3f61d40fffb760f42cf665b0eabd140f49f81f4c5a3b279a2faef6522",
     "sin_resolvent": "be1ce95ba5607745f208b8ba2bfa88e85106f2aa1fa03d7425d52478f5008977",
     "sparse_criterion": "e33ee4a7fed8ab8e81c1d19c21c969b9d99e8b6f37990192388ddce2d6259f8a",
@@ -136,16 +141,21 @@ def test_identity_holds_far_below_the_solve_tolerance(name):
 
 
 @pytest.mark.parametrize("name", RESOLVENTS)
-def test_criterion_bound_holds_the_difference_form(name):
-    # the upper side of the criterion-to-norm link: norm_L <= bound_m1m1
-    # on every row, 0.0834 at most today (sign_resolvent)
+def test_row_inequalities_hold(name):
+    # every entry lo <= hi of the table on every row, with its max line
+    # and no breach line: norm_L / bound_m1m1 reaches 0.0834 at most
+    # (sign_resolvent), err_N / bound_N 0.922 at most (sin_neumann, N = 0)
     res = _run(name)
-    assert all(row["norm_L"] <= row["bound_m1m1"] for row in res.rows)
-    assert not any(line.startswith("# norm_l_above_bound_rows")
-                   for line in res.footer)
-    link = max(row["norm_L"] / row["bound_m1m1"] for row in res.rows)
-    assert f"# max norm_L/bound_m1m1 = {link:.17g} " \
-        "(norm_L is a Lanczos lower estimate)" in res.footer
+    cfg = StudyConfig.load(CONFIGS / f"{name}.cfg")
+    table = resolvent.row_inequalities(study._series_orders(cfg))
+    for lo, hi, lanczos in table:
+        assert all(row[lo] <= row[hi] for row in res.rows)
+        worst = max(row[lo] / row[hi] for row in res.rows)
+        assert (f"# max {lo}/{hi} = {worst:.17g} "
+                f"({lanczos} is a Lanczos lower estimate)") in res.footer
+    assert sum(line.startswith("# max ") for line in res.footer) \
+        == len(table)
+    assert not any("_above_" in line for line in res.footer)
 
 
 def test_every_criterion_config_is_covered():
@@ -209,11 +219,11 @@ SERIES_TABLE = (
 
 
 def test_sin_neumann_errors_below_bounds():
+    # err_N <= bound_N on every row is an entry of the row-inequality
+    # table (test_row_inequalities_hold)
     rows = _run("sin_neumann").rows
     orders = range(5)
-    for row in rows:
-        assert all(row[f"err_{n}"] <= row[f"bound_{n}"] for n in orders)
-        assert row["divergent"] == 0
+    assert all(row["divergent"] == 0 for row in rows)
     first = rows[0]
     errors, norm_l, c2, contraction = SERIES_TABLE
     assert [(first[f"err_{n}"], first[f"bound_{n}"]) for n in orders] \

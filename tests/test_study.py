@@ -170,6 +170,53 @@ mesh.min_elements = 16
     assert alive == [[], [False], [False, False]]
 
 
+def test_resolvent_footer_names_rows_that_break_an_inequality(monkeypatch):
+    # norm_L lifted above bound_m1m1 and err_1 above bound_1 on the first
+    # row: each entry's breach line names that row's eps alone, and the
+    # verdict, which no inequality enters, stays as it was
+    from homlab import resolvent
+
+    cfg_text = """
+study.kind = resolvent
+family.name = regular_sin
+schedule.eps = 0.2, 0.1, 0.05
+operator.shift = -1.0
+mesh.min_elements = 16
+series.orders = 0, 1
+"""
+
+    def footer():
+        cfg = StudyConfig.from_text(cfg_text, "<config>")
+        return run_study("resolvent", cfg, seed=1234).footer
+
+    def verdict(lines):
+        return [line for line in lines if line.startswith("# verdict")]
+
+    measure = resolvent.convergence_row
+
+    def lifted(family, eps, *args):
+        row = measure(family, eps, *args)
+        if eps == 0.2:
+            row["norm_L"] = 2 * row["bound_m1m1"]
+            row["err_1"] = 2 * row["bound_1"]
+        return row
+
+    before = footer()
+    assert not any("_above_" in line for line in before)
+    # resolvent_study looks convergence_row up on homlab.resolvent
+    monkeypatch.setattr(resolvent, "convergence_row", lifted)
+    after = footer()
+    assert [line for line in after if "_above_" in line] == [
+        "# norm_L_above_bound_m1m1_rows=0.2", "# err_1_above_bound_1_rows=0.2"]
+    at = after.index("# norm_L_above_bound_m1m1_rows=0.2")
+    assert after[at - 1] == ("# max norm_L/bound_m1m1 = 2 "
+                             "(norm_L is a Lanczos lower estimate)")
+    at = after.index("# err_1_above_bound_1_rows=0.2")
+    assert after[at - 1] == ("# max err_1/bound_1 = 2 "
+                             "(err_1 is a Lanczos lower estimate)")
+    assert verdict(after) == verdict(before)
+
+
 # ------------------------------------------------------------- determinism
 
 def test_run_study_rejects_unread_keys():
