@@ -1,9 +1,15 @@
 """Scalar coefficient fields.
 
 A coefficient field is a bounded measurable map x -> real number,
-represented by a vectorized closure.  Fields are evaluated in batches: the
-closure receives points of shape (m, dim) and returns real values of
-shape (m,), which every caller gets as float64.
+represented by a vectorized closure.  Fields are evaluated in batches of
+coordinates, not of points: the closure receives a tuple of dim
+coordinate arrays that broadcast together, x[j] the j-th coordinate of
+every point, and returns real values of their broadcast shape, which
+every caller gets as float64.  A coordinate that is constant along an
+axis of the batch comes with length 1 there, so a closure evaluates a
+factor of that coordinate once per distinct value: cell quadrature on an
+axis-aligned lattice passes each coordinate only along the axes it
+varies on, and no caller builds a point array.
 """
 
 from dataclasses import dataclass
@@ -40,15 +46,22 @@ class Box:
 class CoefficientField:
     """Bounded scalar coefficient of dim variables.
 
-    func maps points (m, dim) -> real values (m,), returned as float64: a
-    closure that returns complex values raises TypeError, so no imaginary
-    part is dropped.  A call takes points of exactly that shape, in any
-    memory order: cell quadrature passes them column-contiguous (a
-    transposed (dim, m) array), so a closure indexes columns, pts[:, j],
-    and its values must not depend on the layout.  Cell quadrature may
-    also run a closure on several threads at once, so a closure must not
-    mutate shared state: it reads what it captured and writes only arrays
-    of its own.
+    A call takes a tuple (or list) of dim coordinate arrays x that
+    broadcast together, x[j] the j-th coordinate of every point, and
+    returns real float64 values of their broadcast shape.  func gets the
+    coordinates as float arrays, reads x[j], and must return values of
+    that whole shape: a factor of one coordinate broadcasts against the
+    others.  Each value must depend only on its own point's coordinates,
+    not on the shapes, strides or memory order the coordinates come in:
+    cell quadrature passes a coordinate only along the axes it varies
+    on, and the values must be the bits of an evaluation on the
+    broadcast, materialized coordinates.  A closure that returns complex
+    values raises TypeError, so no imaginary part is dropped; a wrong
+    number of coordinates, coordinates that do not broadcast or values
+    of another shape raise ValueError.  Cell quadrature may also run a
+    closure on several threads at once, so a closure must not mutate
+    shared state: it reads what it captured and writes only arrays of
+    its own.
     sup_bound is a declared uniform bound on |value|, taken on trust:
     evaluation does not check it.
     A field carries no domain: the family that holds it owns the domain,
@@ -56,33 +69,48 @@ class CoefficientField:
     """
 
     dim: int
-    func: Callable[[np.ndarray], np.ndarray]
+    func: Callable[[tuple], np.ndarray]
     sup_bound: float
 
-    def __call__(self, points):
-        pts = np.asarray(points, dtype=float)
-        if pts.ndim != 2 or pts.shape[1] != self.dim:
+    def __call__(self, coords):
+        # an array is refused, not split into rows: an (m, dim) point
+        # array with m == dim would pass as dim coordinates
+        count = len(coords) if isinstance(coords, (tuple, list)) else None
+        if count != self.dim:
+            got = (f"{count}" if count is not None
+                   else f"a {type(coords).__name__}")
+            raise ValueError(f"field expects a tuple of {self.dim} "
+                             f"coordinate arrays, got {got}")
+        x = tuple(np.asarray(c, dtype=float) for c in coords)
+        try:
+            shape = broadcast_shape(x)
+        except ValueError:
             raise ValueError(
-                f"field expects points (m, {self.dim}), got shape {pts.shape}"
-            )
-        vals = np.asarray(self.func(pts))
+                "field coordinates do not broadcast together: shapes "
+                f"{[c.shape for c in x]}") from None
+        vals = np.asarray(self.func(x))
         if np.iscomplexobj(vals):
             raise TypeError(f"field closure {self.func!r} returned complex "
                             "values; coefficients are real")
         vals = vals.astype(float, copy=False)
-        if vals.shape != (pts.shape[0],):
+        if vals.shape != shape:
             raise ValueError(
-                f"field closure returned shape {vals.shape}, expected "
-                f"{(pts.shape[0],)}"
+                f"field closure returned shape {vals.shape}, expected {shape}"
             )
         return vals
+
+
+def broadcast_shape(x):
+    """The shape coordinate arrays x broadcast to: the shape of a field's
+    values on them."""
+    return np.broadcast_shapes(*(c.shape for c in x))
 
 
 def constant_field(dim, value):
     value = float(value)
 
-    def func(pts):
-        return np.full(pts.shape[0], value)
+    def func(x):
+        return np.full(broadcast_shape(x), value)
 
     return CoefficientField(dim, func, abs(value))
 
@@ -92,10 +120,10 @@ def zero_field(dim):
 
 
 def sub_fields(a, b):
-    """a - b; a call checks its points against each field's dim."""
+    """a - b; a call checks its coordinates against each field's dim."""
 
-    def func(pts):
-        return a(pts) - b(pts)
+    def func(x):
+        return a(x) - b(x)
 
     return CoefficientField(a.dim, func, a.sup_bound + b.sup_bound)
 
@@ -103,19 +131,16 @@ def sub_fields(a, b):
 def gram_field(q):
     """Pointwise q(x)^2, the weight for product norms."""
 
-    def func(pts):
-        vals = q(pts)
+    def func(x):
+        vals = q(x)
         return vals * vals
 
     return CoefficientField(q.dim, func, q.sup_bound ** 2)
 
 
 def sampled_sup(field_, box):
-    """Sup of |field| on SUP_SAMPLES points per axis (not certified)."""
-    axes = [
-        np.linspace(box.lower[j], box.upper[j], SUP_SAMPLES)
-        for j in range(box.dim)
-    ]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=1)
-    return float(np.abs(field_(pts)).max())
+    """Sup of |field| on SUP_SAMPLES points per axis (not certified),
+    evaluated on the open grid of the axes."""
+    axes = np.ix_(*(np.linspace(box.lower[j], box.upper[j], SUP_SAMPLES)
+                    for j in range(box.dim)))
+    return float(np.abs(field_(axes)).max())

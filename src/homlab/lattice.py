@@ -21,12 +21,17 @@ the length of a block at MAX_REFINE, the finest rule cell_integral
 takes, so a block is never split, and a cell's result is the same bits
 as in a stack of that cell alone and whatever the chunking.  The block
 sums are taken straight from each evaluation's values, and on request
-the same values also give the integrals of field^2.  The points of an
-evaluation come with each coordinate column contiguous.  Only the 1D
-Gauss nodes and weights of the two orders used are stored, as tabulated
-constants; the composite rule, an evaluation's points and its block
-weights are built afresh, so no array of a whole cell's points or
-weights is built.
+the same values also give the integrals of field^2.  An evaluation passes
+the field its coordinates, not a point array: each coordinate is an
+array of shape (cells, blocks, block length) with length 1 along an
+axis it does not vary on.  On an axis-aligned lattice the first
+coordinate of a 2D rule is constant along a block, (C, k, 1), and the
+last is the same in every block, (C, 1, m), so no evaluation builds an
+array of all its points' coordinates; a sheared lattice gets full
+coordinates from the same code.  Only the 1D Gauss nodes and weights of
+the two orders used are stored, as tabulated constants; the composite
+rule, an evaluation's coordinates and its block weights are built
+afresh, so no array of a whole cell's points or weights is built.
 
 A rule that takes more than one field evaluation shares them among as
 many threads as the process has CPUs to run on, at most one per
@@ -203,33 +208,40 @@ def _block_weights(dim, wts1):
 
 
 def _rule_points(pts1, span, origins, first, count):
-    """Points of the blocks first:first + count of the d-fold tensor rule
-    over the 1D nodes pts1, first axis slowest, in each cell origins[c] +
-    span (0,1)^d: shape (C * count * len(pts1), d), cell after cell, each
-    coordinate column contiguous.  The first d - 1 coordinates of a block
-    are the nodes its index's base len(pts1) digits pick, and the last
-    axis runs over pts1, so every block range has the same rows as the
-    whole rule.
+    """Coordinates of the blocks first:first + count of the d-fold tensor
+    rule over the 1D nodes pts1, first axis slowest, in each cell
+    origins[c] + span (0,1)^d: a tuple of d arrays that broadcast to
+    (C, count, len(pts1)), cell, block, node.  The first d - 1
+    coordinates of a block are the nodes its index's base len(pts1)
+    digits pick, and the last axis runs over pts1, so every block range
+    has the same points as the whole rule.
 
     Coordinate i is shifts + (sum of the head nodes times span[i, :-1],
-    left to right, one value per block) + pts1 * span[i, -1], broadcast
-    over the blocks and cells: the sums _affine_points takes over the
-    expanded columns, in the same order, so the same bits.
+    left to right, one value per block) + pts1 * span[i, -1]: the sums
+    _affine_points takes over the expanded columns, in the same order,
+    so the same bits.  It comes with length 1 along the block axis when
+    span[i, :-1] is zero and along the node axis when span[i, -1] is:
+    the nodes are positive, so each zero term is the same signed zero at
+    every block or node, and the one value computed stands for all of
+    them.  So on an axis-aligned lattice a 2D rule gives x1 of shape
+    (C, count, 1) and x2 of shape (C, 1, len(pts1)), and a 1D rule
+    (C, 1, len(pts1)).
     """
     dim, size = len(span), len(pts1)
     blocks = np.arange(first, first + count)
     heads = [pts1[blocks // size ** (dim - 2 - a) % size]
              for a in range(dim - 1)]
-    out = np.empty((dim, len(origins), count, size))
+    coords = []
     for i, row in enumerate(span):
-        acc = pts1 * row[-1]
+        acc = (pts1 if row[-1] else pts1[:1]) * row[-1]
         if heads:
-            head = heads[0] * row[0]
-            for col, entry in zip(heads[1:], row[1:-1]):
+            cols = heads if row[:-1].any() else [h[:1] for h in heads]
+            head = cols[0] * row[0]
+            for col, entry in zip(cols[1:], row[1:-1]):
                 head += col * entry
             acc = head[:, None] + acc
-        np.add(origins[:, i, None, None], acc, out=out[i])
-    return out.reshape(dim, -1).T
+        coords.append(origins[:, i, None, None] + acc)
+    return tuple(coords)
 
 
 def _workers():
@@ -322,7 +334,7 @@ def _rule_integrals(field_, origins, span, jac, refine, order, squares):
         cells = origins[a:a + step]
         c = len(cells)
         k = min(per, blocks - b)  # whole blocks in this evaluation
-        v = field_(_rule_points(pts1, span, cells, b, k)).reshape(c, k, size)
+        v = field_(_rule_points(pts1, span, cells, b, k))
         vals = (v, np.square(v)) if squares else (v,)
         # row j holds the weights of block b + j
         wts = np.multiply.outer(factors[b:b + k], wts1)

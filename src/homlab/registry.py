@@ -75,7 +75,7 @@ def _build_regular_sin(cfg):
 
     def v_of_eps(eps):
         return CoefficientField(
-            1, lambda pts: amp * np.sin(freq * pts[:, 0] / eps), abs(amp))
+            1, lambda x: amp * np.sin(freq * x[0] / eps), abs(amp))
 
     return make_family(
         v_of_eps,
@@ -98,7 +98,7 @@ def _build_sign_sin(cfg):
 
     def v_of_eps(eps):
         return CoefficientField(
-            1, lambda pts: np.sign(np.sin(freq * pts[:, 0] / eps)), 1.0)
+            1, lambda x: np.sign(np.sin(freq * x[0] / eps)), 1.0)
 
     return make_family(
         v_of_eps,
@@ -131,10 +131,10 @@ def _build_sparse_bumps(cfg):
         radius = r4 * eps ** p5
         centers = a + r4 * (np.arange(math.floor((b - a) / r4)) + 0.5)
 
-        def bumps(pts):
-            out = np.zeros(pts.shape[0])
+        def bumps(x):
+            out = np.zeros(x[0].shape)
             for c in centers:
-                r = np.abs(pts[:, 0] - c) / radius
+                r = np.abs(x[0] - c) / radius
                 mask = r <= 1.0
                 out[mask] += np.cos(0.5 * math.pi * r[mask]) ** 2 * amp
             return out
@@ -157,7 +157,7 @@ def _build_stabilizing_arctan(cfg):
 
     def v_of_eps(eps):
         return CoefficientField(
-            1, lambda pts: amp * (2.0 / math.pi) * np.arctan(pts[:, 0] / eps),
+            1, lambda x: amp * (2.0 / math.pi) * np.arctan(x[0] / eps),
             abs(amp))
 
     def rate(eps):
@@ -193,11 +193,11 @@ def _build_locally_periodic(cfg):
         return (eps, eps * eps)[:levels]
 
     def v_of_eps(eps):
-        def oscillation(pts):
-            x = pts[:, 0]
-            vals = amp * (1.0 + 0.5 * np.sin(2 * math.pi * x))
+        def oscillation(x):
+            x1 = x[0]
+            vals = amp * (1.0 + 0.5 * np.sin(2 * math.pi * x1))
             for s in scales(eps):
-                vals = vals * np.cos(2 * math.pi * (x / s))
+                vals = vals * np.cos(2 * math.pi * (x1 / s))
             return vals
 
         return CoefficientField(1, oscillation, 1.5 * abs(amp))
@@ -228,13 +228,13 @@ def _build_two_scale_linear(cfg):
 
     def v_of_eps(eps):
         return CoefficientField(
-            1, lambda pts: amp * pts[:, 0]
-            * (1.0 + np.cos(2 * math.pi * (pts[:, 0] / eps))),
+            1, lambda x: amp * x[0]
+            * (1.0 + np.cos(2 * math.pi * (x[0] / eps))),
             2.0 * abs(amp) * span)
 
     return make_family(
         v_of_eps,
-        CoefficientField(1, lambda pts: amp * pts[:, 0], abs(amp) * span),
+        CoefficientField(1, lambda x: amp * x[0], abs(amp) * span),
         lambda eps: math.sqrt(eps),
         box,
         finest_scale=lambda eps: max(eps, 1e-14),
@@ -265,10 +265,10 @@ def _build_almost_periodic(cfg):
     max_alpha = max((abs(alpha) for alpha in freqs), default=1.0)
 
     def v_of_eps(eps):
-        def trig_sum(pts):
-            out = np.zeros(pts.shape[0])
+        def trig_sum(x):
+            out = np.zeros(x[0].shape)
             for alpha, a in terms:
-                out += np.cos((pts[:, 0] * alpha) / eps) * a
+                out += np.cos((x[0] * alpha) / eps) * a
             return out + mean
 
         return CoefficientField(1, trig_sum, sup)
@@ -308,7 +308,7 @@ def _build_modulated_diffeo(cfg):
 
     def v_of_eps(eps):
         return CoefficientField(
-            1, lambda pts: amp * np.sin(2 * math.pi * (pts[:, 0] ** 3 / eps)),
+            1, lambda x: amp * np.sin(2 * math.pi * (x[0] ** 3 / eps)),
             abs(amp))
 
     return make_family(
@@ -368,7 +368,7 @@ def _build_modulated_periodic(cfg):
 
     def v_of_eps(eps):
         return CoefficientField(
-            1, lambda pts: amp * np.sin(2 * math.pi * (np.cos(pts[:, 0]) / eps)),
+            1, lambda x: amp * np.sin(2 * math.pi * (np.cos(x[0]) / eps)),
             abs(amp))
 
     def rate(eps):
@@ -396,31 +396,27 @@ def _build_fractal_2d(cfg):
     """amp cos(x1 / eps) cos(x1 x2 / eps^2) on a 2D box; the limit is zero.
 
     The predicted rate is rho8(2 sqrt(2) sqrt(eps)) + sqrt(eps), and the
-    cell criteria use the lattice 2 Z^2 - (1, 1).  The factor
-    amp cos(x1 / eps) is evaluated once per run of equal consecutive x1
-    and repeated over the run: a block of the cell quadrature's tensor
-    rule is one such run.  This is exact for points in any order, since
-    equal x1 give equal factors, and the product keeps the order
-    (amp cos(x1 / eps)) cos(x1 x2 / eps^2); points whose x1 all differ
-    just make runs of one.
+    cell criteria use the lattice 2 Z^2 - (1, 1).  The value is the
+    product (amp cos(x1 / eps)) cos(x1 x2 / eps^2) in that order, by
+    broadcasting: cell quadrature on that lattice passes x1 once per
+    block, so the factor amp cos(x1 / eps) is taken once per block and
+    not once per point.
+
+    The finest scale is the smallest over both axes and both factors:
+    the phase x1 x2 / eps^2 oscillates along x2 at rate |x1| / eps^2 and
+    along x1 at rate |x2| / eps^2, and cos(x1 / eps) at rate 1 / eps,
+    which is the finer one on a box within eps of the origin.
     """
     amp = cfg.get_float("family.amplitude", 1.0)
     box = _domain(cfg, (0.0, 0.0, 2.0, 2.0))
     rho8 = _rho8(cfg)
-    # the deepest phase x1 x2 / eps^2 is fastest where |x1| is largest
-    x1_max = max(abs(box.lower[0]), abs(box.upper[0]))
+    # the deepest phase is fastest where the other coordinate is largest
+    x_max = max(abs(v) for v in box.lower + box.upper)
 
     def v_of_eps(eps):
-        def products(pts):
-            x1 = pts[:, 0]
-            # the first point of each run of equal consecutive x1
-            first = np.empty(len(x1), dtype=bool)
-            first[:1] = True
-            np.not_equal(x1[1:], x1[:-1], out=first[1:])
-            starts = np.flatnonzero(first)
-            outer = np.repeat(amp * np.cos(x1[starts] / eps),
-                              np.diff(starts, append=len(x1)))
-            return outer * np.cos(x1 * pts[:, 1] / eps ** 2)
+        def products(x):
+            x1, x2 = x
+            return amp * np.cos(x1 / eps) * np.cos(x1 * x2 / eps ** 2)
 
         return CoefficientField(2, products, abs(amp))
 
@@ -429,10 +425,11 @@ def _build_fractal_2d(cfg):
         constant_field(2, 0.0),
         lambda eps: rho8(2 * math.sqrt(2) * math.sqrt(eps)) + math.sqrt(eps),
         box,
-        # its x2-period 2 pi eps^2 / x1_max over 2 pi, in the operation
-        # order the quadrature refine (and so the output bytes) follows
-        finest_scale=lambda eps: 2 * math.pi * eps ** 2 / (2 * math.pi
-                                                           * x1_max),
+        # the phase's period 2 pi eps^2 / x_max over 2 pi, in the
+        # operation order the quadrature refine (and so the output bytes)
+        # follows, or the factor's eps if that is finer
+        finest_scale=lambda eps: min(eps, 2 * math.pi * eps ** 2
+                                     / (2 * math.pi * x_max)),
         suggested_lattice=Lattice(2, 2.0 * np.eye(2), -np.ones(2)),
     )
 
@@ -455,17 +452,18 @@ def _build_random_rotation(cfg):
     box = _domain(cfg, (0.0, 1.0))
     w0 = np.random.default_rng(seed).random(2)
 
-    def observable(w):
+    def observable(w1, w2):
         return mean + amp * 0.5 * (
-            np.cos(2 * math.pi * w[:, 0]) + np.cos(2 * math.pi * w[:, 1])
+            np.cos(2 * math.pi * w1) + np.cos(2 * math.pi * w2)
         )
 
-    flow = np.array([[1.0, math.sqrt(2.0)]])
-
     def v_of_eps(eps):
-        return CoefficientField(
-            1, lambda pts: observable(np.mod(w0 + (pts / eps) @ flow, 1.0)),
-            abs(mean) + abs(amp))
+        def rotation(x):
+            t = x[0] / eps
+            return observable(np.mod(w0[0] + t, 1.0),
+                              np.mod(w0[1] + t * math.sqrt(2.0), 1.0))
+
+        return CoefficientField(1, rotation, abs(mean) + abs(amp))
 
     return make_family(
         v_of_eps,

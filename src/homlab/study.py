@@ -313,7 +313,7 @@ def homogenize_study(cfg, seed):
         mu_rule=lambda eps: eps ** mu_power,
         sample_points=points,
     )
-    limit_vals = family.limit.v(rep["grid"])
+    limit_vals = family.limit.v(tuple(rep["grid"].T))
 
     # the last eps has no successor to compare with
     pair_gaps = rep["pair_gaps"] + [math.nan]

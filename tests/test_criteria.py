@@ -23,7 +23,7 @@ UNIT = Box((0.0,), (1.0,))
 def sin_family(amp=1.0):
     def at(eps):
         return CoefficientField(
-            1, lambda p: amp * np.sin(p[:, 0] / eps), abs(amp))
+            1, lambda x: amp * np.sin(x[0] / eps), abs(amp))
 
     return make_family(at, zero_field(1),
                        lambda eps: 2.0 * math.sqrt(eps), UNIT,
@@ -124,7 +124,7 @@ def sin_weight_family():
     zero = zero_field(1)
 
     def at(eps):
-        q = CoefficientField(1, lambda p: np.sin(p[:, 0] / eps), 1.0)
+        q = CoefficientField(1, lambda x: np.sin(x[0] / eps), 1.0)
         return FieldTriple(v=zero, q=(q,))
 
     return make_family(at, FieldTriple(v=zero, q=(zero,)),
@@ -352,7 +352,7 @@ def reference_report(family, eps, eta, refine):
     measure = lat.cell_measure * eta ** family.dim
     rho1_, rho3_, quad = 0.0, 0.0, 0.0
     for dev in deviation_triple(family, eps).components():
-        sq = CoefficientField(dev.dim, lambda p, d=dev: d(p) ** 2,
+        sq = CoefficientField(dev.dim, lambda x, d=dev: d(x) ** 2,
                               dev.sup_bound ** 2)
         for z in cells:
             (integral,), (err,) = cell_integral(lat, [z], eta, dev, refine)
@@ -380,9 +380,9 @@ def test_criterion_report_matches_cell_by_cell_loop(text, eps, eta, refine):
 
 def _counting_family(sizes):
     def counted(scale):
-        def func(pts):
-            sizes.append(len(pts))
-            return scale * np.sin(pts[:, 0] / 0.003)
+        def func(x):
+            sizes.append(x[0].size)
+            return scale * np.sin(x[0] / 0.003)
         return CoefficientField(1, func, abs(scale))
 
     zero = zero_field(1)
@@ -422,9 +422,9 @@ def test_evaluations_stay_within_the_chunk_budget(monkeypatch, budget):
 
 def test_optimize_eta_reports_field_errors_instead_of_skipping():
     def wrong_shape(eps):
-        # a closure returning (m, 2, 2) values for a scalar field
+        # a closure returning a 2 x 2 matrix per point for a scalar field
         return CoefficientField(
-            1, lambda p: np.zeros((len(p), 2, 2)), 1.0)
+            1, lambda x: np.zeros(x[0].shape + (2, 2)), 1.0)
 
     fam = family_of(wrong_shape, zero_field(1))
     with pytest.raises(ValueError, match="closure returned shape"):
@@ -438,9 +438,9 @@ def test_optimize_eta_reports_field_errors_instead_of_skipping():
 
 def _nan_family():
     # sin(x / 0.01), but nan at one point of every evaluation
-    def func(pts):
-        out = np.sin(pts[:, 0] / 0.01)
-        out[0] = np.nan
+    def func(x):
+        out = np.sin(x[0] / 0.01)
+        out.flat[0] = np.nan
         return out
 
     field_ = CoefficientField(1, func, 1.0)

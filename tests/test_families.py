@@ -27,21 +27,21 @@ def _entry(text):
 
 def _value(field_, x):
     """The field at the single point x, as a float."""
-    return float(field_(np.array([[x]]))[0])
+    return float(field_((np.array([x]),))[0])
 
 
 def _regular_sin():
     def at(eps):
-        return CoefficientField(1, lambda p: eps * np.sin(p[:, 0]), eps)
+        return CoefficientField(1, lambda x: eps * np.sin(x[0]), eps)
 
     return _family(at, zero_field(1))
 
 
 def test_regular_family_deviations_match_definition():
     fam = _regular_sin()
-    pts = np.linspace(0.1, 0.9, 7)[:, None]
-    got = deviation_triple(fam, 0.25).v(pts)
-    assert np.allclose(got, 0.25 * np.sin(pts[:, 0]), atol=1e-15)
+    xs = np.linspace(0.1, 0.9, 7)
+    got = deviation_triple(fam, 0.25).v((xs,))
+    assert np.allclose(got, 0.25 * np.sin(xs), atol=1e-15)
     assert fam.rate(0.25) == pytest.approx(0.25)
 
 
@@ -60,19 +60,19 @@ def test_regular_family_rejects_shape_mismatch():
 def test_zero_or_absent_limit_is_not_subtracted():
     calls = []
 
-    def zero(pts):
-        calls.append(len(pts))
-        return np.zeros(len(pts))
+    def zero(x):
+        calls.append(x[0].size)
+        return np.zeros(x[0].shape)
 
     lim = CoefficientField(1, zero, 0.0)
 
     def at(eps):
         return FieldTriple(
-            v=CoefficientField(1, lambda p: eps * np.sin(p[:, 0]), eps),
-            q=(CoefficientField(1, lambda p: -eps * np.cos(p[:, 0]), eps),))
+            v=CoefficientField(1, lambda x: eps * np.sin(x[0]), eps),
+            q=(CoefficientField(1, lambda x: -eps * np.cos(x[0]), eps),))
 
     fam = _family(at, lim)
-    pts = np.linspace(0.0, 1.0, 11)[:, None]
+    pts = (np.linspace(0.0, 1.0, 11),)
     dev = deviation_triple(fam, 0.25)
     parts = at(0.25)
     assert (len(dev.q), len(dev.p)) == (1, 0)
@@ -93,7 +93,7 @@ def test_deviation_triple_keeps_weight_order():
     fam = _family(
         lambda eps: FieldTriple(v=zero_field(1), q=weights),
         zero_field(1))
-    point = np.array([[0.5]])
+    point = (np.array([0.5]),)
     got = [q(point)[0] for q in deviation_triple(fam, 0.1).q]
     assert got == [float(j) for j in range(1, 12)]
 
@@ -101,7 +101,7 @@ def test_deviation_triple_keeps_weight_order():
 def test_identical_family_has_zero_deviations():
     v0 = constant_field(1, 3.0)
     fam = _family(lambda eps: v0, v0, lambda eps: 0.0)
-    pts = np.linspace(0.0, 1.0, 11)[:, None]
+    pts = (np.linspace(0.0, 1.0, 11),)
     for dev in deviation_triple(fam, 0.01).components():
         assert np.abs(dev(pts)).max() == 0.0
 
@@ -171,8 +171,8 @@ def test_almost_periodic_box_average_oracle():
     eps = 0.01
     r = 0.2
     n = 40001
-    xs = np.linspace(0.0, r, n)[:, None]
-    vals = fam.at(eps).v(xs)
+    xs = np.linspace(0.0, r, n)
+    vals = fam.at(eps).v((xs,))
     measured = np.trapezoid(vals, dx=r / (n - 1)) / r
     exact = 2 * eps * math.sin(r * 3.0 / eps) / (r * 3.0)
     assert measured == pytest.approx(exact, abs=5e-6)
@@ -211,7 +211,7 @@ def test_sparse_bumps_vanish_off_support():
     assert _value(v, 0.3) == 0.0
     assert _value(v, 0.95) == pytest.approx(2.0)
     xs = np.linspace(0.0, 1.0, 2001)
-    vals = v(xs[:, None])
+    vals = v((xs,))
     centers = 0.05 + 0.1 * np.arange(10)
     dist = np.min(np.abs(xs[:, None] - centers[None, :]), axis=1)
     near = dist <= 0.01 * (1 + 1e-9)
@@ -251,7 +251,7 @@ def test_random_family_deterministic_in_seed():
     def build(seed):
         return _entry(f"family.name = random_rotation\nfamily.seed = {seed}\n")
 
-    pts = np.linspace(0, 1, 9)[:, None]
+    pts = (np.linspace(0, 1, 9),)
     va, vb, vc = (build(seed).at(0.03).v(pts) for seed in (42, 42, 43))
     assert np.array_equal(va, vb)
     assert not np.allclose(va, vc)
@@ -289,36 +289,59 @@ def test_modulated_diffeo_refuses_a_degenerate_jacobian():
 
 
 def _fractal_cases():
-    # points of a tensor fill of the lattice 2 Z^2 - (1, 1), where x1 is
-    # constant along each block; the same points shuffled; a skew rule,
-    # where x1 varies inside a block; and a single point
+    # coordinates of a tensor fill of the lattice 2 Z^2 - (1, 1), as cell
+    # quadrature passes them: x1 once per block and x2 once per node; the
+    # same points materialized and shuffled; a skew rule, whose
+    # coordinates come full; and a single point
     pts1, _ = _panel_rule(5)
     tensor = _rule_points(pts1, 0.5 * np.eye(2),
                           np.array([[0.5, 0.5], [1.5, 0.5]]), 0, 20)
-    shuffled = tensor[np.random.default_rng(5).permutation(len(tensor))]
+    flat = [c.ravel() for c in np.broadcast_arrays(*tensor)]
+    order = np.random.default_rng(5).permutation(len(flat[0]))
+    shuffled = tuple(c[order] for c in flat)
     skew = _rule_points(pts1, np.array([[0.7, 0.2], [-0.1, 0.5]]),
                         np.array([[0.3, 0.4]]), 3, 9)
-    single = np.array([[1.3, 0.7]])
+    single = (np.array([1.3]), np.array([0.7]))
     return {"tensor": tensor, "shuffled": shuffled, "skew": skew,
             "single": single}
 
 
 @pytest.mark.parametrize("case", sorted(_fractal_cases()))
 def test_fractal_field_equals_the_elementwise_product(case):
-    # one cos(x1 / eps) per run of equal x1 gives the bits of the product
-    # written out point by point
+    # one cos(x1 / eps) per block, broadcast over the block, gives the
+    # bits of the product written out point by point
     amp, eps = 0.7, 0.13
-    pts = _fractal_cases()[case]
-    x1, x2 = pts[:, 0], pts[:, 1]
+    x = _fractal_cases()[case]
+    x1, x2 = np.broadcast_arrays(*x)
     ref = amp * np.cos(x1 / eps) * np.cos(x1 * x2 / eps ** 2)
     field_ = _entry(f"family.name = fractal_2d\n"
                     f"family.amplitude = {amp}\n").at(eps).v
-    assert np.array_equal(field_(pts), ref)
+    got = field_(x)
+    assert got.shape == ref.shape
+    assert got.tobytes() == np.ascontiguousarray(ref).tobytes()
     if case == "tensor":
-        # runs of one block, 20 points each
-        assert np.all(x1.reshape(-1, 20) == x1[::20, None])
+        # 2 cells of 20 blocks of 20 points
+        assert [c.shape for c in x] == [(2, 20, 1), (2, 1, 20)]
     if case == "skew":
-        assert np.all(x1[1:] != x1[:-1])
+        assert [c.shape for c in x] == [(1, 9, 20)] * 2
+
+
+def test_fractal_finest_scale_covers_both_axes_and_factors():
+    eps = 0.13
+    # the default box [0, 2]^2: the phase's scale eps^2 / 2, in the bits
+    # the shipped outputs follow
+    default = _entry("family.name = fractal_2d\n")
+    assert default.finest_scale(eps) == (2 * math.pi * eps ** 2
+                                         / (2 * math.pi * 2.0))
+    # on a tall box the phase x1 x2 / eps^2 oscillates fastest along x1,
+    # at rate |x2| / eps^2 up to 4 / eps^2, not |x1| / eps^2 <= 1 / eps^2
+    tall = _entry("family.name = fractal_2d\nfamily.domain = 0, 0, 1, 4\n")
+    assert tall.finest_scale(eps) == pytest.approx(eps ** 2 / 4.0,
+                                                   rel=1e-15)
+    # within eps of the origin the factor cos(x1 / eps) is the finer one
+    small = _entry("family.name = fractal_2d\n"
+                   "family.domain = 0, 0, 0.05, 0.05\n")
+    assert small.finest_scale(eps) == eps
 
 
 def _family_fields(family, eps):
@@ -326,20 +349,44 @@ def _family_fields(family, eps):
     return [f for t in trips for f in (t.v, *t.q, *t.p)]
 
 
+def _box_points(family, rng, m):
+    lo, hi = np.array(family.domain.lower), np.array(family.domain.upper)
+    return lo + (hi - lo) * rng.random((m, family.dim))
+
+
 @pytest.mark.parametrize("name", sorted(REGISTRY))
 def test_fields_do_not_depend_on_memory_layout(name):
-    # cell quadrature passes column-contiguous points; a field must give
-    # the same bits as on a C-ordered copy.  x1 comes in runs of 8, as in
-    # a tensor rule's blocks
+    # a field must give the same bits on strided coordinates, the columns
+    # of a C-ordered point array, as on contiguous copies of them
     family = _entry(f"family.name = {name}\n")
-    lo, hi = np.array(family.domain.lower), np.array(family.domain.upper)
-    rng = np.random.default_rng(11)
-    pts = lo + (hi - lo) * rng.random((96, family.dim))
-    pts[:, 0] = np.repeat(pts[::8, 0], 8)
-    rows, cols = np.ascontiguousarray(pts), np.asfortranarray(pts)
-    assert not cols.flags.c_contiguous or family.dim == 1
+    rows = np.ascontiguousarray(
+        _box_points(family, np.random.default_rng(11), 96))
+    strided, contiguous = tuple(rows.T), tuple(np.ascontiguousarray(rows.T))
+    assert not strided[0].flags.c_contiguous or family.dim == 1
     for field_ in _family_fields(family, 0.1):
-        assert np.array_equal(field_(rows), field_(cols))
+        assert field_(strided).tobytes() == field_(contiguous).tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(REGISTRY))
+def test_fields_honour_the_broadcast_contract(name):
+    # coordinates as cell quadrature passes them on an axis-aligned
+    # lattice: x1 (C, k, 1) and x2 (C, 1, m) in 2D, x1 (C, 1, m) in 1D.
+    # The values have the broadcast shape and the bits of an evaluation
+    # on the broadcast coordinates, as views and as contiguous copies
+    family = _entry(f"family.name = {name}\n")
+    lo, hi = family.domain.lower, family.domain.upper
+    rng = np.random.default_rng(17)
+    shapes = [(3, 5, 1), (3, 1, 7)][2 - family.dim:]
+    x = tuple(a + (b - a) * rng.random(shape)
+              for a, b, shape in zip(lo, hi, shapes))
+    views = np.broadcast_arrays(*x)
+    copies = tuple(np.ascontiguousarray(c) for c in views)
+    want = np.broadcast_shapes(*shapes)
+    for field_ in _family_fields(family, 0.1):
+        got = field_(x)
+        assert got.shape == want
+        assert got.tobytes() == field_(views).tobytes()
+        assert got.tobytes() == field_(copies).tobytes()
 
 
 @pytest.mark.parametrize("name", sorted(REGISTRY))
@@ -349,9 +396,7 @@ def test_fields_evaluate_concurrently_bit_for_bit(name):
     # bits of a serial evaluation
     import threading
     family = _entry(f"family.name = {name}\n")
-    lo, hi = np.array(family.domain.lower), np.array(family.domain.upper)
-    pts = np.asfortranarray(
-        lo + (hi - lo) * np.random.default_rng(13).random((20000, family.dim)))
+    pts = tuple(_box_points(family, np.random.default_rng(13), 20000).T)
     fields = _family_fields(family, 0.1)
     serial = [f(pts).tobytes() for f in fields]
     start = threading.Barrier(2)

@@ -100,7 +100,7 @@ def test_oscillating_potential_element_means():
     n = 32
     mesh = build_mesh(UNIT, n)
     space = FeSpace(mesh)
-    v = CoefficientField(1, lambda x: np.sin(20.0 * x[..., 0]), 1.0)
+    v = CoefficientField(1, lambda x: np.sin(20.0 * x[0]), 1.0)
     pert = assemble_perturbation(space, v, 64)
     h = mesh.h
     from scipy.integrate import quad
@@ -142,13 +142,13 @@ def _full_node_route(mesh, coef, term, refine):
 
 
 def _oscillating(x):
-    return (1.3 + np.sin(37.0 * x[:, 0])) * np.cos(5.0 * x[:, 0])
+    return (1.3 + np.sin(37.0 * x[0])) * np.cos(5.0 * x[0])
 
 
 def _gapped(x):
     # exactly zero on [0.25, 0.5]: whole elements of the 64-element mesh,
     # whose entries are then zeros that a CSR build must not store
-    return np.where((x[:, 0] < 0.25) | (x[:, 0] > 0.5), _oscillating(x), 0.0)
+    return np.where((x[0] < 0.25) | (x[0] > 0.5), _oscillating(x), 0.0)
 
 
 def _same_bytes(a, b):

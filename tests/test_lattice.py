@@ -10,7 +10,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from homlab import lattice
-from homlab.fields import Box, CoefficientField, constant_field
+from homlab.fields import (Box, CoefficientField, broadcast_shape,
+                           constant_field)
 from homlab.lattice import (CHUNK_POINTS, GAUSS_ORDER, MAX_REFINE, Lattice,
                             _panel_rule, cell_integral, cells_inside,
                             default_refine)
@@ -19,10 +20,25 @@ UNIT = Box((0.0,), (1.0,))
 
 SKEW = Lattice(2, basis=np.array([[0.7, 0.2], [-0.1, 0.5]]),
                offset=(0.05, -0.02))
+# fractal_2d's lattice 2 Z^2 - (1, 1), axis-aligned
+SQUARE = Lattice(2, 2.0 * np.eye(2), -np.ones(2))
+
+
+def _fractal_field(eps=0.13):
+    from homlab import registry
+    from homlab.config import StudyConfig
+    fam = registry.build_family(
+        StudyConfig.from_text("family.name = fractal_2d\n", "<config>"))
+    return fam.at(eps).v
 
 
 def sin_field(eps):
-    return CoefficientField(1, lambda pts: np.sin(pts[:, 0] / eps), 1.0)
+    return CoefficientField(1, lambda x: np.sin(x[0] / eps), 1.0)
+
+
+def _points(x):
+    """The number of points coordinates x stand for."""
+    return math.prod(broadcast_shape(x))
 
 
 def test_singular_basis_rejected():
@@ -214,7 +230,7 @@ def test_error_estimate_majorizes_refinement_change():
 def test_box_integral_2d_product():
     # the box (0,1) x (0,2) as the one cell at eta 1; int x y = 1/2 * 2
     lat = Lattice(2, basis=np.diag([1.0, 2.0]))
-    f = CoefficientField(2, lambda pts: pts[:, 0] * pts[:, 1], 2.0)
+    f = CoefficientField(2, lambda x: x[0] * x[1], 2.0)
     (val,), (err,) = cell_integral(lat, [(0, 0)], 1.0, f, 16)
     assert val == pytest.approx(0.5 * 2.0, abs=1e-12)
     assert err < 1e-12
@@ -244,10 +260,10 @@ def test_affine_lattice_point():
     h=st.floats(0.05, 0.9, allow_nan=False),
 )
 def test_cell_integral_linearity(a, b, h):
-    f = CoefficientField(1, lambda pts: np.cos(5.0 * pts[:, 0]), 1.0)
-    g = CoefficientField(1, lambda pts: pts[:, 0] ** 2, 1.0)
+    f = CoefficientField(1, lambda x: np.cos(5.0 * x[0]), 1.0)
+    g = CoefficientField(1, lambda x: x[0] ** 2, 1.0)
     comb = CoefficientField(
-        1, lambda pts: a * np.cos(5.0 * pts[:, 0]) + b * pts[:, 0] ** 2,
+        1, lambda x: a * np.cos(5.0 * x[0]) + b * x[0] ** 2,
         abs(a) + abs(b),
     )
     (vf,), _ = cell_integral(Lattice(1), [(0,)], h, f, 16)
@@ -258,10 +274,10 @@ def test_cell_integral_linearity(a, b, h):
 
 # ------------------------------------------------------- batched quadrature
 
-def skew_2d(pts):
+def skew_2d(coords):
     # neither symmetric in x and y nor a product of one-axis factors, and
     # of both signs
-    x, y = pts[:, 0], pts[:, 1]
+    x, y = coords
     return (np.sin(7.0 * x) - np.cos(3.0 * y) + np.sin(5.0 * x * y)
             + (x * y - 2.0 * x) * np.cos(11.0 * (x + y)) ** 2)
 
@@ -334,9 +350,9 @@ def test_batches_never_split_a_cell(monkeypatch):
     _one_worker(monkeypatch)
     sizes = []
 
-    def counted(pts):
-        sizes.append(len(pts))
-        return np.cos(pts[:, 0] / 0.01)
+    def counted(x):
+        sizes.append(_points(x))
+        return np.cos(x[0] / 0.01)
 
     field_ = CoefficientField(1, counted, 1.0)
     zs = np.arange(10)[:, None]
@@ -363,9 +379,9 @@ def test_streamed_cell_equals_whole_cell(monkeypatch, budget):
     _one_worker(monkeypatch)
     sizes = []
 
-    def counted(pts):
-        sizes.append(len(pts))
-        return skew_2d(pts)
+    def counted(x):
+        sizes.append(_points(x))
+        return skew_2d(x)
 
     field_ = CoefficientField(2, counted, 30.0)
     zs = np.array([[0, 0], [1, -2], [3, 1]])
@@ -382,6 +398,13 @@ def test_streamed_cell_equals_whole_cell(monkeypatch, budget):
                      399: [380, 20] * 3 + [192]}[budget]
     for a, b in zip(whole, streamed):
         assert np.array_equal(a, b)
+
+
+def _materialized(coords):
+    """The points that rule coordinates stand for, as an (n, d) array in
+    the rule's order: cell, block, node."""
+    return np.stack([c.ravel() for c in np.broadcast_arrays(*coords)],
+                    axis=1)
 
 
 def _meshgrid_tensor_rule(dim, refine):
@@ -405,12 +428,13 @@ def test_tensor_rule_matches_meshgrid_reference(dim, refine):
     assert np.array_equal(wts, ref_wts)
     unit, origin = np.eye(dim), np.zeros((1, dim))
     whole = lattice._rule_points(pts1, unit, origin, 0, blocks)
-    assert np.array_equal(whole, ref_pts)
+    assert np.array_equal(_materialized(whole), ref_pts)
     # every block range, one block or many, is the same rows
     for first, count in [(blocks // 3, blocks - blocks // 3), (1, 1),
                          (blocks - 1, 1), (2, blocks // 2)]:
         assert np.array_equal(
-            lattice._rule_points(pts1, unit, origin, first, count),
+            _materialized(
+                lattice._rule_points(pts1, unit, origin, first, count)),
             ref_pts[first * size:(first + count) * size])
 
 
@@ -430,24 +454,51 @@ def _columns_are_contiguous(pts):
     return all(pts[:, j].flags.c_contiguous for j in range(pts.shape[1]))
 
 
+def _rule_columns(pts1, dim, first, count):
+    # the 1D node of each point of blocks first:first + count along each
+    # axis, first axis slowest, written out point by point
+    size = len(pts1)
+    blocks = np.arange(first, first + count)
+    return [np.repeat(pts1[blocks // size ** (dim - 2 - a) % size], size)
+            for a in range(dim - 1)] + [np.tile(pts1, count)]
+
+
 @pytest.mark.parametrize("dim, first, count", [(2, 0, 20), (2, 7, 3),
                                                (3, 11, 25)])
 def test_rule_points_come_column_contiguous(dim, first, count):
-    # each coordinate of a fill is one contiguous column, with the bits
-    # a row-major build of the same sums gives
+    # each coordinate of a fill is its own contiguous array, with the
+    # bits a row-major build of the same sums gives; on a sheared span
+    # every coordinate varies along every axis, so all come full
     pts1, _ = _panel_rule(5)
     size = len(pts1)
     rng = np.random.default_rng(3)
     span = np.eye(dim) + 0.2 * rng.standard_normal((dim, dim))
     origins = rng.standard_normal((3, dim))
-    pts = lattice._rule_points(pts1, span, origins, first, count)
-    blocks = np.arange(first, first + count)
-    cols = [np.repeat(pts1[blocks // size ** (dim - 2 - a) % size], size)
-            for a in range(dim - 1)] + [np.tile(pts1, count)]
-    ref = _row_major_points(cols, span, origins)
-    assert pts.shape == ref.shape == (3 * count * size, dim)
-    assert _columns_are_contiguous(pts)
-    assert np.array_equal(pts, ref)
+    coords = lattice._rule_points(pts1, span, origins, first, count)
+    ref = _row_major_points(_rule_columns(pts1, dim, first, count), span,
+                            origins)
+    assert len(coords) == dim
+    assert all(c.shape == (3, count, size) for c in coords)
+    assert all(c.flags.c_contiguous for c in coords)
+    assert np.array_equal(_materialized(coords), ref)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_rule_coordinates_come_along_the_axes_they_vary_on(dim):
+    # on an axis-aligned span a head coordinate is constant along a
+    # block and the last one is the same in every block: each comes with
+    # length 1 there, with the bits of the full row-major build
+    pts1, _ = _panel_rule(5)
+    size = len(pts1)
+    span = np.diag(0.5 + np.arange(dim))
+    origins = np.random.default_rng(4).standard_normal((3, dim))
+    first, count = (2, 7) if dim > 1 else (0, 1)
+    coords = lattice._rule_points(pts1, span, origins, first, count)
+    want = [(3, count, 1)] * (dim - 1) + [(3, 1, size)]
+    assert [c.shape for c in coords] == want
+    ref = _row_major_points(_rule_columns(pts1, dim, first, count), span,
+                            origins)
+    assert _materialized(coords).tobytes() == ref.tobytes()
 
 
 def test_lattice_points_come_column_contiguous():
@@ -461,23 +512,24 @@ def test_lattice_points_come_column_contiguous():
 def test_refine_above_max_is_rejected():
     # a block of a finer rule would not fit one field evaluation
     calls = []
-    field_ = CoefficientField(1, lambda pts: calls.append(pts) or pts[:, 0],
-                              1.0)
+    field_ = CoefficientField(1, lambda x: calls.append(x) or x[0], 1.0)
     with pytest.raises(ValueError, match=str(MAX_REFINE)):
         cell_integral(Lattice(1), [(0,)], 0.1, field_, MAX_REFINE + 1)
     assert calls == []
 
 
 def two_level_reference(field_, lat, z, eta, refine):
-    # the whole cell at once: one einsum per block, then one sum over the
-    # cell's block sums, for the field and for field^2
+    # the whole cell at once, on its materialized points built row by
+    # row: one einsum per block, then one sum over the cell's block sums,
+    # for the field and for field^2
     pts1, wts1 = _panel_rule(refine)
     span = eta * lat.basis
     size, dim = len(pts1), lat.dim
     m = size ** dim
-    pts = lattice._rule_points(pts1, span, eta * lat.point([z]), 0,
-                               m // size)
-    vals = field_(pts).reshape(m // size, size)
+    pts = _row_major_points(_rule_columns(pts1, dim, 0, m // size), span,
+                            eta * lat.point([z]))
+    x = tuple(np.ascontiguousarray(pts.T))
+    vals = field_(x).reshape(m // size, size)
     squares = vals * vals
     factors = lattice._block_weights(dim, wts1)
     jac = abs(float(np.linalg.det(span)))
@@ -504,6 +556,45 @@ def test_2d_cell_equals_two_level_reference(monkeypatch, budget):
         assert np.array_equal(sq[k], want_sq)
 
 
+@pytest.mark.parametrize("budget", [20, 150, 2 ** 14])
+@pytest.mark.parametrize("field_", [CoefficientField(2, skew_2d, 30.0),
+                                    _fractal_field()],
+                         ids=["skew_2d", "fractal_2d"])
+def test_axis_aligned_cell_equals_two_level_reference(monkeypatch, budget,
+                                                      field_):
+    # the closure gets x1 once per block and x2 once per node, and the
+    # reference the materialized points: the same bits
+    zs = np.array([[1, 1], [1, 2], [2, 1]])
+    monkeypatch.setattr(lattice, "CHUNK_POINTS", budget)
+    integral, _, sq, _ = cell_integral(SQUARE, zs, 0.3, field_, 5,
+                                       squares=True)
+    for k, z in enumerate(zs):
+        want, want_sq = two_level_reference(field_, SQUARE, z, 0.3, 5)
+        assert np.array_equal(integral[k], want)
+        assert np.array_equal(sq[k], want_sq)
+
+
+@pytest.mark.parametrize("lat, fine, coarse", [
+    (SQUARE, [(3, 20, 1), (3, 1, 20)], [(3, 8, 1), (3, 1, 8)]),
+    (SKEW, [(3, 20, 20)] * 2, [(3, 8, 8)] * 2),
+], ids=["square", "skew"])
+def test_closure_gets_each_coordinate_along_the_axes_it_varies_on(
+        lat, fine, coarse):
+    # refine 5: 20 blocks of 20 points a cell, and the coarse rule 8 of
+    # 8.  On the axis-aligned lattice x1 is constant along a block and x2
+    # the same in every block; on the sheared one both vary along both
+    # and come full
+    shapes = []
+
+    def recorded(x):
+        shapes.append([c.shape for c in x])
+        return skew_2d(x)
+
+    zs = np.array([[1, 1], [1, 2], [2, 1]])
+    cell_integral(lat, zs, 0.3, CoefficientField(2, recorded, 30.0), 5)
+    assert shapes == [fine, coarse]
+
+
 def test_large_scalar_cell_equals_two_level_reference():
     # 256 blocks of 256 points: four evaluations of 64 whole blocks each
     from homlab import registry
@@ -521,9 +612,9 @@ def test_large_scalar_cell_equals_two_level_reference():
 def test_empty_stack_has_no_cells():
     calls = []
 
-    def counted(pts):
-        calls.append(len(pts))
-        return skew_2d(pts)
+    def counted(x):
+        calls.append(_points(x))
+        return skew_2d(x)
 
     field_ = CoefficientField(2, counted, 30.0)
     out = cell_integral(SKEW, np.zeros((0, 2), dtype=int), 0.3, field_, 5,
@@ -579,10 +670,10 @@ def _recorded(field_, sizes, threads):
     alive: a thread that has ended may hand its ident on to the next one
     started, so idents can count two threads as one."""
 
-    def func(pts):
-        sizes.append(len(pts))
+    def func(x):
+        sizes.append(_points(x))
         threads.add(threading.current_thread())
-        return field_(pts)
+        return field_(x)
 
     return CoefficientField(field_.dim, func, field_.sup_bound)
 
@@ -595,7 +686,7 @@ def _split_cases():
     # several evaluations
     return {
         # 4 cells of 16 whole blocks a fine evaluation, 1 a coarse one
-        "fractal_2d": (Lattice(2, 2.0 * np.eye(2), -np.ones(2)),
+        "fractal_2d": (SQUARE,
                        [(1, 1), (1, 2), (2, 1), (2, 2)], 0.5, fractal, 64,
                        CHUNK_POINTS),
         # 120 cells of 400 points, 40 a batch; then a small budget
@@ -667,17 +758,17 @@ def test_criterion_report_does_not_follow_the_worker_count(monkeypatch):
 
 def _failing_at(bad):
     """A 1D field evaluated in batches of two cells of 0.1 (CHUNK_POINTS
-    32 at refine 4): bad(pts) spoils the values of the batches from the
+    32 at refine 4): bad(x, vals) spoils the values of the batches from the
     second on, whose points start at x >= 0.2.  Also returns the threads
     that ran a spoiled batch."""
     threads = set()
 
-    def func(pts):
-        vals = np.sin(pts[:, 0] / 0.01)
-        if pts[0, 0] < 0.2:
+    def func(x):
+        vals = np.sin(x[0] / 0.01)
+        if x[0].flat[0] < 0.2:
             return vals
         threads.add(threading.current_thread())
-        return bad(pts, vals)
+        return bad(x, vals)
 
     return CoefficientField(1, func, 1.0), threads
 
@@ -694,13 +785,13 @@ def _raised(monkeypatch, workers, field_):
 def test_a_worker_raises_the_serial_error(monkeypatch, workers):
     # the batch of cells 2k and 2k + 1 returns k values, so each batch
     # gives its own message; the serial loop stops at the second batch
-    def wrong_shape(pts, vals):
-        return vals[:int(round(pts[0, 0] * 5))]
+    def wrong_shape(x, vals):
+        return vals.ravel()[:int(round(x[0].flat[0] * 5))]
 
     field_, threads = _failing_at(wrong_shape)
     serial = _raised(monkeypatch, 1, field_)
     assert str(serial) == ("field closure returned shape (1,), expected "
-                           "(32,)")
+                           "(2, 1, 16)")
     threads.clear()
     split = _raised(monkeypatch, workers, field_)
     assert type(split) is type(serial) and str(split) == str(serial)
@@ -712,7 +803,7 @@ def test_a_worker_raises_the_serial_error(monkeypatch, workers):
 def test_an_interrupt_is_raised_before_a_lower_error(monkeypatch):
     # at 2 workers the second batch fails on the worker and the third is
     # interrupted on the calling thread: the interrupt wins
-    def interrupted(pts, vals):
+    def interrupted(x, vals):
         if threading.get_ident() == threading.main_thread().ident:
             raise KeyboardInterrupt
         raise ValueError("second batch")
@@ -729,8 +820,8 @@ def test_a_non_finite_worker_value_breaches(monkeypatch, workers):
     from homlab.families import make_family
     from homlab.fields import zero_field
 
-    def nan_at_first(pts, vals):
-        vals[0] = np.nan
+    def nan_at_first(x, vals):
+        vals.flat[0] = np.nan
         return vals
 
     field_, threads = _failing_at(nan_at_first)
@@ -758,8 +849,7 @@ def test_a_rule_with_no_cells_at_any_worker_count(monkeypatch, workers):
     from homlab.fields import zero_field
     monkeypatch.setattr(lattice, "_workers", lambda: workers)
     calls = []
-    field_ = CoefficientField(1, lambda pts: calls.append(pts) or pts[:, 0],
-                              1.0)
+    field_ = CoefficientField(1, lambda x: calls.append(x) or x[0], 1.0)
     fam = make_family(lambda eps: field_, zero_field(1), lambda eps: 0.0,
                       Box((0.0,), (0.05,)), finest_scale=lambda eps: 1.0)
     rep = local_mean_limit(fam, [0.01, 0.005], mu_rule=lambda eps: 0.1,

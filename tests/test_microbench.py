@@ -13,7 +13,8 @@ import pytest
 from homlab import registry, study
 from homlab.config import StudyConfig
 from homlab.criteria import criterion_report
-from homlab.lattice import CHUNK_POINTS, GAUSS_ORDER, cell_integral
+from homlab.lattice import (CHUNK_POINTS, GAUSS_ORDER, cell_integral,
+                            cells_inside, default_refine)
 from homlab.fem import (LinearSolver, _split, assemble_base, assemble_triple,
                         diagonals)
 from homlab.norms import (Space, _hermitian_part, find_lambda,
@@ -250,4 +251,24 @@ def test_bench_fractal_cell_integral(benchmark):
         cell_integral,
         args=(family.suggested_lattice, [(1, 1)], 0.5, field_, refine),
         kwargs={"squares": True}, rounds=5, iterations=1)
+    assert all(np.isfinite(r).all() for r in out)
+
+
+def test_bench_fractal_finest_row_cell_integral(benchmark):
+    # fractal_criterion's finest row: eps 0.13 at eta sqrt(eps), its 4
+    # cells of the lattice 2 Z^2 - (1, 1) at the default refine 342, with
+    # squares, each cell 1368^2 points of the fine rule.  On this
+    # axis-aligned lattice the field gets x1 once per block and x2 once
+    # per node
+    family = registry.build_family(
+        StudyConfig.load(CONFIGS / "fractal_criterion.cfg"))
+    eps = 0.13
+    eta = eps ** 0.5
+    lat = family.suggested_lattice
+    cells = np.array(cells_inside(lat, eta, family.domain))
+    refine = default_refine(eta, family.finest_scale(eps))
+    assert (len(cells), refine) == (4, 342)
+    out = benchmark.pedantic(
+        cell_integral, args=(lat, cells, eta, family.at(eps).v, refine),
+        kwargs={"squares": True}, rounds=3, iterations=1)
     assert all(np.isfinite(r).all() for r in out)

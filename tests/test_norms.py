@@ -124,7 +124,7 @@ def test_lanczos_restarts_are_capped():
 def test_easy_form_norm_stops_at_first_check():
     mesh = build_mesh(UNIT, 64)
     op = assemble_base(OperatorSpec(UNIT), mesh)
-    v = CoefficientField(1, lambda x: np.sin(x[..., 0] / 0.05), 1.0)
+    v = CoefficientField(1, lambda x: np.sin(x[0] / 0.05), 1.0)
     x = assemble_perturbation(op.space, v, 4).matrix
     rep = norm_v_to_vstar(x, Space(op.gram_h1), seed=1234)
     assert op.dof > norms.LANCZOS_NCV
@@ -250,7 +250,7 @@ def test_kappa_general_complex_matches_dense_oracle():
 def test_potential_form_norm_matches_dense_pencil():
     mesh = build_mesh(UNIT, 24)
     op = assemble_base(OperatorSpec(UNIT), mesh)
-    v = CoefficientField(1, lambda x: 1.0 + 0.5 * np.sin(7.0 * x[..., 0]),
+    v = CoefficientField(1, lambda x: 1.0 + 0.5 * np.sin(7.0 * x[0]),
                          1.5)
     pert = assemble_perturbation(op.space, v, 4)
     rep = norm_v_to_vstar(pert.matrix, Space(op.gram_h1), seed=1234)
@@ -261,7 +261,7 @@ def test_potential_form_norm_matches_dense_pencil():
 def test_weight_norm_matches_dense_pencil():
     mesh = build_mesh(UNIT, 24)
     op = assemble_base(OperatorSpec(UNIT), mesh)
-    q = CoefficientField(1, lambda x: np.cos(5.0 * x[..., 0]), 1.0)
+    q = CoefficientField(1, lambda x: np.cos(5.0 * x[0]), 1.0)
     rep = norm_m10(op, q, Space(op.gram_h1), refine=4, seed=1234)
     w = assemble_perturbation(op.space, gram_field(q), 4)
     top = sla.eigh(w.matrix.toarray(), op.gram_h1.toarray(),
@@ -287,8 +287,8 @@ def _random_trig_field(rng):
     coef = rng.standard_normal(3) / 3.0
     freq = rng.integers(1, 9, 3).astype(float)
 
-    def f(pts):
-        x = pts[..., 0]
+    def f(coords):
+        x = coords[0]
         out = np.zeros(x.shape)
         for c, k in zip(coef, freq):
             out = out + np.cos(2.0 * np.pi * k * x) * c
@@ -325,7 +325,7 @@ def test_form_norm_below_weight_norm_below_sup():
     # the potential chain: dual-pairing norm <= product norm <= sup bound
     mesh = build_mesh(UNIT, 128)
     op = assemble_base(OperatorSpec(UNIT), mesh)
-    v = CoefficientField(1, lambda x: np.sin(x[..., 0] / 0.05), 1.0)
+    v = CoefficientField(1, lambda x: np.sin(x[0] / 0.05), 1.0)
     h1 = Space(op.gram_h1)
     m1m1 = _potential_norm(op, v, h1, 8)
     m10 = norm_m10(op, v, h1, 8, 1234).value

@@ -20,7 +20,7 @@ def _rotation(mean=0.0, amplitude=1.0, seed=7):
 
 
 def _limit(family):
-    return float(family.limit.v(np.array([[0.5]]))[0])
+    return float(family.limit.v((np.array([0.5]),))[0])
 
 
 def test_expectation_of_cosine_vanishes():

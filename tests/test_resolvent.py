@@ -32,7 +32,7 @@ MESH = {"min_elements": MIN_ELEMENTS, "cap_dof": CAP_DOF}
 def sin_family(amplitude=1.0):
     def v_of(eps):
         return CoefficientField(
-            1, lambda x: amplitude * np.sin(x[..., 0] / eps), abs(amplitude))
+            1, lambda x: amplitude * np.sin(x[0] / eps), abs(amplitude))
 
     return make_family(
         v_of, zero_field(1),
@@ -79,7 +79,7 @@ def build_setting(op_spec, family, eps, lam, mesh=MESH):
 def small_context(n=5, lam=-1.0, amplitude=1.0):
     mesh = build_mesh(UNIT, n)
     op = assemble_base(OperatorSpec(UNIT), mesh)
-    v = CoefficientField(1, lambda x: amplitude * np.sin(9.0 * x[..., 0]),
+    v = CoefficientField(1, lambda x: amplitude * np.sin(9.0 * x[0]),
                          abs(amplitude))
     pert = assemble_perturbation(op.space, v, 8)
     return context_from_difference(op, lam, pert.matrix)
@@ -96,7 +96,7 @@ def test_context_difference_is_exact_entrywise():
 def test_route_mismatch_is_rejected():
     mesh = build_mesh(UNIT, 5)
     op = assemble_base(OperatorSpec(UNIT), mesh)
-    v = CoefficientField(1, lambda x: np.sin(9.0 * x[..., 0]), 1.0)
+    v = CoefficientField(1, lambda x: np.sin(9.0 * x[0]), 1.0)
     pert = assemble_perturbation(op.space, v, 8).matrix
     setting = difference_setting(op, pert)
     setting["x_eps"] = pert * (1.0 + 1e-5)
