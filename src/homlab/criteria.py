@@ -5,21 +5,34 @@ which certifies the form-norm of a potential) and the worst cell mean of
 the squared deviation (rho3, which certifies the product norm of a
 first-order weight).  Both come with the predicted bounds rho1 + eta and
 sqrt(rho3) + sqrt(eta).
+
+Every measurement comes from the fine cell rule alone.  The quadrature
+error estimate, a criterion row's quad_error column, is taken apart by
+quad_error, from the fine integrals a report holds and the
+half-resolution rule on the same cells: a criterion study takes it once
+a row, for the eta optimize_eta picked, and no other eta, resolvent row
+or local mean runs the half-resolution rule.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import NumericalBreach
 from .families import deviation_triple
-from .lattice import cell_integral, cells_inside, default_refine, unit_lattice
+from .lattice import (cell_integral, cell_integral_error, cells_inside,
+                      default_refine, unit_lattice)
 
 
 @dataclass(frozen=True)
 class CriterionReport:
-    """Cell-criterion measurements at one (eps, eta) pair."""
+    """Cell-criterion measurements at one (eps, eta) pair.
+
+    The fine-rule integrals the measurements come from ride along with
+    the rule that took them, out of comparison and repr, so quad_error
+    can take the report's error estimate without a second fine rule.
+    """
 
     eps: float
     eta: float
@@ -27,21 +40,25 @@ class CriterionReport:
     rho3: float
     bound_m1m1: float
     bound_m10: float
-    quad_error: float
     cell_count: int
+    # (lattice, cell indices (C, d), refine) of the cell rule
+    rule: tuple = field(repr=False, compare=False)
+    # (deviation component, the (2, C) fine integrals of it and of its
+    # square) for each component, in order
+    integrals: tuple = field(repr=False, compare=False)
 
 
 class NoCellsError(ValueError):
     """No lattice cell at the requested scale fits inside the domain."""
 
 
-def _finite(results, eps, eta):
-    """The cell_integral results, raising NumericalBreach if one is not
+def _finite(values, eps, eta):
+    """Cell integrals or estimates, raising NumericalBreach if one is not
     finite: a nan would drop out of every max that folds the cells."""
-    if not all(np.isfinite(r).all() for r in results):
+    if not np.isfinite(values).all():
         raise NumericalBreach(
             f"non-finite cell integral at eps {eps!r}, eta {eta!r}")
-    return results
+    return values
 
 
 def _deviation_cells(family, eps, eta, refine):
@@ -64,7 +81,8 @@ def criterion_report(family, eps, eta, refine):
     deviation (each perturbation component separately, worst one
     reported); rho3 is the max over cells of the cell mean of the square
     of the deviation.  Each component is integrated over all cells in one
-    batched call, which also integrates its square.
+    batched call of the fine rule, which also integrates its square.  No
+    error estimate is taken: quad_error takes it from the report.
     """
     eps = float(eps)
     eta = float(eta)
@@ -73,14 +91,14 @@ def criterion_report(family, eps, eta, refine):
     gammas = np.array(cells)
     rho1 = 0.0
     rho3 = 0.0
-    quad_err = 0.0
+    integrals = []
     for dev in deviation_triple(family, eps).components():
-        integral, err, sq_int, sq_err = _finite(cell_integral(
-            lat, gammas, eta, dev, r, squares=True), eps, eta)
+        fine = _finite(cell_integral(lat, gammas, eta, dev, r, squares=True),
+                       eps, eta)
+        integral, sq_int = fine
         rho1 = max(rho1, float(np.max(np.abs(integral) / measure)))
         rho3 = max(rho3, float(np.max(sq_int)) / measure)
-        quad_err = max(quad_err, float(np.max(err)) / measure,
-                       float(np.max(sq_err)) / measure)
+        integrals.append((dev, fine))
     return CriterionReport(
         eps=eps,
         eta=eta,
@@ -88,9 +106,31 @@ def criterion_report(family, eps, eta, refine):
         rho3=rho3,
         bound_m1m1=rho1 + eta,
         bound_m10=math.sqrt(max(rho3, 0.0)) + math.sqrt(eta),
-        quad_error=quad_err,
         cell_count=len(cells),
+        rule=(lat, gammas, r),
+        integrals=tuple(integrals),
     )
+
+
+def quad_error(report):
+    """The quadrature error estimate of a report, its criterion row's
+    quad_error: the largest cell_integral_error over its cells, each
+    deviation component and its square, relative to the cell measure.
+
+    Only the half-resolution rule runs, against the fine integrals the
+    report holds, so the fine rule never runs twice for a cell.  Raises
+    NumericalBreach if an estimate is not finite.
+    """
+    lat, gammas, r = report.rule
+    eps, eta = report.eps, report.eta
+    measure = lat.cell_measure * eta ** lat.dim
+    worst = 0.0
+    for dev, fine in report.integrals:
+        err, sq_err = _finite(cell_integral_error(lat, gammas, eta, dev, r,
+                                                  fine), eps, eta)
+        worst = max(worst, float(np.max(err)) / measure,
+                    float(np.max(sq_err)) / measure)
+    return worst
 
 
 def optimize_eta(family, eps, exponents, refine=None):
@@ -120,7 +160,9 @@ def optimize_eta(family, eps, exponents, refine=None):
     its products.  Each skipped candidate has an evaluated witness, so the
     argument removes them one at a time.  A skipped candidate's field is
     never evaluated, so a non-finite value there raises nothing, and
-    errors come from the smallest eta first.
+    errors come from the smallest eta first.  No candidate's error
+    estimate is taken (see quad_error), so neither does a non-finite
+    half-resolution value.
     """
     trip = deviation_triple(family, eps)
     weighted = bool(trip.q or trip.p)
@@ -192,7 +234,7 @@ def local_mean_limit(family, eps_schedule, mu_rule, sample_points):
         inside = np.all((grid >= lower) & (grid + mu <= upper), axis=1)
         vals = [None] * len(grid)
         # mean over x + mu*(0,1)^d as a unit lattice cell at scale mu
-        integral, _ = _finite(cell_integral(
+        integral = _finite(cell_integral(
             unit_lattice(dim), grid[inside] / mu, mu, family.at(eps).v, r
         ), eps, mu)
         for k, m in zip(np.flatnonzero(inside), integral / mu ** dim):

@@ -3,8 +3,12 @@
 Cells are the scaled translates eta * (cell + gamma) of a reference
 parallelotope, where gamma runs over the points of an affine lattice
 B Z^d + offset.  Cell integrals use composite Gauss-Legendre rules of
-order 4 per subcell, with an error estimate from comparing against the
-half-resolution rule.
+order 4 per subcell.  cell_integral runs that fine rule only; its error
+estimate is a call of its own, cell_integral_error, which compares the
+fine integrals it is given against the half-resolution rule on the same
+cells.  So a caller that reports an estimate for only some of the cells
+it integrates (the cell criteria report it for the one eta a row picks)
+runs the coarse rule on those alone, and never the fine rule twice.
 
 A cell's rule is the d-fold tensor product of a 1D rule, first axis
 slowest, so its points fall into blocks: runs of the last axis, each as
@@ -308,7 +312,8 @@ def _rule_integrals(field_, origins, span, jac, refine, order, squares):
     the field returned them.  So no block is split between two sums, and
     a cell's integral does not depend on the chunking or on the other
     cells.  squares=True adds the integrals of field^2 taken from the
-    same values.
+    same values: the result is the stack (1 + squares, C) of the
+    integrals and those of field^2.
 
     A rule of more than one evaluation shares them among threads (see
     _split).  Each evaluation writes only its own cells' and blocks'
@@ -344,7 +349,7 @@ def _rule_integrals(field_, origins, span, jac, refine, order, squares):
     starts = [(a, b) for a in range(0, len(origins), step)
               for b in range(0, blocks, per)]
     _split(lambda i: evaluate(*starts[i]), len(starts))
-    outs = [np.empty(len(origins)) for _ in block_sums]
+    outs = np.empty((len(block_sums), len(origins)))
     for a in range(0, len(origins), step):
         for out, sums in zip(outs, block_sums):
             out[a:a + step] = jac * sums[a:a + step].sum(axis=1)
@@ -367,35 +372,50 @@ def default_refine(eta, finest_scale):
     return int(min(max(r, 1), MAX_REFINE))
 
 
-def cell_integral(lattice, z, eta, field_, refine, squares=False):
-    """Integrals of a coefficient field over cells, with error estimates.
-
-    z is a stack of cell indices (C, d).  Returns (integral, error
-    estimate) as float arrays (C,).  Each cell's integral is a two-level
-    sum: one sum per block of its tensor rule (a run of the last axis),
-    then one reduction over all of its block sums.  A block is never
-    split between two sums, and a 1D cell is a single block.
-    The field is called on whole blocks, at most CHUNK_POINTS points at a
-    time, and no cell's result depends on that chunking or on the other
-    cells of the stack; a refine above MAX_REFINE, whose blocks would not
-    fit, raises ValueError.  The estimate compares the requested
-    resolution against the half-resolution rule (one order-2 panel at
-    refine 1); doubling the refine changes the result by less than the
-    estimate.  squares=True appends the same pair for field^2, taken from
-    the same field values.
-    """
-    origins = eta * lattice.point(z)
-    span = eta * lattice.basis
+def _scaled_cells(lattice, z, eta, refine):
+    """Origins (C, d), span, Jacobian and refine of the cells eta *
+    (cell + point(z)) at a refine, raising ValueError above MAX_REFINE."""
     refine = int(max(1, refine))
     if refine > MAX_REFINE:
         raise ValueError(f"refine must be at most {MAX_REFINE}, got {refine}")
+    span = eta * lattice.basis
+    return (eta * lattice.point(z), span, abs(float(np.linalg.det(span))),
+            refine)
+
+
+def cell_integral(lattice, z, eta, field_, refine, squares=False):
+    """Integrals of a coefficient field over cells, at the fine rule.
+
+    z is a stack of cell indices (C, d).  Returns the integrals as a
+    float array (C,), or with squares=True the stack (2, C) of those and
+    of the integrals of field^2, taken from the same field values.  Each
+    cell's integral is a two-level sum: one sum per block of its tensor
+    rule (a run of the last axis), then one reduction over all of its
+    block sums.  A block is never split between two sums, and a 1D cell
+    is a single block.  The field is called on whole blocks, at most
+    CHUNK_POINTS points at a time, and no cell's result depends on that
+    chunking or on the other cells of the stack; a refine above
+    MAX_REFINE, whose blocks would not fit, raises ValueError.  No error
+    estimate is taken here: cell_integral_error takes it from these
+    integrals, for the cells that need one.
+    """
+    origins, span, jac, refine = _scaled_cells(lattice, z, eta, refine)
+    out = _rule_integrals(field_, origins, span, jac, refine, GAUSS_ORDER,
+                          squares)
+    return out if squares else out[0]
+
+
+def cell_integral_error(lattice, z, eta, field_, refine, fine):
+    """Error estimates of the integrals fine = cell_integral(lattice, z,
+    eta, field_, refine, squares), of the same shape: |fine - coarse| +
+    1e-300, coarse the half-resolution rule on the same cells (refine //
+    2 subcells, one order-2 panel at refine 1), for field^2 too when fine
+    is the (2, C) stack.  Only the coarse rule runs, so no cell's fine
+    rule is evaluated twice; doubling the refine changes an integral by
+    less than its estimate.
+    """
+    origins, span, jac, refine = _scaled_cells(lattice, z, eta, refine)
     coarse_rule = (refine // 2, GAUSS_ORDER) if refine > 1 else (1, 2)
-    jac = abs(float(np.linalg.det(span)))
-    fine = _rule_integrals(field_, origins, span, jac, refine, GAUSS_ORDER,
-                           squares)
     coarse = _rule_integrals(field_, origins, span, jac, *coarse_rule,
-                             squares)
-    out = []
-    for f, c in zip(fine, coarse):
-        out += [f, np.abs(f - c) + 1e-300]
-    return tuple(out)
+                             fine.ndim == 2)
+    return np.abs(fine - coarse.reshape(fine.shape)) + 1e-300

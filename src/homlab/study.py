@@ -231,6 +231,9 @@ RATE_FACTOR = 2.0
 def criterion_study(cfg, seed):
     """Optimized cell-criterion table over the epsilon schedule.
 
+    Each row's quad_error is taken once, for the eta optimize_eta picked,
+    after every candidate's fine rule has run.
+
     The footer gives the largest bound_m1m1 / predicted and the verdict:
     rate_certified when bound_m1m1 <= RATE_FACTOR * predicted on every
     row, the criterion bound then following the family's declared rate,
@@ -255,7 +258,7 @@ def criterion_study(cfg, seed):
             "rho3": rep.rho3,
             "bound_m1m1": rep.bound_m1m1,
             "bound_m10": rep.bound_m10,
-            "quad_error": rep.quad_error,
+            "quad_error": criteria.quad_error(rep),
             "cell_count": rep.cell_count,
             "predicted": family.rate(eps),
         })

@@ -11,11 +11,12 @@ from hypothesis import strategies as st
 
 from homlab import criteria
 from homlab.criteria import (CriterionReport, NoCellsError, criterion_report,
-                             local_mean_limit, optimize_eta)
+                             local_mean_limit, optimize_eta, quad_error)
 from homlab.families import FieldTriple, deviation_triple, make_family
 from homlab.fem import NumericalBreach
 from homlab.fields import Box, CoefficientField, constant_field, zero_field
-from homlab.lattice import Lattice, cell_integral, cells_inside
+from homlab.lattice import (Lattice, cell_integral, cell_integral_error,
+                            cells_inside)
 
 UNIT = Box((0.0,), (1.0,))
 
@@ -77,7 +78,7 @@ def test_report_bounds_are_derived_fields():
     assert rep.bound_m10 == pytest.approx(
         math.sqrt(rep.rho3) + math.sqrt(0.25))
     assert rep.cell_count == 4
-    assert rep.quad_error < 1e-10
+    assert quad_error(rep) < 1e-10
 
 
 def test_zero_family_has_zero_criteria():
@@ -202,7 +203,7 @@ def _pick_with_bounds(family, bounds, exponents):
             raise NoCellsError("no cells")
         return CriterionReport(eps=eps, eta=eta, rho1=0.0, rho3=0.0,
                                bound_m1m1=bounds[eta], bound_m10=bounds[eta],
-                               quad_error=0.0, cell_count=1)
+                               cell_count=1, rule=None, integrals=())
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(criteria, "criterion_report", report)
@@ -355,12 +356,14 @@ def reference_report(family, eps, eta, refine):
         sq = CoefficientField(dev.dim, lambda x, d=dev: d(x) ** 2,
                               dev.sup_bound ** 2)
         for z in cells:
-            (integral,), (err,) = cell_integral(lat, [z], eta, dev, refine)
-            val = float(abs(integral)) / measure
+            fine = cell_integral(lat, [z], eta, dev, refine)
+            (err,) = cell_integral_error(lat, [z], eta, dev, refine, fine)
+            val = float(abs(fine[0])) / measure
             quad = max(quad, err / measure)
             rho1_ = max(rho1_, val)
-            (sq_int,), (sq_err,) = cell_integral(lat, [z], eta, sq, refine)
-            rho3_ = max(rho3_, float(sq_int.item()) / measure)
+            fine = cell_integral(lat, [z], eta, sq, refine)
+            (sq_err,) = cell_integral_error(lat, [z], eta, sq, refine, fine)
+            rho3_ = max(rho3_, float(fine.item()) / measure)
             quad = max(quad, sq_err / measure)
     return rho1_, rho3_, quad
 
@@ -373,7 +376,7 @@ def reference_report(family, eps, eta, refine):
 def test_criterion_report_matches_cell_by_cell_loop(text, eps, eta, refine):
     fam = _family(text)
     rep = criterion_report(fam, eps, eta, refine=refine)
-    got = (rep.rho1, rep.rho3, rep.quad_error)
+    got = (rep.rho1, rep.rho3, quad_error(rep))
     assert got == reference_report(fam, eps, eta, refine)
     assert all(type(v) is float for v in got)
 
@@ -394,9 +397,13 @@ def _counting_family(sizes):
 def test_each_deviation_is_evaluated_once_per_rule():
     sizes = []
     rep = criterion_report(_counting_family(sizes), 0.01, 0.1, refine=16)
-    # two components, each evaluated on the fine and on the coarse rule
-    assert sizes == [10 * 64, 10 * 32] * 2
+    # two components, each evaluated on the fine rule
+    assert sizes == [10 * 64] * 2
     assert rep.cell_count == 10
+    # the estimate evaluates each on the coarse rule only
+    sizes.clear()
+    quad_error(rep)
+    assert sizes == [10 * 32] * 2
 
 
 @pytest.mark.parametrize("budget", [64, 100, 1000])
@@ -407,17 +414,80 @@ def test_evaluations_stay_within_the_chunk_budget(monkeypatch, budget):
     sizes = []
     fam = _counting_family(sizes)
     expected = criterion_report(fam, 0.01, 0.1, refine=16)
+    expected_error = quad_error(expected)
     monkeypatch.setattr(lattice, "CHUNK_POINTS", budget)
     # the order of a rule's evaluations is defined only on one thread
     monkeypatch.setattr(lattice, "_workers", lambda: 1)
     sizes.clear()
     rep = criterion_report(fam, 0.01, 0.1, refine=16)
     assert max(sizes) <= budget
-    # per component: the fine rule's fills, then the coarse rule's
-    assert sizes == {64: [64] * 10 + [64] * 5,
-                     100: [64] * 10 + [96] * 3 + [32],
-                     1000: [640, 320]}[budget] * 2
+    # per component: the fine rule's fills
+    assert sizes == {64: [64] * 10, 100: [64] * 10, 1000: [640]}[budget] * 2
     assert rep == expected
+    # then the estimate's: the coarse rule's fills
+    sizes.clear()
+    assert quad_error(rep) == expected_error
+    assert max(sizes) <= budget
+    assert sizes == {64: [64] * 5, 100: [96] * 3 + [32],
+                     1000: [320]}[budget] * 2
+
+
+def _fine_sizes(monkeypatch):
+    """Collect every criterion_report optimize_eta makes, and the field
+    evaluation sizes its fine rule takes: two components of cell_count
+    cells of 64 points each at refine 16, one evaluation each."""
+    reports = []
+    original = criteria.criterion_report
+
+    def kept(*args):
+        reports.append(original(*args))
+        return reports[-1]
+
+    monkeypatch.setattr(criteria, "criterion_report", kept)
+    return reports, lambda: [r.cell_count * 64 for r in reports
+                             for _ in range(2)]
+
+
+def test_optimize_eta_runs_no_half_resolution_rule(monkeypatch):
+    sizes = []
+    reports, fine = _fine_sizes(monkeypatch)
+    eta, rep = optimize_eta(_counting_family(sizes), 0.01,
+                            exponents=(0.3, 0.4, 0.5), refine=16)
+    assert len(reports) == 3
+    assert rep in reports and rep.eta == eta
+    assert sizes == fine()
+
+
+def test_a_criterion_row_estimates_the_picked_eta_only(monkeypatch):
+    from homlab import registry, study
+    from homlab.config import StudyConfig
+    sizes = []
+    fam = _counting_family(sizes)
+    reports, fine = _fine_sizes(monkeypatch)
+    monkeypatch.setattr(registry, "build_family", lambda cfg: fam)
+    result = study.criterion_study(StudyConfig.from_text(
+        "study.kind = criterion\nschedule.eps = 0.01\n"
+        "criterion.exponents = 0.3, 0.4, 0.5\ncriterion.refine = 16\n",
+        "<config>"), 1234)
+    (row,) = result.rows
+    (picked,) = [r for r in reports if r.eta == row["eta"]]
+    assert len(reports) == 3
+    # every candidate's fine rule, then the coarse rule once per
+    # component, on the picked eta's cells
+    assert sizes == fine() + [picked.cell_count * 32] * 2
+    assert row["quad_error"] == quad_error(picked)
+
+
+def test_local_mean_limit_runs_no_half_resolution_rule():
+    # a finest scale of 1 gives refine 1 at mu = 0.1: one order-4 panel,
+    # 4 points a window, where the estimate's order-2 panel has 2
+    sizes = []
+    fam = _counting_family(sizes)
+    rep = local_mean_limit(fam, [0.01, 0.005], mu_rule=lambda eps: 0.1,
+                           sample_points=9)
+    inside = sum(v is not None for v in rep["samples"][0])
+    assert inside == 9  # x + 0.1 <= 1 for x = 0.1, ..., 0.9
+    assert sizes == [inside * 4] * 2
 
 
 def test_optimize_eta_reports_field_errors_instead_of_skipping():

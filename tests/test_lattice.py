@@ -13,10 +13,17 @@ from homlab import lattice
 from homlab.fields import (Box, CoefficientField, broadcast_shape,
                            constant_field)
 from homlab.lattice import (CHUNK_POINTS, GAUSS_ORDER, MAX_REFINE, Lattice,
-                            _panel_rule, cell_integral, cells_inside,
-                            default_refine)
+                            _panel_rule, cell_integral, cell_integral_error,
+                            cells_inside, default_refine)
 
 UNIT = Box((0.0,), (1.0,))
+
+
+def integral_and_error(lat, zs, eta, field_, refine, squares=False):
+    """cell_integral of the cells and its cell_integral_error: the fine
+    rule's evaluations, then the coarse rule's."""
+    fine = cell_integral(lat, zs, eta, field_, refine, squares=squares)
+    return fine, cell_integral_error(lat, zs, eta, field_, refine, fine)
 
 SKEW = Lattice(2, basis=np.array([[0.7, 0.2], [-0.1, 0.5]]),
                offset=(0.05, -0.02))
@@ -196,7 +203,8 @@ def test_sine_cell_integral_closed_form():
     # int_0^h sin(x / eps) dx = eps (1 - cos(h / eps))
     eps = 0.05
     h = 0.3
-    (val,), (err,) = cell_integral(Lattice(1), [(0,)], h, sin_field(eps), 64)
+    (val,), (err,) = integral_and_error(Lattice(1), [(0,)], h,
+                                        sin_field(eps), 64)
     exact = eps * (1.0 - math.cos(h / eps))
     assert val == pytest.approx(exact, abs=1e-12)
     assert err < 1e-10
@@ -205,7 +213,7 @@ def test_sine_cell_integral_closed_form():
 def test_shifted_cell_integral_closed_form():
     eps = 0.07
     h = 0.2
-    (val,), _ = cell_integral(Lattice(1), [(2,)], h, sin_field(eps), 64)
+    (val,) = cell_integral(Lattice(1), [(2,)], h, sin_field(eps), 64)
     exact = eps * (math.cos(2 * h / eps) - math.cos(3 * h / eps))
     assert val == pytest.approx(exact, abs=1e-12)
 
@@ -213,7 +221,7 @@ def test_shifted_cell_integral_closed_form():
 def test_cell_mean_of_constant():
     lat = Lattice(2, basis=np.diag([1.0, 2.0]))
     measure = lat.cell_measure * 0.37 ** 2
-    (integral,), (err,) = cell_integral(
+    (integral,), (err,) = integral_and_error(
         lat, [(0, 0)], 0.37, constant_field(2, 3.25), 3)
     assert integral / measure == pytest.approx(3.25, abs=1e-13)
     assert err / measure < 1e-12
@@ -222,16 +230,17 @@ def test_cell_mean_of_constant():
 def test_error_estimate_majorizes_refinement_change():
     eps = 0.013
     field_ = sin_field(eps)
-    (val8,), (err8,) = cell_integral(Lattice(1), [(0,)], 0.5, field_, 8)
-    (val16,), _ = cell_integral(Lattice(1), [(0,)], 0.5, field_, 16)
-    assert abs(val16 - val8) <= err8
+    val8 = cell_integral(Lattice(1), [(0,)], 0.5, field_, 8)
+    (err8,) = cell_integral_error(Lattice(1), [(0,)], 0.5, field_, 8, val8)
+    (val16,) = cell_integral(Lattice(1), [(0,)], 0.5, field_, 16)
+    assert abs(val16 - val8[0]) <= err8
 
 
 def test_box_integral_2d_product():
     # the box (0,1) x (0,2) as the one cell at eta 1; int x y = 1/2 * 2
     lat = Lattice(2, basis=np.diag([1.0, 2.0]))
     f = CoefficientField(2, lambda x: x[0] * x[1], 2.0)
-    (val,), (err,) = cell_integral(lat, [(0, 0)], 1.0, f, 16)
+    (val,), (err,) = integral_and_error(lat, [(0, 0)], 1.0, f, 16)
     assert val == pytest.approx(0.5 * 2.0, abs=1e-12)
     assert err < 1e-12
 
@@ -266,9 +275,9 @@ def test_cell_integral_linearity(a, b, h):
         1, lambda x: a * np.cos(5.0 * x[0]) + b * x[0] ** 2,
         abs(a) + abs(b),
     )
-    (vf,), _ = cell_integral(Lattice(1), [(0,)], h, f, 16)
-    (vg,), _ = cell_integral(Lattice(1), [(0,)], h, g, 16)
-    (vc,), _ = cell_integral(Lattice(1), [(0,)], h, comb, 16)
+    (vf,) = cell_integral(Lattice(1), [(0,)], h, f, 16)
+    (vg,) = cell_integral(Lattice(1), [(0,)], h, g, 16)
+    (vc,) = cell_integral(Lattice(1), [(0,)], h, comb, 16)
     assert vc == pytest.approx(a * vf + b * vg, abs=1e-12)
 
 
@@ -287,23 +296,24 @@ def test_stacked_cell_integral_equals_single_calls(refine):
     # refine 1 takes the order-2 single-panel estimate
     field_ = CoefficientField(2, skew_2d, 30.0)
     zs = np.array([[0, 0], [1, -2], [3, 1], [-2, 4], [5, 5]])
-    stack = cell_integral(SKEW, zs, 0.3, field_, refine, squares=True)
-    assert [r.shape for r in stack] == [(5,)] * 4
+    stack = integral_and_error(SKEW, zs, 0.3, field_, refine, squares=True)
+    assert [r.shape for r in stack] == [(2, 5)] * 2
     for k in range(len(zs)):
-        one = cell_integral(SKEW, zs[k:k + 1], 0.3, field_, refine,
-                            squares=True)
+        one = integral_and_error(SKEW, zs[k:k + 1], 0.3, field_, refine,
+                                 squares=True)
         for got, want in zip(stack, one):
-            assert np.array_equal(got[k:k + 1], want)
-        integral, err = cell_integral(SKEW, zs[k:k + 1], 0.3, field_, refine)
-        assert np.array_equal(integral, one[0])
-        assert np.array_equal(err, one[1])
+            assert np.array_equal(got[:, k:k + 1], want)
+        integral, err = integral_and_error(SKEW, zs[k:k + 1], 0.3, field_,
+                                           refine)
+        assert np.array_equal(integral, one[0][0])
+        assert np.array_equal(err, one[1][0])
 
 
 def test_square_integral_matches_closed_form():
     # int_0^h sin^2(x / eps) dx = h / 2 - eps sin(2 h / eps) / 4
     eps, h = 0.05, 0.3
-    _, _, (sq,), (sq_err,) = cell_integral(Lattice(1), [(0,)], h,
-                                           sin_field(eps), 64, squares=True)
+    (_, (sq,)), (_, (sq_err,)) = integral_and_error(
+        Lattice(1), [(0,)], h, sin_field(eps), 64, squares=True)
     assert sq.shape == () and sq.dtype == float
     exact = h / 2 - eps * math.sin(2 * h / eps) / 4
     assert sq == pytest.approx(exact, abs=1e-12)
@@ -356,15 +366,15 @@ def test_batches_never_split_a_cell(monkeypatch):
 
     field_ = CoefficientField(1, counted, 1.0)
     zs = np.arange(10)[:, None]
-    whole = cell_integral(Lattice(1), zs, 0.1, field_, 4)
+    whole = integral_and_error(Lattice(1), zs, 0.1, field_, 4)
     assert sizes == [16 * 10, 8 * 10]  # fine and coarse rule, one batch each
     sizes.clear()
     monkeypatch.setattr(lattice, "CHUNK_POINTS", 40)  # 2.5 fine cells
-    split = cell_integral(Lattice(1), zs, 0.1, field_, 4)
+    split = integral_and_error(Lattice(1), zs, 0.1, field_, 4)
     assert sizes == [32] * 5 + [40] * 2
     sizes.clear()
     monkeypatch.setattr(lattice, "CHUNK_POINTS", 16)  # one fine block
-    single = cell_integral(Lattice(1), zs, 0.1, field_, 4)
+    single = integral_and_error(Lattice(1), zs, 0.1, field_, 4)
     assert sizes == [16] * 10 + [16] * 5
     for a, b, c in zip(whole, split, single):
         assert np.array_equal(a, b)
@@ -385,11 +395,11 @@ def test_streamed_cell_equals_whole_cell(monkeypatch, budget):
 
     field_ = CoefficientField(2, counted, 30.0)
     zs = np.array([[0, 0], [1, -2], [3, 1]])
-    whole = cell_integral(SKEW, zs, 0.3, field_, 5, squares=True)
+    whole = integral_and_error(SKEW, zs, 0.3, field_, 5, squares=True)
     assert sizes == [3 * 400, 3 * 64]
     sizes.clear()
     monkeypatch.setattr(lattice, "CHUNK_POINTS", budget)
-    streamed = cell_integral(SKEW, zs, 0.3, field_, 5, squares=True)
+    streamed = integral_and_error(SKEW, zs, 0.3, field_, 5, squares=True)
     assert max(sizes) <= budget
     # the fine rule's fills of whole blocks, one cell at a time, then the
     # coarse rule's, of whole cells when they fit
@@ -515,7 +525,24 @@ def test_refine_above_max_is_rejected():
     field_ = CoefficientField(1, lambda x: calls.append(x) or x[0], 1.0)
     with pytest.raises(ValueError, match=str(MAX_REFINE)):
         cell_integral(Lattice(1), [(0,)], 0.1, field_, MAX_REFINE + 1)
+    with pytest.raises(ValueError, match=str(MAX_REFINE)):
+        cell_integral_error(Lattice(1), [(0,)], 0.1, field_, MAX_REFINE + 1,
+                            np.zeros(1))
     assert calls == []
+
+
+@pytest.mark.parametrize("refine", [2, 5, 8])
+@pytest.mark.parametrize("squares", [False, True])
+def test_error_is_the_gap_to_the_half_resolution_integral(refine, squares):
+    # above refine 1 the coarse rule is the fine rule at refine // 2, so
+    # the estimate is the bits of |fine - cell_integral(refine // 2)|
+    field_ = CoefficientField(2, skew_2d, 30.0)
+    zs = np.array([[0, 0], [1, -2], [3, 1]])
+    fine, err = integral_and_error(SKEW, zs, 0.3, field_, refine,
+                                   squares=squares)
+    half = cell_integral(SKEW, zs, 0.3, field_, refine // 2, squares=squares)
+    assert err.shape == fine.shape == half.shape
+    assert np.array_equal(err, np.abs(fine - half) + 1e-300)
 
 
 def two_level_reference(field_, lat, z, eta, refine):
@@ -548,8 +575,7 @@ def test_2d_cell_equals_two_level_reference(monkeypatch, budget):
     field_ = CoefficientField(2, skew_2d, 30.0)
     zs = np.array([[0, 0], [1, -2], [3, 1]])
     monkeypatch.setattr(lattice, "CHUNK_POINTS", budget)
-    integral, _, sq, _ = cell_integral(SKEW, zs, 0.3, field_, 5,
-                                       squares=True)
+    integral, sq = cell_integral(SKEW, zs, 0.3, field_, 5, squares=True)
     for k, z in enumerate(zs):
         want, want_sq = two_level_reference(field_, SKEW, z, 0.3, 5)
         assert np.array_equal(integral[k], want)
@@ -566,8 +592,7 @@ def test_axis_aligned_cell_equals_two_level_reference(monkeypatch, budget,
     # reference the materialized points: the same bits
     zs = np.array([[1, 1], [1, 2], [2, 1]])
     monkeypatch.setattr(lattice, "CHUNK_POINTS", budget)
-    integral, _, sq, _ = cell_integral(SQUARE, zs, 0.3, field_, 5,
-                                       squares=True)
+    integral, sq = cell_integral(SQUARE, zs, 0.3, field_, 5, squares=True)
     for k, z in enumerate(zs):
         want, want_sq = two_level_reference(field_, SQUARE, z, 0.3, 5)
         assert np.array_equal(integral[k], want)
@@ -591,7 +616,7 @@ def test_closure_gets_each_coordinate_along_the_axes_it_varies_on(
         return skew_2d(x)
 
     zs = np.array([[1, 1], [1, 2], [2, 1]])
-    cell_integral(lat, zs, 0.3, CoefficientField(2, recorded, 30.0), 5)
+    integral_and_error(lat, zs, 0.3, CoefficientField(2, recorded, 30.0), 5)
     assert shapes == [fine, coarse]
 
 
@@ -602,8 +627,8 @@ def test_large_scalar_cell_equals_two_level_reference():
     fam = registry.build_family(
         StudyConfig.from_text("family.name = fractal_2d\n", "<config>"))
     field_ = fam.at(0.13).v
-    integral, _, sq, _ = cell_integral(Lattice(2), [(0, 0)], 0.5, field_, 64,
-                                       squares=True)
+    integral, sq = cell_integral(Lattice(2), [(0, 0)], 0.5, field_, 64,
+                                 squares=True)
     want, want_sq = two_level_reference(field_, Lattice(2), (0, 0), 0.5, 64)
     assert np.array_equal(integral[0], want)
     assert np.array_equal(sq[0], want_sq)
@@ -617,9 +642,9 @@ def test_empty_stack_has_no_cells():
         return skew_2d(x)
 
     field_ = CoefficientField(2, counted, 30.0)
-    out = cell_integral(SKEW, np.zeros((0, 2), dtype=int), 0.3, field_, 5,
-                        squares=True)
-    assert [r.shape for r in out] == [(0,)] * 4
+    out = integral_and_error(SKEW, np.zeros((0, 2), dtype=int), 0.3, field_,
+                             5, squares=True)
+    assert [r.shape for r in out] == [(2, 0)] * 2
     assert calls == []
 
 
@@ -643,8 +668,8 @@ def test_large_cell_memory_does_not_grow_with_the_cell(monkeypatch):
         assert blocks ** 2 >= 16 * CHUNK_POINTS
         tracemalloc.start()
         try:
-            out = cell_integral(Lattice(2), [(0, 0)], 0.5, field_, refine,
-                                squares=True)
+            out = integral_and_error(Lattice(2), [(0, 0)], 0.5, field_,
+                                     refine, squares=True)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -709,9 +734,9 @@ def test_results_do_not_follow_the_worker_count(monkeypatch, case):
     for workers in (1, 2, 3):
         monkeypatch.setattr(lattice, "_workers", lambda: workers)
         sizes, threads = [], set()
-        out = cell_integral(lat, np.array(zs), eta,
-                            _recorded(field_, sizes, threads), refine,
-                            squares=True)
+        out = integral_and_error(lat, np.array(zs), eta,
+                                 _recorded(field_, sizes, threads), refine,
+                                 squares=True)
         results[workers] = out, sorted(sizes)
         # the evaluations ran on the calling thread alone, or on at
         # least as many threads as asked for (each rule starts its own)
@@ -733,12 +758,14 @@ def test_many_small_evaluations_on_more_threads_than_cpus(monkeypatch):
     zs = np.arange(300)[:, None]
     monkeypatch.setattr(lattice, "CHUNK_POINTS", 16)
     monkeypatch.setattr(lattice, "_workers", lambda: 1)
-    serial = cell_integral(Lattice(1), zs, 0.01, field_, 4, squares=True)
+    serial = integral_and_error(Lattice(1), zs, 0.01, field_, 4,
+                                squares=True)
     monkeypatch.setattr(lattice, "_workers", lambda: 8)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        split = cell_integral(Lattice(1), zs, 0.01, field_, 4, squares=True)
+        split = integral_and_error(Lattice(1), zs, 0.01, field_, 4,
+                                   squares=True)
     finally:
         sys.setswitchinterval(interval)
     for got, want in zip(split, serial, strict=True):
@@ -856,9 +883,9 @@ def test_a_rule_with_no_cells_at_any_worker_count(monkeypatch, workers):
                            sample_points=3)
     assert math.isnan(rep["rho2"]) and len(rep["skipped"]) == 6
     assert calls == []
-    out = cell_integral(Lattice(1), np.zeros((0, 1), dtype=int), 0.1,
-                        field_, 4, squares=True)
-    assert [r.shape for r in out] == [(0,)] * 4
+    out = integral_and_error(Lattice(1), np.zeros((0, 1), dtype=int), 0.1,
+                             field_, 4, squares=True)
+    assert [r.shape for r in out] == [(2, 0)] * 2
 
 
 def test_a_one_evaluation_rule_starts_no_thread(monkeypatch):
@@ -871,8 +898,8 @@ def test_a_one_evaluation_rule_starts_no_thread(monkeypatch):
     monkeypatch.setattr(threading, "Thread", no_thread)
     sizes, threads = [], set()
     field_ = _recorded(sin_field(0.01), sizes, threads)
-    out = cell_integral(Lattice(1), np.arange(10)[:, None], 0.1, field_, 4,
-                        squares=True)
+    out = integral_and_error(Lattice(1), np.arange(10)[:, None], 0.1, field_,
+                             4, squares=True)
     assert sizes == [16 * 10, 8 * 10]  # fine and coarse rule, one each
     assert threads == {threading.current_thread()}
     assert all(np.isfinite(r).all() for r in out)

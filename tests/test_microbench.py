@@ -12,7 +12,7 @@ import pytest
 
 from homlab import registry, study
 from homlab.config import StudyConfig
-from homlab.criteria import criterion_report
+from homlab.criteria import criterion_report, optimize_eta
 from homlab.lattice import (CHUNK_POINTS, GAUSS_ORDER, cell_integral,
                             cells_inside, default_refine)
 from homlab.fem import (LinearSolver, _split, assemble_base, assemble_triple,
@@ -238,9 +238,29 @@ def test_bench_criterion_report(benchmark, name, eps, exponent, cells):
     assert rep.rho1 > 0.0
 
 
+# optimize_eta on the finest rows of sign_criterion (at its fixed refine
+# 512) and stabilizing_criterion (at the default refine): every candidate
+# eta's fine rule, and no error estimate
+OPTIMIZE_ROWS = [("sign_criterion", 0.0016, 0.04, 25),
+                 ("stabilizing_criterion", 0.00625, 0.00625 ** 0.4, 7)]
+
+
+@pytest.mark.parametrize("name, eps, eta, cells", OPTIMIZE_ROWS)
+def test_bench_optimize_eta(benchmark, name, eps, eta, cells):
+    cfg = StudyConfig.load(CONFIGS / f"{name}.cfg")
+    family = registry.build_family(cfg)
+    refine = cfg.get_int("criterion.refine", 0) or None
+    picked, rep = benchmark.pedantic(
+        optimize_eta, args=(family, eps, study._criterion_exponents(cfg)),
+        kwargs={"refine": refine}, rounds=5, iterations=1)
+    assert picked == rep.eta == eta
+    assert rep.cell_count == cells
+
+
 def test_bench_fractal_cell_integral(benchmark):
     # one 2D cell of fractal_2d at eps 0.13, refine 64: the fine rule is
-    # four field evaluations of CHUNK_POINTS points, the coarse one more
+    # four field evaluations of CHUNK_POINTS points, and no coarse rule
+    # runs
     family = registry.build_family(
         StudyConfig.from_text("family.name = fractal_2d\n", "<config>"))
     field_ = family.at(0.13).v
@@ -251,7 +271,7 @@ def test_bench_fractal_cell_integral(benchmark):
         cell_integral,
         args=(family.suggested_lattice, [(1, 1)], 0.5, field_, refine),
         kwargs={"squares": True}, rounds=5, iterations=1)
-    assert all(np.isfinite(r).all() for r in out)
+    assert np.isfinite(out).all()
 
 
 def test_bench_fractal_finest_row_cell_integral(benchmark):
@@ -271,4 +291,4 @@ def test_bench_fractal_finest_row_cell_integral(benchmark):
     out = benchmark.pedantic(
         cell_integral, args=(lat, cells, eta, family.at(eps).v, refine),
         kwargs={"squares": True}, rounds=3, iterations=1)
-    assert all(np.isfinite(r).all() for r in out)
+    assert np.isfinite(out).all()

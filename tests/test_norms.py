@@ -441,9 +441,9 @@ def _overshooting_cholesky(monkeypatch, gram, delta):
     bisection of the pencil (H, S = gram) passes shifts up to delta above
     lambda_min and ends there; the witness still sees the true H and S."""
     band_s = norms._upper_band(gram, 1)
-    cholesky = sla.cholesky_banded
-    monkeypatch.setattr(sla, "cholesky_banded",
-                        lambda ab, **kw: cholesky(ab + delta * band_s, **kw))
+    cholesky = norms._cholesky
+    monkeypatch.setattr(norms, "_cholesky",
+                        lambda band: cholesky(band + delta * band_s))
 
 
 @pytest.mark.parametrize("which", [0, 1], ids=["perturbed", "limit"])

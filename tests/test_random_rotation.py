@@ -49,8 +49,7 @@ def test_birkhoff_average_approaches_expectation():
     for eps in (1e-2, 1e-3):
         # the mean of one realization over the whole domain: the integral
         # over one cell of measure 1
-        (avg,), _ = cell_integral(Lattice(1), [(0,)], 1.0, fam.at(eps).v,
-                                  4096)
+        (avg,) = cell_integral(Lattice(1), [(0,)], 1.0, fam.at(eps).v, 4096)
         errors.append(abs(avg - _limit(fam)))
     # one sweep over the domain at eps covers ~1/eps turns; error ~ eps
     assert errors[1] < 5e-3

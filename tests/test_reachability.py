@@ -182,6 +182,17 @@ def _calls(trees):
     return calls
 
 
+def _gives_default(value):
+    """Whether a dataclass field's value gives it a default: any value but
+    a field(...) call with neither default nor default_factory, which only
+    sets options such as compare=False."""
+    if not (isinstance(value, ast.Call)
+            and list(_identifiers(value.func)) == ["field"]):
+        return value is not None
+    return any(kw.arg in ("default", "default_factory")
+               for kw in value.keywords)
+
+
 def _defaulted_fields(trees):
     """(location, class name, position, field) of every dataclass field
     with a default in src/homlab."""
@@ -195,7 +206,7 @@ def _defaulted_fields(trees):
                       if isinstance(stmt, ast.AnnAssign)
                       and isinstance(stmt.target, ast.Name)]
             for pos, stmt in enumerate(fields):
-                if stmt.value is not None:
+                if _gives_default(stmt.value):
                     yield (f"{path.relative_to(ROOT)}:{stmt.lineno}",
                            cls.name, pos, stmt.target.id)
 
