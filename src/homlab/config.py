@@ -1,7 +1,9 @@
 """Flat dotted-key study configuration files.
 
-One `key = value` pair per line; `#` starts a comment.  Values are typed
-by shape: integers, floats, booleans (true/false), bare strings, and
+One `key = value` pair per line.  A comment is a line whose first
+non-blank character is `#`; a `#` inside a value is refused, so a
+trailing note cannot become part of it.  Values are typed by shape:
+integers, floats, booleans (true/false), bare strings, and
 comma-separated lists of those.  Keys are dotted lowercase identifiers
 such as `schedule.eps`.
 """
@@ -66,6 +68,9 @@ def parse_config(text, source):
             raise ConfigError(f"{source}:{lineno}: duplicate key {key!r}")
         if not val:
             raise ConfigError(f"{source}:{lineno}: empty value for {key!r}")
+        if "#" in val:
+            raise ConfigError(f"{source}:{lineno}: '#' in the value of "
+                              f"{key!r}; a comment takes a line of its own")
         if "," in val:
             tokens = [tok.strip() for tok in val.split(",")]
             if not all(tokens):

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import ConfigError
 from .errors import NumericalBreach
 from .families import deviation_triple
 from .lattice import (cell_integral, cell_integral_error, cells_inside,
@@ -48,7 +49,7 @@ class CriterionReport:
     integrals: tuple = field(repr=False, compare=False)
 
 
-class NoCellsError(ValueError):
+class NoCellsError(ConfigError):
     """No lattice cell at the requested scale fits inside the domain."""
 
 
@@ -187,9 +188,16 @@ def optimize_eta(family, eps, exponents, refine=None):
         if best_val is None or val < best_val * (1 - 1e-12):
             best, best_val = rep, val
     if best is None:
+        box = family.domain
         raise NoCellsError(
-            "no eta on the grid admits any cell inside the domain")
+            f"family.domain = {_listed(box.lower + box.upper)}: no cell of "
+            f"size eta = eps^a, a in criterion.exponents = "
+            f"{_listed(exponents)}, fits inside it at eps = {eps!r}")
     return best.eta, best
+
+
+def _listed(values):
+    return ", ".join(repr(float(v)) for v in values)
 
 
 def worst_gap(pairs):

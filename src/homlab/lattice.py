@@ -1,11 +1,12 @@
 """Scaled lattice cells and batched cell quadrature.
 
-Cells are the scaled translates eta * (cell + gamma) of a reference
-parallelotope, where gamma runs over the points of an affine lattice
-B Z^d + offset.  Cell integrals use composite Gauss-Legendre rules of
-order 4 per subcell.  cell_integral runs that fine rule only; its error
-estimate is a call of its own, cell_integral_error, which compares the
-fine integrals it is given against the half-resolution rule on the same
+Cells are axis-aligned boxes: the scaled translates eta * (cell +
+gamma) of the reference box cell = side (0,1)^d, where gamma runs over
+the lattice points side * z + offset, z in Z^d, one side per axis.
+Cell integrals use composite Gauss-Legendre rules of order 4 per
+subcell.  cell_integral runs that fine rule only; its error estimate is
+a call of its own, cell_integral_error, which compares the fine
+integrals it is given against the half-resolution rule on the same
 cells.  So a caller that reports an estimate for only some of the cells
 it integrates (the cell criteria report it for the one eta a row picks)
 runs the coarse rule on those alone, and never the fine rule twice.
@@ -28,11 +29,10 @@ sums are taken straight from each evaluation's values, and on request
 the same values also give the integrals of field^2.  An evaluation passes
 the field its coordinates, not a point array: each coordinate is an
 array of shape (cells, blocks, block length) with length 1 along an
-axis it does not vary on.  On an axis-aligned lattice the first
-coordinate of a 2D rule is constant along a block, (C, k, 1), and the
-last is the same in every block, (C, 1, m), so no evaluation builds an
-array of all its points' coordinates; a sheared lattice gets full
-coordinates from the same code.  Only the 1D Gauss nodes and weights of
+axis it does not vary on.  A cell is a box, so each head coordinate of
+a 2D rule is constant along a block, (C, k, 1), and the last is the
+same in every block, (C, 1, m): no evaluation builds an array of all
+its points' coordinates.  Only the 1D Gauss nodes and weights of
 the two orders used are stored, as tabulated constants; the composite
 rule, an evaluation's coordinates and its block weights are built
 afresh, so no array of a whole cell's points or weights is built.
@@ -47,10 +47,11 @@ no bit of a result depends on the number of threads.
 """
 
 import itertools
+import math
 import os
 import threading
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache
 
 import numpy as np
 
@@ -61,111 +62,80 @@ GAUSS_ORDER = 4
 CHUNK_POINTS = GAUSS_ORDER * MAX_REFINE
 
 
-def _affine_points(cols, mat, shifts):
-    """Points shifts[c] + sum_j cols[j] * mat[:, j] for d coordinate
-    columns (k,), one block of k rows per shift: shape (C * k, d), each
-    coordinate column contiguous (a transposed (d, C * k) array).
-
-    The sum runs over j in a fixed order: a BLAS product can round a row
-    differently by its position in the stack, and a cell's points must
-    not depend on the stack or block range they are built in.
-    """
-    k, dim = len(cols[0]), len(cols)
-    out = np.empty((dim, len(shifts), k))
-    for i, row in enumerate(mat):
-        acc = cols[0] * row[0]
-        for col, entry in zip(cols[1:], row[1:]):
-            acc += col * entry
-        np.add(shifts[:, i, None], acc, out=out[i])
-    return out.reshape(dim, -1).T
-
-
 @dataclass(frozen=True)
 class Lattice:
-    """Affine lattice B Z^d + offset with reference cell B (0,1)^d.
+    """The lattice side * Z^d + offset, whose cell is the box side (0,1)^d.
 
-    basis and offset are stored as read-only copies, so the constants
-    derived from them (cell measure, inverse basis, vertex offsets) are
-    computed once, on first use, and stay valid.
+    side and offset are stored as read-only float arrays of shape (d,); a
+    side that is not positive and finite raises ValueError.
     """
 
-    dim: int
-    basis: np.ndarray = None
-    offset: np.ndarray = None
+    side: np.ndarray
+    offset: np.ndarray
 
     def __post_init__(self):
-        basis = self.basis
-        if basis is None:
-            basis = np.eye(self.dim)
-        basis = np.array(basis, dtype=float).reshape(self.dim, self.dim)
-        offset = self.offset
-        if offset is None:
-            offset = np.zeros(self.dim)
-        offset = np.array(offset, dtype=float).reshape(self.dim)
-        if abs(np.linalg.det(basis)) < 1e-14:
-            raise ValueError("lattice basis is singular")
-        basis.flags.writeable = False
+        side = np.array(self.side, dtype=float).reshape(-1)
+        offset = np.array(self.offset, dtype=float).reshape(len(side))
+        if not np.all(np.isfinite(side) & (side > 0)):
+            raise ValueError(f"lattice sides must be positive and finite, "
+                             f"got {side.tolist()}")
+        side.flags.writeable = False
         offset.flags.writeable = False
-        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "side", side)
         object.__setattr__(self, "offset", offset)
 
-    @cached_property
+    @property
+    def dim(self):
+        return len(self.side)
+
+    @property
     def cell_measure(self):
-        return abs(float(np.linalg.det(self.basis)))
-
-    @cached_property
-    def _inverse_basis(self):
-        return np.linalg.inv(self.basis)
-
-    @cached_property
-    def _vertex_offsets(self):
-        """B v for the 2^d vertices v of (0,1)^d, first axis slowest:
-        shape (2^d, d)."""
-        unit = np.array(list(itertools.product([0.0, 1.0], repeat=self.dim)))
-        return unit @ self.basis.T
+        return _measure(self.side)
 
     def point(self, z):
         """Lattice points for a stack of integer indices z, shape (C, d)."""
-        return _affine_points(np.asarray(z, dtype=float).T, self.basis,
-                              self.offset[None])
+        return np.asarray(z, dtype=float) * self.side + self.offset
+
+
+def _measure(side):
+    # det, not prod(side): the two round apart, and the CSV bytes follow det
+    return abs(float(np.linalg.det(np.diag(side))))
 
 
 @cache
 def unit_lattice(dim):
     """The lattice Z^d with the unit cube as its cell, one per dimension."""
-    return Lattice(dim)
+    return Lattice(np.ones(dim), np.zeros(dim))
 
 
 def cells_inside(lattice, eta, box):
     """Integer indices z of the cells eta*(cell + point(z)) inside a box.
 
-    Returns the indices as a sorted tuple of int tuples.  Containment is
-    decided by testing every cell vertex against the closed box with a
-    relative tolerance, so cells touching the boundary count.
+    Returns the indices as a sorted tuple of int tuples.  A cell is a
+    box, so containment is decided axis by axis: along axis i its lower
+    corner eta * (z_i side_i + offset_i) and its upper corner eta *
+    (side_i + (z_i side_i + offset_i)) are tested against the closed box
+    with a relative tolerance, so cells touching the boundary count.
+    The cells inside are the product of the indices each axis admits,
+    in lexicographic order.
     """
     eta = float(eta)
     if eta <= 0:
         raise ValueError("eta must be positive")
     if box.dim != lattice.dim:
         raise ValueError("box dimension does not match lattice")
-    dim = lattice.dim
-    lo = np.array(box.lower)
-    hi = np.array(box.upper)
-    # integer search window from the preimage of the box corners
-    corners = np.array(list(itertools.product(*zip(lo / eta, hi / eta))))
-    zimg = (corners - lattice.offset) @ lattice._inverse_basis.T
-    zlo = np.floor(zimg.min(axis=0)).astype(int) - 1
-    zhi = np.ceil(zimg.max(axis=0)).astype(int) + 1
     pad = 1e-12 * max(1.0, *map(abs, box.lower + box.upper))
-    # candidates in lexicographic order, so the result comes out sorted
-    if dim == 1:
-        zs = np.arange(zlo[0], zhi[0] + 1)[:, None]
-    else:
-        zs = np.stack(np.meshgrid(*map(np.arange, zlo, zhi + 1),
-                                  indexing="ij"), axis=-1).reshape(-1, dim)
-    verts = eta * (lattice._vertex_offsets[None] + lattice.point(zs)[:, None])
-    inside = np.all((verts >= lo - pad) & (verts <= hi + pad), axis=(1, 2))
-    return tuple(map(tuple, zs[inside].tolist()))
+    axes = []
+    for lo, hi, side, offset in zip(box.lower, box.upper, lattice.side,
+                                    lattice.offset):
+        # integer search window from the preimage of the box's ends
+        z = np.arange(math.floor((lo / eta - offset) / side) - 1,
+                      math.ceil((hi / eta - offset) / side) + 2)
+        lower = z * side + offset
+        upper = side + lower
+        fits = (eta * lower >= lo - pad) & (eta * upper <= hi + pad)
+        axes.append(z[fits].tolist())
+    return tuple(itertools.product(*axes))
 
 
 def _read_only(*hexes):
@@ -211,40 +181,24 @@ def _block_weights(dim, wts1):
     return wts
 
 
-def _rule_points(pts1, span, origins, first, count):
+def _rule_points(pts1, side, origins, first, count):
     """Coordinates of the blocks first:first + count of the d-fold tensor
     rule over the 1D nodes pts1, first axis slowest, in each cell
-    origins[c] + span (0,1)^d: a tuple of d arrays that broadcast to
+    origins[c] + side (0,1)^d: a tuple of d arrays that broadcast to
     (C, count, len(pts1)), cell, block, node.  The first d - 1
     coordinates of a block are the nodes its index's base len(pts1)
     digits pick, and the last axis runs over pts1, so every block range
-    has the same points as the whole rule.
-
-    Coordinate i is shifts + (sum of the head nodes times span[i, :-1],
-    left to right, one value per block) + pts1 * span[i, -1]: the sums
-    _affine_points takes over the expanded columns, in the same order,
-    so the same bits.  It comes with length 1 along the block axis when
-    span[i, :-1] is zero and along the node axis when span[i, -1] is:
-    the nodes are positive, so each zero term is the same signed zero at
-    every block or node, and the one value computed stands for all of
-    them.  So on an axis-aligned lattice a 2D rule gives x1 of shape
-    (C, count, 1) and x2 of shape (C, 1, len(pts1)), and a 1D rule
-    (C, 1, len(pts1)).
+    has the same points as the whole rule.  Coordinate i < d - 1 is
+    origins + head node * side[i], of shape (C, count, 1), and the last is
+    origins + pts1 * side[-1], of shape (C, 1, len(pts1)).
     """
-    dim, size = len(span), len(pts1)
+    dim, size = len(side), len(pts1)
     blocks = np.arange(first, first + count)
-    heads = [pts1[blocks // size ** (dim - 2 - a) % size]
-             for a in range(dim - 1)]
-    coords = []
-    for i, row in enumerate(span):
-        acc = (pts1 if row[-1] else pts1[:1]) * row[-1]
-        if heads:
-            cols = heads if row[:-1].any() else [h[:1] for h in heads]
-            head = cols[0] * row[0]
-            for col, entry in zip(cols[1:], row[1:-1]):
-                head += col * entry
-            acc = head[:, None] + acc
-        coords.append(origins[:, i, None, None] + acc)
+    coords = [origins[:, a, None, None]
+              + (pts1[blocks // size ** (dim - 2 - a) % size]
+                 * side[a])[:, None]
+              for a in range(dim - 1)]
+    coords.append(origins[:, -1, None, None] + pts1 * side[-1])
     return tuple(coords)
 
 
@@ -296,9 +250,9 @@ def _split(task, count):
                   key=lambda e: (isinstance(e[1], Exception), e[0]))[1]
 
 
-def _rule_integrals(field_, origins, span, jac, refine, order, squares):
-    """Integrals over the cells origins[c] + span (0,1)^d at one rule,
-    jac = |det span|.
+def _rule_integrals(field_, origins, side, jac, refine, order, squares):
+    """Integrals over the cells origins[c] + side (0,1)^d at one rule,
+    jac their measure.
 
     The sum has two fixed levels.  Each block, a run of the rule's last
     axis, is summed on its own against its weights, the products of its
@@ -323,7 +277,7 @@ def _rule_integrals(field_, origins, span, jac, refine, order, squares):
     result depends on the number of threads or on the order they finish
     in.
     """
-    dim = span.shape[0]
+    dim = len(side)
     pts1, wts1 = _panel_rule(refine, order)
     size = len(pts1)  # rule points of a block
     factors = _block_weights(dim, wts1)
@@ -339,7 +293,7 @@ def _rule_integrals(field_, origins, span, jac, refine, order, squares):
         cells = origins[a:a + step]
         c = len(cells)
         k = min(per, blocks - b)  # whole blocks in this evaluation
-        v = field_(_rule_points(pts1, span, cells, b, k))
+        v = field_(_rule_points(pts1, side, cells, b, k))
         vals = (v, np.square(v)) if squares else (v,)
         # row j holds the weights of block b + j
         wts = np.multiply.outer(factors[b:b + k], wts1)
@@ -361,8 +315,8 @@ def default_refine(eta, finest_scale):
 
     ceil(8 eta / finest_scale), from 1 to MAX_REFINE: at least 8 panels
     per length `finest_scale` along a side of length eta.  A cell's side
-    is |basis column| * eta, so on another lattice than the unit one the
-    panels scale with its basis: the cells of fractal_2d's lattice
+    is side * eta, so on another lattice than the unit one the panels
+    scale with its sides: the cells of fractal_2d's lattice
     2 Z^2 - (1, 1) have sides 2 eta, and get at least 4 panels per
     finest scale.
     """
@@ -373,14 +327,13 @@ def default_refine(eta, finest_scale):
 
 
 def _scaled_cells(lattice, z, eta, refine):
-    """Origins (C, d), span, Jacobian and refine of the cells eta *
+    """Origins (C, d), sides, Jacobian and refine of the cells eta *
     (cell + point(z)) at a refine, raising ValueError above MAX_REFINE."""
     refine = int(max(1, refine))
     if refine > MAX_REFINE:
         raise ValueError(f"refine must be at most {MAX_REFINE}, got {refine}")
-    span = eta * lattice.basis
-    return (eta * lattice.point(z), span, abs(float(np.linalg.det(span))),
-            refine)
+    side = eta * lattice.side
+    return eta * lattice.point(z), side, _measure(side), refine
 
 
 def cell_integral(lattice, z, eta, field_, refine, squares=False):
@@ -399,8 +352,8 @@ def cell_integral(lattice, z, eta, field_, refine, squares=False):
     estimate is taken here: cell_integral_error takes it from these
     integrals, for the cells that need one.
     """
-    origins, span, jac, refine = _scaled_cells(lattice, z, eta, refine)
-    out = _rule_integrals(field_, origins, span, jac, refine, GAUSS_ORDER,
+    origins, side, jac, refine = _scaled_cells(lattice, z, eta, refine)
+    out = _rule_integrals(field_, origins, side, jac, refine, GAUSS_ORDER,
                           squares)
     return out if squares else out[0]
 
@@ -414,8 +367,8 @@ def cell_integral_error(lattice, z, eta, field_, refine, fine):
     rule is evaluated twice; doubling the refine changes an integral by
     less than its estimate.
     """
-    origins, span, jac, refine = _scaled_cells(lattice, z, eta, refine)
+    origins, side, jac, refine = _scaled_cells(lattice, z, eta, refine)
     coarse_rule = (refine // 2, GAUSS_ORDER) if refine > 1 else (1, 2)
-    coarse = _rule_integrals(field_, origins, span, jac, *coarse_rule,
+    coarse = _rule_integrals(field_, origins, side, jac, *coarse_rule,
                              fine.ndim == 2)
     return np.abs(fine - coarse.reshape(fine.shape)) + 1e-300

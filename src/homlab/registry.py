@@ -430,7 +430,7 @@ def _build_fractal_2d(cfg):
         # follows, or the factor's eps if that is finer
         finest_scale=lambda eps: min(eps, 2 * math.pi * eps ** 2
                                      / (2 * math.pi * x_max)),
-        suggested_lattice=Lattice(2, 2.0 * np.eye(2), -np.ones(2)),
+        suggested_lattice=Lattice((2.0, 2.0), (-1.0, -1.0)),
     )
 
 

@@ -349,6 +349,20 @@ def test_no_admissible_eta_exits_2_naming_the_key(tmp_path, capsys):
     assert "eps = 0.014" in err
 
 
+def test_no_cell_on_the_eta_grid_exits_2_naming_the_keys(tmp_path, capsys):
+    # the smallest eta on the default grid, 0.5^0.7, is longer than the
+    # domain, so no cell fits at any exponent
+    path = tmp_path / "tiny.cfg"
+    path.write_text("study.kind = criterion\nfamily.name = regular_sin\n"
+                    "family.domain = 0, 0.05\nschedule.eps = 0.5, 0.4\n")
+    code = main(["criterion", "--config", str(path), "--out", "-"])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "config error: family.domain = 0.0, 0.05: no cell of size eta = "
+        "eps^a, a in criterion.exponents = 0.3, 0.4, 0.5, 0.6, 0.7, fits "
+        "inside it at eps = 0.5\n")
+
+
 # (study kind, shipped config, line) per removed key: the config's study
 # read the key before it was removed
 REMOVED_KEYS = [

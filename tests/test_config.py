@@ -35,6 +35,7 @@ def test_comments_and_blank_lines_ignored():
     "a.b = 1, , 2",
     "a.b = 1,",
     "a.b = ,",
+    "a.b = 1 # note",
 ])
 def test_malformed_lines_raise(bad):
     with pytest.raises(ConfigError):

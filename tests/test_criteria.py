@@ -10,13 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from homlab import criteria
+from homlab.config import ConfigError
 from homlab.criteria import (CriterionReport, NoCellsError, criterion_report,
                              local_mean_limit, optimize_eta, quad_error)
 from homlab.families import FieldTriple, deviation_triple, make_family
 from homlab.fem import NumericalBreach
 from homlab.fields import Box, CoefficientField, constant_field, zero_field
-from homlab.lattice import (Lattice, cell_integral, cell_integral_error,
-                            cells_inside)
+from homlab.lattice import (cell_integral, cell_integral_error, cells_inside,
+                            unit_lattice)
 
 UNIT = Box((0.0,), (1.0,))
 
@@ -304,7 +305,10 @@ def test_optimize_eta_raises_when_nothing_fits():
     tiny = Box((0.0,), (0.05,))
     v0 = zero_field(1)
     fam = family_of(lambda eps: v0, v0, tiny)
-    with pytest.raises(ValueError):
+    # a config error, naming the keys that set the domain and the grid
+    with pytest.raises(ConfigError,
+                       match=r"^family\.domain = 0\.0, 0\.05: .* "
+                       r"criterion\.exponents = 0\.3, 0\.5, .* eps = 0\.5$"):
         optimize_eta(fam, 0.5, exponents=(0.3, 0.5))
 
 
@@ -348,7 +352,7 @@ def _family(text):
 
 def reference_report(family, eps, eta, refine):
     # the cell-by-cell loop: one call per cell for dev and for |dev|^2
-    lat = family.suggested_lattice or Lattice(family.dim)
+    lat = family.suggested_lattice or unit_lattice(family.dim)
     cells = cells_inside(lat, eta, family.domain)
     measure = lat.cell_measure * eta ** family.dim
     rho1_, rho3_, quad = 0.0, 0.0, 0.0

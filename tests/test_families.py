@@ -291,16 +291,17 @@ def test_modulated_diffeo_refuses_a_degenerate_jacobian():
 def _fractal_cases():
     # coordinates of a tensor fill of the lattice 2 Z^2 - (1, 1), as cell
     # quadrature passes them: x1 once per block and x2 once per node; the
-    # same points materialized and shuffled; a skew rule, whose
-    # coordinates come full; and a single point
+    # same points materialized and shuffled; a fill on unequal sides with
+    # its coordinates written out full; and a single point
     pts1, _ = _panel_rule(5)
-    tensor = _rule_points(pts1, 0.5 * np.eye(2),
+    tensor = _rule_points(pts1, np.array([0.5, 0.5]),
                           np.array([[0.5, 0.5], [1.5, 0.5]]), 0, 20)
     flat = [c.ravel() for c in np.broadcast_arrays(*tensor)]
     order = np.random.default_rng(5).permutation(len(flat[0]))
     shuffled = tuple(c[order] for c in flat)
-    skew = _rule_points(pts1, np.array([[0.7, 0.2], [-0.1, 0.5]]),
-                        np.array([[0.3, 0.4]]), 3, 9)
+    skew = tuple(np.ascontiguousarray(c) for c in np.broadcast_arrays(
+        *_rule_points(pts1, np.array([0.7, 0.5]), np.array([[0.3, 0.4]]),
+                      3, 9)))
     single = (np.array([1.3]), np.array([0.7]))
     return {"tensor": tensor, "shuffled": shuffled, "skew": skew,
             "single": single}

@@ -186,10 +186,10 @@ def test_complex_closure_raises_through_assembly(slot):
 
 
 def test_complex_closure_raises_through_cell_integral():
-    from homlab.lattice import Lattice, cell_integral
+    from homlab.lattice import cell_integral, unit_lattice
     wave = CoefficientField(1, _wave, 1.0)
     with pytest.raises(TypeError, match="returned complex values"):
-        cell_integral(Lattice(1), [(0,)], 0.1, wave, 4, squares=True)
+        cell_integral(unit_lattice(1), [(0,)], 0.1, wave, 4, squares=True)
 
 
 def test_complex_closure_is_no_config_error_in_the_cli(monkeypatch):

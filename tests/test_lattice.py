@@ -14,9 +14,10 @@ from homlab.fields import (Box, CoefficientField, broadcast_shape,
                            constant_field)
 from homlab.lattice import (CHUNK_POINTS, GAUSS_ORDER, MAX_REFINE, Lattice,
                             _panel_rule, cell_integral, cell_integral_error,
-                            cells_inside, default_refine)
+                            cells_inside, default_refine, unit_lattice)
 
 UNIT = Box((0.0,), (1.0,))
+LINE = unit_lattice(1)
 
 
 def integral_and_error(lat, zs, eta, field_, refine, squares=False):
@@ -25,10 +26,11 @@ def integral_and_error(lat, zs, eta, field_, refine, squares=False):
     fine = cell_integral(lat, zs, eta, field_, refine, squares=squares)
     return fine, cell_integral_error(lat, zs, eta, field_, refine, fine)
 
-SKEW = Lattice(2, basis=np.array([[0.7, 0.2], [-0.1, 0.5]]),
-               offset=(0.05, -0.02))
-# fractal_2d's lattice 2 Z^2 - (1, 1), axis-aligned
-SQUARE = Lattice(2, 2.0 * np.eye(2), -np.ones(2))
+# unequal sides and an offset of both signs; the cells the tests take
+# have negative indices too
+OBLONG = Lattice((0.7, 0.5), (0.3, -0.2))
+# fractal_2d's lattice 2 Z^2 - (1, 1)
+SQUARE = Lattice((2.0, 2.0), (-1.0, -1.0))
 
 
 def _fractal_field(eps=0.13):
@@ -48,24 +50,26 @@ def _points(x):
     return math.prod(broadcast_shape(x))
 
 
-def test_singular_basis_rejected():
-    with pytest.raises(ValueError):
-        Lattice(2, basis=np.array([[1.0, 1.0], [1.0, 1.0]]))
+@pytest.mark.parametrize("side", [(1.0, 0.0), (-0.5, 1.0), (1.0, math.inf),
+                                  (math.nan, 1.0)])
+def test_side_that_is_not_positive_and_finite_rejected(side):
+    with pytest.raises(ValueError, match="positive and finite"):
+        Lattice(side, (0.0, 0.0))
 
 
 def test_cells_inside_unit_interval():
-    cells = cells_inside(Lattice(1), 0.25, UNIT)
+    cells = cells_inside(LINE, 0.25, UNIT)
     assert cells == ((0,), (1,), (2,), (3,))
 
 
 def test_cells_inside_partial_cover():
-    cells = cells_inside(Lattice(1), 0.3, UNIT)
+    cells = cells_inside(LINE, 0.3, UNIT)
     # 3 cells of length 0.3 fit in (0,1), the fourth sticks out
     assert len(cells) == 3
 
 
 def test_cells_inside_2d_offset_lattice():
-    lat = Lattice(2, basis=2.0 * np.eye(2), offset=(-1.0, -1.0))
+    lat = SQUARE
     box = Box((0.0, 0.0), (2.0, 2.0))
     cells = cells_inside(lat, 1.0, box)
     # cells are 1 * (2 (0,1)^2 + 2 z - 1): side 2, corners at odd integers
@@ -86,7 +90,7 @@ def brute_force_cells(lat, eta, box, window):
     unit = np.array(list(itertools.product([0.0, 1.0], repeat=lat.dim)))
     found = []
     for z in itertools.product(range(-window, window + 1), repeat=lat.dim):
-        verts = eta * (unit @ lat.basis.T + lat.basis @ np.array(z, float)
+        verts = eta * (unit * lat.side + np.array(z, float) * lat.side
                        + lat.offset)
         if np.all(verts >= lo - pad) and np.all(verts <= hi + pad):
             found.append(z)
@@ -95,12 +99,10 @@ def brute_force_cells(lat, eta, box, window):
 
 
 @pytest.mark.parametrize("lat, box, etas", [
-    (SKEW, Box((-1.0, -0.5), (1.5, 1.0)), (0.1, 0.37, 1.0)),
+    (OBLONG, Box((-1.0, -0.5), (1.5, 1.0)), (0.1, 0.37, 1.0)),
     # the cells 0.25 * (2 z + 0.5 + (0, 2)) touch both ends of the box
-    (Lattice(1, basis=[[2.0]], offset=[0.5]), Box((0.125,), (2.125,)),
-     (0.25, 0.3, 1.0)),
-    (Lattice(2, basis=2.0 * np.eye(2), offset=(-1.0, -1.0)),
-     Box((0.0, 0.0), (2.0, 2.0)), (0.25, 0.5, 1.0)),
+    (Lattice((2.0,), (0.5,)), Box((0.125,), (2.125,)), (0.25, 0.3, 1.0)),
+    (SQUARE, Box((0.0, 0.0), (2.0, 2.0)), (0.25, 0.5, 1.0)),
 ])
 def test_cells_inside_matches_vertex_loop(lat, box, etas):
     for eta in etas:
@@ -112,14 +114,15 @@ def test_cells_inside_matches_vertex_loop(lat, box, etas):
 def vertex_scan(lat, eta, box):
     """cells_inside by brute force: every vertex of every index of a
     window wide enough to hold every cell in the box, each coordinate
-    eta * (B v + (offset + sum_j z_j B[:, j])) summed in the order
-    Lattice.point takes, so each vertex has the bits cells_inside tests."""
+    eta * (B v + (offset + sum_j z_j B[:, j])) of the diagonal span B, so
+    each vertex has the bits of the corner cells_inside tests."""
     dim = lat.dim
+    basis = np.diag(lat.side)
     lo, hi = np.array(box.lower), np.array(box.upper)
     pad = 1e-12 * max(1.0, float(np.max(np.abs(np.concatenate([lo, hi])))))
     # a cell inside the box has its vertex eta (B z + offset) in it, so
     # |z| <= |B^-1| (|x| / eta + |offset|) over the box's points x
-    reach = np.abs(np.linalg.inv(lat.basis)).sum(axis=1).max() * (
+    reach = np.abs(np.linalg.inv(basis)).sum(axis=1).max() * (
         np.max(np.abs(np.concatenate([lo, hi]))) / eta
         + np.max(np.abs(lat.offset)))
     window = int(np.ceil(reach)) + 2
@@ -129,10 +132,10 @@ def vertex_scan(lat, eta, box):
     inside = np.ones(len(zs), dtype=bool)
     for v in itertools.product([0.0, 1.0], repeat=dim):
         for i in range(dim):
-            corner = sum(v[j] * lat.basis[i, j] for j in range(dim))
-            acc = zs[:, 0] * lat.basis[i, 0]
+            corner = sum(v[j] * basis[i, j] for j in range(dim))
+            acc = zs[:, 0] * basis[i, 0]
             for j in range(1, dim):
-                acc = acc + zs[:, j] * lat.basis[i, j]
+                acc = acc + zs[:, j] * basis[i, j]
             x = eta * (corner + (lat.offset[i] + acc))
             inside &= (x >= lo[i] - pad) & (x <= hi[i] + pad)
     found = zs[inside]
@@ -140,29 +143,14 @@ def vertex_scan(lat, eta, box):
     return tuple(map(tuple, found.tolist()))
 
 
-_entry = st.floats(0.25, 2.0).flatmap(
-    lambda x: st.sampled_from([x, -x]))
-
-
 @st.composite
 def _lattices(draw):
-    kind = draw(st.sampled_from(["1d", "diagonal", "skewed"]))
-    if kind == "1d":
-        basis = [[draw(_entry)]]
-    elif kind == "diagonal":
-        basis = np.diag([draw(_entry), draw(_entry)])
-    else:
-        # off-diagonal entries at most half the smaller diagonal one keep
-        # |det| >= 3/4 of the diagonal's product, and the search window
-        # of vertex_scan small
-        d1, d2 = draw(_entry), draw(_entry)
-        side = min(abs(d1), abs(d2))
-        basis = np.array([[d1, side * draw(st.floats(-0.5, 0.5))],
-                          [side * draw(st.floats(-0.5, 0.5)), d2]])
-    dim = len(basis)
+    # 1D or 2D, the 2D sides drawn apart, so mostly unequal
+    dim = draw(st.sampled_from([1, 2]))
+    side = draw(st.lists(st.floats(0.25, 2.0), min_size=dim, max_size=dim))
     offset = draw(st.lists(st.floats(-2.0, 2.0), min_size=dim,
                            max_size=dim))
-    return Lattice(dim, basis=basis, offset=offset)
+    return Lattice(side, offset)
 
 
 @st.composite
@@ -179,8 +167,8 @@ def _boxes(draw, lat, eta):
     za, zb = (np.array(draw(st.lists(st.integers(-4, 4), min_size=dim,
                                      max_size=dim))) for _ in range(2))
     unit = np.array(list(itertools.product([0.0, 1.0], repeat=dim)))
-    va = eta * (unit @ lat.basis.T + lat.point(za[None]))
-    vb = eta * (unit @ lat.basis.T + lat.point(zb[None]))
+    va = eta * (unit * lat.side + lat.point(za[None]))
+    vb = eta * (unit * lat.side + lat.point(zb[None]))
     lo, hi = va.min(axis=0), vb.max(axis=0)
     assume(np.all(hi - lo > 1e-6))
     scale = max(1.0, float(np.max(np.abs(np.concatenate([lo, hi])))))
@@ -203,7 +191,7 @@ def test_sine_cell_integral_closed_form():
     # int_0^h sin(x / eps) dx = eps (1 - cos(h / eps))
     eps = 0.05
     h = 0.3
-    (val,), (err,) = integral_and_error(Lattice(1), [(0,)], h,
+    (val,), (err,) = integral_and_error(LINE, [(0,)], h,
                                         sin_field(eps), 64)
     exact = eps * (1.0 - math.cos(h / eps))
     assert val == pytest.approx(exact, abs=1e-12)
@@ -213,13 +201,13 @@ def test_sine_cell_integral_closed_form():
 def test_shifted_cell_integral_closed_form():
     eps = 0.07
     h = 0.2
-    (val,) = cell_integral(Lattice(1), [(2,)], h, sin_field(eps), 64)
+    (val,) = cell_integral(LINE, [(2,)], h, sin_field(eps), 64)
     exact = eps * (math.cos(2 * h / eps) - math.cos(3 * h / eps))
     assert val == pytest.approx(exact, abs=1e-12)
 
 
 def test_cell_mean_of_constant():
-    lat = Lattice(2, basis=np.diag([1.0, 2.0]))
+    lat = Lattice((1.0, 2.0), (0.0, 0.0))
     measure = lat.cell_measure * 0.37 ** 2
     (integral,), (err,) = integral_and_error(
         lat, [(0, 0)], 0.37, constant_field(2, 3.25), 3)
@@ -230,15 +218,15 @@ def test_cell_mean_of_constant():
 def test_error_estimate_majorizes_refinement_change():
     eps = 0.013
     field_ = sin_field(eps)
-    val8 = cell_integral(Lattice(1), [(0,)], 0.5, field_, 8)
-    (err8,) = cell_integral_error(Lattice(1), [(0,)], 0.5, field_, 8, val8)
-    (val16,) = cell_integral(Lattice(1), [(0,)], 0.5, field_, 16)
+    val8 = cell_integral(LINE, [(0,)], 0.5, field_, 8)
+    (err8,) = cell_integral_error(LINE, [(0,)], 0.5, field_, 8, val8)
+    (val16,) = cell_integral(LINE, [(0,)], 0.5, field_, 16)
     assert abs(val16 - val8[0]) <= err8
 
 
 def test_box_integral_2d_product():
     # the box (0,1) x (0,2) as the one cell at eta 1; int x y = 1/2 * 2
-    lat = Lattice(2, basis=np.diag([1.0, 2.0]))
+    lat = Lattice((1.0, 2.0), (0.0, 0.0))
     f = CoefficientField(2, lambda x: x[0] * x[1], 2.0)
     (val,), (err,) = integral_and_error(lat, [(0, 0)], 1.0, f, 16)
     assert val == pytest.approx(0.5 * 2.0, abs=1e-12)
@@ -253,7 +241,7 @@ def test_default_refine_rule():
 
 
 def test_affine_lattice_point():
-    lat = Lattice(1, basis=[[2.0]], offset=[0.5])
+    lat = Lattice((2.0,), (0.5,))
     assert lat.point([[3], [0]])[:, 0] == pytest.approx([6.5, 0.5])
     # the cell 0.1 * (2 (0,1) + 0.5) is [0.05, 0.25]: inside a box touching
     # both of its ends, outside any box that cuts one of them off
@@ -275,9 +263,9 @@ def test_cell_integral_linearity(a, b, h):
         1, lambda x: a * np.cos(5.0 * x[0]) + b * x[0] ** 2,
         abs(a) + abs(b),
     )
-    (vf,) = cell_integral(Lattice(1), [(0,)], h, f, 16)
-    (vg,) = cell_integral(Lattice(1), [(0,)], h, g, 16)
-    (vc,) = cell_integral(Lattice(1), [(0,)], h, comb, 16)
+    (vf,) = cell_integral(LINE, [(0,)], h, f, 16)
+    (vg,) = cell_integral(LINE, [(0,)], h, g, 16)
+    (vc,) = cell_integral(LINE, [(0,)], h, comb, 16)
     assert vc == pytest.approx(a * vf + b * vg, abs=1e-12)
 
 
@@ -296,14 +284,14 @@ def test_stacked_cell_integral_equals_single_calls(refine):
     # refine 1 takes the order-2 single-panel estimate
     field_ = CoefficientField(2, skew_2d, 30.0)
     zs = np.array([[0, 0], [1, -2], [3, 1], [-2, 4], [5, 5]])
-    stack = integral_and_error(SKEW, zs, 0.3, field_, refine, squares=True)
+    stack = integral_and_error(OBLONG, zs, 0.3, field_, refine, squares=True)
     assert [r.shape for r in stack] == [(2, 5)] * 2
     for k in range(len(zs)):
-        one = integral_and_error(SKEW, zs[k:k + 1], 0.3, field_, refine,
+        one = integral_and_error(OBLONG, zs[k:k + 1], 0.3, field_, refine,
                                  squares=True)
         for got, want in zip(stack, one):
             assert np.array_equal(got[:, k:k + 1], want)
-        integral, err = integral_and_error(SKEW, zs[k:k + 1], 0.3, field_,
+        integral, err = integral_and_error(OBLONG, zs[k:k + 1], 0.3, field_,
                                            refine)
         assert np.array_equal(integral, one[0][0])
         assert np.array_equal(err, one[1][0])
@@ -313,7 +301,7 @@ def test_square_integral_matches_closed_form():
     # int_0^h sin^2(x / eps) dx = h / 2 - eps sin(2 h / eps) / 4
     eps, h = 0.05, 0.3
     (_, (sq,)), (_, (sq_err,)) = integral_and_error(
-        Lattice(1), [(0,)], h, sin_field(eps), 64, squares=True)
+        LINE, [(0,)], h, sin_field(eps), 64, squares=True)
     assert sq.shape == () and sq.dtype == float
     exact = h / 2 - eps * math.sin(2 * h / eps) / 4
     assert sq == pytest.approx(exact, abs=1e-12)
@@ -366,15 +354,15 @@ def test_batches_never_split_a_cell(monkeypatch):
 
     field_ = CoefficientField(1, counted, 1.0)
     zs = np.arange(10)[:, None]
-    whole = integral_and_error(Lattice(1), zs, 0.1, field_, 4)
+    whole = integral_and_error(LINE, zs, 0.1, field_, 4)
     assert sizes == [16 * 10, 8 * 10]  # fine and coarse rule, one batch each
     sizes.clear()
     monkeypatch.setattr(lattice, "CHUNK_POINTS", 40)  # 2.5 fine cells
-    split = integral_and_error(Lattice(1), zs, 0.1, field_, 4)
+    split = integral_and_error(LINE, zs, 0.1, field_, 4)
     assert sizes == [32] * 5 + [40] * 2
     sizes.clear()
     monkeypatch.setattr(lattice, "CHUNK_POINTS", 16)  # one fine block
-    single = integral_and_error(Lattice(1), zs, 0.1, field_, 4)
+    single = integral_and_error(LINE, zs, 0.1, field_, 4)
     assert sizes == [16] * 10 + [16] * 5
     for a, b, c in zip(whole, split, single):
         assert np.array_equal(a, b)
@@ -395,11 +383,11 @@ def test_streamed_cell_equals_whole_cell(monkeypatch, budget):
 
     field_ = CoefficientField(2, counted, 30.0)
     zs = np.array([[0, 0], [1, -2], [3, 1]])
-    whole = integral_and_error(SKEW, zs, 0.3, field_, 5, squares=True)
+    whole = integral_and_error(OBLONG, zs, 0.3, field_, 5, squares=True)
     assert sizes == [3 * 400, 3 * 64]
     sizes.clear()
     monkeypatch.setattr(lattice, "CHUNK_POINTS", budget)
-    streamed = integral_and_error(SKEW, zs, 0.3, field_, 5, squares=True)
+    streamed = integral_and_error(OBLONG, zs, 0.3, field_, 5, squares=True)
     assert max(sizes) <= budget
     # the fine rule's fills of whole blocks, one cell at a time, then the
     # coarse rule's, of whole cells when they fit
@@ -436,7 +424,7 @@ def test_tensor_rule_matches_meshgrid_reference(dim, refine):
     blocks = len(factors)
     ref_pts, ref_wts = _meshgrid_tensor_rule(dim, refine)
     assert np.array_equal(wts, ref_wts)
-    unit, origin = np.eye(dim), np.zeros((1, dim))
+    unit, origin = np.ones(dim), np.zeros((1, dim))
     whole = lattice._rule_points(pts1, unit, origin, 0, blocks)
     assert np.array_equal(_materialized(whole), ref_pts)
     # every block range, one block or many, is the same rows
@@ -448,20 +436,13 @@ def test_tensor_rule_matches_meshgrid_reference(dim, refine):
             ref_pts[first * size:(first + count) * size])
 
 
-def _row_major_points(cols, mat, shifts):
-    # shifts[c] + sum_j cols[j] * mat[:, j], written point by point into
-    # a C-ordered (C, k, d) array, the sum over j in the same order
+def _pointwise(cols, side, shifts):
+    # shifts[c, i] + cols[i] * side[i], written point by point into a
+    # C-ordered (C, k, d) array
     out = np.empty((len(shifts), len(cols[0]), len(cols)))
-    for i, row in enumerate(mat):
-        acc = cols[0] * row[0]
-        for col, entry in zip(cols[1:], row[1:]):
-            acc = acc + col * entry
-        out[:, :, i] = shifts[:, i, None] + acc
+    for i, (col, s) in enumerate(zip(cols, side)):
+        out[:, :, i] = shifts[:, i, None] + col * s
     return out.reshape(-1, len(cols))
-
-
-def _columns_are_contiguous(pts):
-    return all(pts[:, j].flags.c_contiguous for j in range(pts.shape[1]))
 
 
 def _rule_columns(pts1, dim, first, count):
@@ -477,46 +458,33 @@ def _rule_columns(pts1, dim, first, count):
                                                (3, 11, 25)])
 def test_rule_points_come_column_contiguous(dim, first, count):
     # each coordinate of a fill is its own contiguous array, with the
-    # bits a row-major build of the same sums gives; on a sheared span
-    # every coordinate varies along every axis, so all come full
+    # bits a point-by-point build gives, on random unequal sides
     pts1, _ = _panel_rule(5)
-    size = len(pts1)
     rng = np.random.default_rng(3)
-    span = np.eye(dim) + 0.2 * rng.standard_normal((dim, dim))
+    side = 0.5 + rng.random(dim)
     origins = rng.standard_normal((3, dim))
-    coords = lattice._rule_points(pts1, span, origins, first, count)
-    ref = _row_major_points(_rule_columns(pts1, dim, first, count), span,
-                            origins)
+    coords = lattice._rule_points(pts1, side, origins, first, count)
+    ref = _pointwise(_rule_columns(pts1, dim, first, count), side, origins)
     assert len(coords) == dim
-    assert all(c.shape == (3, count, size) for c in coords)
     assert all(c.flags.c_contiguous for c in coords)
     assert np.array_equal(_materialized(coords), ref)
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_rule_coordinates_come_along_the_axes_they_vary_on(dim):
-    # on an axis-aligned span a head coordinate is constant along a
-    # block and the last one is the same in every block: each comes with
-    # length 1 there, with the bits of the full row-major build
+    # a head coordinate is constant along a block and the last one is the
+    # same in every block: each comes with length 1 there, with the bits
+    # of the full point-by-point build
     pts1, _ = _panel_rule(5)
     size = len(pts1)
-    span = np.diag(0.5 + np.arange(dim))
+    side = 0.5 + np.arange(dim)
     origins = np.random.default_rng(4).standard_normal((3, dim))
     first, count = (2, 7) if dim > 1 else (0, 1)
-    coords = lattice._rule_points(pts1, span, origins, first, count)
+    coords = lattice._rule_points(pts1, side, origins, first, count)
     want = [(3, count, 1)] * (dim - 1) + [(3, 1, size)]
     assert [c.shape for c in coords] == want
-    ref = _row_major_points(_rule_columns(pts1, dim, first, count), span,
-                            origins)
+    ref = _pointwise(_rule_columns(pts1, dim, first, count), side, origins)
     assert _materialized(coords).tobytes() == ref.tobytes()
-
-
-def test_lattice_points_come_column_contiguous():
-    z = np.array([[0, 0], [3, -2], [-1, 4], [7, 7]])
-    pts = SKEW.point(z)
-    ref = _row_major_points(z.T.astype(float), SKEW.basis, SKEW.offset[None])
-    assert _columns_are_contiguous(pts)
-    assert np.array_equal(pts, ref)
 
 
 def test_refine_above_max_is_rejected():
@@ -524,9 +492,9 @@ def test_refine_above_max_is_rejected():
     calls = []
     field_ = CoefficientField(1, lambda x: calls.append(x) or x[0], 1.0)
     with pytest.raises(ValueError, match=str(MAX_REFINE)):
-        cell_integral(Lattice(1), [(0,)], 0.1, field_, MAX_REFINE + 1)
+        cell_integral(LINE, [(0,)], 0.1, field_, MAX_REFINE + 1)
     with pytest.raises(ValueError, match=str(MAX_REFINE)):
-        cell_integral_error(Lattice(1), [(0,)], 0.1, field_, MAX_REFINE + 1,
+        cell_integral_error(LINE, [(0,)], 0.1, field_, MAX_REFINE + 1,
                             np.zeros(1))
     assert calls == []
 
@@ -538,28 +506,28 @@ def test_error_is_the_gap_to_the_half_resolution_integral(refine, squares):
     # the estimate is the bits of |fine - cell_integral(refine // 2)|
     field_ = CoefficientField(2, skew_2d, 30.0)
     zs = np.array([[0, 0], [1, -2], [3, 1]])
-    fine, err = integral_and_error(SKEW, zs, 0.3, field_, refine,
+    fine, err = integral_and_error(OBLONG, zs, 0.3, field_, refine,
                                    squares=squares)
-    half = cell_integral(SKEW, zs, 0.3, field_, refine // 2, squares=squares)
+    half = cell_integral(OBLONG, zs, 0.3, field_, refine // 2, squares=squares)
     assert err.shape == fine.shape == half.shape
     assert np.array_equal(err, np.abs(fine - half) + 1e-300)
 
 
 def two_level_reference(field_, lat, z, eta, refine):
-    # the whole cell at once, on its materialized points built row by
-    # row: one einsum per block, then one sum over the cell's block sums,
-    # for the field and for field^2
+    # the whole cell at once, on its materialized points built point by
+    # point: one einsum per block, then one sum over the cell's block
+    # sums, for the field and for field^2
     pts1, wts1 = _panel_rule(refine)
-    span = eta * lat.basis
+    side = eta * lat.side
     size, dim = len(pts1), lat.dim
     m = size ** dim
-    pts = _row_major_points(_rule_columns(pts1, dim, 0, m // size), span,
-                            eta * lat.point([z]))
+    pts = _pointwise(_rule_columns(pts1, dim, 0, m // size), side,
+                     eta * lat.point([z]))
     x = tuple(np.ascontiguousarray(pts.T))
     vals = field_(x).reshape(m // size, size)
     squares = vals * vals
     factors = lattice._block_weights(dim, wts1)
-    jac = abs(float(np.linalg.det(span)))
+    jac = abs(float(np.linalg.det(np.diag(side))))
     out = []
     for v in (vals, squares):
         sums = np.array([np.einsum("m,m->", f * wts1, block)
@@ -575,9 +543,9 @@ def test_2d_cell_equals_two_level_reference(monkeypatch, budget):
     field_ = CoefficientField(2, skew_2d, 30.0)
     zs = np.array([[0, 0], [1, -2], [3, 1]])
     monkeypatch.setattr(lattice, "CHUNK_POINTS", budget)
-    integral, sq = cell_integral(SKEW, zs, 0.3, field_, 5, squares=True)
+    integral, sq = cell_integral(OBLONG, zs, 0.3, field_, 5, squares=True)
     for k, z in enumerate(zs):
-        want, want_sq = two_level_reference(field_, SKEW, z, 0.3, 5)
+        want, want_sq = two_level_reference(field_, OBLONG, z, 0.3, 5)
         assert np.array_equal(integral[k], want)
         assert np.array_equal(sq[k], want_sq)
 
@@ -599,16 +567,11 @@ def test_axis_aligned_cell_equals_two_level_reference(monkeypatch, budget,
         assert np.array_equal(sq[k], want_sq)
 
 
-@pytest.mark.parametrize("lat, fine, coarse", [
-    (SQUARE, [(3, 20, 1), (3, 1, 20)], [(3, 8, 1), (3, 1, 8)]),
-    (SKEW, [(3, 20, 20)] * 2, [(3, 8, 8)] * 2),
-], ids=["square", "skew"])
-def test_closure_gets_each_coordinate_along_the_axes_it_varies_on(
-        lat, fine, coarse):
+@pytest.mark.parametrize("lat", [SQUARE, OBLONG], ids=["square", "skew"])
+def test_closure_gets_each_coordinate_along_the_axes_it_varies_on(lat):
     # refine 5: 20 blocks of 20 points a cell, and the coarse rule 8 of
-    # 8.  On the axis-aligned lattice x1 is constant along a block and x2
-    # the same in every block; on the sheared one both vary along both
-    # and come full
+    # 8.  On equal sides or unequal ones, x1 is constant along a block
+    # and x2 the same in every block
     shapes = []
 
     def recorded(x):
@@ -617,7 +580,7 @@ def test_closure_gets_each_coordinate_along_the_axes_it_varies_on(
 
     zs = np.array([[1, 1], [1, 2], [2, 1]])
     integral_and_error(lat, zs, 0.3, CoefficientField(2, recorded, 30.0), 5)
-    assert shapes == [fine, coarse]
+    assert shapes == [[(3, 20, 1), (3, 1, 20)], [(3, 8, 1), (3, 1, 8)]]
 
 
 def test_large_scalar_cell_equals_two_level_reference():
@@ -627,9 +590,10 @@ def test_large_scalar_cell_equals_two_level_reference():
     fam = registry.build_family(
         StudyConfig.from_text("family.name = fractal_2d\n", "<config>"))
     field_ = fam.at(0.13).v
-    integral, sq = cell_integral(Lattice(2), [(0, 0)], 0.5, field_, 64,
+    integral, sq = cell_integral(unit_lattice(2), [(0, 0)], 0.5, field_, 64,
                                  squares=True)
-    want, want_sq = two_level_reference(field_, Lattice(2), (0, 0), 0.5, 64)
+    want, want_sq = two_level_reference(field_, unit_lattice(2), (0, 0), 0.5,
+                                        64)
     assert np.array_equal(integral[0], want)
     assert np.array_equal(sq[0], want_sq)
 
@@ -642,7 +606,7 @@ def test_empty_stack_has_no_cells():
         return skew_2d(x)
 
     field_ = CoefficientField(2, counted, 30.0)
-    out = integral_and_error(SKEW, np.zeros((0, 2), dtype=int), 0.3, field_,
+    out = integral_and_error(OBLONG, np.zeros((0, 2), dtype=int), 0.3, field_,
                              5, squares=True)
     assert [r.shape for r in out] == [(2, 0)] * 2
     assert calls == []
@@ -668,7 +632,7 @@ def test_large_cell_memory_does_not_grow_with_the_cell(monkeypatch):
         assert blocks ** 2 >= 16 * CHUNK_POINTS
         tracemalloc.start()
         try:
-            out = integral_and_error(Lattice(2), [(0, 0)], 0.5, field_,
+            out = integral_and_error(unit_lattice(2), [(0, 0)], 0.5, field_,
                                      refine, squares=True)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -715,13 +679,13 @@ def _split_cases():
                        [(1, 1), (1, 2), (2, 1), (2, 2)], 0.5, fractal, 64,
                        CHUNK_POINTS),
         # 120 cells of 400 points, 40 a batch; then a small budget
-        "skew": (SKEW, [(i, j) for i in range(-3, 3) for j in range(20)],
+        "skew": (OBLONG, [(i, j) for i in range(-3, 3) for j in range(20)],
                  0.3, skew, 5, CHUNK_POINTS),
-        "skew_streamed": (SKEW, [(0, 0), (1, -2), (3, 1)], 0.3, skew, 5,
+        "skew_streamed": (OBLONG, [(0, 0), (1, -2), (3, 1)], 0.3, skew, 5,
                           150),
         # 1D batches of 2.5 fine cells, then of one block
-        "1d": (Lattice(1), [(k,) for k in range(10)], 0.1, sin, 4, 40),
-        "1d_blocks": (Lattice(1), [(k,) for k in range(10)], 0.1, sin, 4,
+        "1d": (LINE, [(k,) for k in range(10)], 0.1, sin, 4, 40),
+        "1d_blocks": (LINE, [(k,) for k in range(10)], 0.1, sin, 4,
                       16),
     }
 
@@ -758,13 +722,13 @@ def test_many_small_evaluations_on_more_threads_than_cpus(monkeypatch):
     zs = np.arange(300)[:, None]
     monkeypatch.setattr(lattice, "CHUNK_POINTS", 16)
     monkeypatch.setattr(lattice, "_workers", lambda: 1)
-    serial = integral_and_error(Lattice(1), zs, 0.01, field_, 4,
+    serial = integral_and_error(LINE, zs, 0.01, field_, 4,
                                 squares=True)
     monkeypatch.setattr(lattice, "_workers", lambda: 8)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        split = integral_and_error(Lattice(1), zs, 0.01, field_, 4,
+        split = integral_and_error(LINE, zs, 0.01, field_, 4,
                                    squares=True)
     finally:
         sys.setswitchinterval(interval)
@@ -804,7 +768,7 @@ def _raised(monkeypatch, workers, field_):
     monkeypatch.setattr(lattice, "CHUNK_POINTS", 32)
     monkeypatch.setattr(lattice, "_workers", lambda: workers)
     with pytest.raises(BaseException) as info:
-        cell_integral(Lattice(1), np.arange(10)[:, None], 0.1, field_, 4)
+        cell_integral(LINE, np.arange(10)[:, None], 0.1, field_, 4)
     return info.value
 
 
@@ -883,7 +847,7 @@ def test_a_rule_with_no_cells_at_any_worker_count(monkeypatch, workers):
                            sample_points=3)
     assert math.isnan(rep["rho2"]) and len(rep["skipped"]) == 6
     assert calls == []
-    out = integral_and_error(Lattice(1), np.zeros((0, 1), dtype=int), 0.1,
+    out = integral_and_error(LINE, np.zeros((0, 1), dtype=int), 0.1,
                              field_, 4, squares=True)
     assert [r.shape for r in out] == [(2, 0)] * 2
 
@@ -898,7 +862,7 @@ def test_a_one_evaluation_rule_starts_no_thread(monkeypatch):
     monkeypatch.setattr(threading, "Thread", no_thread)
     sizes, threads = [], set()
     field_ = _recorded(sin_field(0.01), sizes, threads)
-    out = integral_and_error(Lattice(1), np.arange(10)[:, None], 0.1, field_,
+    out = integral_and_error(LINE, np.arange(10)[:, None], 0.1, field_,
                              4, squares=True)
     assert sizes == [16 * 10, 8 * 10]  # fine and coarse rule, one each
     assert threads == {threading.current_thread()}

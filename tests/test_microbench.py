@@ -14,7 +14,7 @@ from homlab import registry, study
 from homlab.config import StudyConfig
 from homlab.criteria import criterion_report, optimize_eta
 from homlab.lattice import (CHUNK_POINTS, GAUSS_ORDER, cell_integral,
-                            cells_inside, default_refine)
+                            cells_inside, default_refine, unit_lattice)
 from homlab.fem import (LinearSolver, _split, assemble_base, assemble_triple,
                         diagonals)
 from homlab.norms import (Space, _hermitian_part, find_lambda,
@@ -292,3 +292,20 @@ def test_bench_fractal_finest_row_cell_integral(benchmark):
         cell_integral, args=(lat, cells, eta, family.at(eps).v, refine),
         kwargs={"squares": True}, rounds=3, iterations=1)
     assert np.isfinite(out).all()
+
+
+# cells_inside at the eta of the finest row of fractal_criterion (the
+# lattice 2 Z^2 - (1, 1) on its default box [0, 2]^2) and of
+# sign_criterion (the 1D unit lattice on (0, 1)), each eps^0.5
+FINEST_CELL_ROWS = [("fractal_criterion", 0.13, 4),
+                    ("sign_criterion", 0.0016, 25)]
+
+
+@pytest.mark.parametrize("name, eps, cells", FINEST_CELL_ROWS)
+def test_bench_cells_inside(benchmark, name, eps, cells):
+    family = registry.build_family(StudyConfig.load(CONFIGS / f"{name}.cfg"))
+    lat = family.suggested_lattice or unit_lattice(family.dim)
+    found = benchmark.pedantic(cells_inside,
+                               args=(lat, eps ** 0.5, family.domain),
+                               rounds=5, iterations=100)
+    assert len(found) == cells

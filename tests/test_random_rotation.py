@@ -9,7 +9,7 @@ the torus expectation, mean, as its limit.
 import numpy as np
 
 from homlab.config import StudyConfig
-from homlab.lattice import Lattice, cell_integral
+from homlab.lattice import cell_integral, unit_lattice
 from homlab.registry import build_family
 
 
@@ -49,7 +49,8 @@ def test_birkhoff_average_approaches_expectation():
     for eps in (1e-2, 1e-3):
         # the mean of one realization over the whole domain: the integral
         # over one cell of measure 1
-        (avg,) = cell_integral(Lattice(1), [(0,)], 1.0, fam.at(eps).v, 4096)
+        (avg,) = cell_integral(unit_lattice(1), [(0,)], 1.0, fam.at(eps).v,
+                               4096)
         errors.append(abs(avg - _limit(fam)))
     # one sweep over the domain at eps covers ~1/eps turns; error ~ eps
     assert errors[1] < 5e-3

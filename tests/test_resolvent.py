@@ -453,3 +453,26 @@ def test_convergence_verdict_rejects_rebound():
     rows = [{"kappa": v, "norm_L": v} for v in (1.0, 0.3, 0.5, 0.1)]
     verdict, _ = convergence_verdict(rows)
     assert verdict == "not_convergent"
+
+
+# regular_sin at amplitude 1000 on (0, 0.6): at the eta 0.3017 of the
+# first row one whole cell fits, so rho1 leaves 0.3 of the domain out,
+# and norm_L reads 1.38 times bound_m1m1 there
+BREACH_CFG = """
+study.kind = resolvent
+family.name = regular_sin
+family.amplitude = 1000
+family.domain = 0, 0.6
+schedule.eps = 0.05, 0.04
+operator.shift = auto
+"""
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 26: bound_m1m1 bounds norm_L only "
+                          "on the part of the domain its cells cover")
+def test_row_inequalities_hold_where_cells_miss_part_of_the_domain():
+    cfg = StudyConfig.from_text(BREACH_CFG, "<config>")
+    res = study.run_study("resolvent", cfg, seed=1234)
+    for lo, hi, _ in resolvent.row_inequalities(study._series_orders(cfg)):
+        assert all(row[lo] <= row[hi] for row in res.rows), (lo, hi)
