@@ -3,7 +3,8 @@
 Subcommands run one study kind from a config file and write CSV, list
 the family catalogue, or turn a finished CSV into an SVG rate plot.
 Exit codes: 0 success, 2 configuration problems (including keys no
-study reads), 3 numerical failures: breaches (a failed Lanczos run
+study reads, and a file that cannot be read or written, which names
+its path), 3 numerical failures: breaches (a failed Lanczos run
 among them) and forms that the auto or fixed shift leaves non-coercive.
 
 Only the studies that discretize the operator (norm, resolvent) load
@@ -15,6 +16,7 @@ through it the html module), when it starts.
 import argparse
 import functools
 import math
+import os
 import sys
 
 from .config import ConfigError, StudyConfig
@@ -118,6 +120,8 @@ def _run_kind(kind, args):
         raise ConfigError(
             "no output path: pass --out or set output.csv in the config"
         )
+    if out != "-" and not os.path.isdir(os.path.dirname(out) or "."):
+        raise ConfigError(f"cannot write {out}: its directory does not exist")
     result = run_study(kind, cfg, seed=args.seed)
     if out == "-":
         sys.stdout.write(study_mod.render_csv(result))

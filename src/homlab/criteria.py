@@ -12,6 +12,12 @@ quad_error, from the fine integrals a report holds and the
 half-resolution rule on the same cells: a criterion study takes it once
 a row, for the eta optimize_eta picked, and no other eta, resolvent row
 or local mean runs the half-resolution rule.
+
+local_mean_limit measures the means of the eps-field over small windows
+x + mu (0,1)^d, the evidence for the limit potential.  It returns them
+as one (E, P) array over the schedule and the sample grid, nan where a
+window leaves the domain, and worst_gap folds any two such arrays to
+their largest gap over the windows sampled on both sides.
 """
 
 import math
@@ -47,6 +53,11 @@ class CriterionReport:
     # (deviation component, the (2, C) fine integrals of it and of its
     # square) for each component, in order
     integrals: tuple = field(repr=False, compare=False)
+
+    def columns(self):
+        """The criterion columns of a study row, by name, in order."""
+        return {"eta": self.eta, "rho1": self.rho1, "rho3": self.rho3,
+                "bound_m1m1": self.bound_m1m1, "bound_m10": self.bound_m10}
 
 
 class NoCellsError(ConfigError):
@@ -200,11 +211,10 @@ def _listed(values):
     return ", ".join(repr(float(v)) for v in values)
 
 
-def worst_gap(pairs):
-    """Largest |a - b| over the pairs whose window was sampled (a, b not
-    None); nan when none was."""
-    return max((float(abs(a - b)) for a, b in pairs
-                if a is not None and b is not None), default=math.nan)
+def worst_gap(a, b):
+    """Largest |a - b| along the last axis over the windows sampled on
+    both sides (neither nan); nan where there is none."""
+    return np.fmax.reduce(np.abs(a - b), axis=-1)
 
 
 def local_mean_limit(family, eps_schedule, mu_rule, sample_points):
@@ -212,14 +222,11 @@ def local_mean_limit(family, eps_schedule, mu_rule, sample_points):
 
     The grid has sample_points interior points per axis.  For each eps the
     candidate limit at a grid point x is the mean of the eps-field over
-    x + mu * (0,1)^d with mu = mu_rule(eps); windows that leave the
-    domain are skipped.  Returns
-    a report with the sample grid, the means per eps ("samples", None for
-    a skipped window), the skipped points, the worst gap between the means
-    of each pair of successive schedule entries ("pair_gaps"), rho2, the
-    largest of those gaps, and the finest window size mu_final.  With no
-    window sampled at two successive entries there is no evidence, and
-    rho2 is nan.
+    x + mu * (0,1)^d with mu = mu_rule(eps).  Returns (grid, means): the
+    sample points, shape (P, d), and the window means, shape (E, P), one
+    row per schedule entry, nan where the window leaves the domain.  A
+    sampled window is never nan: a non-finite integral raises
+    NumericalBreach.
     """
     if len(eps_schedule) < 2:
         raise ValueError("local mean limit needs at least two eps entries")
@@ -234,31 +241,13 @@ def local_mean_limit(family, eps_schedule, mu_rule, sample_points):
 
     lower = np.array(box.lower) - 1e-12
     upper = np.array(box.upper) + 1e-12
-    samples = []
-    skipped_all = []
-    for eps in eps_schedule:
+    means = np.full((len(eps_schedule), len(grid)), np.nan)
+    for row, eps in zip(means, eps_schedule):
         mu = float(mu_rule(eps))
         r = default_refine(mu, family.finest_scale(eps))
         inside = np.all((grid >= lower) & (grid + mu <= upper), axis=1)
-        vals = [None] * len(grid)
         # mean over x + mu*(0,1)^d as a unit lattice cell at scale mu
-        integral = _finite(cell_integral(
+        row[inside] = _finite(cell_integral(
             unit_lattice(dim), grid[inside] / mu, mu, family.at(eps).v, r
-        ), eps, mu)
-        for k, m in zip(np.flatnonzero(inside), integral / mu ** dim):
-            vals[k] = m
-        samples.append(vals)
-        skipped_all.extend(tuple(float(v) for v in x) for x in grid[~inside])
-
-    pair_gaps = [worst_gap(zip(a, b))
-                 for a, b in zip(samples[:-1], samples[1:])]
-    # fmax skips the nan of a pair with no sampled window
-    rho2 = float(np.fmax.reduce(pair_gaps))
-    return {
-        "pair_gaps": pair_gaps,
-        "rho2": rho2,
-        "mu_final": float(mu_rule(float(eps_schedule[-1]))),
-        "grid": grid,
-        "samples": samples,
-        "skipped": tuple(skipped_all),
-    }
+        ), eps, mu) / mu ** dim
+    return grid, means

@@ -301,7 +301,7 @@ def convergence_row(family, eps, lam, setting, seed, eta_exponents, orders):
     when any norm of the row missed its tolerance.
     """
     ctx = context_from_setting(setting, lam)
-    eta, crit = criteria.optimize_eta(family, eps, eta_exponents)
+    _, crit = criteria.optimize_eta(family, eps, eta_exponents)
     rep_kappa = truncation_error_norm(ctx, 0, seed)
     rep_L = induced_norm(lambda v: ctx.L @ v, lambda v: ctx.LH @ v, ctx.h1,
                          ctx.h1.star(), seed=seed)
@@ -309,11 +309,7 @@ def convergence_row(family, eps, lam, setting, seed, eta_exponents, orders):
         "eps": eps,
         "n_elements": ctx.meta["n_elements"],
         "capped": int(ctx.meta["capped"]),
-        "eta": eta,
-        "rho1": crit.rho1,
-        "rho3": crit.rho3,
-        "bound_m1m1": crit.bound_m1m1,
-        "bound_m10": crit.bound_m10,
+        **crit.columns(),
         "kappa": rep_kappa.value,
         "norm_L": rep_L.value,
         "identity_err": identity_residual(ctx, seed),
@@ -348,21 +344,22 @@ def convergence_verdict(rows):
 
     Each step may rise at most VERDICT_SLACK-fold, and the last value
     must be at most VERDICT_DROP times the first, for the resolvent
-    difference and for the difference-form norm simultaneously.  A row
-    with a flagged norm or a capped mesh rules convergence out; the
-    detail then names those rows' eps under flagged_rows / capped_rows.
+    difference and for the difference-form norm simultaneously (the
+    detail's kappa_shrinks, norm_l_shrinks).  A row with a flagged norm or
+    a capped mesh rules convergence out; the detail then names those rows'
+    eps under flagged_rows / capped_rows.  The footer prints the detail.
     """
-    verdicts = {}
+    detail = {}
     for key in ("kappa", "norm_L"):
         vals = [row[key] for row in rows]
         mono = all(vals[i + 1] <= vals[i] * VERDICT_SLACK
                    for i in range(len(vals) - 1))
         shrunk = vals[-1] <= VERDICT_DROP * vals[0] if vals[0] > 0 else True
-        verdicts[key] = bool(mono and shrunk)
-    ok = verdicts["kappa"] and verdicts["norm_L"]
+        detail[f"{key.lower()}_shrinks"] = bool(mono and shrunk)
+    ok = detail["kappa_shrinks"] and detail["norm_l_shrinks"]
     for key in ("flagged", "capped"):
         bad = tuple(row["eps"] for row in rows if row.get(key))
         if bad:
-            verdicts[f"{key}_rows"] = bad
+            detail[f"{key}_rows"] = bad
             ok = False
-    return ("convergent" if ok else "not_convergent"), verdicts
+    return ("convergent" if ok else "not_convergent"), detail

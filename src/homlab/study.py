@@ -19,6 +19,7 @@ import numpy as np
 
 from . import criteria, registry
 from .config import ConfigError
+from .errors import CoercivityError, NumericalBreach
 from .families import deviation_triple
 from .fields import sampled_sup
 from .lattice import MAX_REFINE
@@ -129,9 +130,17 @@ def render_csv(result: StudyResult):
 
 
 def write_csv(result: StudyResult, path):
-    text = render_csv(result)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+    return write_text(path, render_csv(result))
+
+
+def write_text(path, text):
+    """Write text to path and return it; a file that cannot be written is
+    a ConfigError naming it."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
     return text
 
 
@@ -140,20 +149,19 @@ def read_csv(path):
     comments = []
     fieldnames = None
     rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.rstrip("\n")
-            if not line:
-                continue
-            if line.startswith("#"):
-                comments.append(line)
-                continue
-            cells = line.split(",")
-            if fieldnames is None:
-                fieldnames = tuple(cells)
-                continue
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.read().split("\n")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from exc
+    for line in filter(None, lines):
+        if line.startswith("#"):
+            comments.append(line)
+        elif fieldnames is None:
+            fieldnames = tuple(line.split(","))
+        else:
             row = {}
-            for name, cell in zip(fieldnames, cells):
+            for name, cell in zip(fieldnames, line.split(",")):
                 try:
                     row[name] = float(cell)
                 except ValueError:
@@ -250,14 +258,10 @@ def criterion_study(cfg, seed):
 
     rows = []
     for eps in schedule:
-        eta, rep = criteria.optimize_eta(family, eps, exponents, refine=refine)
+        _, rep = criteria.optimize_eta(family, eps, exponents, refine=refine)
         rows.append({
             "eps": eps,
-            "eta": eta,
-            "rho1": rep.rho1,
-            "rho3": rep.rho3,
-            "bound_m1m1": rep.bound_m1m1,
-            "bound_m10": rep.bound_m10,
+            **rep.columns(),
             "quad_error": criteria.quad_error(rep),
             "cell_count": rep.cell_count,
             "predicted": family.rate(eps),
@@ -311,32 +315,26 @@ def homogenize_study(cfg, seed):
     if not mu_power > 0:
         raise ConfigError(
             f"homogenize.mu_power must be positive, got {mu_power!r}")
-    rep = criteria.local_mean_limit(
-        family, schedule,
-        mu_rule=lambda eps: eps ** mu_power,
-        sample_points=points,
-    )
-    limit_vals = family.limit.v(tuple(rep["grid"].T))
-
+    grid, means = criteria.local_mean_limit(
+        family, schedule, lambda eps: eps ** mu_power, points)
+    declared_gaps = criteria.worst_gap(means, family.limit.v(tuple(grid.T)))
+    pair_gaps = criteria.worst_gap(means[1:], means[:-1])
     # the last eps has no successor to compare with
-    pair_gaps = rep["pair_gaps"] + [math.nan]
-    rows = []
-    for eps, vals, pair_gap in zip(schedule, rep["samples"], pair_gaps):
-        rows.append({
-            "eps": eps,
-            "mu": eps ** mu_power,
-            "declared_gap": criteria.worst_gap(zip(vals, limit_vals)),
-            "pair_gap": pair_gap,
-        })
+    rows = [{"eps": eps, "mu": eps ** mu_power, "declared_gap": declared,
+             "pair_gap": pair_gap}
+            for eps, declared, pair_gap in zip(
+                schedule, declared_gaps, np.append(pair_gaps, math.nan))]
 
-    final_gap = rows[-1]["declared_gap"]
-    budget = rep["pair_gaps"][-1] + math.sqrt(rep["mu_final"])
+    final_gap = declared_gaps[-1]
+    mu_final = schedule[-1] ** mu_power
+    budget = pair_gaps[-1] + math.sqrt(mu_final)
     consistent = final_gap <= budget
     footer = [
-        f"# rho2 = {rep['rho2']:.17g}",
-        f"# mu_final = {rep['mu_final']:.17g}",
-        f"# finest_pair_gap = {rep['pair_gaps'][-1]:.17g}",
-        f"# skipped_windows = {len(rep['skipped'])}",
+        # fmax skips the nan of a pair with no sampled window
+        f"# rho2 = {np.fmax.reduce(pair_gaps):.17g}",
+        f"# mu_final = {mu_final:.17g}",
+        f"# finest_pair_gap = {pair_gaps[-1]:.17g}",
+        f"# skipped_windows = {np.isnan(means).sum()}",
         f"# declared_limit_consistent: {'true' if consistent else 'false'} "
         f"(gap {final_gap:.6g} vs budget {budget:.6g})",
     ]
@@ -413,35 +411,38 @@ def norm_study(cfg, seed):
     return _table(cfg, rows, fits=("norm_x", "v_m1m1"), footer=footer)
 
 
-def _resolve_shift(cfg, settings):
-    """Fixed negative shift, or a coercive one found by descent.
-
-    operator.shift = auto runs the doubling search over the perturbed
-    and the limit forms of every scheduled epsilon, so the returned
-    shift is coercive on all of them; a fixed shift must be as well.
-    """
-    from .norms import (CoercivityError, _hermitian_part, find_lambda,
-                        is_coercive)
-    from .resolvent import shifted_forms
-
+def _shift_option(cfg):
+    """operator.shift: auto, or a fixed negative shift (-2 when unset)."""
     raw = cfg.get("operator.shift", -2.0)
     if raw == "auto":
-        rep = find_lambda(lambda lam: [
-            (_hermitian_part(G), s["op"].gram_h1)
-            for s in settings for G in shifted_forms(s, lam)])
-        return rep.lambda0, rep
+        return raw
     if isinstance(raw, str):
         raise ConfigError("operator.shift must be a negative number or auto")
     lam = cfg.get_float("operator.shift", raw)  # raw: -2.0 when unset
     if lam >= 0:
         raise ConfigError("operator.shift must be negative")
+    return lam
+
+
+def _resolve_shift(shift, settings):
+    """The fixed shift _shift_option read, or for auto the doubling
+    search's over the perturbed and the limit forms of every scheduled
+    epsilon: the shift returned is coercive on all of them."""
+    from .norms import _hermitian_part, find_lambda, is_coercive
+    from .resolvent import shifted_forms
+
+    if shift == "auto":
+        rep = find_lambda(lambda lam: [
+            (_hermitian_part(G), s["op"].gram_h1)
+            for s in settings for G in shifted_forms(s, lam)])
+        return rep.lambda0, rep
     for s in settings:
-        for name, G in zip(("Geps", "G0"), shifted_forms(s, lam)):
+        for name, G in zip(("Geps", "G0"), shifted_forms(s, shift)):
             if not is_coercive(G):
                 raise CoercivityError(
-                    f"{name} is not coercive at operator.shift = {lam:g} "
+                    f"{name} is not coercive at operator.shift = {shift:g} "
                     f"(eps = {s['meta']['eps']:g})")
-    return lam, None
+    return shift, None
 
 
 def _series_orders(cfg):
@@ -482,10 +483,11 @@ def resolvent_study(cfg, seed):
     op_spec = _operator_spec(cfg, family)
     opts = _mesh_opts(cfg)
     exponents = _criterion_exponents(cfg)
+    shift = _shift_option(cfg)
 
     settings = [assemble_setting(op_spec, family, eps, **opts)
                 for eps in schedule]
-    lam, coercivity = _resolve_shift(cfg, settings)
+    lam, coercivity = _resolve_shift(shift, settings)
     rows = []
     for row_seed, eps in _row_seeds(seed, schedule):
         # the list gives up each setting as its row starts, so no
@@ -497,19 +499,15 @@ def resolvent_study(cfg, seed):
     footer = [f"# shift = {lam:.17g}"]
     if coercivity is not None:
         footer.append(f"# coercivity_c4 = {coercivity.c4:.17g}")
-    detail_line = (f"# verdict_detail: "
-                   f"kappa_shrinks={str(detail['kappa']).lower()} "
-                   f"norm_l_shrinks={str(detail['norm_L']).lower()}")
-    for key in ("flagged_rows", "capped_rows"):
-        if key in detail:
-            detail_line += f" {key}=" + _eps_list(detail[key])
     footer.append(f"# max_identity_err = {max_identity:.17g}")
     for lo, hi, lanczos in row_inequalities(orders):
         footer.append(_max_line(rows, lo, hi, lanczos))
         above = [r["eps"] for r in rows if r[lo] > r[hi]]
         if above:
             footer.append(f"# {lo}_above_{hi}_rows=" + _eps_list(above))
-    footer += [f"# verdict: {verdict}", detail_line]
+    footer += [f"# verdict: {verdict}", "# verdict_detail: " + " ".join(
+        f"{key}={str(v).lower() if isinstance(v, bool) else _eps_list(v)}"
+        for key, v in detail.items())]
     return _table(cfg, rows, fits=("kappa", "norm_L", "bound_m1m1"),
                   footer=footer)
 
@@ -525,8 +523,10 @@ _RUNNERS = {
 def run_study(kind, cfg, seed):
     """Dispatch one study kind with the base seed of the --seed flag.
 
-    Keys the study never read are rejected once it returns, so a
-    misspelled key fails instead of running with the default.
+    Keys the study never read are rejected once it returns or raises a
+    numerical failure, so a misspelled key fails instead of running with
+    the default, even when the study it changed then fails: every study
+    reads all its keys before its first numerical step.
     """
     if kind not in _RUNNERS:
         raise ConfigError(f"unknown study kind {kind!r}")
@@ -538,6 +538,10 @@ def run_study(kind, cfg, seed):
         )
     if seed < 0:
         raise ConfigError(f"--seed must be nonnegative, got {seed}")
-    result = _RUNNERS[kind](cfg, seed=seed)
+    try:
+        result = _RUNNERS[kind](cfg, seed=seed)
+    except (NumericalBreach, CoercivityError):
+        cfg.check_all_used()
+        raise
     cfg.check_all_used()
     return result

@@ -8,6 +8,8 @@ slope guides anchored at the first point of the first series.
 import math
 import html
 
+from .study import write_text
+
 WIDTH = 640
 HEIGHT = 440
 MARGIN_L = 72
@@ -191,7 +193,4 @@ def plot(xs, series, xlabel, ylabel, title, guides):
 
 
 def write_plot(path, xs, series, **kwargs):
-    text = plot(xs, series, **kwargs)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
-    return text
+    return write_text(path, plot(xs, series, **kwargs))

@@ -154,7 +154,7 @@ def _shipped_forms(name):
     spec = study._operator_spec(cfg, family)
     settings = [assemble_setting(spec, family, eps, **study._mesh_opts(cfg))
                 for eps in study._schedule(cfg)]
-    lam, _ = study._resolve_shift(cfg, settings)
+    lam, _ = study._resolve_shift(study._shift_option(cfg), settings)
     forms = []
     for setting in settings:
         ctx = context_from_setting(setting, lam)
@@ -241,7 +241,7 @@ def test_row_forms_and_decision_bands_are_real(name, monkeypatch):
     settings = [assemble_setting(spec, family, eps, **study._mesh_opts(cfg))
                 for eps in (schedule[0], schedule[-1])]
     dtypes = _factored_dtypes(monkeypatch)
-    lam, _ = study._resolve_shift(cfg, settings)
+    lam, _ = study._resolve_shift(study._shift_option(cfg), settings)
     for setting in settings:
         ctx = context_from_setting(setting, lam)
         eps = setting["meta"]["eps"]
@@ -448,7 +448,7 @@ def test_row_forms_match_csr_route(name):
     # the first and last row of each shipped resolvent config, against
     # the CSR assembly, sparse arithmetic and band readers they replaced
     cfg, news, olds = _row_settings(name)
-    lam, _ = study._resolve_shift(cfg, news)
+    lam, _ = study._resolve_shift(study._shift_option(cfg), news)
     tried = (csr_oracle.shifts_tried(lam)
              if cfg.get("operator.shift", None) == "auto" else [lam])
     rng = np.random.default_rng(29)

@@ -95,6 +95,13 @@ def test_missing_config_exits_2(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_undecodable_config_exits_2_naming_it(tmp_path, capsys):
+    path = tmp_path / "binary.cfg"
+    path.write_bytes(CRIT_CFG.encode() + b"\xff = 1\n")
+    assert main(["criterion", "--config", str(path), "--out", "-"]) == 2
+    assert f"cannot read config {path}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("eps", ["0.05, 0.1", ","],
                          ids=["increasing", "empty"])
 def test_bad_schedule_exits_2(tmp_path, capsys, eps):
@@ -286,6 +293,48 @@ def test_misspelled_key_exits_2(tmp_path, capsys):
     assert code == 2
     assert "family.amplitud" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_misspelled_key_is_named_when_the_study_fails(tmp_path, capsys):
+    # at amplitude -20 the fixed shift -2 leaves Geps non-coercive; the
+    # typo that would have asked for the auto shift is what exits
+    path = tmp_path / "typo.cfg"
+    path.write_text("study.kind = resolvent\nfamily.name = stabilizing_arctan\n"
+                    "family.amplitude = -20\nschedule.eps = 0.1, 0.05\n"
+                    "operator.shfit = auto\n")
+    code = main(["resolvent", "--config", str(path), "--out", "-"])
+    assert code == 2
+    assert "operator.shfit" in capsys.readouterr().err
+
+
+def test_output_in_a_missing_directory_exits_2_before_the_study(
+        tmp_path, crit_cfg, monkeypatch, capsys):
+    def boom(*args, **kwargs):
+        raise AssertionError("the study ran")
+
+    monkeypatch.setattr(cli, "run_study", boom)
+    out = tmp_path / "missing" / "x.csv"
+    code = main(["criterion", "--config", str(crit_cfg), "--out", str(out)])
+    assert code == 2
+    assert str(out) in capsys.readouterr().err
+
+
+def test_report_file_errors_exit_2_naming_the_path(tmp_path, crit_cfg,
+                                                   capsys):
+    missing = tmp_path / "missing.csv"
+    assert main(["report", "--csv", str(missing)]) == 2
+    assert str(missing) in capsys.readouterr().err
+    binary = tmp_path / "binary.csv"
+    binary.write_bytes(b"eps,rho1\n\xff,1\n")
+    assert main(["report", "--csv", str(binary)]) == 2
+    assert f"cannot read {binary}" in capsys.readouterr().err
+    csv_path = tmp_path / "crit.csv"
+    assert main(["criterion", "--config", str(crit_cfg),
+                 "--out", str(csv_path)]) == 0
+    svg_path = tmp_path / "missing" / "crit.svg"
+    assert main(["report", "--csv", str(csv_path),
+                 "--out", str(svg_path)]) == 2
+    assert str(svg_path) in capsys.readouterr().err
 
 
 def test_nan_amplitude_exits_2(tmp_path, capsys):

@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 from homlab import criteria
 from homlab.config import ConfigError
 from homlab.criteria import (CriterionReport, NoCellsError, criterion_report,
-                             local_mean_limit, optimize_eta, quad_error)
+                             local_mean_limit, optimize_eta, quad_error,
+                             worst_gap)
 from homlab.families import FieldTriple, deviation_triple, make_family
 from homlab.fem import NumericalBreach
 from homlab.fields import Box, CoefficientField, constant_field, zero_field
@@ -315,24 +316,26 @@ def test_optimize_eta_raises_when_nothing_fits():
 def test_local_mean_limit_constant_family():
     v0 = constant_field(1, 2.0)
     fam = family_of(lambda eps: v0, v0, UNIT)
-    rep = local_mean_limit(fam, [0.1, 0.05, 0.025], math.sqrt,
-                           sample_points=9)
-    assert rep["rho2"] == pytest.approx(0.0, abs=1e-13)
+    grid, means = local_mean_limit(fam, [0.1, 0.05, 0.025], math.sqrt,
+                                   sample_points=9)
+    rho2 = np.fmax.reduce(worst_gap(means[1:], means[:-1]))
+    assert rho2 == pytest.approx(0.0, abs=1e-13)
     mu = math.sqrt(0.025)
-    for x, val in zip(rep["grid"][:, 0], rep["samples"][-1]):
+    for x, val in zip(grid[:, 0], means[-1]):
         if x + mu <= 1.0:
             assert val == pytest.approx(2.0, abs=1e-12)
         else:
-            assert val is None  # window sticks out of the domain
+            assert math.isnan(val)  # window sticks out of the domain
 
 
 def test_local_mean_limit_skips_boundary_windows():
     v0 = constant_field(1, 1.0)
     fam = family_of(lambda eps: v0, v0, UNIT)
-    rep = local_mean_limit(fam, [0.1, 0.05], mu_rule=lambda e: 0.5,
-                           sample_points=9)
-    assert len(rep["skipped"]) > 0
-    assert rep["mu_final"] == pytest.approx(0.5)
+    grid, means = local_mean_limit(fam, [0.1, 0.05], mu_rule=lambda e: 0.5,
+                                   sample_points=9)
+    assert np.isnan(means).sum() > 0
+    # the final eps's windows have size 0.5: those past x = 0.5 leave
+    assert (np.isnan(means[-1]) == (grid[:, 0] + 0.5 > 1.0)).all()
 
 
 def test_local_mean_limit_needs_two_entries():
@@ -340,6 +343,24 @@ def test_local_mean_limit_needs_two_entries():
     fam = family_of(lambda eps: v0, v0, UNIT)
     with pytest.raises(ValueError):
         local_mean_limit(fam, [0.1], math.sqrt, sample_points=9)
+
+
+def test_local_mean_limit_on_a_2d_box():
+    # windows x + mu (0,1)^2 on a box whose axes differ: a window leaves
+    # it past either upper side, and the means are nan exactly there
+    v0 = constant_field(2, 3.0)
+    box = Box((0.0, -1.0), (1.0, 0.5))
+    fam = family_of(lambda eps: v0, v0, box)
+    schedule = [0.25, 0.09]
+    grid, means = local_mean_limit(fam, schedule, math.sqrt, sample_points=5)
+    assert grid.shape == (25, 2) and means.shape == (2, 25)
+    for eps, row in zip(schedule, means):
+        mu = math.sqrt(eps)
+        leaves = ((grid[:, 0] + mu > 1.0 + 1e-12)
+                  | (grid[:, 1] + mu > 0.5 + 1e-12))
+        assert leaves.any() and not leaves.all()
+        assert (np.isnan(row) == leaves).all()
+        assert np.abs(row[~leaves] - 3.0).max() <= 1e-12
 
 
 # ------------------------------------------------- batched cell quadrature
@@ -487,9 +508,9 @@ def test_local_mean_limit_runs_no_half_resolution_rule():
     # 4 points a window, where the estimate's order-2 panel has 2
     sizes = []
     fam = _counting_family(sizes)
-    rep = local_mean_limit(fam, [0.01, 0.005], mu_rule=lambda eps: 0.1,
-                           sample_points=9)
-    inside = sum(v is not None for v in rep["samples"][0])
+    _, means = local_mean_limit(fam, [0.01, 0.005], mu_rule=lambda eps: 0.1,
+                                sample_points=9)
+    inside = int(np.isfinite(means[0]).sum())
     assert inside == 9  # x + 0.1 <= 1 for x = 0.1, ..., 0.9
     assert sizes == [inside * 4] * 2
 

@@ -835,7 +835,7 @@ def test_a_non_finite_worker_value_breaches(monkeypatch, workers):
 @pytest.mark.parametrize("workers", [1, 3])
 def test_a_rule_with_no_cells_at_any_worker_count(monkeypatch, workers):
     # every homogenize window skipped: each rule has no cell to evaluate
-    from homlab.criteria import local_mean_limit
+    from homlab.criteria import local_mean_limit, worst_gap
     from homlab.families import make_family
     from homlab.fields import zero_field
     monkeypatch.setattr(lattice, "_workers", lambda: workers)
@@ -843,9 +843,10 @@ def test_a_rule_with_no_cells_at_any_worker_count(monkeypatch, workers):
     field_ = CoefficientField(1, lambda x: calls.append(x) or x[0], 1.0)
     fam = make_family(lambda eps: field_, zero_field(1), lambda eps: 0.0,
                       Box((0.0,), (0.05,)), finest_scale=lambda eps: 1.0)
-    rep = local_mean_limit(fam, [0.01, 0.005], mu_rule=lambda eps: 0.1,
-                           sample_points=3)
-    assert math.isnan(rep["rho2"]) and len(rep["skipped"]) == 6
+    _, means = local_mean_limit(fam, [0.01, 0.005], mu_rule=lambda eps: 0.1,
+                                sample_points=3)
+    rho2 = np.fmax.reduce(worst_gap(means[1:], means[:-1]))
+    assert math.isnan(rho2) and np.isnan(means).sum() == 6
     assert calls == []
     out = integral_and_error(LINE, np.zeros((0, 1), dtype=int), 0.1,
                              field_, 4, squares=True)

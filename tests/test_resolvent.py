@@ -422,7 +422,7 @@ def test_convergence_verdict_accepts_shrinking_norms():
     rows = [{"kappa": v, "norm_L": v} for v in (1.0, 0.6, 0.3, 0.1)]
     verdict, detail = convergence_verdict(rows)
     assert verdict == "convergent"
-    assert detail == {"kappa": True, "norm_L": True}
+    assert detail == {"kappa_shrinks": True, "norm_l_shrinks": True}
 
 
 def test_convergence_verdict_tolerates_small_wobble():
@@ -436,8 +436,8 @@ def test_convergence_verdict_rejects_flat_tail():
             for i, v in enumerate((1.0, 0.98, 0.97, 0.96))]
     verdict, detail = convergence_verdict(rows)
     assert verdict == "not_convergent"
-    assert not detail["kappa"]
-    assert detail["norm_L"]
+    assert not detail["kappa_shrinks"]
+    assert detail["norm_l_shrinks"]
 
 
 @pytest.mark.parametrize("key", ["flagged", "capped"])
@@ -446,7 +446,8 @@ def test_convergence_verdict_rejects_flagged_or_capped_rows(key):
             for e, v in ((0.1, 1.0), (0.05, 0.6), (0.025, 0.3))]
     verdict, detail = convergence_verdict(rows)
     assert verdict == "not_convergent"
-    assert detail == {"kappa": True, "norm_L": True, f"{key}_rows": (0.025,)}
+    assert detail == {"kappa_shrinks": True, "norm_l_shrinks": True,
+                      f"{key}_rows": (0.025,)}
 
 
 def test_convergence_verdict_rejects_rebound():

@@ -144,6 +144,34 @@ mesh.cap_dof = 24
     assert "flagged_rows" not in res.footer[-1]
 
 
+def test_resolvent_footer_names_flagged_and_capped_rows(monkeypatch):
+    # the config above, with every norm of the first row flagged
+    from homlab import resolvent
+
+    measure = resolvent.induced_norm
+
+    def flag_first_row(*args, seed, **kwargs):
+        rep = measure(*args, seed=seed, **kwargs)
+        return dataclasses.replace(rep, flagged=seed == 1234)
+
+    monkeypatch.setattr(resolvent, "induced_norm", flag_first_row)
+    cfg = StudyConfig.from_text("""
+study.kind = resolvent
+family.name = regular_sin
+schedule.eps = 0.2, 0.1
+operator.shift = -1.0
+mesh.min_elements = 16
+mesh.cap_dof = 24
+""", "<config>")
+    res = run_study("resolvent", cfg, seed=1234)
+    assert [(row["flagged"], row["capped"]) for row in res.rows] == [
+        (1, 0), (0, 1)]
+    assert res.footer[-2:] == (
+        "# verdict: not_convergent",
+        "# verdict_detail: kappa_shrinks=false norm_l_shrinks=false "
+        "flagged_rows=0.2 capped_rows=0.1")
+
+
 def test_resolvent_rows_release_earlier_settings(monkeypatch):
     # the auto shift needs every setting at once; after it, a row's
     # matrices must be gone before the next, finer row starts
