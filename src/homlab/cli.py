@@ -48,7 +48,6 @@ def _build_parser():
                        help=argparse.SUPPRESS)
         p.add_argument("--seed", type=int, default=1234,
                        help="base seed for iterative norms (default 1234)")
-        p.add_argument("--verbose", action="store_true")
 
     sub.add_parser("families", help="list the family catalogue")
 
@@ -58,7 +57,6 @@ def _build_parser():
                     help="SVG path (default: CSV path with .svg)")
     pr.add_argument("--columns", default=None,
                     help="comma list of columns to plot")
-    pr.add_argument("--verbose", action="store_true")
     return parser
 
 
@@ -69,7 +67,7 @@ _EPS_COLUMNS = ("kappa", "norm_L", "bound_m1m1", "rho1", "predicted",
 def _report(args):
     from .svgplot import write_plot
 
-    fields, rows, comments = read_csv(args.csv)
+    fields, rows, _ = read_csv(args.csv)
     if not rows:
         raise ConfigError(f"{args.csv}: no data rows")
     if "eps" not in fields:
@@ -106,9 +104,6 @@ def _report(args):
                                       for v in series[col]])
         print(f"fit {col}: slope={fit['slope']:.6g} "
               f"constant={fit['constant']:.6g} used={fit['used']}")
-    if args.verbose:
-        for line in comments:
-            print(line)
     return 0
 
 
@@ -128,9 +123,6 @@ def _run_kind(kind, args):
     else:
         write_csv(result, out)
         print(f"wrote {out} ({len(result.rows)} rows)")
-    if args.verbose:
-        for line in result.footer:
-            print(line)
     return 0
 
 

@@ -3,7 +3,7 @@
 One `key = value` pair per line.  A comment is a line whose first
 non-blank character is `#`; a `#` inside a value is refused, so a
 trailing note cannot become part of it.  Values are typed by shape:
-integers, floats, booleans (true/false), bare strings, and
+integers, floats, bare strings (`true` and `auto` among them), and
 comma-separated lists of those.  Keys are dotted lowercase identifiers
 such as `schedule.eps`.
 """
@@ -21,11 +21,6 @@ class ConfigError(Exception):
 
 def _parse_scalar(token):
     t = token.strip()
-    low = t.lower()
-    if low == "true":
-        return True
-    if low == "false":
-        return False
     try:
         return int(t)
     except ValueError:
@@ -40,7 +35,7 @@ def _parse_scalar(token):
 def _finite_float(value):
     """A config number as a float; nan and inf are refused, since no
     study reads them as anything but a mistake."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    if not isinstance(value, (int, float)):
         raise TypeError
     out = float(value)  # OverflowError for an int beyond the float range
     if not math.isfinite(out):
@@ -86,8 +81,6 @@ def format_value(value):
     """Render a typed value back to config syntax."""
     if isinstance(value, tuple):
         return ", ".join(format_value(v) for v in value)
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, float):
         return format(value, ".17g")
     return str(value)
@@ -136,14 +129,14 @@ class StudyConfig:
 
     def get_str(self, key, default=_MISSING):
         def cast(v):
-            if isinstance(v, (tuple, bool)):
+            if isinstance(v, tuple):
                 raise TypeError
             return str(v)
         return self._typed(key, default, cast, "string")
 
     def get_int(self, key, default=_MISSING):
         def cast(v):
-            if isinstance(v, bool) or not isinstance(v, int):
+            if not isinstance(v, int):
                 raise TypeError
             return v
         return self._typed(key, default, cast, "integer")

@@ -184,7 +184,8 @@ def optimize_eta(family, eps, exponents, refine=None):
     record = math.inf  # least bound evaluated so far
     for eta in candidates:
         floor = math.sqrt(eta) if weighted else eta
-        if record < floor * margin:
+        # an eta that underflows to 0 sizes no cell
+        if eta <= 0 or record < floor * margin:
             continue
         try:
             rep = criterion_report(family, eps, eta, refine)

@@ -271,9 +271,9 @@ def _rule_integrals(field_, origins, side, jac, refine, order, squares):
 
     A rule of more than one evaluation shares them among threads (see
     _split).  Each evaluation writes only its own cells' and blocks'
-    slice of the (cells, blocks) block sums, and each batch's cells are
+    slice of the (cells, blocks) block sums, and each cell's row is
     reduced once every evaluation is done, by the calling thread, the
-    same sum over the same slice as a serial run takes.  So no bit of the
+    same sum over the same row as a serial run takes.  So no bit of the
     result depends on the number of threads or on the order they finish
     in.
     """
@@ -303,11 +303,7 @@ def _rule_integrals(field_, origins, side, jac, refine, order, squares):
     starts = [(a, b) for a in range(0, len(origins), step)
               for b in range(0, blocks, per)]
     _split(lambda i: evaluate(*starts[i]), len(starts))
-    outs = np.empty((len(block_sums), len(origins)))
-    for a in range(0, len(origins), step):
-        for out, sums in zip(outs, block_sums):
-            out[a:a + step] = jac * sums[a:a + step].sum(axis=1)
-    return outs
+    return np.array([jac * sums.sum(axis=1) for sums in block_sums])
 
 
 def default_refine(eta, finest_scale):

@@ -52,12 +52,13 @@ def fit_rate(eps_values, values):
     Nonpositive or non-finite pairs are dropped (and counted); fewer than
     two surviving points yields nan slope and constant.
     """
+    values = list(values)
     pairs = [
         (e, v)
         for e, v in zip(eps_values, values)
         if e > 0 and v > 0 and math.isfinite(e) and math.isfinite(v)
     ]
-    dropped = len(list(values)) - len(pairs)
+    dropped = len(values) - len(pairs)
     if len(pairs) < 2:
         return {"slope": math.nan, "constant": math.nan, "r_squared": math.nan,
                 "used": len(pairs), "dropped": dropped}
@@ -107,8 +108,6 @@ def _table(cfg, rows, footer, fits=()):
 
 
 def _cell(value):
-    if isinstance(value, bool):
-        return "1" if value else "0"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, (float, np.floating)):
@@ -235,6 +234,12 @@ def _criterion_exponents(cfg):
 # at least 5.36-fold above it.  Never raise the factor to make a row pass
 RATE_FACTOR = 2.0
 
+# homogenize_study's grid has SAMPLE_POINTS interior points per axis, and
+# its windows at eps have side mu = eps ** MU_POWER; the margins in its
+# docstring were measured at these values
+SAMPLE_POINTS = 33
+MU_POWER = 0.5
+
 
 def criterion_study(cfg, seed):
     """Optimized cell-criterion table over the epsilon schedule.
@@ -277,9 +282,11 @@ def criterion_study(cfg, seed):
 def homogenize_study(cfg, seed):
     """Local-mean limit identification against the declared limit.
 
-    The declared limit is consistent when the gap between the window
-    means at the finest eps and the declared limit's values is at most
-    the budget, the sum of two terms:
+    The window means are sampled on a grid of SAMPLE_POINTS interior
+    points per axis, over windows of side mu = eps ** MU_POWER; no config
+    key sets either.  The declared limit is consistent when the gap
+    between the window means at the finest eps and the declared limit's
+    values is at most the budget, the sum of two terms:
 
     - the tail: the gap of the finest pair of successive eps.  It is the
       change the last step of the schedule made to the means, and so an
@@ -291,7 +298,7 @@ def homogenize_study(cfg, seed):
       on two_scale_homogenize, whose limit x has Lip 1.
 
     There is no slack factor.  Measured margins (final gap against
-    budget, at sample_points 33 and mu_power 0.5): two_scale_homogenize
+    budget, at SAMPLE_POINTS and MU_POWER): two_scale_homogenize
     0.0156 against 0.162; sign_sin with its limit misdeclared as 0.5 is
     rejected, 0.518 against 0.191 on that schedule (sign_homogenize) and
     0.622 against 0.438 on sign_resolvent's, and with its true limit 0
@@ -307,26 +314,18 @@ def homogenize_study(cfg, seed):
     schedule = _schedule(cfg)
     if len(schedule) < 2:
         raise ConfigError("homogenize needs at least two schedule entries")
-    points = cfg.get_int("homogenize.sample_points", 33)
-    if points < 1:
-        raise ConfigError(
-            f"homogenize.sample_points must be at least 1, got {points}")
-    mu_power = cfg.get_float("homogenize.mu_power", 0.5)
-    if not mu_power > 0:
-        raise ConfigError(
-            f"homogenize.mu_power must be positive, got {mu_power!r}")
     grid, means = criteria.local_mean_limit(
-        family, schedule, lambda eps: eps ** mu_power, points)
+        family, schedule, lambda eps: eps ** MU_POWER, SAMPLE_POINTS)
     declared_gaps = criteria.worst_gap(means, family.limit.v(tuple(grid.T)))
     pair_gaps = criteria.worst_gap(means[1:], means[:-1])
     # the last eps has no successor to compare with
-    rows = [{"eps": eps, "mu": eps ** mu_power, "declared_gap": declared,
+    rows = [{"eps": eps, "mu": eps ** MU_POWER, "declared_gap": declared,
              "pair_gap": pair_gap}
             for eps, declared, pair_gap in zip(
                 schedule, declared_gaps, np.append(pair_gaps, math.nan))]
 
     final_gap = declared_gaps[-1]
-    mu_final = schedule[-1] ** mu_power
+    mu_final = schedule[-1] ** MU_POWER
     budget = pair_gaps[-1] + math.sqrt(mu_final)
     consistent = final_gap <= budget
     footer = [

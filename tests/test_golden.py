@@ -61,7 +61,7 @@ DIGESTS = {
     "random_resolvent": "bdc1d1b6ec926078487dce09b2a1b90c8b78f0b17e71e7957ed1630bcb05a93e",
     "regular_criterion": "5df31674ac2c9ef2602a6c91f6d89efa12ce072d5ab88218e9dae7ffde5813db",
     "sign_criterion": "784dbf637836bf2f209eb035030ca3519702d49f15eef7b0347bc975dc2173b3",
-    "sign_homogenize": "8f13c320fb731cfc10a6d0dbf6ebf2dd9112ce7a4854b42b2105b43639f6e5d1",
+    "sign_homogenize": "72eb8365d9f0b7684947f05d04320a3e3842578ad8eeb87db70224ed9e614382",
     "sign_resolvent": "d9fb2915267964d412c6b7836591919d7b0ee8e3e02bb8f26865fc5a3a3efd9d",
     "sin_criterion": "6b62c0889cab902f9c7b5aec2765810195fbba7dc909e3c4966aa0a8bc3afb9b",
     "sin_neumann": "9c487db76632b1999ae792862e0640f25441102c6bd38a2a9dcf4ebd99677262",
@@ -71,7 +71,7 @@ DIGESTS = {
     "sparse_resolvent": "941d1b09fe11c91b0619fe77fb4e39a790fb693de5818678643d477fc64522c0",
     "stabilizing_criterion": "289ef06ba3c243629270e96d9d1b241daadb9bbfb99c1e460caa950268091c25",
     "stabilizing_resolvent": "0c522e2b3aa075ef017f63c36bb4751238e1e79908550f7eae27d54f47860fba",
-    "two_scale_homogenize": "f6958ff9faed8d8049fc8f90e9d635c6c8de375b4ad81fe0818cab98944098fb"
+    "two_scale_homogenize": "30d35068e8a56857939b2c729672903cceb50f67e93822ca5492f5cc727e9f19"
 }
 
 

@@ -52,7 +52,8 @@ UNSET_KEYS = {
     "family.amplitudes", "family.domain", "family.frequencies",
     "family.mean", "family.rho4_power", "family.rho5_power",
     "family.rho8_scale", "family.seed",
-    # mesh limits; the shipped studies run at the defaults
+    # mesh limits; the shipped studies run at the defaults, and the tiny
+    # studies of perfbench/tests lower min_elements to 16
     "mesh.min_elements", "mesh.cap_dof",
     # a deployment path; the shipped runs pass --out
     "output.csv",

@@ -46,6 +46,15 @@ def test_fit_rate_drops_nonpositive_points():
     assert math.isfinite(fit["slope"])
 
 
+def test_fit_rate_counts_dropped_points_of_iterators():
+    # each input can be read only once
+    fit = fit_rate(iter([0.1, 0.05, 0.025]), iter([1.0, 0.5, 0.25]))
+    assert (fit["used"], fit["dropped"]) == (3, 0)
+    assert fit["slope"] == pytest.approx(1.0)
+    fit = fit_rate(iter([0.1, 0.05, 0.025]), iter([1.0, 0.0, 0.5]))
+    assert (fit["used"], fit["dropped"]) == (2, 1)
+
+
 def test_fit_rate_underdetermined():
     fit = fit_rate([0.1], [1.0])
     assert math.isnan(fit["slope"])
@@ -365,14 +374,14 @@ def _shipped_with(name, *replacements):
     return StudyConfig.from_text(text, source=name)
 
 
-def test_homogenize_without_sampled_windows_is_not_consistent():
+def test_homogenize_without_sampled_windows_is_not_consistent(monkeypatch):
     # windows of size eps^0.001 > 0.99 leave the unit domain from every
     # grid point (the first is at 1/34), and sign_sin declares the limit
     # 0.5 against a true mean of 0
+    monkeypatch.setattr(study, "MU_POWER", 0.001)
     cfg = _shipped_with(
         "two_scale_homogenize",
-        ("family.name = two_scale_linear", "family.name = sign_sin"),
-        ("homogenize.mu_power = 0.5", "homogenize.mu_power = 0.001"))
+        ("family.name = two_scale_linear", "family.name = sign_sin"))
     res = run_study("homogenize", cfg, seed=1234)
     assert all(math.isnan(row["declared_gap"]) for row in res.rows)
     assert all(math.isnan(row["pair_gap"]) for row in res.rows)
@@ -385,16 +394,3 @@ def test_homogenize_without_sampled_windows_is_not_consistent():
         "# finest_pair_gap = nan",
         "# skipped_windows = 165",
         "# declared_limit_consistent: false (gap nan vs budget nan)")
-
-
-@pytest.mark.parametrize("points", [0, -4])
-def test_homogenize_rejects_an_empty_sample_grid(points):
-    cfg = _shipped_with(
-        "two_scale_homogenize",
-        ("homogenize.sample_points = 33",
-         f"homogenize.sample_points = {points}"))
-    with pytest.raises(ConfigError, match="homogenize.sample_points must be "
-                                          f"at least 1, got {points}"):
-        run_study("homogenize", cfg, seed=1234)
-
-
