@@ -174,6 +174,13 @@ def adjoint(form):
         [np.roll(data[u - k], k) for k in range(-u, u + 1)]))
 
 
+def is_hermitian(form):
+    """Whether a band form equals its adjoint entry for entry, exactly:
+    the property that lets a norm of it, or of its inverse, be taken on
+    the operator itself (norms.induced_norm with no adjoint)."""
+    return np.array_equal(form.data, adjoint(form).data)
+
+
 def column_norms(a):
     """2-norm of each column of a 2D array, as Python floats.
 

@@ -7,15 +7,20 @@ Gram plus a primal/dual flag: a primal vector x has norm |U x|, a dual
 one |U^{-H} x|.  A study row factors its mesh's H1 Gram once and every
 norm it takes shares that Space; a Gram's band is the data of its band
 form (fem.diagonals).  An operator A from X to Y is then the
-plain matrix K = T_Y A T_X^{-1} in these coordinates, and its norm is the
-square root of the top eigenvalue of K^H K, which ARPACK's Lanczos finds
-from a seeded start vector in one call.  ARPACK checks convergence only
-once its basis is full, so the basis size is the cost floor of every
-norm; the basis used settles every shipped norm at that first check (14
-applications of K^H K), and a norm whose top values cluster converges
-through restarts of the same basis, up to a fixed cap.  The explicit
-eigen-residual of the returned Ritz pair is the error bar; a residual
-above the requested relative tolerance flags the value.
+plain matrix K = T_Y A T_X^{-1} in these coordinates, and its norm is
+found by ARPACK's Lanczos from a seeded start vector in one call, on one
+of two operators.  A self-adjoint A from a space to its dual (a Hermitian
+form, or the resolvent difference of two) makes K Hermitian, and its norm
+is the largest |eigenvalue| of K itself, one application of A a step.
+Any other A is measured on K^H K, whose top eigenvalue is the norm
+squared, at one application of A and one of its adjoint a step.  ARPACK
+checks convergence only once its basis is full, so the basis size is the
+cost floor of every norm: 14 applications of the Lanczos operator.  A
+norm whose top values cluster, or on K whose ends of opposite sign lie
+close in modulus, converges through restarts of the same basis, up to a
+fixed cap.  The explicit eigen-residual of the returned Ritz pair is the
+error bar; a residual above the requested relative tolerance flags the
+value.
 
 The coercivity constant is a smallest pencil eigenvalue, bracketed in one
 call: inertia bisection below, and above, to a rounding margin, the Ritz
@@ -35,21 +40,28 @@ from scipy.sparse.linalg import (ArpackError, ArpackNoConvergence,
                                  LinearOperator, eigs)
 
 from .errors import CoercivityError, NumericalBreach
-from .fem import adjoint, assemble_perturbation, band_form, diagonals
+from .fem import (adjoint, assemble_perturbation, band_form, diagonals,
+                  is_hermitian)
 from .fields import gram_field
 
-# Lanczos basis size.  Of the 121 norms of the shipped configs, a basis of
-# 12 settles every one at its first check, in 14 applications of K^H K
-# with the explicit residual.  Smaller bases need a restart on some: a
-# basis of 11 on 18 norms (19 applications), 10 on 48 (17) and 8 on 67
-# (up to 18)
+# Lanczos basis size.  Costs count applications of the Lanczos operator
+# (K or K^H K), the explicit residual included.  Of the 135 norms of the
+# shipped configs, a basis of 12 settles all 15 on K^H K at the first
+# check, in 14 applications, and 57 of the 120 on K; the other 63 restart
+# once (20).  Over all 135, a basis of 11 takes 2163 applications against
+# 12's 2268, 10 takes 2200 and 16 takes 2446; another size would move the
+# last bits of every norm
 LANCZOS_NCV = 12
-# Restart cap.  No shipped norm restarts; two top values 1e-4 apart
-# converge through restarts in 38 applications.  ARPACK's default of
-# 10 * dim grows with the size, so a norm that never converges would run
-# that much longer unflagged; 200 bounds it at 12 * 201 applications
+# Restart cap.  Two top values 1e-4 apart converge through restarts in 38
+# applications of K^H K or 56 of K, ends +1 and -(1 - 1e-4) of K in 62
+# (each application of K costs half one of K^H K).  ARPACK's
+# default of 10 * dim grows with the size, so a norm that never converges
+# would run that much longer unflagged; 200 bounds it at 12 * 201
+# applications
 LANCZOS_MAXITER = 200
-REL_TOL = 1e-8  # residual tolerance of a norm, relative to theta
+# residual tolerance of a norm, relative to the eigenvalue of the Lanczos
+# operator: the value on K, its square on K^H K
+REL_TOL = 1e-8
 # find_lambda doubles the shift down to LAMBDA_ABORT until every form's
 # certified coercivity constant is at least C4_MIN
 C4_MIN, LAMBDA_ABORT = 0.05, -1e6
@@ -93,6 +105,11 @@ class Space:
         other.dual = not self.dual
         return other
 
+    def is_star_of(self, other):
+        """Whether this space is other.star(): the same factor, the other
+        flag."""
+        return self._band is other._band and self.dual != other.dual
+
     def _mul(self, x, adjoint):
         return (self._uh if adjoint else self._u) @ x
 
@@ -124,35 +141,43 @@ class NormReport:
 
 
 def _power_singular(apply_, apply_adj, dim, seed):
-    """Largest singular value of K, from the top eigenpair of K^H K.
+    """Largest singular value of K, by ARPACK on K itself when K is
+    Hermitian (apply_adj None), else on K^H K.
 
-    ARPACK Lanczos (eigs on the Hermitian K^H K, the call eigsh makes for
-    a complex operator) from a seeded start vector v0, with a basis of
-    LANCZOS_NCV vectors and at most LANCZOS_MAXITER restarts, whose
-    vectors come from a generator seeded with seed, so identical calls
-    give identical bits.  ARPACK stops on its own residual estimate, so it
-    is asked for REL_TOL / 100 to leave the explicit residual room below
-    REL_TOL.
+    For a Hermitian K it is the largest |mu| over the eigenvalues mu of K,
+    which Lanczos on K finds in one application a step ("LM"); otherwise
+    it is the square root of the top eigenvalue theta of K^H K ("LR"),
+    two applications a step.  Either way it is one eigs call (the call
+    eigsh makes for a complex operator) from a seeded start vector v0,
+    with a basis of LANCZOS_NCV vectors and at most LANCZOS_MAXITER
+    restarts, whose vectors come from a generator seeded with seed, so
+    identical calls give identical bits.  ARPACK stops on its own residual
+    estimate, so it is asked for REL_TOL / 100 to leave the explicit
+    residual room below REL_TOL.
 
-    Returns (value, applications of K^H K, explicit residual
-    |K^H K v - theta v| of the unit vector v, mode): "residual" when
-    Lanczos converged, "max_iter" when it ran out of restarts (v is then
-    the applied vector of largest Rayleigh quotient), "zero" when K
+    Returns (value, applications of the Lanczos operator, explicit
+    residual of the unit vector v, mode).  The residual is |K v - mu v| on
+    K, where some eigenvalue of K lies within it of mu (Krylov-Bogoliubov),
+    and |K^H K v - theta v| on K^H K.  mode is "residual" when Lanczos
+    converged, "max_iter" when it ran out of restarts (v is then the
+    applied vector of largest |Rayleigh quotient|), "zero" when K
     annihilates the start vector.  The name is that of the power
     iteration this replaced; perfbench/probes.py counts applications and
     exit modes through it.
     """
+    hermitian = apply_adj is None
     applications = 0
-    best = (-math.inf, None)
+    best = (-math.inf, None, None)
 
-    def gram(x):
+    def lanczos_op(x):
         nonlocal applications, best
         x = np.ravel(x)
-        y = apply_adj(apply_(x))
+        y = apply_(x) if hermitian else apply_adj(apply_(x))
         applications += 1
         quotient = float(np.vdot(x, y).real / np.vdot(x, x).real)
-        if quotient > best[0]:
-            best = (quotient, x.copy())  # ARPACK reuses its buffer
+        score = abs(quotient) if hermitian else quotient
+        if score > best[0]:
+            best = (score, quotient, x.copy())  # ARPACK reuses its buffer
         return y
 
     rng = np.random.default_rng(seed)
@@ -162,34 +187,52 @@ def _power_singular(apply_, apply_adj, dim, seed):
     mode = "residual"
     if dim <= 2:
         # ARPACK refuses an operator this small
-        w, vecs = np.linalg.eigh(
-            np.column_stack([gram(e) for e in np.eye(dim, dtype=complex)]))
-        theta, v = w[-1], vecs[:, -1]
+        w, vecs = np.linalg.eigh(np.column_stack(
+            [lanczos_op(e) for e in np.eye(dim, dtype=complex)]))
+        top = int(np.argmax(np.abs(w))) if hermitian else -1
+        theta, v = w[top], vecs[:, top]
     else:
-        op = LinearOperator((dim, dim), matvec=gram, dtype=complex)
+        op = LinearOperator((dim, dim), matvec=lanczos_op, dtype=complex)
         try:
-            w, vecs = eigs(op, k=1, which="LR", v0=v0,
-                           ncv=min(dim, LANCZOS_NCV), tol=REL_TOL / 100,
-                           maxiter=LANCZOS_MAXITER,
+            w, vecs = eigs(op, k=1, which="LM" if hermitian else "LR",
+                           v0=v0, ncv=min(dim, LANCZOS_NCV),
+                           tol=REL_TOL / 100, maxiter=LANCZOS_MAXITER,
                            rng=np.random.default_rng(seed))
             theta, v = w[0].real, vecs[:, 0]
         except ArpackNoConvergence:
-            theta, v = best
+            _, theta, v = best
             v = v / np.linalg.norm(v)
             mode = "max_iter"
         except ArpackError as exc:
             raise NumericalBreach(f"Lanczos failed: {exc}") from exc
+    if hermitian:
+        mu = float(np.real(theta))
+        residual = float(np.linalg.norm(lanczos_op(v) - mu * v))
+        return abs(mu), applications, residual, mode
     theta = max(float(np.real(theta)), 0.0)
-    residual = float(np.linalg.norm(gram(v) - theta * v))
+    residual = float(np.linalg.norm(lanczos_op(v) - theta * v))
     return math.sqrt(theta), applications, residual, mode
 
 
 def induced_norm(apply_, apply_adj, space_in, space_out, seed):
     """Operator norm from space_in to space_out, with its residual bound.
 
-    The report is flagged when Lanczos ran out of restarts or the
-    explicit residual exceeds REL_TOL times the eigenvalue of K^H K.
+    apply_adj None declares the operator self-adjoint, which needs
+    space_out to be space_in.star(): K is then Hermitian and its norm is
+    taken on K itself; otherwise on K^H K (_power_singular).  The report
+    is flagged when Lanczos ran out of restarts or the explicit residual
+    exceeds REL_TOL times the value on K, or times its square, the
+    eigenvalue, on K^H K.
+
+    On K, uncertainty is the residual itself, the Krylov-Bogoliubov
+    radius: some eigenvalue of K lies within it of the Ritz value, so
+    some singular value lies within it of the value.  On K^H K it is
+    residual / (2 value), a first-order estimate of the value's error.
+    Neither bounds the norm from above.
     """
+    hermitian = apply_adj is None
+    if hermitian and not space_out.is_star_of(space_in):
+        raise ValueError("a self-adjoint operator maps a space to its dual")
 
     def k(x):
         return space_out.coords(apply_(space_in.vector(x)))
@@ -199,7 +242,12 @@ def induced_norm(apply_, apply_adj, space_in, space_out, seed):
                                adjoint=True)
 
     value, applications, residual, mode = _power_singular(
-        k, k_adj, space_in.dim, seed)
+        k, None if hermitian else k_adj, space_in.dim, seed)
+    if hermitian:
+        uncertainty, tolerance = residual, REL_TOL * value
+    else:
+        uncertainty = residual / (2.0 * value) if value > 0 else 0.0
+        tolerance = REL_TOL * value * value
     return NormReport(
         value=value,
         method={
@@ -207,17 +255,22 @@ def induced_norm(apply_, apply_adj, space_in, space_out, seed):
             "residual": residual,
             "seed": seed,
             "converged": mode,
-            "uncertainty": residual / (2.0 * value) if value > 0 else 0.0,
+            "uncertainty": uncertainty,
         },
-        flagged=mode == "max_iter" or residual > REL_TOL * value * value,
+        flagged=mode == "max_iter" or residual > tolerance,
     )
 
 
 def norm_v_to_vstar(X, h1, seed):
     """Norm of a band form as an operator from H1 to its dual; h1 is the
-    Space of the H1 Gram.  X and X^H are held complex, as the vectors
-    they multiply are, so no product casts the form's entries again."""
+    Space of the H1 Gram.  A Hermitian form (fem.is_hermitian) is measured
+    on the operator itself, any other one with its adjoint X^H.  X and X^H
+    are held complex, as the vectors they multiply are, so no product
+    casts the form's entries again."""
+    hermitian = is_hermitian(X)
     X = X.astype(complex)
+    if hermitian:
+        return induced_norm(lambda v: X @ v, None, h1, h1.star(), seed=seed)
     XH = adjoint(X)
     return induced_norm(
         lambda v: X @ v, lambda v: XH @ v, h1, h1.star(), seed=seed)

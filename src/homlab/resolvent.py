@@ -27,7 +27,8 @@ from . import criteria
 from .errors import CoercivityError, NumericalBreach
 from .families import deviation_triple
 from .fem import (SOLVE_RTOL, LinearSolver, adjoint, aligned_bands,
-                  assemble_triple, band_form, column_norms, discretize)
+                  assemble_triple, band_form, column_norms, discretize,
+                  is_hermitian)
 from .norms import Space, _hermitian_part, induced_norm, smallest_eigenvalue
 
 # twice the entries of identity_residual's refined block, its loads f for
@@ -117,13 +118,20 @@ def contraction_norm(ctx, seed):
 def truncation_error_norm(ctx, order, seed):
     """Norm of R_eps minus the order-N series, dual space into H1.
 
-    Order 0 is the resolvent difference kappa = |R_eps - R_0|.
+    Order 0 is the resolvent difference kappa = |R_eps - R_0|, which is
+    self-adjoint when G0 and Geps are Hermitian (fem.is_hermitian), and
+    is then measured without its adjoint (norms.induced_norm).  Higher
+    orders of Hermitian forms are self-adjoint too, but are measured with
+    their adjoint, so their values keep the bits of that measurement.
     """
     h1 = ctx.h1
+    if order == 0 and is_hermitian(ctx.G0) and is_hermitian(ctx.Geps):
+        adjoint_ = None
+    else:
+        def adjoint_(g):
+            return _series_remainder(ctx, g, order, adjoint=True)
     return induced_norm(
-        lambda f: _series_remainder(ctx, f, order),
-        lambda g: _series_remainder(ctx, g, order, adjoint=True),
-        h1.star(), h1,
+        lambda f: _series_remainder(ctx, f, order), adjoint_, h1.star(), h1,
         seed=seed,
     )
 
@@ -303,8 +311,9 @@ def convergence_row(family, eps, lam, setting, seed, eta_exponents, orders):
     ctx = context_from_setting(setting, lam)
     _, crit = criteria.optimize_eta(family, eps, eta_exponents)
     rep_kappa = truncation_error_norm(ctx, 0, seed)
-    rep_L = induced_norm(lambda v: ctx.L @ v, lambda v: ctx.LH @ v, ctx.h1,
-                         ctx.h1.star(), seed=seed)
+    rep_L = induced_norm(lambda v: ctx.L @ v,
+                         None if is_hermitian(ctx.L) else lambda v: ctx.LH @ v,
+                         ctx.h1, ctx.h1.star(), seed=seed)
     row = {
         "eps": eps,
         "n_elements": ctx.meta["n_elements"],

@@ -47,30 +47,30 @@ NEGATIVE_CONTROLS = {"sign_resolvent", "sign_criterion"}
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
 DIGESTS = {
     "almost_periodic_criterion": "1d7034c14920ef53009b915152f7b3a714a11977af312a931edd0ce8171211a4",
-    "almost_periodic_resolvent": "54cf6a1da9287f86adc2bf3094b7f4a556612c35d8900ad63868b6ccd6410df7",
+    "almost_periodic_resolvent": "6f315d25fdd053ad85df41efd4217d37596e6265ce5303b2fe826828993a7dd2",
     "fractal_criterion": "c8031b7db1e33142f1be56ec8aaeb57d0194dc9fcdf1a89dbf8f42c5daec287a",
     "locally_periodic2_criterion": "4a91fa38b5a35af047b09f3c3df5874bf3e17be4de3fc11dc3272322a47aa469",
-    "locally_periodic2_resolvent": "dd41fde37d5da39e7db93ed23a6f56eef33f5981c75c07ee4be1f58ba71b5ae5",
+    "locally_periodic2_resolvent": "f48b61f71715d50b2c42ac308892955fd592bca98c6745374b9eefc13744f7d9",
     "locally_periodic_criterion": "607e0aa96d2727d11b9c8e5bb98d168c219754dca15532fbd325f29cb339c96e",
-    "locally_periodic_resolvent": "ad8a1ef4a72de1f4d62b249f16b4db2db4f38f41dd132880e86fd7f036cd77f1",
+    "locally_periodic_resolvent": "e41ff1a8aaf44af262d26359132639740981203a7d98aa2f43467414edc30023",
     "modulated_diffeo_criterion": "8cb1a21b1d0d0105ce3526f7369b2ad65b163d1dc3ebbb29358fb2539131c423",
-    "modulated_diffeo_resolvent": "b4ed4dc92c74d82a4d43e0e4e0ff9c33b0527361faf6cdce0763924f0da5b1e2",
+    "modulated_diffeo_resolvent": "28c771ca62f5d1e50423559fc0a34d1825e397d06ff592106c66fe520557fd60",
     "modulated_periodic_criterion": "5bc4e1d60da13821300339f798eb2e5b212df8fa1a487ea6f3b42f3cc5284ec3",
-    "modulated_periodic_resolvent": "707ea666394c2094470cd2f75d4bc3d02a61f1a3cf94c282c1724d6cb7d5f10f",
+    "modulated_periodic_resolvent": "5d242b7d0d323a962f1ab2d27f9e1d395c4521efcca3093aab02a313e5bb5ce9",
     "random_criterion": "11bc1f841ec0b56a068d8c9f8d7106cae91b0231e672ab3d275c9362219f5fc6",
-    "random_resolvent": "bdc1d1b6ec926078487dce09b2a1b90c8b78f0b17e71e7957ed1630bcb05a93e",
+    "random_resolvent": "f8f07f2b6d51638bb4a7728c1d052f712a44bd5ae6e8e05fb9e94a5a7df456fa",
     "regular_criterion": "5df31674ac2c9ef2602a6c91f6d89efa12ce072d5ab88218e9dae7ffde5813db",
     "sign_criterion": "784dbf637836bf2f209eb035030ca3519702d49f15eef7b0347bc975dc2173b3",
     "sign_homogenize": "72eb8365d9f0b7684947f05d04320a3e3842578ad8eeb87db70224ed9e614382",
-    "sign_resolvent": "d9fb2915267964d412c6b7836591919d7b0ee8e3e02bb8f26865fc5a3a3efd9d",
+    "sign_resolvent": "4ecdf71ec85610bf7c4b7ffe7ba394747c924bb0b0988b7cf2756d3e408fc2ba",
     "sin_criterion": "6b62c0889cab902f9c7b5aec2765810195fbba7dc909e3c4966aa0a8bc3afb9b",
-    "sin_neumann": "9c487db76632b1999ae792862e0640f25441102c6bd38a2a9dcf4ebd99677262",
-    "sin_norm": "2b531ec3f61d40fffb760f42cf665b0eabd140f49f81f4c5a3b279a2faef6522",
-    "sin_resolvent": "be1ce95ba5607745f208b8ba2bfa88e85106f2aa1fa03d7425d52478f5008977",
+    "sin_neumann": "dabd64de1caef63113ecb3f5e8dda0018c6ae0504dea3da71f8b6b0b5935b890",
+    "sin_norm": "3993f2326743baae7d0921a962f0570bdb4b1445b478493b84fe28890af01f50",
+    "sin_resolvent": "19432771e5ce27fea7cacd11f47dfdd018472076ff318f83222fb2d836c53b85",
     "sparse_criterion": "e33ee4a7fed8ab8e81c1d19c21c969b9d99e8b6f37990192388ddce2d6259f8a",
-    "sparse_resolvent": "941d1b09fe11c91b0619fe77fb4e39a790fb693de5818678643d477fc64522c0",
+    "sparse_resolvent": "057a3d1246dc800868cc322b3f9f86b8898ae50ba28dfb4fd721d704ce17ce36",
     "stabilizing_criterion": "289ef06ba3c243629270e96d9d1b241daadb9bbfb99c1e460caa950268091c25",
-    "stabilizing_resolvent": "0c522e2b3aa075ef017f63c36bb4751238e1e79908550f7eae27d54f47860fba",
+    "stabilizing_resolvent": "9c3c79e298308d091446bf2da333953916cf58b0589f1f364d1c5fb6742674eb",
     "two_scale_homogenize": "30d35068e8a56857939b2c729672903cceb50f67e93822ca5492f5cc727e9f19"
 }
 
@@ -209,12 +209,12 @@ def test_homogenize_verdict_agrees_with_the_resolvent_verdict(name):
 # the series table of sin_neumann at eps 0.05 when it was a study kind of
 # its own: (error, bound) per order 0-4, then norm_L, c2 and contraction
 SERIES_TABLE = (
-    ((0.010334625153686215, 0.011206184118875397),
-     (0.00011295341762880907, 0.00012557856250613515),
-     (1.1840207957486657e-06, 1.407256492827453e-06),
-     (1.2857995100160991e-08, 1.576997536110729e-08),
-     (1.3565105743623239e-10, 1.7672124744669685e-10)),
-    0.011206184118875397, 1.0, 0.011057807107828055,
+    ((0.01033462515368619, 0.011206184118875417),
+     (0.00011295341762880907, 0.0001255785625061356),
+     (1.1840207957486657e-06, 1.407256492827461e-06),
+     (1.2857995100160991e-08, 1.576997536110741e-08),
+     (1.3565105743623239e-10, 1.7672124744669848e-10)),
+    0.011206184118875417, 1.0, 0.011057807107828055,
 )
 
 

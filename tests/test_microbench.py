@@ -152,9 +152,9 @@ def test_bench_context_from_setting(benchmark, eps, dof):
 
 
 # the norms of a stabilizing_resolvent row, at the shift -1 its search
-# accepts.  Each converges at the first check of the 12-vector first
-# Lanczos basis: its applications of K^H K are that basis, one more, and
-# the explicit residual.  The counts are deterministic, so a wider or
+# accepts.  Its forms are symmetric, so each norm is taken on K itself and
+# converges at the first check of the 12-vector first Lanczos basis: its
+# applications of K are that basis, one more, and the explicit residual.  The counts are deterministic, so a wider or
 # slower basis fails here even when the timings are noisy
 FIRST_RUNG = 12 + 2
 

@@ -14,7 +14,8 @@ from homlab import registry, study
 from homlab.config import StudyConfig
 from homlab import norms
 from homlab.fem import LinearSolver, NumericalBreach, OperatorSpec, \
-    adjoint, assemble_base, assemble_perturbation, build_mesh
+    adjoint, aligned_bands, assemble_base, assemble_perturbation, \
+    band_form, build_mesh, is_hermitian
 from homlab.fields import Box, CoefficientField, constant_field, gram_field
 from homlab.norms import (
     CoercivityError,
@@ -26,8 +27,8 @@ from homlab.norms import (
     smallest_eigenvalue,
 )
 from homlab.resolvent import (ResolventContext, assemble_setting,
-                               context_from_setting, shifted_forms,
-                               truncation_error_norm)
+                               context_from_setting, convergence_row,
+                               shifted_forms, truncation_error_norm)
 import csr_oracle
 from csr_oracle import band, half_bandwidth
 
@@ -46,6 +47,25 @@ def dense_v_to_vstar(x, s):
     return float(np.linalg.svd(s_half_inv @ x @ s_half_inv, compute_uv=False)[0])
 
 
+def dense_hermitian_v_to_vstar(x, s):
+    """Largest |eigenvalue| of the pencil (X, S), X Hermitian."""
+    return float(np.abs(sla.eigh(x, s, eigvals_only=True)).max())
+
+
+def _routes(monkeypatch):
+    """The Lanczos operator of every _power_singular call, in order: "K"
+    for the operator itself, "KHK" for K^H K."""
+    routes = []
+    inner = norms._power_singular
+
+    def spy(apply_, apply_adj, dim, seed):
+        routes.append("K" if apply_adj is None else "KHK")
+        return inner(apply_, apply_adj, dim, seed)
+
+    monkeypatch.setattr(norms, "_power_singular", spy)
+    return routes
+
+
 # ------------------------------------------------------------ closed forms
 
 def test_gram_as_operator_has_unit_norm():
@@ -56,13 +76,17 @@ def test_gram_as_operator_has_unit_norm():
     assert not rep.flagged
 
 
-def test_scaled_gram_norm_is_scale():
+def test_scaled_gram_norm_is_scale(monkeypatch):
+    # -2.5 S is Hermitian and measured on K; 3j S is not, and is measured
+    # on K^H K
     rng = np.random.default_rng(1)
     s = random_spd(rng, 12)
+    routes = _routes(monkeypatch)
     for c in (-2.5, 3.0j):
         rep = norm_v_to_vstar(band(c * s),
                               Space(band(s)), seed=1234)
         assert rep.value == pytest.approx(abs(c), rel=1e-9)
+    assert routes == ["K", "KHK"]
 
 
 def test_identity_between_l2_metrics():
@@ -76,13 +100,54 @@ def test_identity_between_l2_metrics():
 # ------------------------------------------------------------ dense oracles
 
 @pytest.mark.parametrize("n", [1, 2, 5, 17, 40])
-def test_form_norm_matches_dense_oracle(n):
+def test_form_norm_matches_dense_oracle(monkeypatch, n):
     rng = np.random.default_rng(100 + n)
     x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     s = random_spd(rng, n)
+    routes = _routes(monkeypatch)
     rep = norm_v_to_vstar(band(x), Space(band(s)), seed=1234)
+    assert routes == ["KHK"]
     assert rep.value == pytest.approx(dense_v_to_vstar(x, s), rel=2e-8)
     assert rep.method["residual"] <= 1e-8 * rep.value + 1e-13
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 17, 40])
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_hermitian_form_norm_on_k_matches_dense_oracle(monkeypatch, n, kind):
+    # indefinite Hermitian forms, measured on K itself: the norm is the
+    # largest |eigenvalue| of the pencil (X, S); n <= 2 is the dense branch
+    rng = np.random.default_rng(200 + n)
+    x = rng.standard_normal((n, n))
+    if kind == "complex":
+        x = x + 1j * rng.standard_normal((n, n))
+    x = x + x.conj().T
+    s = random_spd(rng, n)
+    routes = _routes(monkeypatch)
+    rep = norm_v_to_vstar(band(x), Space(band(s)), seed=1234)
+    assert routes == ["K"]
+    assert rep.value == pytest.approx(dense_hermitian_v_to_vstar(x, s),
+                                      rel=2e-8)
+    assert rep.method["residual"] <= 1e-8 * rep.value + 1e-13
+    assert rep.method["uncertainty"] == rep.method["residual"]
+    assert not rep.flagged
+
+
+@pytest.mark.parametrize("ends", [(-3.0, 1.0), (1.0, -3.0), (3.0, -1.0)])
+def test_dense_branch_takes_the_largest_modulus(ends):
+    # on two dof the eigenvalue of largest modulus, whichever its sign
+    rep = norm_v_to_vstar(band(np.diag(ends)), Space(band(np.eye(2))),
+                          seed=1234)
+    assert rep.value == 3.0
+    assert rep.method["residual"] == 0.0
+
+
+def test_self_adjoint_norm_needs_a_space_and_its_dual():
+    space = Space(band(np.eye(4)))
+    with pytest.raises(ValueError, match="to its dual"):
+        induced_norm(lambda v: v, None, space, space, seed=1234)
+    with pytest.raises(ValueError, match="to its dual"):
+        induced_norm(lambda v: v, None, space, Space(band(np.eye(4))).star(),
+                     seed=1234)
 
 
 def test_norm_report_invariants():
@@ -101,13 +166,17 @@ def _clustered_form(n=200):
 
 
 def test_unconverged_lanczos_is_flagged(monkeypatch):
-    # a top cluster 1e-9 wide cannot be resolved in one Lanczos restart
+    # a top cluster 1e-9 wide cannot be resolved in one Lanczos restart,
+    # on K (a Hermitian form) or on K^H K (its multiple by 1j)
     monkeypatch.setattr(norms, "LANCZOS_MAXITER", 1)
-    rep = norm_v_to_vstar(_clustered_form(),
-                          Space(band(sp.identity(200))), seed=1234)
-    assert rep.flagged
-    assert rep.method["converged"] == "max_iter"
-    assert 0.9 < rep.value <= 1.0
+    routes = _routes(monkeypatch)
+    for sign in (1.0, 1.0j):
+        rep = norm_v_to_vstar(band(sign * _clustered_form().toarray()),
+                              Space(band(sp.identity(200))), seed=1234)
+        assert rep.flagged
+        assert rep.method["converged"] == "max_iter"
+        assert 0.9 < rep.value <= 1.0
+    assert routes == ["K", "KHK"]
 
 
 def test_lanczos_restarts_are_capped():
@@ -142,40 +211,66 @@ def _close_top_form(n=200):
                                np.linspace(0.9, 0.1, n - 2)]))
 
 
-def test_close_top_restarts_and_matches_dense():
-    x, s = _close_top_form(), band(sp.identity(200))
-    rep = norm_v_to_vstar(x, Space(s), seed=1234)
-    # more than one full basis: Lanczos restarted
-    assert rep.method["iterations"] > norms.LANCZOS_NCV + 2
-    assert rep.method["converged"] == "residual"
-    assert not rep.flagged
-    assert rep.value == pytest.approx(
-        dense_v_to_vstar(x.toarray(), s.toarray()), rel=2e-8)
+def _split_ends_form(n=200):
+    # indefinite diagonal form whose ends +1 and -(1 - 1e-4) are close in
+    # modulus: Lanczos on K must resolve them both
+    return band(sp.diags(np.r_[1.0, -(1.0 - 1e-4),
+                               np.linspace(-0.9, 0.9, n - 2)]))
+
+
+def test_close_top_restarts_and_matches_dense(monkeypatch):
+    # close tops of a Hermitian form on K, of its multiple by 1j on K^H K,
+    # and ends of opposite sign close in modulus on K
+    s = band(sp.identity(200))
+    forms = [_close_top_form(), band(1j * _close_top_form().toarray()),
+             _split_ends_form()]
+    routes = _routes(monkeypatch)
+    for form in forms:
+        rep = norm_v_to_vstar(form, Space(s), seed=1234)
+        # more than one full basis: Lanczos restarted
+        assert rep.method["iterations"] > norms.LANCZOS_NCV + 2
+        assert rep.method["converged"] == "residual"
+        assert not rep.flagged
+        assert rep.value == pytest.approx(
+            dense_v_to_vstar(form.toarray(), s.toarray()), rel=2e-8)
+    assert routes == ["K", "KHK", "K"]
 
 
 def test_norm_is_the_single_lanczos_call():
-    # the same v0, basis, tolerance, restart cap and restart generator
-    x, seed = _close_top_form(), 1234
-    xh = adjoint(x)
-    rep = norm_v_to_vstar(x, Space(band(sp.identity(200))),
-                          seed=seed)
+    # the same v0, basis, tolerance, restart cap and restart generator, in
+    # one ARPACK call: "LM" on K for a Hermitian form, "LR" on K^H K for
+    # any other
+    seed = 1234
     rng = np.random.default_rng(seed)
     v0 = rng.standard_normal(200) + 1j * rng.standard_normal(200)
-    op = LinearOperator((200, 200), matvec=lambda v: xh @ (x @ v),
-                        dtype=complex)
-    w, _ = eigs(op, k=1, which="LR", v0=v0, ncv=norms.LANCZOS_NCV,
-                tol=1e-10, maxiter=norms.LANCZOS_MAXITER,
-                rng=np.random.default_rng(seed))
-    assert rep.value == math.sqrt(w[0].real)
+    space = Space(band(sp.identity(200)))
+
+    def arpack(matvec, which):
+        op = LinearOperator((200, 200), matvec=matvec, dtype=complex)
+        w, _ = eigs(op, k=1, which=which, v0=v0, ncv=norms.LANCZOS_NCV,
+                    tol=1e-10, maxiter=norms.LANCZOS_MAXITER,
+                    rng=np.random.default_rng(seed))
+        return w[0].real
+
+    x = _split_ends_form()
+    assert norm_v_to_vstar(x, space, seed=seed).value == abs(
+        arpack(lambda v: x @ v, "LM"))
+    y = band(3j * _close_top_form().toarray())
+    yh = adjoint(y)
+    assert norm_v_to_vstar(y, space, seed=seed).value == math.sqrt(
+        arpack(lambda v: yh @ (y @ v), "LR"))
 
 
-def test_zero_form_reports_zero():
+def test_zero_form_reports_zero(monkeypatch):
     rng = np.random.default_rng(5)
     s = random_spd(rng, 8)
+    routes = _routes(monkeypatch)
     rep = norm_v_to_vstar(band(np.zeros((8, 8), dtype=complex)),
                           Space(band(s)), seed=1234)
+    assert routes == ["K"]
     assert rep.value == 0.0
     assert rep.method["converged"] == "zero"
+    assert not rep.flagged
 
 
 def test_homogeneity_and_triangle_inequality():
@@ -216,22 +311,27 @@ def test_kappa_of_identical_solvers_is_zero():
     assert rep.value == 0.0
 
 
-def test_kappa_spd_pair_matches_dense_oracle():
+def test_kappa_spd_pair_matches_dense_oracle(monkeypatch):
+    # symmetric forms: R_eps - R_0 is self-adjoint and measured on K
+    routes = _routes(monkeypatch)
     rng = np.random.default_rng(8)
     n = 5
-    a = random_spd(rng, n).real
-    b = random_spd(rng, n).real
+    # symmetric to the last bit: a product C^H C need not be
+    a, b = ((m + m.T) / 2.0 for m in (random_spd(rng, n).real,
+                                      random_spd(rng, n).real))
     s = random_spd(rng, n).real
     d = np.linalg.inv(a) - np.linalg.inv(b)
     w, u = np.linalg.eigh(s)
     s_half = (u * np.sqrt(w)) @ u.T
     expect = float(np.abs(np.linalg.eigvalsh(s_half @ d @ s_half)).max())
     rep = kappa(a, b, s)
+    assert routes == ["K"]
     assert rep.value == pytest.approx(expect, rel=2e-8)
 
 
-def test_kappa_general_complex_matches_dense_oracle():
-    # nonsymmetric real forms, measured over complex vectors
+def test_kappa_general_complex_matches_dense_oracle(monkeypatch):
+    # nonsymmetric real forms, measured over complex vectors on K^H K
+    routes = _routes(monkeypatch)
     rng = np.random.default_rng(9)
     n = 12
     a = random_spd(rng, n).real + rng.standard_normal((n, n))
@@ -242,7 +342,73 @@ def test_kappa_general_complex_matches_dense_oracle():
     expect = math.sqrt(float(np.linalg.eigvals(s @ d.conj().T @ s @ d)
                              .real.max()))
     rep = kappa(a, b, s)
+    assert routes == ["KHK"]
     assert rep.value == pytest.approx(expect, rel=2e-8)
+
+
+def _first_order(op, refine):
+    """A first-order form (Q u', v) with an oscillating weight Q: real
+    and not symmetric."""
+    q = CoefficientField(1, lambda x: 0.3 * np.cos(x[0] / 0.1), 0.3)
+    x = assemble_perturbation(op.space, constant_field(1, 0.0), refine,
+                              q=(q,)).matrix
+    assert not is_hermitian(x)
+    return x
+
+
+def test_first_order_form_norm_on_khk_matches_dense_svd(monkeypatch):
+    op = assemble_base(OperatorSpec(UNIT), build_mesh(UNIT, 24))
+    x = _first_order(op, 4)
+    routes = _routes(monkeypatch)
+    rep = norm_v_to_vstar(x, Space(op.gram_h1), seed=1234)
+    assert routes == ["KHK"]
+    assert rep.value == pytest.approx(
+        dense_v_to_vstar(x.toarray(), op.gram_h1.toarray()), rel=2e-8)
+    assert not rep.flagged
+
+
+def test_first_order_row_measures_kappa_and_norm_l_on_khk(monkeypatch):
+    # sin_neumann's first row with a first-order weight added to the
+    # perturbed form: Geps and L are not Hermitian, so kappa and norm_L
+    # are measured on K^H K, against dense singular values
+    cfg = StudyConfig.load(CONFIGS / "sin_neumann.cfg")
+    family = registry.build_family(cfg)
+    setting = assemble_setting(study._operator_spec(cfg, family), family,
+                               0.05, **study._mesh_opts(cfg))
+    x_q = _first_order(setting["op"], setting["meta"]["refine"])
+    for key in ("x_eps", "x_dev"):
+        setting[key] = band_form(sum(aligned_bands(setting[key], x_q)))
+    lam = cfg.get_float("operator.shift")
+    ctx = context_from_setting(setting, lam)
+    routes = _routes(monkeypatch)
+    row = convergence_row(family, 0.05, lam, setting, 1234, (0.5,), ())
+    assert routes == ["KHK", "KHK"]
+    assert not row["flagged"]
+    s = ctx.op.gram_h1.toarray()
+    d = np.linalg.inv(ctx.Geps.toarray()) - np.linalg.inv(ctx.G0.toarray())
+    kappa_dense = math.sqrt(float(np.linalg.eigvals(s @ d.T @ s @ d)
+                                  .real.max()))
+    assert row["kappa"] == pytest.approx(kappa_dense, rel=2e-8)
+    assert row["norm_L"] == pytest.approx(
+        dense_v_to_vstar(ctx.L.toarray(), s), rel=2e-8)
+
+
+@pytest.mark.parametrize("config, per_row", [
+    # kappa, norm_L
+    ("stabilizing_resolvent", ["K", "K"]),
+    # norm_x and v_m10: a bare potential measures no v_m1m1 of its own
+    ("sin_norm", ["K", "K"]),
+    # kappa, norm_L, then the contraction and err_1 .. err_4
+    ("sin_neumann", ["K", "K"] + ["KHK"] * 5),
+])
+def test_shipped_configs_reach_both_routes(monkeypatch, config, per_row):
+    # each Lanczos operator stays reached by a shipped config: the
+    # symmetric forms' kappa and form norms on K, the contraction and the
+    # higher series errors on K^H K
+    cfg = StudyConfig.load(CONFIGS / f"{config}.cfg")
+    routes = _routes(monkeypatch)
+    study.run_study(cfg.get_str("study.kind"), cfg, seed=1234)
+    assert routes == per_row * len(study._schedule(cfg))
 
 
 # ------------------------------------------------------------ fe form norms
